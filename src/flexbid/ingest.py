@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DanglingReference, GridMismatch, SchemaError
+from .errors import DanglingReference, GridMismatch, InsufficientHistory, SchemaError
 from .grid import Line, Node, RadialNetwork, validate_radial
 from .scenarios import PriceSeries, naive_forecast
 from .thermal import BuildingParams
@@ -82,9 +83,12 @@ def _rows(path: str | Path, want_header: list[str], optional_last: bool = False)
 
 def _float(path, lineno, col: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SchemaError(f"{path}:{lineno}: column {col!r}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}:{lineno}: column {col!r}: not finite: {text!r}")
+    return value
 
 
 def _int(path, lineno, col: str, text: str) -> int:
@@ -317,7 +321,7 @@ class InstanceBundle:
         for d in sorted(self.realized):
             try:
                 forecast[d] = naive_forecast(realized_only, d)
-            except Exception:
+            except InsufficientHistory:
                 continue  # first day has no history; later days are covered
         return PriceSeries(horizon=HOURS, realized=dict(self.realized), forecast=forecast)
 

@@ -235,6 +235,16 @@ def _empty_day(cfg, inputs, tc: float, shed: float = 0.0, hp_cost: float = 0.0) 
     )
 
 
+def _solve_rows(models: Mapping[str, DispatchModel], price_rows: np.ndarray):
+    """One block-diagonal solve per building over every price row;
+    returns one {building id: DispatchResult} dict per row."""
+    per_building = {bid: model.solve(price_rows) for bid, model in models.items()}
+    return [
+        {bid: results[s] for bid, results in per_building.items()}
+        for s in range(price_rows.shape[0])
+    ]
+
+
 def _run_day_unbundled(cfg, inputs, price_rows) -> DayResult:
     dt = cfg.comfort.dt
     flex = [b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0]
@@ -246,11 +256,7 @@ def _run_day_unbundled(cfg, inputs, price_rows) -> DayResult:
     baselines = {
         b.id: baseline_profile(b, cfg.comfort, inputs.t_out).schedule for b in flex
     }
-    schedules = [
-        {bid: model.solve(price_rows[s]) for bid, model in models.items()}
-        for s in range(price_rows.shape[0])
-    ]
-    opt = {bid: model.solve(inputs.realized) for bid, model in models.items()}
+    *schedules, opt = _solve_rows(models, np.vstack([price_rows, inputs.realized]))
     t_dispatch = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -349,10 +355,7 @@ def day_bids(cfg: CampaignConfig, inputs: DayInputs):
         if not flex:
             raise EmptyInput("no heat pumps to bid with")
         models = {b.id: DispatchModel(b, cfg.comfort, inputs.t_out) for b in flex}
-        schedules = [
-            {bid: m.solve(scen.prices[s]) for bid, m in models.items()}
-            for s in range(cfg.s_count)
-        ]
+        schedules = _solve_rows(models, scen.prices)
     else:
         model = OpfModel(
             inputs.network, inputs.buildings, inputs.alloc, cfg.comfort,
@@ -494,12 +497,11 @@ def efficiency_vs_bids(
             baselines = {
                 b.id: baseline_profile(b, cfg.comfort, inputs.t_out).schedule for b in flex
             }
-            schedules = [
-                {bid: m.solve(scen.prices[s]) for bid, m in models.items()}
-                for s in range(cfg.s_count)
-            ]
+            *schedules, opt = _solve_rows(
+                models, np.vstack([scen.prices, inputs.realized])
+            )
             tc_inf = sum(profile_cost(baselines[b.id], inputs.realized, dt) for b in flex)
-            tc_opt = sum(m.solve(inputs.realized).cost for m in models.values())
+            tc_opt = sum(opt[b.id].cost for b in flex)
 
             def cleared_cost(awarded):
                 return sum(profile_cost(awarded[b.id], inputs.realized, dt) for b in flex)

@@ -82,6 +82,11 @@ class SyntheticSpec:
             raise ValueError("need at least one building and two days")
         if self.branching < 1 or self.depth < 1:
             raise ValueError("branching and depth must be >= 1")
+        if self.n_buildings < self.branching * self.depth:
+            raise ValueError(
+                f"{self.n_buildings} buildings cannot cover the "
+                f"{self.branching * self.depth} load nodes (branching * depth)"
+            )
         for lo, hi in (self.r_th_range, self.c_th_range, self.pv_rated_range):
             if not (0 < lo <= hi):
                 raise ValueError("parameter ranges must satisfy 0 < low <= high")

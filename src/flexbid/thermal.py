@@ -22,6 +22,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import Infeasible, InfeasibleBaseline, SolverFailure
@@ -190,10 +191,11 @@ class DispatchModel:
     """Per-building, per-day dispatch LP with the prices left open.
 
     The temperature trajectory is eliminated through the affine response
-    map, so the LP has only the T power variables.  Constraints (power
-    bounds, comfort band, daily energy equality) are built once; solving
-    for a new price vector only swaps the objective, which keeps the
-    scenario loop cheap.
+    map, so each price row's LP has only the T power variables.  The
+    constraint rows (comfort band, daily energy equality) are built once
+    as sparse matrices.  `solve` takes one price vector or a stack of S
+    of them and solves all S copies as a single block-diagonal LP, so a
+    building's scenarios cost one solver call instead of S.
     """
 
     def __init__(self, b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray):
@@ -206,26 +208,37 @@ class DispatchModel:
         self.response, self.free_temp = temperature_response(b, cfg, self.t_out)
         n = cfg.horizon
         # comfort band:  t_min <= M p + m0 <= t_max
-        self._a_ub = np.vstack([self.response, -self.response])
+        self._a_ub = sparse.csr_array(np.vstack([self.response, -self.response]))
         self._b_ub = np.concatenate(
             [cfg.t_max - self.free_temp, self.free_temp - cfg.t_min]
         )
-        self._a_eq = np.full((1, n), cfg.dt)
+        self._a_eq = sparse.csr_array(np.full((1, n), cfg.dt))
         self._b_eq = np.array([self.e_base])
-        self._bounds = [(0.0, b.p_hp_rated)] * n
+        self._bounds = (0.0, b.p_hp_rated)
 
-    def solve(self, prices: np.ndarray) -> DispatchResult:
-        """Cost-minimal schedule at the given EUR/MWh price vector."""
+    def solve(self, prices: np.ndarray) -> DispatchResult | list[DispatchResult]:
+        """Cost-minimal schedules at EUR/MWh prices.
+
+        A (T,) price vector returns one DispatchResult; an (S, T) matrix
+        returns a list of S results, one per row, from a single LP whose
+        constraint matrix is S copies of the building's rows on the
+        diagonal.  The copies share no variable, so each block's optimum
+        is the optimum of its own row.
+        """
         prices = np.asarray(prices, dtype=float)
-        if prices.shape != (self.cfg.horizon,):
-            raise ValueError(f"prices must have length {self.cfg.horizon}")
-        c = prices * self.cfg.dt / 1000.0  # objective directly in EUR
+        n = self.cfg.horizon
+        rows = np.atleast_2d(prices)
+        if prices.ndim > 2 or rows.shape[1] != n or rows.shape[0] < 1:
+            raise ValueError(f"prices must have shape ({n},) or (S, {n})")
+        s_count = rows.shape[0]
+        c = rows * self.cfg.dt / 1000.0  # objective directly in EUR
+        eye = sparse.eye_array(s_count, format="csr")
         res = linprog(
-            c,
-            A_ub=self._a_ub,
-            b_ub=self._b_ub,
-            A_eq=self._a_eq,
-            b_eq=self._b_eq,
+            c.ravel(),
+            A_ub=sparse.kron(eye, self._a_ub, format="csr"),
+            b_ub=np.tile(self._b_ub, s_count),
+            A_eq=sparse.kron(eye, self._a_eq, format="csr"),
+            b_eq=np.tile(self._b_eq, s_count),
             bounds=self._bounds,
             method="highs",
             options={
@@ -242,14 +255,18 @@ class DispatchModel:
             raise SolverFailure(
                 f"building {self.building.id}: linprog status {res.status} ({res.message})"
             )
-        schedule = np.asarray(res.x, dtype=float)
-        temps = self.response @ schedule + self.free_temp
-        return DispatchResult(
-            schedule=schedule,
-            temperatures=temps,
-            energy=self.cfg.dt * float(schedule.sum()),
-            cost=float(res.fun),
-        )
+        x = np.asarray(res.x, dtype=float).reshape(s_count, n)
+        temps = x @ self.response.T + self.free_temp
+        results = [
+            DispatchResult(
+                schedule=x[s],
+                temperatures=temps[s],
+                energy=self.cfg.dt * float(x[s].sum()),
+                cost=float(c[s] @ x[s]),
+            )
+            for s in range(s_count)
+        ]
+        return results[0] if prices.ndim == 1 else results
 
 
 def dispatch(

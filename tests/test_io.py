@@ -90,6 +90,22 @@ def test_bad_number_points_at_cell(tmp_path):
         read_buildings(tmp_path / "buildings.csv")
 
 
+@pytest.mark.parametrize("name, header, row, line, col, text", [
+    ("prices.csv", "date,hour,realized_eur_mwh,forecast_eur_mwh",
+     f"{D1},3,inf,52.0", 5, "realized_eur_mwh", "inf"),
+    ("prices.csv", "date,hour,realized_eur_mwh,forecast_eur_mwh",
+     f"{D1},3,50.0,-inf", 5, "forecast_eur_mwh", "-inf"),
+    ("weather.csv", "date,hour,t_out_C", f"{D1},3,nan", 5, "t_out_C", "nan"),
+])
+def test_non_finite_number_points_at_cell(tmp_path, name, header, row, line, col, text):
+    # three good rows after the header put the bad one on line 5
+    good = "".join(f"{D1},{h},1.0{',1.0' if name == 'prices.csv' else ''}\n" for h in range(3))
+    write(tmp_path, name, f"{header}\n{good}{row}\n")
+    reader = read_prices if name == "prices.csv" else read_weather
+    with pytest.raises(SchemaError, match=rf"{name}:{line}: column '{col}': not finite: '{text}'"):
+        reader(tmp_path / name)
+
+
 def test_wrong_header_is_rejected_up_front(tmp_path):
     write(tmp_path, "weather.csv", "date,hour,temperature\n")
     with pytest.raises(SchemaError, match=r"weather.csv:1: header"):

@@ -98,6 +98,16 @@ def test_spec_validation():
         SyntheticSpec(r_th_range=(8.0, 4.0))
 
 
+def test_spec_needs_a_building_per_load_node():
+    # 3 x 3 = 9 load nodes by default; fewer buildings left a line unloaded
+    with pytest.raises(ValueError, match=r"5 buildings cannot cover the 9 load nodes"):
+        SyntheticSpec(n_buildings=5)
+    bundle = generate_instance(
+        dataclasses.replace(SMALL, n_buildings=4, branching=2, depth=2)
+    )
+    assert len(bundle.buildings) == 4
+
+
 def test_spec_dict_roundtrip():
     spec = dataclasses.replace(SMALL, volatility=1.5)
     assert SyntheticSpec.from_dict(spec.to_dict()) == spec

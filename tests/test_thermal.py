@@ -4,12 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from flexbid.errors import Infeasible, InfeasibleBaseline
 from flexbid.thermal import (
+    FEASIBILITY_TOL,
+    OPTIMALITY_TOL,
     BuildingParams,
     ComfortConfig,
     DispatchModel,
+    DispatchResult,
     baseline_profile,
     check_dispatch,
     dispatch,
@@ -137,6 +141,15 @@ def test_dispatch_requires_matching_energy_target():
         dispatch(b, CFG, np.full(24, 10.0), np.full(24, 50.0), e_base=999.0)
 
 
+def test_unreachable_comfort_band_raises_naming_the_building():
+    # warmer outside than t_max and the heat pump cannot cool: the free
+    # response leaves the band whatever the schedule, for every price row
+    model = DispatchModel(building(bid="sunny"), CFG, np.full(24, 30.0))
+    for prices in (np.full(24, 50.0), np.full((3, 24), 50.0)):
+        with pytest.raises(Infeasible, match="building sunny"):
+            model.solve(prices)
+
+
 def test_infeasible_when_band_cannot_hold_energy():
     # rated power cannot hold 19 degrees on a brutally cold day
     b = building(rated=0.9)
@@ -185,14 +198,52 @@ def test_convex_blends_stay_feasible():
         assert check_dispatch(b, CFG, t_out, blend, base.energy) == []
 
 
+def loop_reference(model: DispatchModel, price_rows: np.ndarray) -> list:
+    """One dense linprog per price row over the model's condensed rows."""
+    cfg, b = model.cfg, model.building
+    out = []
+    for prices in price_rows:
+        res = linprog(
+            prices * cfg.dt / 1000.0,
+            A_ub=np.vstack([model.response, -model.response]),
+            b_ub=np.concatenate([cfg.t_max - model.free_temp, model.free_temp - cfg.t_min]),
+            A_eq=np.full((1, cfg.horizon), cfg.dt),
+            b_eq=[model.e_base],
+            bounds=[(0.0, b.p_hp_rated)] * cfg.horizon,
+            method="highs",
+            options={"primal_feasibility_tolerance": FEASIBILITY_TOL,
+                     "dual_feasibility_tolerance": OPTIMALITY_TOL},
+        )
+        assert res.status == 0
+        out.append(res)
+    return out
+
+
 def test_model_reuse_matches_one_shot_dispatch():
     rng = np.random.default_rng(5)
     b = building()
     t_out = rng.uniform(-2.0, 10.0, 24)
     base = baseline_profile(b, CFG, t_out)
     model = DispatchModel(b, CFG, t_out)
-    for _ in range(3):
-        prices = rng.uniform(10.0, 150.0, 24)
-        a = model.solve(prices)
+    price_rows = rng.uniform(10.0, 150.0, (6, 24))
+    batch = model.solve(price_rows)
+    assert isinstance(batch, list) and len(batch) == len(price_rows)
+    for prices, a, ref in zip(price_rows, batch, loop_reference(model, price_rows)):
+        single = model.solve(prices)
+        assert isinstance(single, DispatchResult)
         c = dispatch(b, CFG, t_out, prices, base.energy)
         assert a.cost == pytest.approx(c.cost, abs=1e-9)
+        assert single.cost == pytest.approx(c.cost, abs=1e-9)
+        assert np.max(np.abs(a.schedule - ref.x)) <= 1e-9
+        assert abs(a.cost - ref.fun) <= 1e-9
+        assert a.energy == pytest.approx(base.energy, rel=1e-9)
+        assert np.allclose(a.temperatures, simulate_temperature(b, CFG, t_out, a.schedule),
+                           atol=1e-9)
+        assert check_dispatch(b, CFG, t_out, a.schedule, base.energy) == []
+
+
+def test_solve_rejects_misshapen_prices():
+    model = DispatchModel(building(), CFG, np.full(24, 5.0))
+    for bad in (np.zeros(23), np.zeros((2, 23)), np.zeros((0, 24)), np.zeros((1, 2, 24))):
+        with pytest.raises(ValueError, match="prices must have shape"):
+            model.solve(bad)
