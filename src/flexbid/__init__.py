@@ -18,7 +18,7 @@ from .bidding import (
 )
 from .clearing import ClearingOutcome, clear
 from .errors import FlexbidError
-from .grid import OpfModel, RadialNetwork, allocate_buildings, integrated_dispatch
+from .grid import OpfModel, RadialNetwork, allocate_buildings
 from .ingest import InstanceBundle, ingest
 from .scenarios import PriceSeries, generate_scenarios
 from .simulate import CampaignConfig, efficiency, run_campaign, run_day
@@ -53,7 +53,6 @@ __all__ = [
     "generate_scenarios",
     "generate_synthetic",
     "ingest",
-    "integrated_dispatch",
     "run_campaign",
     "run_day",
     "__version__",

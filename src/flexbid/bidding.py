@@ -1,11 +1,12 @@
 """Exclusive-group construction and award disaggregation.
 
-Per-scenario dispatches are summed into aggregate MW block bids, priced
-either truthfully (value of served load) or at the exchange's maximum
-admissible bid price, and collected into an exclusive group.  The
-ledger built alongside records every resource's schedule per scenario,
-so disaggregating a cleared award is a lookup plus a convex
-combination — no further optimization.
+Schedules arrive as one `(S, R, T)` array: scenario s, resource r, step
+t, in kW.  Each scenario's resources are summed into an aggregate MW
+block bid, priced either truthfully (value of served load) or at the
+exchange's maximum admissible bid price, and the bids are collected
+into an exclusive group.  The ledger built alongside keeps the array,
+so disaggregating a cleared award is a lookup plus a convex combination
+— no further optimization — and returns an `(R, T)` array.
 
 This module owns the kW-to-MW boundary: resources compute in kW,
 everything market-facing is MW.
@@ -17,12 +18,11 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AlphaOutOfRange, EmptyInput, TooManyBids
-from .thermal import DispatchResult
 
 KW_PER_MW = 1000.0
 
@@ -78,78 +78,57 @@ class PricingMode:
 class BidLedger:
     """Book-keeping that turns a cleared award back into resource schedules.
 
-    per_scenario_kw[s][r] is resource r's schedule under scenario s;
-    aggregate_mw[s] the summed profile actually bid; bid_scenarios maps
-    each submitted (deduplicated) bid to the scenarios that produced it,
-    ascending.
+    schedules_kw[s, r] is resource resource_ids[r]'s schedule under
+    scenario s; bid_scenarios maps each submitted (deduplicated) bid to
+    the scenarios that produced it, ascending.
     """
 
     resource_ids: list[str]
-    per_scenario_kw: list[dict[str, np.ndarray]]
-    aggregate_mw: list[np.ndarray]
-    scenario_price: list[float]
+    schedules_kw: np.ndarray
     bid_scenarios: list[list[int]] = field(default_factory=list)
-
-    def bid_schedule_kw(self, bid_index: int) -> dict[str, np.ndarray]:
-        """Per-resource schedules behind one submitted bid.
-
-        Merged duplicate bids use the lowest contributing scenario; the
-        aggregates are identical by construction even where individual
-        schedules differ.
-        """
-        s = self.bid_scenarios[bid_index][0]
-        return self.per_scenario_kw[s]
 
 
 def build_exclusive_group(
-    schedules: Sequence[Mapping[str, DispatchResult]],
+    schedules_kw: np.ndarray,
+    resource_ids: Sequence[str],
     mode: PricingMode,
     max_bids: int = 24,
     dt: float = 1.0,
 ) -> tuple[ExclusiveGroup, BidLedger]:
-    """Aggregate per-scenario dispatches into an exclusive group.
+    """Aggregate an (S, R, T) array of scenario dispatches into an
+    exclusive group.
 
-    schedules holds one mapping resource id -> DispatchResult per
-    scenario; every scenario must cover the same resources.  Scenarios
-    whose aggregate profiles coincide exactly are merged into a single
-    bid, freeing bid slots at no cost.  Raises TooManyBids when the
-    distinct profiles exceed max_bids and EmptyInput when there is
-    nothing to aggregate.
+    resource_ids labels axis 1.  Scenarios whose aggregate profiles
+    coincide exactly are merged into a single bid, freeing bid slots at
+    no cost.  Raises TooManyBids when the distinct profiles exceed
+    max_bids and EmptyInput when there is nothing to aggregate.
     """
-    if not schedules:
+    X = np.asarray(schedules_kw, dtype=float)
+    if X.ndim != 3:
+        raise ValueError(f"schedules must be an (S, R, T) array, got shape {X.shape}")
+    if X.shape[0] == 0:
         raise EmptyInput("no scenario schedules supplied")
-    resource_ids = sorted(schedules[0].keys())
-    if not resource_ids:
+    if X.shape[1] == 0:
         raise EmptyInput("scenarios contain no resources")
-    for s, per_resource in enumerate(schedules):
-        if sorted(per_resource.keys()) != resource_ids:
-            raise EmptyInput(f"scenario {s} covers a different resource set")
+    resource_ids = list(resource_ids)
+    if len(resource_ids) != X.shape[1]:
+        raise ValueError(
+            f"{len(resource_ids)} resource ids for {X.shape[1]} resources"
+        )
 
-    horizon = len(schedules[0][resource_ids[0]].schedule)
-    energy_total_kwh = sum(schedules[0][r].energy for r in resource_ids)
-
-    per_scenario_kw: list[dict[str, np.ndarray]] = []
-    aggregate_mw: list[np.ndarray] = []
-    prices: list[float] = []
-    for per_resource in schedules:
-        kw = {r: np.asarray(per_resource[r].schedule, dtype=float) for r in resource_ids}
-        agg = np.zeros(horizon)
-        for r in resource_ids:
-            agg += kw[r]
-        agg /= KW_PER_MW
-        per_scenario_kw.append(kw)
-        aggregate_mw.append(agg)
-        if mode.kind == "truthful":
-            prices.append(mode.voll * dt * float(agg.sum()))
-        else:
-            prices.append(mode.price_cap * energy_total_kwh / KW_PER_MW)
+    aggregate_mw = X.sum(axis=1) / KW_PER_MW
+    if mode.kind == "truthful":
+        prices = [mode.voll * dt * float(agg.sum()) for agg in aggregate_mw]
+    else:
+        energy_total_kwh = sum(dt * float(x.sum()) for x in X[0])
+        prices = [mode.price_cap * energy_total_kwh / KW_PER_MW] * X.shape[0]
 
     # merge identical profiles; scenario order keeps the output deterministic
     bids: list[BlockBid] = []
     bid_scenarios: list[list[int]] = []
     seen: dict[bytes, int] = {}
     for s, agg in enumerate(aggregate_mw):
-        key = np.ascontiguousarray(agg).tobytes()
+        key = agg.tobytes()
         if key in seen:
             bid_scenarios[seen[key]].append(s)
         else:
@@ -161,23 +140,20 @@ def build_exclusive_group(
             f"{len(bids)} distinct profiles exceed the {max_bids}-bid cap; reduce S"
         )
 
-    ledger = BidLedger(
-        resource_ids=resource_ids,
-        per_scenario_kw=per_scenario_kw,
-        aggregate_mw=aggregate_mw,
-        scenario_price=prices,
-        bid_scenarios=bid_scenarios,
-    )
+    ledger = BidLedger(resource_ids=resource_ids, schedules_kw=X, bid_scenarios=bid_scenarios)
     return ExclusiveGroup(bids=bids, max_bids=max_bids), ledger
 
 
-def disaggregate(ledger: BidLedger, acceptance: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-resource kW schedules implementing an acceptance vector.
+def disaggregate(ledger: BidLedger, acceptance: np.ndarray) -> np.ndarray:
+    """(R, T) kW schedules implementing an acceptance vector.
 
     Each resource receives the acceptance-weighted convex combination of
     its own scenario schedules, which stays feasible because each
-    building's constraint set is convex.  All-zero acceptance yields
-    all-zero schedules; the caller decides the fallback.
+    building's constraint set is convex.  A merged bid executes the
+    schedules of its lowest contributing scenario; the aggregates are
+    identical by construction even where individual schedules differ.
+    All-zero acceptance yields all-zero schedules; the caller decides
+    the fallback.
     """
     alpha = np.asarray(acceptance, dtype=float)
     if alpha.shape != (len(ledger.bid_scenarios),):
@@ -190,14 +166,10 @@ def disaggregate(ledger: BidLedger, acceptance: np.ndarray) -> dict[str, np.ndar
     if alpha.sum() > 1.0 + 1e-9:
         raise AlphaOutOfRange(f"acceptance rates sum to {alpha.sum()} > 1")
 
-    horizon = ledger.aggregate_mw[0].shape[0] if ledger.aggregate_mw else 0
-    out = {r: np.zeros(horizon) for r in ledger.resource_ids}
-    for j, a in enumerate(alpha):
-        if a == 0.0:
-            continue
-        schedules = ledger.bid_schedule_kw(j)
-        for r in ledger.resource_ids:
-            out[r] += a * schedules[r]
+    out = np.zeros(ledger.schedules_kw.shape[1:])
+    for a, scenarios in zip(alpha, ledger.bid_scenarios):
+        if a != 0.0:
+            out += a * ledger.schedules_kw[scenarios[0]]
     return out
 
 

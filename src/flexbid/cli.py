@@ -28,6 +28,7 @@ from .ingest import ingest, write_alloc
 from .simulate import (
     CampaignConfig,
     CampaignReport,
+    campaign_alloc,
     day_bids,
     day_inputs,
     efficiency_vs_bids,
@@ -174,7 +175,7 @@ def generate(out_dir, seed, n_buildings, share, n_days, volatility, start,
     files = generate_synthetic(spec, out)
     warm = min(WARMUP_DAYS, n_days - 1)
     campaign = CampaignConfig(
-        start=spec.start + timedelta(days=warm), days=n_days - warm, seed=seed,
+        start=spec.start + timedelta(days=warm), days=n_days - warm,
     )
     payload = {
         "paths": {key: p.name for key, p in files.items()},
@@ -221,7 +222,6 @@ def _day_from(day_str: str | None, cfg: CampaignConfig) -> date:
 @click.option("--date", "day_str", default=None,
               help="delivery day YYYY-MM-DD (default: first campaign day)")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--scenarios", type=int, default=None, help="price scenarios per day")
 @click.option("--max-bids", type=int, default=None)
 @click.option("--mode", type=click.Choice(["unbundled", "integrated"]), default=None)
@@ -231,22 +231,17 @@ def _day_from(day_str: str | None, cfg: CampaignConfig) -> date:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--json-errors", is_flag=True)
 @guarded
-def bid_command(workdir, day_str, config_path, seed, scenarios, max_bids, mode,
+def bid_command(workdir, day_str, config_path, scenarios, max_bids, mode,
                 pricing, facets, forecaster, out_path, json_errors):
     """Build one day's exclusive group of block bids and write bids.json."""
     raw, base = _load_workspace(workdir, config_path)
     cfg = _campaign_config(
-        raw, seed=seed, scenarios=scenarios, max_bids=max_bids, mode=mode,
+        raw, scenarios=scenarios, max_bids=max_bids, mode=mode,
         pricing=pricing, facets=facets, forecaster=forecaster,
     )
     bundle = _load_bundle(_resolve_paths(raw, base))
     day = _day_from(day_str, cfg)
-    alloc = bundle.alloc
-    if cfg.mode == "integrated" and alloc is None:
-        if bundle.network is None:
-            raise GridMismatch("integrated mode needs the network files")
-        alloc = allocate_buildings(bundle.buildings, bundle.network)
-    inputs = day_inputs(cfg, bundle, day, alloc=alloc)
+    inputs = day_inputs(cfg, bundle, day, alloc=campaign_alloc(cfg, bundle))
     group, _ = day_bids(cfg, inputs)
     target = Path(out_path) if out_path else base / f"bids_{day.isoformat()}.json"
     write_bids(target, group, day, cfg.pricing_mode)
@@ -294,7 +289,6 @@ def clear_command(workdir, day_str, bids_path, config_path, out_path, json_error
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--start", default=None, help="first delivery day YYYY-MM-DD")
 @click.option("--days", type=int, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--scenarios", type=int, default=None)
 @click.option("--max-bids", type=int, default=None)
 @click.option("--mode", type=click.Choice(["unbundled", "integrated"]), default=None)
@@ -305,12 +299,12 @@ def clear_command(workdir, day_str, bids_path, config_path, out_path, json_error
               help="output directory (default: the workspace)")
 @click.option("--json-errors", is_flag=True)
 @guarded
-def simulate_command(workdir, config_path, start, days, seed, scenarios, max_bids,
+def simulate_command(workdir, config_path, start, days, scenarios, max_bids,
                      mode, pricing, facets, forecaster, out_dir, json_errors):
     """Run the rolling campaign; write report.csv, schedules.csv, summary.json."""
     raw, base = _load_workspace(workdir, config_path)
     cfg = _campaign_config(
-        raw, start=start, days=days, seed=seed, scenarios=scenarios,
+        raw, start=start, days=days, scenarios=scenarios,
         max_bids=max_bids, mode=mode, pricing=pricing, facets=facets,
         forecaster=forecaster,
     )

@@ -102,6 +102,8 @@ class GridTimeSeries:
         object.__setattr__(self, "cf", cf)
         if slf.shape != cf.shape:
             raise ValueError("slf and cf must have the same length")
+        if not (np.isfinite(slf).all() and np.isfinite(cf).all()):
+            raise ValueError("slf and cf values must be finite")
         if slf.min(initial=0.0) < 0 or slf.max(initial=0.0) > 1:
             raise ValueError("slf values must lie in [0, 1]")
         if cf.min(initial=0.0) < 0 or cf.max(initial=0.0) > 1:
@@ -643,24 +645,6 @@ class OpfModel:
     def baseline_solution(self, prices: np.ndarray) -> OpfSolution:
         """Dispatch with every heat pump pinned to its baseline schedule."""
         return self.solve(prices, hp_fixed=dict(self.base_kw))
-
-
-def integrated_dispatch(
-    net: RadialNetwork,
-    buildings: Sequence[BuildingParams],
-    alloc: Mapping[str, int],
-    cfg: ComfortConfig,
-    t_out: np.ndarray,
-    prices: np.ndarray,
-    series: GridTimeSeries,
-    voll: float = VOLL_EUR_MWH,
-    facets: int = DEFAULT_FACETS,
-    hp_fixed: Mapping[str, np.ndarray] | None = None,
-) -> OpfSolution:
-    """One-shot network dispatch; build an OpfModel directly to reuse
-    the constraint blocks across several price vectors."""
-    model = OpfModel(net, buildings, alloc, cfg, t_out, series, voll=voll, facets=facets)
-    return model.solve(prices, hp_fixed=hp_fixed)
 
 
 def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> list[str]:

@@ -1,9 +1,14 @@
 """Rolling day-ahead campaign and the benchmark around it.
 
-For every delivery day: price scenarios from forecast-residual history,
-one cost-minimal dispatch per scenario, the dispatches aggregated into
-an exclusive group of block bids, the group cleared against realized
-prices, and the award disaggregated back to the individual buildings.
+Every delivery day runs one pipeline whatever the market mode: price
+scenarios from forecast-residual history, one cost-minimal dispatch per
+scenario, the dispatches aggregated into an exclusive group of block
+bids, the group cleared against realized prices, and the award
+disaggregated back to the individual buildings.  Only the dispatch step
+depends on the mode, so it sits behind a small dispatcher: `_Fleet`
+solves one LP per heat pump (unbundled utility), `_Network` one network
+OPF over all of them (integrated utility).  Schedules travel as
+`(S, R, T)` arrays: scenario, resource (building ids sorted), hour.
 
 Three totals frame each day: tc_inf (heat pumps stay on their baseline
 schedules), tc_cleared (the executed award), and tc_opt (dispatch under
@@ -26,18 +31,11 @@ import numpy as np
 
 from .bidding import PricingMode, build_exclusive_group, disaggregate
 from .clearing import clear
-from .errors import EmptyInput, FlexbidError, GridMismatch, InvalidOrdering
+from .errors import EmptyInput, FlexbidError, GridMismatch, InvalidOrdering, SchemaError
 from .grid import GridTimeSeries, OpfModel, RadialNetwork, allocate_buildings
 from .ingest import HOURS, InstanceBundle
 from .scenarios import PriceSeries, generate_scenarios
-from .thermal import (
-    BuildingParams,
-    ComfortConfig,
-    DispatchModel,
-    DispatchResult,
-    baseline_profile,
-    profile_cost,
-)
+from .thermal import BuildingParams, ComfortConfig, DispatchModel, profile_cost
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +55,6 @@ class CampaignConfig:
     mode: str = "unbundled"
     pricing: str = "truthful"
     forecaster: str = "column"
-    seed: int = 0
     facets: int = 8
     rar: float = 0.05
     voll: float = 10000.0
@@ -97,7 +94,6 @@ class CampaignConfig:
             "mode": self.mode,
             "pricing": self.pricing,
             "forecaster": self.forecaster,
-            "seed": self.seed,
             "facets": self.facets,
             "rar": self.rar,
             "voll": self.voll,
@@ -106,7 +102,8 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "CampaignConfig":
-        return cls(
+        """Read the keys to_dict writes; any other key is an error."""
+        cfg = cls(
             start=date.fromisoformat(raw["start"]),
             days=int(raw["days"]),
             s_count=int(raw.get("scenarios", 24)),
@@ -114,12 +111,15 @@ class CampaignConfig:
             mode=raw.get("mode", "unbundled"),
             pricing=raw.get("pricing", "truthful"),
             forecaster=raw.get("forecaster", "column"),
-            seed=int(raw.get("seed", 0)),
             facets=int(raw.get("facets", 8)),
             rar=float(raw.get("rar", 0.05)),
             voll=float(raw.get("voll", 10000.0)),
             price_cap=float(raw.get("price_cap", 4000.0)),
         )
+        unknown = sorted(set(raw) - set(cfg.to_dict()))
+        if unknown:
+            raise SchemaError(f"unknown campaign keys: {', '.join(unknown)}")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -194,19 +194,86 @@ def day_inputs(
     )
 
 
-def _clear_and_disaggregate(cfg, schedules, baselines, realized, dt):
-    """Shared tail of both modes: bids -> clearing -> awarded schedules."""
+class _Fleet:
+    """Unbundled dispatch: one DispatchModel per heat pump, no network."""
+
+    def __init__(self, cfg: CampaignConfig, inputs: DayInputs):
+        flex = sorted(
+            (b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0),
+            key=lambda b: b.id,
+        )
+        self.dt = cfg.comfort.dt
+        self.ids = [b.id for b in flex]
+        self.models = [DispatchModel(b, cfg.comfort, inputs.t_out) for b in flex]
+        self.baseline = np.array([m.baseline for m in self.models]).reshape(
+            len(flex), cfg.comfort.horizon
+        )
+
+    def solve(self, price_rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """One block-diagonal LP per building over every price row."""
+        per_building = [model.solve(price_rows) for model in self.models]
+        X = np.stack([[res.schedule for res in results] for results in per_building], axis=1)
+        cost = [sum(results[s].cost for results in per_building)
+                for s in range(len(price_rows))]
+        return X, cost
+
+    def evaluate(self, prices: np.ndarray, award: np.ndarray) -> tuple[float, float, float]:
+        cost = sum((profile_cost(sched, prices, self.dt) for sched in award), 0.0)
+        return cost, 0.0, cost
+
+
+class _Network:
+    """Integrated dispatch: one network OPF couples every heat pump."""
+
+    def __init__(self, cfg: CampaignConfig, inputs: DayInputs):
+        if inputs.network is None:
+            raise GridMismatch("integrated mode needs the network files")
+        if inputs.alloc is None:
+            raise GridMismatch("integrated mode needs a building-to-node assignment")
+        self.model = OpfModel(
+            inputs.network, inputs.buildings, inputs.alloc, cfg.comfort,
+            inputs.t_out, inputs.series, voll=cfg.voll, facets=cfg.facets,
+        )
+        self.ids = sorted(self.model.base_kw)
+        self.baseline = np.array([self.model.base_kw[i] for i in self.ids]).reshape(
+            len(self.ids), cfg.comfort.horizon
+        )
+
+    def solve(self, price_rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """One network dispatch per price row."""
+        sols = [self.model.solve(prices) for prices in price_rows]
+        X = np.array([[sol.hp_kw[i] for i in self.ids] for sol in sols])
+        return X, [sol.objective_eur for sol in sols]
+
+    def evaluate(self, prices: np.ndarray, award: np.ndarray) -> tuple[float, float, float]:
+        sol = self.model.solve(prices, hp_fixed=dict(zip(self.ids, award)))
+        return sol.objective_eur, sol.shed_kwh, sol.hp_cost_eur
+
+
+def _dispatcher(cfg: CampaignConfig, inputs: DayInputs) -> _Fleet | _Network:
+    """The mode's dispatch step; the rest of the day is mode-blind.
+
+    A dispatcher exposes ids (sorted building ids), baseline (R, T),
+    solve(price_rows) -> (X[S, R, T], cost[S]) and
+    evaluate(prices, award[R, T]) -> (cost, shed_kwh, hp_cost).
+    """
+    return _Fleet(cfg, inputs) if cfg.mode == "unbundled" else _Network(cfg, inputs)
+
+
+def _award(cfg: CampaignConfig, disp, X: np.ndarray, realized: np.ndarray):
+    """Bids -> clearing -> (R, T) awarded schedules."""
+    dt = cfg.comfort.dt
     group, ledger = build_exclusive_group(
-        schedules, cfg.pricing_mode, max_bids=cfg.max_bids, dt=dt
+        X, disp.ids, cfg.pricing_mode, max_bids=cfg.max_bids, dt=dt
     )
     outcome = clear(group, realized, dt=dt)
     fallback = outcome.accepted_index is None
     if fallback:
         log.info("all %d bids rejected; executing baseline schedules", len(group.bids))
-        awarded = {bid: sched.copy() for bid, sched in baselines.items()}
+        award = disp.baseline.copy()
     else:
-        awarded = disaggregate(ledger, outcome.alpha)
-    return group, outcome, awarded, fallback
+        award = disaggregate(ledger, outcome.alpha)
+    return group, outcome, award, fallback
 
 
 def run_day(cfg: CampaignConfig, inputs: DayInputs, inject_realized: bool = False) -> DayResult:
@@ -219,114 +286,29 @@ def run_day(cfg: CampaignConfig, inputs: DayInputs, inject_realized: bool = Fals
     scen = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
     price_rows = scen.prices
     if inject_realized:
-        price_rows = np.vstack([price_rows, inputs.realized[None, :]])
-    if cfg.mode == "unbundled":
-        return _run_day_unbundled(cfg, inputs, price_rows)
-    return _run_day_integrated(cfg, inputs, price_rows)
-
-
-def _empty_day(cfg, inputs, tc: float, shed: float = 0.0, hp_cost: float = 0.0) -> DayResult:
-    return DayResult(
-        day=inputs.day, mode=cfg.mode, tc_inf=tc, tc_cleared=tc, tc_opt=tc,
-        eta=None, n_bids=0, accepted_index=None, fallback=False, awarded_kw={},
-        shed_kwh=shed, hp_cost_cleared=hp_cost,
-        price_std=float(np.std(inputs.realized)),
-        runtime={"dispatch": 0.0, "clearing": 0.0},
-    )
-
-
-def _solve_rows(models: Mapping[str, DispatchModel], price_rows: np.ndarray):
-    """One block-diagonal solve per building over every price row;
-    returns one {building id: DispatchResult} dict per row."""
-    per_building = {bid: model.solve(price_rows) for bid, model in models.items()}
-    return [
-        {bid: results[s] for bid, results in per_building.items()}
-        for s in range(price_rows.shape[0])
-    ]
-
-
-def _run_day_unbundled(cfg, inputs, price_rows) -> DayResult:
-    dt = cfg.comfort.dt
-    flex = [b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0]
-    if not flex:
-        return _empty_day(cfg, inputs, tc=0.0)
+        price_rows = np.vstack([price_rows, inputs.realized])
+    price_std = float(np.std(inputs.realized))
 
     t0 = time.perf_counter()
-    models = {b.id: DispatchModel(b, cfg.comfort, inputs.t_out) for b in flex}
-    baselines = {
-        b.id: baseline_profile(b, cfg.comfort, inputs.t_out).schedule for b in flex
-    }
-    *schedules, opt = _solve_rows(models, np.vstack([price_rows, inputs.realized]))
-    t_dispatch = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    group, outcome, awarded, fallback = _clear_and_disaggregate(
-        cfg, schedules, baselines, inputs.realized, dt
-    )
-    t_clearing = time.perf_counter() - t1
-
-    tc_inf = sum(profile_cost(baselines[b.id], inputs.realized, dt) for b in flex)
-    tc_cleared = sum(profile_cost(awarded[b.id], inputs.realized, dt) for b in flex)
-    tc_opt = sum(opt[b.id].cost for b in flex)
-    return DayResult(
-        day=inputs.day, mode=cfg.mode,
-        tc_inf=tc_inf, tc_cleared=tc_cleared, tc_opt=tc_opt,
-        eta=efficiency(tc_inf, tc_cleared, tc_opt),
-        n_bids=len(group.bids),
-        accepted_index=outcome.accepted_index,
-        fallback=fallback,
-        awarded_kw=awarded,
-        shed_kwh=0.0,
-        hp_cost_cleared=tc_cleared,
-        price_std=float(np.std(inputs.realized)),
-        runtime={"dispatch": t_dispatch, "clearing": t_clearing},
-    )
-
-
-def _opf_results_to_dispatch(model: OpfModel, hp_kw: Mapping[str, np.ndarray], dt: float):
-    """Wrap OPF heat-pump schedules as per-building dispatch results."""
-    out = {}
-    for bid, sched in hp_kw.items():
-        M, m0 = model.responses[bid]
-        out[bid] = DispatchResult(
-            schedule=sched,
-            temperatures=M @ sched + m0,
-            energy=dt * float(sched.sum()),
+    disp = _dispatcher(cfg, inputs)
+    tc_inf, shed_kwh, hp_cost = disp.evaluate(inputs.realized, disp.baseline)
+    if not disp.ids:
+        return DayResult(
+            day=inputs.day, mode=cfg.mode, tc_inf=tc_inf, tc_cleared=tc_inf,
+            tc_opt=tc_inf, eta=None, n_bids=0, accepted_index=None, fallback=False,
+            awarded_kw={}, shed_kwh=shed_kwh, hp_cost_cleared=hp_cost,
+            price_std=price_std, runtime={"dispatch": 0.0, "clearing": 0.0},
         )
-    return out
-
-
-def _run_day_integrated(cfg, inputs, price_rows) -> DayResult:
-    if inputs.network is None:
-        raise GridMismatch("integrated mode needs the network files")
-    if inputs.alloc is None:
-        raise GridMismatch("integrated mode needs a building-to-node assignment")
-    dt = cfg.comfort.dt
-
-    t0 = time.perf_counter()
-    model = OpfModel(
-        inputs.network, inputs.buildings, inputs.alloc, cfg.comfort,
-        inputs.t_out, inputs.series, voll=cfg.voll, facets=cfg.facets,
-    )
-    inf_sol = model.baseline_solution(inputs.realized)
-    if not model.flex:
-        return _empty_day(cfg, inputs, tc=inf_sol.objective_eur,
-                          shed=inf_sol.shed_kwh, hp_cost=inf_sol.hp_cost_eur)
-    scenario_sols = [model.solve(price_rows[s]) for s in range(price_rows.shape[0])]
-    opt_sol = model.solve(inputs.realized)
+    # the realized prices ride along as the last row: their optimum is tc_opt
+    X, cost = disp.solve(np.vstack([price_rows, inputs.realized]))
     t_dispatch = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    schedules = [_opf_results_to_dispatch(model, sol.hp_kw, dt) for sol in scenario_sols]
-    group, outcome, awarded, fallback = _clear_and_disaggregate(
-        cfg, schedules, model.base_kw, inputs.realized, dt
-    )
-    cleared_sol = model.solve(inputs.realized, hp_fixed=awarded)
+    group, outcome, award, fallback = _award(cfg, disp, X[:-1], inputs.realized)
+    tc_cleared, shed_kwh, hp_cost = disp.evaluate(inputs.realized, award)
     t_clearing = time.perf_counter() - t1
 
-    tc_inf = inf_sol.objective_eur
-    tc_cleared = cleared_sol.objective_eur
-    tc_opt = opt_sol.objective_eur
+    tc_opt = cost[-1]
     return DayResult(
         day=inputs.day, mode=cfg.mode,
         tc_inf=tc_inf, tc_cleared=tc_cleared, tc_opt=tc_opt,
@@ -334,10 +316,10 @@ def _run_day_integrated(cfg, inputs, price_rows) -> DayResult:
         n_bids=len(group.bids),
         accepted_index=outcome.accepted_index,
         fallback=fallback,
-        awarded_kw=awarded,
-        shed_kwh=cleared_sol.shed_kwh,
-        hp_cost_cleared=cleared_sol.hp_cost_eur,
-        price_std=float(np.std(inputs.realized)),
+        awarded_kw=dict(zip(disp.ids, award)),
+        shed_kwh=shed_kwh,
+        hp_cost_cleared=hp_cost,
+        price_std=price_std,
         runtime={"dispatch": t_dispatch, "clearing": t_clearing},
     )
 
@@ -349,42 +331,13 @@ def day_bids(cfg: CampaignConfig, inputs: DayInputs):
     realized prices exist.  Returns (group, ledger).
     """
     scen = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
-    dt = cfg.comfort.dt
-    if cfg.mode == "unbundled":
-        flex = [b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0]
-        if not flex:
-            raise EmptyInput("no heat pumps to bid with")
-        models = {b.id: DispatchModel(b, cfg.comfort, inputs.t_out) for b in flex}
-        schedules = _solve_rows(models, scen.prices)
-    else:
-        model = OpfModel(
-            inputs.network, inputs.buildings, inputs.alloc, cfg.comfort,
-            inputs.t_out, inputs.series, voll=cfg.voll, facets=cfg.facets,
-        )
-        if not model.flex:
-            raise EmptyInput("no heat pumps to bid with")
-        schedules = [
-            _opf_results_to_dispatch(model, model.solve(scen.prices[s]).hp_kw, dt)
-            for s in range(cfg.s_count)
-        ]
+    disp = _dispatcher(cfg, inputs)
+    if not disp.ids:
+        raise EmptyInput("no heat pumps to bid with")
+    X, _ = disp.solve(scen.prices)
     return build_exclusive_group(
-        schedules, cfg.pricing_mode, max_bids=cfg.max_bids, dt=dt
+        X, disp.ids, cfg.pricing_mode, max_bids=cfg.max_bids, dt=cfg.comfort.dt
     )
-
-
-def perfect_foresight(cfg: CampaignConfig, inputs: DayInputs) -> float:
-    """Cost of the day under known realized prices (the optimum bound)."""
-    if cfg.mode == "unbundled":
-        flex = [b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0]
-        return sum(
-            DispatchModel(b, cfg.comfort, inputs.t_out).solve(inputs.realized).cost
-            for b in flex
-        )
-    model = OpfModel(
-        inputs.network, inputs.buildings, inputs.alloc, cfg.comfort,
-        inputs.t_out, inputs.series, voll=cfg.voll, facets=cfg.facets,
-    )
-    return model.solve(inputs.realized).objective_eur
 
 
 @dataclass
@@ -438,16 +391,21 @@ class CampaignReport:
         return sum(d.runtime.get(stage, 0.0) for d in self.days)
 
 
+def campaign_alloc(cfg: CampaignConfig, bundle: InstanceBundle) -> Mapping[str, int] | None:
+    """The bundle's building-to-node assignment; integrated mode solves
+    the allocation problem when none was supplied."""
+    if cfg.mode != "integrated" or bundle.alloc is not None:
+        return bundle.alloc
+    if bundle.network is None:
+        raise GridMismatch("integrated mode needs the network files")
+    log.info("no assignment supplied; solving the allocation problem")
+    return allocate_buildings(bundle.buildings, bundle.network)
+
+
 def run_campaign(cfg: CampaignConfig, bundle: InstanceBundle) -> CampaignReport:
     """Run every campaign day, collecting failures instead of aborting."""
     history = bundle.price_series(cfg.forecaster)
-    alloc = bundle.alloc
-    if cfg.mode == "integrated" and alloc is None:
-        if bundle.network is None:
-            raise GridMismatch("integrated mode needs the network files")
-        alloc = allocate_buildings(bundle.buildings, bundle.network)
-        log.info("no assignment supplied; solved the allocation problem")
-
+    alloc = campaign_alloc(cfg, bundle)
     results: list[DayResult] = []
     failures: list[tuple[date, str]] = []
     for day in cfg.campaign_days:
@@ -476,62 +434,27 @@ def efficiency_vs_bids(
     if max(b_values) > cfg.s_count:
         raise ValueError("largest bid budget exceeds the scenario count")
     history = bundle.price_series(cfg.forecaster)
-    alloc = bundle.alloc
-    if cfg.mode == "integrated" and alloc is None:
-        alloc = allocate_buildings(bundle.buildings, bundle.network)
+    alloc = campaign_alloc(cfg, bundle)
 
     tc_inf_total = 0.0
     tc_opt_total = 0.0
     cleared_total = {B: 0.0 for B in b_values}
     clearing_s = {B: 0.0 for B in b_values}
-    per_day: dict[int, list[float]] = {B: [] for B in b_values}
 
     for day in cfg.campaign_days:
         inputs = day_inputs(cfg, bundle, day, history=history, alloc=alloc)
         scen = generate_scenarios(day, cfg.s_count, inputs.history)
-        dt = cfg.comfort.dt
-
-        if cfg.mode == "unbundled":
-            flex = [b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0]
-            models = {b.id: DispatchModel(b, cfg.comfort, inputs.t_out) for b in flex}
-            baselines = {
-                b.id: baseline_profile(b, cfg.comfort, inputs.t_out).schedule for b in flex
-            }
-            *schedules, opt = _solve_rows(
-                models, np.vstack([scen.prices, inputs.realized])
-            )
-            tc_inf = sum(profile_cost(baselines[b.id], inputs.realized, dt) for b in flex)
-            tc_opt = sum(opt[b.id].cost for b in flex)
-
-            def cleared_cost(awarded):
-                return sum(profile_cost(awarded[b.id], inputs.realized, dt) for b in flex)
-        else:
-            model = OpfModel(
-                inputs.network, inputs.buildings, inputs.alloc, cfg.comfort,
-                inputs.t_out, inputs.series, voll=cfg.voll, facets=cfg.facets,
-            )
-            baselines = model.base_kw
-            scenario_sols = [model.solve(scen.prices[s]) for s in range(cfg.s_count)]
-            schedules = [
-                _opf_results_to_dispatch(model, sol.hp_kw, dt) for sol in scenario_sols
-            ]
-            tc_inf = model.baseline_solution(inputs.realized).objective_eur
-            tc_opt = model.solve(inputs.realized).objective_eur
-
-            def cleared_cost(awarded):
-                return model.solve(inputs.realized, hp_fixed=awarded).objective_eur
-
-        tc_inf_total += tc_inf
-        tc_opt_total += tc_opt
+        disp = _dispatcher(cfg, inputs)
+        if not disp.ids:
+            raise EmptyInput("no heat pumps to bid with")
+        X, cost = disp.solve(np.vstack([scen.prices, inputs.realized]))
+        tc_inf_total += disp.evaluate(inputs.realized, disp.baseline)[0]
+        tc_opt_total += cost[-1]
         for B in b_values:
             t0 = time.perf_counter()
-            _, _, awarded, _ = _clear_and_disaggregate(
-                cfg, schedules[:B], baselines, inputs.realized, dt
-            )
-            tc_c = cleared_cost(awarded)
+            _, _, award, _ = _award(cfg, disp, X[:B], inputs.realized)
+            cleared_total[B] += disp.evaluate(inputs.realized, award)[0]
             clearing_s[B] += time.perf_counter() - t0
-            cleared_total[B] += tc_c
-            per_day[B].append(tc_c)
 
     denom = tc_inf_total - tc_opt_total
     rows = []

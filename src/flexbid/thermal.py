@@ -269,27 +269,6 @@ class DispatchModel:
         return results[0] if prices.ndim == 1 else results
 
 
-def dispatch(
-    b: BuildingParams,
-    cfg: ComfortConfig,
-    t_out: np.ndarray,
-    prices: np.ndarray,
-    e_base: float,
-) -> DispatchResult:
-    """Optimal flexible dispatch for one building, day, and price vector.
-
-    e_base must be the building's baseline energy for the day; the
-    schedule is constrained to consume exactly that much.
-    """
-    model = DispatchModel(b, cfg, t_out)
-    if abs(model.e_base - e_base) > 1e-6 * max(1.0, abs(e_base)):
-        raise ValueError(
-            f"building {b.id}: e_base {e_base} does not match baseline energy "
-            f"{model.e_base}"
-        )
-    return model.solve(prices)
-
-
 def check_dispatch(
     b: BuildingParams,
     cfg: ComfortConfig,

@@ -124,7 +124,7 @@ def test_disaggregation_reassembles_the_accepted_bid():
         if outcome.accepted_index is None:
             continue
         accepted += 1
-        awarded = disaggregate(ledger, outcome.alpha)
+        awarded = dict(zip(ledger.resource_ids, disaggregate(ledger, outcome.alpha)))
         total_mw = sum(awarded.values()) / 1000.0
         target_mw = sum(a * bid.profile for a, bid in zip(outcome.alpha, group.bids))
         worst_mw = max(worst_mw, float(np.abs(total_mw - target_mw).max()))

@@ -4,6 +4,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexbid.bidding import (
     BlockBid,
@@ -19,7 +21,6 @@ from flexbid.thermal import (
     BuildingParams,
     ComfortConfig,
     DispatchModel,
-    DispatchResult,
     baseline_profile,
     check_dispatch,
 )
@@ -27,19 +28,20 @@ from flexbid.thermal import (
 T = 4
 
 
-def result(schedule):
-    sched = np.asarray(schedule, dtype=float)
-    return DispatchResult(schedule=sched, temperatures=np.full(len(sched), 20.0),
-                          energy=float(sched.sum()))
-
-
 def scenario(*per_resource):
-    return {f"r{i + 1}": result(s) for i, s in enumerate(per_resource)}
+    """One scenario's (R, T) kW schedules, resources named r1, r2, ..."""
+    return np.array(per_resource, dtype=float)
+
+
+def group_of(scenarios, mode, **kw):
+    """build_exclusive_group over the (S, R, T) stack of scenarios."""
+    X = np.array(scenarios, dtype=float)
+    return build_exclusive_group(X, [f"r{i + 1}" for i in range(X.shape[1])], mode, **kw)
 
 
 def test_aggregation_sums_and_converts_to_mw():
     # R=2: [1,0,...] kW and [0,1,...] kW -> [0.001, 0.001, ...] MW
-    group, ledger = build_exclusive_group(
+    group, ledger = group_of(
         [scenario([1, 0, 0, 0], [0, 1, 0, 0])], PricingMode.truthful(),
     )
     np.testing.assert_allclose(group.bids[0].profile, [0.001, 0.001, 0.0, 0.0])
@@ -49,25 +51,25 @@ def test_aggregation_sums_and_converts_to_mw():
 def test_identical_aggregates_merge_into_one_bid():
     s1 = scenario([1, 0, 1, 0], [1, 1, 0, 0])  # aggregate [2,1,1,0]
     s2 = scenario([0, 1, 1, 0], [2, 0, 0, 0])  # same aggregate, different split
-    group, ledger = build_exclusive_group([s1, s2], PricingMode.truthful())
+    group, ledger = group_of([s1, s2], PricingMode.truthful())
     assert len(group.bids) == 1
     assert ledger.bid_scenarios == [[1 - 1, 1]]  # both scenarios behind bid 0
     # merged bid executes with the lowest contributing scenario's schedules
-    np.testing.assert_array_equal(ledger.bid_schedule_kw(0)["r1"], [1, 0, 1, 0])
+    np.testing.assert_array_equal(disaggregate(ledger, np.ones(1))[0], [1, 0, 1, 0])
 
 
 def test_mabp_prices_every_bid_at_cap_times_base_energy():
     # sum of baseline energies 10 kWh = 0.01 MWh at 4000 EUR/MWh -> 40 EUR
     s1 = scenario([2, 2, 2, 0], [1, 1, 1, 1])  # energies 6 + 4 = 10 kWh
     s2 = scenario([0, 2, 2, 2], [1, 1, 1, 1])
-    group, _ = build_exclusive_group([s1, s2], PricingMode.mabp())
+    group, _ = group_of([s1, s2], PricingMode.mabp())
     assert [b.price for b in group.bids] == [pytest.approx(40.0)] * 2
 
 
 def test_truthful_price_is_voll_times_energy_and_constant():
     s1 = scenario([2, 2, 2, 0], [1, 1, 1, 1])
     s2 = scenario([0, 2, 2, 2], [1, 1, 1, 1])
-    group, _ = build_exclusive_group([s1, s2], PricingMode.truthful())
+    group, _ = group_of([s1, s2], PricingMode.truthful())
     # VoLL 10000 EUR/MWh * 1 h * 0.01 MW-sum = 100 EUR, identical across bids
     assert [b.price for b in group.bids] == [pytest.approx(100.0)] * 2
 
@@ -75,30 +77,30 @@ def test_truthful_price_is_voll_times_energy_and_constant():
 def test_too_many_distinct_profiles_raises():
     scenarios = [scenario([i + 1, 0, 0, 0]) for i in range(5)]
     with pytest.raises(TooManyBids):
-        build_exclusive_group(scenarios, PricingMode.truthful(), max_bids=4)
+        group_of(scenarios, PricingMode.truthful(), max_bids=4)
     # but duplicates do not count against the cap
     scenarios[-1] = scenario([1, 0, 0, 0])
-    group, _ = build_exclusive_group(scenarios, PricingMode.truthful(), max_bids=4)
+    group, _ = group_of(scenarios, PricingMode.truthful(), max_bids=4)
     assert len(group.bids) == 4
 
 
 def test_empty_inputs_raise():
     with pytest.raises(EmptyInput):
-        build_exclusive_group([], PricingMode.truthful())
+        build_exclusive_group(np.zeros((0, 1, T)), ["r1"], PricingMode.truthful())
     with pytest.raises(EmptyInput):
-        build_exclusive_group([{}], PricingMode.truthful())
-    with pytest.raises(EmptyInput):
+        build_exclusive_group(np.zeros((1, 0, T)), [], PricingMode.truthful())
+    # ids must label every resource of the array, no more and no fewer
+    with pytest.raises(ValueError, match="resource ids"):
         build_exclusive_group(
-            [scenario([1, 0, 0, 0]), {"other": result([1, 0, 0, 0])}],
-            PricingMode.truthful(),
+            np.array([scenario([1, 0, 0, 0])]), ["r1", "other"], PricingMode.truthful(),
         )
 
 
 def test_group_is_deterministic():
     scenarios = [scenario([1, 2, 0, 0], [0, 1, 1, 0]),
                  scenario([2, 1, 0, 0], [1, 0, 1, 0])]
-    g1, _ = build_exclusive_group(scenarios, PricingMode.truthful())
-    g2, _ = build_exclusive_group(scenarios, PricingMode.truthful())
+    g1, _ = group_of(scenarios, PricingMode.truthful())
+    g2, _ = group_of(scenarios, PricingMode.truthful())
     assert len(g1.bids) == len(g2.bids)
     for a, b in zip(g1.bids, g2.bids):
         np.testing.assert_array_equal(a.profile, b.profile)
@@ -122,27 +124,28 @@ def three_bid_ledger():
         scenario([0, 1, 0, 0], [0, 0, 0, 2]),
         scenario([1, 1, 0, 0], [2, 0, 0, 0]),
     ]
-    return build_exclusive_group(scenarios, PricingMode.truthful())
+    return group_of(scenarios, PricingMode.truthful())
 
 
 def test_full_acceptance_returns_scenario_verbatim(three_bid_ledger):
     _, ledger = three_bid_ledger
     out = disaggregate(ledger, np.array([0.0, 1.0, 0.0]))
-    np.testing.assert_array_equal(out["r1"], [0, 1, 0, 0])
-    np.testing.assert_array_equal(out["r2"], [0, 0, 0, 2])
+    assert out.shape == (2, T)
+    np.testing.assert_array_equal(out[0], [0, 1, 0, 0])
+    np.testing.assert_array_equal(out[1], [0, 0, 0, 2])
 
 
 def test_half_half_acceptance_averages(three_bid_ledger):
     _, ledger = three_bid_ledger
     out = disaggregate(ledger, np.array([0.5, 0.5, 0.0]))
-    np.testing.assert_allclose(out["r1"], [0.5, 0.5, 0, 0])
-    np.testing.assert_allclose(out["r2"], [0, 0, 1, 1])
+    np.testing.assert_allclose(out[0], [0.5, 0.5, 0, 0])
+    np.testing.assert_allclose(out[1], [0, 0, 1, 1])
 
 
 def test_zero_acceptance_gives_zero_schedules(three_bid_ledger):
     _, ledger = three_bid_ledger
     out = disaggregate(ledger, np.zeros(3))
-    for sched in out.values():
+    for sched in out:
         assert np.all(sched == 0.0)
 
 
@@ -150,7 +153,7 @@ def test_disaggregation_matches_accepted_aggregate(three_bid_ledger):
     group, ledger = three_bid_ledger
     alpha = np.array([0.25, 0.0, 0.7])
     out = disaggregate(ledger, alpha)
-    total_mw = sum(out.values()) / 1000.0
+    total_mw = out.sum(axis=0) / 1000.0
     expect = sum(a * b.profile for a, b in zip(alpha, group.bids))
     np.testing.assert_allclose(total_mw, expect, atol=1e-9)
 
@@ -160,6 +163,44 @@ def test_alpha_validation(three_bid_ledger):
     for bad in ([1.0, 0.0], [0.5, 0.6, 0.2], [-0.1, 0.0, 0.0], [0.0, 1.2, 0.0]):
         with pytest.raises(AlphaOutOfRange):
             disaggregate(ledger, np.array(bad))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_array_bidding_path_property(data):
+    """Random (S, R, T) stacks with planted duplicate scenarios: one bid
+    per distinct aggregate, bid_scenarios partitions the scenarios, and
+    each bid disaggregates back onto its own profile."""
+    S = data.draw(st.integers(1, 24), label="S")
+    R = data.draw(st.integers(1, 8), label="R")
+    horizon = data.draw(st.integers(2, 24), label="T")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 5.0, (S, R, horizon)) * (rng.uniform(size=(S, R, horizon)) < 0.8)
+    for s in range(1, S):
+        if rng.uniform() < 0.4:
+            X[s] = X[rng.integers(0, s)]
+    group, ledger = build_exclusive_group(
+        X, [f"r{r}" for r in range(R)], PricingMode.truthful()
+    )
+
+    aggregates = np.zeros((S, horizon))
+    for r in range(R):
+        aggregates += X[:, r]
+    assert len(group.bids) == len(np.unique(aggregates / 1000.0, axis=0))
+
+    flat = [s for scenarios in ledger.bid_scenarios for s in scenarios]
+    assert sorted(flat) == list(range(S))
+    assert all(sc == sorted(sc) for sc in ledger.bid_scenarios)
+    firsts = [sc[0] for sc in ledger.bid_scenarios]
+    assert firsts == sorted(firsts)
+
+    for j, bid in enumerate(group.bids):
+        alpha = np.zeros(len(group.bids))
+        alpha[j] = 1.0
+        out = disaggregate(ledger, alpha)
+        assert out.shape == (R, horizon)
+        assert np.abs(out.sum(axis=0) - 1000.0 * bid.profile).max() <= 1e-9
 
 
 def test_disaggregated_schedules_respect_building_constraints():
@@ -173,18 +214,20 @@ def test_disaggregated_schedules_respect_building_constraints():
                        p_hp_rated=3.0, p_pv_rated=0.0, position=(0, 0), has_hp=True)
         for i in range(2)
     ]
-    models = {b.id: DispatchModel(b, cfg, t_out) for b in buildings}
-    scenarios = [
-        {b.id: models[b.id].solve(rng.uniform(20, 140, 24)) for b in buildings}
+    models = [DispatchModel(b, cfg, t_out) for b in buildings]
+    X = np.array([
+        [model.solve(rng.uniform(20, 140, 24)).schedule for model in models]
         for _ in range(4)
-    ]
-    group, ledger = build_exclusive_group(scenarios, PricingMode.truthful())
+    ])
+    group, ledger = build_exclusive_group(
+        X, [b.id for b in buildings], PricingMode.truthful()
+    )
     alpha = np.zeros(len(group.bids))
     alpha[0] = 1.0
     awarded = disaggregate(ledger, alpha)
-    for b in buildings:
+    for b, sched in zip(buildings, awarded):
         base = baseline_profile(b, cfg, t_out)
-        assert check_dispatch(b, cfg, t_out, awarded[b.id], base.energy) == []
+        assert check_dispatch(b, cfg, t_out, sched, base.energy) == []
 
 
 # ------------------------------------------------------------- bids.json
@@ -192,7 +235,7 @@ def test_disaggregated_schedules_respect_building_constraints():
 def test_bids_json_round_trip(tmp_path):
     scenarios = [scenario([1, 2, 0, 0], [0, 1, 1, 0]),
                  scenario([2, 1, 0, 0], [1, 0, 1, 0])]
-    group, _ = build_exclusive_group(scenarios, PricingMode.mabp())
+    group, _ = group_of(scenarios, PricingMode.mabp())
     path = tmp_path / "bids.json"
     write_bids(path, group, date(2025, 1, 15), PricingMode.mabp())
     loaded, header = read_bids(path)

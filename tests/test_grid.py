@@ -21,11 +21,10 @@ from flexbid.grid import (
     OpfModel,
     RadialNetwork,
     allocate_buildings,
-    integrated_dispatch,
     validate_radial,
     verify_solution,
 )
-from flexbid.thermal import BuildingParams, ComfortConfig, baseline_profile, dispatch
+from flexbid.thermal import BuildingParams, ComfortConfig, DispatchModel
 
 T4 = ComfortConfig(horizon=4)
 HOURS4 = np.arange(4)
@@ -241,6 +240,17 @@ def test_opf_needs_exactly_one_substation():
         OpfModel(net, [], {}, T4, np.zeros(4), flat_series())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_time_series_rejects_non_finite_factors(bad):
+    # NaN slips past the [0, 1] range checks, so finiteness is checked first
+    poisoned = np.zeros(24)
+    poisoned[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GridTimeSeries(slf=poisoned, cf=np.zeros(24))
+    with pytest.raises(ValueError, match="finite"):
+        GridTimeSeries(slf=np.zeros(24), cf=poisoned)
+
+
 # ---------------------------------------------------------------- allocation
 
 def alloc_net(caps, positions):
@@ -338,11 +348,10 @@ def test_generous_grid_reproduces_pricefollowing_dispatch():
     net, buildings, alloc = feeder_with_hp(rating_scale=10.0)
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    sol = integrated_dispatch(net, buildings, alloc, CFG24, t_out, PRICES24, series)
+    sol = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
     standalone = 0.0
     for b in buildings:
-        e_base = baseline_profile(b, CFG24, t_out).energy
-        standalone += dispatch(b, CFG24, t_out, PRICES24, e_base).cost
+        standalone += DispatchModel(b, CFG24, t_out).solve(PRICES24).cost
     assert sol.shed_kwh == 0.0
     assert sol.hp_cost_eur == pytest.approx(standalone, abs=1e-6)
 
@@ -351,11 +360,10 @@ def test_tight_grid_costs_at_least_as_much():
     net, buildings, alloc = feeder_with_hp()
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    tight = integrated_dispatch(net, buildings, alloc, CFG24, t_out, PRICES24, series)
-    roomy = integrated_dispatch(
-        *feeder_with_hp(rating_scale=10.0)[:1], buildings, alloc,
-        CFG24, t_out, PRICES24, series,
-    )
+    tight = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
+    roomy = OpfModel(
+        *feeder_with_hp(rating_scale=10.0)[:1], buildings, alloc, CFG24, t_out, series,
+    ).solve(PRICES24)
     assert tight.objective_eur >= roomy.objective_eur - 1e-9
 
 
@@ -427,6 +435,6 @@ def test_objective_decomposes_into_parts():
     net, buildings, alloc = feeder_with_hp()
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    sol = integrated_dispatch(net, buildings, alloc, CFG24, t_out, PRICES24, series)
+    sol = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
     recomposed = sol.hp_cost_eur + sol.fixed_cost_eur + 10000.0 * sol.shed_kwh / 1000.0
     assert sol.objective_eur == pytest.approx(recomposed, rel=1e-9)

@@ -7,12 +7,14 @@ from datetime import date
 import numpy as np
 import pytest
 
-from flexbid.errors import GridMismatch, InvalidOrdering
+from flexbid.errors import GridMismatch, InvalidOrdering, SchemaError
+from flexbid.grid import allocate_buildings
 from flexbid.simulate import (
     REPORT_HEADER,
     CampaignConfig,
     CampaignReport,
     DayResult,
+    day_bids,
     day_inputs,
     efficiency,
     efficiency_vs_bids,
@@ -142,8 +144,6 @@ def test_integrated_day_matches_unbundled_on_roomy_grid(small_bundle):
     unb = run_day(cfg_for(small_bundle),
                   day_inputs(cfg_for(small_bundle), small_bundle, START))
     cfg_i = cfg_for(small_bundle, mode="integrated")
-    from flexbid.grid import allocate_buildings
-
     alloc = allocate_buildings(small_bundle.buildings, small_bundle.network)
     integ = run_day(cfg_i, day_inputs(cfg_i, small_bundle, START, alloc=alloc))
     assert integ.shed_kwh == 0.0
@@ -151,6 +151,16 @@ def test_integrated_day_matches_unbundled_on_roomy_grid(small_bundle):
     offset_inf = integ.tc_inf - unb.tc_inf
     offset_opt = integ.tc_opt - unb.tc_opt
     assert offset_inf == pytest.approx(offset_opt, abs=1e-4)
+
+
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_bid_desk_submits_what_the_campaign_clears(small_bundle, mode):
+    cfg = cfg_for(small_bundle, mode=mode)
+    alloc = allocate_buildings(small_bundle.buildings, small_bundle.network)
+    inputs = day_inputs(cfg, small_bundle, START, alloc=alloc)
+    group, ledger = day_bids(cfg, inputs)
+    assert len(group.bids) == run_day(cfg, inputs).n_bids
+    assert ledger.schedules_kw.shape == (cfg.s_count, 4, 24)
 
 
 def test_integrated_campaign_auto_allocates(small_bundle):
@@ -239,8 +249,17 @@ def test_report_csv_format(tmp_path, small_bundle):
 
 def test_config_dict_roundtrip():
     cfg = CampaignConfig(start=START, days=7, s_count=12, mode="integrated",
-                         pricing="mabp", seed=3)
+                         pricing="mabp")
     assert CampaignConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_rejects_unknown_keys():
+    # a misspelt key must not fall back to its default silently
+    with pytest.raises(SchemaError, match="scenarioz"):
+        CampaignConfig.from_dict({"start": "2025-01-11", "days": 1, "scenarioz": 2})
+    # the seed key is gone: nothing in a campaign reads it
+    with pytest.raises(SchemaError, match="seed"):
+        CampaignConfig.from_dict({"start": "2025-01-11", "days": 1, "seed": 0})
 
 
 def test_config_validation():

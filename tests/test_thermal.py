@@ -16,7 +16,6 @@ from flexbid.thermal import (
     DispatchResult,
     baseline_profile,
     check_dispatch,
-    dispatch,
     profile_cost,
     simulate_temperature,
 )
@@ -97,7 +96,7 @@ def test_flat_prices_leave_cost_at_baseline():
     b = building()
     t_out = np.full(24, 10.0)
     base = baseline_profile(b, CFG, t_out)
-    res = dispatch(b, CFG, t_out, np.full(24, 80.0), base.energy)
+    res = DispatchModel(b, CFG, t_out).solve(np.full(24, 80.0))
     assert res.cost == pytest.approx(80.0 * base.energy / 1000.0, rel=1e-9)
 
 
@@ -106,8 +105,7 @@ def test_degenerate_comfort_band_pins_baseline():
     b = building()
     t_out = np.linspace(0.0, 12.0, 24)
     base = baseline_profile(b, cfg, t_out)
-    res = dispatch(b, cfg, t_out, np.random.default_rng(0).uniform(20, 120, 24),
-                   base.energy)
+    res = DispatchModel(b, cfg, t_out).solve(np.random.default_rng(0).uniform(20, 120, 24))
     assert np.allclose(res.schedule, base.schedule, atol=1e-6)
 
 
@@ -119,7 +117,7 @@ def test_cheap_hour_concentration_with_grid_oracle():
     t_out = np.full(4, 10.0)   # baseline 0.5 kW/h -> e_base = 2.0 kWh
     prices = np.array([100.0, 10.0, 100.0, 100.0])
     base = baseline_profile(b, cfg, t_out)
-    res = dispatch(b, cfg, t_out, prices, base.energy)
+    res = DispatchModel(b, cfg, t_out).solve(prices)
     assert np.allclose(res.schedule, [0.0, 2.0, 0.0, 0.0], atol=1e-7)
 
     # grid oracle: all 0.1 kW combinations with the day's exact energy
@@ -135,12 +133,6 @@ def test_cheap_hour_concentration_with_grid_oracle():
     assert res.cost == pytest.approx(best, abs=1e-9)
 
 
-def test_dispatch_requires_matching_energy_target():
-    b = building()
-    with pytest.raises(ValueError):
-        dispatch(b, CFG, np.full(24, 10.0), np.full(24, 50.0), e_base=999.0)
-
-
 def test_unreachable_comfort_band_raises_naming_the_building():
     # warmer outside than t_max and the heat pump cannot cool: the free
     # response leaves the band whatever the schedule, for every price row
@@ -154,8 +146,7 @@ def test_infeasible_when_band_cannot_hold_energy():
     # rated power cannot hold 19 degrees on a brutally cold day
     b = building(rated=0.9)
     with pytest.raises((Infeasible, InfeasibleBaseline)):
-        base = baseline_profile(b, CFG, np.full(24, -5.0))
-        dispatch(b, CFG, np.full(24, -5.0), np.full(24, 50.0), base.energy)
+        DispatchModel(b, CFG, np.full(24, -5.0)).solve(np.full(24, 50.0))
 
 
 # ------------------------------------------------------------ invariants
@@ -168,7 +159,7 @@ def test_dispatch_invariants_random_days(seed):
     t_out = rng.uniform(-4.0, 14.0, 24)
     prices = rng.uniform(10.0, 150.0, 24)
     base = baseline_profile(b, CFG, t_out)
-    res = dispatch(b, CFG, t_out, prices, base.energy)
+    res = DispatchModel(b, CFG, t_out).solve(prices)
 
     assert abs(CFG.dt * res.schedule.sum() - base.energy) <= 1e-6 * max(1.0, base.energy)
     assert res.schedule.min() >= -1e-9
@@ -231,7 +222,7 @@ def test_model_reuse_matches_one_shot_dispatch():
     for prices, a, ref in zip(price_rows, batch, loop_reference(model, price_rows)):
         single = model.solve(prices)
         assert isinstance(single, DispatchResult)
-        c = dispatch(b, CFG, t_out, prices, base.energy)
+        c = DispatchModel(b, CFG, t_out).solve(prices)
         assert a.cost == pytest.approx(c.cost, abs=1e-9)
         assert single.cost == pytest.approx(c.cost, abs=1e-9)
         assert np.max(np.abs(a.schedule - ref.x)) <= 1e-9
