@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy import _core as _hc
 
 from .errors import (
     CycleDetected,
@@ -50,6 +51,10 @@ VOLL_EUR_MWH = 10000.0
 DEFAULT_FACETS = 8
 V_MIN_PU = 0.97
 V_MAX_PU = 1.03
+_INFEASIBLE = (
+    "network dispatch infeasible despite shedding recourse; "
+    "check ratings against the unsheddable heat-pump load"
+)
 
 
 @dataclass(frozen=True)
@@ -316,10 +321,12 @@ class OpfModel:
     """Network dispatch LP for one day, reusable across price vectors.
 
     The constraint blocks depend only on the network, the buildings, and
-    the day's weather/profiles, so they are assembled once; each solve
-    swaps the price coefficients on the substation import and re-runs
-    the solver.  Heat-pump schedules can be pinned (baseline runs,
-    awarded profiles) by passing hp_fixed to solve().
+    the day's weather/profiles, so they are assembled once.  solve()
+    hands the LP to linprog for one price vector; solve_rows() keeps one
+    HiGHS instance for a stack of price vectors, swaps the price
+    coefficients on the substation import and re-runs the solver from
+    the previous optimal basis.  Heat-pump schedules can be pinned
+    (baseline runs, awarded profiles) by passing hp_fixed to solve().
     """
 
     def __init__(
@@ -561,22 +568,25 @@ class OpfModel:
         self.base_c = c
         self._o = (o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq)
 
+    def _import_cost(self, prices: np.ndarray) -> np.ndarray:
+        """Objective coefficients of the substation import at the given prices."""
+        T = self.cfg.horizon
+        if prices.shape != (T,):
+            raise ValueError(f"prices must span {T} hours")
+        return self.cfg.dt * prices * self.net.s_base_kva / 1000.0
+
     def solve(
         self,
         prices: np.ndarray,
         hp_fixed: Mapping[str, np.ndarray] | None = None,
     ) -> OpfSolution:
         """Minimize import cost plus shedding penalty at the given prices."""
-        cfg = self.cfg
-        T = cfg.horizon
+        T = self.cfg.horizon
         prices = np.asarray(prices, dtype=float)
-        if prices.shape != (T,):
-            raise ValueError(f"prices must span {T} hours")
-        o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq = self._o
-        N = len(self.node_ids)
+        o_hp, o_pp = self._o[0], self._o[5]
 
         c = self.base_c.copy()
-        c[o_pp : o_pp + T] = cfg.dt * prices * self.net.s_base_kva / 1000.0
+        c[o_pp : o_pp + T] = self._import_cost(prices)
 
         bounds = self.base_bounds
         if hp_fixed:
@@ -602,14 +612,83 @@ class OpfModel:
             method="highs",
         )
         if res.status == 2:
-            raise Infeasible(
-                "network dispatch infeasible despite shedding recourse; "
-                "check ratings against the unsheddable heat-pump load"
-            )
+            raise Infeasible(_INFEASIBLE)
         if not res.success:
             raise SolverFailure(f"network dispatch failed: {res.message}")
+        return self._solution(prices, res.x, float(res.fun))
 
-        x = res.x
+    def solve_rows(self, price_rows: np.ndarray) -> list[OpfSolution]:
+        """Free dispatch at each (T,) row of an (S, T) price stack.
+
+        The rows differ only in the import-price costs, so one HiGHS
+        instance holds the LP and dual simplex re-solves each row from
+        the previous row's optimal basis.  The first row is solved cold,
+        exactly as solve() would.  A row that ends on an optimal basis
+        seen before gets that earlier row's primal point: the vertex is
+        the same, and reusing it keeps identical schedules identical
+        rather than apart by the warm path's rounding noise.
+        """
+        T = self.cfg.horizon
+        price_rows = np.asarray(price_rows, dtype=float)
+        if price_rows.ndim != 2:
+            raise ValueError("price_rows must be an (S, T) array")
+        o_pp = self._o[5]
+        cols = np.arange(o_pp, o_pp + T, dtype=np.int32)
+
+        highs = self._highs()
+        x_by_basis: dict[bytes, np.ndarray] = {}
+        out = []
+        for prices in price_rows:
+            highs.changeColsCost(T, cols, self._import_cost(prices))
+            highs.run()
+            status = highs.getModelStatus()
+            if status == _hc.HighsModelStatus.kInfeasible:
+                raise Infeasible(_INFEASIBLE)
+            if status != _hc.HighsModelStatus.kOptimal:
+                raise SolverFailure(
+                    f"network dispatch failed: {highs.modelStatusToString(status)}"
+                )
+            basis = highs.getBasis()
+            key = bytes(map(int, basis.col_status)) + bytes(map(int, basis.row_status))
+            x = x_by_basis.get(key)
+            if x is None:
+                x = x_by_basis[key] = np.array(highs.getSolution().col_value)
+            out.append(self._solution(prices, x, highs.getInfo().objective_function_value))
+        return out
+
+    def _highs(self):
+        """A fresh HiGHS instance holding the day's LP under linprog's options."""
+        A = sparse.csc_array(sparse.vstack((self.A_ub, self.A_eq)))
+        lp = _hc.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = self.nvar
+        lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+        lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_cost_ = self.base_c
+        lp.col_lower_ = self.base_bounds[:, 0].copy()
+        lp.col_upper_ = self.base_bounds[:, 1].copy()
+        lp.row_lower_ = np.concatenate((np.full(len(self.b_ub), -np.inf), self.b_eq))
+        lp.row_upper_ = np.concatenate((self.b_ub, self.b_eq))
+
+        options = _hc.HighsOptions()
+        options.presolve = "on"
+        options.output_flag = False
+        options.log_to_console = False
+        options.highs_debug_level = _hc.HighsDebugLevel.kHighsDebugLevelNone
+        options.simplex_strategy = _hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        highs = _hc._Highs()
+        highs.passOptions(options)
+        highs.passModel(lp)
+        return highs
+
+    def _solution(self, prices: np.ndarray, x: np.ndarray, objective: float) -> OpfSolution:
+        """Unpack a primal point of the LP into an OpfSolution."""
+        cfg = self.cfg
+        T = cfg.horizon
+        o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq = self._o
+        N = len(self.node_ids)
         hp_kw = {
             b.id: x[o_hp + f * T : o_hp + (f + 1) * T].copy()
             for f, b in enumerate(self.flex)
@@ -624,7 +703,6 @@ class OpfModel:
         total_hp = sum(hp_kw.values()) if hp_kw else np.zeros(T)
         hp_cost = cfg.dt * float(np.dot(prices, total_hp)) / 1000.0
         shed_kwh = cfg.dt * float(shed.sum())
-        objective = float(res.fun)
         fixed_cost = objective - self.voll * shed_kwh / 1000.0 - hp_cost
         return OpfSolution(
             node_ids=list(self.node_ids),

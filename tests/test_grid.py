@@ -438,3 +438,74 @@ def test_objective_decomposes_into_parts():
     sol = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
     recomposed = sol.hp_cost_eur + sol.fixed_cost_eur + 10000.0 * sol.shed_kwh / 1000.0
     assert sol.objective_eur == pytest.approx(recomposed, rel=1e-9)
+
+
+# ------------------------------------------------- warm-started price sweep
+
+def sweep_model(rating_scale=1.0):
+    net, buildings, alloc = feeder_with_hp(rating_scale)
+    series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
+    return OpfModel(net, buildings, alloc, CFG24, np.full(24, 2.0), series)
+
+
+def test_sweep_rows_match_one_shot_solves():
+    model = sweep_model()
+    rows = np.random.default_rng(5).uniform(20.0, 140.0, size=(6, 24))
+    sols = model.solve_rows(rows)
+    assert len(sols) == len(rows)
+    for prices, sol in zip(rows, sols):
+        ref = model.solve(prices)
+        assert sol.objective_eur == pytest.approx(ref.objective_eur, rel=1e-9)
+        assert verify_solution(model, sol) == []
+
+
+def test_one_row_sweep_is_the_one_shot_solve():
+    model = sweep_model()
+    (sol,) = model.solve_rows(PRICES24[None, :])
+    ref = model.solve(PRICES24)
+    assert sol.objective_eur == ref.objective_eur
+    for bid, sched in ref.hp_kw.items():
+        assert np.array_equal(sol.hp_kw[bid], sched)
+
+
+def test_sweep_reuses_the_point_of_a_repeated_basis():
+    # the third row returns to the first row's prices along a warm path;
+    # its optimal basis repeats, so its schedules repeat byte for byte
+    model = sweep_model()
+    p0, p1 = PRICES24, PRICES24[::-1].copy()
+    s0, s1, s2 = model.solve_rows(np.array([p0, p1, p0]))
+    assert any(not np.allclose(s0.hp_kw[b], s1.hp_kw[b]) for b in s0.hp_kw)
+    for bid in s0.hp_kw:
+        assert s2.hp_kw[bid].tobytes() == s0.hp_kw[bid].tobytes()
+
+
+def test_sweep_rejects_a_bare_price_vector():
+    with pytest.raises(ValueError):
+        sweep_model().solve_rows(PRICES24)
+    with pytest.raises(ValueError):
+        sweep_model().solve_rows(np.ones((2, 23)))
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda model, p: model.solve(p), id="solve"),
+    pytest.param(lambda model, p: model.solve_rows(p[None, :]), id="solve_rows"),
+])
+def test_energy_beyond_the_substation_rating_is_infeasible(solve):
+    # at 1 % of the ratings the feeder cannot deliver the heat pumps'
+    # daily energy, and heat-pump load is never shed
+    model = sweep_model(rating_scale=0.01)
+    with pytest.raises(Infeasible):
+        solve(model, PRICES24)
+
+
+def test_highs_binding_offers_what_the_sweep_calls():
+    # solve_rows drives scipy's private HiGHS binding directly; a scipy
+    # release that moves it must fail here, by name
+    from scipy.optimize._highspy import _core
+
+    assert hasattr(_core, "HighsLp")
+    assert hasattr(_core, "HighsOptions")
+    for method in ("passOptions", "passModel", "changeColsCost", "run",
+                   "getModelStatus", "modelStatusToString", "getBasis",
+                   "getSolution", "getInfo"):
+        assert hasattr(_core._Highs, method), method

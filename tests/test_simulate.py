@@ -52,6 +52,17 @@ def test_efficiency_rejects_impossible_ordering():
         efficiency(100.0, 95.0, 101.0)
 
 
+@pytest.mark.parametrize("excess, raises", [(9.0, False), (100.0, True)])
+def test_ordering_slack_scales_with_the_cost(excess, raises):
+    # at 1e7 EUR the slack is 1e-6 * 1e7 = 10 EUR of solver round-off
+    tc_inf = 1e7
+    if raises:
+        with pytest.raises(InvalidOrdering):
+            efficiency(tc_inf, tc_inf, tc_inf + excess)
+    else:
+        assert efficiency(tc_inf, tc_inf, tc_inf + excess) is None
+
+
 def test_overperforming_clearing_reports_above_one():
     # cleared below the perfect-foresight cost is reported, not clamped
     assert efficiency(100.0, 88.0, 90.0) == pytest.approx(1.2)
