@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.optimize._highspy import _core as _hc
 
 from .errors import (
     CycleDetected,
@@ -38,6 +37,7 @@ from .errors import (
     MultipleAncestors,
     SolverFailure,
 )
+from .lp import HighsSweep
 from .thermal import (
     BuildingParams,
     ComfortConfig,
@@ -322,11 +322,12 @@ class OpfModel:
 
     The constraint blocks depend only on the network, the buildings, and
     the day's weather/profiles, so they are assembled once.  solve()
-    hands the LP to linprog for one price vector; solve_rows() keeps one
-    HiGHS instance for a stack of price vectors, swaps the price
-    coefficients on the substation import and re-runs the solver from
-    the previous optimal basis.  Heat-pump schedules can be pinned
-    (baseline runs, awarded profiles) by passing hp_fixed to solve().
+    hands the LP to linprog for one price vector; solve_rows() sweeps a
+    stack of price vectors with the shared warm-started `lp.HighsSweep`,
+    which swaps the price coefficients on the substation import and
+    re-runs the solver from the previous optimal basis.  Heat-pump
+    schedules can be pinned (baseline runs, awarded profiles) by passing
+    hp_fixed to solve().
     """
 
     def __init__(
@@ -623,65 +624,35 @@ class OpfModel:
         The rows differ only in the import-price costs, so one HiGHS
         instance holds the LP and dual simplex re-solves each row from
         the previous row's optimal basis.  The first row is solved cold,
-        exactly as solve() would.  A row that ends on an optimal basis
-        seen before gets that earlier row's primal point: the vertex is
-        the same, and reusing it keeps identical schedules identical
-        rather than apart by the warm path's rounding noise.
+        exactly as solve() would.  A row that ends on an optimal vertex
+        seen before gets that earlier row's primal point, so identical
+        schedules stay byte-identical.
         """
         T = self.cfg.horizon
         price_rows = np.asarray(price_rows, dtype=float)
         if price_rows.ndim != 2:
             raise ValueError("price_rows must be an (S, T) array")
+        costs = np.array([self._import_cost(prices) for prices in price_rows])
         o_pp = self._o[5]
-        cols = np.arange(o_pp, o_pp + T, dtype=np.int32)
-
-        highs = self._highs()
-        x_by_basis: dict[bytes, np.ndarray] = {}
-        out = []
-        for prices in price_rows:
-            highs.changeColsCost(T, cols, self._import_cost(prices))
-            highs.run()
-            status = highs.getModelStatus()
-            if status == _hc.HighsModelStatus.kInfeasible:
-                raise Infeasible(_INFEASIBLE)
-            if status != _hc.HighsModelStatus.kOptimal:
-                raise SolverFailure(
-                    f"network dispatch failed: {highs.modelStatusToString(status)}"
-                )
-            basis = highs.getBasis()
-            key = bytes(map(int, basis.col_status)) + bytes(map(int, basis.row_status))
-            x = x_by_basis.get(key)
-            if x is None:
-                x = x_by_basis[key] = np.array(highs.getSolution().col_value)
-            out.append(self._solution(prices, x, highs.getInfo().objective_function_value))
-        return out
-
-    def _highs(self):
-        """A fresh HiGHS instance holding the day's LP under linprog's options."""
-        A = sparse.csc_array(sparse.vstack((self.A_ub, self.A_eq)))
-        lp = _hc.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = self.nvar
-        lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
-        lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
-        lp.col_cost_ = self.base_c
-        lp.col_lower_ = self.base_bounds[:, 0].copy()
-        lp.col_upper_ = self.base_bounds[:, 1].copy()
-        lp.row_lower_ = np.concatenate((np.full(len(self.b_ub), -np.inf), self.b_eq))
-        lp.row_upper_ = np.concatenate((self.b_ub, self.b_eq))
-
-        options = _hc.HighsOptions()
-        options.presolve = "on"
-        options.output_flag = False
-        options.log_to_console = False
-        options.highs_debug_level = _hc.HighsDebugLevel.kHighsDebugLevelNone
-        options.simplex_strategy = _hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        highs = _hc._Highs()
-        highs.passOptions(options)
-        highs.passModel(lp)
-        return highs
+        lp = HighsSweep(
+            sparse.vstack((self.A_ub, self.A_eq)),
+            row_lo=np.concatenate((np.full(len(self.b_ub), -np.inf), self.b_eq)),
+            row_hi=np.concatenate((self.b_ub, self.b_eq)),
+            col_lo=self.base_bounds[:, 0],
+            col_hi=self.base_bounds[:, 1],
+            cost=self.base_c,
+            cost_cols=np.arange(o_pp, o_pp + T),
+        )
+        try:
+            X, objective = lp.solve(costs)
+        except Infeasible:
+            raise Infeasible(_INFEASIBLE) from None
+        except SolverFailure as exc:
+            raise SolverFailure(f"network dispatch failed: {exc}") from None
+        return [
+            self._solution(prices, x, float(obj))
+            for prices, x, obj in zip(price_rows, X, objective)
+        ]
 
     def _solution(self, prices: np.ndarray, x: np.ndarray, objective: float) -> OpfSolution:
         """Unpack a primal point of the LP into an OpfSolution."""

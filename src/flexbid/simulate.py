@@ -211,7 +211,7 @@ class _Fleet:
         )
 
     def solve(self, price_rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        """One block-diagonal LP per building over every price row."""
+        """One warm-started HiGHS sweep per building over every price row."""
         per_building = [model.solve(price_rows) for model in self.models]
         X = np.stack([[res.schedule for res in results] for results in per_building], axis=1)
         cost = [sum(results[s].cost for results in per_building)
@@ -477,6 +477,7 @@ def efficiency_vs_bids(
 REPORT_HEADER = [
     "date", "tc_inf_eur", "tc_cleared_eur", "tc_opt_eur", "eta", "shed_kwh",
     "price_std_eur_mwh", "runtime_dispatch_s", "runtime_clearing_s",
+    "n_bids", "accepted_index", "fallback", "hp_cost_eur",
 ]
 
 
@@ -497,6 +498,10 @@ def write_report_csv(path: str | Path, report: CampaignReport) -> None:
                 f"{d.price_std:.6f}",
                 f"{d.runtime['dispatch']:.6f}",
                 f"{d.runtime['clearing']:.6f}",
+                str(d.n_bids),
+                "" if d.accepted_index is None else str(d.accepted_index),
+                str(int(d.fallback)),
+                f"{d.hp_cost_cleared:.6f}",
             ])
 
 

@@ -5,11 +5,12 @@ heat pump:
 
     C * dT_in/dt = COP * P_hp - (T_in - T_out) / R
 
-Discretized per step (implicit Euler by default, so the loss term is
-evaluated at the new temperature), the indoor temperature is an affine
-function of the power schedule.  Baseline operation, price-driven
-dispatch, and temperature simulation therefore reduce to small dense
-linear algebra plus a bounded LP over the daily schedule.
+Discretized per step with implicit Euler (the loss term is evaluated at
+the new temperature), the indoor temperature is an affine function of
+the power schedule.  Baseline operation and temperature simulation
+therefore reduce to small dense linear algebra, and price-driven
+dispatch to a bounded LP over the daily schedule that one warm-started
+HiGHS sweep re-solves for every price scenario.
 
 Units: power kW, energy kWh, temperatures degC, prices EUR/MWh,
 time step hours.  Market-side MW conversion happens in the bidding
@@ -22,16 +23,15 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+
+# linprog is not called here; perfbench/spans.py patches flexbid.thermal.linprog
+# by name, so the name stays importable for a traced benchmark run
+from scipy.optimize import linprog  # noqa: F401
 
 from .errors import Infeasible, InfeasibleBaseline, SolverFailure
+from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep  # noqa: F401 (tolerances re-exported)
 
 log = logging.getLogger(__name__)
-
-# LP tolerances, tighter than every test tolerance in the suite
-FEASIBILITY_TOL = 1e-7
-OPTIMALITY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class ComfortConfig:
     t_max: float = 21.0
     dt: float = 1.0
     horizon: int = 24
-    integrator: str = "implicit"  # "implicit" (per the printed recursion) or "explicit"
 
     def __post_init__(self):
         if not (self.t_min <= self.t_set <= self.t_max):
@@ -53,8 +52,6 @@ class ComfortConfig:
             raise ValueError("cop and dt must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.integrator not in ("implicit", "explicit"):
-            raise ValueError("integrator must be 'implicit' or 'explicit'")
 
 
 @dataclass(frozen=True)
@@ -102,17 +99,10 @@ def temperature_response(
         raise ValueError(f"t_out must have length {n}, got {t_out.shape}")
     k = cfg.dt / (b.r_th * b.c_th)  # dimensionless loss per step
     gain = cfg.dt * cfg.cop / b.c_th  # K per kW before decay
-    if cfg.integrator == "implicit":
-        a = 1.0 / (1.0 + k)
-        # T_t = a*T_{t-1} + a*gain*P_t + a*k*t_out_t
-        step_gain = a * gain
-        forcing = a * k * t_out
-        decay = a
-    else:
-        # explicit Euler: T_t = (1-k)*T_{t-1} + gain*P_t + k*t_out_t
-        decay = 1.0 - k
-        step_gain = gain
-        forcing = k * t_out
+    decay = 1.0 / (1.0 + k)
+    # T_t = decay*T_{t-1} + decay*gain*P_t + decay*k*t_out_t
+    step_gain = decay * gain
+    forcing = decay * k * t_out
 
     powers = decay ** np.arange(n)  # decay^0 .. decay^(n-1)
     M = np.zeros((n, n))
@@ -145,11 +135,8 @@ def simulate_temperature(
     temps = np.empty(n)
     t_prev = cfg.t_set
     for i in range(n):
-        if cfg.integrator == "implicit":
-            # t*(1+k) = t_prev + gain*P + k*t_out
-            t_prev = (t_prev + gain * schedule[i] + k * t_out[i]) / (1.0 + k)
-        else:
-            t_prev = (1.0 - k) * t_prev + gain * schedule[i] + k * t_out[i]
+        # t*(1+k) = t_prev + gain*P + k*t_out
+        t_prev = (t_prev + gain * schedule[i] + k * t_out[i]) / (1.0 + k)
         temps[i] = t_prev
     return temps
 
@@ -192,10 +179,10 @@ class DispatchModel:
 
     The temperature trajectory is eliminated through the affine response
     map, so each price row's LP has only the T power variables.  The
-    constraint rows (comfort band, daily energy equality) are built once
-    as sparse matrices.  `solve` takes one price vector or a stack of S
-    of them and solves all S copies as a single block-diagonal LP, so a
-    building's scenarios cost one solver call instead of S.
+    constraint rows (comfort band, daily energy equality) are built once.
+    `solve` takes one price vector or a stack of S of them and sweeps the
+    stack on one HiGHS instance: each row changes only the T costs and
+    re-solves from the previous row's optimal basis.
     """
 
     def __init__(self, b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray):
@@ -207,55 +194,42 @@ class DispatchModel:
         self.baseline = base.schedule
         self.response, self.free_temp = temperature_response(b, cfg, self.t_out)
         n = cfg.horizon
-        # comfort band:  t_min <= M p + m0 <= t_max
-        self._a_ub = sparse.csr_array(np.vstack([self.response, -self.response]))
-        self._b_ub = np.concatenate(
-            [cfg.t_max - self.free_temp, self.free_temp - cfg.t_min]
+        # comfort band  t_min <= M p + m0 <= t_max  as two one-sided blocks,
+        # then the daily energy equality
+        self._lp = HighsSweep(
+            np.vstack([self.response, -self.response, np.full((1, n), cfg.dt)]),
+            row_lo=np.concatenate([np.full(2 * n, -np.inf), [self.e_base]]),
+            row_hi=np.concatenate(
+                [cfg.t_max - self.free_temp, self.free_temp - cfg.t_min, [self.e_base]]
+            ),
+            col_lo=np.zeros(n),
+            col_hi=np.full(n, b.p_hp_rated),
+            cost=np.zeros(n),
+            cost_cols=np.arange(n),
         )
-        self._a_eq = sparse.csr_array(np.full((1, n), cfg.dt))
-        self._b_eq = np.array([self.e_base])
-        self._bounds = (0.0, b.p_hp_rated)
 
     def solve(self, prices: np.ndarray) -> DispatchResult | list[DispatchResult]:
         """Cost-minimal schedules at EUR/MWh prices.
 
         A (T,) price vector returns one DispatchResult; an (S, T) matrix
-        returns a list of S results, one per row, from a single LP whose
-        constraint matrix is S copies of the building's rows on the
-        diagonal.  The copies share no variable, so each block's optimum
-        is the optimum of its own row.
+        returns a list of S results, one per row.  Rows that end on the
+        same optimal vertex get byte-identical schedules.
         """
         prices = np.asarray(prices, dtype=float)
         n = self.cfg.horizon
         rows = np.atleast_2d(prices)
         if prices.ndim > 2 or rows.shape[1] != n or rows.shape[0] < 1:
             raise ValueError(f"prices must have shape ({n},) or (S, {n})")
-        s_count = rows.shape[0]
         c = rows * self.cfg.dt / 1000.0  # objective directly in EUR
-        eye = sparse.eye_array(s_count, format="csr")
-        res = linprog(
-            c.ravel(),
-            A_ub=sparse.kron(eye, self._a_ub, format="csr"),
-            b_ub=np.tile(self._b_ub, s_count),
-            A_eq=sparse.kron(eye, self._a_eq, format="csr"),
-            b_eq=np.tile(self._b_eq, s_count),
-            bounds=self._bounds,
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": FEASIBILITY_TOL,
-                "dual_feasibility_tolerance": OPTIMALITY_TOL,
-            },
-        )
-        if res.status == 2:
+        try:
+            x, _ = self._lp.solve(c)
+        except Infeasible:
             raise Infeasible(
                 f"building {self.building.id}: no schedule satisfies comfort "
                 f"and energy constraints"
-            )
-        if not res.success:
-            raise SolverFailure(
-                f"building {self.building.id}: linprog status {res.status} ({res.message})"
-            )
-        x = np.asarray(res.x, dtype=float).reshape(s_count, n)
+            ) from None
+        except SolverFailure as exc:
+            raise SolverFailure(f"building {self.building.id}: {exc}") from None
         temps = x @ self.response.T + self.free_temp
         results = [
             DispatchResult(
@@ -264,7 +238,7 @@ class DispatchModel:
                 energy=self.cfg.dt * float(x[s].sum()),
                 cost=float(c[s] @ x[s]),
             )
-            for s in range(s_count)
+            for s in range(len(rows))
         ]
         return results[0] if prices.ndim == 1 else results
 

@@ -496,16 +496,3 @@ def test_energy_beyond_the_substation_rating_is_infeasible(solve):
     model = sweep_model(rating_scale=0.01)
     with pytest.raises(Infeasible):
         solve(model, PRICES24)
-
-
-def test_highs_binding_offers_what_the_sweep_calls():
-    # solve_rows drives scipy's private HiGHS binding directly; a scipy
-    # release that moves it must fail here, by name
-    from scipy.optimize._highspy import _core
-
-    assert hasattr(_core, "HighsLp")
-    assert hasattr(_core, "HighsOptions")
-    for method in ("passOptions", "passModel", "changeColsCost", "run",
-                   "getModelStatus", "modelStatusToString", "getBasis",
-                   "getSolution", "getInfo"):
-        assert hasattr(_core._Highs, method), method

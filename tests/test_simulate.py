@@ -1,6 +1,7 @@
 """Campaign orchestration: the benchmark, day pipeline, and reports."""
 
 import copy
+import csv
 import dataclasses
 from datetime import date
 
@@ -256,6 +257,23 @@ def test_report_csv_format(tmp_path, small_bundle):
     first = lines[1].split(",")
     assert first[0] == START.isoformat()
     assert float(first[1]) >= float(first[3])  # tc_inf >= tc_opt
+
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    # the day's answers keep columns 1-7; the explanation is appended last
+    assert list(rows[0])[:7] == ["date", "tc_inf_eur", "tc_cleared_eur", "tc_opt_eur",
+                                 "eta", "shed_kwh", "price_std_eur_mwh"]
+    assert list(rows[0])[-4:] == ["n_bids", "accepted_index", "fallback", "hp_cost_eur"]
+    for row, d in zip(rows, report.days):
+        assert int(row["n_bids"]) == d.n_bids >= 1
+        assert row["accepted_index"] == ("" if d.accepted_index is None
+                                         else str(d.accepted_index))
+        assert row["fallback"] == str(int(d.fallback))
+        assert (row["accepted_index"] == "") == d.fallback
+        assert float(row["hp_cost_eur"]) == pytest.approx(d.hp_cost_cleared, abs=1e-6)
+        # unbundled: the executed heat-pump cost is the whole cleared cost
+        assert float(row["hp_cost_eur"]) == pytest.approx(float(row["tc_cleared_eur"]),
+                                                          abs=1e-6)
 
 
 def test_config_dict_roundtrip():

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from flexbid.errors import Infeasible, InfeasibleBaseline
@@ -76,18 +78,6 @@ def test_infinite_inertia_limit():
     b = building(c_th=1e6)
     temps = simulate_temperature(b, CFG, np.zeros(24), np.ones(24))
     assert np.max(np.abs(np.diff(np.concatenate([[CFG.t_set], temps])))) < 1e-3
-
-
-def test_explicit_integrator_flag_changes_trajectory():
-    b = building()
-    cfg_exp = ComfortConfig(integrator="explicit")
-    imp = simulate_temperature(b, CFG, np.zeros(24), np.zeros(24))
-    exp = simulate_temperature(b, cfg_exp, np.zeros(24), np.zeros(24))
-    # explicit Euler decays with factor (1 - k), implicit with 1/(1 + k)
-    k = CFG.dt / (b.r_th * b.c_th)
-    assert exp[0] == pytest.approx(CFG.t_set * (1.0 - k))
-    assert imp[0] == pytest.approx(CFG.t_set / (1.0 + k))
-    assert not np.allclose(imp, exp)
 
 
 # ------------------------------------------------------------- dispatch
@@ -238,3 +228,36 @@ def test_solve_rejects_misshapen_prices():
     for bad in (np.zeros(23), np.zeros((2, 23)), np.zeros((0, 24)), np.zeros((1, 2, 24))):
         with pytest.raises(ValueError, match="prices must have shape"):
             model.solve(bad)
+
+
+def test_sweep_reuses_the_schedule_of_a_repeated_vertex():
+    # the third row returns to the first row's prices along a warm path;
+    # it ends on the first row's vertex, so its schedule repeats byte for byte
+    rng = np.random.default_rng(0)
+    b = building(r_th=rng.uniform(4, 8), c_th=rng.uniform(8, 16), rated=rng.uniform(1.5, 3.0))
+    model = DispatchModel(b, CFG, rng.uniform(-4.0, 10.0, 24))
+    p0, p1 = rng.uniform(10.0, 150.0, (2, 24))
+    r0, r1, r2 = model.solve(np.array([p0, p1, p0]))
+    assert not np.allclose(r0.schedule, r1.schedule)
+    assert r2.schedule.tobytes() == r0.schedule.tobytes()
+    assert r2.cost == r0.cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sweep_matches_one_linprog_per_row(data):
+    """Random buildings, days and (S, 24) price stacks: every swept row
+    costs what a cold one-row linprog costs and passes check_dispatch."""
+    S = data.draw(st.integers(1, 12), label="S")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    b = building(r_th=rng.uniform(4, 9), c_th=rng.uniform(6, 18), rated=rng.uniform(1.5, 3.5))
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    base = baseline_profile(b, CFG, t_out)
+    model = DispatchModel(b, CFG, t_out)
+    price_rows = rng.uniform(-20.0, 200.0, (S, 24))
+    for _ in range(data.draw(st.integers(0, S - 1), label="repeats")):
+        price_rows[rng.integers(1, S)] = price_rows[rng.integers(0, S)]
+    for res, ref in zip(model.solve(price_rows), loop_reference(model, price_rows)):
+        assert abs(res.cost - ref.fun) <= 1e-9
+        assert check_dispatch(b, CFG, t_out, res.schedule, base.energy) == []
