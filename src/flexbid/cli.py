@@ -53,6 +53,8 @@ FILE_DEFAULTS = {
     "alloc": "alloc.json",
 }
 REQUIRED_FILES = ("buildings", "weather", "prices", "profiles")
+# the top-level sections of campaign.json
+SECTIONS = ("paths", "campaign", "synthetic")
 
 
 def guarded(fn):
@@ -76,11 +78,23 @@ def guarded(fn):
 
 
 def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
-    """Return (campaign.json contents, directory paths are relative to)."""
+    """Return (campaign.json contents, directory paths are relative to).
+
+    Raises SchemaError naming the file when it or a section is not a
+    JSON object, or on any top-level or paths key that nothing reads, so
+    a misspelt key cannot fall back to a default.
+    """
     cfg_file = Path(config_path) if config_path else Path(workdir) / "campaign.json"
-    if cfg_file.exists():
-        return json.loads(cfg_file.read_text()), cfg_file.parent
-    return {}, Path(workdir)
+    if not cfg_file.exists():
+        return {}, Path(workdir)
+    raw = json.loads(cfg_file.read_text())
+    if not isinstance(raw, dict) or not all(isinstance(section, dict) for section in raw.values()):
+        raise SchemaError(f"{cfg_file}: the file and each of its sections must be JSON objects")
+    unknown = [key for key in raw if key not in SECTIONS]
+    unknown += [f"paths.{key}" for key in raw.get("paths", {}) if key not in FILE_DEFAULTS]
+    if unknown:
+        raise SchemaError(f"{cfg_file}: unknown keys: {', '.join(unknown)}")
+    return raw, cfg_file.parent
 
 
 def _resolve_paths(raw: dict, base: Path) -> dict[str, Path | None]:

@@ -7,6 +7,11 @@ variable is the power sent from the ancestor end toward the child
 reads flow(n) = sum of child flows + net consumption at n, and the
 voltage drop is U_child = U_ancestor - 2*(r*P + x*Q).
 
+Each heat pump brings the rows `thermal.building_rows` states for it:
+an indoor-temperature column per step, bounded by the comfort band and
+tied to the schedule by one implicit-Euler row, plus the daily-energy
+row.
+
 Apparent-power limits are quadratic in reality; here each line (and
 the substation's connection to the external grid) gets a regular
 polygon inscribed in the rating circle, which keeps every scenario
@@ -42,7 +47,8 @@ from .thermal import (
     BuildingParams,
     ComfortConfig,
     baseline_profile,
-    temperature_response,
+    building_rows,
+    check_dispatch,
 )
 
 log = logging.getLogger(__name__)
@@ -321,7 +327,9 @@ class OpfModel:
     """Network dispatch LP for one day, reusable across price vectors.
 
     The constraint blocks depend only on the network, the buildings, and
-    the day's weather/profiles, so they are assembled once.  solve()
+    the day's weather/profiles, so they are assembled once; each heat
+    pump's dynamics and energy rows come from `thermal.building_rows`,
+    over its hp columns and its own temperature columns.  solve()
     hands the LP to linprog for one price vector; solve_rows() sweeps a
     stack of price vectors with the shared warm-started `lp.HighsSweep`,
     which swaps the price coefficients on the substation import and
@@ -355,6 +363,7 @@ class OpfModel:
 
         self.net = net
         self.cfg = cfg
+        self.t_out = t_out
         self.series = series
         self.voll = voll
         self.facets = facets
@@ -376,14 +385,10 @@ class OpfModel:
             if nid == self.sub_id:
                 raise GridMismatch(f"building {b.id} assigned to the substation")
 
-        # thermal envelopes of the flexible fleet
-        self.responses: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.e_base: dict[str, float] = {}
         self.base_kw: dict[str, np.ndarray] = {}
         for b in self.flex:
-            M, m0 = temperature_response(b, cfg, t_out)
             base = baseline_profile(b, cfg, t_out)
-            self.responses[b.id] = (M, m0)
             self.base_kw[b.id] = base.schedule
             self.e_base[b.id] = base.energy
 
@@ -417,7 +422,7 @@ class OpfModel:
         self._assemble()
 
     # variable blocks: hp (F*T), shed (N*T), u (N*T), fp (N*T), fq (N*T),
-    # pcc_p (T), pcc_q (T); entity-major, time minor
+    # pcc_p (T), pcc_q (T), indoor temperature (F*T); entity-major, time minor
     def _offsets(self):
         T = self.cfg.horizon
         F, N = len(self.flex), len(self.node_ids)
@@ -428,7 +433,8 @@ class OpfModel:
         o_fq = o_fp + N * T
         o_pp = o_fq + N * T
         o_pq = o_pp + T
-        return o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq, o_pq + T
+        o_th = o_pq + T
+        return o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq, o_th, o_th + F * T
 
     def _assemble(self):
         net, cfg, series = self.net, self.cfg, self.series
@@ -436,8 +442,7 @@ class OpfModel:
         F, N = len(self.flex), len(self.node_ids)
         S = net.s_base_kva
         rar = series.rar
-        o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq, nvar = self._offsets()
-        self.nvar = nvar
+        o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq, o_th, nvar = self._offsets()
         children = self.topo.children
         line = self.topo.line_by_child
         flex_index = {b.id: f for f, b in enumerate(self.flex)}
@@ -502,33 +507,25 @@ class OpfModel:
                     put(r, o_u + self.node_pos[anc] * T + t, -1.0)
                     b_eq.append(0.0)
                 r += 1
-        # daily energy of each heat pump equals its baseline energy
-        for f, b in enumerate(self.flex):
-            for t in range(T):
-                put(r, o_hp + f * T + t, cfg.dt)
-            b_eq.append(self.e_base[b.id])
-            r += 1
         self.A_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(r, nvar)).tocsr()
+        lo = np.full(nvar, -np.inf)
+        hi = np.full(nvar, np.inf)
+        if self.flex:
+            # each heat pump's rows, on its hp columns and its temperature columns
+            A_b, rhs_b, lo_b, hi_b = zip(*(
+                building_rows(b, cfg, self.t_out, self.e_base[b.id]) for b in self.flex
+            ))
+            col = (np.r_[o_hp : o_hp + T, o_th : o_th + T] + T * np.arange(F)[:, None]).ravel()
+            B = sparse.block_diag(A_b, format="coo")
+            B = sparse.coo_matrix((B.data, (B.row, col[B.col])), shape=(B.shape[0], nvar))
+            self.A_eq = sparse.vstack([self.A_eq, B], format="csr")
+            b_eq.extend(np.concatenate(rhs_b))
+            lo[col], hi[col] = np.concatenate(lo_b), np.concatenate(hi_b)
         self.b_eq = np.array(b_eq)
 
         rows, cols, vals = [], [], []
         b_ub: list[float] = []
         r = 0
-        # comfort band per flexible building
-        for f, b in enumerate(self.flex):
-            M, m0 = self.responses[b.id]
-            for t in range(T):
-                for j in range(t + 1):
-                    if M[t, j] != 0.0:
-                        put(r, o_hp + f * T + j, M[t, j])
-                b_ub.append(cfg.t_max - m0[t])
-                r += 1
-            for t in range(T):
-                for j in range(t + 1):
-                    if M[t, j] != 0.0:
-                        put(r, o_hp + f * T + j, -M[t, j])
-                b_ub.append(m0[t] - cfg.t_min)
-                r += 1
         # polygonal apparent-power limits: lines, then the substation.
         # Facet normals sit between the polygon's vertices, which lie on
         # the rating circle at angles 2*pi*k/K — one of them on the P
@@ -553,11 +550,6 @@ class OpfModel:
         self.A_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(r, nvar)).tocsr()
         self.b_ub = np.array(b_ub)
 
-        lo = np.full(nvar, -np.inf)
-        hi = np.full(nvar, np.inf)
-        for f, b in enumerate(self.flex):
-            lo[o_hp + f * T : o_hp + (f + 1) * T] = 0.0
-            hi[o_hp + f * T : o_hp + (f + 1) * T] = b.p_hp_rated
         lo[o_shed : o_shed + N * T] = 0.0
         hi[o_shed : o_shed + N * T] = self.p_fix_kw.ravel()
         lo[o_u : o_u + N * T] = V_MIN_PU**2
@@ -700,8 +692,9 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
     """Independent re-check of a solved dispatch; returns found issues.
 
     Covers nodal flow conservation, the true quadratic rating circles
-    (which the polygon must under-fill), voltage bounds, and the
-    shedding and heat-pump bounds.
+    (which the polygon must under-fill), voltage bounds, the shedding
+    bounds, and each heat pump's rating, comfort band and daily energy
+    (`thermal.check_dispatch`, which simulates the temperatures).
     """
     issues: list[str] = []
     net, cfg, series = model.net, model.cfg, model.series
@@ -757,7 +750,10 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
     if (sol.shed_kw - model.p_fix_kw).max() > tol:
         issues.append("shedding exceeds fixed load")
     for b in model.flex:
-        sched = sol.hp_kw[b.id]
-        if sched.min() < -tol or sched.max() > b.p_hp_rated + tol:
-            issues.append(f"building {b.id}: heat-pump schedule outside its rating")
+        issues += [
+            f"building {b.id}: {problem}"
+            for problem in check_dispatch(
+                b, cfg, model.t_out, sol.hp_kw[b.id], model.e_base[b.id], tol
+            )
+        ]
     return issues

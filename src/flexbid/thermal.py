@@ -6,11 +6,14 @@ heat pump:
     C * dT_in/dt = COP * P_hp - (T_in - T_out) / R
 
 Discretized per step with implicit Euler (the loss term is evaluated at
-the new temperature), the indoor temperature is an affine function of
-the power schedule.  Baseline operation and temperature simulation
-therefore reduce to small dense linear algebra, and price-driven
-dispatch to a bounded LP over the daily schedule that one warm-started
-HiGHS sweep re-solves for every price scenario.
+the new temperature).  `building_rows` states a building's dispatch LP
+over its power and indoor-temperature columns: one sparse dynamics row
+per step, one daily-energy row, the rating and the comfort band as
+column bounds.  It is the one place the comfort constraints are built;
+`DispatchModel` sweeps it over price scenarios on one warm-started
+HiGHS instance, and the network OPF places it into its own LP.
+`temperature_response`, `simulate_temperature` and `check_dispatch`
+evaluate schedules independently of the LP.
 
 Units: power kW, energy kWh, temperatures degC, prices EUR/MWh,
 time step hours.  Market-side MW conversion happens in the bidding
@@ -23,6 +26,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 # linprog is not called here; perfbench/spans.py patches flexbid.thermal.linprog
 # by name, so the name stays importable for a traced benchmark run
@@ -174,15 +178,41 @@ def profile_cost(schedule_kw: np.ndarray, prices: np.ndarray, dt: float) -> floa
     return dt * float(np.dot(np.asarray(prices, dtype=float), schedule_kw)) / 1000.0
 
 
+def building_rows(
+    b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray, e_base: float
+) -> tuple[sparse.csc_array, np.ndarray, np.ndarray, np.ndarray]:
+    """One building's dispatch LP over [power (T), temperature (T)] as
+    A x = rhs, col_lo <= x <= col_hi.  Row t is the implicit-Euler step
+    T_t - decay*T_{t-1} - decay*gain*P_t = decay*k*t_out_t (T_{-1} = t_set),
+    row T the daily energy at e_base; the rating and the comfort band
+    bound the columns."""
+    t_out = np.asarray(t_out, dtype=float)
+    n = cfg.horizon
+    if t_out.shape != (n,):
+        raise ValueError(f"t_out must have length {n}, got {t_out.shape}")
+    k = cfg.dt / (b.r_th * b.c_th)
+    decay = 1.0 / (1.0 + k)
+    gain = cfg.dt * cfg.cop / b.c_th
+    # column-wise: P_t in step row t and energy row n, T_t in step rows t and t+1
+    steps = np.arange(n)
+    data = np.r_[np.tile([-decay * gain, cfg.dt], n), np.tile([1.0, -decay], n)[:-1]]
+    rows = np.r_[np.c_[steps, np.full(n, n)].ravel(), np.c_[steps, steps + 1].ravel()[:-1]]
+    A = sparse.csc_array((data, rows, np.r_[0 : 4 * n : 2, 4 * n - 1]), shape=(n + 1, 2 * n))
+    rhs = np.r_[decay * k * t_out, e_base]
+    rhs[0] += decay * cfg.t_set
+    col_lo = np.repeat([0.0, cfg.t_min], n)
+    col_hi = np.repeat([b.p_hp_rated, cfg.t_max], n)
+    return A, rhs, col_lo, col_hi
+
+
 class DispatchModel:
     """Per-building, per-day dispatch LP with the prices left open.
 
-    The temperature trajectory is eliminated through the affine response
-    map, so each price row's LP has only the T power variables.  The
-    constraint rows (comfort band, daily energy equality) are built once.
-    `solve` takes one price vector or a stack of S of them and sweeps the
-    stack on one HiGHS instance: each row changes only the T costs and
-    re-solves from the previous row's optimal basis.
+    The LP is `building_rows`: T power and T indoor-temperature columns,
+    built once.  `solve` takes one price vector or a stack of S of them
+    and sweeps the stack on one HiGHS instance: each row changes only
+    the T power costs and re-solves from the previous row's optimal
+    basis.
     """
 
     def __init__(self, b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray):
@@ -192,21 +222,9 @@ class DispatchModel:
         base = baseline_profile(b, cfg, self.t_out)
         self.e_base = base.energy
         self.baseline = base.schedule
-        self.response, self.free_temp = temperature_response(b, cfg, self.t_out)
-        n = cfg.horizon
-        # comfort band  t_min <= M p + m0 <= t_max  as two one-sided blocks,
-        # then the daily energy equality
-        self._lp = HighsSweep(
-            np.vstack([self.response, -self.response, np.full((1, n), cfg.dt)]),
-            row_lo=np.concatenate([np.full(2 * n, -np.inf), [self.e_base]]),
-            row_hi=np.concatenate(
-                [cfg.t_max - self.free_temp, self.free_temp - cfg.t_min, [self.e_base]]
-            ),
-            col_lo=np.zeros(n),
-            col_hi=np.full(n, b.p_hp_rated),
-            cost=np.zeros(n),
-            cost_cols=np.arange(n),
-        )
+        A, rhs, col_lo, col_hi = building_rows(b, cfg, self.t_out, self.e_base)
+        self._lp = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)),
+                              np.arange(cfg.horizon))
 
     def solve(self, prices: np.ndarray) -> DispatchResult | list[DispatchResult]:
         """Cost-minimal schedules at EUR/MWh prices.
@@ -230,13 +248,13 @@ class DispatchModel:
             ) from None
         except SolverFailure as exc:
             raise SolverFailure(f"building {self.building.id}: {exc}") from None
-        temps = x @ self.response.T + self.free_temp
+        p = x[:, :n]
         results = [
             DispatchResult(
-                schedule=x[s],
-                temperatures=temps[s],
-                energy=self.cfg.dt * float(x[s].sum()),
-                cost=float(c[s] @ x[s]),
+                schedule=p[s],
+                temperatures=x[s, n:],
+                energy=self.cfg.dt * float(p[s].sum()),
+                cost=float(c[s] @ p[s]),
             )
             for s in range(len(rows))
         ]

@@ -305,18 +305,27 @@ def test_runtime_scales_with_resources_and_bids():
         return time.perf_counter() - t0
 
     b200, b400 = bundle_of(200), bundle_of(400)
-    t200 = statistics.median([dispatch_seconds(b200, 24) for _ in range(3)])
-    t400 = statistics.median([dispatch_seconds(b400, 24) for _ in range(3)])
-    t200_b4 = statistics.median([dispatch_seconds(b200, 4) for _ in range(3)])
-    ratio_r = t400 / t200
-    ratio_b = t200 / (t200_b4 * (24 / 4))
+    # the timings of one ratio run back to back, so drift in the host's
+    # speed between repeats cancels out of each ratio
+    ratios_r, ratios_b, t200s, t400s = [], [], [], []
+    for _ in range(5):
+        t200 = dispatch_seconds(b200, 24)
+        t400 = dispatch_seconds(b400, 24)
+        t200_b4 = dispatch_seconds(b200, 4)
+        t200s.append(t200)
+        t400s.append(t400)
+        ratios_r.append(t400 / t200)
+        ratios_b.append(t200 / (t200_b4 * (24 / 4)))
+    ratio_r = statistics.median(ratios_r)
+    ratio_b = statistics.median(ratios_b)
     total = time.perf_counter() - t_wall
     record(
         "runtime scaling",
         ratio_r <= 2.5 and ratio_b <= 2.5 and total < 300.0,
-        f"400 vs 200 resources at 24 scenarios: {t400:.2f}s / {t200:.2f}s = "
-        f"{ratio_r:.2f} (cap 2.5); 24 scenarios vs 6x the 4-scenario time: "
-        f"{ratio_b:.2f} (cap 2.5); total {total:.0f}s < 300s",
+        f"400 vs 200 resources at 24 scenarios: median {statistics.median(t400s):.2f}s / "
+        f"{statistics.median(t200s):.2f}s, median pair ratio {ratio_r:.2f} (cap 2.5); "
+        f"24 scenarios vs 6x the 4-scenario time: median pair ratio {ratio_b:.2f} "
+        f"(cap 2.5); total {total:.0f}s < 300s",
     )
 
 

@@ -166,3 +166,26 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     assert res.exit_code == 0, res.output
     assert "skipping the share" in res.stderr
     assert not (workspace / "efficiency-vs-share.csv").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda payload: payload["paths"].update(buidlings="mine.csv"), "paths.buidlings"),
+    (lambda payload: payload.update(campain={"days": 1}), "campain"),
+])
+def test_unknown_workspace_keys_fail_naming_file_and_key(workspace, runner, edit, key):
+    payload = json.loads((workspace / "campaign.json").read_text())
+    edit(payload)
+    (workspace / "campaign.json").write_text(json.dumps(payload))
+    for args in (["allocate", str(workspace)], ["simulate", str(workspace), *FAST]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: SchemaError")
+        assert "campaign.json" in res.stderr and key in res.stderr
+
+
+@pytest.mark.parametrize("payload", [[], {"paths": ["buildings.csv"]}, {"campaign": 3}])
+def test_non_object_workspace_sections_fail_cleanly(workspace, runner, payload):
+    (workspace / "campaign.json").write_text(json.dumps(payload))
+    res = runner.invoke(main, ["allocate", str(workspace)])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: SchemaError") and "campaign.json" in res.stderr

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexbid.errors import (
     CycleDetected,
@@ -431,6 +433,26 @@ def test_verify_solution_flags_tampering():
     assert verify_solution(model, overfull) != []
 
 
+def test_verify_solution_rechecks_comfort_and_energy():
+    # a schedule that idles through the morning and doubles up in the
+    # afternoon: feasible in a 15..25 band, far below 19 degrees at noon
+    net, buildings, alloc = feeder_with_hp(rating_scale=10.0)
+    t_out = np.full(24, 2.0)
+    series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
+    wide = OpfModel(net, buildings, alloc, ComfortConfig(t_min=15.0, t_max=25.0),
+                    t_out, series)
+    narrow = OpfModel(net, buildings, alloc, CFG24, t_out, series)
+    shifted = {bid: np.r_[np.zeros(12), 2.0 * base[12:]] for bid, base in wide.base_kw.items()}
+    sol = wide.solve(PRICES24, hp_fixed=shifted)
+    assert verify_solution(wide, sol) == []
+    issues = verify_solution(narrow, sol)
+    for b in buildings:
+        assert any(msg.startswith(f"building {b.id}: temperature") and "below t_min" in msg
+                   for msg in issues)
+    short = dataclasses.replace(sol, hp_kw={**sol.hp_kw, "h2": 0.9 * sol.hp_kw["h2"]})
+    assert any(msg.startswith("building h2: energy") for msg in verify_solution(wide, short))
+
+
 def test_objective_decomposes_into_parts():
     net, buildings, alloc = feeder_with_hp()
     t_out = np.full(24, 2.0)
@@ -496,3 +518,70 @@ def test_energy_beyond_the_substation_rating_is_infeasible(solve):
     model = sweep_model(rating_scale=0.01)
     with pytest.raises(Infeasible):
         solve(model, PRICES24)
+
+
+@st.composite
+def radial_instances(draw):
+    """A small random feeder (2-6 load nodes, 1-4 heat pumps) and an
+    (S, T) price stack.  The ratings always carry the heat pumps and may
+    force fixed load to shed."""
+    seed = draw(st.integers(0, 2**31 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    n_nodes = draw(st.integers(2, 6), label="nodes")
+    n_hp = draw(st.integers(1, 4), label="heat pumps")
+    T = draw(st.sampled_from([4, 12, 24]), label="T")
+    slf = rng.uniform(0.4, 1.0, T)
+    series = GridTimeSeries(slf=slf, cf=rng.uniform(0.0, 0.5, T), rar=0.05)
+    t_out = rng.uniform(-4.0, 12.0, T)
+    ancestor = {i: int(rng.integers(0, i)) for i in range(1, n_nodes + 1)}
+    buildings = [
+        BuildingParams(id=f"h{k}", r_th=rng.uniform(4, 8), c_th=rng.uniform(8, 16),
+                       p_hp_rated=rng.uniform(2.0, 4.0), p_pv_rated=rng.uniform(0.0, 3.0),
+                       has_hp=True)
+        for k in range(n_hp)
+    ]
+    alloc = {b.id: int(rng.integers(1, n_nodes + 1)) for b in buildings}
+    hp_below = np.zeros(n_nodes + 1)
+    for b in buildings:
+        hp_below[alloc[b.id]] += b.p_hp_rated
+    # the fixed load always covers the heat pumps' own baseline draw
+    cap = hp_below / slf.min() + rng.uniform(5.0, 20.0, n_nodes + 1)
+    cap[0] = 0.0
+    cap_below = cap.copy()
+    for i in range(n_nodes, 0, -1):  # descendants carry the larger ids
+        hp_below[ancestor[i]] += hp_below[i]
+        cap_below[ancestor[i]] += cap_below[i]
+    s_base = 100.0
+
+    def rating(i):
+        # room for every heat pump downstream at full power, the reactive
+        # draw, and a random share of the fixed load, inside the octagon
+        need = 1.05 * hp_below[i] + (0.05 + rng.uniform(0.2, 1.5)) * cap_below[i]
+        return need / s_base / math.cos(math.pi / 8)
+
+    nodes = {0: Node(id=0, ancestor_id=None, is_substation=True,
+                     s_rating_kva=rating(0) * s_base)}
+    lines = []
+    for i in range(1, n_nodes + 1):
+        nodes[i] = Node(id=i, ancestor_id=ancestor[i], p_cap_kw=float(cap[i]))
+        lines.append(Line(from_id=i, to_id=ancestor[i], r_pu=rng.uniform(0.001, 0.005),
+                          x_pu=rng.uniform(0.0, 0.003), s_rating_pu=rating(i)))
+    net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=s_base)
+    S = draw(st.integers(1, 6), label="S")
+    prices = rng.uniform(5.0, 200.0, (S, T))
+    for _ in range(draw(st.integers(0, S - 1), label="repeats")):
+        prices[rng.integers(1, S)] = prices[rng.integers(0, S)]
+    model = OpfModel(net, buildings, alloc, ComfortConfig(horizon=T), t_out, series)
+    return model, prices
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_instances())
+def test_sweep_matches_cold_solves_on_random_feeders(instance):
+    """Every swept row costs what a cold solve costs, and passes the
+    independent re-check."""
+    model, prices = instance
+    for p, sol in zip(prices, model.solve_rows(prices)):
+        ref = model.solve(p)
+        assert abs(sol.objective_eur - ref.objective_eur) <= 1e-9 * max(1.0, abs(ref.objective_eur))
+        assert verify_solution(model, sol) == []

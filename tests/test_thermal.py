@@ -17,9 +17,11 @@ from flexbid.thermal import (
     DispatchModel,
     DispatchResult,
     baseline_profile,
+    building_rows,
     check_dispatch,
     profile_cost,
     simulate_temperature,
+    temperature_response,
 )
 
 CFG = ComfortConfig()  # cop 4, set-point 20, band 19..21, 24 hourly steps
@@ -78,6 +80,29 @@ def test_infinite_inertia_limit():
     b = building(c_th=1e6)
     temps = simulate_temperature(b, CFG, np.zeros(24), np.ones(24))
     assert np.max(np.abs(np.diff(np.concatenate([[CFG.t_set], temps])))) < 1e-3
+
+
+# ------------------------------------------------------ LP constraint rows
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_building_rows_hold_the_simulated_trajectory(data):
+    """Any schedule and the trajectory the recursion gives it satisfy
+    every row; the energy row reads the schedule's daily energy."""
+    T = data.draw(st.integers(1, 48), label="T")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+    cfg = ComfortConfig(cop=rng.uniform(2.0, 5.0), dt=rng.choice([0.25, 0.5, 1.0]), horizon=T)
+    b = building(r_th=rng.uniform(2, 10), c_th=rng.uniform(4, 30), rated=rng.uniform(0.5, 4))
+    t_out = rng.uniform(-10.0, 20.0, T)
+    p = rng.uniform(0.0, b.p_hp_rated, T)
+    A, rhs, col_lo, col_hi = building_rows(b, cfg, t_out, e_base=7.0)
+    x = np.concatenate([p, simulate_temperature(b, cfg, t_out, p)])
+    lhs = A @ x
+    assert A.shape == (T + 1, 2 * T)
+    assert np.abs(lhs[:-1] - rhs[:-1]).max() <= 1e-12 * max(1.0, np.abs(x).max())
+    assert lhs[-1] == pytest.approx(cfg.dt * p.sum(), rel=1e-12) and rhs[-1] == 7.0
+    assert np.array_equal(col_lo, np.r_[np.zeros(T), np.full(T, cfg.t_min)])
+    assert np.array_equal(col_hi, np.r_[np.full(T, b.p_hp_rated), np.full(T, cfg.t_max)])
 
 
 # ------------------------------------------------------------- dispatch
@@ -180,14 +205,15 @@ def test_convex_blends_stay_feasible():
 
 
 def loop_reference(model: DispatchModel, price_rows: np.ndarray) -> list:
-    """One dense linprog per price row over the model's condensed rows."""
+    """One dense linprog per price row over the condensed comfort rows."""
     cfg, b = model.cfg, model.building
+    M, m0 = temperature_response(b, cfg, model.t_out)
     out = []
     for prices in price_rows:
         res = linprog(
             prices * cfg.dt / 1000.0,
-            A_ub=np.vstack([model.response, -model.response]),
-            b_ub=np.concatenate([cfg.t_max - model.free_temp, model.free_temp - cfg.t_min]),
+            A_ub=np.vstack([M, -M]),
+            b_ub=np.concatenate([cfg.t_max - m0, m0 - cfg.t_min]),
             A_eq=np.full((1, cfg.horizon), cfg.dt),
             b_eq=[model.e_base],
             bounds=[(0.0, b.p_hp_rated)] * cfg.horizon,
