@@ -81,8 +81,9 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
     """Return (campaign.json contents, directory paths are relative to).
 
     Raises SchemaError naming the file when it or a section is not a
-    JSON object, or on any top-level or paths key that nothing reads, so
-    a misspelt key cannot fall back to a default.
+    JSON object, on any top-level or paths key that nothing reads, so
+    a misspelt key cannot fall back to a default, and on any paths or
+    campaign value of the wrong JSON type, naming the key.
     """
     cfg_file = Path(config_path) if config_path else Path(workdir) / "campaign.json"
     if not cfg_file.exists():
@@ -94,7 +95,24 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
     unknown += [f"paths.{key}" for key in raw.get("paths", {}) if key not in FILE_DEFAULTS]
     if unknown:
         raise SchemaError(f"{cfg_file}: unknown keys: {', '.join(unknown)}")
+    # paths are strings; each campaign setting is a string or a number,
+    # as CampaignConfig.to_dict writes it
+    written = CampaignConfig(start=date.min, days=1).to_dict()
+    mistyped = [f"paths.{key}" for key, val in raw.get("paths", {}).items()
+                if not isinstance(val, str)]
+    mistyped += [f"campaign.{key}" for key, val in raw.get("campaign", {}).items()
+                 if key in written and _json_kind(val) != _json_kind(written[key])]
+    if mistyped:
+        raise SchemaError(f"{cfg_file}: values of the wrong type: {', '.join(mistyped)}")
     return raw, cfg_file.parent
+
+
+def _json_kind(val) -> str:
+    if isinstance(val, str):
+        return "string"
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        return "number"
+    return type(val).__name__
 
 
 def _resolve_paths(raw: dict, base: Path) -> dict[str, Path | None]:

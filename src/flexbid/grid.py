@@ -27,11 +27,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+
+# linprog is not called here; perfbench/spans.py patches flexbid.grid.linprog
+# by name, so the name stays importable for a traced benchmark run
+from scipy.optimize import linprog  # noqa: F401
 
 from .errors import (
     CycleDetected,
@@ -263,15 +268,9 @@ def allocate_buildings(
     dist = np.hypot(bx[:, None] - nx[None, :], by[:, None] - ny[None, :])
 
     # variables a[b, n] flattened row-major
-    assign = np.zeros((nb, nb * nn))
-    for b in range(nb):
-        assign[b, b * nn : (b + 1) * nn] = 1.0
-    hp_rows = np.zeros((nn, nb * nn))
-    pv_rows = np.zeros((nn, nb * nn))
-    for b in range(nb):
-        for n in range(nn):
-            hp_rows[n, b * nn + n] = hp[b]
-            pv_rows[n, b * nn + n] = pv[b]
+    assign = np.kron(np.eye(nb), np.ones(nn))
+    hp_rows = np.kron(hp, np.eye(nn))
+    pv_rows = np.kron(pv, np.eye(nn))
 
     res = milp(
         c=dist.ravel(),
@@ -327,15 +326,15 @@ class OpfModel:
     """Network dispatch LP for one day, reusable across price vectors.
 
     The constraint blocks depend only on the network, the buildings, and
-    the day's weather/profiles, so they are assembled once; each heat
-    pump's dynamics and energy rows come from `thermal.building_rows`,
-    over its hp columns and its own temperature columns.  solve()
-    hands the LP to linprog for one price vector; solve_rows() sweeps a
-    stack of price vectors with the shared warm-started `lp.HighsSweep`,
-    which swaps the price coefficients on the substation import and
-    re-runs the solver from the previous optimal basis.  Heat-pump
-    schedules can be pinned (baseline runs, awarded profiles) by passing
-    hp_fixed to solve().
+    the day's weather/profiles, so they are assembled once, as
+    row_lo <= A x <= row_hi, col_lo <= x <= col_hi with the costs `cost`
+    outside the substation import's `import_cols`; each heat pump's
+    dynamics and energy rows come from `thermal.building_rows`, over its
+    hp columns and its own temperature columns.  Both solve() and
+    solve_rows() run the warm-started `lp.HighsSweep`, which sets the
+    price coefficients on the substation import and re-runs the solver
+    from the previous optimal basis.  Heat-pump schedules can be pinned
+    (baseline runs, awarded profiles) by passing hp_fixed to solve().
     """
 
     def __init__(
@@ -419,147 +418,97 @@ class OpfModel:
         self.s_sub_pu = sub.s_rating_kva / net.s_base_kva
         self.u_sub = sub.v_nom_pu**2
 
-        self._assemble()
+        self._assemble([self.node_pos[alloc[b.id]] for b in self.flex])
 
-    # variable blocks: hp (F*T), shed (N*T), u (N*T), fp (N*T), fq (N*T),
-    # pcc_p (T), pcc_q (T), indoor temperature (F*T); entity-major, time minor
-    def _offsets(self):
-        T = self.cfg.horizon
-        F, N = len(self.flex), len(self.node_ids)
-        o_hp = 0
-        o_shed = o_hp + F * T
-        o_u = o_shed + N * T
-        o_fp = o_u + N * T
-        o_fq = o_fp + N * T
-        o_pp = o_fq + N * T
-        o_pq = o_pp + T
-        o_th = o_pq + T
-        return o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq, o_th, o_th + F * T
-
-    def _assemble(self):
+    def _assemble(self, hp_node: list[int]):
+        """Column blocks, entity-major and time-minor: hp (F*T), shed, u,
+        fp, fq (N*T each), pcc_p, pcc_q (T each), indoor temperature (F*T).
+        Row blocks: the rating polygons, each node's T active then T
+        reactive balances, the substation's, the voltage drops, and each
+        heat pump's `thermal.building_rows`."""
         net, cfg, series = self.net, self.cfg, self.series
         T = cfg.horizon
         F, N = len(self.flex), len(self.node_ids)
         S = net.s_base_kva
         rar = series.rar
-        o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq, o_th, nvar = self._offsets()
-        children = self.topo.children
-        line = self.topo.line_by_child
-        flex_index = {b.id: f for f, b in enumerate(self.flex)}
+        lines = [self.topo.line_by_child[nid] for nid in self.node_ids]
+        anc = [net.nodes[nid].ancestor_id for nid in self.node_ids]
+        feeds_sub = np.array([[a == self.sub_id for a in anc]], dtype=float)
+        below = [i for i, a in enumerate(anc) if a != self.sub_id]
+        # D[i, i] = 1 and D[i, ancestor of i] = -1: D u is each line's
+        # voltage drop, D.T f each node's inflow minus its children's
+        D = sparse.identity(N) - sparse.coo_matrix(
+            (np.ones(len(below)), (below, [self.node_pos[anc[i]] for i in below])), shape=(N, N)
+        )
+        H = sparse.coo_matrix((np.ones(F), (hp_node, np.arange(F))), shape=(N, F))
+        hours = sparse.identity(T)
+        active, reactive = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
 
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        b_eq: list[float] = []
-        r = 0
+        def kron(*factors):
+            return reduce(lambda a, b: sparse.kron(a, b, format="csr"), factors)
 
-        def put(row: int, col: int, val: float):
-            rows.append(row)
-            cols.append(col)
-            vals.append(val)
-
-        # nodal active/reactive balance
-        for i, nid in enumerate(self.node_ids):
-            kids = [self.node_pos[c] for c in children[nid]]
-            hp_here = [flex_index[b.id] for b in self.flex_at_node[nid]]
-            for t in range(T):
-                put(r, o_fp + i * T + t, 1.0)
-                for j in kids:
-                    put(r, o_fp + j * T + t, -1.0)
-                for f in hp_here:
-                    put(r, o_hp + f * T + t, -1.0 / S)
-                put(r, o_shed + i * T + t, 1.0 / S)
-                b_eq.append((self.p_fix_kw[i, t] - self.pv_kw[i, t]) / S)
-                r += 1
-            for t in range(T):
-                put(r, o_fq + i * T + t, 1.0)
-                for j in kids:
-                    put(r, o_fq + j * T + t, -1.0)
-                for f in hp_here:
-                    put(r, o_hp + f * T + t, -rar / S)
-                b_eq.append(rar * self.p_fix_kw[i, t] / S)
-                r += 1
-        # substation balance against the external-grid import
-        sub_kids = [self.node_pos[c] for c in children[self.sub_id]]
-        for t in range(T):
-            put(r, o_pp + t, 1.0)
-            for j in sub_kids:
-                put(r, o_fp + j * T + t, -1.0)
-            b_eq.append(self.sub_fix_kw[t] / S)
-            r += 1
-        for t in range(T):
-            put(r, o_pq + t, 1.0)
-            for j in sub_kids:
-                put(r, o_fq + j * T + t, -1.0)
-            b_eq.append(rar * self.sub_fix_kw[t] / S)
-            r += 1
-        # voltage drop along each line
-        for i, nid in enumerate(self.node_ids):
-            ln = line[nid]
-            anc = net.nodes[nid].ancestor_id
-            for t in range(T):
-                put(r, o_u + i * T + t, 1.0)
-                put(r, o_fp + i * T + t, 2.0 * ln.r_pu)
-                put(r, o_fq + i * T + t, 2.0 * ln.x_pu)
-                if anc == self.sub_id:
-                    b_eq.append(self.u_sub)
-                else:
-                    put(r, o_u + self.node_pos[anc] * T + t, -1.0)
-                    b_eq.append(0.0)
-                r += 1
-        self.A_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(r, nvar)).tocsr()
-        lo = np.full(nvar, -np.inf)
-        hi = np.full(nvar, np.inf)
-        if self.flex:
-            # each heat pump's rows, on its hp columns and its temperature columns
-            A_b, rhs_b, lo_b, hi_b = zip(*(
-                building_rows(b, cfg, self.t_out, self.e_base[b.id]) for b in self.flex
-            ))
-            col = (np.r_[o_hp : o_hp + T, o_th : o_th + T] + T * np.arange(F)[:, None]).ravel()
-            B = sparse.block_diag(A_b, format="coo")
-            B = sparse.coo_matrix((B.data, (B.row, col[B.col])), shape=(B.shape[0], nvar))
-            self.A_eq = sparse.vstack([self.A_eq, B], format="csr")
-            b_eq.extend(np.concatenate(rhs_b))
-            lo[col], hi[col] = np.concatenate(lo_b), np.concatenate(hi_b)
-        self.b_eq = np.array(b_eq)
-
-        rows, cols, vals = [], [], []
-        b_ub: list[float] = []
-        r = 0
-        # polygonal apparent-power limits: lines, then the substation.
-        # Facet normals sit between the polygon's vertices, which lie on
-        # the rating circle at angles 2*pi*k/K — one of them on the P
-        # axis, so a purely active flow can use the full rating.
+        # Polygonal apparent-power limits, one row per facet: lines by node
+        # and hour, then the substation.  Facet normals sit between the
+        # polygon's vertices, which lie on the rating circle at angles
+        # 2*pi*k/K — one of them on the P axis, so a purely active flow can
+        # use the full rating.
         K = self.facets
-        apothem = math.cos(math.pi / K)
         angles = [(2 * k + 1) * math.pi / K for k in range(K)]
-        for i, nid in enumerate(self.node_ids):
-            s_l = line[nid].s_rating_pu
-            for t in range(T):
-                for ang in angles:
-                    put(r, o_fp + i * T + t, math.cos(ang))
-                    put(r, o_fq + i * T + t, math.sin(ang))
-                    b_ub.append(s_l * apothem)
-                    r += 1
-        for t in range(T):
-            for ang in angles:
-                put(r, o_pp + t, math.cos(ang))
-                put(r, o_pq + t, math.sin(ang))
-                b_ub.append(self.s_sub_pu * apothem)
-                r += 1
-        self.A_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(r, nvar)).tocsr()
-        self.b_ub = np.array(b_ub)
+        cos = np.array([[math.cos(ang)] for ang in angles])
+        sin = np.array([[math.sin(ang)] for ang in angles])
+        ratings = np.array([ln.s_rating_pu for ln in lines] + [self.s_sub_pu])
+        poly_hi = np.repeat(ratings * math.cos(math.pi / K), T * K)
 
-        lo[o_shed : o_shed + N * T] = 0.0
-        hi[o_shed : o_shed + N * T] = self.p_fix_kw.ravel()
-        lo[o_u : o_u + N * T] = V_MIN_PU**2
-        hi[o_u : o_u + N * T] = V_MAX_PU**2
-        self.base_bounds = np.column_stack([lo, hi])
+        # every heat pump's rows, its [power, temperature] columns regrouped
+        # into the hp block and the temperature block
+        steps = [building_rows(b, cfg, self.t_out, self.e_base[b.id]) for b in self.flex]
+        B = sparse.block_diag([A for A, *_ in steps] or [sparse.csc_array((0, 0))], format="csc")
+        B = B[:, np.arange(2 * F * T).reshape(F, 2, T).transpose(1, 0, 2).ravel()]
 
-        c = np.zeros(nvar)
-        c[o_shed : o_shed + N * T] = cfg.dt * self.voll / 1000.0
-        self.base_c = c
-        self._o = (o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq)
+        r2, x2 = 2.0 * np.array([[ln.r_pu for ln in lines], [ln.x_pu for ln in lines]])
+        self.A = sparse.bmat([
+            # columns: hp, shed, u, fp, fq, pcc_p, pcc_q, temperature
+            # line polygons, by node, hour and facet
+            [None, None, None, kron(sparse.identity(N * T), cos),
+             kron(sparse.identity(N * T), sin), None, None, None],
+            # substation polygon, by hour and facet
+            [None, None, None, None, None, kron(hours, cos), kron(hours, sin), None],
+            # each node's T active, then its T reactive balance rows
+            [kron(H, np.array([[-1.0 / S], [-rar / S]]), hours),
+             kron(sparse.identity(N), active / S, hours), None,
+             kron(D.T, active, hours), kron(D.T, reactive, hours), None, None, None],
+            # substation active, then reactive balance against the import
+            [None, None, None, kron(-feeds_sub, active, hours), kron(-feeds_sub, reactive, hours),
+             kron(active, hours), kron(reactive, hours), None],
+            # voltage drop along each line
+            [None, None, kron(D, hours), kron(sparse.diags(r2), hours),
+             kron(sparse.diags(x2), hours), None, None, None],
+            # each heat pump's dynamics and daily energy
+            [B[:, : F * T], None, None, None, None, None, None, B[:, F * T :]],
+        ], format="csr")
+        rhs = np.concatenate([
+            np.stack([(self.p_fix_kw - self.pv_kw) / S, rar * self.p_fix_kw / S], axis=1).ravel(),
+            self.sub_fix_kw / S,
+            rar * self.sub_fix_kw / S,
+            np.repeat(self.u_sub * feeds_sub[0], T),
+            *(rhs_b for _, rhs_b, _, _ in steps),
+        ])
+        self.row_lo = np.r_[np.full(len(poly_hi), -np.inf), rhs]
+        self.row_hi = np.r_[poly_hi, rhs]
+
+        def column_bounds(k, shed, u, free):  # k picks building_rows' col_lo or col_hi
+            return np.concatenate([
+                *(bounds[k][:T] for bounds in steps),
+                np.broadcast_to(shed, N * T), np.full(N * T, u), np.full(2 * N * T + 2 * T, free),
+                *(bounds[k][T:] for bounds in steps),
+            ])
+
+        self.col_lo = column_bounds(2, 0.0, V_MIN_PU**2, -np.inf)
+        self.col_hi = column_bounds(3, self.p_fix_kw.ravel(), V_MAX_PU**2, np.inf)
+        self.cost = np.repeat([0.0, cfg.dt * self.voll / 1000.0, 0.0],
+                              [F * T, N * T, 3 * N * T + 2 * T + F * T])
+        self._ends = np.cumsum([F * T, N * T, N * T, N * T, N * T, T, T])
+        self.import_cols = np.arange(self._ends[4], self._ends[5])
 
     def _import_cost(self, prices: np.ndarray) -> np.ndarray:
         """Objective coefficients of the substation import at the given prices."""
@@ -575,40 +524,17 @@ class OpfModel:
     ) -> OpfSolution:
         """Minimize import cost plus shedding penalty at the given prices."""
         T = self.cfg.horizon
-        prices = np.asarray(prices, dtype=float)
-        o_hp, o_pp = self._o[0], self._o[5]
-
-        c = self.base_c.copy()
-        c[o_pp : o_pp + T] = self._import_cost(prices)
-
-        bounds = self.base_bounds
-        if hp_fixed:
-            bounds = bounds.copy()
-            flex_index = {b.id: f for f, b in enumerate(self.flex)}
-            for bid, sched in hp_fixed.items():
-                if bid not in flex_index:
-                    raise DanglingReference(f"hp_fixed names unknown building {bid}")
-                sched = np.asarray(sched, dtype=float)
-                if sched.shape != (T,):
-                    raise ValueError(f"fixed schedule for {bid} must span {T} hours")
-                f = flex_index[bid]
-                bounds[o_hp + f * T : o_hp + (f + 1) * T, 0] = sched
-                bounds[o_hp + f * T : o_hp + (f + 1) * T, 1] = sched
-
-        res = linprog(
-            c,
-            A_ub=self.A_ub,
-            b_ub=self.b_ub,
-            A_eq=self.A_eq,
-            b_eq=self.b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status == 2:
-            raise Infeasible(_INFEASIBLE)
-        if not res.success:
-            raise SolverFailure(f"network dispatch failed: {res.message}")
-        return self._solution(prices, res.x, float(res.fun))
+        col_lo, col_hi = self.col_lo.copy(), self.col_hi.copy()
+        flex_index = {b.id: f for f, b in enumerate(self.flex)}
+        for bid, sched in (hp_fixed or {}).items():
+            if bid not in flex_index:
+                raise DanglingReference(f"hp_fixed names unknown building {bid}")
+            sched = np.asarray(sched, dtype=float)
+            if sched.shape != (T,):
+                raise ValueError(f"fixed schedule for {bid} must span {T} hours")
+            f = flex_index[bid]  # the hp columns come first
+            col_lo[f * T : (f + 1) * T] = col_hi[f * T : (f + 1) * T] = sched
+        return self._sweep(np.asarray(prices, dtype=float)[None], col_lo, col_hi)[0]
 
     def solve_rows(self, price_rows: np.ndarray) -> list[OpfSolution]:
         """Free dispatch at each (T,) row of an (S, T) price stack.
@@ -620,21 +546,17 @@ class OpfModel:
         seen before gets that earlier row's primal point, so identical
         schedules stay byte-identical.
         """
-        T = self.cfg.horizon
         price_rows = np.asarray(price_rows, dtype=float)
         if price_rows.ndim != 2:
             raise ValueError("price_rows must be an (S, T) array")
+        return self._sweep(price_rows, self.col_lo, self.col_hi)
+
+    def _sweep(self, price_rows: np.ndarray, col_lo: np.ndarray,
+               col_hi: np.ndarray) -> list[OpfSolution]:
+        """One `lp.HighsSweep` over the price rows, under the given column bounds."""
         costs = np.array([self._import_cost(prices) for prices in price_rows])
-        o_pp = self._o[5]
-        lp = HighsSweep(
-            sparse.vstack((self.A_ub, self.A_eq)),
-            row_lo=np.concatenate((np.full(len(self.b_ub), -np.inf), self.b_eq)),
-            row_hi=np.concatenate((self.b_ub, self.b_eq)),
-            col_lo=self.base_bounds[:, 0],
-            col_hi=self.base_bounds[:, 1],
-            cost=self.base_c,
-            cost_cols=np.arange(o_pp, o_pp + T),
-        )
+        lp = HighsSweep(self.A, self.row_lo, self.row_hi, col_lo, col_hi, self.cost,
+                        self.import_cols)
         try:
             X, objective = lp.solve(costs)
         except Infeasible:
@@ -650,18 +572,10 @@ class OpfModel:
         """Unpack a primal point of the LP into an OpfSolution."""
         cfg = self.cfg
         T = cfg.horizon
-        o_hp, o_shed, o_u, o_fp, o_fq, o_pp, o_pq = self._o
         N = len(self.node_ids)
-        hp_kw = {
-            b.id: x[o_hp + f * T : o_hp + (f + 1) * T].copy()
-            for f, b in enumerate(self.flex)
-        }
-        shed = x[o_shed : o_shed + N * T].reshape(N, T)
-        u = x[o_u : o_u + N * T].reshape(N, T)
-        fp = x[o_fp : o_fp + N * T].reshape(N, T)
-        fq = x[o_fq : o_fq + N * T].reshape(N, T)
-        pcc_p = x[o_pp : o_pp + T].copy()
-        pcc_q = x[o_pq : o_pq + T].copy()
+        hp, shed, u, fp, fq, pcc_p, pcc_q, _ = np.split(x, self._ends)
+        hp_kw = {b.id: sched.copy() for b, sched in zip(self.flex, hp.reshape(-1, T))}
+        shed, u, fp, fq = (v.reshape(N, T) for v in (shed, u, fp, fq))
 
         total_hp = sum(hp_kw.values()) if hp_kw else np.zeros(T)
         hp_cost = cfg.dt * float(np.dot(prices, total_hp)) / 1000.0

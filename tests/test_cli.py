@@ -171,6 +171,8 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
 @pytest.mark.parametrize("edit, key", [
     (lambda payload: payload["paths"].update(buidlings="mine.csv"), "paths.buidlings"),
     (lambda payload: payload.update(campain={"days": 1}), "campain"),
+    (lambda payload: payload["paths"].update(buildings=3), "paths.buildings"),
+    (lambda payload: payload["campaign"].update(scenarios=None), "campaign.scenarios"),
 ])
 def test_unknown_workspace_keys_fail_naming_file_and_key(workspace, runner, edit, key):
     payload = json.loads((workspace / "campaign.json").read_text())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from flexbid.errors import (
     CycleDetected,
@@ -470,14 +471,26 @@ def sweep_model(rating_scale=1.0):
     return OpfModel(net, buildings, alloc, CFG24, np.full(24, 2.0), series)
 
 
+def linprog_objective(model, prices):
+    """The model's own LP at one price row, solved cold by linprog: an
+    independent reference for the warm-started sweep."""
+    eq = model.row_lo == model.row_hi
+    cost = model.cost.copy()
+    cost[model.import_cols] = model.cfg.dt * prices * model.net.s_base_kva / 1000.0
+    res = linprog(cost, A_ub=model.A[~eq], b_ub=model.row_hi[~eq],
+                  A_eq=model.A[eq], b_eq=model.row_hi[eq],
+                  bounds=np.column_stack([model.col_lo, model.col_hi]), method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
 def test_sweep_rows_match_one_shot_solves():
     model = sweep_model()
     rows = np.random.default_rng(5).uniform(20.0, 140.0, size=(6, 24))
     sols = model.solve_rows(rows)
     assert len(sols) == len(rows)
     for prices, sol in zip(rows, sols):
-        ref = model.solve(prices)
-        assert sol.objective_eur == pytest.approx(ref.objective_eur, rel=1e-9)
+        assert sol.objective_eur == pytest.approx(linprog_objective(model, prices), rel=1e-9)
         assert verify_solution(model, sol) == []
 
 
@@ -578,10 +591,10 @@ def radial_instances(draw):
 @settings(max_examples=30, deadline=None)
 @given(radial_instances())
 def test_sweep_matches_cold_solves_on_random_feeders(instance):
-    """Every swept row costs what a cold solve costs, and passes the
-    independent re-check."""
+    """Every swept row costs what a cold linprog solve costs, and passes
+    the independent re-check."""
     model, prices = instance
     for p, sol in zip(prices, model.solve_rows(prices)):
-        ref = model.solve(p)
-        assert abs(sol.objective_eur - ref.objective_eur) <= 1e-9 * max(1.0, abs(ref.objective_eur))
+        ref = linprog_objective(model, p)
+        assert abs(sol.objective_eur - ref) <= 1e-9 * max(1.0, abs(ref))
         assert verify_solution(model, sol) == []

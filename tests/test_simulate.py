@@ -126,15 +126,21 @@ def test_absurd_prices_trigger_the_baseline_fallback(small_bundle):
     assert res.eta == pytest.approx(0.0, abs=1e-9)  # baselines = inflexible cost
 
 
-def test_no_heat_pumps_is_a_quiet_day(small_bundle):
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_no_heat_pumps_is_a_quiet_day(small_bundle, mode):
+    # integrated, the network dispatch still runs, with no hp or
+    # temperature columns; its cost is the fixed load's
     bundle = copy.copy(small_bundle)
     bundle.buildings = [
         dataclasses.replace(b, has_hp=False) for b in bundle.buildings
     ]
-    cfg = cfg_for(bundle)
-    res = run_day(cfg, day_inputs(cfg, bundle, START))
-    assert res.tc_inf == res.tc_cleared == res.tc_opt == 0.0
+    cfg = cfg_for(bundle, mode=mode)
+    alloc = allocate_buildings(bundle.buildings, bundle.network)
+    res = run_day(cfg, day_inputs(cfg, bundle, START, alloc=alloc))
+    assert res.tc_inf == res.tc_cleared == res.tc_opt
     assert res.eta is None and res.n_bids == 0
+    if mode == "unbundled":
+        assert res.tc_inf == 0.0
 
 
 def test_unbundled_day_is_deterministic(small_bundle):
