@@ -80,24 +80,29 @@ def guarded(fn):
 def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
     """Return (campaign.json contents, directory paths are relative to).
 
-    Raises SchemaError naming the file when it or a section is not a
-    JSON object, on any top-level or paths key that nothing reads, so
-    a misspelt key cannot fall back to a default, and on any paths or
+    Raises SchemaError naming the file, and the line when it is not
+    valid JSON; naming the file when it or a section is not a JSON
+    object, on any top-level, paths or campaign key that nothing reads,
+    so a misspelt key cannot fall back to a default, and on any paths or
     campaign value of the wrong JSON type, naming the key.
     """
     cfg_file = Path(config_path) if config_path else Path(workdir) / "campaign.json"
     if not cfg_file.exists():
         return {}, Path(workdir)
-    raw = json.loads(cfg_file.read_text())
+    try:
+        raw = json.loads(cfg_file.read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{cfg_file}:{exc.lineno}: not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict) or not all(isinstance(section, dict) for section in raw.values()):
         raise SchemaError(f"{cfg_file}: the file and each of its sections must be JSON objects")
-    unknown = [key for key in raw if key not in SECTIONS]
-    unknown += [f"paths.{key}" for key in raw.get("paths", {}) if key not in FILE_DEFAULTS]
-    if unknown:
-        raise SchemaError(f"{cfg_file}: unknown keys: {', '.join(unknown)}")
     # paths are strings; each campaign setting is a string or a number,
     # as CampaignConfig.to_dict writes it
     written = CampaignConfig(start=date.min, days=1).to_dict()
+    unknown = [key for key in raw if key not in SECTIONS]
+    unknown += [f"paths.{key}" for key in raw.get("paths", {}) if key not in FILE_DEFAULTS]
+    unknown += [f"campaign.{key}" for key in raw.get("campaign", {}) if key not in written]
+    if unknown:
+        raise SchemaError(f"{cfg_file}: unknown keys: {', '.join(unknown)}")
     mistyped = [f"paths.{key}" for key, val in raw.get("paths", {}).items()
                 if not isinstance(val, str)]
     mistyped += [f"campaign.{key}" for key, val in raw.get("campaign", {}).items()

@@ -331,10 +331,11 @@ class OpfModel:
     outside the substation import's `import_cols`; each heat pump's
     dynamics and energy rows come from `thermal.building_rows`, over its
     hp columns and its own temperature columns.  Both solve() and
-    solve_rows() run the warm-started `lp.HighsSweep`, which sets the
-    price coefficients on the substation import and re-runs the solver
-    from the previous optimal basis.  Heat-pump schedules can be pinned
-    (baseline runs, awarded profiles) by passing hp_fixed to solve().
+    solve_rows() run the one warm-started `lp.HighsSweep` built with the
+    LP, which sets the price coefficients on the substation import and
+    re-runs the solver from the previous optimal basis.  Heat-pump
+    schedules can be pinned (baseline runs, awarded profiles) by passing
+    hp_fixed to solve(), which sets that call's column bounds.
     """
 
     def __init__(
@@ -509,6 +510,8 @@ class OpfModel:
                               [F * T, N * T, 3 * N * T + 2 * T + F * T])
         self._ends = np.cumsum([F * T, N * T, N * T, N * T, N * T, T, T])
         self.import_cols = np.arange(self._ends[4], self._ends[5])
+        self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
+                              self.cost, self.import_cols)
 
     def _import_cost(self, prices: np.ndarray) -> np.ndarray:
         """Objective coefficients of the substation import at the given prices."""
@@ -549,16 +552,15 @@ class OpfModel:
         price_rows = np.asarray(price_rows, dtype=float)
         if price_rows.ndim != 2:
             raise ValueError("price_rows must be an (S, T) array")
-        return self._sweep(price_rows, self.col_lo, self.col_hi)
+        return self._sweep(price_rows)
 
-    def _sweep(self, price_rows: np.ndarray, col_lo: np.ndarray,
-               col_hi: np.ndarray) -> list[OpfSolution]:
-        """One `lp.HighsSweep` over the price rows, under the given column bounds."""
+    def _sweep(self, price_rows: np.ndarray, col_lo: np.ndarray | None = None,
+               col_hi: np.ndarray | None = None) -> list[OpfSolution]:
+        """One sweep of the day's LP over the price rows, under the given
+        column bounds (the LP's own when left out)."""
         costs = np.array([self._import_cost(prices) for prices in price_rows])
-        lp = HighsSweep(self.A, self.row_lo, self.row_hi, col_lo, col_hi, self.cost,
-                        self.import_cols)
         try:
-            X, objective = lp.solve(costs)
+            X, objective = self._lp.solve(costs, col_lo, col_hi)
         except Infeasible:
             raise Infeasible(_INFEASIBLE) from None
         except SolverFailure as exc:

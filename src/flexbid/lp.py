@@ -1,11 +1,11 @@
 """Warm-started HiGHS re-solves of one LP over a stack of cost rows.
 
 Both dispatchers solve one LP many times over, with only some cost
-coefficients changed between solves: a building's dispatch once per
-price scenario, the network OPF once per price row.  `HighsSweep` hands
-the LP to one HiGHS instance and, for each cost row, changes the costs
-of the given columns and re-runs dual simplex from the previous row's
-optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
+coefficients changed between solves: a block of heat pumps' dispatch
+once per price scenario, the network OPF once per price row.
+`HighsSweep` hands the LP to one HiGHS instance and, for each cost row,
+changes the costs of the given columns and re-runs dual simplex from the
+previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.
@@ -45,11 +45,16 @@ class HighsSweep:
 
     Every row must be an equality or have one infinite side, so that an
     optimal basis and the bounds its nonbasic columns sit at name one
-    vertex.
+    vertex.  The LP may be `blocks` equal diagonal blocks: block k owns
+    the k-th of `blocks` equal contiguous slices of the columns and of
+    the rows, and no row of one block has a nonzero in another block's
+    columns.  Each block's vertex is then keyed on its own.
     """
 
-    def __init__(self, A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols):
+    def __init__(self, A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols, blocks: int = 1):
         A = sparse.csc_array(A)
+        if blocks < 1 or A.shape[0] % blocks or A.shape[1] % blocks:
+            raise ValueError(f"a {A.shape[0]} x {A.shape[1]} LP has no {blocks} equal blocks")
         lp = _hc.HighsLp()
         lp.num_row_, lp.num_col_ = A.shape
         lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
@@ -59,49 +64,66 @@ class HighsSweep:
         lp.a_matrix_.value_ = A.data
         lp.row_lower_ = np.asarray(row_lo, dtype=float)
         lp.row_upper_ = np.asarray(row_hi, dtype=float)
-        lp.col_lower_ = np.asarray(col_lo, dtype=float)
-        lp.col_upper_ = np.asarray(col_hi, dtype=float)
+        lp.col_lower_ = col_lo = np.asarray(col_lo, dtype=float)
+        lp.col_upper_ = col_hi = np.asarray(col_hi, dtype=float)
         lp.col_cost_ = np.asarray(cost, dtype=float)
         self._lp = lp
-        self._col_hi = np.asarray(col_hi, dtype=float)
+        self._col_lo, self._col_hi = col_lo, col_hi
         self._cost_cols = np.asarray(cost_cols, dtype=np.int32)
+        self.blocks = blocks
 
-    def solve(self, cost_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, cost_rows: np.ndarray, col_lo: np.ndarray | None = None,
+              col_hi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(S, n) optimal points and S objectives for an (S, len(cost_cols)) stack.
 
-        Every call starts a fresh HiGHS instance, so equal stacks give
-        equal answers.  Its first row is solved cold, each later row from
-        the row before.  A row whose optimal vertex was seen earlier in
-        the call gets the earlier row's point: the vertex is the same,
-        and reusing it keeps identical schedules byte-identical rather
-        than apart by the warm path's rounding noise.
+        col_lo and col_hi, when given, replace the LP's column bounds for
+        this call.  Every call starts a fresh HiGHS instance, so equal
+        stacks give equal answers.  Its first row is solved cold, each
+        later row from the row before.  A block whose optimal vertex was
+        seen at an earlier row of the call gets that row's values for its
+        columns: the vertex is the same, and reusing it keeps identical
+        schedules byte-identical rather than apart by the warm path's
+        rounding noise, whatever the other blocks do.
 
-        The vertex key is the set of basic variables plus which nonbasic
-        columns sit at their upper bound.  Raises Infeasible or
-        SolverFailure on the first row without an optimum.
+        A block's vertex key is the basis status of its columns and rows:
+        basic, or nonbasic at the lower or the upper bound.  Raises
+        Infeasible or SolverFailure on the first row without an optimum.
         """
         highs = _hc._Highs()
         highs.passOptions(_options())
         highs.passModel(self._lp)
-        n_cols = len(self._cost_cols)
-        X = np.empty((len(cost_rows), self._lp.num_col_))
+        n_row, n_col = self._lp.num_row_, self._lp.num_col_
+        lower = self._col_lo if col_lo is None else np.asarray(col_lo, dtype=float)
+        upper = self._col_hi if col_hi is None else np.asarray(col_hi, dtype=float)
+        if col_lo is not None or col_hi is not None:
+            highs.changeColsBounds(n_col, np.arange(n_col, dtype=np.int32), lower, upper)
+        n_cost = len(self._cost_cols)
+        B = self.blocks
+        X = np.empty((len(cost_rows), n_col))
         objective = np.empty(len(cost_rows))
-        seen: dict[bytes, np.ndarray] = {}
+        first_row: list[dict[bytes, int]] = [{} for _ in range(B)]
         for s, cost in enumerate(cost_rows):
-            highs.changeColsCost(n_cols, self._cost_cols, cost)
+            highs.changeColsCost(n_cost, self._cost_cols, cost)
             highs.run()
-            status = highs.getModelStatus()
-            if status == _hc.HighsModelStatus.kInfeasible:
+            model_status = highs.getModelStatus()
+            if model_status == _hc.HighsModelStatus.kInfeasible:
                 raise Infeasible("LP is infeasible")
-            if status != _hc.HighsModelStatus.kOptimal:
-                raise SolverFailure(f"HiGHS status {highs.modelStatusToString(status)}")
-            x = np.array(highs.getSolution().col_value)
+            if model_status != _hc.HighsModelStatus.kOptimal:
+                raise SolverFailure(f"HiGHS status {highs.modelStatusToString(model_status)}")
+            X[s] = highs.getSolution().col_value
             found, basic = highs.getBasicVariables()
             if found != _hc.HighsStatus.kOk:
                 raise SolverFailure("HiGHS returned an optimum without a basis")
-            basic.sort()
-            at_upper = x == self._col_hi
-            at_upper[basic[basic >= 0]] = False  # negative entries are rows
-            X[s] = seen.setdefault(basic.tobytes() + np.packbits(at_upper).tobytes(), x)
+            # 0 nonbasic at the lower bound (or free at zero), 1 basic, 2
+            # nonbasic at the upper bound; a basic row -r-1 sits at n_col + r
+            status = np.zeros(n_col + n_row, dtype=np.uint8)
+            status[:n_col][X[s] == upper] = 2
+            status[np.where(basic >= 0, basic, n_col - 1 - basic)] = 1
+            keys = np.hstack([status[:n_col].reshape(B, -1), status[n_col:].reshape(B, -1)])
+            blocks = X[s].reshape(B, -1)
+            for k, seen in enumerate(first_row):
+                earlier = seen.setdefault(keys[k].tobytes(), s)
+                if earlier != s:
+                    blocks[k] = X[earlier].reshape(B, -1)[k]
             objective[s] = highs.getObjectiveValue()
         return X, objective

@@ -6,8 +6,9 @@ scenario, the dispatches aggregated into an exclusive group of block
 bids, the group cleared against realized prices, and the award
 disaggregated back to the individual buildings.  Only the dispatch step
 depends on the mode, so it sits behind a small dispatcher: `_Fleet`
-solves one LP per heat pump (unbundled utility), `_Network` one network
-OPF over all of them (integrated utility).  Schedules travel as
+solves block-diagonal LPs of up to `thermal.BLOCK` independent heat
+pumps (unbundled utility), `_Network` one network OPF over all of them
+(integrated utility).  Schedules travel as
 `(S, R, T)` arrays: scenario, resource (building ids sorted), hour.
 
 Three totals frame each day: tc_inf (heat pumps stay on their baseline
@@ -196,7 +197,7 @@ def day_inputs(
 
 
 class _Fleet:
-    """Unbundled dispatch: one DispatchModel per heat pump, no network."""
+    """Unbundled dispatch: one DispatchModel over every heat pump, no network."""
 
     def __init__(self, cfg: CampaignConfig, inputs: DayInputs):
         flex = sorted(
@@ -205,18 +206,14 @@ class _Fleet:
         )
         self.dt = cfg.comfort.dt
         self.ids = [b.id for b in flex]
-        self.models = [DispatchModel(b, cfg.comfort, inputs.t_out) for b in flex]
-        self.baseline = np.array([m.baseline for m in self.models]).reshape(
-            len(flex), cfg.comfort.horizon
-        )
+        self.model = DispatchModel(flex, cfg.comfort, inputs.t_out)
+        self.baseline = self.model.baseline
 
     def solve(self, price_rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        """One warm-started HiGHS sweep per building over every price row."""
-        per_building = [model.solve(price_rows) for model in self.models]
-        X = np.stack([[res.schedule for res in results] for results in per_building], axis=1)
-        cost = [sum(results[s].cost for results in per_building)
-                for s in range(len(price_rows))]
-        return X, cost
+        """Warm-started HiGHS sweeps over every price row, one per block of
+        heat pumps; a row's cost adds the heat pumps' costs in id order."""
+        X, _, cost = self.model.solve(price_rows)
+        return X, [sum(row) for row in cost.tolist()]
 
     def evaluate(self, prices: np.ndarray, award: np.ndarray) -> tuple[float, float, float]:
         cost = sum((profile_cost(sched, prices, self.dt) for sched in award), 0.0)

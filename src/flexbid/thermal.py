@@ -1,4 +1,4 @@
-"""Single-node RC building model and per-resource heat-pump dispatch.
+"""Single-node RC building model and heat-pump fleet dispatch.
 
 Each building is a lumped resistance-capacitance circuit heated by a
 heat pump:
@@ -10,7 +10,8 @@ the new temperature).  `building_rows` states a building's dispatch LP
 over its power and indoor-temperature columns: one sparse dynamics row
 per step, one daily-energy row, the rating and the comfort band as
 column bounds.  It is the one place the comfort constraints are built;
-`DispatchModel` sweeps it over price scenarios on one warm-started
+`DispatchModel` stacks it into block-diagonal LPs of up to BLOCK heat
+pumps and sweeps each over the price scenarios on one warm-started
 HiGHS instance, and the network OPF places it into its own LP.
 `temperature_response`, `simulate_temperature` and `check_dispatch`
 evaluate schedules independently of the LP.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -205,60 +207,91 @@ def building_rows(
     return A, rhs, col_lo, col_hi
 
 
-class DispatchModel:
-    """Per-building, per-day dispatch LP with the prices left open.
+# Heat pumps per dispatch LP.  Each LP is one HiGHS instance swept over the
+# price rows, so blocks pay its fixed per-run cost once for many heat pumps;
+# a single LP for a whole fleet is slower again, on its larger basis.
+BLOCK = 32
 
-    The LP is `building_rows`: T power and T indoor-temperature columns,
-    built once.  `solve` takes one price vector or a stack of S of them
-    and sweeps the stack on one HiGHS instance: each row changes only
-    the T power costs and re-solves from the previous row's optimal
-    basis.
+
+class DispatchModel:
+    """Day-ahead dispatch LPs of a fleet of heat pumps, prices left open.
+
+    Each heat pump's LP is `building_rows`: T power and T
+    indoor-temperature columns.  The fleet is cut into blocks of up to
+    BLOCK heat pumps in the given order, and each block is one
+    block-diagonal LP, built once.  `solve` sweeps an (S, T) price stack
+    over each block on one HiGHS instance: each row changes only the
+    power costs and re-solves from the previous row's optimal basis.
     """
 
-    def __init__(self, b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray):
-        self.building = b
+    def __init__(self, buildings: Sequence[BuildingParams], cfg: ComfortConfig,
+                 t_out: np.ndarray):
+        self.buildings = list(buildings)
         self.cfg = cfg
         self.t_out = np.asarray(t_out, dtype=float)
-        base = baseline_profile(b, cfg, self.t_out)
-        self.e_base = base.energy
-        self.baseline = base.schedule
-        A, rhs, col_lo, col_hi = building_rows(b, cfg, self.t_out, self.e_base)
-        self._lp = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)),
-                              np.arange(cfg.horizon))
+        bases = [baseline_profile(b, cfg, self.t_out) for b in self.buildings]
+        self.baseline = np.array([base.schedule for base in bases]).reshape(
+            len(bases), cfg.horizon
+        )
+        self.e_base = np.array([base.energy for base in bases])
+        self._blocks = [
+            (start, self._sweep(start, min(start + BLOCK, len(bases))))
+            for start in range(0, len(bases), BLOCK)
+        ]
 
-    def solve(self, prices: np.ndarray) -> DispatchResult | list[DispatchResult]:
-        """Cost-minimal schedules at EUR/MWh prices.
+    def _sweep(self, start: int, stop: int) -> HighsSweep:
+        """The LP of buildings[start:stop], one diagonal block each."""
+        rows = [
+            building_rows(b, self.cfg, self.t_out, e_base)
+            for b, e_base in zip(self.buildings[start:stop], self.e_base[start:stop])
+        ]
+        A = sparse.block_diag([A for A, *_ in rows], format="csc")
+        rhs, col_lo, col_hi = (np.concatenate([r[k] for r in rows]) for k in (1, 2, 3))
+        T = self.cfg.horizon
+        power = (2 * T * np.arange(len(rows))[:, None] + np.arange(T)).ravel()
+        return HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power,
+                          blocks=len(rows))
 
-        A (T,) price vector returns one DispatchResult; an (S, T) matrix
-        returns a list of S results, one per row.  Rows that end on the
-        same optimal vertex get byte-identical schedules.
+    def solve(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cost-minimal schedules at each row of an (S, T) EUR/MWh price stack.
+
+        Returns (S, R, T) schedules in kW, (S, R, T) indoor temperatures
+        and (S, R) costs in EUR, resources in the order given.  Rows on
+        which a heat pump ends on the same optimal vertex give it
+        byte-identical schedules.
         """
         prices = np.asarray(prices, dtype=float)
-        n = self.cfg.horizon
-        rows = np.atleast_2d(prices)
-        if prices.ndim > 2 or rows.shape[1] != n or rows.shape[0] < 1:
-            raise ValueError(f"prices must have shape ({n},) or (S, {n})")
-        c = rows * self.cfg.dt / 1000.0  # objective directly in EUR
-        try:
-            x, _ = self._lp.solve(c)
-        except Infeasible:
-            raise Infeasible(
-                f"building {self.building.id}: no schedule satisfies comfort "
-                f"and energy constraints"
-            ) from None
-        except SolverFailure as exc:
-            raise SolverFailure(f"building {self.building.id}: {exc}") from None
-        p = x[:, :n]
-        results = [
-            DispatchResult(
-                schedule=p[s],
-                temperatures=x[s, n:],
-                energy=self.cfg.dt * float(p[s].sum()),
-                cost=float(c[s] @ p[s]),
-            )
-            for s in range(len(rows))
-        ]
-        return results[0] if prices.ndim == 1 else results
+        T = self.cfg.horizon
+        if prices.ndim != 2 or prices.shape[1] != T or len(prices) < 1:
+            raise ValueError(f"prices must have shape (S, {T})")
+        c = prices * self.cfg.dt / 1000.0  # objective directly in EUR
+        x = np.empty((len(prices), len(self.buildings), 2 * T))
+        for start, sweep in self._blocks:
+            n = sweep.blocks
+            try:
+                X, _ = sweep.solve(np.tile(c, n))
+            except (Infeasible, SolverFailure) as exc:
+                raise self._named(start, start + n, c, exc) from None
+            x[:, start : start + n] = X.reshape(len(prices), n, 2 * T)
+        schedules = np.ascontiguousarray(x[..., :T])
+        # a dot product per row and heat pump: summed as one heat pump's c @ p is
+        cost = np.vecdot(schedules, c[:, None, :])
+        return schedules, np.ascontiguousarray(x[..., T:]), cost
+
+    def _named(self, start: int, stop: int, c: np.ndarray, exc: Exception) -> Exception:
+        """The failure of a block's sweep, named after the first of its
+        heat pumps whose own LP fails on the same price rows."""
+        for r in range(start, stop):
+            try:
+                self._sweep(r, r + 1).solve(c)
+            except Infeasible:
+                return Infeasible(
+                    f"building {self.buildings[r].id}: no schedule satisfies comfort "
+                    f"and energy constraints"
+                )
+            except SolverFailure as failure:
+                return SolverFailure(f"building {self.buildings[r].id}: {failure}")
+        return exc
 
 
 def check_dispatch(

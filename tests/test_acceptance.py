@@ -300,8 +300,7 @@ def test_runtime_scales_with_resources_and_bids():
         scen = generate_scenarios(START, s_count, inputs.history)
         flex = [b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0]
         t0 = time.perf_counter()
-        for b in flex:
-            DispatchModel(b, COMFORT, inputs.t_out).solve(scen.prices)
+        DispatchModel(flex, COMFORT, inputs.t_out).solve(scen.prices)
         return time.perf_counter() - t0
 
     b200, b400 = bundle_of(200), bundle_of(400)

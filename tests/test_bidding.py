@@ -214,11 +214,7 @@ def test_disaggregated_schedules_respect_building_constraints():
                        p_hp_rated=3.0, p_pv_rated=0.0, position=(0, 0), has_hp=True)
         for i in range(2)
     ]
-    models = [DispatchModel(b, cfg, t_out) for b in buildings]
-    X = np.array([
-        [model.solve(rng.uniform(20, 140, 24)).schedule for model in models]
-        for _ in range(4)
-    ])
+    X, _, _ = DispatchModel(buildings, cfg, t_out).solve(rng.uniform(20, 140, (4, 24)))
     group, ledger = build_exclusive_group(
         X, [b.id for b in buildings], PricingMode.truthful()
     )

@@ -173,12 +173,15 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     (lambda payload: payload.update(campain={"days": 1}), "campain"),
     (lambda payload: payload["paths"].update(buildings=3), "paths.buildings"),
     (lambda payload: payload["campaign"].update(scenarios=None), "campaign.scenarios"),
+    (lambda payload: payload["campaign"].update(scenarioz=24), "unknown keys: campaign.scenarioz"),
+    # an edit that returns text writes it in place of the payload
+    (lambda payload: json.dumps(payload, indent=1).replace('": ', '" ', 1), "campaign.json:2: "),
 ])
 def test_unknown_workspace_keys_fail_naming_file_and_key(workspace, runner, edit, key):
     payload = json.loads((workspace / "campaign.json").read_text())
-    edit(payload)
-    (workspace / "campaign.json").write_text(json.dumps(payload))
-    for args in (["allocate", str(workspace)], ["simulate", str(workspace), *FAST]):
+    (workspace / "campaign.json").write_text(edit(payload) or json.dumps(payload))
+    for args in (["allocate", str(workspace)], ["simulate", str(workspace), *FAST],
+                 ["bid", str(workspace)]):
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert res.stderr.startswith("error: SchemaError")

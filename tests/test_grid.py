@@ -352,9 +352,7 @@ def test_generous_grid_reproduces_pricefollowing_dispatch():
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
     sol = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
-    standalone = 0.0
-    for b in buildings:
-        standalone += DispatchModel(b, CFG24, t_out).solve(PRICES24).cost
+    standalone = DispatchModel(buildings, CFG24, t_out).solve(PRICES24[None])[2].sum()
     assert sol.shed_kwh == 0.0
     assert sol.hp_cost_eur == pytest.approx(standalone, abs=1e-6)
 

@@ -1,8 +1,12 @@
 """The warm-started HiGHS sweep against cold linprog solves."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from flexbid.lp import HighsSweep
 
@@ -31,14 +35,62 @@ def test_vertex_key_tells_upper_from_lower_bound():
     assert objective.tolist() == [-1.0, -1.0, -1.0]
 
 
+class DriftingHighs(_core._Highs):
+    """HiGHS whose basic values drift on every run, as a warm path's rounding
+    may, so only a reused point repeats its bytes.  (At the vertices of LP the
+    nonbasic columns sit at 0 or 1 and the basic x2 is 3, 4 or 5.)"""
+
+    runs = 0
+
+    def run(self):
+        DriftingHighs.runs += 1
+        return super().run()
+
+    def getSolution(self):
+        x = np.array(super().getSolution().col_value)
+        return SimpleNamespace(col_value=np.where(x > 1.0, x + 1e-12 * DriftingHighs.runs, x))
+
+
+def test_block_keeps_its_repeated_vertex_while_another_block_moves(monkeypatch):
+    # two copies of the LP side by side, each its own block: block 0's
+    # vertex (x0 at its upper bound, x2 basic) holds on every row while
+    # block 1 moves away at row 1 and back at row 2
+    monkeypatch.setattr(_core, "_Highs", DriftingHighs)
+    monkeypatch.setattr(DriftingHighs, "runs", 0)
+    lp = HighsSweep(sparse.block_diag([A, A]), [5.0, 5.0], [5.0, 5.0], np.zeros(6),
+                    np.tile(LP["col_hi"], 2), np.zeros(6), [0, 1, 3, 4], blocks=2)
+    X, _ = lp.solve(np.array([[-1.0, 1.0, -1.0, 1.0], [-2.0, 0.5, 1.0, -1.0],
+                              [-1.5, 2.0, -1.0, 1.0]]))
+    assert DriftingHighs.runs == 3
+    assert X[0].tolist() == [1.0, 0.0, 4.0 + 1e-12, 1.0, 0.0, 4.0 + 1e-12]
+    assert X[1, 3:].tolist() == [0.0, 1.0, 4.0 + 2e-12]
+    assert X[1, :3].tobytes() == X[0, :3].tobytes() == X[2, :3].tobytes()
+    assert X[2, 3:].tobytes() == X[0, 3:].tobytes()
+
+
+def test_blocks_must_split_the_lp_evenly():
+    with pytest.raises(ValueError, match="equal blocks"):
+        HighsSweep(**LP, blocks=2)
+
+
+def test_call_bounds_solve_like_a_model_built_with_them():
+    lo, hi = np.zeros(3), np.array([1.0, 1.0, 3.5])
+    rows = np.array([[-1.0, 1.0], [1.0, -1.0], [0.5, 0.25]])
+    lp = HighsSweep(**LP)
+    X, objective = lp.solve(rows, lo, hi)
+    X_ref, objective_ref = HighsSweep(**{**LP, "col_lo": lo, "col_hi": hi}).solve(rows)
+    assert X.tobytes() == X_ref.tobytes() and objective.tobytes() == objective_ref.tobytes()
+    assert X[:, 2].max() <= 3.5
+    # the call's bounds leave the model's own in place for the next call
+    assert lp.solve(rows)[0].tobytes() == HighsSweep(**LP).solve(rows)[0].tobytes()
+
+
 def test_highs_binding_offers_what_the_sweep_calls():
     # HighsSweep drives scipy's private HiGHS binding directly; a scipy
     # release that moves it must fail here, by name
-    from scipy.optimize._highspy import _core
-
     assert hasattr(_core, "HighsLp")
     assert hasattr(_core, "HighsOptions")
-    for method in ("passOptions", "passModel", "changeColsCost", "run",
+    for method in ("passOptions", "passModel", "changeColsCost", "changeColsBounds", "run",
                    "getModelStatus", "modelStatusToString", "getSolution",
                    "getBasicVariables", "getObjectiveValue"):
         assert hasattr(_core._Highs, method), method

@@ -10,12 +10,12 @@ from scipy.optimize import linprog
 
 from flexbid.errors import Infeasible, InfeasibleBaseline
 from flexbid.thermal import (
+    BLOCK,
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     BuildingParams,
     ComfortConfig,
     DispatchModel,
-    DispatchResult,
     baseline_profile,
     building_rows,
     check_dispatch,
@@ -107,12 +107,18 @@ def test_building_rows_hold_the_simulated_trajectory(data):
 
 # ------------------------------------------------------------- dispatch
 
+def dispatch(b, cfg, t_out, prices):
+    """One heat pump's schedule, temperatures and cost at one price vector."""
+    schedules, temps, cost = DispatchModel([b], cfg, t_out).solve(np.atleast_2d(prices))
+    return schedules[0, 0], temps[0, 0], cost[0, 0]
+
+
 def test_flat_prices_leave_cost_at_baseline():
     b = building()
     t_out = np.full(24, 10.0)
     base = baseline_profile(b, CFG, t_out)
-    res = DispatchModel(b, CFG, t_out).solve(np.full(24, 80.0))
-    assert res.cost == pytest.approx(80.0 * base.energy / 1000.0, rel=1e-9)
+    _, _, cost = dispatch(b, CFG, t_out, np.full(24, 80.0))
+    assert cost == pytest.approx(80.0 * base.energy / 1000.0, rel=1e-9)
 
 
 def test_degenerate_comfort_band_pins_baseline():
@@ -120,8 +126,8 @@ def test_degenerate_comfort_band_pins_baseline():
     b = building()
     t_out = np.linspace(0.0, 12.0, 24)
     base = baseline_profile(b, cfg, t_out)
-    res = DispatchModel(b, cfg, t_out).solve(np.random.default_rng(0).uniform(20, 120, 24))
-    assert np.allclose(res.schedule, base.schedule, atol=1e-6)
+    schedule, _, _ = dispatch(b, cfg, t_out, np.random.default_rng(0).uniform(20, 120, 24))
+    assert np.allclose(schedule, base.schedule, atol=1e-6)
 
 
 def test_cheap_hour_concentration_with_grid_oracle():
@@ -132,8 +138,8 @@ def test_cheap_hour_concentration_with_grid_oracle():
     t_out = np.full(4, 10.0)   # baseline 0.5 kW/h -> e_base = 2.0 kWh
     prices = np.array([100.0, 10.0, 100.0, 100.0])
     base = baseline_profile(b, cfg, t_out)
-    res = DispatchModel(b, cfg, t_out).solve(prices)
-    assert np.allclose(res.schedule, [0.0, 2.0, 0.0, 0.0], atol=1e-7)
+    schedule, _, cost = dispatch(b, cfg, t_out, prices)
+    assert np.allclose(schedule, [0.0, 2.0, 0.0, 0.0], atol=1e-7)
 
     # grid oracle: all 0.1 kW combinations with the day's exact energy
     best = np.inf
@@ -145,14 +151,14 @@ def test_cheap_hour_concentration_with_grid_oracle():
         if temps.min() < cfg.t_min - 1e-9 or temps.max() > cfg.t_max + 1e-9:
             continue
         best = min(best, profile_cost(sched, prices, cfg.dt))
-    assert res.cost == pytest.approx(best, abs=1e-9)
+    assert cost == pytest.approx(best, abs=1e-9)
 
 
 def test_unreachable_comfort_band_raises_naming_the_building():
     # warmer outside than t_max and the heat pump cannot cool: the free
     # response leaves the band whatever the schedule, for every price row
-    model = DispatchModel(building(bid="sunny"), CFG, np.full(24, 30.0))
-    for prices in (np.full(24, 50.0), np.full((3, 24), 50.0)):
+    model = DispatchModel([building(bid="sunny")], CFG, np.full(24, 30.0))
+    for prices in (np.full((1, 24), 50.0), np.full((3, 24), 50.0)):
         with pytest.raises(Infeasible, match="building sunny"):
             model.solve(prices)
 
@@ -161,7 +167,14 @@ def test_infeasible_when_band_cannot_hold_energy():
     # rated power cannot hold 19 degrees on a brutally cold day
     b = building(rated=0.9)
     with pytest.raises((Infeasible, InfeasibleBaseline)):
-        DispatchModel(b, CFG, np.full(24, -5.0)).solve(np.full(24, 50.0))
+        DispatchModel([b], CFG, np.full(24, -5.0)).solve(np.full((1, 24), 50.0))
+
+
+def test_empty_fleet_builds_and_solves_to_empty_arrays():
+    model = DispatchModel([], CFG, np.full(24, 5.0))
+    schedules, temps, cost = model.solve(np.full((3, 24), 50.0))
+    assert model.baseline.shape == (0, 24)
+    assert schedules.shape == temps.shape == (3, 0, 24) and cost.shape == (3, 0)
 
 
 # ------------------------------------------------------------ invariants
@@ -174,19 +187,19 @@ def test_dispatch_invariants_random_days(seed):
     t_out = rng.uniform(-4.0, 14.0, 24)
     prices = rng.uniform(10.0, 150.0, 24)
     base = baseline_profile(b, CFG, t_out)
-    res = DispatchModel(b, CFG, t_out).solve(prices)
+    schedule, temps, cost = dispatch(b, CFG, t_out, prices)
 
-    assert abs(CFG.dt * res.schedule.sum() - base.energy) <= 1e-6 * max(1.0, base.energy)
-    assert res.schedule.min() >= -1e-9
-    assert res.schedule.max() <= b.p_hp_rated + 1e-9
-    assert res.temperatures.min() >= CFG.t_min - 1e-6
-    assert res.temperatures.max() <= CFG.t_max + 1e-6
+    assert abs(CFG.dt * schedule.sum() - base.energy) <= 1e-6 * max(1.0, base.energy)
+    assert schedule.min() >= -1e-9
+    assert schedule.max() <= b.p_hp_rated + 1e-9
+    assert temps.min() >= CFG.t_min - 1e-6
+    assert temps.max() <= CFG.t_max + 1e-6
     # the baseline is feasible, so the optimum can only be cheaper
-    assert res.cost <= profile_cost(base.schedule, prices, CFG.dt) + 1e-6
+    assert cost <= profile_cost(base.schedule, prices, CFG.dt) + 1e-6
     # returned trajectory is the recursion applied to the schedule
-    recheck = simulate_temperature(b, CFG, t_out, res.schedule)
-    assert np.allclose(recheck, res.temperatures, atol=1e-6)
-    assert check_dispatch(b, CFG, t_out, res.schedule, base.energy) == []
+    recheck = simulate_temperature(b, CFG, t_out, schedule)
+    assert np.allclose(recheck, temps, atol=1e-6)
+    assert check_dispatch(b, CFG, t_out, schedule, base.energy) == []
 
 
 def test_convex_blends_stay_feasible():
@@ -196,17 +209,17 @@ def test_convex_blends_stay_feasible():
     b = building()
     t_out = rng.uniform(-2.0, 12.0, 24)
     base = baseline_profile(b, CFG, t_out)
-    model = DispatchModel(b, CFG, t_out)
-    s1 = model.solve(rng.uniform(10, 150, 24)).schedule
-    s2 = model.solve(rng.uniform(10, 150, 24)).schedule
+    model = DispatchModel([b], CFG, t_out)
+    s1 = model.solve(rng.uniform(10, 150, (1, 24)))[0][0, 0]
+    s2 = model.solve(rng.uniform(10, 150, (1, 24)))[0][0, 0]
     for theta in (0.0, 0.25, 0.5, 0.8, 1.0):
         blend = theta * s1 + (1.0 - theta) * s2
         assert check_dispatch(b, CFG, t_out, blend, base.energy) == []
 
 
-def loop_reference(model: DispatchModel, price_rows: np.ndarray) -> list:
-    """One dense linprog per price row over the condensed comfort rows."""
-    cfg, b = model.cfg, model.building
+def loop_reference(model: DispatchModel, price_rows: np.ndarray, r: int = 0) -> list:
+    """One dense linprog per price row over resource r's condensed comfort rows."""
+    cfg, b = model.cfg, model.buildings[r]
     M, m0 = temperature_response(b, cfg, model.t_out)
     out = []
     for prices in price_rows:
@@ -215,7 +228,7 @@ def loop_reference(model: DispatchModel, price_rows: np.ndarray) -> list:
             A_ub=np.vstack([M, -M]),
             b_ub=np.concatenate([cfg.t_max - m0, m0 - cfg.t_min]),
             A_eq=np.full((1, cfg.horizon), cfg.dt),
-            b_eq=[model.e_base],
+            b_eq=[model.e_base[r]],
             bounds=[(0.0, b.p_hp_rated)] * cfg.horizon,
             method="highs",
             options={"primal_feasibility_tolerance": FEASIBILITY_TOL,
@@ -231,27 +244,28 @@ def test_model_reuse_matches_one_shot_dispatch():
     b = building()
     t_out = rng.uniform(-2.0, 10.0, 24)
     base = baseline_profile(b, CFG, t_out)
-    model = DispatchModel(b, CFG, t_out)
+    model = DispatchModel([b], CFG, t_out)
     price_rows = rng.uniform(10.0, 150.0, (6, 24))
-    batch = model.solve(price_rows)
-    assert isinstance(batch, list) and len(batch) == len(price_rows)
-    for prices, a, ref in zip(price_rows, batch, loop_reference(model, price_rows)):
-        single = model.solve(prices)
-        assert isinstance(single, DispatchResult)
-        c = DispatchModel(b, CFG, t_out).solve(prices)
-        assert a.cost == pytest.approx(c.cost, abs=1e-9)
-        assert single.cost == pytest.approx(c.cost, abs=1e-9)
-        assert np.max(np.abs(a.schedule - ref.x)) <= 1e-9
-        assert abs(a.cost - ref.fun) <= 1e-9
-        assert a.energy == pytest.approx(base.energy, rel=1e-9)
-        assert np.allclose(a.temperatures, simulate_temperature(b, CFG, t_out, a.schedule),
-                           atol=1e-9)
-        assert check_dispatch(b, CFG, t_out, a.schedule, base.energy) == []
+    schedules, temps, cost = model.solve(price_rows)
+    assert schedules.shape == temps.shape == (6, 1, 24) and cost.shape == (6, 1)
+    refs = loop_reference(model, price_rows)
+    for s, (prices, ref) in enumerate(zip(price_rows, refs)):
+        a = schedules[s, 0]
+        single = model.solve(prices[None])[2][0, 0]
+        c = dispatch(b, CFG, t_out, prices)[2]
+        assert cost[s, 0] == pytest.approx(c, abs=1e-9)
+        assert single == pytest.approx(c, abs=1e-9)
+        assert np.max(np.abs(a - ref.x)) <= 1e-9
+        assert abs(cost[s, 0] - ref.fun) <= 1e-9
+        assert CFG.dt * a.sum() == pytest.approx(base.energy, rel=1e-9)
+        assert np.allclose(temps[s, 0], simulate_temperature(b, CFG, t_out, a), atol=1e-9)
+        assert check_dispatch(b, CFG, t_out, a, base.energy) == []
 
 
 def test_solve_rejects_misshapen_prices():
-    model = DispatchModel(building(), CFG, np.full(24, 5.0))
-    for bad in (np.zeros(23), np.zeros((2, 23)), np.zeros((0, 24)), np.zeros((1, 2, 24))):
+    model = DispatchModel([building()], CFG, np.full(24, 5.0))
+    for bad in (np.zeros(24), np.zeros(23), np.zeros((2, 23)), np.zeros((0, 24)),
+                np.zeros((1, 2, 24))):
         with pytest.raises(ValueError, match="prices must have shape"):
             model.solve(bad)
 
@@ -261,12 +275,12 @@ def test_sweep_reuses_the_schedule_of_a_repeated_vertex():
     # it ends on the first row's vertex, so its schedule repeats byte for byte
     rng = np.random.default_rng(0)
     b = building(r_th=rng.uniform(4, 8), c_th=rng.uniform(8, 16), rated=rng.uniform(1.5, 3.0))
-    model = DispatchModel(b, CFG, rng.uniform(-4.0, 10.0, 24))
+    model = DispatchModel([b], CFG, rng.uniform(-4.0, 10.0, 24))
     p0, p1 = rng.uniform(10.0, 150.0, (2, 24))
-    r0, r1, r2 = model.solve(np.array([p0, p1, p0]))
-    assert not np.allclose(r0.schedule, r1.schedule)
-    assert r2.schedule.tobytes() == r0.schedule.tobytes()
-    assert r2.cost == r0.cost
+    schedules, _, cost = model.solve(np.array([p0, p1, p0]))
+    assert not np.allclose(schedules[0, 0], schedules[1, 0])
+    assert schedules[2, 0].tobytes() == schedules[0, 0].tobytes()
+    assert cost[2, 0] == cost[0, 0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,10 +294,53 @@ def test_sweep_matches_one_linprog_per_row(data):
     b = building(r_th=rng.uniform(4, 9), c_th=rng.uniform(6, 18), rated=rng.uniform(1.5, 3.5))
     t_out = rng.uniform(-4.0, 14.0, 24)
     base = baseline_profile(b, CFG, t_out)
-    model = DispatchModel(b, CFG, t_out)
+    model = DispatchModel([b], CFG, t_out)
     price_rows = rng.uniform(-20.0, 200.0, (S, 24))
     for _ in range(data.draw(st.integers(0, S - 1), label="repeats")):
         price_rows[rng.integers(1, S)] = price_rows[rng.integers(0, S)]
-    for res, ref in zip(model.solve(price_rows), loop_reference(model, price_rows)):
-        assert abs(res.cost - ref.fun) <= 1e-9
-        assert check_dispatch(b, CFG, t_out, res.schedule, base.energy) == []
+    schedules, _, cost = model.solve(price_rows)
+    for s, ref in enumerate(loop_reference(model, price_rows)):
+        assert abs(cost[s, 0] - ref.fun) <= 1e-9
+        assert check_dispatch(b, CFG, t_out, schedules[s, 0], base.energy) == []
+
+
+# ------------------------------------------------------------ fleet blocks
+
+def random_fleet(rng, n):
+    return [
+        building(r_th=rng.uniform(4, 8), c_th=rng.uniform(8, 16), rated=rng.uniform(1.5, 3.0),
+                 bid=f"b{r:03d}")
+        for r in range(n)
+    ]
+
+
+def test_blocks_match_one_building_models():
+    # two full blocks and a partial one
+    rng = np.random.default_rng(11)
+    fleet = random_fleet(rng, 2 * BLOCK + 3)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    price_rows = rng.uniform(10.0, 150.0, (5, 24))
+    schedules, temps, cost = DispatchModel(fleet, CFG, t_out).solve(price_rows)
+    assert schedules.shape == temps.shape == (5, len(fleet), 24)
+    assert cost.shape == (5, len(fleet))
+    for r, b in enumerate(fleet):
+        alone, alone_temps, alone_cost = DispatchModel([b], CFG, t_out).solve(price_rows)
+        assert np.abs(schedules[:, r] - alone[:, 0]).max() <= 1e-9
+        assert np.abs(temps[:, r] - alone_temps[:, 0]).max() <= 1e-9
+        assert cost[:, r] == pytest.approx(alone_cost[:, 0], rel=1e-9)
+        e_base = baseline_profile(b, CFG, t_out).energy
+        for s in range(len(price_rows)):
+            assert check_dispatch(b, CFG, t_out, schedules[s, r], e_base) == []
+
+
+def test_infeasible_building_in_a_middle_block_is_named():
+    # on a day warmer than t_max only a heavy building's slow warming stays
+    # in the band; one light building in the second block cannot
+    heavy = [building(r_th=10.0, c_th=50.0, bid=f"b{r:03d}") for r in range(2 * BLOCK + 3)]
+    heavy[BLOCK + 7] = building(bid="sunny")
+    model = DispatchModel(heavy, CFG, np.full(24, 30.0))
+    with pytest.raises(Infeasible, match="^building sunny: "):
+        model.solve(np.full((2, 24), 50.0))
+    del heavy[BLOCK + 7]
+    schedules, _, _ = DispatchModel(heavy, CFG, np.full(24, 30.0)).solve(np.full((2, 24), 50.0))
+    assert np.abs(schedules).max() <= 1e-9  # nothing to heat: the baseline is off
