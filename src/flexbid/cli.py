@@ -82,9 +82,12 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
 
     Raises SchemaError naming the file, and the line when it is not
     valid JSON; naming the file when it or a section is not a JSON
-    object, on any top-level, paths or campaign key that nothing reads,
-    so a misspelt key cannot fall back to a default, and on any paths or
-    campaign value of the wrong JSON type, naming the key.
+    object, on any top-level, paths, campaign or synthetic key that
+    nothing reads, so a misspelt key cannot fall back to a default, on a
+    synthetic section without its start, and on any value of the wrong
+    JSON type, naming the key; and naming the file when the synthetic
+    section does not make a valid SyntheticSpec.  So every command fails
+    on a bad section before it does any work.
     """
     cfg_file = Path(config_path) if config_path else Path(workdir) / "campaign.json"
     if not cfg_file.exists():
@@ -95,29 +98,43 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
         raise SchemaError(f"{cfg_file}:{exc.lineno}: not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict) or not all(isinstance(section, dict) for section in raw.values()):
         raise SchemaError(f"{cfg_file}: the file and each of its sections must be JSON objects")
-    # paths are strings; each campaign setting is a string or a number,
-    # as CampaignConfig.to_dict writes it
-    written = CampaignConfig(start=date.min, days=1).to_dict()
+    # paths are strings; each campaign and synthetic setting takes the
+    # JSON shape CampaignConfig.to_dict or SyntheticSpec.to_dict writes
+    written = {
+        "paths": dict.fromkeys(FILE_DEFAULTS, ""),
+        "campaign": CampaignConfig(start=date.min, days=1).to_dict(),
+        "synthetic": SyntheticSpec().to_dict(),
+    }
     unknown = [key for key in raw if key not in SECTIONS]
-    unknown += [f"paths.{key}" for key in raw.get("paths", {}) if key not in FILE_DEFAULTS]
-    unknown += [f"campaign.{key}" for key in raw.get("campaign", {}) if key not in written]
+    unknown += [f"{section}.{key}" for section, body in raw.items() if section in SECTIONS
+                for key in body if key not in written[section]]
     if unknown:
         raise SchemaError(f"{cfg_file}: unknown keys: {', '.join(unknown)}")
-    mistyped = [f"paths.{key}" for key, val in raw.get("paths", {}).items()
-                if not isinstance(val, str)]
-    mistyped += [f"campaign.{key}" for key, val in raw.get("campaign", {}).items()
-                 if key in written and _json_kind(val) != _json_kind(written[key])]
+    if "synthetic" in raw and "start" not in raw["synthetic"]:
+        raise SchemaError(f"{cfg_file}: missing key: synthetic.start")
+    mistyped = [f"{section}.{key}" for section, body in raw.items()
+                for key, val in body.items() if not _fits(val, written[section][key])]
     if mistyped:
         raise SchemaError(f"{cfg_file}: values of the wrong type: {', '.join(mistyped)}")
+    if "synthetic" in raw:
+        try:
+            SyntheticSpec.from_dict(raw["synthetic"])
+        except ValueError as exc:
+            raise SchemaError(f"{cfg_file}: synthetic: {exc}") from None
     return raw, cfg_file.parent
 
 
-def _json_kind(val) -> str:
-    if isinstance(val, str):
-        return "string"
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
-        return "number"
-    return type(val).__name__
+def _fits(val, like) -> bool:
+    """Whether a JSON value can stand where to_dict writes `like`: the same
+    JSON kind, a whole number where it writes one, and a list of the same
+    length whose items fit."""
+    if isinstance(like, list):
+        return isinstance(val, list) and len(val) == len(like) and all(map(_fits, val, like))
+    if isinstance(like, str):
+        return isinstance(val, str)
+    if isinstance(val, bool):  # a JSON kind of its own, though Python's bool is an int
+        return False
+    return isinstance(val, int) or (isinstance(like, float) and isinstance(val, float))
 
 
 def _resolve_paths(raw: dict, base: Path) -> dict[str, Path | None]:

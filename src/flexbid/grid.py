@@ -15,7 +15,14 @@ row.
 Apparent-power limits are quadratic in reality; here each line (and
 the substation's connection to the external grid) gets a regular
 polygon inscribed in the rating circle, which keeps every scenario
-problem an LP and can never overload the true circle.
+problem an LP and can never overload the true circle.  A facet that no
+feasible dispatch can reach is left out of the LP: the column bounds
+cap every node's draw, so they cap every flow, and a facet beyond that
+cap is implied by the other rows.  The feasible set, and with it every
+optimum, stays the same (dropping rows that are redundant by activity
+bounds is a standard presolve step; Andersen & Andersen, Math. Prog.
+71, 1995), while each warm re-solve, which skips presolve, works on
+fewer rows.
 
 Unit bookkeeping: building and nodal quantities are kW; flows,
 voltages, and ratings are per-unit on s_base_kva; market prices are
@@ -33,6 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse.linalg import spsolve_triangular
 
 # linprog is not called here; perfbench/spans.py patches flexbid.grid.linprog
 # by name, so the name stays importable for a traced benchmark run
@@ -47,7 +55,7 @@ from .errors import (
     MultipleAncestors,
     SolverFailure,
 )
-from .lp import HighsSweep
+from .lp import FEASIBILITY_TOL, HighsSweep
 from .thermal import (
     BuildingParams,
     ComfortConfig,
@@ -335,7 +343,12 @@ class OpfModel:
     LP, which sets the price coefficients on the substation import and
     re-runs the solver from the previous optimal basis.  Heat-pump
     schedules can be pinned (baseline runs, awarded profiles) by passing
-    hp_fixed to solve(), which sets that call's column bounds.
+    hp_fixed to solve(), which sets that call's column bounds; a pinned
+    schedule must lie within its heat pump's rating.  The LP holds only
+    the rating-polygon facets that some schedule within the ratings can
+    reach, which is exact and leaves `A` often far fewer rows than N+1
+    polygons of K facets an hour; `verify_solution` still checks every
+    true rating circle.
     """
 
     def __init__(
@@ -424,9 +437,12 @@ class OpfModel:
     def _assemble(self, hp_node: list[int]):
         """Column blocks, entity-major and time-minor: hp (F*T), shed, u,
         fp, fq (N*T each), pcc_p, pcc_q (T each), indoor temperature (F*T).
-        Row blocks: the rating polygons, each node's T active then T
-        reactive balances, the substation's, the voltage drops, and each
-        heat pump's `thermal.building_rows`."""
+        Row blocks: the rating polygons' reachable facets, each node's T
+        active then T reactive balances, the substation's, the voltage
+        drops, and each heat pump's `thermal.building_rows`.  A facet is
+        reachable when, at its hour, some point of the box the column
+        bounds put around the nodal draws comes within the solver's
+        feasibility tolerance of it; the others are implied."""
         net, cfg, series = self.net, self.cfg, self.series
         T = cfg.horizon
         F, N = len(self.flex), len(self.node_ids)
@@ -460,6 +476,27 @@ class OpfModel:
         ratings = np.array([ln.s_rating_pu for ln in lines] + [self.s_sub_pu])
         poly_hi = np.repeat(ratings * math.cos(math.pi / K), T * K)
 
+        # The column bounds box each node's draw: shed in [0, p_fix], each
+        # heat pump in [0, its rating], and shedding relieves no reactive
+        # power.  A line carries its subtree's draws (D.T f = draw, a
+        # triangular solve since ancestors come first) and the substation
+        # every draw plus its own fixed load, so each facet, at each hour,
+        # can reach at most the larger of its values at the box's ends.
+        # A facet that falls short of its bound by more than the solver's
+        # feasibility tolerance is implied by the other rows: it is left
+        # out, and the feasible set stays the same.
+        hp_kw = (H @ np.array([b.p_hp_rated for b in self.flex]))[:, None]
+        # by node: least and most active draw, least and most reactive draw
+        draws = np.stack([-self.pv_kw, self.p_fix_kw - self.pv_kw + hp_kw,
+                          rar * self.p_fix_kw, rar * (self.p_fix_kw + hp_kw)], axis=1) / S
+        flows = spsolve_triangular(D.T.tocsr(), draws.reshape(N, 4 * T),
+                                   lower=False, unit_diagonal=True).reshape(N, 4, T)
+        imports = draws.sum(axis=0) + np.outer([1.0, 1.0, rar, rar], self.sub_fix_kw / S)
+        p_lo, p_hi, q_lo, q_hi = np.vstack([flows, imports[None]]).transpose(1, 0, 2)[..., None]
+        c, s = cos.ravel(), sin.ravel()
+        reach = np.maximum(c * p_lo, c * p_hi) + np.maximum(s * q_lo, s * q_hi)
+        reachable = reach.ravel() >= poly_hi - FEASIBILITY_TOL
+
         # every heat pump's rows, its [power, temperature] columns regrouped
         # into the hp block and the temperature block
         steps = [building_rows(b, cfg, self.t_out, self.e_base[b.id]) for b in self.flex]
@@ -467,7 +504,7 @@ class OpfModel:
         B = B[:, np.arange(2 * F * T).reshape(F, 2, T).transpose(1, 0, 2).ravel()]
 
         r2, x2 = 2.0 * np.array([[ln.r_pu for ln in lines], [ln.x_pu for ln in lines]])
-        self.A = sparse.bmat([
+        A = sparse.bmat([
             # columns: hp, shed, u, fp, fq, pcc_p, pcc_q, temperature
             # line polygons, by node, hour and facet
             [None, None, None, kron(sparse.identity(N * T), cos),
@@ -494,8 +531,9 @@ class OpfModel:
             np.repeat(self.u_sub * feeds_sub[0], T),
             *(rhs_b for _, rhs_b, _, _ in steps),
         ])
-        self.row_lo = np.r_[np.full(len(poly_hi), -np.inf), rhs]
-        self.row_hi = np.r_[poly_hi, rhs]
+        self.A = A[np.r_[reachable, np.ones(len(rhs), dtype=bool)]]
+        self.row_lo = np.r_[np.full(reachable.sum(), -np.inf), rhs]
+        self.row_hi = np.r_[poly_hi[reachable], rhs]
 
         def column_bounds(k, shed, u, free):  # k picks building_rows' col_lo or col_hi
             return np.concatenate([
@@ -536,6 +574,11 @@ class OpfModel:
             if sched.shape != (T,):
                 raise ValueError(f"fixed schedule for {bid} must span {T} hours")
             f = flex_index[bid]  # the hp columns come first
+            # the LP leaves out the facets that no schedule within the
+            # ratings can reach, so a pinned schedule must stay within them
+            rated = self.flex[f].p_hp_rated
+            if sched.min() < -1e-6 or sched.max() > rated + 1e-6:
+                raise ValueError(f"fixed schedule for {bid} leaves its rating [0, {rated}] kW")
             col_lo[f * T : (f + 1) * T] = col_hi[f * T : (f + 1) * T] = sched
         return self._sweep(np.asarray(prices, dtype=float)[None], col_lo, col_hi)[0]
 

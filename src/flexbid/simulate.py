@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -75,6 +76,14 @@ class CampaignConfig:
             raise ValueError(f"pricing must be one of {PRICINGS}")
         if self.forecaster not in FORECASTERS:
             raise ValueError(f"forecaster must be one of {FORECASTERS}")
+        if self.facets < 3:
+            raise ValueError("facets must be >= 3: a rating polygon needs three sides")
+        if not self.rar >= 0:
+            raise ValueError("rar must be >= 0")
+        # a negative value of lost load would price shedding as a gain
+        for name, value in (("voll", self.voll), ("price_cap", self.price_cap)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
     @property
     def pricing_mode(self) -> PricingMode:

@@ -140,6 +140,13 @@ def test_plain_errors_name_the_exception(workspace, runner):
     assert res.stderr.startswith("error: ValueError")
 
 
+def test_misused_settings_fail_before_the_campaign(workspace, runner):
+    res = runner.invoke(main, ["simulate", str(workspace), "--facets", "2"] + FAST)
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ValueError: facets must be >= 3")
+    assert not (workspace / "report.csv").exists()
+
+
 def test_report_emits_the_trend_tables(workspace, runner):
     res = runner.invoke(main, [
         "report", str(workspace), "--days", "1", "--scenarios", "4",
@@ -174,6 +181,14 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     (lambda payload: payload["paths"].update(buildings=3), "paths.buildings"),
     (lambda payload: payload["campaign"].update(scenarios=None), "campaign.scenarios"),
     (lambda payload: payload["campaign"].update(scenarioz=24), "unknown keys: campaign.scenarioz"),
+    (lambda payload: payload["campaign"].update(days=2.5), "campaign.days"),
+    (lambda payload: payload["synthetic"].update(seedz=1), "unknown keys: synthetic.seedz"),
+    (lambda payload: payload.update(
+        synthetic={k: v for k, v in payload["synthetic"].items() if k != "start"}),
+     "missing key: synthetic.start"),
+    (lambda payload: payload["synthetic"].update(n_buildings="12"), "synthetic.n_buildings"),
+    (lambda payload: payload["synthetic"].update(r_th_range=[4.0]), "synthetic.r_th_range"),
+    (lambda payload: payload["synthetic"].update(hp_share_pct=0), "hp_share_pct"),
     # an edit that returns text writes it in place of the payload
     (lambda payload: json.dumps(payload, indent=1).replace('": ', '" ', 1), "campaign.json:2: "),
 ])
@@ -181,7 +196,7 @@ def test_unknown_workspace_keys_fail_naming_file_and_key(workspace, runner, edit
     payload = json.loads((workspace / "campaign.json").read_text())
     (workspace / "campaign.json").write_text(edit(payload) or json.dumps(payload))
     for args in (["allocate", str(workspace)], ["simulate", str(workspace), *FAST],
-                 ["bid", str(workspace)]):
+                 ["bid", str(workspace)], ["report", str(workspace), "--days", "1"]):
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert res.stderr.startswith("error: SchemaError")

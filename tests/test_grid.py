@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from flexbid.errors import (
@@ -149,6 +150,37 @@ def test_substation_rating_limits_import():
     assert np.allclose(sol.pcc_p_pu, 0.3, atol=1e-9)
     assert np.allclose(sol.shed_kw[0] / 1000.0, 0.2, atol=1e-6)
     assert np.allclose(sol.pcc_mw, 1000.0 * 0.3 / 1000.0, atol=1e-9)
+
+
+def test_only_reachable_facets_enter_the_lp():
+    # node 1 draws between -0.5 pu (all load shed, full PV export) and
+    # +0.5 pu, so every facet of its 0.1 pu line can bind at every hour;
+    # node 2 draws at most 0.5 pu against a 10 pu line, the substation at
+    # most 1 pu against 20 pu, and their facets are left out
+    nodes = {
+        0: Node(id=0, ancestor_id=None, is_substation=True, s_rating_kva=20000.0),
+        1: Node(id=1, ancestor_id=0, p_cap_kw=1000.0),
+        2: Node(id=2, ancestor_id=0, p_cap_kw=500.0),
+    }
+    lines = [
+        Line(from_id=1, to_id=0, r_pu=0.01, x_pu=0.0, s_rating_pu=0.1),
+        Line(from_id=2, to_id=0, r_pu=0.01, x_pu=0.0, s_rating_pu=10.0),
+    ]
+    net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=1000.0)
+    pv = BuildingParams(id="pv", r_th=5.0, c_th=10.0, p_hp_rated=0.0, p_pv_rated=500.0)
+    series = GridTimeSeries(slf=np.ones(4), cf=np.ones(4), rar=0.0)
+    model = OpfModel(net, [pv], {"pv": 1}, T4, np.zeros(4), series)
+    K, T, N = model.facets, 4, 2
+    balances, voltage_drops = 2 * N * T + 2 * T, N * T
+    assert model.A.shape[0] == balances + voltage_drops + K * T
+    _, cols = model.A[np.isinf(model.row_lo)].nonzero()
+    fp, fq = (end + model.node_pos[1] * T for end in model._ends[2:4])
+    assert set(cols) == set(range(fp, fp + T)) | set(range(fq, fq + T))
+    # the line's vertex on the P axis caps node 1's draw at 0.1 pu
+    sol = model.solve(np.full(4, 50.0))
+    assert np.allclose(sol.shed_kw[model.node_pos[1]], 400.0, atol=1e-6)
+    assert np.allclose(sol.shed_kw[model.node_pos[2]], 0.0, atol=1e-9)
+    assert verify_solution(model, sol) == []
 
 
 # --------------------------------------------------------- tree validation
@@ -403,6 +435,14 @@ def test_hp_fixed_pins_the_schedules():
     assert sol.objective_eur <= model.baseline_solution(PRICES24).objective_eur + 1e-7
 
 
+@pytest.mark.parametrize("kw", [-0.1, 3.1])
+def test_pinned_schedule_outside_the_rating_is_rejected(kw):
+    # h1 is rated 3 kW; the LP's polygons hold only for schedules within it
+    model = sweep_model()
+    with pytest.raises(ValueError, match="h1"):
+        model.solve(PRICES24, hp_fixed={"h1": np.full(24, kw)})
+
+
 def test_negative_fixed_load_is_rejected():
     # node capacity far below the heat pump's baseline draw
     nodes = {
@@ -469,13 +509,50 @@ def sweep_model(rating_scale=1.0):
     return OpfModel(net, buildings, alloc, CFG24, np.full(24, 2.0), series)
 
 
+def every_facet(model):
+    """Every facet of every rating polygon, the lines' and the
+    substation's, as rows A x <= b over the model's columns.  Built from
+    the network data, not from model.A, which leaves out the facets no
+    feasible dispatch can reach."""
+    T, K = model.cfg.horizon, model.facets
+    rating = {ln.from_id: ln.s_rating_pu for ln in model.net.lines}
+    sub = model.net.nodes[model.sub_id].s_rating_kva / model.net.s_base_kva
+    fp, fq, pcc_p, pcc_q = model._ends[2:6]
+    polygons = [(rating[nid], fp + i * T, fq + i * T) for i, nid in enumerate(model.node_ids)]
+    polygons.append((sub, pcc_p, pcc_q))
+    rows, cols, vals, bound = [], [], [], []
+    for s, p_col, q_col in polygons:
+        for t in range(T):
+            for k in range(K):
+                angle = (2 * k + 1) * math.pi / K
+                rows += [len(bound)] * 2
+                cols += [p_col + t, q_col + t]
+                vals += [math.cos(angle), math.sin(angle)]
+                bound.append(s * math.cos(math.pi / K))
+    A = sparse.csr_array((vals, (rows, cols)), shape=(len(bound), model.A.shape[1]))
+    return A, np.array(bound)
+
+
+def facet_excess(model, sol):
+    """How far the solution's flows pass the worst facet of any polygon."""
+    x = np.zeros(model.A.shape[1])
+    x[model._ends[2] : model._ends[6]] = np.concatenate([
+        sol.flow_p_pu.ravel(), sol.flow_q_pu.ravel(), sol.pcc_p_pu, sol.pcc_q_pu,
+    ])
+    A, bound = every_facet(model)
+    return (A @ x - bound).max()
+
+
 def linprog_objective(model, prices):
-    """The model's own LP at one price row, solved cold by linprog: an
-    independent reference for the warm-started sweep."""
+    """The model's LP at one price row with every polygon facet restored,
+    solved cold by linprog: an independent reference for the warm-started
+    sweep and for the facets the model leaves out."""
     eq = model.row_lo == model.row_hi
     cost = model.cost.copy()
     cost[model.import_cols] = model.cfg.dt * prices * model.net.s_base_kva / 1000.0
-    res = linprog(cost, A_ub=model.A[~eq], b_ub=model.row_hi[~eq],
+    facets, bound = every_facet(model)
+    res = linprog(cost, A_ub=sparse.vstack([model.A[~eq], facets]),
+                  b_ub=np.r_[model.row_hi[~eq], bound],
                   A_eq=model.A[eq], b_eq=model.row_hi[eq],
                   bounds=np.column_stack([model.col_lo, model.col_hi]), method="highs")
     assert res.success, res.message
@@ -596,3 +673,14 @@ def test_sweep_matches_cold_solves_on_random_feeders(instance):
         ref = linprog_objective(model, p)
         assert abs(sol.objective_eur - ref) <= 1e-9 * max(1.0, abs(ref))
         assert verify_solution(model, sol) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_instances())
+def test_every_solution_meets_every_facet(instance):
+    """The facets the model leaves out hold anyway: swept, one-shot and
+    pinned solutions all stay inside every polygon."""
+    model, prices = instance
+    sols = model.solve_rows(prices) + [model.solve(p) for p in prices]
+    for sol in sols + [model.baseline_solution(prices[0])]:
+        assert facet_excess(model, sol) <= 1e-7

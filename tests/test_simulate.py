@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import math
 from datetime import date
 
 import numpy as np
@@ -308,3 +309,15 @@ def test_config_validation():
         CampaignConfig(start=START, days=1, s_count=0)
     with pytest.raises(ValueError):
         CampaignConfig(start=START, days=1, max_bids=25)
+
+
+@pytest.mark.parametrize("setting", [
+    {"facets": 2}, {"rar": -0.1}, {"rar": math.nan}, {"voll": -5.0}, {"voll": math.nan},
+    {"voll": math.inf}, {"voll": 0.0}, {"price_cap": -1.0, "pricing": "truthful"},
+    {"price_cap": math.inf, "pricing": "mabp"},
+], ids=lambda setting: ",".join(f"{key}={val}" for key, val in setting.items()))
+def test_config_rejects_settings_it_would_misuse(setting):
+    # caught here, not by the first day's OpfModel or in the bid prices
+    (name,) = set(setting) - {"pricing"}
+    with pytest.raises(ValueError, match=name):
+        CampaignConfig(start=START, days=1, **setting)
