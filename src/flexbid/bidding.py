@@ -15,6 +15,7 @@ everything market-facing is MW.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -22,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, EmptyInput, TooManyBids
+from .errors import AlphaOutOfRange, EmptyInput, SchemaError, TooManyBids
+from .ingest import read_json
 
 KW_PER_MW = 1000.0
 
@@ -193,11 +195,34 @@ def write_bids(
 
 
 def read_bids(path: str | Path) -> tuple[ExclusiveGroup, dict]:
-    """Load bids.json back into an ExclusiveGroup plus its header fields."""
-    payload = json.loads(Path(path).read_text())
-    bids = [
-        BlockBid(profile=np.array(b["profile_mw"], dtype=float), price=float(b["price_eur"]))
-        for b in payload["bids"]
-    ]
-    header = {k: payload[k] for k in ("day", "max_bids", "pricing_mode")}
-    return ExclusiveGroup(bids=bids, max_bids=int(payload["max_bids"])), header
+    """Load bids.json back into an ExclusiveGroup plus its header fields.
+
+    Raises SchemaError naming the file when it is not valid JSON, lacks a
+    key write_bids writes, gives a day that is not an ISO date or a
+    max_bids that is not an integer, or holds a price_eur or profile_mw
+    value that is not a finite number.
+    """
+    payload = read_json(path)
+    try:
+        header = {k: payload[k] for k in ("day", "max_bids", "pricing_mode")}
+        pairs = [(b["profile_mw"], b["price_eur"]) for b in payload["bids"]]
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing key {exc}") from None
+    except TypeError:
+        raise SchemaError(f"{path}: expected an object with a list of bid objects") from None
+    try:
+        date.fromisoformat(header["day"])
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: day {header['day']!r} is not an ISO date") from None
+    if type(header["max_bids"]) is not int:
+        raise SchemaError(f"{path}: max_bids {header['max_bids']!r} is not an integer")
+    for i, (profile, price) in enumerate(pairs):
+        if not (isinstance(profile, list) and all(map(_finite, [price, *profile]))):
+            raise SchemaError(f"{path}: bid {i}: price_eur and profile_mw must be finite numbers")
+    bids = [BlockBid(profile=np.array(p, dtype=float), price=float(c)) for p, c in pairs]
+    return ExclusiveGroup(bids=bids, max_bids=header["max_bids"]), header
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number; Python's bool is an int, JSON's is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)

@@ -24,7 +24,7 @@ from .bidding import read_bids, write_bids
 from .clearing import clear
 from .errors import FlexbidError, GridMismatch, SchemaError
 from .grid import allocate_buildings
-from .ingest import ingest, write_alloc
+from .ingest import ingest, read_json, write_alloc
 from .simulate import (
     CampaignConfig,
     CampaignReport,
@@ -92,10 +92,7 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
     cfg_file = Path(config_path) if config_path else Path(workdir) / "campaign.json"
     if not cfg_file.exists():
         return {}, Path(workdir)
-    try:
-        raw = json.loads(cfg_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{cfg_file}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+    raw = read_json(cfg_file)
     if not isinstance(raw, dict) or not all(isinstance(section, dict) for section in raw.values()):
         raise SchemaError(f"{cfg_file}: the file and each of its sections must be JSON objects")
     # paths are strings; each campaign and synthetic setting takes the

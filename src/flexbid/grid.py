@@ -7,10 +7,10 @@ variable is the power sent from the ancestor end toward the child
 reads flow(n) = sum of child flows + net consumption at n, and the
 voltage drop is U_child = U_ancestor - 2*(r*P + x*Q).
 
-Each heat pump brings the rows `thermal.building_rows` states for it:
-an indoor-temperature column per step, bounded by the comfort band and
-tied to the schedule by one implicit-Euler row, plus the daily-energy
-row.
+The heat pumps bring the block `thermal.fleet_rows` states for them:
+per heat pump, its power and then an indoor-temperature column per
+step, bounded by the rating and the comfort band and tied together by
+one implicit-Euler row per step, plus the daily-energy row.
 
 Apparent-power limits are quadratic in reality; here each line (and
 the substation's connection to the external grid) gets a regular
@@ -60,8 +60,8 @@ from .thermal import (
     BuildingParams,
     ComfortConfig,
     baseline_profile,
-    building_rows,
     check_dispatch,
+    fleet_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -336,9 +336,9 @@ class OpfModel:
     The constraint blocks depend only on the network, the buildings, and
     the day's weather/profiles, so they are assembled once, as
     row_lo <= A x <= row_hi, col_lo <= x <= col_hi with the costs `cost`
-    outside the substation import's `import_cols`; each heat pump's
-    dynamics and energy rows come from `thermal.building_rows`, over its
-    hp columns and its own temperature columns.  Both solve() and
+    outside the substation import's `import_cols`; the heat pumps'
+    columns, their dynamics and energy rows and their bounds are the
+    `thermal.fleet_rows` block, placed first.  Both solve() and
     solve_rows() run the one warm-started `lp.HighsSweep` built with the
     LP, which sets the price coefficients on the substation import and
     re-runs the solver from the previous optimal basis.  Heat-pump
@@ -398,12 +398,8 @@ class OpfModel:
             if nid == self.sub_id:
                 raise GridMismatch(f"building {b.id} assigned to the substation")
 
-        self.e_base: dict[str, float] = {}
-        self.base_kw: dict[str, np.ndarray] = {}
-        for b in self.flex:
-            base = baseline_profile(b, cfg, t_out)
-            self.base_kw[b.id] = base.schedule
-            self.e_base[b.id] = base.energy
+        *fleet, baseline = fleet_rows(self.flex, cfg, t_out)
+        self.base_kw = dict(zip((b.id for b in self.flex), baseline))
 
         # nodal fixed load: scaled connection capacity minus the baseline
         # draw of the explicitly modeled heat pumps at that node
@@ -432,14 +428,15 @@ class OpfModel:
         self.s_sub_pu = sub.s_rating_kva / net.s_base_kva
         self.u_sub = sub.v_nom_pu**2
 
-        self._assemble([self.node_pos[alloc[b.id]] for b in self.flex])
+        self._assemble([self.node_pos[alloc[b.id]] for b in self.flex], fleet)
 
-    def _assemble(self, hp_node: list[int]):
-        """Column blocks, entity-major and time-minor: hp (F*T), shed, u,
-        fp, fq (N*T each), pcc_p, pcc_q (T each), indoor temperature (F*T).
-        Row blocks: the rating polygons' reachable facets, each node's T
-        active then T reactive balances, the substation's, the voltage
-        drops, and each heat pump's `thermal.building_rows`.  A facet is
+    def _assemble(self, hp_node: list[int], fleet: list):
+        """Column blocks, entity-major and time-minor: the heat pumps'
+        (F*2T, each its power then its indoor temperatures), shed, u, fp,
+        fq (N*T each), pcc_p, pcc_q (T each).  Row blocks: the rating
+        polygons' reachable facets, each node's T active then T reactive
+        balances, the substation's, the voltage drops, and the heat
+        pumps' `thermal.fleet_rows` (A, rhs, col_lo, col_hi).  A facet is
         reachable when, at its hour, some point of the box the column
         bounds put around the nodal draws comes within the solver's
         feasibility tolerance of it; the others are implied."""
@@ -497,56 +494,45 @@ class OpfModel:
         reach = np.maximum(c * p_lo, c * p_hi) + np.maximum(s * q_lo, s * q_hi)
         reachable = reach.ravel() >= poly_hi - FEASIBILITY_TOL
 
-        # every heat pump's rows, its [power, temperature] columns regrouped
-        # into the hp block and the temperature block
-        steps = [building_rows(b, cfg, self.t_out, self.e_base[b.id]) for b in self.flex]
-        B = sparse.block_diag([A for A, *_ in steps] or [sparse.csc_array((0, 0))], format="csc")
-        B = B[:, np.arange(2 * F * T).reshape(F, 2, T).transpose(1, 0, 2).ravel()]
-
+        B, rhs_hp, lo_hp, hi_hp = fleet
         r2, x2 = 2.0 * np.array([[ln.r_pu for ln in lines], [ln.x_pu for ln in lines]])
         A = sparse.bmat([
-            # columns: hp, shed, u, fp, fq, pcc_p, pcc_q, temperature
+            # columns: heat pumps, shed, u, fp, fq, pcc_p, pcc_q
             # line polygons, by node, hour and facet
             [None, None, None, kron(sparse.identity(N * T), cos),
-             kron(sparse.identity(N * T), sin), None, None, None],
+             kron(sparse.identity(N * T), sin), None, None],
             # substation polygon, by hour and facet
-            [None, None, None, None, None, kron(hours, cos), kron(hours, sin), None],
-            # each node's T active, then its T reactive balance rows
-            [kron(H, np.array([[-1.0 / S], [-rar / S]]), hours),
+            [None, None, None, None, None, kron(hours, cos), kron(hours, sin)],
+            # each node's T active, then its T reactive balance rows, which
+            # take each heat pump's power columns, not its temperatures
+            [kron(H, np.array([[-1.0 / S], [-rar / S]]), [[1.0, 0.0]], hours),
              kron(sparse.identity(N), active / S, hours), None,
-             kron(D.T, active, hours), kron(D.T, reactive, hours), None, None, None],
+             kron(D.T, active, hours), kron(D.T, reactive, hours), None, None],
             # substation active, then reactive balance against the import
             [None, None, None, kron(-feeds_sub, active, hours), kron(-feeds_sub, reactive, hours),
-             kron(active, hours), kron(reactive, hours), None],
+             kron(active, hours), kron(reactive, hours)],
             # voltage drop along each line
             [None, None, kron(D, hours), kron(sparse.diags(r2), hours),
-             kron(sparse.diags(x2), hours), None, None, None],
+             kron(sparse.diags(x2), hours), None, None],
             # each heat pump's dynamics and daily energy
-            [B[:, : F * T], None, None, None, None, None, None, B[:, F * T :]],
+            [B, None, None, None, None, None, None],
         ], format="csr")
         rhs = np.concatenate([
             np.stack([(self.p_fix_kw - self.pv_kw) / S, rar * self.p_fix_kw / S], axis=1).ravel(),
             self.sub_fix_kw / S,
             rar * self.sub_fix_kw / S,
             np.repeat(self.u_sub * feeds_sub[0], T),
-            *(rhs_b for _, rhs_b, _, _ in steps),
+            rhs_hp,
         ])
         self.A = A[np.r_[reachable, np.ones(len(rhs), dtype=bool)]]
         self.row_lo = np.r_[np.full(reachable.sum(), -np.inf), rhs]
         self.row_hi = np.r_[poly_hi[reachable], rhs]
-
-        def column_bounds(k, shed, u, free):  # k picks building_rows' col_lo or col_hi
-            return np.concatenate([
-                *(bounds[k][:T] for bounds in steps),
-                np.broadcast_to(shed, N * T), np.full(N * T, u), np.full(2 * N * T + 2 * T, free),
-                *(bounds[k][T:] for bounds in steps),
-            ])
-
-        self.col_lo = column_bounds(2, 0.0, V_MIN_PU**2, -np.inf)
-        self.col_hi = column_bounds(3, self.p_fix_kw.ravel(), V_MAX_PU**2, np.inf)
+        free = np.full(2 * N * T + 2 * T, np.inf)
+        self.col_lo = np.r_[lo_hp, np.zeros(N * T), np.full(N * T, V_MIN_PU**2), -free]
+        self.col_hi = np.r_[hi_hp, self.p_fix_kw.ravel(), np.full(N * T, V_MAX_PU**2), free]
         self.cost = np.repeat([0.0, cfg.dt * self.voll / 1000.0, 0.0],
-                              [F * T, N * T, 3 * N * T + 2 * T + F * T])
-        self._ends = np.cumsum([F * T, N * T, N * T, N * T, N * T, T, T])
+                              [2 * F * T, N * T, 3 * N * T + 2 * T])
+        self._ends = np.cumsum([2 * F * T, N * T, N * T, N * T, N * T, T, T])
         self.import_cols = np.arange(self._ends[4], self._ends[5])
         self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
                               self.cost, self.import_cols)
@@ -573,13 +559,13 @@ class OpfModel:
             sched = np.asarray(sched, dtype=float)
             if sched.shape != (T,):
                 raise ValueError(f"fixed schedule for {bid} must span {T} hours")
-            f = flex_index[bid]  # the hp columns come first
+            f = flex_index[bid]  # the heat pumps' columns come first
             # the LP leaves out the facets that no schedule within the
             # ratings can reach, so a pinned schedule must stay within them
             rated = self.flex[f].p_hp_rated
             if sched.min() < -1e-6 or sched.max() > rated + 1e-6:
                 raise ValueError(f"fixed schedule for {bid} leaves its rating [0, {rated}] kW")
-            col_lo[f * T : (f + 1) * T] = col_hi[f * T : (f + 1) * T] = sched
+            col_lo[2 * f * T : (2 * f + 1) * T] = col_hi[2 * f * T : (2 * f + 1) * T] = sched
         return self._sweep(np.asarray(prices, dtype=float)[None], col_lo, col_hi)[0]
 
     def solve_rows(self, price_rows: np.ndarray) -> list[OpfSolution]:
@@ -618,8 +604,8 @@ class OpfModel:
         cfg = self.cfg
         T = cfg.horizon
         N = len(self.node_ids)
-        hp, shed, u, fp, fq, pcc_p, pcc_q, _ = np.split(x, self._ends)
-        hp_kw = {b.id: sched.copy() for b, sched in zip(self.flex, hp.reshape(-1, T))}
+        fleet, shed, u, fp, fq, pcc_p, pcc_q = np.split(x, self._ends[:-1])
+        hp_kw = {b.id: sched.copy() for b, sched in zip(self.flex, fleet.reshape(-1, 2, T)[:, 0])}
         shed, u, fp, fq = (v.reshape(N, T) for v in (shed, u, fp, fq))
 
         total_hp = sum(hp_kw.values()) if hp_kw else np.zeros(T)
@@ -712,7 +698,8 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
         issues += [
             f"building {b.id}: {problem}"
             for problem in check_dispatch(
-                b, cfg, model.t_out, sol.hp_kw[b.id], model.e_base[b.id], tol
+                b, cfg, model.t_out, sol.hp_kw[b.id],
+                baseline_profile(b, cfg, model.t_out).energy, tol
             )
         ]
     return issues

@@ -81,6 +81,15 @@ def _rows(path: str | Path, want_header: list[str], optional_last: bool = False)
             yield lineno, row
 
 
+def read_json(path: str | Path):
+    """A JSON file's payload; SchemaError names the file and the line
+    where it stops being valid JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+
+
 def _float(path, lineno, col: str, text: str) -> float:
     try:
         value = float(text)
@@ -277,16 +286,24 @@ def read_profiles(path: str | Path) -> tuple[dict[date, np.ndarray], dict[date, 
 
 
 def read_alloc(path: str | Path, buildings: Sequence[BuildingParams], net: RadialNetwork) -> dict[str, int]:
-    payload = json.loads(Path(path).read_text())
+    """The JSON object of building id to node id that write_alloc writes.
+
+    Raises SchemaError naming the file when it is not valid JSON, not an
+    object, or gives a node id that is not a JSON integer, and
+    DanglingReference on a building or node the instance lacks.
+    """
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: expected a JSON object of building id to node id")
     known = {b.id for b in buildings}
-    out: dict[str, int] = {}
     for bid, nid in payload.items():
         if bid not in known:
             raise DanglingReference(f"{path}: assignment names unknown building {bid!r}")
-        if int(nid) not in net.nodes:
+        if type(nid) is not int:  # bool is an int in Python, not in JSON
+            raise SchemaError(f"{path}: building {bid!r}: node id {json.dumps(nid)} is not an integer")
+        if nid not in net.nodes:
             raise DanglingReference(f"{path}: building {bid!r} assigned to unknown node {nid}")
-        out[bid] = int(nid)
-    return out
+    return dict(payload)
 
 
 @dataclass

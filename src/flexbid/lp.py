@@ -2,7 +2,8 @@
 
 Both dispatchers solve one LP many times over, with only some cost
 coefficients changed between solves: a block of heat pumps' dispatch
-once per price scenario, the network OPF once per price row.
+(`thermal.fleet_rows`, one diagonal block per heat pump) once per price
+scenario, the network OPF once per price row.
 `HighsSweep` hands the LP to one HiGHS instance and, for each cost row,
 changes the costs of the given columns and re-runs dual simplex from the
 previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
@@ -48,7 +49,8 @@ class HighsSweep:
     vertex.  The LP may be `blocks` equal diagonal blocks: block k owns
     the k-th of `blocks` equal contiguous slices of the columns and of
     the rows, and no row of one block has a nonzero in another block's
-    columns.  Each block's vertex is then keyed on its own.
+    columns.  Each block's vertex is then keyed on its own.  A
+    `thermal.fleet_rows` LP is laid out this way, one block per heat pump.
     """
 
     def __init__(self, A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols, blocks: int = 1):

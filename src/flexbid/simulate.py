@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -112,24 +112,17 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "CampaignConfig":
-        """Read the keys to_dict writes; any other key is an error."""
-        cfg = cls(
-            start=date.fromisoformat(raw["start"]),
-            days=int(raw["days"]),
-            s_count=int(raw.get("scenarios", 24)),
-            max_bids=int(raw.get("max_bids", 24)),
-            mode=raw.get("mode", "unbundled"),
-            pricing=raw.get("pricing", "truthful"),
-            forecaster=raw.get("forecaster", "column"),
-            facets=int(raw.get("facets", 8)),
-            rar=float(raw.get("rar", 0.05)),
-            voll=float(raw.get("voll", 10000.0)),
-            price_cap=float(raw.get("price_cap", 4000.0)),
-        )
-        unknown = sorted(set(raw) - set(cfg.to_dict()))
+        """Read the keys to_dict writes, each as its field's type; any
+        other key is an error, and a key left out keeps its default."""
+        unknown = sorted(set(raw) - set(cls(start=date.min, days=1).to_dict()))
         if unknown:
             raise SchemaError(f"unknown campaign keys: {', '.join(unknown)}")
-        return cfg
+        types = get_type_hints(cls)
+        kw = {("s_count" if key == "scenarios" else key): val for key, val in raw.items()}
+        return cls(**{
+            name: date.fromisoformat(val) if name == "start" else types[name](val)
+            for name, val in kw.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -438,8 +431,9 @@ def efficiency_vs_bids(
     scenarios, so the scenario sets are nested by construction.
     """
     b_values = sorted(set(b_values))
-    if max(b_values) > cfg.s_count:
-        raise ValueError("largest bid budget exceeds the scenario count")
+    if not b_values or b_values[0] < 1 or b_values[-1] > cfg.s_count:
+        raise ValueError(f"bid budgets must lie in 1..{cfg.s_count}: none below 1, none that "
+                         f"exceeds the scenario count; got {b_values}")
     history = bundle.price_series(cfg.forecaster)
     alloc = campaign_alloc(cfg, bundle)
 

@@ -6,13 +6,14 @@ heat pump:
     C * dT_in/dt = COP * P_hp - (T_in - T_out) / R
 
 Discretized per step with implicit Euler (the loss term is evaluated at
-the new temperature).  `building_rows` states a building's dispatch LP
-over its power and indoor-temperature columns: one sparse dynamics row
-per step, one daily-energy row, the rating and the comfort band as
-column bounds.  It is the one place the comfort constraints are built;
-`DispatchModel` stacks it into block-diagonal LPs of up to BLOCK heat
-pumps and sweeps each over the price scenarios on one warm-started
-HiGHS instance, and the network OPF places it into its own LP.
+the new temperature).  `fleet_rows` states a fleet's dispatch LP over
+each heat pump's power and indoor-temperature columns, building-major:
+one sparse dynamics row per step, one daily-energy row at the
+baseline's, the rating and the comfort band as column bounds.  It is
+the one place the comfort constraints are built: `DispatchModel`
+builds it for blocks of up to BLOCK heat pumps and sweeps each over the
+price scenarios on one warm-started HiGHS instance, and the network OPF
+places the whole fleet's block into its own LP.
 `temperature_response`, `simulate_temperature` and `check_dispatch`
 evaluate schedules independently of the LP.
 
@@ -180,31 +181,43 @@ def profile_cost(schedule_kw: np.ndarray, prices: np.ndarray, dt: float) -> floa
     return dt * float(np.dot(np.asarray(prices, dtype=float), schedule_kw)) / 1000.0
 
 
-def building_rows(
-    b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray, e_base: float
-) -> tuple[sparse.csc_array, np.ndarray, np.ndarray, np.ndarray]:
-    """One building's dispatch LP over [power (T), temperature (T)] as
-    A x = rhs, col_lo <= x <= col_hi.  Row t is the implicit-Euler step
+def fleet_rows(
+    buildings: Sequence[BuildingParams], cfg: ComfortConfig, t_out: np.ndarray
+) -> tuple[sparse.csc_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A fleet's dispatch LP, A x = rhs and col_lo <= x <= col_hi, and its
+    (F, T) baseline schedules.  Building-major: each heat pump owns T power
+    then T indoor-temperature columns and T + 1 rows, so A is
+    block-diagonal.  Row t is the implicit-Euler step
     T_t - decay*T_{t-1} - decay*gain*P_t = decay*k*t_out_t (T_{-1} = t_set),
-    row T the daily energy at e_base; the rating and the comfort band
-    bound the columns."""
+    row T the daily energy at the baseline's; the rating and the comfort
+    band bound the columns.  Raises InfeasibleBaseline as
+    `baseline_profile` does."""
     t_out = np.asarray(t_out, dtype=float)
     n = cfg.horizon
     if t_out.shape != (n,):
         raise ValueError(f"t_out must have length {n}, got {t_out.shape}")
-    k = cfg.dt / (b.r_th * b.c_th)
+    bases = [baseline_profile(b, cfg, t_out) for b in buildings]
+    F = len(bases)
+    r_th, c_th, rated = np.array([[b.r_th, b.c_th, b.p_hp_rated] for b in buildings]).reshape(F, 3).T
+    k = cfg.dt / (r_th * c_th)
     decay = 1.0 / (1.0 + k)
-    gain = cfg.dt * cfg.cop / b.c_th
+    gain = cfg.dt * cfg.cop / c_th
     # column-wise: P_t in step row t and energy row n, T_t in step rows t and t+1
+    data = np.c_[np.tile(np.c_[-decay * gain, np.full(F, cfg.dt)], n),
+                 np.tile(np.c_[np.ones(F), -decay], n)[:, :-1]]
     steps = np.arange(n)
-    data = np.r_[np.tile([-decay * gain, cfg.dt], n), np.tile([1.0, -decay], n)[:-1]]
     rows = np.r_[np.c_[steps, np.full(n, n)].ravel(), np.c_[steps, steps + 1].ravel()[:-1]]
-    A = sparse.csc_array((data, rows, np.r_[0 : 4 * n : 2, 4 * n - 1]), shape=(n + 1, 2 * n))
-    rhs = np.r_[decay * k * t_out, e_base]
-    rhs[0] += decay * cfg.t_set
-    col_lo = np.repeat([0.0, cfg.t_min], n)
-    col_hi = np.repeat([b.p_hp_rated, cfg.t_max], n)
-    return A, rhs, col_lo, col_hi
+    per_col = np.tile(np.r_[np.full(2 * n - 1, 2), 1], F)  # nonzeros in each column
+    A = sparse.csc_array(
+        (data.ravel(), (rows + (n + 1) * np.arange(F)[:, None]).ravel(), np.r_[0, per_col.cumsum()]),
+        shape=(F * (n + 1), 2 * F * n),
+    )
+    rhs = np.c_[np.outer(decay * k, t_out), [base.energy for base in bases]]
+    rhs[:, 0] += decay * cfg.t_set
+    col_lo = np.tile(np.repeat([0.0, cfg.t_min], n), F)
+    col_hi = np.c_[np.repeat(rated, n).reshape(F, n), np.full((F, n), cfg.t_max)].ravel()
+    baseline = np.array([base.schedule for base in bases]).reshape(F, n)
+    return A, rhs.ravel(), col_lo, col_hi, baseline
 
 
 # Heat pumps per dispatch LP.  Each LP is one HiGHS instance swept over the
@@ -216,12 +229,11 @@ BLOCK = 32
 class DispatchModel:
     """Day-ahead dispatch LPs of a fleet of heat pumps, prices left open.
 
-    Each heat pump's LP is `building_rows`: T power and T
-    indoor-temperature columns.  The fleet is cut into blocks of up to
-    BLOCK heat pumps in the given order, and each block is one
-    block-diagonal LP, built once.  `solve` sweeps an (S, T) price stack
-    over each block on one HiGHS instance: each row changes only the
-    power costs and re-solves from the previous row's optimal basis.
+    The fleet is cut into blocks of up to BLOCK heat pumps in the given
+    order, and each block is one `fleet_rows` LP, built once.  `solve`
+    sweeps an (S, T) price stack over each block on one HiGHS instance:
+    each row changes only the power costs and re-solves from the
+    previous row's optimal basis.
     """
 
     def __init__(self, buildings: Sequence[BuildingParams], cfg: ComfortConfig,
@@ -229,28 +241,22 @@ class DispatchModel:
         self.buildings = list(buildings)
         self.cfg = cfg
         self.t_out = np.asarray(t_out, dtype=float)
-        bases = [baseline_profile(b, cfg, self.t_out) for b in self.buildings]
-        self.baseline = np.array([base.schedule for base in bases]).reshape(
-            len(bases), cfg.horizon
-        )
-        self.e_base = np.array([base.energy for base in bases])
-        self._blocks = [
-            (start, self._sweep(start, min(start + BLOCK, len(bases))))
-            for start in range(0, len(bases), BLOCK)
-        ]
+        starts = range(0, len(self.buildings), BLOCK)
+        blocks = [self._sweep(start, start + BLOCK) for start in starts]
+        self._blocks = [(start, sweep) for start, (sweep, _) in zip(starts, blocks)]
+        self.baseline = np.vstack([np.empty((0, cfg.horizon)), *(base for _, base in blocks)])
 
-    def _sweep(self, start: int, stop: int) -> HighsSweep:
-        """The LP of buildings[start:stop], one diagonal block each."""
-        rows = [
-            building_rows(b, self.cfg, self.t_out, e_base)
-            for b, e_base in zip(self.buildings[start:stop], self.e_base[start:stop])
-        ]
-        A = sparse.block_diag([A for A, *_ in rows], format="csc")
-        rhs, col_lo, col_hi = (np.concatenate([r[k] for r in rows]) for k in (1, 2, 3))
+    def _sweep(self, start: int, stop: int) -> tuple[HighsSweep, np.ndarray]:
+        """The LP of buildings[start:stop], one diagonal block each, and
+        their baseline schedules."""
+        A, rhs, col_lo, col_hi, baseline = fleet_rows(
+            self.buildings[start:stop], self.cfg, self.t_out
+        )
         T = self.cfg.horizon
-        power = (2 * T * np.arange(len(rows))[:, None] + np.arange(T)).ravel()
-        return HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power,
-                          blocks=len(rows))
+        power = (2 * T * np.arange(len(baseline))[:, None] + np.arange(T)).ravel()
+        sweep = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power,
+                           blocks=len(baseline))
+        return sweep, baseline
 
     def solve(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cost-minimal schedules at each row of an (S, T) EUR/MWh price stack.
@@ -283,7 +289,7 @@ class DispatchModel:
         heat pumps whose own LP fails on the same price rows."""
         for r in range(start, stop):
             try:
-                self._sweep(r, r + 1).solve(c)
+                self._sweep(r, r + 1)[0].solve(c)
             except Infeasible:
                 return Infeasible(
                     f"building {self.buildings[r].id}: no schedule satisfies comfort "

@@ -16,7 +16,7 @@ from flexbid.bidding import (
     read_bids,
     write_bids,
 )
-from flexbid.errors import AlphaOutOfRange, EmptyInput, TooManyBids
+from flexbid.errors import AlphaOutOfRange, EmptyInput, SchemaError, TooManyBids
 from flexbid.thermal import (
     BuildingParams,
     ComfortConfig,
@@ -240,3 +240,30 @@ def test_bids_json_round_trip(tmp_path):
     for a, b in zip(loaded.bids, group.bids):
         np.testing.assert_allclose(a.profile, b.profile, atol=1e-12)
         assert a.price == pytest.approx(b.price, abs=1e-12)
+
+
+BIDS_JSON = ('{"day": "2025-01-15", "max_bids": 4, "pricing_mode": "mabp",\n'
+             ' "bids": [{"profile_mw": [0.1, 0.2], "price_eur": 4000.0}]}\n')
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace('"mabp",', '"mabp"'), "bids.json:2: not valid JSON"),
+    (lambda text: text.replace('"max_bids": 4, ', ""), "missing key 'max_bids'"),
+    (lambda text: text.replace('"price_eur"', '"price"'), "missing key 'price_eur'"),
+    (lambda text: "[]", "expected an object"),
+    (lambda text: text.replace("4000.0", "NaN"), "bid 0: price_eur and profile_mw"),
+    (lambda text: text.replace("0.2", "Infinity"), "bid 0: price_eur and profile_mw"),
+    (lambda text: text.replace("[0.1, 0.2]", '"0.1"'), "bid 0: price_eur and profile_mw"),
+    (lambda text: text.replace('"max_bids": 4', '"max_bids": 2.5'), "max_bids 2.5"),
+    (lambda text: text.replace('"2025-01-15"', "15"), "day 15 is not an ISO date"),
+])
+def test_malformed_bids_json_fails_naming_the_file(tmp_path, edit, message):
+    """A file without max_bids used to end `flexbid clear` in a KeyError
+    traceback, and a NaN price cleared as if no bid were accepted."""
+    path = tmp_path / "bids.json"
+    path.write_text(BIDS_JSON)
+    assert read_bids(path)[0].bids[0].price == 4000.0  # the unedited file reads
+    path.write_text(edit(BIDS_JSON))
+    with pytest.raises(SchemaError, match="bids.json") as err:
+        read_bids(path)
+    assert message in str(err.value)

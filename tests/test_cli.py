@@ -162,6 +162,19 @@ def test_report_emits_the_trend_tables(workspace, runner):
         assert (workspace / name).exists()
 
 
+@pytest.mark.parametrize("budgets", ["-1,2", "0", "99"])
+def test_report_rejects_bid_budgets_outside_the_scenario_count(workspace, runner, budgets):
+    """-1 once wrote a max_bids = -1 row cleared from all but the last
+    scenario; 99, dropped for the 4-scenario count, left no budget."""
+    res = runner.invoke(main, [
+        "report", str(workspace), "--days", "1", "--scenarios", "4", f"--bids={budgets}",
+        "--shares", "30", "--volatilities", "1.0",
+    ])
+    assert res.exit_code == 1
+    assert "error: ValueError: bid budgets must lie in 1..4" in res.stderr
+    assert not (workspace / "efficiency-vs-bids.csv").exists()
+
+
 def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     payload = json.loads((workspace / "campaign.json").read_text())
     del payload["synthetic"]

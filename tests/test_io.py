@@ -183,8 +183,8 @@ def test_network_files_come_in_pairs(tmp_path):
         ingest(b, w, p, f, nodes=nodes)
 
 
-def test_alloc_must_resolve(tmp_path):
-    b, w, p, f = minimal_files(tmp_path)
+def network_files(tmp_path):
+    """A substation and one load node, 1."""
     nodes = write(
         tmp_path, "nodes.csv",
         "id,ancestor_id,x_m,y_m,p_cap_kW,is_substation,s_rating_kVA,v_nom_pu\n"
@@ -194,12 +194,38 @@ def test_alloc_must_resolve(tmp_path):
         tmp_path, "edges.csv",
         "from_id,to_id,r_pu,x_pu,s_rating_pu\n1,0,0.01,0.005,1.0\n",
     )
+    return nodes, edges
+
+
+def test_alloc_must_resolve(tmp_path):
+    b, w, p, f = minimal_files(tmp_path)
+    nodes, edges = network_files(tmp_path)
     alloc = write(tmp_path, "alloc.json", '{"b001": 7}\n')
     with pytest.raises(DanglingReference, match="unknown node 7"):
         ingest(b, w, p, f, nodes=nodes, edges=edges, alloc=alloc)
     alloc.write_text('{"ghost": 1}\n')
     with pytest.raises(DanglingReference, match="unknown building 'ghost'"):
         ingest(b, w, p, f, nodes=nodes, edges=edges, alloc=alloc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"b001": 1,\n "b002" 1}\n', "alloc.json:2: not valid JSON"),
+    ("true\n", "alloc.json: expected a JSON object"),
+    ("[1, 2]\n", "alloc.json: expected a JSON object"),
+    ('{"b001": 1.7}\n', "alloc.json: building 'b001': node id 1.7 is not an integer"),
+    ('{"b001": true}\n', "alloc.json: building 'b001': node id true is not an integer"),
+    ('{"b001": "1"}\n', "alloc.json: building 'b001': node id \"1\" is not an integer"),
+])
+def test_malformed_alloc_is_a_schema_error_naming_the_file(tmp_path, text, message):
+    """Each of these once ingested as node 1 or crashed with a traceback."""
+    b, w, p, f = minimal_files(tmp_path)
+    nodes, edges = network_files(tmp_path)
+    alloc = write(tmp_path, "alloc.json", '{"b001": 1}\n')
+    assert ingest(b, w, p, f, nodes=nodes, edges=edges, alloc=alloc).alloc == {"b001": 1}
+    alloc.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        ingest(b, w, p, f, nodes=nodes, edges=edges, alloc=alloc)
+    assert message in str(err.value)
 
 
 def test_edge_to_unknown_node(tmp_path):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -17,8 +18,8 @@ from flexbid.thermal import (
     ComfortConfig,
     DispatchModel,
     baseline_profile,
-    building_rows,
     check_dispatch,
+    fleet_rows,
     profile_cost,
     simulate_temperature,
     temperature_response,
@@ -86,23 +87,48 @@ def test_infinite_inertia_limit():
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_building_rows_hold_the_simulated_trajectory(data):
+def test_fleet_rows_hold_the_simulated_trajectory(data):
     """Any schedule and the trajectory the recursion gives it satisfy
-    every row; the energy row reads the schedule's daily energy."""
+    every row of a one-building fleet; the energy row reads the
+    schedule's daily energy and is set at the baseline's."""
     T = data.draw(st.integers(1, 48), label="T")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
     cfg = ComfortConfig(cop=rng.uniform(2.0, 5.0), dt=rng.choice([0.25, 0.5, 1.0]), horizon=T)
-    b = building(r_th=rng.uniform(2, 10), c_th=rng.uniform(4, 30), rated=rng.uniform(0.5, 4))
+    r_th, c_th = rng.uniform(2, 10), rng.uniform(4, 30)
     t_out = rng.uniform(-10.0, 20.0, T)
+    need = max(0.0, (cfg.t_set - t_out).max()) / (r_th * cfg.cop)  # the baseline's peak
+    b = building(r_th=r_th, c_th=c_th, rated=need + rng.uniform(0.5, 4))
     p = rng.uniform(0.0, b.p_hp_rated, T)
-    A, rhs, col_lo, col_hi = building_rows(b, cfg, t_out, e_base=7.0)
+    A, rhs, col_lo, col_hi, baseline = fleet_rows([b], cfg, t_out)
+    base = baseline_profile(b, cfg, t_out)
     x = np.concatenate([p, simulate_temperature(b, cfg, t_out, p)])
     lhs = A @ x
     assert A.shape == (T + 1, 2 * T)
     assert np.abs(lhs[:-1] - rhs[:-1]).max() <= 1e-12 * max(1.0, np.abs(x).max())
-    assert lhs[-1] == pytest.approx(cfg.dt * p.sum(), rel=1e-12) and rhs[-1] == 7.0
+    assert lhs[-1] == pytest.approx(cfg.dt * p.sum(), rel=1e-12) and rhs[-1] == base.energy
     assert np.array_equal(col_lo, np.r_[np.zeros(T), np.full(T, cfg.t_min)])
     assert np.array_equal(col_hi, np.r_[np.full(T, b.p_hp_rated), np.full(T, cfg.t_max)])
+    assert np.array_equal(baseline, base.schedule[None])
+
+
+@pytest.mark.parametrize("horizon", [1, 4, 24])
+def test_fleet_rows_stack_one_building_blocks_bit_for_bit(horizon):
+    """A fleet's LP is the block diagonal of its heat pumps' one-building
+    LPs, entry for entry, in the same storage order: the LP the unbundled
+    dispatch hands HiGHS does not depend on how the fleet is cut."""
+    rng = np.random.default_rng(horizon)
+    cfg = ComfortConfig(horizon=horizon)
+    t_out = rng.uniform(-5.0, 15.0, horizon)
+    fleet = [building(r_th=rng.uniform(4, 8), c_th=rng.uniform(6, 20),
+                      rated=rng.uniform(2, 4), bid=f"b{i}") for i in range(7)]
+    A, rhs, col_lo, col_hi, baseline = fleet_rows(fleet, cfg, t_out)
+    singles = [fleet_rows([b], cfg, t_out) for b in fleet]
+    B = sparse.block_diag([one[0] for one in singles], format="csc")
+    assert A.shape == B.shape
+    for got, want in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)):
+        assert np.array_equal(got, want)
+    for k, got in enumerate((rhs, col_lo, col_hi, baseline), start=1):
+        assert np.array_equal(got, np.concatenate([one[k] for one in singles]))
 
 
 # ------------------------------------------------------------- dispatch
@@ -228,7 +254,7 @@ def loop_reference(model: DispatchModel, price_rows: np.ndarray, r: int = 0) -> 
             A_ub=np.vstack([M, -M]),
             b_ub=np.concatenate([cfg.t_max - m0, m0 - cfg.t_min]),
             A_eq=np.full((1, cfg.horizon), cfg.dt),
-            b_eq=[model.e_base[r]],
+            b_eq=[baseline_profile(b, cfg, model.t_out).energy],
             bounds=[(0.0, b.p_hp_rated)] * cfg.horizon,
             method="highs",
             options={"primal_feasibility_tolerance": FEASIBILITY_TOL,
