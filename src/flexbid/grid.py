@@ -5,7 +5,8 @@ lossless LinDistFlow form on squared voltages: per line, the flow
 variable is the power sent from the ancestor end toward the child
 (positive = serving downstream demand), the nodal balance at node n
 reads flow(n) = sum of child flows + net consumption at n, and the
-voltage drop is U_child = U_ancestor - 2*(r*P + x*Q).
+voltage drop is U_child = U_ancestor - 2*(r*P + x*Q) (Baran & Wu, IEEE
+Trans. Power Delivery 4(2), 1989).
 
 The heat pumps bring the block `thermal.fleet_rows` states for them:
 per heat pump, its power and then an indoor-temperature column per
@@ -15,14 +16,25 @@ one implicit-Euler row per step, plus the daily-energy row.
 Apparent-power limits are quadratic in reality; here each line (and
 the substation's connection to the external grid) gets a regular
 polygon inscribed in the rating circle, which keeps every scenario
-problem an LP and can never overload the true circle.  A facet that no
-feasible dispatch can reach is left out of the LP: the column bounds
-cap every node's draw, so they cap every flow, and a facet beyond that
-cap is implied by the other rows.  The feasible set, and with it every
-optimum, stays the same (dropping rows that are redundant by activity
-bounds is a standard presolve step; Andersen & Andersen, Math. Prog.
-71, 1995), while each warm re-solve, which skips presolve, works on
-fewer rows.
+problem an LP and can never overload the true circle.
+
+The LP holds only the network rows that can bind.  The column bounds
+cap every node's draw, so they cap every flow and, since r, x >= 0,
+every squared voltage.  A facet beyond that cap is implied by the other
+rows and is left out.  So are the voltage columns and their drop rows
+when no node's voltage can come near a bound, and then each line that
+keeps no facet is contracted: its child's balance merges into that of
+its nearest kept ancestor, or of the substation, and the line's flow
+columns go.  On a feeder congested only at its substation, every line
+contracts, and the N*T nodal balances and the N*T flow and voltage
+columns of each kind collapse into the substation's 2*T balances.  The
+feasible set of the columns that stay, and with it every optimum, is
+the same (dropping rows that are redundant by activity bounds is a
+standard presolve step; Andersen & Andersen, Math. Prog. 71, 1995),
+while each warm re-solve, which skips presolve, works on a smaller LP.
+A solution still reports every line's flows and every node's voltage:
+they follow from the solved nodal draws by one triangular solve each on
+the tree's incidence matrix, as LinDistFlow states them.
 
 Unit bookkeeping: building and nodal quantities are kW; flows,
 voltages, and ratings are per-unit on s_base_kva; market prices are
@@ -344,11 +356,18 @@ class OpfModel:
     re-runs the solver from the previous optimal basis.  Heat-pump
     schedules can be pinned (baseline runs, awarded profiles) by passing
     hp_fixed to solve(), which sets that call's column bounds; a pinned
-    schedule must lie within its heat pump's rating.  The LP holds only
-    the rating-polygon facets that some schedule within the ratings can
-    reach, which is exact and leaves `A` often far fewer rows than N+1
-    polygons of K facets an hour; `verify_solution` still checks every
-    true rating circle.
+    schedule must lie within its heat pump's rating.
+
+    The LP holds only what some schedule within the ratings can bind:
+    the reachable rating-polygon facets; the voltages, and with them
+    every line, when some node's voltage can reach a bound
+    (`keeps_voltage`); else only the lines with a reachable facet
+    (`kept_lines`, by child node), each with its flow columns and the
+    balances of its cluster, the nodes below it up to the next kept
+    line.  This is exact, and `A` is often far smaller than the full
+    LinDistFlow LP.  Every OpfSolution still carries every line's flows
+    and every node's voltage, rebuilt from the solved nodal draws, and
+    `verify_solution` checks every true rating circle and voltage.
     """
 
     def __init__(
@@ -432,29 +451,34 @@ class OpfModel:
 
     def _assemble(self, hp_node: list[int], fleet: list):
         """Column blocks, entity-major and time-minor: the heat pumps'
-        (F*2T, each its power then its indoor temperatures), shed, u, fp,
-        fq (N*T each), pcc_p, pcc_q (T each).  Row blocks: the rating
-        polygons' reachable facets, each node's T active then T reactive
-        balances, the substation's, the voltage drops, and the heat
-        pumps' `thermal.fleet_rows` (A, rhs, col_lo, col_hi).  A facet is
-        reachable when, at its hour, some point of the box the column
-        bounds put around the nodal draws comes within the solver's
-        feasibility tolerance of it; the others are implied."""
+        (F*2T, each its power then its indoor temperatures), shed (N*T),
+        u (N*T, or none), fp and fq (T per kept line), pcc_p, pcc_q (T
+        each).  Row blocks: the rating polygons' reachable facets, the T
+        active then T reactive balances of each kept line's cluster and
+        of the substation's, the voltage drops (when kept), and the heat
+        pumps' `thermal.fleet_rows` (A, rhs, col_lo, col_hi).
+
+        What is kept is decided over the box the column bounds put
+        around the nodal draws: a facet when, at its hour, some point of
+        the box comes within the solver's feasibility tolerance of it;
+        the voltages, and with them every line, when some node's squared
+        voltage can come that close to a bound; else the lines with a
+        kept facet.  Every other line is contracted: its child joins the
+        cluster of its nearest kept ancestor, or the substation's."""
         net, cfg, series = self.net, self.cfg, self.series
         T = cfg.horizon
         F, N = len(self.flex), len(self.node_ids)
         S = net.s_base_kva
         rar = series.rar
         lines = [self.topo.line_by_child[nid] for nid in self.node_ids]
-        anc = [net.nodes[nid].ancestor_id for nid in self.node_ids]
-        feeds_sub = np.array([[a == self.sub_id for a in anc]], dtype=float)
-        below = [i for i, a in enumerate(anc) if a != self.sub_id]
+        anc = [self.node_pos.get(net.nodes[nid].ancestor_id, N) for nid in self.node_ids]
+        below = [i for i, a in enumerate(anc) if a < N]
+        feeds_sub = (np.array(anc) == N).astype(float)
         # D[i, i] = 1 and D[i, ancestor of i] = -1: D u is each line's
         # voltage drop, D.T f each node's inflow minus its children's
-        D = sparse.identity(N) - sparse.coo_matrix(
-            (np.ones(len(below)), (below, [self.node_pos[anc[i]] for i in below])), shape=(N, N)
-        )
-        H = sparse.coo_matrix((np.ones(F), (hp_node, np.arange(F))), shape=(N, F))
+        D = (sparse.identity(N) - sparse.coo_matrix(
+            (np.ones(len(below)), (below, [anc[i] for i in below])), shape=(N, N))).tocsr()
+        H = sparse.csr_matrix((np.ones(F), (hp_node, np.arange(F))), shape=(N, F))
         hours = sparse.identity(T)
         active, reactive = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
 
@@ -471,7 +495,7 @@ class OpfModel:
         cos = np.array([[math.cos(ang)] for ang in angles])
         sin = np.array([[math.sin(ang)] for ang in angles])
         ratings = np.array([ln.s_rating_pu for ln in lines] + [self.s_sub_pu])
-        poly_hi = np.repeat(ratings * math.cos(math.pi / K), T * K)
+        poly_hi = np.repeat(ratings * math.cos(math.pi / K), T * K).reshape(N + 1, T * K)
 
         # The column bounds box each node's draw: shed in [0, p_fix], each
         # heat pump in [0, its rating], and shedding relieves no reactive
@@ -479,9 +503,6 @@ class OpfModel:
         # triangular solve since ancestors come first) and the substation
         # every draw plus its own fixed load, so each facet, at each hour,
         # can reach at most the larger of its values at the box's ends.
-        # A facet that falls short of its bound by more than the solver's
-        # feasibility tolerance is implied by the other rows: it is left
-        # out, and the feasible set stays the same.
         hp_kw = (H @ np.array([b.p_hp_rated for b in self.flex]))[:, None]
         # by node: least and most active draw, least and most reactive draw
         draws = np.stack([-self.pv_kw, self.p_fix_kw - self.pv_kw + hp_kw,
@@ -492,48 +513,79 @@ class OpfModel:
         p_lo, p_hi, q_lo, q_hi = np.vstack([flows, imports[None]]).transpose(1, 0, 2)[..., None]
         c, s = cos.ravel(), sin.ravel()
         reach = np.maximum(c * p_lo, c * p_hi) + np.maximum(s * q_lo, s * q_hi)
-        reachable = reach.ravel() >= poly_hi - FEASIBILITY_TOL
+        reachable = reach.reshape(N + 1, T * K) >= poly_hi - FEASIBILITY_TOL
+        # With r, x >= 0 each squared voltage, u = u_sub - 2 * sum over its
+        # path of (r fp + x fq), falls as the flows grow: the box's ends
+        # bound it, through one more triangular solve, on D
+        r, x = np.array([[ln.r_pu for ln in lines], [ln.x_pu for ln in lines]])[..., None]
+        path = spsolve_triangular(D, np.hstack([r * p_hi[:N, :, 0] + x * q_hi[:N, :, 0],
+                                                r * p_lo[:N, :, 0] + x * q_lo[:N, :, 0]]),
+                                  lower=True, unit_diagonal=True)
+        u_lo, u_hi = self.u_sub - 2.0 * path.reshape(N, 2, T).transpose(1, 0, 2)
+        voltage = bool(u_lo.min() <= V_MIN_PU**2 + FEASIBILITY_TOL
+                       or u_hi.max() >= V_MAX_PU**2 - FEASIBILITY_TOL)
+        keep = np.arange(N) if voltage else np.flatnonzero(reachable[:N].any(axis=1))
+        L, NV = len(keep), N if voltage else 0
+
+        # Each node joins the cluster of its nearest kept line, its own or
+        # an ancestor's, or the substation's, the last; a cluster's balance
+        # sums its nodes' draws.  Flows between the nodes of one cluster
+        # cancel out of it, so only the kept lines' flows remain.
+        cluster = np.full(N + 1, L)
+        cluster[keep] = np.arange(L)
+        for i in range(N):  # ancestors first
+            if cluster[i] == L:
+                cluster[i] = cluster[anc[i]]
+        R = sparse.csr_matrix((np.ones(N + 1), (cluster, np.arange(N + 1))), shape=(L + 1, N + 1))
+        # each node's, then the substation's, balance over the line flows
+        incidence = sparse.vstack([D.T, -feeds_sub[None]])
+        at_node, at_sub = R[:, :N], R[:, N:]
+        branch = (R @ incidence)[:, keep]
+        volts = sparse.identity(N, format="csr")[:NV]
 
         B, rhs_hp, lo_hp, hi_hp = fleet
-        r2, x2 = 2.0 * np.array([[ln.r_pu for ln in lines], [ln.x_pu for ln in lines]])
         A = sparse.bmat([
             # columns: heat pumps, shed, u, fp, fq, pcc_p, pcc_q
-            # line polygons, by node, hour and facet
-            [None, None, None, kron(sparse.identity(N * T), cos),
-             kron(sparse.identity(N * T), sin), None, None],
+            # kept line polygons, by line, hour and facet
+            [None, None, None, kron(sparse.identity(L * T), cos),
+             kron(sparse.identity(L * T), sin), None, None],
             # substation polygon, by hour and facet
             [None, None, None, None, None, kron(hours, cos), kron(hours, sin)],
-            # each node's T active, then its T reactive balance rows, which
-            # take each heat pump's power columns, not its temperatures
-            [kron(H, np.array([[-1.0 / S], [-rar / S]]), [[1.0, 0.0]], hours),
-             kron(sparse.identity(N), active / S, hours), None,
-             kron(D.T, active, hours), kron(D.T, reactive, hours), None, None],
-            # substation active, then reactive balance against the import
-            [None, None, None, kron(-feeds_sub, active, hours), kron(-feeds_sub, reactive, hours),
-             kron(active, hours), kron(reactive, hours)],
-            # voltage drop along each line
-            [None, None, kron(D, hours), kron(sparse.diags(r2), hours),
-             kron(sparse.diags(x2), hours), None, None],
+            # each cluster's T active, then its T reactive balance rows,
+            # which take each heat pump's power columns, not its
+            # temperatures; the substation's takes the import
+            [kron(at_node @ H, np.array([[-1.0 / S], [-rar / S]]), [[1.0, 0.0]], hours),
+             kron(at_node, active / S, hours), None,
+             kron(branch, active, hours), kron(branch, reactive, hours),
+             kron(at_sub, active, hours), kron(at_sub, reactive, hours)],
+            # voltage drop along each line, when the voltages are kept
+            [None, None, kron(volts @ D @ volts.T, hours),
+             kron((volts @ sparse.diags(2.0 * r.ravel()))[:, keep], hours),
+             kron((volts @ sparse.diags(2.0 * x.ravel()))[:, keep], hours), None, None],
             # each heat pump's dynamics and daily energy
             [B, None, None, None, None, None, None],
         ], format="csr")
+        fixed = np.vstack([np.stack([self.p_fix_kw - self.pv_kw, rar * self.p_fix_kw], axis=1),
+                           np.stack([self.sub_fix_kw, rar * self.sub_fix_kw])[None]]) / S
         rhs = np.concatenate([
-            np.stack([(self.p_fix_kw - self.pv_kw) / S, rar * self.p_fix_kw / S], axis=1).ravel(),
-            self.sub_fix_kw / S,
-            rar * self.sub_fix_kw / S,
-            np.repeat(self.u_sub * feeds_sub[0], T),
+            (R @ fixed.reshape(N + 1, 2 * T)).ravel(),
+            np.repeat(self.u_sub * (volts @ feeds_sub), T),
             rhs_hp,
         ])
-        self.A = A[np.r_[reachable, np.ones(len(rhs), dtype=bool)]]
-        self.row_lo = np.r_[np.full(reachable.sum(), -np.inf), rhs]
-        self.row_hi = np.r_[poly_hi[reachable], rhs]
-        free = np.full(2 * N * T + 2 * T, np.inf)
-        self.col_lo = np.r_[lo_hp, np.zeros(N * T), np.full(N * T, V_MIN_PU**2), -free]
-        self.col_hi = np.r_[hi_hp, self.p_fix_kw.ravel(), np.full(N * T, V_MAX_PU**2), free]
+        facets = reachable[np.r_[keep, N]].ravel()
+        self.A = A[np.r_[facets, np.ones(len(rhs), dtype=bool)]]
+        self.row_lo = np.r_[np.full(facets.sum(), -np.inf), rhs]
+        self.row_hi = np.r_[poly_hi[np.r_[keep, N]].ravel()[facets], rhs]
+        free = np.full(2 * L * T + 2 * T, np.inf)
+        self.col_lo = np.r_[lo_hp, np.zeros(N * T), np.full(NV * T, V_MIN_PU**2), -free]
+        self.col_hi = np.r_[hi_hp, self.p_fix_kw.ravel(), np.full(NV * T, V_MAX_PU**2), free]
         self.cost = np.repeat([0.0, cfg.dt * self.voll / 1000.0, 0.0],
-                              [2 * F * T, N * T, 3 * N * T + 2 * T])
-        self._ends = np.cumsum([2 * F * T, N * T, N * T, N * T, N * T, T, T])
+                              [2 * F * T, N * T, (NV + 2 * L) * T + 2 * T])
+        self._ends = np.cumsum([2 * F * T, N * T, NV * T, L * T, L * T, T, T])
         self.import_cols = np.arange(self._ends[4], self._ends[5])
+        self.kept_lines = [self.node_ids[i] for i in keep]
+        self.keeps_voltage = voltage
+        self._D, self._H, self._r, self._x = D, H, r, x
         self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
                               self.cost, self.import_cols)
 
@@ -600,15 +652,27 @@ class OpfModel:
         ]
 
     def _solution(self, prices: np.ndarray, x: np.ndarray, objective: float) -> OpfSolution:
-        """Unpack a primal point of the LP into an OpfSolution."""
-        cfg = self.cfg
+        """Unpack a primal point of the LP into an OpfSolution.
+
+        Every line's flows are rebuilt from the solved nodal draws (one
+        triangular solve on D.T) and the squared voltages from them (one
+        on D), so a contracted line gets its flow, and a model without
+        voltage columns its voltages, as the full LP states them."""
+        cfg, S = self.cfg, self.net.s_base_kva
         T = cfg.horizon
         N = len(self.node_ids)
-        fleet, shed, u, fp, fq, pcc_p, pcc_q = np.split(x, self._ends[:-1])
-        hp_kw = {b.id: sched.copy() for b, sched in zip(self.flex, fleet.reshape(-1, 2, T)[:, 0])}
-        shed, u, fp, fq = (v.reshape(N, T) for v in (shed, u, fp, fq))
+        fleet, shed, *_, pcc_p, pcc_q = np.split(x, self._ends[:-1])
+        hp = fleet.reshape(-1, 2, T)[:, 0]
+        hp_kw = {b.id: sched.copy() for b, sched in zip(self.flex, hp)}
+        shed = shed.reshape(N, T)
+        load = self.p_fix_kw + self._H @ hp
+        draws = np.hstack([load - self.pv_kw - shed, self.series.rar * load]) / S
+        fp, fq = np.hsplit(spsolve_triangular(self._D.T.tocsr(), draws, lower=False,
+                                              unit_diagonal=True), 2)
+        u = self.u_sub - 2.0 * spsolve_triangular(self._D, self._r * fp + self._x * fq,
+                                                  lower=True, unit_diagonal=True)
 
-        total_hp = sum(hp_kw.values()) if hp_kw else np.zeros(T)
+        total_hp = hp.sum(axis=0)
         hp_cost = cfg.dt * float(np.dot(prices, total_hp)) / 1000.0
         shed_kwh = cfg.dt * float(shed.sum())
         fixed_cost = objective - self.voll * shed_kwh / 1000.0 - hp_cost
@@ -628,10 +692,6 @@ class OpfModel:
             shed_kwh=shed_kwh,
         )
 
-    def baseline_solution(self, prices: np.ndarray) -> OpfSolution:
-        """Dispatch with every heat pump pinned to its baseline schedule."""
-        return self.solve(prices, hp_fixed=dict(self.base_kw))
-
 
 def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> list[str]:
     """Independent re-check of a solved dispatch; returns found issues.
@@ -639,7 +699,11 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
     Covers nodal flow conservation, the true quadratic rating circles
     (which the polygon must under-fill), voltage bounds, the shedding
     bounds, and each heat pump's rating, comfort band and daily energy
-    (`thermal.check_dispatch`, which simulates the temperatures).
+    (`thermal.check_dispatch`, which simulates the temperatures).  An
+    OpfModel's solutions carry flows and voltages rebuilt from their
+    nodal draws, so for them the nodal balances and voltage drops hold
+    up to rounding; the substation's balance against the import, the
+    circles and the bounds still test what the LP returned.
     """
     issues: list[str] = []
     net, cfg, series = model.net, model.cfg, model.series

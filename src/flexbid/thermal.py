@@ -14,8 +14,8 @@ the one place the comfort constraints are built: `DispatchModel`
 builds it for blocks of up to BLOCK heat pumps and sweeps each over the
 price scenarios on one warm-started HiGHS instance, and the network OPF
 places the whole fleet's block into its own LP.
-`temperature_response`, `simulate_temperature` and `check_dispatch`
-evaluate schedules independently of the LP.
+`simulate_temperature` and `check_dispatch` evaluate schedules
+independently of the LP.
 
 Units: power kW, energy kWh, temperatures degC, prices EUR/MWh,
 time step hours.  Market-side MW conversion happens in the bidding
@@ -88,39 +88,6 @@ class DispatchResult:
     temperatures: np.ndarray  # degC per step
     energy: float  # kWh over the day
     cost: float | None = None  # EUR at the price vector the schedule was made for
-
-
-def temperature_response(
-    b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map from a schedule to the indoor temperature trajectory.
-
-    Returns (M, m0) with temperatures = M @ schedule + m0.  M is lower
-    triangular; row t carries the decayed thermal gain of every earlier
-    step.  m0 is the free response from T_in[0] = t_set and the outdoor
-    temperatures.
-    """
-    t_out = np.asarray(t_out, dtype=float)
-    n = cfg.horizon
-    if t_out.shape != (n,):
-        raise ValueError(f"t_out must have length {n}, got {t_out.shape}")
-    k = cfg.dt / (b.r_th * b.c_th)  # dimensionless loss per step
-    gain = cfg.dt * cfg.cop / b.c_th  # K per kW before decay
-    decay = 1.0 / (1.0 + k)
-    # T_t = decay*T_{t-1} + decay*gain*P_t + decay*k*t_out_t
-    step_gain = decay * gain
-    forcing = decay * k * t_out
-
-    powers = decay ** np.arange(n)  # decay^0 .. decay^(n-1)
-    M = np.zeros((n, n))
-    for i in range(n):
-        M[i, : i + 1] = powers[i::-1] * step_gain
-    m0 = np.empty(n)
-    acc = cfg.t_set
-    for i in range(n):
-        acc = decay * acc + forcing[i]
-        m0[i] = acc
-    return M, m0
 
 
 def simulate_temperature(

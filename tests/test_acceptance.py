@@ -264,7 +264,8 @@ def test_generous_ratings_never_shed(stressed_bundle):
         model = OpfModel(big, stressed_bundle.buildings, alloc, COMFORT,
                          stressed_bundle.weather[day], series)
         realized = stressed_bundle.realized[day]
-        for sol in (model.solve(realized), model.baseline_solution(realized)):
+        pinned = model.solve(realized, hp_fixed=dict(model.base_kw))
+        for sol in (model.solve(realized), pinned):
             shed_total += sol.shed_kwh
             issues += verify_solution(model, sol)
             for i, nid in enumerate(sol.node_ids):

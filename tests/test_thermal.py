@@ -22,7 +22,6 @@ from flexbid.thermal import (
     fleet_rows,
     profile_cost,
     simulate_temperature,
-    temperature_response,
 )
 
 CFG = ComfortConfig()  # cop 4, set-point 20, band 19..21, 24 hourly steps
@@ -241,6 +240,39 @@ def test_convex_blends_stay_feasible():
     for theta in (0.0, 0.25, 0.5, 0.8, 1.0):
         blend = theta * s1 + (1.0 - theta) * s2
         assert check_dispatch(b, CFG, t_out, blend, base.energy) == []
+
+
+def temperature_response(
+    b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Affine map from a schedule to the indoor temperature trajectory.
+
+    Returns (M, m0) with temperatures = M @ schedule + m0.  M is lower
+    triangular; row t carries the decayed thermal gain of every earlier
+    step.  m0 is the free response from T_in[0] = t_set and the outdoor
+    temperatures.
+    """
+    t_out = np.asarray(t_out, dtype=float)
+    n = cfg.horizon
+    if t_out.shape != (n,):
+        raise ValueError(f"t_out must have length {n}, got {t_out.shape}")
+    k = cfg.dt / (b.r_th * b.c_th)  # dimensionless loss per step
+    gain = cfg.dt * cfg.cop / b.c_th  # K per kW before decay
+    decay = 1.0 / (1.0 + k)
+    # T_t = decay*T_{t-1} + decay*gain*P_t + decay*k*t_out_t
+    step_gain = decay * gain
+    forcing = decay * k * t_out
+
+    powers = decay ** np.arange(n)  # decay^0 .. decay^(n-1)
+    M = np.zeros((n, n))
+    for i in range(n):
+        M[i, : i + 1] = powers[i::-1] * step_gain
+    m0 = np.empty(n)
+    acc = cfg.t_set
+    for i in range(n):
+        acc = decay * acc + forcing[i]
+        m0[i] = acc
+    return M, m0
 
 
 def loop_reference(model: DispatchModel, price_rows: np.ndarray, r: int = 0) -> list:
