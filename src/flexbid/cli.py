@@ -26,6 +26,9 @@ from .errors import FlexbidError, GridMismatch, SchemaError
 from .grid import allocate_buildings
 from .ingest import ingest, read_json, write_alloc
 from .simulate import (
+    FORECASTERS,
+    MODES,
+    PRICINGS,
     CampaignConfig,
     CampaignReport,
     campaign_alloc,
@@ -275,10 +278,10 @@ def _day_from(day_str: str | None, cfg: CampaignConfig) -> date:
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--scenarios", type=int, default=None, help="price scenarios per day")
 @click.option("--max-bids", type=int, default=None)
-@click.option("--mode", type=click.Choice(["unbundled", "integrated"]), default=None)
-@click.option("--pricing", type=click.Choice(["truthful", "mabp"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
+@click.option("--pricing", type=click.Choice(PRICINGS), default=None)
 @click.option("--facets", type=int, default=None)
-@click.option("--forecaster", type=click.Choice(["column", "naive"]), default=None)
+@click.option("--forecaster", type=click.Choice(FORECASTERS), default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--json-errors", is_flag=True)
 @guarded
@@ -342,10 +345,10 @@ def clear_command(workdir, day_str, bids_path, config_path, out_path, json_error
 @click.option("--days", type=int, default=None)
 @click.option("--scenarios", type=int, default=None)
 @click.option("--max-bids", type=int, default=None)
-@click.option("--mode", type=click.Choice(["unbundled", "integrated"]), default=None)
-@click.option("--pricing", type=click.Choice(["truthful", "mabp"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
+@click.option("--pricing", type=click.Choice(PRICINGS), default=None)
 @click.option("--facets", type=int, default=None)
-@click.option("--forecaster", type=click.Choice(["column", "naive"]), default=None)
+@click.option("--forecaster", type=click.Choice(FORECASTERS), default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="output directory (default: the workspace)")
 @click.option("--json-errors", is_flag=True)
@@ -385,9 +388,14 @@ def simulate_command(workdir, config_path, start, days, scenarios, max_bids,
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     _echo_summary(report)
     click.echo(f"wrote {out / 'report.csv'}, {out / 'schedules.csv'}, {out / 'summary.json'}")
-    if report.failures:
-        for day, msg in report.failures:
-            click.echo(f"failed {day}: {msg}", err=True)
+    _exit_on_failures([("", day, msg) for day, msg in report.failures])
+
+
+def _exit_on_failures(failures: list[tuple[str, date, str]]) -> None:
+    """Name each failed (where, day, message) on stderr, then exit 1."""
+    for where, day, msg in failures:
+        click.echo(f"failed {day}{where}: {msg}", err=True)
+    if failures:
         sys.exit(1)
 
 
@@ -411,7 +419,7 @@ def _fmt(value) -> str:
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--days", type=int, default=None, help="campaign length for the sweeps")
 @click.option("--scenarios", type=int, default=None)
-@click.option("--mode", type=click.Choice(["unbundled", "integrated"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--bids", "bids_csv", default="1,2,4,8,16,24", show_default=True,
               help="bid budgets to sweep")
 @click.option("--shares", "shares_csv", default="15,30,45,60", show_default=True,
@@ -424,7 +432,8 @@ def _fmt(value) -> str:
 def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
                    shares_csv, vols_csv, out_dir, json_errors):
     """Emit the trend tables: efficiency and runtime vs bid budget and
-    heat-pump share, and savings vs price volatility."""
+    heat-pump share, and savings vs price volatility.  Each failed day is
+    named on stderr, and the command exits 1 after writing the tables."""
     raw, base = _load_workspace(workdir, config_path)
     cfg = _campaign_config(raw, days=days, scenarios=scenarios, mode=mode)
     bundle = _load_bundle(_resolve_paths(raw, base))
@@ -439,17 +448,18 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
             f"note: dropping bid budgets beyond the {cfg.s_count}-scenario count",
             err=True,
         )
-    rows = efficiency_vs_bids(cfg, bundle, b_values=usable)
+    bid_reports = efficiency_vs_bids(cfg, bundle, b_values=usable)
+    failures = [(" (bid budgets)", day, msg) for day, msg in bid_reports[0].failures]
     _write_rows(
         out / "efficiency-vs-bids.csv",
         ["max_bids", "eta", "tc_cleared_eur", "tc_inf_eur", "tc_opt_eur"],
-        [[r["max_bids"], _fmt(r["eta"]), _fmt(r["tc_cleared_eur"]),
-          _fmt(r["tc_inf_eur"]), _fmt(r["tc_opt_eur"])] for r in rows],
+        [[rep.config.max_bids, _fmt(rep.eta_weighted), _fmt(rep.tc_cleared_total),
+          _fmt(rep.tc_inf_total), _fmt(rep.tc_opt_total)] for rep in bid_reports],
     )
     _write_rows(
         out / "runtime-vs-bids.csv",
         ["max_bids", "clearing_s"],
-        [[r["max_bids"], _fmt(r["clearing_s"])] for r in rows],
+        [[rep.config.max_bids, _fmt(rep.runtime_total("clearing"))] for rep in bid_reports],
     )
     written += ["efficiency-vs-bids.csv", "runtime-vs-bids.csv"]
 
@@ -460,6 +470,7 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
         for share in [float(tok) for tok in shares_csv.split(",") if tok.strip()]:
             spec = dataclasses.replace(base_spec, hp_share_pct=share)
             rep = run_campaign(cfg, generate_instance(spec))
+            failures += [(f" (share {share:g} %)", day, msg) for day, msg in rep.failures]
             share_rows.append([
                 _fmt(share), rep.n_flexible, _fmt(rep.eta_weighted),
                 _fmt(rep.eta_mean), _fmt(rep.savings_eur),
@@ -486,6 +497,7 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
         for vol in [float(tok) for tok in vols_csv.split(",") if tok.strip()]:
             spec = dataclasses.replace(base_spec, volatility=vol)
             rep = run_campaign(cfg, generate_instance(spec))
+            failures += [(f" (volatility {vol:g})", day, msg) for day, msg in rep.failures]
             for d in rep.days:
                 vol_rows.append([
                     _fmt(vol), d.day.isoformat(), _fmt(d.price_std),
@@ -507,6 +519,7 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
 
     for name in written:
         click.echo(f"wrote {out / name}")
+    _exit_on_failures(failures)
 
 
 if __name__ == "__main__":

@@ -210,23 +210,6 @@ def validate_radial(net: RadialNetwork) -> Topology:
         if not n.is_substation and n.id not in line_by_child:
             raise DisconnectedNode(f"node {n.id} lacks a line to its ancestor")
 
-    # ancestor chains must terminate (at a substation) without revisits
-    color: dict[int, int] = {}  # 0 = on current chain, 1 = known good
-    for start in nodes:
-        chain = []
-        cur: int | None = start
-        while cur is not None:
-            c = color.get(cur)
-            if c == 1:
-                break
-            if c == 0:
-                raise CycleDetected(f"ancestor chain loops at node {cur}")
-            color[cur] = 0
-            chain.append(cur)
-            cur = nodes[cur].ancestor_id
-        for p in chain:
-            color[p] = 1
-
     children: dict[int, list[int]] = {nid: [] for nid in nodes}
     for n in nodes.values():
         if n.ancestor_id is not None:
@@ -240,6 +223,12 @@ def validate_radial(net: RadialNetwork) -> Topology:
         nid = queue.pop(0)
         order.append(nid)
         queue.extend(children[nid])
+    # every other node has exactly one ancestor, so the search misses a
+    # node exactly when its ancestor chain ends in a loop
+    looped = sorted(set(nodes) - set(order))
+    if looped:
+        raise CycleDetected(f"ancestor chains of nodes {looped} loop instead of "
+                            "reaching a substation")
     return Topology(
         substations=substations,
         children=children,
@@ -402,6 +391,9 @@ class OpfModel:
         self.topo = topo
         self.sub_id = topo.substations[0]
         self.node_ids = [nid for nid in topo.order if nid != self.sub_id]
+        if not self.node_ids:
+            raise GridMismatch("network dispatch needs a node below the substation, "
+                               "found only the substation")
         self.node_pos = {nid: i for i, nid in enumerate(self.node_ids)}
 
         self.flex = [b for b in buildings if b.has_hp and b.p_hp_rated > 0]

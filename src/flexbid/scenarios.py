@@ -49,20 +49,8 @@ class PriceSeries:
         return self.forecast[d] - self.realized[d]
 
 
-@dataclass(frozen=True)
-class ScenarioSet:
-    """S x T price scenario matrix for one trading day; row 0 is the forecast."""
-
-    day: date
-    prices: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.prices.shape[0]
-
-
-def generate_scenarios(d: date, s_count: int, history: PriceSeries) -> ScenarioSet:
-    """Build the scenario matrix for day d.
+def generate_scenarios(d: date, s_count: int, history: PriceSeries) -> np.ndarray:
+    """Build the (S, T) scenario price matrix for day d.
 
     Row 1 is the point forecast; rows 2..S subtract one historical
     residual each, most recent first.  Short history duplicates the
@@ -89,7 +77,7 @@ def generate_scenarios(d: date, s_count: int, history: PriceSeries) -> ScenarioS
         for k in range(s_count - 1):
             h = residual_days[min(k, len(residual_days) - 1)]
             rows.append(y - history.residual(h))
-    return ScenarioSet(day=d, prices=np.vstack(rows))
+    return np.vstack(rows)
 
 
 def naive_forecast(history: PriceSeries, d: date) -> np.ndarray:

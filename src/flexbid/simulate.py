@@ -4,7 +4,9 @@ Every delivery day runs one pipeline whatever the market mode: price
 scenarios from forecast-residual history, one cost-minimal dispatch per
 scenario, the dispatches aggregated into an exclusive group of block
 bids, the group cleared against realized prices, and the award
-disaggregated back to the individual buildings.  Only the dispatch step
+disaggregated back to the individual buildings.  `run_day` bids every
+scenario; `efficiency_vs_bids` settles the same dispatch at several bid
+budgets, each on its first B scenarios.  Only the dispatch step
 depends on the mode, so it sits behind a small dispatcher: `_Fleet`
 solves block-diagonal LPs of up to `thermal.BLOCK` independent heat
 pumps (unbundled utility), `_Network` one network OPF over all of them
@@ -24,7 +26,7 @@ import csv
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
@@ -44,6 +46,7 @@ log = logging.getLogger(__name__)
 MODES = ("unbundled", "integrated")
 PRICINGS = ("truthful", "mabp")
 FORECASTERS = ("column", "naive")
+MAX_BIDS = 24  # an exclusive group's bid cap
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ class CampaignConfig:
             raise ValueError("campaign needs at least one day")
         if self.s_count < 1 or self.max_bids < 1:
             raise ValueError("s_count and max_bids must be >= 1")
-        if self.max_bids > 24:
-            raise ValueError("exclusive groups admit at most 24 bids")
+        if self.max_bids > MAX_BIDS:
+            raise ValueError(f"exclusive groups admit at most {MAX_BIDS} bids")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.pricing not in PRICINGS:
@@ -260,58 +263,63 @@ def _dispatcher(cfg: CampaignConfig, inputs: DayInputs) -> _Fleet | _Network:
     return _Fleet(cfg, inputs) if cfg.mode == "unbundled" else _Network(cfg, inputs)
 
 
-def _award(cfg: CampaignConfig, disp, X: np.ndarray, realized: np.ndarray):
-    """Bids -> clearing -> (R, T) awarded schedules."""
-    dt = cfg.comfort.dt
+@dataclass(frozen=True)
+class _Dispatched:
+    """One day's dispatch, before any bid.  X (S + 1, R, T) and cost hold
+    the scenario rows then the realized row, None without heat pumps;
+    inflexible is the baselines' evaluate() at the realized prices."""
+
+    disp: _Fleet | _Network
+    X: np.ndarray | None
+    cost: list[float] | None
+    inflexible: tuple[float, float, float]
+    seconds: float
+
+
+def _dispatch(cfg: CampaignConfig, inputs: DayInputs) -> _Dispatched:
+    """Scenarios -> the mode's dispatcher -> tc_inf, then one solve over
+    the scenario rows plus the realized row, whose optimum is tc_opt."""
+    price_rows = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
+    t0 = time.perf_counter()
+    disp = _dispatcher(cfg, inputs)
+    inflexible = disp.evaluate(inputs.realized, disp.baseline)
+    X = cost = None
+    if disp.ids:
+        X, cost = disp.solve(np.vstack([price_rows, inputs.realized]))
+    return _Dispatched(disp, X, cost, inflexible, time.perf_counter() - t0)
+
+
+def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched, n_rows: int) -> DayResult:
+    """Bids -> clearing -> award: the first n_rows scenario dispatches
+    make the exclusive group, capped at cfg.max_bids, which clears
+    against the realized prices; the award is then evaluated there."""
+    disp, dt = day.disp, cfg.comfort.dt
+    tc_inf, shed_kwh, hp_cost = day.inflexible
+    result = dict(day=inputs.day, mode=cfg.mode, tc_inf=tc_inf,
+                  price_std=float(np.std(inputs.realized)))
+    if day.X is None:
+        return DayResult(
+            **result, tc_cleared=tc_inf, tc_opt=tc_inf, eta=None, n_bids=0,
+            accepted_index=None, fallback=False, awarded_kw={}, shed_kwh=shed_kwh,
+            hp_cost_cleared=hp_cost, runtime={"dispatch": day.seconds, "clearing": 0.0},
+        )
+    t0 = time.perf_counter()
     group, ledger = build_exclusive_group(
-        X, disp.ids, cfg.pricing_mode, max_bids=cfg.max_bids, dt=dt
+        day.X[:n_rows], disp.ids, cfg.pricing_mode, max_bids=cfg.max_bids, dt=dt
     )
-    outcome = clear(group, realized, dt=dt)
+    outcome = clear(group, inputs.realized, dt=dt)
     fallback = outcome.accepted_index is None
     if fallback:
         log.info("all %d bids rejected; executing baseline schedules", len(group.bids))
         award = disp.baseline.copy()
     else:
         award = disaggregate(ledger, outcome.alpha)
-    return group, outcome, award, fallback
-
-
-def run_day(cfg: CampaignConfig, inputs: DayInputs, inject_realized: bool = False) -> DayResult:
-    """The full pipeline for one delivery day.
-
-    inject_realized appends the realized price vector as one extra
-    scenario — a diagnostic mode in which clearing must recover the
-    perfect-foresight outcome.
-    """
-    scen = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
-    price_rows = scen.prices
-    if inject_realized:
-        price_rows = np.vstack([price_rows, inputs.realized])
-    price_std = float(np.std(inputs.realized))
-
-    t0 = time.perf_counter()
-    disp = _dispatcher(cfg, inputs)
-    tc_inf, shed_kwh, hp_cost = disp.evaluate(inputs.realized, disp.baseline)
-    if not disp.ids:
-        return DayResult(
-            day=inputs.day, mode=cfg.mode, tc_inf=tc_inf, tc_cleared=tc_inf,
-            tc_opt=tc_inf, eta=None, n_bids=0, accepted_index=None, fallback=False,
-            awarded_kw={}, shed_kwh=shed_kwh, hp_cost_cleared=hp_cost,
-            price_std=price_std, runtime={"dispatch": 0.0, "clearing": 0.0},
-        )
-    # the realized prices ride along as the last row: their optimum is tc_opt
-    X, cost = disp.solve(np.vstack([price_rows, inputs.realized]))
-    t_dispatch = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    group, outcome, award, fallback = _award(cfg, disp, X[:-1], inputs.realized)
     tc_cleared, shed_kwh, hp_cost = disp.evaluate(inputs.realized, award)
-    t_clearing = time.perf_counter() - t1
+    t_clearing = time.perf_counter() - t0
 
-    tc_opt = cost[-1]
+    tc_opt = day.cost[-1]
     return DayResult(
-        day=inputs.day, mode=cfg.mode,
-        tc_inf=tc_inf, tc_cleared=tc_cleared, tc_opt=tc_opt,
+        **result, tc_cleared=tc_cleared, tc_opt=tc_opt,
         eta=efficiency(tc_inf, tc_cleared, tc_opt),
         n_bids=len(group.bids),
         accepted_index=outcome.accepted_index,
@@ -319,9 +327,13 @@ def run_day(cfg: CampaignConfig, inputs: DayInputs, inject_realized: bool = Fals
         awarded_kw=dict(zip(disp.ids, award)),
         shed_kwh=shed_kwh,
         hp_cost_cleared=hp_cost,
-        price_std=price_std,
-        runtime={"dispatch": t_dispatch, "clearing": t_clearing},
+        runtime={"dispatch": day.seconds, "clearing": t_clearing},
     )
+
+
+def run_day(cfg: CampaignConfig, inputs: DayInputs) -> DayResult:
+    """The full pipeline for one delivery day, every scenario bid."""
+    return _settle(cfg, inputs, _dispatch(cfg, inputs), cfg.s_count)
 
 
 def day_bids(cfg: CampaignConfig, inputs: DayInputs):
@@ -330,11 +342,11 @@ def day_bids(cfg: CampaignConfig, inputs: DayInputs):
     This is the auction-desk view: what gets submitted before the
     realized prices exist.  Returns (group, ledger).
     """
-    scen = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
+    price_rows = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
     disp = _dispatcher(cfg, inputs)
     if not disp.ids:
         raise EmptyInput("no heat pumps to bid with")
-    X, _ = disp.solve(scen.prices)
+    X, _ = disp.solve(price_rows)
     return build_exclusive_group(
         X, disp.ids, cfg.pricing_mode, max_bids=cfg.max_bids, dt=cfg.comfort.dt
     )
@@ -402,74 +414,65 @@ def campaign_alloc(cfg: CampaignConfig, bundle: InstanceBundle) -> Mapping[str, 
     return allocate_buildings(bundle.buildings, bundle.network)
 
 
-def run_campaign(cfg: CampaignConfig, bundle: InstanceBundle) -> CampaignReport:
-    """Run every campaign day, collecting failures instead of aborting."""
+def _each_day(cfg: CampaignConfig, bundle: InstanceBundle, step) -> tuple[list, list]:
+    """step(inputs) on every campaign day.  A day that raises a
+    FlexbidError is recorded as failed and the campaign goes on.
+    Returns (the steps' results, [(day, message)] of the failed days)."""
     history = bundle.price_series(cfg.forecaster)
     alloc = campaign_alloc(cfg, bundle)
-    results: list[DayResult] = []
+    results = []
     failures: list[tuple[date, str]] = []
     for day in cfg.campaign_days:
         try:
             inputs = day_inputs(cfg, bundle, day, history=history, alloc=alloc)
-            results.append(run_day(cfg, inputs))
+            results.append(step(inputs))
         except FlexbidError as exc:
             failures.append((day, f"{type(exc).__name__}: {exc}"))
             log.error("day %s failed: %s", day, exc)
-    n_flex = sum(1 for b in bundle.buildings if b.has_hp and b.p_hp_rated > 0)
-    return CampaignReport(config=cfg, days=results, failures=failures, n_flexible=n_flex)
+    return results, failures
+
+
+def _n_flexible(bundle: InstanceBundle) -> int:
+    return sum(1 for b in bundle.buildings if b.has_hp and b.p_hp_rated > 0)
+
+
+def run_campaign(cfg: CampaignConfig, bundle: InstanceBundle) -> CampaignReport:
+    """Run every campaign day, collecting failures instead of aborting."""
+    days, failures = _each_day(cfg, bundle, lambda inputs: run_day(cfg, inputs))
+    return CampaignReport(config=cfg, days=days, failures=failures,
+                          n_flexible=_n_flexible(bundle))
 
 
 def efficiency_vs_bids(
     cfg: CampaignConfig,
     bundle: InstanceBundle,
     b_values: Sequence[int] = (1, 2, 4, 8, 16, 24),
-) -> list[dict]:
-    """Efficiency as a function of the bid budget, on shared dispatches.
+) -> list[CampaignReport]:
+    """The campaign at each bid budget B, on shared dispatches: one
+    report per budget, ascending, each with max_bids=B in its config.
 
-    Scenario dispatches are computed once at cfg.s_count and every bid
-    budget B clears the exclusive group built from the first B
-    scenarios, so the scenario sets are nested by construction.
+    Each day is dispatched once, at cfg.s_count scenarios, and every
+    budget B clears the exclusive group built from its first B
+    scenarios, so the scenario sets are nested by construction.  A day
+    that fails, fails at every budget, and the sweep goes on.
     """
     b_values = sorted(set(b_values))
-    if not b_values or b_values[0] < 1 or b_values[-1] > cfg.s_count:
-        raise ValueError(f"bid budgets must lie in 1..{cfg.s_count}: none below 1, none that "
-                         f"exceeds the scenario count; got {b_values}")
-    history = bundle.price_series(cfg.forecaster)
-    alloc = campaign_alloc(cfg, bundle)
+    top = min(cfg.s_count, MAX_BIDS)
+    if not b_values or b_values[0] < 1 or b_values[-1] > top:
+        raise ValueError(f"bid budgets must lie in 1..{top}: none below 1, none that exceeds "
+                         f"the scenario count or the {MAX_BIDS}-bid cap; got {b_values}")
+    cfgs = [replace(cfg, max_bids=B) for B in b_values]
 
-    tc_inf_total = 0.0
-    tc_opt_total = 0.0
-    cleared_total = {B: 0.0 for B in b_values}
-    clearing_s = {B: 0.0 for B in b_values}
+    def sweep(inputs: DayInputs) -> list[DayResult]:
+        day = _dispatch(cfg, inputs)
+        return [_settle(c, inputs, day, c.max_bids) for c in cfgs]
 
-    for day in cfg.campaign_days:
-        inputs = day_inputs(cfg, bundle, day, history=history, alloc=alloc)
-        scen = generate_scenarios(day, cfg.s_count, inputs.history)
-        disp = _dispatcher(cfg, inputs)
-        if not disp.ids:
-            raise EmptyInput("no heat pumps to bid with")
-        X, cost = disp.solve(np.vstack([scen.prices, inputs.realized]))
-        tc_inf_total += disp.evaluate(inputs.realized, disp.baseline)[0]
-        tc_opt_total += cost[-1]
-        for B in b_values:
-            t0 = time.perf_counter()
-            _, _, award, _ = _award(cfg, disp, X[:B], inputs.realized)
-            cleared_total[B] += disp.evaluate(inputs.realized, award)[0]
-            clearing_s[B] += time.perf_counter() - t0
-
-    denom = tc_inf_total - tc_opt_total
-    rows = []
-    for B in b_values:
-        eta = (tc_inf_total - cleared_total[B]) / denom if denom > 1e-9 else None
-        rows.append({
-            "max_bids": B,
-            "eta": eta,
-            "tc_cleared_eur": cleared_total[B],
-            "tc_inf_eur": tc_inf_total,
-            "tc_opt_eur": tc_opt_total,
-            "clearing_s": clearing_s[B],
-        })
-    return rows
+    days, failures = _each_day(cfg, bundle, sweep)
+    return [
+        CampaignReport(config=c, days=[budgets[i] for budgets in days],
+                       failures=list(failures), n_flexible=_n_flexible(bundle))
+        for i, c in enumerate(cfgs)
+    ]
 
 
 # ---------------------------------------------------------------- output

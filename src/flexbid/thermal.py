@@ -82,12 +82,10 @@ class BuildingParams:
 
 @dataclass
 class DispatchResult:
-    """One day's heat-pump schedule with its temperature trajectory."""
+    """One day's heat-pump schedule and the energy it draws."""
 
     schedule: np.ndarray  # kW electrical per step
-    temperatures: np.ndarray  # degC per step
     energy: float  # kWh over the day
-    cost: float | None = None  # EUR at the price vector the schedule was made for
 
 
 def simulate_temperature(
@@ -115,12 +113,7 @@ def simulate_temperature(
     return temps
 
 
-def baseline_profile(
-    b: BuildingParams,
-    cfg: ComfortConfig,
-    t_out: np.ndarray,
-    prices: np.ndarray | None = None,
-) -> DispatchResult:
+def baseline_profile(b: BuildingParams, cfg: ComfortConfig, t_out: np.ndarray) -> DispatchResult:
     """Inflexible schedule holding the set-point against thermal losses.
 
     Power below zero (outdoor warmer than the set-point) is clamped at
@@ -137,10 +130,7 @@ def baseline_profile(
             f"building {b.id}: baseline needs {schedule.max():.3f} kW, "
             f"rated {b.p_hp_rated:.3f} kW"
         )
-    temps = np.full(cfg.horizon, cfg.t_set, dtype=float)
-    energy = cfg.dt * float(schedule.sum())
-    cost = profile_cost(schedule, prices, cfg.dt) if prices is not None else None
-    return DispatchResult(schedule=schedule, temperatures=temps, energy=energy, cost=cost)
+    return DispatchResult(schedule=schedule, energy=cfg.dt * float(schedule.sum()))
 
 
 def profile_cost(schedule_kw: np.ndarray, prices: np.ndarray, dt: float) -> float:

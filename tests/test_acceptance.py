@@ -170,8 +170,10 @@ def test_injected_realized_prices_recover_full_efficiency(bundle30):
     undefined = 0
     worst = 0.0
     for day in cfg.campaign_days:
-        inputs = day_inputs(cfg, bundle30, day, history=history)
-        res = run_day(cfg, inputs, inject_realized=True)
+        # the day's forecast is its realized prices: scenario row 0
+        known = dataclasses.replace(
+            history, forecast={**history.forecast, day: bundle30.realized[day]})
+        res = run_day(cfg, day_inputs(cfg, bundle30, day, history=known))
         if res.eta is None:
             undefined += 1
         else:
@@ -186,9 +188,9 @@ def test_injected_realized_prices_recover_full_efficiency(bundle30):
 def test_efficiency_rises_with_the_bid_budget(bundle30):
     budgets = (1, 2, 4, 8, 16, 24)
     cfg = CampaignConfig(start=START, days=30, s_count=24, max_bids=24)
-    rows = efficiency_vs_bids(cfg, bundle30, b_values=budgets)
-    etas = [r["eta"] for r in rows]
-    defined = all(e is not None for e in etas)
+    reports = efficiency_vs_bids(cfg, bundle30, b_values=budgets)
+    etas = [rep.eta_weighted for rep in reports]
+    defined = not reports[0].failures and all(e is not None for e in etas)
     mono = defined and all(b >= a - 1e-9 for a, b in zip(etas, etas[1:]))
     gain = (etas[-1] - etas[0]) if defined else float("nan")
     curve = ", ".join(f"B={b}: {e:.4f}" for b, e in zip(budgets, etas))
@@ -203,11 +205,11 @@ def test_naive_forecaster_keeps_efficiency_high(bundle30):
     cfg = CampaignConfig(
         start=START, days=30, s_count=24, max_bids=24, forecaster="naive"
     )
-    row = efficiency_vs_bids(cfg, bundle30, b_values=(24,))[0]
-    eta = row["eta"]
+    (report,) = efficiency_vs_bids(cfg, bundle30, b_values=(24,))
+    eta = report.eta_weighted
     record(
         "persistence-forecast efficiency",
-        eta is not None and eta >= 0.90,
+        not report.failures and eta is not None and eta >= 0.90,
         f"eta(B=24) = {eta:.4f} over 30 days, floor 0.90",
     )
 
@@ -301,7 +303,7 @@ def test_runtime_scales_with_resources_and_bids():
         scen = generate_scenarios(START, s_count, inputs.history)
         flex = [b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0]
         t0 = time.perf_counter()
-        DispatchModel(flex, COMFORT, inputs.t_out).solve(scen.prices)
+        DispatchModel(flex, COMFORT, inputs.t_out).solve(scen)
         return time.perf_counter() - t0
 
     b200, b400 = bundle_of(200), bundle_of(400)

@@ -175,6 +175,28 @@ def test_report_rejects_bid_budgets_outside_the_scenario_count(workspace, runner
     assert not (workspace / "efficiency-vs-bids.csv").exists()
 
 
+def test_report_names_the_failed_days_and_exits_1(workspace, runner):
+    # the synthetic section stops a day short of the files: the share and
+    # volatility sweeps fail the last campaign day, the bid sweep does not
+    payload = json.loads((workspace / "campaign.json").read_text())
+    payload["synthetic"]["n_days"] = 12
+    (workspace / "campaign.json").write_text(json.dumps(payload))
+    res = runner.invoke(main, [
+        "report", str(workspace), "--scenarios", "4", "--bids", "1",
+        "--shares", "30", "--volatilities", "1.0",
+    ])
+    assert res.exit_code == 1
+    failed = [line for line in res.stderr.splitlines() if line.startswith("failed")]
+    assert failed == [
+        "failed 2025-01-13 (share 30 %): GridMismatch: weather data does not cover 2025-01-13",
+        "failed 2025-01-13 (volatility 1): GridMismatch: weather data does not cover 2025-01-13",
+    ]
+    with (workspace / "savings-vs-volatility.csv").open() as fh:
+        assert [row["date"] for row in csv.DictReader(fh)] == ["2025-01-11", "2025-01-12"]
+    with (workspace / "efficiency-vs-bids.csv").open() as fh:
+        assert len(list(csv.DictReader(fh))) == 1
+
+
 def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     payload = json.loads((workspace / "campaign.json").read_text())
     del payload["synthetic"]

@@ -279,6 +279,11 @@ def test_cycle_is_rejected():
     ]
     with pytest.raises(CycleDetected):
         validate_radial(RadialNetwork(nodes=nodes, lines=lines))
+    # a node hanging off the loop never reaches a substation either
+    nodes[3] = Node(id=3, ancestor_id=1, p_cap_kw=1.0)
+    lines.append(Line(from_id=3, to_id=1, r_pu=0.01, x_pu=0.0, s_rating_pu=1.0))
+    with pytest.raises(CycleDetected, match=r"\[1, 2, 3\]"):
+        validate_radial(RadialNetwork(nodes=nodes, lines=lines))
 
 
 def test_orphan_node_is_rejected():
@@ -349,6 +354,15 @@ def test_opf_needs_exactly_one_substation():
     net = RadialNetwork(nodes=nodes, lines=[])
     with pytest.raises(GridMismatch):
         OpfModel(net, [], {}, T4, np.zeros(4), flat_series())
+
+
+def test_opf_needs_a_node_below_the_substation():
+    # a substation alone once failed inside the LP assembly, on a bare
+    # numpy ValueError from a reduction over zero nodes
+    net = RadialNetwork({0: Node(0, None, is_substation=True, s_rating_kva=100.0)}, [])
+    with pytest.raises(GridMismatch, match="only the substation"):
+        OpfModel(net, [], {}, ComfortConfig(horizon=4), np.zeros(4),
+                 GridTimeSeries(np.ones(4), np.zeros(4)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

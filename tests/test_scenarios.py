@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flexbid.errors import InsufficientHistory
-from flexbid.scenarios import PriceSeries, ScenarioSet, generate_scenarios, naive_forecast
+from flexbid.scenarios import PriceSeries, generate_scenarios, naive_forecast
 
 T = 24
 D0 = date(2025, 3, 10)  # a Monday
@@ -26,9 +26,8 @@ def flat(v):
 def test_single_scenario_is_the_point_forecast():
     hist = PriceSeries(horizon=T, realized={}, forecast={D0: flat(50.0)})
     scen = generate_scenarios(D0, 1, hist)
-    assert scen.count == 1
-    assert scen.prices[0] is not hist.forecast[D0] or True
-    np.testing.assert_array_equal(scen.prices[0], flat(50.0))
+    assert scen.shape == (1, T)
+    np.testing.assert_array_equal(scen[0], flat(50.0))
 
 
 def test_hand_worked_residual_row():
@@ -40,7 +39,7 @@ def test_hand_worked_residual_row():
         forecast={prev: flat(40.0), D0: flat(50.0)},
     )
     scen = generate_scenarios(D0, 2, hist)
-    np.testing.assert_allclose(scen.prices[1], flat(55.0))
+    np.testing.assert_allclose(scen[1], flat(55.0))
 
 
 def test_perfect_history_collapses_all_rows():
@@ -51,7 +50,7 @@ def test_perfect_history_collapses_all_rows():
         forecast={**realized, D0: flat(77.0)},
     )
     scen = generate_scenarios(D0, 6, hist)
-    assert np.allclose(scen.prices, 77.0)
+    assert np.allclose(scen, 77.0)
 
 
 def test_rows_reconstruct_from_residuals_newest_first():
@@ -63,10 +62,10 @@ def test_rows_reconstruct_from_residuals_newest_first():
     hist = PriceSeries(horizon=T, realized=realized, forecast=forecast)
 
     scen = generate_scenarios(D0, 8, hist)
-    np.testing.assert_array_equal(scen.prices[0], forecast[D0])
+    np.testing.assert_array_equal(scen[0], forecast[D0])
     for k, d in enumerate(days):  # days are already newest-first
         np.testing.assert_allclose(
-            scen.prices[k + 1], forecast[D0] - (forecast[d] - realized[d]), atol=1e-12,
+            scen[k + 1], forecast[D0] - (forecast[d] - realized[d]), atol=1e-12,
         )
 
 
@@ -80,7 +79,7 @@ def test_nested_prefix_property():
     full = generate_scenarios(D0, 24, hist)
     for s in (1, 2, 5, 13, 24):
         part = generate_scenarios(D0, s, hist)
-        np.testing.assert_array_equal(part.prices, full.prices[:s])
+        np.testing.assert_array_equal(part, full[:s])
 
 
 def test_warm_up_duplicates_oldest_residual():
@@ -92,10 +91,10 @@ def test_warm_up_duplicates_oldest_residual():
         forecast={d1: flat(40.0), d2: flat(50.0), D0: flat(50.0)},
     )
     scen = generate_scenarios(D0, 5, hist)
-    np.testing.assert_allclose(scen.prices[1], flat(55.0))   # newest residual
-    np.testing.assert_allclose(scen.prices[2], flat(60.0))   # oldest
-    np.testing.assert_allclose(scen.prices[3], flat(60.0))   # duplicated
-    np.testing.assert_allclose(scen.prices[4], flat(60.0))
+    np.testing.assert_allclose(scen[1], flat(55.0))   # newest residual
+    np.testing.assert_allclose(scen[2], flat(60.0))   # oldest
+    np.testing.assert_allclose(scen[3], flat(60.0))   # duplicated
+    np.testing.assert_allclose(scen[4], flat(60.0))
 
 
 def test_history_gaps_shrink_lookback_instead_of_breaking():
@@ -107,8 +106,8 @@ def test_history_gaps_shrink_lookback_instead_of_breaking():
         forecast={d3: flat(35.0), d9: flat(80.0), D0: flat(50.0)},
     )
     scen = generate_scenarios(D0, 3, hist)
-    np.testing.assert_allclose(scen.prices[1], flat(45.0))  # d-3 first
-    np.testing.assert_allclose(scen.prices[2], flat(60.0))  # then d-9
+    np.testing.assert_allclose(scen[1], flat(45.0))  # d-3 first
+    np.testing.assert_allclose(scen[2], flat(60.0))  # then d-9
 
 
 def test_missing_forecast_or_history_raises():
@@ -159,8 +158,3 @@ def test_naive_constant_history_is_constant():
 def test_naive_no_history_raises():
     with pytest.raises(InsufficientHistory):
         naive_forecast(PriceSeries(horizon=T), D0)
-
-
-def test_scenario_set_count_property():
-    scen = ScenarioSet(day=D0, prices=np.zeros((7, T)))
-    assert scen.count == 7

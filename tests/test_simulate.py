@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from flexbid.errors import GridMismatch, InvalidOrdering, SchemaError
-from flexbid.grid import allocate_buildings
+from flexbid.grid import Node, RadialNetwork, allocate_buildings
 from flexbid.simulate import (
     REPORT_HEADER,
     CampaignConfig,
@@ -91,8 +91,12 @@ def test_run_day_orderings_hold(small_bundle):
 
 
 def test_injected_realized_price_recovers_perfect_foresight(small_bundle):
-    cfg = cfg_for(small_bundle, s_count=4, max_bids=24)
-    res = run_day(cfg, day_inputs(cfg, small_bundle, START), inject_realized=True)
+    # the delivery day's forecast is its realized prices, so they are
+    # scenario row 0 and clearing must recover the perfect-foresight outcome
+    bundle = copy.copy(small_bundle)
+    bundle.forecast = {**bundle.forecast, START: bundle.realized[START].copy()}
+    cfg = cfg_for(bundle, s_count=4, max_bids=24)
+    res = run_day(cfg, day_inputs(cfg, bundle, START))
     assert res.eta == pytest.approx(1.0, abs=1e-9)
     assert res.tc_cleared == pytest.approx(res.tc_opt, abs=1e-9)
 
@@ -224,6 +228,19 @@ def test_weighted_and_mean_eta_aggregate_differently():
     assert report.eta_mean == pytest.approx(0.25)
 
 
+def test_a_substation_only_feeder_fails_its_days(small_bundle):
+    bundle = copy.copy(small_bundle)
+    bundle.network = RadialNetwork(
+        {0: Node(0, None, is_substation=True, s_rating_kva=100.0)}, [])
+    bundle.alloc = {}
+    cfg = cfg_for(bundle, days=2, mode="integrated")
+    report = run_campaign(cfg, bundle)
+    assert report.days == []
+    assert [day for day, _ in report.failures] == cfg.campaign_days
+    assert all(msg.startswith("GridMismatch: network dispatch needs a node below")
+               for _, msg in report.failures)
+
+
 def test_eta_undefined_campaign(small_bundle):
     bundle = copy.copy(small_bundle)
     bundle.realized = {d: np.full(24, 62.0) for d in bundle.realized}
@@ -237,18 +254,59 @@ def test_eta_undefined_campaign(small_bundle):
 
 def test_bid_budget_curve_is_monotone(small_bundle):
     cfg = cfg_for(small_bundle, days=3, s_count=8, max_bids=8)
-    rows = efficiency_vs_bids(cfg, small_bundle, b_values=(1, 2, 4, 8))
-    etas = [r["eta"] for r in rows]
+    reports = efficiency_vs_bids(cfg, small_bundle, b_values=(1, 2, 4, 8))
+    etas = [rep.eta_weighted for rep in reports]
     assert all(e is not None for e in etas)
     for lo, hi in zip(etas, etas[1:]):
         assert hi >= lo - 1e-9
-    assert [r["max_bids"] for r in rows] == [1, 2, 4, 8]
+    assert [rep.config.max_bids for rep in reports] == [1, 2, 4, 8]
+    assert all(len(rep.days) == 3 and not rep.failures for rep in reports)
+
+
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_full_bid_budget_is_the_campaign(small_bundle, mode):
+    # at B = S the sweep settles the very day run_campaign runs
+    cfg = cfg_for(small_bundle, days=2, mode=mode)
+    (swept,) = efficiency_vs_bids(cfg, small_bundle, b_values=(cfg.s_count,))
+    report = run_campaign(cfg, small_bundle)
+    assert swept.config == report.config
+    assert [(d.tc_inf, d.tc_cleared, d.tc_opt, d.eta, d.n_bids) for d in swept.days] == [
+        (d.tc_inf, d.tc_cleared, d.tc_opt, d.eta, d.n_bids) for d in report.days
+    ]
+
+
+def test_bid_budget_sweep_records_a_failed_day_and_goes_on(small_bundle):
+    # no weather for the second day: it fails at every budget, and the
+    # days on either side of it are settled
+    bundle = copy.copy(small_bundle)
+    cfg = cfg_for(bundle, days=3)
+    first, gap, last = cfg.campaign_days
+    bundle.weather = {d: v for d, v in bundle.weather.items() if d != gap}
+    reports = efficiency_vs_bids(cfg, bundle, b_values=(1, 6))
+    for rep in reports:
+        assert [d.day for d in rep.days] == [first, last]
+        assert rep.failures == [(gap, f"GridMismatch: weather data does not cover {gap}")]
+
+
+def test_bid_budget_sweep_without_heat_pumps_is_quiet(small_bundle):
+    bundle = copy.copy(small_bundle)
+    bundle.buildings = [dataclasses.replace(b, has_hp=False) for b in bundle.buildings]
+    (rep,) = efficiency_vs_bids(cfg_for(bundle, days=1), bundle, b_values=(2,))
+    assert rep.eta_weighted is None and rep.days[0].n_bids == 0
 
 
 def test_bid_budget_cannot_exceed_scenarios(small_bundle):
     cfg = cfg_for(small_bundle, s_count=4)
     with pytest.raises(ValueError, match="exceeds the scenario count"):
         efficiency_vs_bids(cfg, small_bundle, b_values=(1, 8))
+
+
+def test_bid_budget_cannot_exceed_the_group_cap(small_bundle):
+    # 30 scenarios would fit 25 bids, but no exclusive group holds them;
+    # the budget is rejected before the first day runs
+    cfg = cfg_for(small_bundle, s_count=30)
+    with pytest.raises(ValueError, match=r"1\.\.24: "):
+        efficiency_vs_bids(cfg, small_bundle, b_values=(2, 25))
 
 
 # ---------------------------------------------------------------- report
