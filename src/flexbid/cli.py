@@ -414,6 +414,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _totals(rep: CampaignReport, *values) -> list[str]:
+    """A campaign's totals as cells, empty for a campaign without a
+    settled day: a sum over no days is no result."""
+    return [_fmt(value) if rep.days else "" for value in values]
+
+
 @main.command("report")
 @click.argument("workdir", type=click.Path(file_okay=False, exists=True), default=".")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
@@ -453,13 +459,15 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
     _write_rows(
         out / "efficiency-vs-bids.csv",
         ["max_bids", "eta", "tc_cleared_eur", "tc_inf_eur", "tc_opt_eur"],
-        [[rep.config.max_bids, _fmt(rep.eta_weighted), _fmt(rep.tc_cleared_total),
-          _fmt(rep.tc_inf_total), _fmt(rep.tc_opt_total)] for rep in bid_reports],
+        [[rep.config.max_bids, *_totals(rep, rep.eta_weighted, rep.tc_cleared_total,
+                                        rep.tc_inf_total, rep.tc_opt_total)]
+         for rep in bid_reports],
     )
     _write_rows(
         out / "runtime-vs-bids.csv",
         ["max_bids", "clearing_s"],
-        [[rep.config.max_bids, _fmt(rep.runtime_total("clearing"))] for rep in bid_reports],
+        [[rep.config.max_bids, *_totals(rep, rep.runtime_total("clearing"))]
+         for rep in bid_reports],
     )
     written += ["efficiency-vs-bids.csv", "runtime-vs-bids.csv"]
 
@@ -472,13 +480,13 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
             rep = run_campaign(cfg, generate_instance(spec))
             failures += [(f" (share {share:g} %)", day, msg) for day, msg in rep.failures]
             share_rows.append([
-                _fmt(share), rep.n_flexible, _fmt(rep.eta_weighted),
-                _fmt(rep.eta_mean), _fmt(rep.savings_eur),
-                _fmt(rep.savings_per_hp_eur), _fmt(rep.shed_kwh_total),
+                _fmt(share), rep.n_flexible,
+                *_totals(rep, rep.eta_weighted, rep.eta_mean, rep.savings_eur,
+                         rep.savings_per_hp_eur, rep.shed_kwh_total),
             ])
             share_runtime.append([
                 _fmt(share), rep.n_flexible,
-                _fmt(rep.runtime_total("dispatch")), _fmt(rep.runtime_total("clearing")),
+                *_totals(rep, rep.runtime_total("dispatch"), rep.runtime_total("clearing")),
             ])
         _write_rows(
             out / "efficiency-vs-share.csv",

@@ -499,7 +499,8 @@ class OpfModel:
         # by node: least and most active draw, least and most reactive draw
         draws = np.stack([-self.pv_kw, self.p_fix_kw - self.pv_kw + hp_kw,
                           rar * self.p_fix_kw, rar * (self.p_fix_kw + hp_kw)], axis=1) / S
-        flows = spsolve_triangular(D.T.tocsr(), draws.reshape(N, 4 * T),
+        DT = D.T.tocsr()
+        flows = spsolve_triangular(DT, draws.reshape(N, 4 * T),
                                    lower=False, unit_diagonal=True).reshape(N, 4, T)
         imports = draws.sum(axis=0) + np.outer([1.0, 1.0, rar, rar], self.sub_fix_kw / S)
         p_lo, p_hi, q_lo, q_hi = np.vstack([flows, imports[None]]).transpose(1, 0, 2)[..., None]
@@ -577,7 +578,7 @@ class OpfModel:
         self.import_cols = np.arange(self._ends[4], self._ends[5])
         self.kept_lines = [self.node_ids[i] for i in keep]
         self.keeps_voltage = voltage
-        self._D, self._H, self._r, self._x = D, H, r, x
+        self._D, self._DT, self._H, self._r, self._x = D, DT, H, r, x
         self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
                               self.cost, self.import_cols)
 
@@ -612,77 +613,83 @@ class OpfModel:
             col_lo[2 * f * T : (2 * f + 1) * T] = col_hi[2 * f * T : (2 * f + 1) * T] = sched
         return self._sweep(np.asarray(prices, dtype=float)[None], col_lo, col_hi)[0]
 
-    def solve_rows(self, price_rows: np.ndarray) -> list[OpfSolution]:
+    def solve_rows(self, price_rows: np.ndarray, bases: dict | None = None) -> list[OpfSolution]:
         """Free dispatch at each (T,) row of an (S, T) price stack.
 
         The rows differ only in the import-price costs, so one HiGHS
         instance holds the LP and dual simplex re-solves each row from
-        the previous row's optimal basis.  The first row is solved cold,
-        exactly as solve() would.  A row that ends on an optimal vertex
-        seen before gets that earlier row's primal point, so identical
-        schedules stay byte-identical.
+        the previous row's optimal basis.  The first row starts from the
+        basis `bases` holds for this LP's shape, and the last row's basis
+        is stored back there (`lp.HighsSweep.solve`); without one it is
+        solved cold, exactly as solve() would.  A row that ends on an
+        optimal vertex seen before gets that earlier row's primal point,
+        so identical schedules stay byte-identical.
         """
         price_rows = np.asarray(price_rows, dtype=float)
         if price_rows.ndim != 2:
             raise ValueError("price_rows must be an (S, T) array")
-        return self._sweep(price_rows)
+        return self._sweep(price_rows, bases=bases)
 
     def _sweep(self, price_rows: np.ndarray, col_lo: np.ndarray | None = None,
-               col_hi: np.ndarray | None = None) -> list[OpfSolution]:
+               col_hi: np.ndarray | None = None, bases: dict | None = None) -> list[OpfSolution]:
         """One sweep of the day's LP over the price rows, under the given
         column bounds (the LP's own when left out)."""
         costs = np.array([self._import_cost(prices) for prices in price_rows])
         try:
-            X, objective = self._lp.solve(costs, col_lo, col_hi)
+            X, objective = self._lp.solve(costs, col_lo, col_hi, bases)
         except Infeasible:
             raise Infeasible(_INFEASIBLE) from None
         except SolverFailure as exc:
             raise SolverFailure(f"network dispatch failed: {exc}") from None
-        return [
-            self._solution(prices, x, float(obj))
-            for prices, x, obj in zip(price_rows, X, objective)
-        ]
+        return self._solutions(price_rows, X, objective)
 
-    def _solution(self, prices: np.ndarray, x: np.ndarray, objective: float) -> OpfSolution:
-        """Unpack a primal point of the LP into an OpfSolution.
+    def _solutions(self, price_rows: np.ndarray, X: np.ndarray,
+                   objective: np.ndarray) -> list[OpfSolution]:
+        """Unpack the primal points of the LP, one per row, into OpfSolutions.
 
-        Every line's flows are rebuilt from the solved nodal draws (one
-        triangular solve on D.T) and the squared voltages from them (one
-        on D), so a contracted line gets its flow, and a model without
-        voltage columns its voltages, as the full LP states them."""
-        cfg, S = self.cfg, self.net.s_base_kva
-        T = cfg.horizon
-        N = len(self.node_ids)
-        fleet, shed, *_, pcc_p, pcc_q = np.split(x, self._ends[:-1])
-        hp = fleet.reshape(-1, 2, T)[:, 0]
-        hp_kw = {b.id: sched.copy() for b, sched in zip(self.flex, hp)}
-        shed = shed.reshape(N, T)
-        load = self.p_fix_kw + self._H @ hp
-        draws = np.hstack([load - self.pv_kw - shed, self.series.rar * load]) / S
-        fp, fq = np.hsplit(spsolve_triangular(self._D.T.tocsr(), draws, lower=False,
+        Every line's flows are rebuilt from the solved nodal draws and
+        the squared voltages from them, so a contracted line gets its
+        flow, and a model without voltage columns its voltages, as the
+        full LP states them: one triangular solve on D.T and one on D
+        over every row's draws, side by side."""
+        S, T = self.net.s_base_kva, self.cfg.horizon
+        N, n = len(self.node_ids), len(X)
+        fleet, shed, *_, pcc_p, pcc_q = np.split(X, self._ends[:-1], axis=1)
+        hp = fleet.reshape(n, -1, 2, T)[:, :, 0]
+        shed = shed.reshape(n, N, T)
+
+        def side_by_side(a):  # (n, rows, T) -> (rows, n * T)
+            return a.transpose(1, 0, 2).reshape(a.shape[1], n * T)
+
+        load = np.tile(self.p_fix_kw, n) + self._H @ side_by_side(hp)
+        draws = np.hstack([load - np.tile(self.pv_kw, n) - side_by_side(shed),
+                           self.series.rar * load]) / S
+        fp, fq = np.hsplit(spsolve_triangular(self._DT, draws, lower=False,
                                               unit_diagonal=True), 2)
         u = self.u_sub - 2.0 * spsolve_triangular(self._D, self._r * fp + self._x * fq,
                                                   lower=True, unit_diagonal=True)
-
-        total_hp = hp.sum(axis=0)
-        hp_cost = cfg.dt * float(np.dot(prices, total_hp)) / 1000.0
-        shed_kwh = cfg.dt * float(shed.sum())
-        fixed_cost = objective - self.voll * shed_kwh / 1000.0 - hp_cost
-        return OpfSolution(
-            node_ids=list(self.node_ids),
-            hp_kw=hp_kw,
-            shed_kw=shed,
-            u_pu2=u,
-            flow_p_pu=fp,
-            flow_q_pu=fq,
-            pcc_p_pu=pcc_p,
-            pcc_q_pu=pcc_q,
-            pcc_mw=pcc_p * self.net.s_base_kva / 1000.0,
-            objective_eur=objective,
-            hp_cost_eur=hp_cost,
-            fixed_cost_eur=fixed_cost,
-            shed_kwh=shed_kwh,
-        )
+        u, fp, fq = (a.reshape(N, n, T).transpose(1, 0, 2) for a in (u, fp, fq))
+        sols = []
+        for k, prices in enumerate(price_rows):
+            obj = float(objective[k])
+            hp_cost = self.cfg.dt * float(np.dot(prices, hp[k].sum(axis=0))) / 1000.0
+            shed_kwh = self.cfg.dt * float(shed[k].sum())
+            sols.append(OpfSolution(
+                node_ids=list(self.node_ids),
+                hp_kw={b.id: sched.copy() for b, sched in zip(self.flex, hp[k])},
+                shed_kw=shed[k],
+                u_pu2=u[k],
+                flow_p_pu=fp[k],
+                flow_q_pu=fq[k],
+                pcc_p_pu=pcc_p[k],
+                pcc_q_pu=pcc_q[k],
+                pcc_mw=pcc_p[k] * S / 1000.0,
+                objective_eur=obj,
+                hp_cost_eur=hp_cost,
+                fixed_cost_eur=obj - self.voll * shed_kwh / 1000.0 - hp_cost,
+                shed_kwh=shed_kwh,
+            ))
+        return sols
 
 
 def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> list[str]:

@@ -7,6 +7,9 @@ scenario, the network OPF once per price row.
 `HighsSweep` hands the LP to one HiGHS instance and, for each cost row,
 changes the costs of the given columns and re-runs dual simplex from the
 previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
+The first row starts from the last optimal basis of an LP of the same
+shape, when the caller keeps one: the fleet's blocks of heat pumps are
+one shape, and so is a feeder's OPF from one day to the next.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.
@@ -75,25 +78,54 @@ class HighsSweep:
         self.blocks = blocks
 
     def solve(self, cost_rows: np.ndarray, col_lo: np.ndarray | None = None,
-              col_hi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+              col_hi: np.ndarray | None = None,
+              bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(S, n) optimal points and S objectives for an (S, len(cost_cols)) stack.
 
         col_lo and col_hi, when given, replace the LP's column bounds for
-        this call.  Every call starts a fresh HiGHS instance, so equal
-        stacks give equal answers.  Its first row is solved cold, each
-        later row from the row before.  A block whose optimal vertex was
-        seen at an earlier row of the call gets that row's values for its
-        columns: the vertex is the same, and reusing it keeps identical
-        schedules byte-identical rather than apart by the warm path's
-        rounding noise, whatever the other blocks do.
+        this call.  Each call runs on a fresh HiGHS instance.  Its first
+        row starts from the optimal basis that `bases`, a dict from LP
+        shape (rows, cols) to the last optimal basis of that shape, holds
+        for this LP's shape, or cold when it holds none; each later row
+        starts from the row before, and the call's final basis is stored
+        back in `bases`.  So an equal stack with an equal start gives
+        equal answers.  A basis HiGHS refuses, or a warm start that ends
+        without an optimum, gives way to a cold start.  A call with its
+        own column bounds starts cold and neither reads nor writes
+        `bases`: presolve settles such a pinned LP at once.
 
-        A block's vertex key is the basis status of its columns and rows:
-        basic, or nonbasic at the lower or the upper bound.  Raises
-        Infeasible or SolverFailure on the first row without an optimum.
+        A block whose optimal vertex was seen at an earlier row of the
+        call gets that row's values for its columns: the vertex is the
+        same, and reusing it keeps identical schedules byte-identical
+        rather than apart by the warm path's rounding noise, whatever the
+        other blocks do.  A block's vertex key is the basis status of its
+        columns and rows: basic, or nonbasic at the lower or the upper
+        bound.  Raises Infeasible or SolverFailure on the first row
+        without an optimum.
         """
-        highs = _hc._Highs()
-        highs.passOptions(_options())
-        highs.passModel(self._lp)
+        shape = (self._lp.num_row_, self._lp.num_col_)
+        if col_lo is not None or col_hi is not None:
+            bases = None
+        start = None if bases is None else bases.get(shape)
+        for basis in ([start] if start is not None else []) + [None]:
+            highs = _hc._Highs()
+            highs.passOptions(_options())
+            highs.passModel(self._lp)
+            if basis is not None and highs.setBasis(basis) != _hc.HighsStatus.kOk:
+                continue
+            try:
+                X, objective = self._rows(highs, cost_rows, col_lo, col_hi)
+            except SolverFailure:
+                if basis is None:
+                    raise
+                continue
+            if bases is not None:
+                bases[shape] = highs.getBasis()
+            return X, objective
+
+    def _rows(self, highs, cost_rows: np.ndarray, col_lo: np.ndarray | None,
+              col_hi: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep over cost_rows on an instance holding the LP."""
         n_row, n_col = self._lp.num_row_, self._lp.num_col_
         lower = self._col_lo if col_lo is None else np.asarray(col_lo, dtype=float)
         upper = self._col_hi if col_hi is None else np.asarray(col_hi, dtype=float)

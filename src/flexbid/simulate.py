@@ -13,6 +13,12 @@ pumps (unbundled utility), `_Network` one network OPF over all of them
 (integrated utility).  Schedules travel as
 `(S, R, T)` arrays: scenario, resource (building ids sorted), hour.
 
+A campaign hands each day's final HiGHS bases (`lp.HighsSweep.solve`)
+to the next day, whose LPs have the same shapes, so its dispatch
+starts warm; a failed day hands on nothing.  `run_day` starts cold
+unless given bases, so a campaign day and the same day run alone cost
+the same but may settle on different alternative optima.
+
 Three totals frame each day: tc_inf (heat pumps stay on their baseline
 schedules), tc_cleared (the executed award), and tc_opt (dispatch under
 perfect price foresight).  Aggregation efficiency is the share of the
@@ -214,10 +220,11 @@ class _Fleet:
         self.model = DispatchModel(flex, cfg.comfort, inputs.t_out)
         self.baseline = self.model.baseline
 
-    def solve(self, price_rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    def solve(self, price_rows: np.ndarray,
+              bases: dict | None = None) -> tuple[np.ndarray, list[float]]:
         """Warm-started HiGHS sweeps over every price row, one per block of
         heat pumps; a row's cost adds the heat pumps' costs in id order."""
-        X, _, cost = self.model.solve(price_rows)
+        X, _, cost = self.model.solve(price_rows, bases)
         return X, [sum(row) for row in cost.tolist()]
 
     def evaluate(self, prices: np.ndarray, award: np.ndarray) -> tuple[float, float, float]:
@@ -242,9 +249,10 @@ class _Network:
             len(self.ids), cfg.comfort.horizon
         )
 
-    def solve(self, price_rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    def solve(self, price_rows: np.ndarray,
+              bases: dict | None = None) -> tuple[np.ndarray, list[float]]:
         """One network dispatch per price row, warm-started row to row."""
-        sols = self.model.solve_rows(price_rows)
+        sols = self.model.solve_rows(price_rows, bases)
         X = np.array([[sol.hp_kw[i] for i in self.ids] for sol in sols])
         return X, [sol.objective_eur for sol in sols]
 
@@ -257,7 +265,7 @@ def _dispatcher(cfg: CampaignConfig, inputs: DayInputs) -> _Fleet | _Network:
     """The mode's dispatch step; the rest of the day is mode-blind.
 
     A dispatcher exposes ids (sorted building ids), baseline (R, T),
-    solve(price_rows) -> (X[S, R, T], cost[S]) and
+    solve(price_rows, bases) -> (X[S, R, T], cost[S]) and
     evaluate(prices, award[R, T]) -> (cost, shed_kwh, hp_cost).
     """
     return _Fleet(cfg, inputs) if cfg.mode == "unbundled" else _Network(cfg, inputs)
@@ -276,16 +284,17 @@ class _Dispatched:
     seconds: float
 
 
-def _dispatch(cfg: CampaignConfig, inputs: DayInputs) -> _Dispatched:
+def _dispatch(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None = None) -> _Dispatched:
     """Scenarios -> the mode's dispatcher -> tc_inf, then one solve over
-    the scenario rows plus the realized row, whose optimum is tc_opt."""
+    the scenario rows plus the realized row, whose optimum is tc_opt,
+    started from the bases handed over in `bases` (`HighsSweep.solve`)."""
     price_rows = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
     t0 = time.perf_counter()
     disp = _dispatcher(cfg, inputs)
     inflexible = disp.evaluate(inputs.realized, disp.baseline)
     X = cost = None
     if disp.ids:
-        X, cost = disp.solve(np.vstack([price_rows, inputs.realized]))
+        X, cost = disp.solve(np.vstack([price_rows, inputs.realized]), bases)
     return _Dispatched(disp, X, cost, inflexible, time.perf_counter() - t0)
 
 
@@ -331,9 +340,10 @@ def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched, n_rows: in
     )
 
 
-def run_day(cfg: CampaignConfig, inputs: DayInputs) -> DayResult:
-    """The full pipeline for one delivery day, every scenario bid."""
-    return _settle(cfg, inputs, _dispatch(cfg, inputs), cfg.s_count)
+def run_day(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None = None) -> DayResult:
+    """The full pipeline for one delivery day, every scenario bid; its
+    sweeps start from `bases` and leave their final bases there."""
+    return _settle(cfg, inputs, _dispatch(cfg, inputs, bases), cfg.s_count)
 
 
 def day_bids(cfg: CampaignConfig, inputs: DayInputs):
@@ -415,18 +425,22 @@ def campaign_alloc(cfg: CampaignConfig, bundle: InstanceBundle) -> Mapping[str, 
 
 
 def _each_day(cfg: CampaignConfig, bundle: InstanceBundle, step) -> tuple[list, list]:
-    """step(inputs) on every campaign day.  A day that raises a
-    FlexbidError is recorded as failed and the campaign goes on.
+    """step(inputs, bases) on every campaign day, where bases carries each
+    day's final dispatch bases to the next day.  A day that raises a
+    FlexbidError is recorded as failed, the next day starts cold, and the
+    campaign goes on.
     Returns (the steps' results, [(day, message)] of the failed days)."""
     history = bundle.price_series(cfg.forecaster)
     alloc = campaign_alloc(cfg, bundle)
     results = []
     failures: list[tuple[date, str]] = []
+    bases: dict = {}
     for day in cfg.campaign_days:
         try:
             inputs = day_inputs(cfg, bundle, day, history=history, alloc=alloc)
-            results.append(step(inputs))
+            results.append(step(inputs, bases))
         except FlexbidError as exc:
+            bases.clear()
             failures.append((day, f"{type(exc).__name__}: {exc}"))
             log.error("day %s failed: %s", day, exc)
     return results, failures
@@ -438,7 +452,7 @@ def _n_flexible(bundle: InstanceBundle) -> int:
 
 def run_campaign(cfg: CampaignConfig, bundle: InstanceBundle) -> CampaignReport:
     """Run every campaign day, collecting failures instead of aborting."""
-    days, failures = _each_day(cfg, bundle, lambda inputs: run_day(cfg, inputs))
+    days, failures = _each_day(cfg, bundle, lambda inputs, bases: run_day(cfg, inputs, bases))
     return CampaignReport(config=cfg, days=days, failures=failures,
                           n_flexible=_n_flexible(bundle))
 
@@ -463,8 +477,8 @@ def efficiency_vs_bids(
                          f"the scenario count or the {MAX_BIDS}-bid cap; got {b_values}")
     cfgs = [replace(cfg, max_bids=B) for B in b_values]
 
-    def sweep(inputs: DayInputs) -> list[DayResult]:
-        day = _dispatch(cfg, inputs)
+    def sweep(inputs: DayInputs, bases: dict) -> list[DayResult]:
+        day = _dispatch(cfg, inputs, bases)
         return [_settle(c, inputs, day, c.max_bids) for c in cfgs]
 
     days, failures = _each_day(cfg, bundle, sweep)

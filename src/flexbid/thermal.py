@@ -179,7 +179,9 @@ def fleet_rows(
 
 # Heat pumps per dispatch LP.  Each LP is one HiGHS instance swept over the
 # price rows, so blocks pay its fixed per-run cost once for many heat pumps;
-# a single LP for a whole fleet is slower again, on its larger basis.
+# a single LP for a whole fleet is slower again, on its larger basis.  All
+# full blocks share one LP shape, so each starts from the optimal basis the
+# block before it ended on, not cold.
 BLOCK = 32
 
 
@@ -190,7 +192,8 @@ class DispatchModel:
     order, and each block is one `fleet_rows` LP, built once.  `solve`
     sweeps an (S, T) price stack over each block on one HiGHS instance:
     each row changes only the power costs and re-solves from the
-    previous row's optimal basis.
+    previous row's optimal basis, and a block's first row from the last
+    basis of a block of its size.
     """
 
     def __init__(self, buildings: Sequence[BuildingParams], cfg: ComfortConfig,
@@ -215,14 +218,19 @@ class DispatchModel:
                            blocks=len(baseline))
         return sweep, baseline
 
-    def solve(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve(self, prices: np.ndarray,
+              bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cost-minimal schedules at each row of an (S, T) EUR/MWh price stack.
 
         Returns (S, R, T) schedules in kW, (S, R, T) indoor temperatures
         and (S, R) costs in EUR, resources in the order given.  Rows on
         which a heat pump ends on the same optimal vertex give it
-        byte-identical schedules.
+        byte-identical schedules.  Each block's sweep starts from the
+        basis `bases` holds for its LP's shape (see `HighsSweep.solve`);
+        without one given, a fresh dict, so each full block starts from
+        the block before it and the first cold.
         """
+        bases = {} if bases is None else bases
         prices = np.asarray(prices, dtype=float)
         T = self.cfg.horizon
         if prices.ndim != 2 or prices.shape[1] != T or len(prices) < 1:
@@ -232,7 +240,7 @@ class DispatchModel:
         for start, sweep in self._blocks:
             n = sweep.blocks
             try:
-                X, _ = sweep.solve(np.tile(c, n))
+                X, _ = sweep.solve(np.tile(c, n), bases=bases)
             except (Infeasible, SolverFailure) as exc:
                 raise self._named(start, start + n, c, exc) from None
             x[:, start : start + n] = X.reshape(len(prices), n, 2 * T)

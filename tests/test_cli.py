@@ -197,6 +197,26 @@ def test_report_names_the_failed_days_and_exits_1(workspace, runner):
         assert len(list(csv.DictReader(fh))) == 1
 
 
+def test_a_campaign_without_a_settled_day_writes_empty_totals(workspace, runner):
+    # every day lies past the data: a sum over no days once read as 0
+    payload = json.loads((workspace / "campaign.json").read_text())
+    payload["campaign"]["start"] = "2025-02-01"
+    (workspace / "campaign.json").write_text(json.dumps(payload))
+    res = runner.invoke(main, [
+        "report", str(workspace), "--days", "1", "--scenarios", "4", "--bids", "1",
+        "--shares", "30", "--volatilities", "1.0",
+    ])
+    assert res.exit_code == 1
+    assert "failed 2025-02-01 (bid budgets): GridMismatch" in res.stderr
+    read = (workspace / "efficiency-vs-bids.csv").read_text().splitlines()
+    assert read[1:] == ["1,,,,"]
+    assert (workspace / "runtime-vs-bids.csv").read_text().splitlines()[1:] == ["1,"]
+    with (workspace / "efficiency-vs-share.csv").open() as fh:
+        (row,) = csv.DictReader(fh)
+    assert row.pop("share_pct") == "30.000000" and int(row.pop("n_hps")) > 0
+    assert set(row.values()) == {""}
+
+
 def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     payload = json.loads((workspace / "campaign.json").read_text())
     del payload["synthetic"]

@@ -839,3 +839,23 @@ def test_every_solution_meets_every_facet(instance):
     sols = model.solve_rows(prices) + [model.solve(p) for p in prices]
     for sol in sols + [model.solve(prices[0], hp_fixed=dict(model.base_kw))]:
         assert facet_excess(model, sol) <= 1e-7
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_instances())
+def test_a_sweep_unpacks_each_row_as_that_row_alone(instance):
+    """The rows of a sweep are unpacked side by side, in one triangular
+    solve on D.T and one on D; each row's solution is byte for byte the
+    one its primal point unpacks to on its own."""
+    model, prices = instance
+    X, objective = model._lp.solve(np.array([model._import_cost(p) for p in prices]))
+    together = model._solutions(prices, X, objective)
+    for k, sol in enumerate(together):
+        (alone,) = model._solutions(prices[k:k + 1], X[k:k + 1], objective[k:k + 1])
+        for field in dataclasses.fields(sol):
+            a, b = getattr(sol, field.name), getattr(alone, field.name)
+            if isinstance(a, dict):
+                a, b = list(a.items()), list(b.items())
+                assert [key for key, _ in a] == [key for key, _ in b]
+                a, b = [val for _, val in a], [val for _, val in b]
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 
+from flexbid.errors import Infeasible
 from flexbid.lp import HighsSweep
 
 # min c0*x0 + c1*x1  s.t.  x0 + x1 + x2 = 5,  x0, x1 in [0, 1],  x2 in [0, 10]
@@ -85,6 +86,139 @@ def test_call_bounds_solve_like_a_model_built_with_them():
     assert lp.solve(rows)[0].tobytes() == HighsSweep(**LP).solve(rows)[0].tobytes()
 
 
+# ------------------------------------------------------- basis hand-over
+
+def random_lp(seed: int, m: int = 8, n: int = 30) -> dict:
+    """A feasible LP of m equality rows over n boxed columns, every cost open."""
+    rng = np.random.default_rng(seed)
+    A = sparse.random_array((m, n), density=0.3, rng=rng, format="csc") + sparse.eye_array(m, n)
+    hi = rng.uniform(1.0, 3.0, n)
+    rhs = A @ (rng.uniform(0.2, 0.8, n) * hi)
+    return dict(A=A, row_lo=rhs, row_hi=rhs, col_lo=np.zeros(n), col_hi=hi, cost=np.zeros(n),
+                cost_cols=np.arange(n))
+
+
+class SpyHighs(_core._Highs):
+    """HiGHS that logs each accepted basis and each run's simplex iterations."""
+
+    log: list = []
+
+    def setBasis(self, basis):
+        status = super().setBasis(basis)
+        SpyHighs.log.append(("basis", status == _core.HighsStatus.kOk))
+        return status
+
+    def run(self):
+        status = super().run()
+        SpyHighs.log.append(("run", self.getInfo().simplex_iteration_count))
+        return status
+
+
+@pytest.fixture()
+def spy(monkeypatch):
+    monkeypatch.setattr(_core, "_Highs", SpyHighs)
+    monkeypatch.setattr(SpyHighs, "log", [])
+    return SpyHighs.log
+
+
+def test_sweep_started_from_another_lps_basis_matches_the_cold_sweep(spy):
+    rows = np.random.default_rng(1).uniform(-5.0, 5.0, (6, 30))
+    bases: dict = {}
+    HighsSweep(**random_lp(0)).solve(rows, bases=bases)
+    assert list(bases) == [(8, 30)]
+    other = HighsSweep(**random_lp(1))
+    X_cold, objective_cold = other.solve(rows)
+    spy.clear()
+    X, objective = other.solve(rows, bases=bases)
+    assert spy[0] == ("basis", True) and len(spy) == 1 + len(rows)
+    assert np.abs(objective - objective_cold).max() <= 1e-9
+    # the sweep's own final basis is handed on: its last row re-solves in 0 iterations
+    spy.clear()
+    X_again, _ = other.solve(rows[-1:], bases=bases)
+    assert spy == [("basis", True), ("run", 0)]
+    assert np.abs(X_again[0] - X[-1]).max() <= 1e-9
+
+
+def test_basis_of_another_shape_is_ignored(spy):
+    lp = HighsSweep(**random_lp(2))
+    rows = np.random.default_rng(2).uniform(-5.0, 5.0, (4, 30))
+    bases: dict = {}
+    HighsSweep(**LP).solve(np.ones((1, 2)), bases=bases)
+    (small,) = bases.values()
+    spy.clear()
+    X, objective = lp.solve(rows, bases=bases)
+    assert [entry for entry in spy if entry[0] == "basis"] == []
+    X_cold, objective_cold = HighsSweep(**random_lp(2)).solve(rows)
+    assert X.tobytes() == X_cold.tobytes() and objective.tobytes() == objective_cold.tobytes()
+    assert bases[(1, 3)] is small and set(bases) == {(1, 3), (8, 30)}
+
+
+def test_pinned_calls_neither_read_nor_write_the_bases():
+    lp = HighsSweep(**LP)
+    rows = np.array([[-1.0, 1.0], [0.5, 0.25]])
+    lo, hi = np.zeros(3), np.array([1.0, 1.0, 3.5])
+    bases = {(1, 3): "not a basis"}  # setBasis would reject this object outright
+    X, objective = lp.solve(rows, lo, hi, bases=bases)
+    assert bases == {(1, 3): "not a basis"}
+    X_ref, objective_ref = lp.solve(rows, lo, hi)
+    assert X.tobytes() == X_ref.tobytes() and objective.tobytes() == objective_ref.tobytes()
+
+
+class RefusingHighs(_core._Highs):
+    """HiGHS that refuses every basis it is handed."""
+
+    def setBasis(self, basis):
+        return _core.HighsStatus.kError
+
+
+class StallingHighs(_core._Highs):
+    """HiGHS that stops short of an optimum on every run from a handed basis."""
+
+    runs = 0
+
+    def setBasis(self, basis):
+        self.warm = True
+        return super().setBasis(basis)
+
+    def run(self):
+        StallingHighs.runs += 1
+        return super().run()
+
+    def getModelStatus(self):
+        if getattr(self, "warm", False):
+            return _core.HighsModelStatus.kIterationLimit
+        return super().getModelStatus()
+
+
+@pytest.mark.parametrize("highs", [RefusingHighs, StallingHighs])
+def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs):
+    rows = np.random.default_rng(4).uniform(-5.0, 5.0, (5, 30))
+    bases: dict = {}
+    HighsSweep(**random_lp(3)).solve(rows, bases=bases)
+    X_cold, objective_cold = HighsSweep(**random_lp(4)).solve(rows)
+    monkeypatch.setattr(_core, "_Highs", highs)
+    monkeypatch.setattr(StallingHighs, "runs", 0)
+    X, objective = HighsSweep(**random_lp(4)).solve(rows, bases=bases)
+    assert X.tobytes() == X_cold.tobytes() and objective.tobytes() == objective_cold.tobytes()
+    if highs is StallingHighs:  # the warm sweep stops at its first row, the cold one runs all
+        assert StallingHighs.runs == 1 + len(rows)
+    # the cold sweep's final basis replaces the one that failed
+    monkeypatch.setattr(_core, "_Highs", SpyHighs)
+    monkeypatch.setattr(SpyHighs, "log", [])
+    HighsSweep(**random_lp(4)).solve(rows[-1:], bases=bases)
+    assert SpyHighs.log == [("basis", True), ("run", 0)]
+
+
+def test_a_warm_start_on_an_infeasible_lp_raises_infeasible(spy):
+    bases: dict = {}
+    HighsSweep(**LP).solve(np.ones((1, 2)), bases=bases)
+    spy.clear()
+    with pytest.raises(Infeasible):
+        HighsSweep(**{**LP, "row_lo": [50.0], "row_hi": [50.0]}).solve(np.ones((2, 2)),
+                                                                       bases=bases)
+    assert spy[0] == ("basis", True) and len(spy) == 2  # no cold retry
+
+
 def test_highs_binding_offers_what_the_sweep_calls():
     # HighsSweep drives scipy's private HiGHS binding directly; a scipy
     # release that moves it must fail here, by name
@@ -92,5 +226,5 @@ def test_highs_binding_offers_what_the_sweep_calls():
     assert hasattr(_core, "HighsOptions")
     for method in ("passOptions", "passModel", "changeColsCost", "changeColsBounds", "run",
                    "getModelStatus", "modelStatusToString", "getSolution",
-                   "getBasicVariables", "getObjectiveValue"):
+                   "getBasicVariables", "getObjectiveValue", "getBasis", "setBasis"):
         assert hasattr(_core._Highs, method), method

@@ -250,6 +250,49 @@ def test_eta_undefined_campaign(small_bundle):
     assert report.eta_weighted is None and report.eta_mean is None
 
 
+# ------------------------------------------------ bases carried day to day
+
+def answers(d: DayResult) -> tuple:
+    """What a day says, byte for byte, all but its timings."""
+    return ({key: val for key, val in vars(d).items() if key not in ("runtime", "awarded_kw")},
+            {bid: sched.tobytes() for bid, sched in d.awarded_kw.items()})
+
+
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_a_campaign_repeats_byte_for_byte(small_bundle, mode):
+    cfg = cfg_for(small_bundle, days=3, mode=mode)
+    first, again = run_campaign(cfg, small_bundle), run_campaign(cfg, small_bundle)
+    assert len(first.days) == 3
+    assert [answers(d) for d in first.days] == [answers(d) for d in again.days]
+
+
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_the_day_after_a_failed_day_starts_cold(small_bundle, mode):
+    # no weather for the third day: the fourth starts as a campaign that
+    # begins on it does, not from the second day's bases
+    bundle = copy.copy(small_bundle)
+    cfg = cfg_for(bundle, days=4, mode=mode)
+    *_, gap, last = cfg.campaign_days
+    bundle.weather = {d: v for d, v in bundle.weather.items() if d != gap}
+    report = run_campaign(cfg, bundle)
+    assert [day for day, _ in report.failures] == [gap]
+    (alone,) = run_campaign(dataclasses.replace(cfg, start=last, days=1), bundle).days
+    assert answers(report.days[-1]) == answers(alone)
+
+
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_campaign_days_cost_what_days_run_alone_cost(small_bundle, mode):
+    # each campaign day starts from the day before's bases, run_day alone
+    # starts cold: the schedules may differ between alternative optima,
+    # the costs may not
+    cfg = cfg_for(small_bundle, days=3, mode=mode)
+    alloc = allocate_buildings(small_bundle.buildings, small_bundle.network)
+    for d in run_campaign(cfg, small_bundle).days:
+        alone = run_day(cfg, day_inputs(cfg, small_bundle, d.day, alloc=alloc))
+        for key in ("tc_inf", "tc_cleared", "tc_opt"):
+            assert getattr(d, key) == pytest.approx(getattr(alone, key), rel=1e-6), key
+
+
 # ------------------------------------------------------- efficiency curve
 
 def test_bid_budget_curve_is_monotone(small_bundle):

@@ -377,7 +377,10 @@ def test_blocks_match_one_building_models():
     fleet = random_fleet(rng, 2 * BLOCK + 3)
     t_out = rng.uniform(-4.0, 14.0, 24)
     price_rows = rng.uniform(10.0, 150.0, (5, 24))
-    schedules, temps, cost = DispatchModel(fleet, CFG, t_out).solve(price_rows)
+    bases: dict = {}
+    schedules, temps, cost = DispatchModel(fleet, CFG, t_out).solve(price_rows, bases)
+    # the second full block started from the first's basis; each shape's last is kept
+    assert sorted(bases) == [(3 * 25, 3 * 48), (BLOCK * 25, BLOCK * 48)]
     assert schedules.shape == temps.shape == (5, len(fleet), 24)
     assert cost.shape == (5, len(fleet))
     for r, b in enumerate(fleet):
