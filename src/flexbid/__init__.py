@@ -12,7 +12,6 @@ from .bidding import (
     BidLedger,
     BlockBid,
     ExclusiveGroup,
-    PricingMode,
     build_exclusive_group,
     disaggregate,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "InstanceBundle",
     "OpfModel",
     "PriceSeries",
-    "PricingMode",
     "RadialNetwork",
     "SyntheticSpec",
     "allocate_buildings",

@@ -2,11 +2,12 @@
 
 Schedules arrive as one `(S, R, T)` array: scenario s, resource r, step
 t, in kW.  Each scenario's resources are summed into an aggregate MW
-block bid, priced either truthfully (value of served load) or at the
-exchange's maximum admissible bid price, and the bids are collected
-into an exclusive group.  The ledger built alongside keeps the array,
-so disaggregating a cleared award is a lookup plus a convex combination
-— no further optimization — and returns an `(R, T)` array.
+block bid, priced at one price per MWh times its own energy, and the
+bids are collected into an exclusive group.  The price is the value of
+served load for truthful bids, or the exchange's maximum admissible bid
+price; the caller chooses it.  The ledger built alongside keeps the
+array, so disaggregating a cleared award is a lookup plus a convex
+combination — no further optimization — and returns an `(R, T)` array.
 
 This module owns the kW-to-MW boundary: resources compute in kW,
 everything market-facing is MW.
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import AlphaOutOfRange, EmptyInput, SchemaError, TooManyBids
 from .ingest import read_json
 
 KW_PER_MW = 1000.0
+MAX_BIDS = 24  # the exchange's cap on the bids of one exclusive group
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class ExclusiveGroup:
     """Block bids of which the auction may accept at most one in total."""
 
     bids: list[BlockBid]
-    max_bids: int = 24
+    max_bids: int = MAX_BIDS
 
     def __post_init__(self):
         if not self.bids:
@@ -53,58 +54,37 @@ class ExclusiveGroup:
             )
 
 
-@dataclass(frozen=True)
-class PricingMode:
-    """How block bids are priced: truthful valuation or the exchange cap."""
-
-    kind: str  # "truthful" | "mabp"
-    price_cap: float = 4000.0  # EUR/MWh, maximum admissible bid price
-    voll: float = 10000.0  # EUR/MWh, value of served load (truthful)
-
-    def __post_init__(self):
-        if self.kind not in ("truthful", "mabp"):
-            raise ValueError(f"unknown pricing mode {self.kind!r}")
-        if self.price_cap <= 0:
-            raise ValueError("price_cap must be positive")
-
-    @classmethod
-    def truthful(cls, voll: float = 10000.0) -> "PricingMode":
-        return cls(kind="truthful", voll=voll)
-
-    @classmethod
-    def mabp(cls, price_cap: float = 4000.0) -> "PricingMode":
-        return cls(kind="mabp", price_cap=price_cap)
-
-
 @dataclass
 class BidLedger:
     """Book-keeping that turns a cleared award back into resource schedules.
 
-    schedules_kw[s, r] is resource resource_ids[r]'s schedule under
-    scenario s; bid_scenarios maps each submitted (deduplicated) bid to
-    the scenarios that produced it, ascending.
+    schedules_kw[s, r] is resource r's schedule under scenario s;
+    bid_scenarios maps each submitted (deduplicated) bid to the
+    scenarios that produced it, ascending.
     """
 
-    resource_ids: list[str]
     schedules_kw: np.ndarray
     bid_scenarios: list[list[int]] = field(default_factory=list)
 
 
 def build_exclusive_group(
     schedules_kw: np.ndarray,
-    resource_ids: Sequence[str],
-    mode: PricingMode,
-    max_bids: int = 24,
-    dt: float = 1.0,
+    price_eur_mwh: float,
+    max_bids: int,
+    dt: float,
 ) -> tuple[ExclusiveGroup, BidLedger]:
     """Aggregate an (S, R, T) array of scenario dispatches into an
-    exclusive group.
+    exclusive group, each bid priced at price_eur_mwh times its own
+    aggregate energy in MWh (steps of dt hours).
 
-    resource_ids labels axis 1.  Scenarios whose aggregate profiles
-    coincide exactly are merged into a single bid, freeing bid slots at
-    no cost.  Raises TooManyBids when the distinct profiles exceed
-    max_bids and EmptyInput when there is nothing to aggregate.
+    Scenarios whose aggregate profiles coincide exactly are merged into
+    a single bid, freeing bid slots at no cost.  Raises ValueError on a
+    price that is not finite and > 0, EmptyInput when there is nothing
+    to aggregate, and TooManyBids when the distinct profiles exceed
+    max_bids.
     """
+    if not (math.isfinite(price_eur_mwh) and price_eur_mwh > 0):
+        raise ValueError(f"bid price must be finite and > 0, got {price_eur_mwh}")
     X = np.asarray(schedules_kw, dtype=float)
     if X.ndim != 3:
         raise ValueError(f"schedules must be an (S, R, T) array, got shape {X.shape}")
@@ -112,38 +92,21 @@ def build_exclusive_group(
         raise EmptyInput("no scenario schedules supplied")
     if X.shape[1] == 0:
         raise EmptyInput("scenarios contain no resources")
-    resource_ids = list(resource_ids)
-    if len(resource_ids) != X.shape[1]:
-        raise ValueError(
-            f"{len(resource_ids)} resource ids for {X.shape[1]} resources"
-        )
-
-    aggregate_mw = X.sum(axis=1) / KW_PER_MW
-    if mode.kind == "truthful":
-        prices = [mode.voll * dt * float(agg.sum()) for agg in aggregate_mw]
-    else:
-        energy_total_kwh = sum(dt * float(x.sum()) for x in X[0])
-        prices = [mode.price_cap * energy_total_kwh / KW_PER_MW] * X.shape[0]
 
     # merge identical profiles; scenario order keeps the output deterministic
     bids: list[BlockBid] = []
     bid_scenarios: list[list[int]] = []
     seen: dict[bytes, int] = {}
-    for s, agg in enumerate(aggregate_mw):
+    for s, agg in enumerate(X.sum(axis=1) / KW_PER_MW):
         key = agg.tobytes()
         if key in seen:
             bid_scenarios[seen[key]].append(s)
         else:
             seen[key] = len(bids)
-            bids.append(BlockBid(profile=agg, price=prices[s]))
+            bids.append(BlockBid(profile=agg, price=price_eur_mwh * dt * float(agg.sum())))
             bid_scenarios.append([s])
-    if len(bids) > max_bids:
-        raise TooManyBids(
-            f"{len(bids)} distinct profiles exceed the {max_bids}-bid cap; reduce S"
-        )
 
-    ledger = BidLedger(resource_ids=resource_ids, schedules_kw=X, bid_scenarios=bid_scenarios)
-    return ExclusiveGroup(bids=bids, max_bids=max_bids), ledger
+    return ExclusiveGroup(bids=bids, max_bids=max_bids), BidLedger(X, bid_scenarios)
 
 
 def disaggregate(ledger: BidLedger, acceptance: np.ndarray) -> np.ndarray:
@@ -179,13 +142,14 @@ def write_bids(
     path: str | Path,
     group: ExclusiveGroup,
     day: date,
-    mode: PricingMode,
+    pricing: str,
 ) -> None:
-    """Serialize an exclusive group to the exchange-facing bids.json."""
+    """Serialize an exclusive group to the exchange-facing bids.json;
+    pricing names how its bids were priced ("truthful" or "mabp")."""
     payload = {
         "day": day.isoformat(),
         "max_bids": group.max_bids,
-        "pricing_mode": mode.kind,
+        "pricing_mode": pricing,
         "bids": [
             {"profile_mw": [float(x) for x in bid.profile], "price_eur": bid.price}
             for bid in group.bids

@@ -173,6 +173,9 @@ def _campaign_config(raw: dict, **overrides) -> CampaignConfig:
 
 
 def _echo_summary(report: CampaignReport) -> None:
+    if not report.days:
+        click.echo(f"0 days, {report.n_flexible} heat pumps: no day settled")
+        return
     eta_w = report.eta_weighted
     click.echo(
         f"{len(report.days)} days, {report.n_flexible} heat pumps: "
@@ -298,7 +301,7 @@ def bid_command(workdir, day_str, config_path, scenarios, max_bids, mode,
     inputs = day_inputs(cfg, bundle, day, alloc=campaign_alloc(cfg, bundle))
     group, _ = day_bids(cfg, inputs)
     target = Path(out_path) if out_path else base / f"bids_{day.isoformat()}.json"
-    write_bids(target, group, day, cfg.pricing_mode)
+    write_bids(target, group, day, cfg.pricing)
     click.echo(f"{len(group.bids)} bids for {day} -> {target}")
 
 
@@ -374,6 +377,9 @@ def simulate_command(workdir, config_path, start, days, scenarios, max_bids,
         "days": len(report.days),
         "failed_days": len(report.failures),
         "n_flexible": report.n_flexible,
+    }
+    # a sum over no settled days is no result: null, as report's empty cells
+    totals = {
         "tc_inf_eur": report.tc_inf_total,
         "tc_cleared_eur": report.tc_cleared_total,
         "tc_opt_eur": report.tc_opt_total,
@@ -385,6 +391,7 @@ def simulate_command(workdir, config_path, start, days, scenarios, max_bids,
         "runtime_dispatch_s": report.runtime_total("dispatch"),
         "runtime_clearing_s": report.runtime_total("clearing"),
     }
+    summary.update((key, value if report.days else None) for key, value in totals.items())
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     _echo_summary(report)
     click.echo(f"wrote {out / 'report.csv'}, {out / 'schedules.csv'}, {out / 'summary.json'}")

@@ -25,7 +25,14 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DanglingReference, GridMismatch, InsufficientHistory, SchemaError
+from .errors import (
+    DanglingReference,
+    DisconnectedNode,
+    FlexbidError,
+    GridMismatch,
+    InsufficientHistory,
+    SchemaError,
+)
 from .grid import Line, Node, RadialNetwork, validate_radial
 from .scenarios import PriceSeries, naive_forecast
 from .thermal import BuildingParams
@@ -223,6 +230,9 @@ def read_prices(path: str | Path) -> tuple[dict[date, np.ndarray], dict[date, np
 
 
 def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwork:
+    """The feeder in nodes.csv and edges.csv.  A bad row fails naming its
+    file and line; a network that is not a radial tree fails with
+    validate_radial's error, prefixed with both paths."""
     nodes: dict[int, Node] = {}
     lineno_by_id: dict[int, int] = {}
     for lineno, row in _rows(nodes_path, NODES_HEADER):
@@ -242,6 +252,10 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
         v_nom = _float(nodes_path, lineno, "v_nom_pu", row[7])
         if p_cap < 0:
             raise SchemaError(f"{nodes_path}:{lineno}: p_cap_kW must be >= 0")
+        if ancestor is None and not is_sub:
+            raise DisconnectedNode(
+                f"{nodes_path}:{lineno}: node {nid} has no ancestor_id and is not a substation"
+            )
         if is_sub and s_rating <= 0:
             raise SchemaError(f"{nodes_path}:{lineno}: substation needs s_rating_kVA > 0")
         nodes[nid] = Node(
@@ -265,7 +279,10 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
         raise SchemaError(f"{nodes_path}: no substation row")
     s_base = substations[0].s_rating_kva
     net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=s_base)
-    validate_radial(net)
+    try:
+        validate_radial(net)
+    except FlexbidError as exc:
+        raise type(exc)(f"{nodes_path}, {edges_path}: {exc}") from None
     return net
 
 
@@ -329,18 +346,17 @@ class InstanceBundle:
         if forecaster not in ("column", "naive"):
             raise ValueError(f"unknown forecaster {forecaster!r}")
         if forecaster == "column" and self.forecast is not None:
-            return PriceSeries(horizon=HOURS, realized=dict(self.realized),
-                               forecast=dict(self.forecast))
+            return PriceSeries(realized=dict(self.realized), forecast=dict(self.forecast))
         if forecaster == "column":
             log.info("prices carry no forecast column; falling back to the naive forecaster")
-        realized_only = PriceSeries(horizon=HOURS, realized=dict(self.realized), forecast={})
+        realized_only = PriceSeries(realized=dict(self.realized), forecast={})
         forecast: dict[date, np.ndarray] = {}
         for d in sorted(self.realized):
             try:
                 forecast[d] = naive_forecast(realized_only, d)
             except InsufficientHistory:
                 continue  # first day has no history; later days are covered
-        return PriceSeries(horizon=HOURS, realized=dict(self.realized), forecast=forecast)
+        return PriceSeries(realized=dict(self.realized), forecast=forecast)
 
 
 def ingest(

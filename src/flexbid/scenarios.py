@@ -31,7 +31,6 @@ log = logging.getLogger(__name__)
 class PriceSeries:
     """Realized and forecast day-ahead prices on a shared (date, hour) grid."""
 
-    horizon: int
     realized: Mapping[date, np.ndarray] = field(default_factory=dict)
     forecast: Mapping[date, np.ndarray] = field(default_factory=dict)
 

@@ -4,9 +4,10 @@ Every delivery day runs one pipeline whatever the market mode: price
 scenarios from forecast-residual history, one cost-minimal dispatch per
 scenario, the dispatches aggregated into an exclusive group of block
 bids, the group cleared against realized prices, and the award
-disaggregated back to the individual buildings.  `run_day` bids every
-scenario; `efficiency_vs_bids` settles the same dispatch at several bid
-budgets, each on its first B scenarios.  Only the dispatch step
+disaggregated back to the individual buildings.  Every day bids its
+first min(S, max_bids) scenarios, each at `CampaignConfig.bid_price`
+per MWh of its own energy; `efficiency_vs_bids` settles the same
+dispatch at several bid budgets.  Only the dispatch step
 depends on the mode, so it sits behind a small dispatcher: `_Fleet`
 solves block-diagonal LPs of up to `thermal.BLOCK` independent heat
 pumps (unbundled utility), `_Network` one network OPF over all of them
@@ -39,7 +40,7 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .bidding import PricingMode, build_exclusive_group, disaggregate
+from .bidding import MAX_BIDS, build_exclusive_group, disaggregate
 from .clearing import clear
 from .errors import EmptyInput, FlexbidError, GridMismatch, InvalidOrdering, SchemaError
 from .grid import GridTimeSeries, OpfModel, RadialNetwork, allocate_buildings
@@ -52,17 +53,18 @@ log = logging.getLogger(__name__)
 MODES = ("unbundled", "integrated")
 PRICINGS = ("truthful", "mabp")
 FORECASTERS = ("column", "naive")
-MAX_BIDS = 24  # an exclusive group's bid cap
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything that shapes a simulation run, with market defaults."""
+    """Everything that shapes a simulation run, with market defaults.
+    Each day bids its first min(s_count, max_bids) scenarios, each at
+    bid_price per MWh of its own energy."""
 
     start: date
     days: int
     s_count: int = 24
-    max_bids: int = 24
+    max_bids: int = MAX_BIDS
     mode: str = "unbundled"
     pricing: str = "truthful"
     forecaster: str = "column"
@@ -95,10 +97,9 @@ class CampaignConfig:
                 raise ValueError(f"{name} must be finite and > 0")
 
     @property
-    def pricing_mode(self) -> PricingMode:
-        if self.pricing == "truthful":
-            return PricingMode.truthful(voll=self.voll)
-        return PricingMode.mabp(price_cap=self.price_cap)
+    def bid_price(self) -> float:
+        """EUR/MWh of every bid: voll when truthful, price_cap for mabp."""
+        return self.voll if self.pricing == "truthful" else self.price_cap
 
     @property
     def campaign_days(self) -> list[date]:
@@ -151,7 +152,6 @@ class DayInputs:
 @dataclass
 class DayResult:
     day: date
-    mode: str
     tc_inf: float
     tc_cleared: float
     tc_opt: float
@@ -298,14 +298,13 @@ def _dispatch(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None = None)
     return _Dispatched(disp, X, cost, inflexible, time.perf_counter() - t0)
 
 
-def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched, n_rows: int) -> DayResult:
-    """Bids -> clearing -> award: the first n_rows scenario dispatches
-    make the exclusive group, capped at cfg.max_bids, which clears
-    against the realized prices; the award is then evaluated there."""
+def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched) -> DayResult:
+    """Bids -> clearing -> award: the first min(S, max_bids) scenario
+    dispatches make the exclusive group, which clears against the
+    realized prices; the award is then evaluated there."""
     disp, dt = day.disp, cfg.comfort.dt
     tc_inf, shed_kwh, hp_cost = day.inflexible
-    result = dict(day=inputs.day, mode=cfg.mode, tc_inf=tc_inf,
-                  price_std=float(np.std(inputs.realized)))
+    result = dict(day=inputs.day, tc_inf=tc_inf, price_std=float(np.std(inputs.realized)))
     if day.X is None:
         return DayResult(
             **result, tc_cleared=tc_inf, tc_opt=tc_inf, eta=None, n_bids=0,
@@ -313,8 +312,9 @@ def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched, n_rows: in
             hp_cost_cleared=hp_cost, runtime={"dispatch": day.seconds, "clearing": 0.0},
         )
     t0 = time.perf_counter()
+    # X ends with the realized row, which the slice never reaches
     group, ledger = build_exclusive_group(
-        day.X[:n_rows], disp.ids, cfg.pricing_mode, max_bids=cfg.max_bids, dt=dt
+        day.X[:min(cfg.s_count, cfg.max_bids)], cfg.bid_price, cfg.max_bids, dt
     )
     outcome = clear(group, inputs.realized, dt=dt)
     fallback = outcome.accepted_index is None
@@ -341,25 +341,24 @@ def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched, n_rows: in
 
 
 def run_day(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None = None) -> DayResult:
-    """The full pipeline for one delivery day, every scenario bid; its
-    sweeps start from `bases` and leave their final bases there."""
-    return _settle(cfg, inputs, _dispatch(cfg, inputs, bases), cfg.s_count)
+    """The full pipeline for one delivery day; its sweeps start from
+    `bases` and leave their final bases there."""
+    return _settle(cfg, inputs, _dispatch(cfg, inputs, bases))
 
 
 def day_bids(cfg: CampaignConfig, inputs: DayInputs):
     """Scenarios -> dispatches -> exclusive group, without clearing it.
 
     This is the auction-desk view: what gets submitted before the
-    realized prices exist.  Returns (group, ledger).
+    realized prices exist: the first min(S, max_bids) scenarios only.
+    Returns (group, ledger), resources in sorted building-id order.
     """
     price_rows = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
     disp = _dispatcher(cfg, inputs)
     if not disp.ids:
         raise EmptyInput("no heat pumps to bid with")
-    X, _ = disp.solve(price_rows)
-    return build_exclusive_group(
-        X, disp.ids, cfg.pricing_mode, max_bids=cfg.max_bids, dt=cfg.comfort.dt
-    )
+    X, _ = disp.solve(price_rows[:min(cfg.s_count, cfg.max_bids)])
+    return build_exclusive_group(X, cfg.bid_price, cfg.max_bids, cfg.comfort.dt)
 
 
 @dataclass
@@ -479,7 +478,7 @@ def efficiency_vs_bids(
 
     def sweep(inputs: DayInputs, bases: dict) -> list[DayResult]:
         day = _dispatch(cfg, inputs, bases)
-        return [_settle(c, inputs, day, c.max_bids) for c in cfgs]
+        return [_settle(c, inputs, day) for c in cfgs]
 
     days, failures = _each_day(cfg, bundle, sweep)
     return [

@@ -71,7 +71,6 @@ class SyntheticSpec:
     depth: int = 3  # nodes per arm
     rating_margin: float = 1.08  # substation rating over the diversified fixed peak
     volatility: float = 1.0  # scales the price pattern and all surprises; 0 = flat
-    rar: float = 0.05
 
     def __post_init__(self):
         if not (0.0 < self.hp_share_pct <= 100.0):

@@ -124,7 +124,9 @@ def test_disaggregation_reassembles_the_accepted_bid():
         if outcome.accepted_index is None:
             continue
         accepted += 1
-        awarded = dict(zip(ledger.resource_ids, disaggregate(ledger, outcome.alpha)))
+        # the ledger's resources are the heat pumps, in sorted id order
+        ids = sorted(b.id for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0)
+        awarded = dict(zip(ids, disaggregate(ledger, outcome.alpha)))
         total_mw = sum(awarded.values()) / 1000.0
         target_mw = sum(a * bid.profile for a, bid in zip(outcome.alpha, group.bids))
         worst_mw = max(worst_mw, float(np.abs(total_mw - target_mw).max()))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from flexbid.bidding import (
     BlockBid,
     ExclusiveGroup,
-    PricingMode,
     build_exclusive_group,
     disaggregate,
     read_bids,
@@ -26,6 +25,8 @@ from flexbid.thermal import (
 )
 
 T = 4
+TRUTHFUL = 10000.0  # EUR/MWh, the value of served load
+CAP = 4000.0  # EUR/MWh, the exchange's maximum admissible bid price
 
 
 def scenario(*per_resource):
@@ -33,43 +34,40 @@ def scenario(*per_resource):
     return np.array(per_resource, dtype=float)
 
 
-def group_of(scenarios, mode, **kw):
-    """build_exclusive_group over the (S, R, T) stack of scenarios."""
-    X = np.array(scenarios, dtype=float)
-    return build_exclusive_group(X, [f"r{i + 1}" for i in range(X.shape[1])], mode, **kw)
+def group_of(scenarios, price=TRUTHFUL, max_bids=24):
+    """build_exclusive_group over the (S, R, T) stack of scenarios, hourly steps."""
+    return build_exclusive_group(np.array(scenarios, dtype=float), price, max_bids, 1.0)
 
 
 def test_aggregation_sums_and_converts_to_mw():
     # R=2: [1,0,...] kW and [0,1,...] kW -> [0.001, 0.001, ...] MW
-    group, ledger = group_of(
-        [scenario([1, 0, 0, 0], [0, 1, 0, 0])], PricingMode.truthful(),
-    )
+    group, ledger = group_of([scenario([1, 0, 0, 0], [0, 1, 0, 0])])
     np.testing.assert_allclose(group.bids[0].profile, [0.001, 0.001, 0.0, 0.0])
-    assert ledger.resource_ids == ["r1", "r2"]
+    assert ledger.schedules_kw.shape == (1, 2, T)
 
 
 def test_identical_aggregates_merge_into_one_bid():
     s1 = scenario([1, 0, 1, 0], [1, 1, 0, 0])  # aggregate [2,1,1,0]
     s2 = scenario([0, 1, 1, 0], [2, 0, 0, 0])  # same aggregate, different split
-    group, ledger = group_of([s1, s2], PricingMode.truthful())
+    group, ledger = group_of([s1, s2])
     assert len(group.bids) == 1
     assert ledger.bid_scenarios == [[1 - 1, 1]]  # both scenarios behind bid 0
     # merged bid executes with the lowest contributing scenario's schedules
     np.testing.assert_array_equal(disaggregate(ledger, np.ones(1))[0], [1, 0, 1, 0])
 
 
-def test_mabp_prices_every_bid_at_cap_times_base_energy():
-    # sum of baseline energies 10 kWh = 0.01 MWh at 4000 EUR/MWh -> 40 EUR
+def test_mabp_prices_every_bid_at_cap_times_its_energy():
+    # 10 kWh = 0.01 MWh at 4000 EUR/MWh -> 40 EUR; 9 kWh -> 36 EUR
     s1 = scenario([2, 2, 2, 0], [1, 1, 1, 1])  # energies 6 + 4 = 10 kWh
-    s2 = scenario([0, 2, 2, 2], [1, 1, 1, 1])
-    group, _ = group_of([s1, s2], PricingMode.mabp())
-    assert [b.price for b in group.bids] == [pytest.approx(40.0)] * 2
+    s2 = scenario([0, 2, 2, 2], [1, 1, 1, 0])  # energies 6 + 3 = 9 kWh
+    group, _ = group_of([s1, s2], CAP)
+    assert [b.price for b in group.bids] == [pytest.approx(40.0), pytest.approx(36.0)]
 
 
 def test_truthful_price_is_voll_times_energy_and_constant():
     s1 = scenario([2, 2, 2, 0], [1, 1, 1, 1])
     s2 = scenario([0, 2, 2, 2], [1, 1, 1, 1])
-    group, _ = group_of([s1, s2], PricingMode.truthful())
+    group, _ = group_of([s1, s2], TRUTHFUL)
     # VoLL 10000 EUR/MWh * 1 h * 0.01 MW-sum = 100 EUR, identical across bids
     assert [b.price for b in group.bids] == [pytest.approx(100.0)] * 2
 
@@ -77,30 +75,31 @@ def test_truthful_price_is_voll_times_energy_and_constant():
 def test_too_many_distinct_profiles_raises():
     scenarios = [scenario([i + 1, 0, 0, 0]) for i in range(5)]
     with pytest.raises(TooManyBids):
-        group_of(scenarios, PricingMode.truthful(), max_bids=4)
+        group_of(scenarios, max_bids=4)
     # but duplicates do not count against the cap
     scenarios[-1] = scenario([1, 0, 0, 0])
-    group, _ = group_of(scenarios, PricingMode.truthful(), max_bids=4)
+    group, _ = group_of(scenarios, max_bids=4)
     assert len(group.bids) == 4
 
 
 def test_empty_inputs_raise():
     with pytest.raises(EmptyInput):
-        build_exclusive_group(np.zeros((0, 1, T)), ["r1"], PricingMode.truthful())
+        group_of(np.zeros((0, 1, T)))
     with pytest.raises(EmptyInput):
-        build_exclusive_group(np.zeros((1, 0, T)), [], PricingMode.truthful())
-    # ids must label every resource of the array, no more and no fewer
-    with pytest.raises(ValueError, match="resource ids"):
-        build_exclusive_group(
-            np.array([scenario([1, 0, 0, 0])]), ["r1", "other"], PricingMode.truthful(),
-        )
+        group_of(np.zeros((1, 0, T)))
+
+
+@pytest.mark.parametrize("price", [0.0, -4000.0, float("nan"), float("inf")])
+def test_a_price_that_is_not_finite_and_positive_raises(price):
+    with pytest.raises(ValueError, match="bid price must be finite and > 0"):
+        group_of([scenario([1, 0, 0, 0])], price)
 
 
 def test_group_is_deterministic():
     scenarios = [scenario([1, 2, 0, 0], [0, 1, 1, 0]),
                  scenario([2, 1, 0, 0], [1, 0, 1, 0])]
-    g1, _ = group_of(scenarios, PricingMode.truthful())
-    g2, _ = group_of(scenarios, PricingMode.truthful())
+    g1, _ = group_of(scenarios)
+    g2, _ = group_of(scenarios)
     assert len(g1.bids) == len(g2.bids)
     for a, b in zip(g1.bids, g2.bids):
         np.testing.assert_array_equal(a.profile, b.profile)
@@ -124,7 +123,7 @@ def three_bid_ledger():
         scenario([0, 1, 0, 0], [0, 0, 0, 2]),
         scenario([1, 1, 0, 0], [2, 0, 0, 0]),
     ]
-    return group_of(scenarios, PricingMode.truthful())
+    return group_of(scenarios)
 
 
 def test_full_acceptance_returns_scenario_verbatim(three_bid_ledger):
@@ -180,9 +179,7 @@ def test_array_bidding_path_property(data):
     for s in range(1, S):
         if rng.uniform() < 0.4:
             X[s] = X[rng.integers(0, s)]
-    group, ledger = build_exclusive_group(
-        X, [f"r{r}" for r in range(R)], PricingMode.truthful()
-    )
+    group, ledger = group_of(X)
 
     aggregates = np.zeros((S, horizon))
     for r in range(R):
@@ -215,9 +212,7 @@ def test_disaggregated_schedules_respect_building_constraints():
         for i in range(2)
     ]
     X, _, _ = DispatchModel(buildings, cfg, t_out).solve(rng.uniform(20, 140, (4, 24)))
-    group, ledger = build_exclusive_group(
-        X, [b.id for b in buildings], PricingMode.truthful()
-    )
+    group, ledger = build_exclusive_group(X, TRUTHFUL, 24, cfg.dt)
     alpha = np.zeros(len(group.bids))
     alpha[0] = 1.0
     awarded = disaggregate(ledger, alpha)
@@ -231,9 +226,9 @@ def test_disaggregated_schedules_respect_building_constraints():
 def test_bids_json_round_trip(tmp_path):
     scenarios = [scenario([1, 2, 0, 0], [0, 1, 1, 0]),
                  scenario([2, 1, 0, 0], [1, 0, 1, 0])]
-    group, _ = group_of(scenarios, PricingMode.mabp())
+    group, _ = group_of(scenarios, CAP)
     path = tmp_path / "bids.json"
-    write_bids(path, group, date(2025, 1, 15), PricingMode.mabp())
+    write_bids(path, group, date(2025, 1, 15), "mabp")
     loaded, header = read_bids(path)
     assert header == {"day": "2025-01-15", "max_bids": 24, "pricing_mode": "mabp"}
     assert len(loaded.bids) == len(group.bids)

@@ -217,6 +217,23 @@ def test_a_campaign_without_a_settled_day_writes_empty_totals(workspace, runner)
     assert set(row.values()) == {""}
 
 
+def test_simulate_without_a_settled_day_writes_null_totals(workspace, runner):
+    # every day lies past the data: a sum over no days once read as 0
+    payload = json.loads((workspace / "campaign.json").read_text())
+    payload["campaign"]["start"] = "2025-02-01"
+    (workspace / "campaign.json").write_text(json.dumps(payload))
+    res = runner.invoke(main, ["simulate", str(workspace), "--days", "1", *FAST])
+    assert res.exit_code == 1
+    assert "failed 2025-02-01: GridMismatch" in res.stderr
+    assert "0 days, 4 heat pumps: no day settled" in res.stdout
+    assert "savings" not in res.stdout
+    summary = json.loads((workspace / "summary.json").read_text())
+    assert summary.pop("days") == 0 and summary.pop("failed_days") == 1
+    assert summary.pop("n_flexible") == 4
+    assert (summary.pop("mode"), summary.pop("pricing")) == ("unbundled", "truthful")
+    assert len(summary) == 10 and set(summary.values()) == {None}
+
+
 def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     payload = json.loads((workspace / "campaign.json").read_text())
     del payload["synthetic"]
@@ -238,6 +255,8 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     (lambda payload: payload["campaign"].update(scenarioz=24), "unknown keys: campaign.scenarioz"),
     (lambda payload: payload["campaign"].update(days=2.5), "campaign.days"),
     (lambda payload: payload["synthetic"].update(seedz=1), "unknown keys: synthetic.seedz"),
+    # nothing read synthetic.rar; the campaign's rar sets the reactive load
+    (lambda payload: payload["synthetic"].update(rar=0.05), "unknown keys: synthetic.rar"),
     (lambda payload: payload.update(
         synthetic={k: v for k, v in payload["synthetic"].items() if k != "start"}),
      "missing key: synthetic.start"),

@@ -1,14 +1,26 @@
 """File ingestion: schema police, cross-checks, and byte-stable round trips."""
 
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flexbid.errors import DanglingReference, GridMismatch, SchemaError
+from flexbid.errors import (
+    CycleDetected,
+    DanglingReference,
+    DisconnectedNode,
+    FlexbidError,
+    GridMismatch,
+    SchemaError,
+)
 from flexbid.ingest import (
     ingest,
     read_buildings,
+    read_network,
     read_prices,
     read_weather,
     write_buildings,
@@ -243,6 +255,29 @@ def test_edge_to_unknown_node(tmp_path):
         ingest(b, w, p, f, nodes=nodes, edges=edges)
 
 
+def test_a_network_that_is_no_tree_names_both_files(tmp_path):
+    # load nodes 1 and 2 name each other as ancestor: a loop off the substation
+    nodes = write(
+        tmp_path, "nodes.csv",
+        "id,ancestor_id,x_m,y_m,p_cap_kW,is_substation,s_rating_kVA,v_nom_pu\n"
+        "0,,0,0,0,true,100,1.0\n1,2,1,0,10,false,0,1.0\n2,1,2,0,10,false,0,1.0\n",
+    )
+    edges = write(
+        tmp_path, "edges.csv",
+        "from_id,to_id,r_pu,x_pu,s_rating_pu\n1,2,0.01,0.005,1.0\n2,1,0.01,0.005,1.0\n",
+    )
+    with pytest.raises(CycleDetected) as err:
+        read_network(nodes, edges)
+    assert str(err.value).startswith(f"{nodes}, {edges}: ancestor chains of nodes [1, 2] loop")
+
+
+def test_a_load_node_without_ancestor_points_at_its_line(tmp_path):
+    nodes, edges = network_files(tmp_path)
+    nodes.write_text(nodes.read_text().replace("1,0,1,0", "1,,1,0"))
+    with pytest.raises(DisconnectedNode, match=r"nodes.csv:3: node 1 has no ancestor_id"):
+        read_network(nodes, edges)
+
+
 def test_boolean_spellings(tmp_path):
     write(
         tmp_path, "buildings.csv",
@@ -251,6 +286,37 @@ def test_boolean_spellings(tmp_path):
     )
     with pytest.raises(SchemaError, match=r"column 'has_hp': not a boolean: 'maybe'"):
         read_buildings(tmp_path / "buildings.csv")
+
+
+@pytest.fixture(scope="module")
+def instance_lines(tmp_path_factory):
+    """A generated instance's CSV files, each as a list of lines."""
+    spec = SyntheticSpec(n_buildings=9, hp_share_pct=30.0, n_days=2, seed=3)
+    files = generate_synthetic(spec, tmp_path_factory.mktemp("instance"))
+    return {key: path.read_text().splitlines() for key, path in files.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_bad_cell_fails_naming_its_file_and_line(instance_lines, data):
+    """A non-finite, empty or non-numeric cell anywhere in an instance
+    fails ingest with a FlexbidError that names the file and the line."""
+    key = data.draw(st.sampled_from(sorted(instance_lines)), label="file")
+    lines = list(instance_lines[key])
+    lineno = data.draw(st.integers(2, len(lines)), label="line")
+    row = lines[lineno - 1].split(",")
+    col = data.draw(st.integers(0, len(row) - 1), label="column")
+    # building ids are free text, so only an empty one is bad
+    bad = [""] if key == "buildings" and col == 0 else ["nan", "inf", "", "x"]
+    row[col] = data.draw(st.sampled_from([cell for cell in bad if cell != row[col]]))
+    lines[lineno - 1] = ",".join(row)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.csv" for name in instance_lines}
+        for name, path in paths.items():
+            path.write_text("\n".join(lines if name == key else instance_lines[name]) + "\n")
+        with pytest.raises(FlexbidError) as err:
+            ingest(**paths)
+    assert f"{paths[key]}:{lineno}: " in str(err.value)
 
 
 # ----------------------------------------------------------- round trips

@@ -16,7 +16,7 @@ def series(days, realized=None, forecast=None):
     """PriceSeries over consecutive days starting at D0 - len(days)."""
     realized = realized or {}
     forecast = forecast or {}
-    return PriceSeries(horizon=T, realized=realized, forecast=forecast)
+    return PriceSeries(realized=realized, forecast=forecast)
 
 
 def flat(v):
@@ -24,7 +24,7 @@ def flat(v):
 
 
 def test_single_scenario_is_the_point_forecast():
-    hist = PriceSeries(horizon=T, realized={}, forecast={D0: flat(50.0)})
+    hist = PriceSeries(realized={}, forecast={D0: flat(50.0)})
     scen = generate_scenarios(D0, 1, hist)
     assert scen.shape == (1, T)
     np.testing.assert_array_equal(scen[0], flat(50.0))
@@ -34,7 +34,6 @@ def test_hand_worked_residual_row():
     # forecast 50; yesterday forecast 40 realized 45 -> residual -5 -> row 55
     prev = D0 - timedelta(days=1)
     hist = PriceSeries(
-        horizon=T,
         realized={prev: flat(45.0)},
         forecast={prev: flat(40.0), D0: flat(50.0)},
     )
@@ -46,7 +45,7 @@ def test_perfect_history_collapses_all_rows():
     days = [D0 - timedelta(days=k) for k in range(1, 6)]
     realized = {d: flat(40 + i) for i, d in enumerate(days)}
     hist = PriceSeries(
-        horizon=T, realized=realized,
+        realized=realized,
         forecast={**realized, D0: flat(77.0)},
     )
     scen = generate_scenarios(D0, 6, hist)
@@ -59,7 +58,7 @@ def test_rows_reconstruct_from_residuals_newest_first():
     realized = {d: rng.uniform(20, 120, T) for d in days}
     forecast = {d: realized[d] + rng.normal(0, 5, T) for d in days}
     forecast[D0] = rng.uniform(20, 120, T)
-    hist = PriceSeries(horizon=T, realized=realized, forecast=forecast)
+    hist = PriceSeries(realized=realized, forecast=forecast)
 
     scen = generate_scenarios(D0, 8, hist)
     np.testing.assert_array_equal(scen[0], forecast[D0])
@@ -75,7 +74,7 @@ def test_nested_prefix_property():
     realized = {d: rng.uniform(10, 150, T) for d in days}
     forecast = {d: realized[d] + rng.normal(0, 8, T) for d in days}
     forecast[D0] = rng.uniform(10, 150, T)
-    hist = PriceSeries(horizon=T, realized=realized, forecast=forecast)
+    hist = PriceSeries(realized=realized, forecast=forecast)
     full = generate_scenarios(D0, 24, hist)
     for s in (1, 2, 5, 13, 24):
         part = generate_scenarios(D0, s, hist)
@@ -86,7 +85,6 @@ def test_warm_up_duplicates_oldest_residual():
     d1 = D0 - timedelta(days=1)
     d2 = D0 - timedelta(days=2)
     hist = PriceSeries(
-        horizon=T,
         realized={d1: flat(45.0), d2: flat(60.0)},
         forecast={d1: flat(40.0), d2: flat(50.0), D0: flat(50.0)},
     )
@@ -101,7 +99,6 @@ def test_history_gaps_shrink_lookback_instead_of_breaking():
     # only days d-3 and d-9 carry residuals; both get used
     d3, d9 = D0 - timedelta(days=3), D0 - timedelta(days=9)
     hist = PriceSeries(
-        horizon=T,
         realized={d3: flat(30.0), d9: flat(90.0)},
         forecast={d3: flat(35.0), d9: flat(80.0), D0: flat(50.0)},
     )
@@ -111,10 +108,10 @@ def test_history_gaps_shrink_lookback_instead_of_breaking():
 
 
 def test_missing_forecast_or_history_raises():
-    hist = PriceSeries(horizon=T, realized={}, forecast={})
+    hist = PriceSeries(realized={}, forecast={})
     with pytest.raises(InsufficientHistory):
         generate_scenarios(D0, 1, hist)
-    hist = PriceSeries(horizon=T, realized={}, forecast={D0: flat(50.0)})
+    hist = PriceSeries(realized={}, forecast={D0: flat(50.0)})
     with pytest.raises(InsufficientHistory):
         generate_scenarios(D0, 2, hist)
 
@@ -123,7 +120,7 @@ def test_missing_forecast_or_history_raises():
 
 def test_naive_single_prior_day():
     prev = D0 - timedelta(days=1)
-    hist = PriceSeries(horizon=T, realized={prev: flat(62.0)}, forecast={})
+    hist = PriceSeries(realized={prev: flat(62.0)}, forecast={})
     np.testing.assert_array_equal(naive_forecast(hist, D0), flat(62.0))
 
 
@@ -132,7 +129,6 @@ def test_naive_weekday_class_rule():
     friday = D0 - timedelta(days=3)
     sunday = D0 - timedelta(days=1)
     hist = PriceSeries(
-        horizon=T,
         realized={friday: flat(70.0), sunday: flat(30.0)},
         forecast={},
     )
@@ -140,7 +136,6 @@ def test_naive_weekday_class_rule():
     # and a Sunday looks back to Saturday, skipping the Friday
     saturday = D0 - timedelta(days=2)
     hist2 = PriceSeries(
-        horizon=T,
         realized={friday: flat(70.0), saturday: flat(25.0)},
         forecast={},
     )
@@ -151,10 +146,10 @@ def test_naive_weekday_class_rule():
 
 def test_naive_constant_history_is_constant():
     days = [D0 - timedelta(days=k) for k in range(1, 9)]
-    hist = PriceSeries(horizon=T, realized={d: flat(44.0) for d in days}, forecast={})
+    hist = PriceSeries(realized={d: flat(44.0) for d in days}, forecast={})
     np.testing.assert_array_equal(naive_forecast(hist, D0), flat(44.0))
 
 
 def test_naive_no_history_raises():
     with pytest.raises(InsufficientHistory):
-        naive_forecast(PriceSeries(horizon=T), D0)
+        naive_forecast(PriceSeries(), D0)

@@ -213,7 +213,7 @@ def test_campaign_totals_are_day_sums(small_bundle):
 def test_weighted_and_mean_eta_aggregate_differently():
     def day(inf, cleared, opt):
         return DayResult(
-            day=date(2025, 1, 1), mode="unbundled", tc_inf=inf, tc_cleared=cleared,
+            day=date(2025, 1, 1), tc_inf=inf, tc_cleared=cleared,
             tc_opt=opt, eta=efficiency(inf, cleared, opt), n_bids=1,
             accepted_index=0, fallback=False, awarded_kw={}, shed_kwh=0.0,
             hp_cost_cleared=0.0, price_std=0.0, runtime={"dispatch": 0, "clearing": 0},
@@ -315,6 +315,22 @@ def test_full_bid_budget_is_the_campaign(small_bundle, mode):
     assert swept.config == report.config
     assert [(d.tc_inf, d.tc_cleared, d.tc_opt, d.eta, d.n_bids) for d in swept.days] == [
         (d.tc_inf, d.tc_cleared, d.tc_opt, d.eta, d.n_bids) for d in report.days
+    ]
+
+
+@pytest.mark.parametrize("pricing", ["truthful", "mabp"])
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_a_bid_budget_below_the_scenario_count_is_the_sweep_at_that_budget(
+        small_bundle, mode, pricing):
+    # max_bids < S bids the first max_bids scenarios, as the sweep does;
+    # it used to fail every day once their distinct profiles outnumbered it
+    cfg = cfg_for(small_bundle, days=2, mode=mode, pricing=pricing)
+    (swept,) = efficiency_vs_bids(cfg, small_bundle, b_values=[4])
+    report = run_campaign(dataclasses.replace(cfg, max_bids=4), small_bundle)
+    assert report.failures == [] and len(report.days) == 2
+    assert [(d.tc_inf, d.tc_cleared, d.tc_opt, d.n_bids, d.accepted_index)
+            for d in report.days] == [
+        (d.tc_inf, d.tc_cleared, d.tc_opt, d.n_bids, d.accepted_index) for d in swept.days
     ]
 
 

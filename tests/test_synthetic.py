@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flexbid.grid import GridTimeSeries, OpfModel, RadialNetwork, allocate_buildings
+from flexbid.simulate import CampaignConfig
 from flexbid.synthetic import SyntheticSpec, generate_instance
 from flexbid.thermal import ComfortConfig, baseline_profile
 
@@ -115,7 +116,7 @@ def test_spec_dict_roundtrip():
 
 # ------------------------------------------------- stress calibration
 
-def _grid_premium(bundle, spec, n_days=3):
+def _grid_premium(bundle, n_days=3):
     """Extra cost the real ratings impose over a copper-plate feeder."""
     alloc = allocate_buildings(bundle.buildings, bundle.network)
     roomy_lines = [
@@ -131,7 +132,7 @@ def _grid_premium(bundle, spec, n_days=3):
                            s_base_kva=bundle.network.s_base_kva)
     premium = shed = 0.0
     for d in bundle.dates[:n_days]:
-        series = GridTimeSeries(slf=bundle.slf[d], cf=bundle.cf[d], rar=spec.rar)
+        series = GridTimeSeries(slf=bundle.slf[d], cf=bundle.cf[d], rar=CampaignConfig.rar)
         args = (bundle.buildings, alloc, ComfortConfig(), bundle.weather[d], series)
         tight = OpfModel(bundle.network, *args).solve(bundle.realized[d])
         free = OpfModel(copper, *args).solve(bundle.realized[d])
@@ -143,7 +144,7 @@ def _grid_premium(bundle, spec, n_days=3):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_low_share_leaves_the_grid_unconstrained(seed):
     spec = SyntheticSpec(n_buildings=30, hp_share_pct=15.0, n_days=5, seed=seed)
-    premium, shed = _grid_premium(generate_instance(spec), spec)
+    premium, shed = _grid_premium(generate_instance(spec))
     assert premium == pytest.approx(0.0, abs=1e-6)
     assert shed == 0.0
 
@@ -151,7 +152,7 @@ def test_low_share_leaves_the_grid_unconstrained(seed):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_high_share_congests_the_substation(seed):
     spec = SyntheticSpec(n_buildings=30, hp_share_pct=60.0, n_days=5, seed=seed)
-    premium, shed = _grid_premium(generate_instance(spec), spec)
+    premium, shed = _grid_premium(generate_instance(spec))
     assert premium > 1e-3  # ratings actively reshape the dispatch
     assert shed == 0.0  # stress reschedules heat pumps, never blacks out
 
@@ -159,5 +160,5 @@ def test_high_share_congests_the_substation(seed):
 def test_rating_margin_knob_relieves_the_stress():
     spec = SyntheticSpec(n_buildings=30, hp_share_pct=60.0, n_days=5, seed=3,
                          rating_margin=2.0)
-    premium, _ = _grid_premium(generate_instance(spec), spec)
+    premium, _ = _grid_premium(generate_instance(spec))
     assert premium == pytest.approx(0.0, abs=1e-6)
