@@ -163,8 +163,8 @@ def read_bids(path: str | Path) -> tuple[ExclusiveGroup, dict]:
 
     Raises SchemaError naming the file when it is not valid JSON, lacks a
     key write_bids writes, gives a day that is not an ISO date or a
-    max_bids that is not an integer, or holds a price_eur or profile_mw
-    value that is not a finite number.
+    max_bids that is not an integer in 1..MAX_BIDS, or holds a price_eur
+    or profile_mw value that is not a finite number.
     """
     payload = read_json(path)
     try:
@@ -178,13 +178,14 @@ def read_bids(path: str | Path) -> tuple[ExclusiveGroup, dict]:
         date.fromisoformat(header["day"])
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: day {header['day']!r} is not an ISO date") from None
-    if type(header["max_bids"]) is not int:
-        raise SchemaError(f"{path}: max_bids {header['max_bids']!r} is not an integer")
+    max_bids = header["max_bids"]
+    if type(max_bids) is not int or not 1 <= max_bids <= MAX_BIDS:
+        raise SchemaError(f"{path}: max_bids {max_bids!r} is not an integer in 1..{MAX_BIDS}")
     for i, (profile, price) in enumerate(pairs):
         if not (isinstance(profile, list) and all(map(_finite, [price, *profile]))):
             raise SchemaError(f"{path}: bid {i}: price_eur and profile_mw must be finite numbers")
     bids = [BlockBid(profile=np.array(p, dtype=float), price=float(c)) for p, c in pairs]
-    return ExclusiveGroup(bids=bids, max_bids=header["max_bids"]), header
+    return ExclusiveGroup(bids=bids, max_bids=max_bids), header
 
 
 def _finite(value) -> bool:

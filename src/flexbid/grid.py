@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
@@ -308,16 +309,17 @@ def allocate_buildings(
 
 @dataclass(frozen=True)
 class OpfSolution:
-    """One solved network dispatch.
+    """One solved network dispatch, as `OpfModel.solve` returns it.
 
-    Arrays are entity-major: shed_kw[i, t] belongs to node_ids[i]; flow
-    arrays are indexed by the child node of each line, positive when
-    power moves from the ancestor toward that child.  pcc_mw is the
-    substation import from the external grid, positive into the feeder.
+    Arrays are entity-major: hp_kw[f, t] belongs to the model's ids[f],
+    shed_kw[i, t] to node_ids[i]; flow arrays are indexed by the child
+    node of each line, positive when power moves from the ancestor
+    toward that child.  pcc_mw is the substation import from the
+    external grid, positive into the feeder.
     """
 
     node_ids: list[int]
-    hp_kw: dict[str, np.ndarray]
+    hp_kw: np.ndarray
     shed_kw: np.ndarray
     u_pu2: np.ndarray
     flow_p_pu: np.ndarray
@@ -334,6 +336,9 @@ class OpfSolution:
 class OpfModel:
     """Network dispatch LP for one day, reusable across price vectors.
 
+    The heat pumps are the buildings with one, ordered by building id:
+    `ids` (F), their `baseline` schedules (F, T) and the load-node
+    position of each, `hp_node` (F), as `node_ids` orders the nodes.
     The constraint blocks depend only on the network, the buildings, and
     the day's weather/profiles, so they are assembled once, as
     row_lo <= A x <= row_hi, col_lo <= x <= col_hi with the costs `cost`
@@ -342,10 +347,13 @@ class OpfModel:
     `thermal.fleet_rows` block, placed first.  Both solve() and
     solve_rows() run the one warm-started `lp.HighsSweep` built with the
     LP, which sets the price coefficients on the substation import and
-    re-runs the solver from the previous optimal basis.  Heat-pump
-    schedules can be pinned (baseline runs, awarded profiles) by passing
-    hp_fixed to solve(), which sets that call's column bounds; a pinned
-    schedule must lie within its heat pump's rating.
+    re-runs the solver from the previous optimal basis.  solve_rows()
+    returns the (S, F, T) schedules and S objectives, as
+    `thermal.DispatchModel.solve` does; solve() returns one full
+    OpfSolution.  Heat-pump schedules can be pinned (baseline runs,
+    awarded profiles) by passing hp_fixed to solve(), which sets that
+    call's column bounds; a pinned schedule must lie within its heat
+    pump's rating.
 
     The LP holds only what some schedule within the ratings can bind:
     the reachable rating-polygon facets; the voltages, and with them
@@ -354,7 +362,7 @@ class OpfModel:
     (`kept_lines`, by child node), each with its flow columns and the
     balances of its cluster, the nodes below it up to the next kept
     line.  This is exact, and `A` is often far smaller than the full
-    LinDistFlow LP.  Every OpfSolution still carries every line's flows
+    LinDistFlow LP.  An OpfSolution still carries every line's flows
     and every node's voltage, rebuilt from the solved nodal draws, and
     `verify_solution` checks every true rating circle and voltage.
     """
@@ -396,7 +404,9 @@ class OpfModel:
                                "found only the substation")
         self.node_pos = {nid: i for i, nid in enumerate(self.node_ids)}
 
+        buildings = sorted(buildings, key=lambda b: b.id)
         self.flex = [b for b in buildings if b.has_hp and b.p_hp_rated > 0]
+        self.ids = [b.id for b in self.flex]
         for b in self.flex:
             if b.id not in alloc:
                 raise DanglingReference(f"building {b.id} has no node assignment")
@@ -409,23 +419,17 @@ class OpfModel:
             if nid == self.sub_id:
                 raise GridMismatch(f"building {b.id} assigned to the substation")
 
-        *fleet, baseline = fleet_rows(self.flex, cfg, t_out)
-        self.base_kw = dict(zip((b.id for b in self.flex), baseline))
+        *fleet, self.baseline = fleet_rows(self.flex, cfg, t_out)
+        self.hp_node = np.array([self.node_pos[alloc[b.id]] for b in self.flex], dtype=int)
+        pv = [b for b in buildings if b.p_pv_rated > 0 and b.id in alloc]
+        pv_node = np.array([self.node_pos[alloc[b.id]] for b in pv], dtype=int)
 
         # nodal fixed load: scaled connection capacity minus the baseline
         # draw of the explicitly modeled heat pumps at that node
-        N = len(self.node_ids)
-        self.p_fix_kw = np.zeros((N, T))
-        self.pv_kw = np.zeros((N, T))
-        for i, nid in enumerate(self.node_ids):
-            self.p_fix_kw[i] = net.nodes[nid].p_cap_kw * series.slf
-        flex_at_node: dict[int, list[BuildingParams]] = {nid: [] for nid in self.node_ids}
-        for b in self.flex:
-            flex_at_node[alloc[b.id]].append(b)
-            self.p_fix_kw[self.node_pos[alloc[b.id]]] -= self.base_kw[b.id]
-        for b in buildings:
-            if b.p_pv_rated > 0 and b.id in alloc:
-                self.pv_kw[self.node_pos[alloc[b.id]]] += b.p_pv_rated * series.cf
+        self.p_fix_kw = np.outer([net.nodes[nid].p_cap_kw for nid in self.node_ids], series.slf)
+        np.subtract.at(self.p_fix_kw, self.hp_node, self.baseline)
+        self.pv_kw = np.zeros_like(self.p_fix_kw)
+        np.add.at(self.pv_kw, pv_node, np.outer([b.p_pv_rated for b in pv], series.cf))
         low = self.p_fix_kw.min()
         if low < -1e-6:
             raise Infeasible(
@@ -433,15 +437,14 @@ class OpfModel:
                 "draw exceeds the scaled nodal demand; instance data is inconsistent"
             )
         np.clip(self.p_fix_kw, 0.0, None, out=self.p_fix_kw)
-        self.flex_at_node = flex_at_node
         sub = net.nodes[self.sub_id]
         self.sub_fix_kw = sub.p_cap_kw * series.slf
         self.s_sub_pu = sub.s_rating_kva / net.s_base_kva
         self.u_sub = sub.v_nom_pu**2
 
-        self._assemble([self.node_pos[alloc[b.id]] for b in self.flex], fleet)
+        self._assemble(fleet)
 
-    def _assemble(self, hp_node: list[int], fleet: list):
+    def _assemble(self, fleet: list):
         """Column blocks, entity-major and time-minor: the heat pumps'
         (F*2T, each its power then its indoor temperatures), shed (N*T),
         u (N*T, or none), fp and fq (T per kept line), pcc_p, pcc_q (T
@@ -470,7 +473,7 @@ class OpfModel:
         # voltage drop, D.T f each node's inflow minus its children's
         D = (sparse.identity(N) - sparse.coo_matrix(
             (np.ones(len(below)), (below, [anc[i] for i in below])), shape=(N, N))).tocsr()
-        H = sparse.csr_matrix((np.ones(F), (hp_node, np.arange(F))), shape=(N, F))
+        H = sparse.csr_matrix((np.ones(F), (self.hp_node, np.arange(F))), shape=(N, F))
         hours = sparse.identity(T)
         active, reactive = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
 
@@ -597,99 +600,93 @@ class OpfModel:
         """Minimize import cost plus shedding penalty at the given prices."""
         T = self.cfg.horizon
         col_lo, col_hi = self.col_lo.copy(), self.col_hi.copy()
-        flex_index = {b.id: f for f, b in enumerate(self.flex)}
         for bid, sched in (hp_fixed or {}).items():
-            if bid not in flex_index:
+            f = bisect_left(self.ids, bid)  # the heat pumps' columns come first
+            if self.ids[f:f + 1] != [bid]:
                 raise DanglingReference(f"hp_fixed names unknown building {bid}")
             sched = np.asarray(sched, dtype=float)
             if sched.shape != (T,):
                 raise ValueError(f"fixed schedule for {bid} must span {T} hours")
-            f = flex_index[bid]  # the heat pumps' columns come first
             # the LP leaves out the facets that no schedule within the
             # ratings can reach, so a pinned schedule must stay within them
             rated = self.flex[f].p_hp_rated
             if sched.min() < -1e-6 or sched.max() > rated + 1e-6:
                 raise ValueError(f"fixed schedule for {bid} leaves its rating [0, {rated}] kW")
             col_lo[2 * f * T : (2 * f + 1) * T] = col_hi[2 * f * T : (2 * f + 1) * T] = sched
-        return self._sweep(np.asarray(prices, dtype=float)[None], col_lo, col_hi)[0]
+        prices = np.asarray(prices, dtype=float)
+        X, objective = self._sweep(prices[None], col_lo, col_hi)
+        return self._solution(prices, X[0], float(objective[0]))
 
-    def solve_rows(self, price_rows: np.ndarray, bases: dict | None = None) -> list[OpfSolution]:
+    def solve_rows(self, price_rows: np.ndarray,
+                   bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Free dispatch at each (T,) row of an (S, T) price stack.
 
-        The rows differ only in the import-price costs, so one HiGHS
-        instance holds the LP and dual simplex re-solves each row from
-        the previous row's optimal basis.  The first row starts from the
-        basis `bases` holds for this LP's shape, and the last row's basis
-        is stored back there (`lp.HighsSweep.solve`); without one it is
-        solved cold, exactly as solve() would.  A row that ends on an
-        optimal vertex seen before gets that earlier row's primal point,
-        so identical schedules stay byte-identical.
+        Returns the (S, F, T) heat-pump schedules in kW, in `ids` order,
+        and the S objectives in EUR.  The rows differ only in the
+        import-price costs, so one HiGHS instance holds the LP and dual
+        simplex re-solves each row from the previous row's optimal
+        basis.  The first row starts from the basis `bases` holds for
+        this LP's shape, and the last row's basis is stored back there
+        (`lp.HighsSweep.solve`); without one it is solved cold, exactly
+        as solve() would.  A row that ends on an optimal vertex seen
+        before gets that earlier row's primal point, so identical
+        schedules stay byte-identical.
         """
         price_rows = np.asarray(price_rows, dtype=float)
         if price_rows.ndim != 2:
             raise ValueError("price_rows must be an (S, T) array")
-        return self._sweep(price_rows, bases=bases)
+        X, objective = self._sweep(price_rows, bases=bases)
+        fleet = X[:, : self._ends[0]].reshape(len(X), len(self.ids), 2, self.cfg.horizon)
+        return np.ascontiguousarray(fleet[:, :, 0]), objective
 
     def _sweep(self, price_rows: np.ndarray, col_lo: np.ndarray | None = None,
-               col_hi: np.ndarray | None = None, bases: dict | None = None) -> list[OpfSolution]:
+               col_hi: np.ndarray | None = None,
+               bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """One sweep of the day's LP over the price rows, under the given
-        column bounds (the LP's own when left out)."""
+        column bounds (the LP's own when left out): the primal points and
+        the objectives."""
         costs = np.array([self._import_cost(prices) for prices in price_rows])
         try:
-            X, objective = self._lp.solve(costs, col_lo, col_hi, bases)
+            return self._lp.solve(costs, col_lo, col_hi, bases)
         except Infeasible:
             raise Infeasible(_INFEASIBLE) from None
         except SolverFailure as exc:
             raise SolverFailure(f"network dispatch failed: {exc}") from None
-        return self._solutions(price_rows, X, objective)
 
-    def _solutions(self, price_rows: np.ndarray, X: np.ndarray,
-                   objective: np.ndarray) -> list[OpfSolution]:
-        """Unpack the primal points of the LP, one per row, into OpfSolutions.
+    def _solution(self, prices: np.ndarray, x: np.ndarray, objective: float) -> OpfSolution:
+        """Unpack one primal point of the LP into an OpfSolution.
 
         Every line's flows are rebuilt from the solved nodal draws and
         the squared voltages from them, so a contracted line gets its
         flow, and a model without voltage columns its voltages, as the
-        full LP states them: one triangular solve on D.T and one on D
-        over every row's draws, side by side."""
+        full LP states them: one triangular solve on D.T, one on D."""
         S, T = self.net.s_base_kva, self.cfg.horizon
-        N, n = len(self.node_ids), len(X)
-        fleet, shed, *_, pcc_p, pcc_q = np.split(X, self._ends[:-1], axis=1)
-        hp = fleet.reshape(n, -1, 2, T)[:, :, 0]
-        shed = shed.reshape(n, N, T)
-
-        def side_by_side(a):  # (n, rows, T) -> (rows, n * T)
-            return a.transpose(1, 0, 2).reshape(a.shape[1], n * T)
-
-        load = np.tile(self.p_fix_kw, n) + self._H @ side_by_side(hp)
-        draws = np.hstack([load - np.tile(self.pv_kw, n) - side_by_side(shed),
-                           self.series.rar * load]) / S
+        fleet, shed, *_, pcc_p, pcc_q = np.split(x, self._ends[:-1])
+        hp = fleet.reshape(-1, 2, T)[:, 0]
+        shed = shed.reshape(-1, T)
+        load = self.p_fix_kw + self._H @ hp
+        draws = np.hstack([load - self.pv_kw - shed, self.series.rar * load]) / S
         fp, fq = np.hsplit(spsolve_triangular(self._DT, draws, lower=False,
                                               unit_diagonal=True), 2)
         u = self.u_sub - 2.0 * spsolve_triangular(self._D, self._r * fp + self._x * fq,
                                                   lower=True, unit_diagonal=True)
-        u, fp, fq = (a.reshape(N, n, T).transpose(1, 0, 2) for a in (u, fp, fq))
-        sols = []
-        for k, prices in enumerate(price_rows):
-            obj = float(objective[k])
-            hp_cost = self.cfg.dt * float(np.dot(prices, hp[k].sum(axis=0))) / 1000.0
-            shed_kwh = self.cfg.dt * float(shed[k].sum())
-            sols.append(OpfSolution(
-                node_ids=list(self.node_ids),
-                hp_kw={b.id: sched.copy() for b, sched in zip(self.flex, hp[k])},
-                shed_kw=shed[k],
-                u_pu2=u[k],
-                flow_p_pu=fp[k],
-                flow_q_pu=fq[k],
-                pcc_p_pu=pcc_p[k],
-                pcc_q_pu=pcc_q[k],
-                pcc_mw=pcc_p[k] * S / 1000.0,
-                objective_eur=obj,
-                hp_cost_eur=hp_cost,
-                fixed_cost_eur=obj - self.voll * shed_kwh / 1000.0 - hp_cost,
-                shed_kwh=shed_kwh,
-            ))
-        return sols
+        hp_cost = self.cfg.dt * float(np.dot(prices, hp.sum(axis=0))) / 1000.0
+        shed_kwh = self.cfg.dt * float(shed.sum())
+        return OpfSolution(
+            node_ids=list(self.node_ids),
+            hp_kw=hp,
+            shed_kw=shed,
+            u_pu2=u,
+            flow_p_pu=fp,
+            flow_q_pu=fq,
+            pcc_p_pu=pcc_p,
+            pcc_q_pu=pcc_q,
+            pcc_mw=pcc_p * S / 1000.0,
+            objective_eur=objective,
+            hp_cost_eur=hp_cost,
+            fixed_cost_eur=objective - self.voll * shed_kwh / 1000.0 - hp_cost,
+            shed_kwh=shed_kwh,
+        )
 
 
 def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> list[str]:
@@ -711,23 +708,15 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
     topo = model.topo
     pos = model.node_pos
 
-    total_hp_at = {nid: np.zeros(T) for nid in model.node_ids}
-    for nid, blds in model.flex_at_node.items():
-        for b in blds:
-            total_hp_at[nid] += sol.hp_kw[b.id]
-
+    hp_at = np.zeros((len(model.node_ids), T))
+    np.add.at(hp_at, model.hp_node, sol.hp_kw)
     for i, nid in enumerate(model.node_ids):
-        draw = (
-            model.p_fix_kw[i]
-            + total_hp_at[nid]
-            - model.pv_kw[i]
-            - sol.shed_kw[i]
-        ) / S
+        draw = (model.p_fix_kw[i] + hp_at[i] - model.pv_kw[i] - sol.shed_kw[i]) / S
         kids = topo.children[nid]
         balance = sol.flow_p_pu[i] - sum(sol.flow_p_pu[pos[c]] for c in kids) - draw
         if np.abs(balance).max() > tol:
             issues.append(f"node {nid}: active balance off by {np.abs(balance).max():.2e} pu")
-        draw_q = series.rar * (model.p_fix_kw[i] + total_hp_at[nid]) / S
+        draw_q = series.rar * (model.p_fix_kw[i] + hp_at[i]) / S
         balance_q = sol.flow_q_pu[i] - sum(sol.flow_q_pu[pos[c]] for c in kids) - draw_q
         if np.abs(balance_q).max() > tol:
             issues.append(f"node {nid}: reactive balance off by {np.abs(balance_q).max():.2e} pu")
@@ -757,12 +746,11 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
         issues.append("negative shedding")
     if (sol.shed_kw - model.p_fix_kw).max() > tol:
         issues.append("shedding exceeds fixed load")
-    for b in model.flex:
+    for b, sched in zip(model.flex, sol.hp_kw):
         issues += [
             f"building {b.id}: {problem}"
             for problem in check_dispatch(
-                b, cfg, model.t_out, sol.hp_kw[b.id],
-                baseline_profile(b, cfg, model.t_out).energy, tol
+                b, cfg, model.t_out, sched, baseline_profile(b, cfg, model.t_out).energy, tol
             )
         ]
     return issues

@@ -230,8 +230,9 @@ def read_prices(path: str | Path) -> tuple[dict[date, np.ndarray], dict[date, np
 
 
 def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwork:
-    """The feeder in nodes.csv and edges.csv.  A bad row fails naming its
-    file and line; a network that is not a radial tree fails with
+    """The feeder in nodes.csv and edges.csv.  A bad row, or a second
+    row for one node id or one line's child, fails naming its file and
+    line; a network that is not a radial tree fails with
     validate_radial's error, prefixed with both paths."""
     nodes: dict[int, Node] = {}
     lineno_by_id: dict[int, int] = {}
@@ -263,8 +264,15 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
             is_substation=is_sub, s_rating_kva=s_rating, v_nom_pu=v_nom,
         )
     lines: list[Line] = []
+    lineno_by_child: dict[int, int] = {}
     for lineno, row in _rows(edges_path, EDGES_HEADER):
         frm = _int(edges_path, lineno, "from_id", row[0])
+        if frm in lineno_by_child:
+            raise SchemaError(
+                f"{edges_path}:{lineno}: second line up from node {frm} "
+                f"(first at line {lineno_by_child[frm]})"
+            )
+        lineno_by_child[frm] = lineno
         to = _int(edges_path, lineno, "to_id", row[1])
         r = _float(edges_path, lineno, "r_pu", row[2])
         x = _float(edges_path, lineno, "x_pu", row[3])

@@ -244,17 +244,8 @@ class _Network:
             inputs.network, inputs.buildings, inputs.alloc, cfg.comfort,
             inputs.t_out, inputs.series, voll=cfg.voll, facets=cfg.facets,
         )
-        self.ids = sorted(self.model.base_kw)
-        self.baseline = np.array([self.model.base_kw[i] for i in self.ids]).reshape(
-            len(self.ids), cfg.comfort.horizon
-        )
-
-    def solve(self, price_rows: np.ndarray,
-              bases: dict | None = None) -> tuple[np.ndarray, list[float]]:
-        """One network dispatch per price row, warm-started row to row."""
-        sols = self.model.solve_rows(price_rows, bases)
-        X = np.array([[sol.hp_kw[i] for i in self.ids] for sol in sols])
-        return X, [sol.objective_eur for sol in sols]
+        self.ids, self.baseline = self.model.ids, self.model.baseline
+        self.solve = self.model.solve_rows
 
     def evaluate(self, prices: np.ndarray, award: np.ndarray) -> tuple[float, float, float]:
         sol = self.model.solve(prices, hp_fixed=dict(zip(self.ids, award)))
@@ -267,6 +258,9 @@ def _dispatcher(cfg: CampaignConfig, inputs: DayInputs) -> _Fleet | _Network:
     A dispatcher exposes ids (sorted building ids), baseline (R, T),
     solve(price_rows, bases) -> (X[S, R, T], cost[S]) and
     evaluate(prices, award[R, T]) -> (cost, shed_kwh, hp_cost).
+    `_Network.solve` is `OpfModel.solve_rows` itself, the rows' network
+    dispatch warm-started row to row, its schedules in `OpfModel.ids`
+    order and its costs the OPF objectives.
     """
     return _Fleet(cfg, inputs) if cfg.mode == "unbundled" else _Network(cfg, inputs)
 
@@ -279,7 +273,7 @@ class _Dispatched:
 
     disp: _Fleet | _Network
     X: np.ndarray | None
-    cost: list[float] | None
+    cost: Sequence[float] | None
     inflexible: tuple[float, float, float]
     seconds: float
 
@@ -326,7 +320,7 @@ def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched) -> DayResu
     tc_cleared, shed_kwh, hp_cost = disp.evaluate(inputs.realized, award)
     t_clearing = time.perf_counter() - t0
 
-    tc_opt = day.cost[-1]
+    tc_opt = float(day.cost[-1])
     return DayResult(
         **result, tc_cleared=tc_cleared, tc_opt=tc_opt,
         eta=efficiency(tc_inf, tc_cleared, tc_opt),

@@ -268,7 +268,7 @@ def test_generous_ratings_never_shed(stressed_bundle):
         model = OpfModel(big, stressed_bundle.buildings, alloc, COMFORT,
                          stressed_bundle.weather[day], series)
         realized = stressed_bundle.realized[day]
-        pinned = model.solve(realized, hp_fixed=dict(model.base_kw))
+        pinned = model.solve(realized, hp_fixed=dict(zip(model.ids, model.baseline)))
         for sol in (model.solve(realized), pinned):
             shed_total += sol.shed_kwh
             issues += verify_solution(model, sol)

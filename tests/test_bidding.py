@@ -250,6 +250,11 @@ BIDS_JSON = ('{"day": "2025-01-15", "max_bids": 4, "pricing_mode": "mabp",\n'
     (lambda text: text.replace("0.2", "Infinity"), "bid 0: price_eur and profile_mw"),
     (lambda text: text.replace("[0.1, 0.2]", '"0.1"'), "bid 0: price_eur and profile_mw"),
     (lambda text: text.replace('"max_bids": 4', '"max_bids": 2.5'), "max_bids 2.5"),
+    # the exchange caps a group at MAX_BIDS = 24 bids, whatever the file says
+    (lambda text: text.replace('"max_bids": 4', '"max_bids": 0'), "max_bids 0 is not"),
+    (lambda text: text.replace('"max_bids": 4', '"max_bids": -1'), "max_bids -1 is not"),
+    (lambda text: text.replace('"max_bids": 4', '"max_bids": 25'), "max_bids 25 is not"),
+    (lambda text: text.replace('"max_bids": 4', '"max_bids": 30'), "max_bids 30 is not"),
     (lambda text: text.replace('"2025-01-15"', "15"), "day 15 is not an ISO date"),
 ])
 def test_malformed_bids_json_fails_naming_the_file(tmp_path, edit, message):

@@ -499,12 +499,11 @@ def test_baseline_solution_dominates_optimal():
     for _ in range(3):
         prices = rng.uniform(20.0, 140.0, size=24)
         free = model.solve(prices)
-        pinned = model.solve(prices, hp_fixed=dict(model.base_kw))
+        pinned = model.solve(prices, hp_fixed=by_id(model, model.baseline))
         assert free.objective_eur <= pinned.objective_eur + 1e-7
         assert verify_solution(model, free) == []
         assert verify_solution(model, pinned) == []
-        for b in buildings:
-            assert np.allclose(pinned.hp_kw[b.id], model.base_kw[b.id], atol=1e-9)
+        assert np.allclose(pinned.hp_kw, model.baseline, atol=1e-9)
 
 
 def test_hp_fixed_pins_the_schedules():
@@ -515,14 +514,11 @@ def test_hp_fixed_pins_the_schedules():
     free = model.solve(PRICES24)
     # halfway between baseline and optimum: feasible by convexity and
     # energy-preserving, so pinning it must be accepted verbatim
-    award = {
-        b.id: 0.5 * model.base_kw[b.id] + 0.5 * free.hp_kw[b.id] for b in buildings
-    }
-    sol = model.solve(PRICES24, hp_fixed=award)
-    for b in buildings:
-        assert np.allclose(sol.hp_kw[b.id], award[b.id], atol=1e-7)
+    award = 0.5 * model.baseline + 0.5 * free.hp_kw
+    sol = model.solve(PRICES24, hp_fixed=by_id(model, award))
+    assert np.allclose(sol.hp_kw, award, atol=1e-7)
     assert sol.objective_eur >= free.objective_eur - 1e-7
-    pinned = model.solve(PRICES24, hp_fixed=dict(model.base_kw))
+    pinned = model.solve(PRICES24, hp_fixed=by_id(model, model.baseline))
     assert sol.objective_eur <= pinned.objective_eur + 1e-7
 
 
@@ -572,14 +568,14 @@ def test_verify_solution_rechecks_comfort_and_energy():
     wide = OpfModel(net, buildings, alloc, ComfortConfig(t_min=15.0, t_max=25.0),
                     t_out, series)
     narrow = OpfModel(net, buildings, alloc, CFG24, t_out, series)
-    shifted = {bid: np.r_[np.zeros(12), 2.0 * base[12:]] for bid, base in wide.base_kw.items()}
-    sol = wide.solve(PRICES24, hp_fixed=shifted)
+    shifted = np.c_[np.zeros((2, 12)), 2.0 * wide.baseline[:, 12:]]
+    sol = wide.solve(PRICES24, hp_fixed=by_id(wide, shifted))
     assert verify_solution(wide, sol) == []
     issues = verify_solution(narrow, sol)
     for b in buildings:
         assert any(msg.startswith(f"building {b.id}: temperature") and "below t_min" in msg
                    for msg in issues)
-    short = dataclasses.replace(sol, hp_kw={**sol.hp_kw, "h2": 0.9 * sol.hp_kw["h2"]})
+    short = dataclasses.replace(sol, hp_kw=sol.hp_kw * [[1.0], [0.9]])  # ids h1, h2
     assert any(msg.startswith("building h2: energy") for msg in verify_solution(wide, short))
 
 
@@ -593,6 +589,12 @@ def test_objective_decomposes_into_parts():
 
 
 # ------------------------------------------------- warm-started price sweep
+
+def by_id(model, schedules):
+    """(F, T) schedules in the model's heat-pump order, keyed by building
+    id as solve's hp_fixed takes them."""
+    return dict(zip(model.ids, schedules))
+
 
 def sweep_model(rating_scale=1.0):
     net, buildings, alloc = feeder_with_hp(rating_scale)
@@ -628,7 +630,7 @@ def full_lp_objective(model, prices, hp_fixed=None):
     shed, u, fp, fq = (2 * F * T + k * N * T for k in range(4))
     pcc_p, pcc_q = 2 * F * T + 4 * N * T, 2 * F * T + 4 * N * T + T
     n_col = pcc_q + T
-    hp_col = {b.id: 2 * f * T for f, b in enumerate(model.flex)}
+    hp_col = {bid: 2 * f * T for f, bid in enumerate(model.ids)}
     kids = {nid: [c for c in ids if net.nodes[c].ancestor_id == nid] for nid in net.nodes}
     ub, eq = [], []  # ({column: coefficient}, right-hand side)
     polygons = [(model.topo.line_by_child[nid].s_rating_pu, fp + i * T, fq + i * T)
@@ -648,9 +650,9 @@ def full_lp_objective(model, prices, hp_fixed=None):
             for c in kids[nid]:
                 p_row[fp + pos[c] * T + t] = -1.0
                 q_row[fq + pos[c] * T + t] = -1.0
-            for b in model.flex_at_node[nid]:
-                p_row[hp_col[b.id] + t] = -1.0 / S
-                q_row[hp_col[b.id] + t] = -series.rar / S
+            for f in np.flatnonzero(model.hp_node == i):
+                p_row[2 * f * T + t] = -1.0 / S
+                q_row[2 * f * T + t] = -series.rar / S
             fixed = model.p_fix_kw[i, t]
             eq.append((p_row, (fixed - model.pv_kw[i, t]) / S))
             eq.append((q_row, series.rar * fixed / S))
@@ -694,23 +696,33 @@ def full_lp_objective(model, prices, hp_fixed=None):
     return res.fun
 
 
+def check_swept_row(model, prices, x, objective, rtol):
+    """Pin one swept row's schedules x: the pinned dispatch costs what
+    the sweep and a cold solve of the full LP cost, passes the
+    independent re-check and meets every facet of every polygon."""
+    sol = model.solve(prices, hp_fixed=by_id(model, x))
+    ref = full_lp_objective(model, prices)
+    assert abs(objective - ref) <= rtol * max(1.0, abs(ref))
+    assert abs(sol.objective_eur - ref) <= rtol * max(1.0, abs(ref))
+    assert verify_solution(model, sol) == []
+    assert facet_excess(model, sol) <= 1e-7
+
+
 def test_sweep_rows_match_one_shot_solves():
     model = sweep_model()
     rows = np.random.default_rng(5).uniform(20.0, 140.0, size=(6, 24))
-    sols = model.solve_rows(rows)
-    assert len(sols) == len(rows)
-    for prices, sol in zip(rows, sols):
-        assert sol.objective_eur == pytest.approx(full_lp_objective(model, prices), rel=1e-9)
-        assert verify_solution(model, sol) == []
+    X, objective = model.solve_rows(rows)
+    assert X.shape == (6, 2, 24) and objective.shape == (6,)
+    for prices, x, obj in zip(rows, X, objective):
+        check_swept_row(model, prices, x, obj, rtol=1e-9)
 
 
 def test_one_row_sweep_is_the_one_shot_solve():
     model = sweep_model()
-    (sol,) = model.solve_rows(PRICES24[None, :])
+    X, objective = model.solve_rows(PRICES24[None, :])
     ref = model.solve(PRICES24)
-    assert sol.objective_eur == ref.objective_eur
-    for bid, sched in ref.hp_kw.items():
-        assert np.array_equal(sol.hp_kw[bid], sched)
+    assert objective[0] == ref.objective_eur
+    assert np.array_equal(X[0], ref.hp_kw)
 
 
 def test_sweep_reuses_the_point_of_a_repeated_basis():
@@ -718,10 +730,9 @@ def test_sweep_reuses_the_point_of_a_repeated_basis():
     # its optimal basis repeats, so its schedules repeat byte for byte
     model = sweep_model()
     p0, p1 = PRICES24, PRICES24[::-1].copy()
-    s0, s1, s2 = model.solve_rows(np.array([p0, p1, p0]))
-    assert any(not np.allclose(s0.hp_kw[b], s1.hp_kw[b]) for b in s0.hp_kw)
-    for bid in s0.hp_kw:
-        assert s2.hp_kw[bid].tobytes() == s0.hp_kw[bid].tobytes()
+    X, _ = model.solve_rows(np.array([p0, p1, p0]))
+    assert not np.allclose(X[0], X[1])
+    assert X[2].tobytes() == X[0].tobytes()
 
 
 def test_sweep_rejects_a_bare_price_vector():
@@ -817,14 +828,12 @@ def radial_instances(draw):
 @given(radial_instances())
 def test_sweep_matches_cold_solves_on_random_feeders(instance):
     """Every swept row, and the baseline pinned, costs what a cold
-    linprog solve of the full LP costs; every swept row passes the
-    independent re-check."""
+    linprog solve of the full LP costs; every swept row, pinned, passes
+    the independent re-check and meets every facet."""
     model, prices = instance
-    for p, sol in zip(prices, model.solve_rows(prices)):
-        ref = full_lp_objective(model, p)
-        assert abs(sol.objective_eur - ref) <= 1e-9 * max(1.0, abs(ref))
-        assert verify_solution(model, sol) == []
-    base = dict(model.base_kw)
+    for p, x, objective in zip(prices, *model.solve_rows(prices)):
+        check_swept_row(model, p, x, objective, rtol=1e-9)
+    base = by_id(model, model.baseline)
     pinned = model.solve(prices[0], hp_fixed=base)
     ref = full_lp_objective(model, prices[0], hp_fixed=base)
     assert abs(pinned.objective_eur - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -833,29 +842,10 @@ def test_sweep_matches_cold_solves_on_random_feeders(instance):
 @settings(max_examples=30, deadline=None)
 @given(radial_instances())
 def test_every_solution_meets_every_facet(instance):
-    """The facets the model leaves out hold anyway: swept, one-shot and
-    pinned solutions all stay inside every polygon."""
+    """The facets the model leaves out hold anyway: one-shot and pinned
+    solutions all stay inside every polygon (swept rows are pinned in
+    test_sweep_matches_cold_solves_on_random_feeders)."""
     model, prices = instance
-    sols = model.solve_rows(prices) + [model.solve(p) for p in prices]
-    for sol in sols + [model.solve(prices[0], hp_fixed=dict(model.base_kw))]:
+    sols = [model.solve(p) for p in prices]
+    for sol in sols + [model.solve(prices[0], hp_fixed=by_id(model, model.baseline))]:
         assert facet_excess(model, sol) <= 1e-7
-
-
-@settings(max_examples=30, deadline=None)
-@given(radial_instances())
-def test_a_sweep_unpacks_each_row_as_that_row_alone(instance):
-    """The rows of a sweep are unpacked side by side, in one triangular
-    solve on D.T and one on D; each row's solution is byte for byte the
-    one its primal point unpacks to on its own."""
-    model, prices = instance
-    X, objective = model._lp.solve(np.array([model._import_cost(p) for p in prices]))
-    together = model._solutions(prices, X, objective)
-    for k, sol in enumerate(together):
-        (alone,) = model._solutions(prices[k:k + 1], X[k:k + 1], objective[k:k + 1])
-        for field in dataclasses.fields(sol):
-            a, b = getattr(sol, field.name), getattr(alone, field.name)
-            if isinstance(a, dict):
-                a, b = list(a.items()), list(b.items())
-                assert [key for key, _ in a] == [key for key, _ in b]
-                a, b = [val for _, val in a], [val for _, val in b]
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name

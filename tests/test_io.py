@@ -319,6 +319,25 @@ def test_one_bad_cell_fails_naming_its_file_and_line(instance_lines, data):
     assert f"{paths[key]}:{lineno}: " in str(err.value)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_duplicated_row_fails_naming_its_file_and_line(instance_lines, data):
+    """A data row repeated right after itself in any instance CSV fails
+    ingest naming the file and the repeat's line."""
+    key = data.draw(st.sampled_from(sorted(instance_lines)), label="file")
+    lines = list(instance_lines[key])
+    lineno = data.draw(st.integers(2, len(lines)), label="line")
+    lines.insert(lineno, lines[lineno - 1])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.csv" for name in instance_lines}
+        for name, path in paths.items():
+            path.write_text("\n".join(lines if name == key else instance_lines[name]) + "\n")
+        with pytest.raises(SchemaError) as err:
+            ingest(**paths)
+    assert f"{paths[key]}:{lineno + 1}: " in str(err.value)
+    assert f"(first at line {lineno})" in str(err.value)
+
+
 # ----------------------------------------------------------- round trips
 
 def test_generated_instance_roundtrips_byte_identical(tmp_path):

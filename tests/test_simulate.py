@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from flexbid.errors import GridMismatch, InvalidOrdering, SchemaError
-from flexbid.grid import Node, RadialNetwork, allocate_buildings
+from flexbid.grid import Node, OpfModel, RadialNetwork, allocate_buildings
 from flexbid.simulate import (
     REPORT_HEADER,
+    _Network,
     CampaignConfig,
     CampaignReport,
     DayResult,
@@ -146,6 +147,35 @@ def test_no_heat_pumps_is_a_quiet_day(small_bundle, mode):
     assert res.eta is None and res.n_bids == 0
     if mode == "unbundled":
         assert res.tc_inf == 0.0
+
+
+def test_network_heat_pumps_come_in_id_order(stressed_bundle):
+    """The OPF orders its heat pumps by building id, as the unbundled
+    fleet does: a shuffled building list builds the same LP and sweeps to
+    the same bytes, and the integrated dispatcher's ids are the model's."""
+    cfg = cfg_for(stressed_bundle, mode="integrated", start=stressed_bundle.dates[-1])
+    alloc = allocate_buildings(stressed_bundle.buildings, stressed_bundle.network)
+    inputs = day_inputs(cfg, stressed_bundle, cfg.start, alloc=alloc)
+    order = np.random.default_rng(2).permutation(len(inputs.buildings))
+    shuffled = [inputs.buildings[i] for i in order]
+    hp = [b.id for b in shuffled if b.has_hp and b.p_hp_rated > 0]
+    assert hp != sorted(hp)
+
+    def model(buildings):
+        return OpfModel(inputs.network, buildings, alloc, cfg.comfort, inputs.t_out,
+                        inputs.series, voll=cfg.voll, facets=cfg.facets)
+
+    ref, got = model(inputs.buildings), model(shuffled)
+    assert ref.ids == got.ids == sorted(hp)
+    assert got.baseline.tobytes() == ref.baseline.tobytes()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got.A, name).tobytes() == getattr(ref.A, name).tobytes()
+    assert got.row_lo.tobytes() == ref.row_lo.tobytes()
+    assert got.row_hi.tobytes() == ref.row_hi.tobytes()
+    rows = np.vstack([inputs.realized, inputs.realized[::-1]])
+    for a, b in zip(ref.solve_rows(rows), got.solve_rows(rows)):
+        assert a.tobytes() == b.tobytes()
+    assert _Network(cfg, inputs).ids == ref.ids
 
 
 def test_unbundled_day_is_deterministic(small_bundle):
