@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, EmptyInput, SchemaError, TooManyBids
+from .errors import AlphaOutOfRange, EmptyInput, FlexbidError, SchemaError, TooManyBids
 from .ingest import read_json
 
 KW_PER_MW = 1000.0
@@ -185,7 +185,10 @@ def read_bids(path: str | Path) -> tuple[ExclusiveGroup, dict]:
         if not (isinstance(profile, list) and all(map(_finite, [price, *profile]))):
             raise SchemaError(f"{path}: bid {i}: price_eur and profile_mw must be finite numbers")
     bids = [BlockBid(profile=np.array(p, dtype=float), price=float(c)) for p, c in pairs]
-    return ExclusiveGroup(bids=bids, max_bids=max_bids), header
+    try:
+        return ExclusiveGroup(bids=bids, max_bids=max_bids), header
+    except FlexbidError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _finite(value) -> bool:

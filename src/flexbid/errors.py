@@ -56,7 +56,8 @@ class AlphaOutOfRange(FlexbidError):
 # --- clearing ---------------------------------------------------------------
 
 class LengthMismatch(FlexbidError):
-    """Bid profiles and the price vector differ in length."""
+    """Bid profiles and the price vector, or a pinned schedule and the
+    dispatch horizon, differ in length."""
 
 
 class GroupTooLarge(FlexbidError):

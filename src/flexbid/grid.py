@@ -65,6 +65,7 @@ from .errors import (
     DisconnectedNode,
     GridMismatch,
     Infeasible,
+    LengthMismatch,
     MultipleAncestors,
     SolverFailure,
 )
@@ -248,6 +249,9 @@ def allocate_buildings(
     the assigned PV ratings must each fit under the node's connection
     capacity.  Ratings count whether or not a unit is currently
     installed, so the assignment is stable across equipment roll-outs.
+    The constraint rows are sparse CSR, 3 · buildings · sites nonzeros
+    in all, so memory grows linearly in buildings × sites; the MILP's
+    time still grows faster than that.
     """
     validate_radial(net)
     sites = [n for _, n in sorted(net.nodes.items()) if not n.is_substation]
@@ -278,9 +282,9 @@ def allocate_buildings(
     dist = np.hypot(bx[:, None] - nx[None, :], by[:, None] - ny[None, :])
 
     # variables a[b, n] flattened row-major
-    assign = np.kron(np.eye(nb), np.ones(nn))
-    hp_rows = np.kron(hp, np.eye(nn))
-    pv_rows = np.kron(pv, np.eye(nn))
+    assign = sparse.kron(sparse.eye_array(nb), np.ones((1, nn)), format="csr")
+    hp_rows = sparse.kron(hp[None, :], sparse.eye_array(nn), format="csr")
+    pv_rows = sparse.kron(pv[None, :], sparse.eye_array(nn), format="csr")
 
     res = milp(
         c=dist.ravel(),
@@ -606,12 +610,12 @@ class OpfModel:
                 raise DanglingReference(f"hp_fixed names unknown building {bid}")
             sched = np.asarray(sched, dtype=float)
             if sched.shape != (T,):
-                raise ValueError(f"fixed schedule for {bid} must span {T} hours")
+                raise LengthMismatch(f"fixed schedule for {bid} must span {T} hours")
             # the LP leaves out the facets that no schedule within the
             # ratings can reach, so a pinned schedule must stay within them
             rated = self.flex[f].p_hp_rated
             if sched.min() < -1e-6 or sched.max() > rated + 1e-6:
-                raise ValueError(f"fixed schedule for {bid} leaves its rating [0, {rated}] kW")
+                raise Infeasible(f"fixed schedule for {bid} leaves its rating [0, {rated}] kW")
             col_lo[2 * f * T : (2 * f + 1) * T] = col_hi[2 * f * T : (2 * f + 1) * T] = sched
         prices = np.asarray(prices, dtype=float)
         X, objective = self._sweep(prices[None], col_lo, col_hi)

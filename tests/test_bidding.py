@@ -241,6 +241,11 @@ BIDS_JSON = ('{"day": "2025-01-15", "max_bids": 4, "pricing_mode": "mabp",\n'
              ' "bids": [{"profile_mw": [0.1, 0.2], "price_eur": 4000.0}]}\n')
 
 
+# ExclusiveGroup's own errors keep their type when read_bids prefixes the path
+GROUP_ERRORS = {"exclusive group holds 5 bids, cap is 4": TooManyBids,
+                "exclusive group needs at least one bid": EmptyInput}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda text: text.replace('"mabp",', '"mabp"'), "bids.json:2: not valid JSON"),
     (lambda text: text.replace('"max_bids": 4, ', ""), "missing key 'max_bids'"),
@@ -256,6 +261,11 @@ BIDS_JSON = ('{"day": "2025-01-15", "max_bids": 4, "pricing_mode": "mabp",\n'
     (lambda text: text.replace('"max_bids": 4', '"max_bids": 25'), "max_bids 25 is not"),
     (lambda text: text.replace('"max_bids": 4', '"max_bids": 30'), "max_bids 30 is not"),
     (lambda text: text.replace('"2025-01-15"', "15"), "day 15 is not an ISO date"),
+    # ExclusiveGroup's own checks: more bids than the header's max_bids, or none
+    (lambda text: text.replace("4000.0}", "4000.0}" + ', {"profile_mw": [0.1, 0.2], "price_eur": 4000.0}' * 4),
+     "exclusive group holds 5 bids, cap is 4"),
+    (lambda text: text.replace('[{"profile_mw": [0.1, 0.2], "price_eur": 4000.0}]', "[]"),
+     "exclusive group needs at least one bid"),
 ])
 def test_malformed_bids_json_fails_naming_the_file(tmp_path, edit, message):
     """A file without max_bids used to end `flexbid clear` in a KeyError
@@ -264,6 +274,6 @@ def test_malformed_bids_json_fails_naming_the_file(tmp_path, edit, message):
     path.write_text(BIDS_JSON)
     assert read_bids(path)[0].bids[0].price == 4000.0  # the unedited file reads
     path.write_text(edit(BIDS_JSON))
-    with pytest.raises(SchemaError, match="bids.json") as err:
+    with pytest.raises(GROUP_ERRORS.get(message, SchemaError), match="bids.json") as err:
         read_bids(path)
     assert message in str(err.value)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from flexbid.errors import (
     DisconnectedNode,
     GridMismatch,
     Infeasible,
+    LengthMismatch,
     MultipleAncestors,
 )
 from flexbid.grid import (
@@ -439,6 +441,22 @@ def test_allocation_matches_exhaustive_enumeration():
     assert cost(out) == pytest.approx(best, abs=1e-9)
 
 
+def test_allocation_memory_stays_linear_in_buildings_times_sites():
+    # 200 buildings on 30 sites: dense constraint rows peak at about 26 MB
+    # (the assignment rows alone hold nb * nb * nn floats); sparse rows
+    # hold 3 * nb * nn nonzeros and peak at about 1.6 MB
+    bundle = generate_instance(SyntheticSpec(
+        n_buildings=200, hp_share_pct=60.0, n_days=2, seed=0, branching=5, depth=6))
+    tracemalloc.start()
+    try:
+        out = allocate_buildings(bundle.buildings, bundle.network)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 200
+    assert peak < 6e6, f"allocation peaked at {peak / 1e6:.1f} MB"
+
+
 def test_allocation_infeasible_when_ratings_exceed_capacity():
     net = alloc_net([2.0], [(0.0, 0.0)])
     with pytest.raises(Infeasible):
@@ -526,8 +544,14 @@ def test_hp_fixed_pins_the_schedules():
 def test_pinned_schedule_outside_the_rating_is_rejected(kw):
     # h1 is rated 3 kW; the LP's polygons hold only for schedules within it
     model = sweep_model()
-    with pytest.raises(ValueError, match="h1"):
+    with pytest.raises(Infeasible, match="h1"):
         model.solve(PRICES24, hp_fixed={"h1": np.full(24, kw)})
+
+
+def test_pinned_schedule_off_the_horizon_is_rejected():
+    model = sweep_model()
+    with pytest.raises(LengthMismatch, match="h1"):
+        model.solve(PRICES24, hp_fixed={"h1": np.full(23, 1.0)})
 
 
 def test_negative_fixed_load_is_rejected():

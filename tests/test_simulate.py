@@ -310,6 +310,28 @@ def test_the_day_after_a_failed_day_starts_cold(small_bundle, mode):
     assert answers(report.days[-1]) == answers(alone)
 
 
+def test_a_day_whose_pinned_evaluation_fails_fails_alone(small_bundle, monkeypatch):
+    # the second day's OPF is handed a pinned schedule above its first heat
+    # pump's rating; OpfModel.solve refuses it, and the third day still runs
+    cfg = cfg_for(small_bundle, days=3, mode="integrated")
+    solve, models = OpfModel.solve, []
+
+    def overrated_on_the_second_day(model, prices, hp_fixed=None):
+        if not any(m is model for m in models):
+            models.append(model)
+        if hp_fixed and len(models) == 2:
+            hp = model.ids[0]
+            hp_fixed = {**hp_fixed, hp: hp_fixed[hp] + model.flex[0].p_hp_rated + 1.0}
+        return solve(model, prices, hp_fixed)
+
+    monkeypatch.setattr(OpfModel, "solve", overrated_on_the_second_day)
+    report = run_campaign(cfg, small_bundle)
+    first, bad, last = cfg.campaign_days
+    assert [day for day, _ in report.failures] == [bad]
+    assert report.failures[0][1].startswith(f"Infeasible: fixed schedule for {models[1].ids[0]}")
+    assert [d.day for d in report.days] == [first, last]
+
+
 @pytest.mark.parametrize("mode", ["unbundled", "integrated"])
 def test_campaign_days_cost_what_days_run_alone_cost(small_bundle, mode):
     # each campaign day starts from the day before's bases, run_day alone
