@@ -9,7 +9,6 @@ stderr for machine consumption.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -20,11 +19,11 @@ from pathlib import Path
 
 import click
 
-from .bidding import read_bids, write_bids
+from .bidding import MAX_BIDS, read_bids, write_bids
 from .clearing import clear
 from .errors import FlexbidError, GridMismatch, SchemaError
 from .grid import allocate_buildings
-from .ingest import ingest, read_json, write_alloc
+from .ingest import ingest, read_json, write_alloc, write_csv
 from .simulate import (
     FORECASTERS,
     MODES,
@@ -88,7 +87,8 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
     object, on any top-level, paths, campaign or synthetic key that
     nothing reads, so a misspelt key cannot fall back to a default, on a
     synthetic section without its start, and on any value of the wrong
-    JSON type, naming the key; and naming the file when the synthetic
+    JSON type, naming the key; naming the file and campaign.start when
+    that is not a valid ISO date; and naming the file when the synthetic
     section does not make a valid SyntheticSpec.  So every command fails
     on a bad section before it does any work.
     """
@@ -116,6 +116,13 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
                 for key, val in body.items() if not _fits(val, written[section][key])]
     if mistyped:
         raise SchemaError(f"{cfg_file}: values of the wrong type: {', '.join(mistyped)}")
+    start = raw.get("campaign", {}).get("start")
+    if start is not None:
+        try:
+            date.fromisoformat(start)
+        except ValueError as exc:
+            raise SchemaError(
+                f"{cfg_file}: campaign.start {start!r} is not a valid date: {exc}") from None
     if "synthetic" in raw:
         try:
             SyntheticSpec.from_dict(raw["synthetic"])
@@ -406,13 +413,6 @@ def _exit_on_failures(failures: list[tuple[str, date, str]]) -> None:
         sys.exit(1)
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -455,22 +455,24 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
     written = []
 
     b_values = sorted({int(tok) for tok in bids_csv.split(",") if tok.strip()})
-    usable = [b for b in b_values if b <= cfg.s_count]
+    top = min(cfg.s_count, MAX_BIDS)
+    usable = [b for b in b_values if b <= top]
     if usable != b_values:
         click.echo(
-            f"note: dropping bid budgets beyond the {cfg.s_count}-scenario count",
+            f"note: dropping bid budgets above {top}, the lesser of the "
+            f"{cfg.s_count}-scenario count and the {MAX_BIDS}-bid cap",
             err=True,
         )
     bid_reports = efficiency_vs_bids(cfg, bundle, b_values=usable)
     failures = [(" (bid budgets)", day, msg) for day, msg in bid_reports[0].failures]
-    _write_rows(
+    write_csv(
         out / "efficiency-vs-bids.csv",
         ["max_bids", "eta", "tc_cleared_eur", "tc_inf_eur", "tc_opt_eur"],
         [[rep.config.max_bids, *_totals(rep, rep.eta_weighted, rep.tc_cleared_total,
                                         rep.tc_inf_total, rep.tc_opt_total)]
          for rep in bid_reports],
     )
-    _write_rows(
+    write_csv(
         out / "runtime-vs-bids.csv",
         ["max_bids", "clearing_s"],
         [[rep.config.max_bids, *_totals(rep, rep.runtime_total("clearing"))]
@@ -495,13 +497,13 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
                 _fmt(share), rep.n_flexible,
                 *_totals(rep, rep.runtime_total("dispatch"), rep.runtime_total("clearing")),
             ])
-        _write_rows(
+        write_csv(
             out / "efficiency-vs-share.csv",
             ["share_pct", "n_hps", "eta_weighted", "eta_mean", "savings_eur",
              "savings_per_hp_eur", "shed_kwh"],
             share_rows,
         )
-        _write_rows(
+        write_csv(
             out / "runtime-vs-share.csv",
             ["share_pct", "n_hps", "dispatch_s", "clearing_s"],
             share_runtime,
@@ -519,7 +521,7 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
                     _fmt(d.tc_inf - d.tc_cleared),
                     _fmt((d.tc_inf - d.tc_cleared) / max(1, rep.n_flexible)),
                 ])
-        _write_rows(
+        write_csv(
             out / "savings-vs-volatility.csv",
             ["volatility", "date", "price_std_eur_mwh", "savings_eur",
              "savings_per_hp_eur"],

@@ -76,6 +76,7 @@ from .thermal import (
     baseline_profile,
     check_dispatch,
     fleet_rows,
+    flexible,
 )
 
 log = logging.getLogger(__name__)
@@ -409,7 +410,7 @@ class OpfModel:
         self.node_pos = {nid: i for i, nid in enumerate(self.node_ids)}
 
         buildings = sorted(buildings, key=lambda b: b.id)
-        self.flex = [b for b in buildings if b.has_hp and b.p_hp_rated > 0]
+        self.flex = flexible(buildings)
         self.ids = [b.id for b in self.flex]
         for b in self.flex:
             if b.id not in alloc:

@@ -1,11 +1,13 @@
 """Strict file ingestion and canonical serialization.
 
-All tabular inputs are CSV with fixed headers; structured artifacts
-(bids, outcomes, assignments, config) are JSON.  Readers fail fast and
-point at the exact file, line, and column of the first problem.
-Writers emit one canonical decimal format per column so that
-write -> read -> write is byte-stable, which the round-trip tests rely
-on.
+Each instance CSV is stated once, in a `*_COLUMNS` map from each column
+name, in header order, to the parser its cells take.  One reader,
+`_table`, checks a file's header and row widths and parses every cell,
+failing on the first problem with the file, line and column; `_hourly`
+builds the three (date, hour) tables, weather, prices and profiles, on
+it, and `_write_hourly` writes them.  Writers emit one canonical decimal
+format per column so that write -> read -> write is byte-stable.
+Structured artifacts (bids, outcomes, assignments, config) are JSON.
 
 Daily series must cover hours 0..23 exactly once; days with missing or
 doubled hours (e.g. DST switches in real exports) are rejected rather
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,51 +43,149 @@ log = logging.getLogger(__name__)
 
 HOURS = 24
 
-BUILDINGS_HEADER = [
-    "id", "x_m", "y_m", "r_th_K_per_kW", "c_th_kWh_per_K",
-    "p_hp_rated_kW", "p_pv_rated_kW", "has_hp",
-]
-WEATHER_HEADER = ["date", "hour", "t_out_C"]
-PRICES_HEADER = ["date", "hour", "realized_eur_mwh", "forecast_eur_mwh"]
-NODES_HEADER = [
-    "id", "ancestor_id", "x_m", "y_m", "p_cap_kW",
-    "is_substation", "s_rating_kVA", "v_nom_pu",
-]
-EDGES_HEADER = ["from_id", "to_id", "r_pu", "x_pu", "s_rating_pu"]
-PROFILES_HEADER = ["date", "hour", "slf", "cf"]
+
+# ------------------------------------------------------------ cell parsers
+# Each takes a cell's text and returns its value, or raises ValueError
+# with what is wrong; _table prefixes the file, line and column.
+
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
 
 
-# ---------------------------------------------------------------- parsing
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
 
-def _rows(path: str | Path, want_header: list[str], optional_last: bool = False):
-    """Yield (line_number, row) after validating the header row.
 
-    With optional_last, the final header column may be absent; rows then
-    carry one fewer field.
-    """
+def _date(text: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"not an ISO date: {text!r}") from None
+
+
+def _bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "1"):
+        return True
+    if low in ("false", "0"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _hour(text: str) -> int:
+    h = _int(text)
+    if not (0 <= h < HOURS):
+        raise ValueError(f"{h} outside 0..{HOURS - 1}")
+    return h
+
+
+def _unit(text: str) -> float:
+    value = _float(text)
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{value} outside [0, 1]")
+    return value
+
+
+def _id(text: str) -> str:
+    if not text:
+        raise ValueError("empty")
+    return text
+
+
+# ------------------------------------------------------------ the tables
+# Each instance CSV, stated once: its header, in order, and the parser
+# each column's cells take.  Readers and writers both follow these.
+
+BUILDINGS_COLUMNS = {
+    "id": _id, "x_m": _float, "y_m": _float, "r_th_K_per_kW": _float,
+    "c_th_kWh_per_K": _float, "p_hp_rated_kW": _float, "p_pv_rated_kW": _float,
+    "has_hp": _bool,
+}
+WEATHER_COLUMNS = {"date": _date, "hour": _hour, "t_out_C": _float}
+PRICES_COLUMNS = {
+    "date": _date, "hour": _hour, "realized_eur_mwh": _float, "forecast_eur_mwh": _float,
+}
+PROFILES_COLUMNS = {"date": _date, "hour": _hour, "slf": _unit, "cf": _unit}
+NODES_COLUMNS = {
+    "id": _int, "ancestor_id": lambda text: None if text == "" else _int(text),
+    "x_m": _float, "y_m": _float, "p_cap_kW": _float, "is_substation": _bool,
+    "s_rating_kVA": _float, "v_nom_pu": _float,
+}
+EDGES_COLUMNS = {
+    "from_id": _int, "to_id": _int, "r_pu": _float, "x_pu": _float, "s_rating_pu": _float,
+}
+
+
+def _table(path: str | Path, columns: Mapping[str, Callable], optional_last: bool = False):
+    """Yield the file's header, then (line_number, cells) for each data
+    row, each cell parsed by its column's parser.  The header must be
+    list(columns), or, with optional_last, that without its last column.
+    Blank lines are skipped.  A wrong header, a row of another width or a
+    cell its parser rejects raises SchemaError naming the file, the line
+    and, for a cell, the column."""
     path = Path(path)
+    want = list(columns)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        headers_ok = header == want_header or (
-            optional_last and header == want_header[:-1]
-        )
-        if not headers_ok:
-            raise SchemaError(
-                f"{path}:1: header {header!r} does not match expected {want_header!r}"
-            )
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: file is empty")
+        if not (header == want or (optional_last and header == want[:-1])):
+            raise SchemaError(f"{path}:1: header {header!r} does not match expected {want!r}")
+        yield header
         width = len(header)
+        parsers = [columns[name] for name in header]
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != width:
+                raise SchemaError(f"{path}:{lineno}: expected {width} fields, found {len(row)}")
+            cells = []
+            try:
+                for parse, text in zip(parsers, row):
+                    cells.append(parse(text))
+            except ValueError as exc:  # raised by the cell after those parsed
                 raise SchemaError(
-                    f"{path}:{lineno}: expected {width} fields, found {len(row)}"
-                )
-            yield lineno, row
+                    f"{path}:{lineno}: column {header[len(cells)]!r}: {exc}") from None
+            yield lineno, cells
+
+
+def _hourly(path: str | Path, columns: Mapping[str, Callable],
+            optional_last: bool = False) -> list[dict[date, np.ndarray]]:
+    """A (date, hour, values...) table as one {date: 24-hour array} per
+    value column in the file's header, insisting on exactly one row per
+    date and hour."""
+    rows = _table(path, columns, optional_last)
+    n_values = len(next(rows)) - 2
+    first: dict[tuple[date, int], int] = {}
+    days: dict[date, np.ndarray] = {}
+    for lineno, (d, h, *values) in rows:
+        if (d, h) in first:
+            raise SchemaError(
+                f"{path}:{lineno}: duplicate entry for {d} hour {h} "
+                f"(first at line {first[d, h]})"
+            )
+        first[d, h] = lineno
+        if d not in days:
+            days[d] = np.full((n_values, HOURS), np.nan)
+        days[d][:, h] = values
+    for d, arr in sorted(days.items()):
+        missing = [h for h in range(HOURS) if np.isnan(arr[0, h])]
+        if missing:
+            raise GridMismatch(
+                f"{path}: {d} covers {HOURS - len(missing)} hours "
+                f"(missing {missing[0]}); 23/25-hour days are not supported"
+            )
+    return [{d: arr[i] for d, arr in days.items()} for i in range(n_values)]
 
 
 def read_json(path: str | Path):
@@ -97,92 +197,19 @@ def read_json(path: str | Path):
         raise SchemaError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
 
 
-def _float(path, lineno, col: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise SchemaError(f"{path}:{lineno}: column {col!r}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise SchemaError(f"{path}:{lineno}: column {col!r}: not finite: {text!r}")
-    return value
-
-
-def _int(path, lineno, col: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SchemaError(f"{path}:{lineno}: column {col!r}: not an integer: {text!r}") from None
-
-
-def _date(path, lineno, col: str, text: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise SchemaError(f"{path}:{lineno}: column {col!r}: not an ISO date: {text!r}") from None
-
-
-def _bool(path, lineno, col: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1"):
-        return True
-    if low in ("false", "0"):
-        return False
-    raise SchemaError(f"{path}:{lineno}: column {col!r}: not a boolean: {text!r}")
-
-
-def _hour(path, lineno, text: str) -> int:
-    h = _int(path, lineno, "hour", text)
-    if not (0 <= h < HOURS):
-        raise SchemaError(f"{path}:{lineno}: column 'hour': {h} outside 0..{HOURS - 1}")
-    return h
-
-
-def _assemble_days(
-    path, cells: list[tuple[int, date, int, tuple[float, ...]]], n_values: int
-) -> dict[date, np.ndarray]:
-    """Group (date, hour, values) records into per-day arrays of shape
-    (n_values, 24), insisting on exactly one record per hour."""
-    seen: dict[tuple[date, int], int] = {}
-    days: dict[date, np.ndarray] = {}
-    for lineno, d, h, values in cells:
-        if (d, h) in seen:
-            raise SchemaError(
-                f"{path}:{lineno}: duplicate entry for {d} hour {h} "
-                f"(first at line {seen[(d, h)]})"
-            )
-        seen[(d, h)] = lineno
-        days.setdefault(d, np.full((n_values, HOURS), np.nan))[:, h] = values
-    for d, arr in sorted(days.items()):
-        missing = [h for h in range(HOURS) if np.isnan(arr[0, h])]
-        if missing:
-            raise GridMismatch(
-                f"{path}: {d} covers {HOURS - len(missing)} hours "
-                f"(missing {missing[0]}); 23/25-hour days are not supported"
-            )
-    return days
-
-
 # ---------------------------------------------------------------- readers
 
 def read_buildings(path: str | Path) -> list[BuildingParams]:
     out: list[BuildingParams] = []
     ids: dict[str, int] = {}
-    for lineno, row in _rows(path, BUILDINGS_HEADER):
-        bid = row[0]
-        if not bid:
-            raise SchemaError(f"{path}:{lineno}: column 'id': empty")
+    rows = _table(path, BUILDINGS_COLUMNS)
+    next(rows)  # the header
+    for lineno, (bid, x, y, r_th, c_th, hp, pv, has_hp) in rows:
         if bid in ids:
             raise SchemaError(
                 f"{path}:{lineno}: duplicate building id {bid!r} (first at line {ids[bid]})"
             )
         ids[bid] = lineno
-        x = _float(path, lineno, "x_m", row[1])
-        y = _float(path, lineno, "y_m", row[2])
-        r_th = _float(path, lineno, "r_th_K_per_kW", row[3])
-        c_th = _float(path, lineno, "c_th_kWh_per_K", row[4])
-        hp = _float(path, lineno, "p_hp_rated_kW", row[5])
-        pv = _float(path, lineno, "p_pv_rated_kW", row[6])
-        has_hp = _bool(path, lineno, "has_hp", row[7])
         if r_th <= 0 or c_th <= 0:
             raise SchemaError(f"{path}:{lineno}: r_th and c_th must be positive")
         if hp < 0 or pv < 0:
@@ -197,36 +224,14 @@ def read_buildings(path: str | Path) -> list[BuildingParams]:
 
 
 def read_weather(path: str | Path) -> dict[date, np.ndarray]:
-    cells = []
-    for lineno, row in _rows(path, WEATHER_HEADER):
-        d = _date(path, lineno, "date", row[0])
-        h = _hour(path, lineno, row[1])
-        t = _float(path, lineno, "t_out_C", row[2])
-        cells.append((lineno, d, h, (t,)))
-    return {d: arr[0] for d, arr in _assemble_days(path, cells, 1).items()}
+    return _hourly(path, WEATHER_COLUMNS)[0]
 
 
 def read_prices(path: str | Path) -> tuple[dict[date, np.ndarray], dict[date, np.ndarray] | None]:
     """Returns (realized, forecast); forecast is None when the file has
     no forecast column."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
-    has_forecast = header == PRICES_HEADER
-    cells = []
-    for lineno, row in _rows(path, PRICES_HEADER, optional_last=True):
-        d = _date(path, lineno, "date", row[0])
-        h = _hour(path, lineno, row[1])
-        realized = _float(path, lineno, "realized_eur_mwh", row[2])
-        if has_forecast:
-            forecast = _float(path, lineno, "forecast_eur_mwh", row[3])
-            cells.append((lineno, d, h, (realized, forecast)))
-        else:
-            cells.append((lineno, d, h, (realized,)))
-    days = _assemble_days(path, cells, 2 if has_forecast else 1)
-    realized = {d: arr[0] for d, arr in days.items()}
-    forecast = {d: arr[1] for d, arr in days.items()} if has_forecast else None
-    return realized, forecast
+    realized, *forecast = _hourly(path, PRICES_COLUMNS, optional_last=True)
+    return realized, (forecast[0] if forecast else None)
 
 
 def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwork:
@@ -236,21 +241,15 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
     validate_radial's error, prefixed with both paths."""
     nodes: dict[int, Node] = {}
     lineno_by_id: dict[int, int] = {}
-    for lineno, row in _rows(nodes_path, NODES_HEADER):
-        nid = _int(nodes_path, lineno, "id", row[0])
+    rows = _table(nodes_path, NODES_COLUMNS)
+    next(rows)  # the header
+    for lineno, (nid, ancestor, x, y, p_cap, is_sub, s_rating, v_nom) in rows:
         if nid in nodes:
             raise SchemaError(
                 f"{nodes_path}:{lineno}: duplicate node id {nid} "
                 f"(first at line {lineno_by_id[nid]})"
             )
         lineno_by_id[nid] = lineno
-        ancestor = None if row[1] == "" else _int(nodes_path, lineno, "ancestor_id", row[1])
-        x = _float(nodes_path, lineno, "x_m", row[2])
-        y = _float(nodes_path, lineno, "y_m", row[3])
-        p_cap = _float(nodes_path, lineno, "p_cap_kW", row[4])
-        is_sub = _bool(nodes_path, lineno, "is_substation", row[5])
-        s_rating = _float(nodes_path, lineno, "s_rating_kVA", row[6])
-        v_nom = _float(nodes_path, lineno, "v_nom_pu", row[7])
         if p_cap < 0:
             raise SchemaError(f"{nodes_path}:{lineno}: p_cap_kW must be >= 0")
         if ancestor is None and not is_sub:
@@ -265,18 +264,15 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
         )
     lines: list[Line] = []
     lineno_by_child: dict[int, int] = {}
-    for lineno, row in _rows(edges_path, EDGES_HEADER):
-        frm = _int(edges_path, lineno, "from_id", row[0])
+    rows = _table(edges_path, EDGES_COLUMNS)
+    next(rows)  # the header
+    for lineno, (frm, to, r, x, s) in rows:
         if frm in lineno_by_child:
             raise SchemaError(
                 f"{edges_path}:{lineno}: second line up from node {frm} "
                 f"(first at line {lineno_by_child[frm]})"
             )
         lineno_by_child[frm] = lineno
-        to = _int(edges_path, lineno, "to_id", row[1])
-        r = _float(edges_path, lineno, "r_pu", row[2])
-        x = _float(edges_path, lineno, "x_pu", row[3])
-        s = _float(edges_path, lineno, "s_rating_pu", row[4])
         if frm not in nodes:
             raise DanglingReference(f"{edges_path}:{lineno}: unknown from_id {frm}")
         if to not in nodes:
@@ -295,19 +291,7 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
 
 
 def read_profiles(path: str | Path) -> tuple[dict[date, np.ndarray], dict[date, np.ndarray]]:
-    cells = []
-    for lineno, row in _rows(path, PROFILES_HEADER):
-        d = _date(path, lineno, "date", row[0])
-        h = _hour(path, lineno, row[1])
-        slf = _float(path, lineno, "slf", row[2])
-        cf = _float(path, lineno, "cf", row[3])
-        if not (0.0 <= slf <= 1.0):
-            raise SchemaError(f"{path}:{lineno}: column 'slf': {slf} outside [0, 1]")
-        if not (0.0 <= cf <= 1.0):
-            raise SchemaError(f"{path}:{lineno}: column 'cf': {cf} outside [0, 1]")
-        cells.append((lineno, d, h, (slf, cf)))
-    days = _assemble_days(path, cells, 2)
-    return ({d: a[0] for d, a in days.items()}, {d: a[1] for d, a in days.items()})
+    return tuple(_hourly(path, PROFILES_COLUMNS))
 
 
 def read_alloc(path: str | Path, buildings: Sequence[BuildingParams], net: RadialNetwork) -> dict[str, int]:
@@ -407,85 +391,61 @@ def ingest(
 
 # ---------------------------------------------------------------- writers
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterator[list[str]]) -> None:
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[list]) -> None:
+    """Write a header and rows as CSV, lines ending in a bare newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _write_hourly(path: str | Path, columns: Mapping[str, Callable], fmt: str,
+                  *series: Mapping[date, np.ndarray]) -> None:
+    """One row per date and hour of the first series, then one cell per
+    series written with fmt, under as many of columns as there are cells."""
+    write_csv(path, list(columns)[:2 + len(series)], (
+        [d.isoformat(), str(h), *(format(values[d][h], fmt) for values in series)]
+        for d in sorted(series[0]) for h in range(HOURS)
+    ))
 
 
 def write_buildings(path: str | Path, buildings: Sequence[BuildingParams]) -> None:
-    def rows():
-        for b in buildings:
-            yield [
-                b.id, f"{b.position[0]:.2f}", f"{b.position[1]:.2f}",
-                f"{b.r_th:.6f}", f"{b.c_th:.6f}",
-                f"{b.p_hp_rated:.3f}", f"{b.p_pv_rated:.3f}",
-                "true" if b.has_hp else "false",
-            ]
-    _write_csv(path, BUILDINGS_HEADER, rows())
+    write_csv(path, BUILDINGS_COLUMNS, (
+        [b.id, f"{b.position[0]:.2f}", f"{b.position[1]:.2f}", f"{b.r_th:.6f}", f"{b.c_th:.6f}",
+         f"{b.p_hp_rated:.3f}", f"{b.p_pv_rated:.3f}", "true" if b.has_hp else "false"]
+        for b in buildings
+    ))
 
 
 def write_weather(path: str | Path, weather: Mapping[date, np.ndarray]) -> None:
-    def rows():
-        for d in sorted(weather):
-            for h in range(HOURS):
-                yield [d.isoformat(), str(h), f"{weather[d][h]:.2f}"]
-    _write_csv(path, WEATHER_HEADER, rows())
+    _write_hourly(path, WEATHER_COLUMNS, ".2f", weather)
 
 
-def write_prices(
-    path: str | Path,
-    realized: Mapping[date, np.ndarray],
-    forecast: Mapping[date, np.ndarray] | None = None,
-) -> None:
-    def rows():
-        for d in sorted(realized):
-            for h in range(HOURS):
-                row = [d.isoformat(), str(h), f"{realized[d][h]:.4f}"]
-                if forecast is not None:
-                    row.append(f"{forecast[d][h]:.4f}")
-                yield row
-    header = PRICES_HEADER if forecast is not None else PRICES_HEADER[:-1]
-    _write_csv(path, header, rows())
+def write_prices(path: str | Path, realized: Mapping[date, np.ndarray],
+                 forecast: Mapping[date, np.ndarray] | None = None) -> None:
+    """Without a forecast, the file has no forecast column."""
+    _write_hourly(path, PRICES_COLUMNS, ".4f", realized, *([] if forecast is None else [forecast]))
 
 
 def write_network(nodes_path: str | Path, edges_path: str | Path, net: RadialNetwork) -> None:
-    def node_rows():
-        for nid in sorted(net.nodes):
-            n = net.nodes[nid]
-            yield [
-                str(n.id),
-                "" if n.ancestor_id is None else str(n.ancestor_id),
-                f"{n.position[0]:.2f}", f"{n.position[1]:.2f}",
-                f"{n.p_cap_kw:.3f}",
-                "true" if n.is_substation else "false",
-                f"{n.s_rating_kva:.3f}", f"{n.v_nom_pu:.4f}",
-            ]
-    _write_csv(nodes_path, NODES_HEADER, node_rows())
-
-    def edge_rows():
-        for ln in sorted(net.lines, key=lambda l: l.from_id):
-            yield [
-                str(ln.from_id), str(ln.to_id),
-                f"{ln.r_pu:.6f}", f"{ln.x_pu:.6f}", f"{ln.s_rating_pu:.6f}",
-            ]
-    _write_csv(edges_path, EDGES_HEADER, edge_rows())
+    write_csv(nodes_path, NODES_COLUMNS, (
+        [str(n.id), "" if n.ancestor_id is None else str(n.ancestor_id),
+         f"{n.position[0]:.2f}", f"{n.position[1]:.2f}", f"{n.p_cap_kw:.3f}",
+         "true" if n.is_substation else "false", f"{n.s_rating_kva:.3f}", f"{n.v_nom_pu:.4f}"]
+        for n in (net.nodes[nid] for nid in sorted(net.nodes))
+    ))
+    write_csv(edges_path, EDGES_COLUMNS, (
+        [str(ln.from_id), str(ln.to_id),
+         f"{ln.r_pu:.6f}", f"{ln.x_pu:.6f}", f"{ln.s_rating_pu:.6f}"]
+        for ln in sorted(net.lines, key=lambda l: l.from_id)
+    ))
 
 
-def write_profiles(
-    path: str | Path,
-    slf: Mapping[date, np.ndarray],
-    cf: Mapping[date, np.ndarray],
-) -> None:
-    def rows():
-        for d in sorted(slf):
-            for h in range(HOURS):
-                yield [d.isoformat(), str(h), f"{slf[d][h]:.6f}", f"{cf[d][h]:.6f}"]
-    _write_csv(path, PROFILES_HEADER, rows())
+def write_profiles(path: str | Path, slf: Mapping[date, np.ndarray],
+                   cf: Mapping[date, np.ndarray]) -> None:
+    _write_hourly(path, PROFILES_COLUMNS, ".6f", slf, cf)
 
 
 def write_alloc(path: str | Path, alloc: Mapping[str, int]) -> None:

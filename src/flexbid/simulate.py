@@ -29,7 +29,6 @@ theoretically available savings the auction actually delivered:
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
@@ -43,10 +42,17 @@ import numpy as np
 from .bidding import MAX_BIDS, build_exclusive_group, disaggregate
 from .clearing import clear
 from .errors import EmptyInput, FlexbidError, GridMismatch, InvalidOrdering, SchemaError
-from .grid import GridTimeSeries, OpfModel, RadialNetwork, allocate_buildings
-from .ingest import HOURS, InstanceBundle
+from .grid import (
+    DEFAULT_FACETS,
+    VOLL_EUR_MWH,
+    GridTimeSeries,
+    OpfModel,
+    RadialNetwork,
+    allocate_buildings,
+)
+from .ingest import HOURS, InstanceBundle, write_csv
 from .scenarios import PriceSeries, generate_scenarios
-from .thermal import BuildingParams, ComfortConfig, DispatchModel, profile_cost
+from .thermal import BuildingParams, ComfortConfig, DispatchModel, flexible, profile_cost
 
 log = logging.getLogger(__name__)
 
@@ -68,9 +74,9 @@ class CampaignConfig:
     mode: str = "unbundled"
     pricing: str = "truthful"
     forecaster: str = "column"
-    facets: int = 8
+    facets: int = DEFAULT_FACETS
     rar: float = 0.05
-    voll: float = 10000.0
+    voll: float = VOLL_EUR_MWH
     price_cap: float = 4000.0
     comfort: ComfortConfig = ComfortConfig()
 
@@ -211,10 +217,7 @@ class _Fleet:
     """Unbundled dispatch: one DispatchModel over every heat pump, no network."""
 
     def __init__(self, cfg: CampaignConfig, inputs: DayInputs):
-        flex = sorted(
-            (b for b in inputs.buildings if b.has_hp and b.p_hp_rated > 0),
-            key=lambda b: b.id,
-        )
+        flex = flexible(inputs.buildings)
         self.dt = cfg.comfort.dt
         self.ids = [b.id for b in flex]
         self.model = DispatchModel(flex, cfg.comfort, inputs.t_out)
@@ -439,15 +442,11 @@ def _each_day(cfg: CampaignConfig, bundle: InstanceBundle, step) -> tuple[list, 
     return results, failures
 
 
-def _n_flexible(bundle: InstanceBundle) -> int:
-    return sum(1 for b in bundle.buildings if b.has_hp and b.p_hp_rated > 0)
-
-
 def run_campaign(cfg: CampaignConfig, bundle: InstanceBundle) -> CampaignReport:
     """Run every campaign day, collecting failures instead of aborting."""
     days, failures = _each_day(cfg, bundle, lambda inputs, bases: run_day(cfg, inputs, bases))
     return CampaignReport(config=cfg, days=days, failures=failures,
-                          n_flexible=_n_flexible(bundle))
+                          n_flexible=len(flexible(bundle.buildings)))
 
 
 def efficiency_vs_bids(
@@ -477,7 +476,7 @@ def efficiency_vs_bids(
     days, failures = _each_day(cfg, bundle, sweep)
     return [
         CampaignReport(config=c, days=[budgets[i] for budgets in days],
-                       failures=list(failures), n_flexible=_n_flexible(bundle))
+                       failures=list(failures), n_flexible=len(flexible(bundle.buildings)))
         for i, c in enumerate(cfgs)
     ]
 
@@ -492,39 +491,29 @@ REPORT_HEADER = [
 
 
 def write_report_csv(path: str | Path, report: CampaignReport) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for d in report.days:
-            writer.writerow([
-                d.day.isoformat(),
-                f"{d.tc_inf:.6f}",
-                f"{d.tc_cleared:.6f}",
-                f"{d.tc_opt:.6f}",
-                "" if d.eta is None else f"{d.eta:.6f}",
-                f"{d.shed_kwh:.6f}",
-                f"{d.price_std:.6f}",
-                f"{d.runtime['dispatch']:.6f}",
-                f"{d.runtime['clearing']:.6f}",
-                str(d.n_bids),
-                "" if d.accepted_index is None else str(d.accepted_index),
-                str(int(d.fallback)),
-                f"{d.hp_cost_cleared:.6f}",
-            ])
+    write_csv(path, REPORT_HEADER, (
+        [
+            d.day.isoformat(),
+            f"{d.tc_inf:.6f}",
+            f"{d.tc_cleared:.6f}",
+            f"{d.tc_opt:.6f}",
+            "" if d.eta is None else f"{d.eta:.6f}",
+            f"{d.shed_kwh:.6f}",
+            f"{d.price_std:.6f}",
+            f"{d.runtime['dispatch']:.6f}",
+            f"{d.runtime['clearing']:.6f}",
+            str(d.n_bids),
+            "" if d.accepted_index is None else str(d.accepted_index),
+            str(int(d.fallback)),
+            f"{d.hp_cost_cleared:.6f}",
+        ]
+        for d in report.days
+    ))
 
 
 def write_schedules_csv(path: str | Path, report: CampaignReport) -> None:
     """Awarded per-building schedules, one row per building-hour."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "building_id", "hour", "p_hp_kw"])
-        for d in report.days:
-            for bid in sorted(d.awarded_kw):
-                for h in range(HOURS):
-                    writer.writerow([
-                        d.day.isoformat(), bid, str(h), f"{d.awarded_kw[bid][h]:.6f}",
-                    ])
+    write_csv(path, ["date", "building_id", "hour", "p_hp_kw"], (
+        [d.day.isoformat(), bid, str(h), f"{d.awarded_kw[bid][h]:.6f}"]
+        for d in report.days for bid in sorted(d.awarded_kw) for h in range(HOURS)
+    ))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -78,6 +78,12 @@ class BuildingParams:
             raise ValueError(f"building {self.id}: r_th and c_th must be positive")
         if self.p_hp_rated < 0 or self.p_pv_rated < 0:
             raise ValueError(f"building {self.id}: rated powers must be non-negative")
+
+
+def flexible(buildings: Iterable[BuildingParams]) -> list[BuildingParams]:
+    """The buildings with a heat pump of positive rating, in id order:
+    the fleet both dispatchers schedule."""
+    return sorted((b for b in buildings if b.has_hp and b.p_hp_rated > 0), key=lambda b: b.id)
 
 
 @dataclass

@@ -175,6 +175,19 @@ def test_report_rejects_bid_budgets_outside_the_scenario_count(workspace, runner
     assert not (workspace / "efficiency-vs-bids.csv").exists()
 
 
+def test_report_drops_bid_budgets_above_the_bid_cap(workspace, runner):
+    """A budget above the 24-bid cap once aborted the whole report, while
+    one above the scenario count was dropped with a note."""
+    res = runner.invoke(main, [
+        "report", str(workspace), "--days", "1", "--scenarios", "30", "--bids", "1,30",
+        "--shares", "30", "--volatilities", "1.0",
+    ])
+    assert res.exit_code == 0, res.output
+    assert "dropping bid budgets above 24" in res.stderr
+    with (workspace / "efficiency-vs-bids.csv").open() as fh:
+        assert [r["max_bids"] for r in csv.DictReader(fh)] == ["1"]
+
+
 def test_report_names_the_failed_days_and_exits_1(workspace, runner):
     # the synthetic section stops a day short of the files: the share and
     # volatility sweeps fail the last campaign day, the bid sweep does not
@@ -254,6 +267,8 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     (lambda payload: payload["campaign"].update(scenarios=None), "campaign.scenarios"),
     (lambda payload: payload["campaign"].update(scenarioz=24), "unknown keys: campaign.scenarioz"),
     (lambda payload: payload["campaign"].update(days=2.5), "campaign.days"),
+    # once a bare ValueError from CampaignConfig, naming neither file nor key
+    (lambda payload: payload["campaign"].update(start="2025-13-01"), "campaign.start"),
     (lambda payload: payload["synthetic"].update(seedz=1), "unknown keys: synthetic.seedz"),
     # nothing read synthetic.rar; the campaign's rar sets the reactive load
     (lambda payload: payload["synthetic"].update(rar=0.05), "unknown keys: synthetic.rar"),

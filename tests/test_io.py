@@ -22,6 +22,7 @@ from flexbid.ingest import (
     read_buildings,
     read_network,
     read_prices,
+    read_profiles,
     read_weather,
     write_buildings,
     write_network,
@@ -172,6 +173,24 @@ def test_prices_without_forecast_column(tmp_path):
     realized, forecast = read_prices(tmp_path / "prices.csv")
     assert forecast is None
     assert np.allclose(realized[date(2025, 1, 7)], 61.5)
+
+
+@pytest.mark.parametrize("name, header, reader, read", [
+    ("weather.csv", "date,hour,t_out_C", read_weather, {}),
+    ("prices.csv", "date,hour,realized_eur_mwh,forecast_eur_mwh", read_prices, ({}, {})),
+    ("prices.csv", "date,hour,realized_eur_mwh", read_prices, ({}, None)),
+    ("profiles.csv", "date,hour,slf,cf", read_profiles, ({}, {})),
+])
+def test_a_header_only_hourly_file_reads_as_no_days(tmp_path, name, header, reader, read):
+    """The forecast is None only when its column is absent, rows or not."""
+    assert reader(write(tmp_path, name, header + "\n")) == read
+
+
+def test_prices_without_forecast_roundtrip_byte_identical(tmp_path):
+    text = "date,hour,realized_eur_mwh\n" + day_rows(D1, "50.0000") + day_rows(D2, "-61.5000")
+    realized, forecast = read_prices(write(tmp_path, "prices.csv", text))
+    write_prices(tmp_path / "again.csv", realized, forecast)
+    assert (tmp_path / "again.csv").read_bytes() == text.encode()
 
 
 def test_price_series_falls_back_to_naive(tmp_path):
