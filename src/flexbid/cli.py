@@ -277,13 +277,9 @@ def allocate(workdir, config_path, out_path, json_errors):
     )
 
 
-def _day_from(day_str: str | None, cfg: CampaignConfig) -> date:
-    return date.fromisoformat(day_str) if day_str else cfg.start
-
-
 @main.command("bid")
 @click.argument("workdir", type=click.Path(file_okay=False, exists=True), default=".")
-@click.option("--date", "day_str", default=None,
+@click.option("--date", "day", type=click.DateTime(["%Y-%m-%d"]), default=None,
               help="delivery day YYYY-MM-DD (default: first campaign day)")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--scenarios", type=int, default=None, help="price scenarios per day")
@@ -295,7 +291,7 @@ def _day_from(day_str: str | None, cfg: CampaignConfig) -> date:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--json-errors", is_flag=True)
 @guarded
-def bid_command(workdir, day_str, config_path, scenarios, max_bids, mode,
+def bid_command(workdir, day, config_path, scenarios, max_bids, mode,
                 pricing, facets, forecaster, out_path, json_errors):
     """Build one day's exclusive group of block bids and write bids.json."""
     raw, base = _load_workspace(workdir, config_path)
@@ -304,7 +300,7 @@ def bid_command(workdir, day_str, config_path, scenarios, max_bids, mode,
         pricing=pricing, facets=facets, forecaster=forecaster,
     )
     bundle = _load_bundle(_resolve_paths(raw, base))
-    day = _day_from(day_str, cfg)
+    day = day.date() if day else cfg.start
     inputs = day_inputs(cfg, bundle, day, alloc=campaign_alloc(cfg, bundle))
     group, _ = day_bids(cfg, inputs)
     target = Path(out_path) if out_path else base / f"bids_{day.isoformat()}.json"
@@ -314,23 +310,24 @@ def bid_command(workdir, day_str, config_path, scenarios, max_bids, mode,
 
 @main.command("clear")
 @click.argument("workdir", type=click.Path(file_okay=False, exists=True), default=".")
-@click.option("--date", "day_str", default=None,
-              help="delivery day (default: taken from the bids file)")
+@click.option("--date", "day", type=click.DateTime(["%Y-%m-%d"]), default=None,
+              help="delivery day YYYY-MM-DD (default: taken from the bids file)")
 @click.option("--bids", "bids_path", type=click.Path(dir_okay=False), default=None,
               help="bids.json to clear (default: bids_<date>.json in the workspace)")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--json-errors", is_flag=True)
 @guarded
-def clear_command(workdir, day_str, bids_path, config_path, out_path, json_errors):
+def clear_command(workdir, day, bids_path, config_path, out_path, json_errors):
     """Clear a bids.json against the realized prices of its delivery day."""
     raw, base = _load_workspace(workdir, config_path)
+    day = day.date() if day else None
     if bids_path is None:
-        if day_str is None:
+        if day is None:
             raise ValueError("pass --date or --bids to locate the bids file")
-        bids_path = base / f"bids_{day_str}.json"
+        bids_path = base / f"bids_{day.isoformat()}.json"
     group, header = read_bids(bids_path)
-    day = date.fromisoformat(day_str if day_str else header["day"])
+    day = day or date.fromisoformat(header["day"])
     bundle = _load_bundle(_resolve_paths(raw, base))
     if day not in bundle.realized:
         raise GridMismatch(f"prices data does not cover {day}")
@@ -351,7 +348,8 @@ def clear_command(workdir, day_str, bids_path, config_path, out_path, json_error
 @main.command("simulate")
 @click.argument("workdir", type=click.Path(file_okay=False, exists=True), default=".")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--start", default=None, help="first delivery day YYYY-MM-DD")
+@click.option("--start", type=click.DateTime(["%Y-%m-%d"]), default=None,
+              help="first delivery day YYYY-MM-DD")
 @click.option("--days", type=int, default=None)
 @click.option("--scenarios", type=int, default=None)
 @click.option("--max-bids", type=int, default=None)
@@ -368,7 +366,7 @@ def simulate_command(workdir, config_path, start, days, scenarios, max_bids,
     """Run the rolling campaign; write report.csv, schedules.csv, summary.json."""
     raw, base = _load_workspace(workdir, config_path)
     cfg = _campaign_config(
-        raw, start=start, days=days, scenarios=scenarios,
+        raw, start=start.date().isoformat() if start else None, days=days, scenarios=scenarios,
         max_bids=max_bids, mode=mode, pricing=pricing, facets=facets,
         forecaster=forecaster,
     )

@@ -1,4 +1,4 @@
-"""Radial distribution network: allocation MILP and a linearized branch-flow OPF.
+"""Radial distribution network: building allocation and a linearized branch-flow OPF.
 
 The network is a tree rooted at a substation.  Power flow uses the
 lossless LinDistFlow form on squared voltages: per line, the flow
@@ -250,9 +250,13 @@ def allocate_buildings(
     the assigned PV ratings must each fit under the node's connection
     capacity.  Ratings count whether or not a unit is currently
     installed, so the assignment is stable across equipment roll-outs.
-    The constraint rows are sparse CSR, 3 · buildings · sites nonzeros
-    in all, so memory grows linearly in buildings × sites; the MILP's
-    time still grows faster than that.
+
+    Without the capacity rows each building goes to its nearest node
+    (ties to the lowest node id), so when that assignment fits every
+    capacity it is an optimum of the MILP and is returned without a solve,
+    in time linear in buildings × sites (Ross & Soland, Math. Prog. 8,
+    1975).  Only when some node would be overloaded, by any margin, is
+    the MILP solved (`_assignment_milp`).
     """
     validate_radial(net)
     sites = [n for _, n in sorted(net.nodes.items()) if not n.is_substation]
@@ -275,13 +279,32 @@ def allocate_buildings(
             f"capacity totals {cap.sum():.1f} kW"
         )
 
-    nb, nn = len(buildings), len(sites)
+    nn = len(sites)
     bx = np.array([b.position[0] for b in buildings])
     by = np.array([b.position[1] for b in buildings])
     nx = np.array([n.position[0] for n in sites])
     ny = np.array([n.position[1] for n in sites])
     dist = np.hypot(bx[:, None] - nx[None, :], by[:, None] - ny[None, :])
 
+    site = dist.argmin(axis=1)  # the first, lowest-id node among ties
+    overloaded = (np.bincount(site, hp, nn) > cap) | (np.bincount(site, pv, nn) > cap)
+    if overloaded.any():
+        log.info("nearest-node assignment overloads nodes %s; solving the assignment MILP",
+                 [sites[i].id for i in np.flatnonzero(overloaded)])
+        site = _assignment_milp(dist, hp, pv, cap)
+    else:
+        log.info("nearest-node assignment fits every node's capacity; no MILP needed")
+    return {bld.id: sites[s].id for bld, s in zip(buildings, site.tolist())}
+
+
+def _assignment_milp(dist: np.ndarray, hp: np.ndarray, pv: np.ndarray,
+                     cap: np.ndarray) -> np.ndarray:
+    """The capacitated assignment as a binary MILP: the site index of
+    each building, minimizing the summed `dist[building, site]` with
+    every site's heat-pump and PV ratings each under its `cap`.  The
+    constraint rows are sparse CSR, 3 · buildings · sites nonzeros in
+    all, so memory grows linearly in buildings × sites."""
+    nb, nn = dist.shape
     # variables a[b, n] flattened row-major
     assign = sparse.kron(sparse.eye_array(nb), np.ones((1, nn)), format="csr")
     hp_rows = sparse.kron(hp[None, :], sparse.eye_array(nn), format="csr")
@@ -304,12 +327,7 @@ def allocate_buildings(
         )
     if not res.success:
         raise SolverFailure(f"assignment solve failed: {res.message}")
-
-    a = res.x.reshape(nb, nn)
-    out: dict[str, int] = {}
-    for b, bld in enumerate(buildings):
-        out[bld.id] = sites[int(np.argmax(a[b]))].id
-    return out
+    return res.x.reshape(nb, nn).argmax(axis=1)
 
 
 @dataclass(frozen=True)

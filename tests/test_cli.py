@@ -90,6 +90,16 @@ def test_clear_needs_a_date_or_a_bids_file(workspace, runner):
     assert "pass --date or --bids" in res.stderr
 
 
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--start"), ("bid", "--date"), ("clear", "--date"),
+])
+def test_bad_dates_fail_naming_the_option_and_value(workspace, runner, command, option):
+    res = runner.invoke(main, [command, str(workspace), option, "2025-13-01"])
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.stderr
+    assert "'2025-13-01'" in res.stderr
+
+
 def test_simulate_writes_the_campaign_outputs(workspace, runner):
     res = runner.invoke(main, ["simulate", str(workspace)] + FAST)
     assert res.exit_code == 0, res.output

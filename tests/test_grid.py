@@ -1,6 +1,7 @@
 """Network dispatch against hand-computed LinDistFlow and geometry oracles."""
 
 import dataclasses
+import logging
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from flexbid.errors import (
     LengthMismatch,
     MultipleAncestors,
 )
+from flexbid import grid
 from flexbid.grid import (
     GridTimeSeries,
     Line,
@@ -454,6 +456,118 @@ def test_allocation_memory_stays_linear_in_buildings_times_sites():
     finally:
         tracemalloc.stop()
     assert len(out) == 200
+    assert peak < 6e6, f"allocation peaked at {peak / 1e6:.1f} MB"
+
+
+def feeder_instance(seed=0):
+    return generate_instance(SyntheticSpec(
+        n_buildings=200, hp_share_pct=60.0, n_days=2, seed=seed, branching=5, depth=6))
+
+
+def milp_allocation(buildings, net):
+    """The assignment MILP's own answer, without the nearest-node exit."""
+    sites = [n for _, n in sorted(net.nodes.items()) if not n.is_substation]
+    b_pos = np.array([b.position for b in buildings])
+    n_pos = np.array([n.position for n in sites])
+    diff = b_pos[:, None] - n_pos[None]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    site = grid._assignment_milp(
+        dist, np.array([b.p_hp_rated for b in buildings]),
+        np.array([b.p_pv_rated for b in buildings]), np.array([n.p_cap_kw for n in sites]))
+    return {b.id: sites[s].id for b, s in zip(buildings, site)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_nearest_node_exit_gives_the_milp_optimum(seed):
+    bundle = feeder_instance(seed)
+    assert allocate_buildings(bundle.buildings, bundle.network) == \
+        milp_allocation(bundle.buildings, bundle.network)
+
+
+def test_only_a_binding_capacity_reaches_the_milp(monkeypatch):
+    def no_milp(*args, **kwargs):
+        raise AssertionError("milp called")
+
+    monkeypatch.setattr(grid, "milp", no_milp)
+    bundle = feeder_instance()
+    assert len(allocate_buildings(bundle.buildings, bundle.network)) == 200
+    net = alloc_net([3.5, 3.5], [(0.0, 0.0), (2.0, 0.0)])  # as in the second-choice test
+    buildings = [hp_building("a", pos=(0.0, 0.0)), hp_building("b", pos=(0.5, 0.0))]
+    with pytest.raises(AssertionError, match="milp called"):
+        allocate_buildings(buildings, net)
+
+
+@pytest.fixture()
+def milp_calls(monkeypatch):
+    """The number of assignment MILPs solved, as a growing list."""
+    calls, milp = [], grid.milp
+
+    def counted_milp(*args, **kwargs):
+        calls.append(1)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "milp", counted_milp)
+    return calls
+
+
+@pytest.mark.parametrize("hp, pv", [(3.0, 0.0), (1.0, 3.0)])  # heat pumps or PV bind
+@pytest.mark.parametrize("cap, solves", [(6.0, 0), (np.nextafter(6.0, 0.0), 1)])
+def test_nearest_load_at_capacity_fits_and_any_overload_solves(milp_calls, hp, pv, cap, solves):
+    net = alloc_net([cap, 10.0], [(0.0, 0.0), (2.0, 0.0)])
+    buildings = [dataclasses.replace(hp_building(bid, rated=hp, pos=pos), p_pv_rated=pv)
+                 for bid, pos in (("a", (0.0, 0.0)), ("b", (0.5, 0.0)))]
+    allocate_buildings(buildings, net)
+    assert len(milp_calls) == solves
+
+
+def test_equidistant_building_lands_on_the_lower_node_id():
+    # node 2 comes first in the mapping; the tie still goes to node 1
+    nodes = {0: Node(id=0, ancestor_id=None, is_substation=True, s_rating_kva=1000.0),
+             2: Node(id=2, ancestor_id=0, p_cap_kw=10.0, position=(0.0, 0.0)),
+             1: Node(id=1, ancestor_id=0, p_cap_kw=10.0, position=(2.0, 0.0))}
+    lines = [Line(from_id=i, to_id=0, r_pu=0.01, x_pu=0.0, s_rating_pu=10.0) for i in (2, 1)]
+    net = RadialNetwork(nodes=nodes, lines=lines)
+    assert allocate_buildings([hp_building(pos=(1.0, 0.0))], net) == {"h1": 1}
+
+
+def test_allocation_logs_the_nearest_node_exit(caplog):
+    caplog.set_level(logging.INFO, logger="flexbid.grid")
+    net = alloc_net([100.0] * 2, [(0.0, 0.0), (5.0, 0.0)])
+    allocate_buildings([hp_building("a", pos=(0.4, 0.1))], net)
+    assert "nearest-node assignment fits every node's capacity" in caplog.text
+
+
+def test_allocation_logs_the_overloaded_nodes(caplog):
+    caplog.set_level(logging.INFO, logger="flexbid.grid")
+    net = alloc_net([3.5, 3.5], [(0.0, 0.0), (2.0, 0.0)])
+    buildings = [hp_building("a", pos=(0.0, 0.0)), hp_building("b", pos=(0.5, 0.0))]
+    allocate_buildings(buildings, net)
+    assert "nearest-node assignment overloads nodes [1]; solving the assignment MILP" \
+        in caplog.text
+
+
+def test_allocation_milp_memory_stays_linear_in_buildings_times_sites(milp_calls):
+    # the instance above with its most loaded node cut to 90 % of the
+    # heat-pump ratings nearest to it, so the sparse MILP has to run
+    bundle = feeder_instance()
+    net = bundle.network
+    nearest = allocate_buildings(bundle.buildings, net)
+    load = {}
+    for b in bundle.buildings:
+        load[nearest[b.id]] = load.get(nearest[b.id], 0.0) + b.p_hp_rated
+    nid = max(load, key=load.get)
+    cut = dataclasses.replace(net, nodes={
+        **net.nodes, nid: dataclasses.replace(net.nodes[nid], p_cap_kw=0.9 * load[nid])})
+    assert sum(b.p_hp_rated for b in bundle.buildings) <= \
+        sum(n.p_cap_kw for n in cut.nodes.values() if not n.is_substation)
+    tracemalloc.start()
+    try:
+        out = allocate_buildings(bundle.buildings, cut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(milp_calls) == 1
+    assert len(out) == 200 and out != nearest
     assert peak < 6e6, f"allocation peaked at {peak / 1e6:.1f} MB"
 
 
