@@ -45,7 +45,7 @@ class ClearingOutcome:
         }
 
 
-def _validate(group: ExclusiveGroup, prices: np.ndarray, dt: float) -> np.ndarray:
+def _validate(group: ExclusiveGroup, prices: np.ndarray) -> np.ndarray:
     prices = np.asarray(prices, dtype=float)
     horizon = group.bids[0].profile.shape[0]
     if prices.shape != (horizon,):
@@ -65,7 +65,7 @@ def clear(group: ExclusiveGroup, prices: np.ndarray, dt: float = 1.0) -> Clearin
     the lowest index; a best profit of exactly zero is a rejection (the
     exchange has no reason to move money for nothing).
     """
-    prices = _validate(group, prices, dt)
+    prices = _validate(group, prices)
     n = len(group.bids)
     costs = np.array(
         [dt * float(np.dot(prices, bid.profile)) for bid in group.bids]
@@ -103,7 +103,7 @@ def clear_oracle(group: ExclusiveGroup, prices: np.ndarray, dt: float = 1.0) -> 
         raise GroupTooLarge(
             f"oracle enumerates at most {ORACLE_MAX_BIDS} bids, got {len(group.bids)}"
         )
-    prices = _validate(group, prices, dt)
+    prices = _validate(group, prices)
     horizon = group.bids[0].profile.shape[0]
 
     best_surplus = 0.0

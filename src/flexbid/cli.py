@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import sys
 from datetime import date, timedelta
 from pathlib import Path
@@ -88,9 +89,11 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
     nothing reads, so a misspelt key cannot fall back to a default, on a
     synthetic section without its start, and on any value of the wrong
     JSON type, naming the key; naming the file and campaign.start when
-    that is not a valid ISO date; and naming the file when the synthetic
-    section does not make a valid SyntheticSpec.  So every command fails
-    on a bad section before it does any work.
+    that is not a valid ISO date; and naming the file when the campaign
+    section, its start and days filled in where it leaves them to the
+    command line, does not make a valid CampaignConfig, or the synthetic
+    section a valid SyntheticSpec.  So every command fails on a bad
+    section before it does any work.
     """
     cfg_file = Path(config_path) if config_path else Path(workdir) / "campaign.json"
     if not cfg_file.exists():
@@ -123,6 +126,11 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
         except ValueError as exc:
             raise SchemaError(
                 f"{cfg_file}: campaign.start {start!r} is not a valid date: {exc}") from None
+    try:
+        CampaignConfig.from_dict({"start": date.min.isoformat(), "days": 1,
+                                  **raw.get("campaign", {})})
+    except ValueError as exc:
+        raise SchemaError(f"{cfg_file}: campaign: {exc}") from None
     if "synthetic" in raw:
         try:
             SyntheticSpec.from_dict(raw["synthetic"])
@@ -411,6 +419,23 @@ def _exit_on_failures(failures: list[tuple[str, date, str]]) -> None:
         sys.exit(1)
 
 
+def _numbers(kind):
+    """A click callback reading a comma-separated list of finite `kind`s,
+    so that a bad list exits 2, naming its option, before any work."""
+
+    def parse(ctx, param, value: str) -> list:
+        try:
+            values = [kind(tok) for tok in value.split(",") if tok.strip()]
+            if all(map(math.isfinite, values)):
+                return values
+        except ValueError:
+            pass
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of finite "
+                                 f"{kind.__name__} values")
+
+    return parse
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -431,17 +456,17 @@ def _totals(rep: CampaignReport, *values) -> list[str]:
 @click.option("--days", type=int, default=None, help="campaign length for the sweeps")
 @click.option("--scenarios", type=int, default=None)
 @click.option("--mode", type=click.Choice(MODES), default=None)
-@click.option("--bids", "bids_csv", default="1,2,4,8,16,24", show_default=True,
+@click.option("--bids", default="1,2,4,8,16,24", show_default=True, callback=_numbers(int),
               help="bid budgets to sweep")
-@click.option("--shares", "shares_csv", default="15,30,45,60", show_default=True,
+@click.option("--shares", default="15,30,45,60", show_default=True, callback=_numbers(float),
               help="heat-pump shares to sweep (synthetic workspaces only)")
-@click.option("--volatilities", "vols_csv", default="0.5,1.0,1.5,2.0",
-              show_default=True, help="price-volatility scales to sweep")
+@click.option("--volatilities", default="0.5,1.0,1.5,2.0", show_default=True,
+              callback=_numbers(float), help="price-volatility scales to sweep")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--json-errors", is_flag=True)
 @guarded
-def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
-                   shares_csv, vols_csv, out_dir, json_errors):
+def report_command(workdir, config_path, days, scenarios, mode, bids,
+                   shares, volatilities, out_dir, json_errors):
     """Emit the trend tables: efficiency and runtime vs bid budget and
     heat-pump share, and savings vs price volatility.  Each failed day is
     named on stderr, and the command exits 1 after writing the tables."""
@@ -452,7 +477,7 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    b_values = sorted({int(tok) for tok in bids_csv.split(",") if tok.strip()})
+    b_values = sorted(set(bids))
     top = min(cfg.s_count, MAX_BIDS)
     usable = [b for b in b_values if b <= top]
     if usable != b_values:
@@ -482,7 +507,7 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
         base_spec = SyntheticSpec.from_dict(raw["synthetic"])
 
         share_rows, share_runtime = [], []
-        for share in [float(tok) for tok in shares_csv.split(",") if tok.strip()]:
+        for share in shares:
             spec = dataclasses.replace(base_spec, hp_share_pct=share)
             rep = run_campaign(cfg, generate_instance(spec))
             failures += [(f" (share {share:g} %)", day, msg) for day, msg in rep.failures]
@@ -509,7 +534,7 @@ def report_command(workdir, config_path, days, scenarios, mode, bids_csv,
         written += ["efficiency-vs-share.csv", "runtime-vs-share.csv"]
 
         vol_rows = []
-        for vol in [float(tok) for tok in vols_csv.split(",") if tok.strip()]:
+        for vol in volatilities:
             spec = dataclasses.replace(base_spec, volatility=vol)
             rep = run_campaign(cfg, generate_instance(spec))
             failures += [(f" (volatility {vol:g})", day, msg) for day, msg in rep.failures]

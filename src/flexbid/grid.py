@@ -367,13 +367,14 @@ class OpfModel:
     row_lo <= A x <= row_hi, col_lo <= x <= col_hi with the costs `cost`
     outside the substation import's `import_cols`; the heat pumps'
     columns, their dynamics and energy rows and their bounds are the
-    `thermal.fleet_rows` block, placed first.  Both solve() and
-    solve_rows() run the one warm-started `lp.HighsSweep` built with the
-    LP, which sets the price coefficients on the substation import and
-    re-runs the solver from the previous optimal basis.  solve_rows()
-    returns the (S, F, T) schedules and S objectives, as
-    `thermal.DispatchModel.solve` does; solve() returns one full
-    OpfSolution.  Heat-pump schedules can be pinned (baseline runs,
+    `thermal.fleet_rows` block, placed first, so its power-column
+    indices read the schedules out of a solution here too.  Both solve()
+    and solve_rows() run the one warm-started `lp.HighsSweep` built with
+    the LP, which sets the price coefficients on the substation import
+    and re-runs the solver from the previous optimal basis.
+    solve_rows() answers the call `thermal.DispatchModel.solve` answers,
+    (X[S, F, T], cost[S]), its costs the S objectives; solve() returns
+    one full OpfSolution.  Heat-pump schedules can be pinned (baseline runs,
     awarded profiles) by passing hp_fixed to solve(), which sets that
     call's column bounds; a pinned schedule must lie within its heat
     pump's rating.
@@ -442,7 +443,7 @@ class OpfModel:
             if nid == self.sub_id:
                 raise GridMismatch(f"building {b.id} assigned to the substation")
 
-        *fleet, self.baseline = fleet_rows(self.flex, cfg, t_out)
+        *fleet, self.baseline, self._power = fleet_rows(self.flex, cfg, t_out)
         self.hp_node = np.array([self.node_pos[alloc[b.id]] for b in self.flex], dtype=int)
         pv = [b for b in buildings if b.p_pv_rated > 0 and b.id in alloc]
         pv_node = np.array([self.node_pos[alloc[b.id]] for b in pv], dtype=int)
@@ -599,8 +600,8 @@ class OpfModel:
         self.col_lo = np.r_[lo_hp, np.zeros(N * T), np.full(NV * T, V_MIN_PU**2), -free]
         self.col_hi = np.r_[hi_hp, self.p_fix_kw.ravel(), np.full(NV * T, V_MAX_PU**2), free]
         self.cost = np.repeat([0.0, cfg.dt * self.voll / 1000.0, 0.0],
-                              [2 * F * T, N * T, (NV + 2 * L) * T + 2 * T])
-        self._ends = np.cumsum([2 * F * T, N * T, NV * T, L * T, L * T, T, T])
+                              [len(lo_hp), N * T, (NV + 2 * L) * T + 2 * T])
+        self._ends = np.cumsum([len(lo_hp), N * T, NV * T, L * T, L * T, T, T])
         self.import_cols = np.arange(self._ends[4], self._ends[5])
         self.kept_lines = [self.node_ids[i] for i in keep]
         self.keeps_voltage = voltage
@@ -624,7 +625,7 @@ class OpfModel:
         T = self.cfg.horizon
         col_lo, col_hi = self.col_lo.copy(), self.col_hi.copy()
         for bid, sched in (hp_fixed or {}).items():
-            f = bisect_left(self.ids, bid)  # the heat pumps' columns come first
+            f = bisect_left(self.ids, bid)
             if self.ids[f:f + 1] != [bid]:
                 raise DanglingReference(f"hp_fixed names unknown building {bid}")
             sched = np.asarray(sched, dtype=float)
@@ -635,7 +636,7 @@ class OpfModel:
             rated = self.flex[f].p_hp_rated
             if sched.min() < -1e-6 or sched.max() > rated + 1e-6:
                 raise Infeasible(f"fixed schedule for {bid} leaves its rating [0, {rated}] kW")
-            col_lo[2 * f * T : (2 * f + 1) * T] = col_hi[2 * f * T : (2 * f + 1) * T] = sched
+            col_lo[self._power[f]] = col_hi[self._power[f]] = sched
         prices = np.asarray(prices, dtype=float)
         X, objective = self._sweep(prices[None], col_lo, col_hi)
         return self._solution(prices, X[0], float(objective[0]))
@@ -659,8 +660,7 @@ class OpfModel:
         if price_rows.ndim != 2:
             raise ValueError("price_rows must be an (S, T) array")
         X, objective = self._sweep(price_rows, bases=bases)
-        fleet = X[:, : self._ends[0]].reshape(len(X), len(self.ids), 2, self.cfg.horizon)
-        return np.ascontiguousarray(fleet[:, :, 0]), objective
+        return X[:, self._power], objective
 
     def _sweep(self, price_rows: np.ndarray, col_lo: np.ndarray | None = None,
                col_hi: np.ndarray | None = None,
@@ -684,8 +684,8 @@ class OpfModel:
         flow, and a model without voltage columns its voltages, as the
         full LP states them: one triangular solve on D.T, one on D."""
         S, T = self.net.s_base_kva, self.cfg.horizon
-        fleet, shed, *_, pcc_p, pcc_q = np.split(x, self._ends[:-1])
-        hp = fleet.reshape(-1, 2, T)[:, 0]
+        _, shed, *_, pcc_p, pcc_q = np.split(x, self._ends[:-1])
+        hp = x[self._power]
         shed = shed.reshape(-1, T)
         load = self.p_fix_kw + self._H @ hp
         draws = np.hstack([load - self.pv_kw - shed, self.series.rar * load]) / S

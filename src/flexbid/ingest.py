@@ -277,7 +277,10 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
             raise DanglingReference(f"{edges_path}:{lineno}: unknown from_id {frm}")
         if to not in nodes:
             raise DanglingReference(f"{edges_path}:{lineno}: unknown to_id {to}")
-        lines.append(Line(from_id=frm, to_id=to, r_pu=r, x_pu=x, s_rating_pu=s))
+        try:
+            lines.append(Line(from_id=frm, to_id=to, r_pu=r, x_pu=x, s_rating_pu=s))
+        except ValueError as exc:
+            raise SchemaError(f"{edges_path}:{lineno}: {exc}") from None
     substations = [n for n in nodes.values() if n.is_substation]
     if not substations:
         raise SchemaError(f"{nodes_path}: no substation row")

@@ -222,13 +222,7 @@ class _Fleet:
         self.ids = [b.id for b in flex]
         self.model = DispatchModel(flex, cfg.comfort, inputs.t_out)
         self.baseline = self.model.baseline
-
-    def solve(self, price_rows: np.ndarray,
-              bases: dict | None = None) -> tuple[np.ndarray, list[float]]:
-        """Warm-started HiGHS sweeps over every price row, one per block of
-        heat pumps; a row's cost adds the heat pumps' costs in id order."""
-        X, _, cost = self.model.solve(price_rows, bases)
-        return X, [sum(row) for row in cost.tolist()]
+        self.solve = self.model.solve
 
     def evaluate(self, prices: np.ndarray, award: np.ndarray) -> tuple[float, float, float]:
         cost = sum((profile_cost(sched, prices, self.dt) for sched in award), 0.0)
@@ -260,10 +254,11 @@ def _dispatcher(cfg: CampaignConfig, inputs: DayInputs) -> _Fleet | _Network:
 
     A dispatcher exposes ids (sorted building ids), baseline (R, T),
     solve(price_rows, bases) -> (X[S, R, T], cost[S]) and
-    evaluate(prices, award[R, T]) -> (cost, shed_kwh, hp_cost).
-    `_Network.solve` is `OpfModel.solve_rows` itself, the rows' network
-    dispatch warm-started row to row, its schedules in `OpfModel.ids`
-    order and its costs the OPF objectives.
+    evaluate(prices, award[R, T]) -> (cost, shed_kwh, hp_cost).  solve
+    is the model's own: `DispatchModel.solve`, whose costs add the heat
+    pumps' energy costs in id order, or `OpfModel.solve_rows`, whose
+    costs are the OPF objectives; each warm-starts its sweeps from
+    `bases` and leaves its final bases there.
     """
     return _Fleet(cfg, inputs) if cfg.mode == "unbundled" else _Network(cfg, inputs)
 
@@ -276,7 +271,7 @@ class _Dispatched:
 
     disp: _Fleet | _Network
     X: np.ndarray | None
-    cost: Sequence[float] | None
+    cost: np.ndarray | None
     inflexible: tuple[float, float, float]
     seconds: float
 

@@ -89,6 +89,9 @@ class SyntheticSpec:
         for lo, hi in (self.r_th_range, self.c_th_range, self.pv_rated_range):
             if not (0 < lo <= hi):
                 raise ValueError("parameter ranges must satisfy 0 < low <= high")
+        for name in ("volatility", "rating_margin", "hp_margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.volatility < 0:
             raise ValueError("volatility must be >= 0")
         if self.rating_margin <= 0 or self.hp_margin <= 1.0:

@@ -146,11 +146,12 @@ def profile_cost(schedule_kw: np.ndarray, prices: np.ndarray, dt: float) -> floa
 
 def fleet_rows(
     buildings: Sequence[BuildingParams], cfg: ComfortConfig, t_out: np.ndarray
-) -> tuple[sparse.csc_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A fleet's dispatch LP, A x = rhs and col_lo <= x <= col_hi, and its
-    (F, T) baseline schedules.  Building-major: each heat pump owns T power
-    then T indoor-temperature columns and T + 1 rows, so A is
-    block-diagonal.  Row t is the implicit-Euler step
+) -> tuple[sparse.csc_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A fleet's dispatch LP, A x = rhs and col_lo <= x <= col_hi, its
+    (F, T) baseline schedules and the (F, T) indices of its power columns,
+    so that x[power] is the fleet's schedules.  Building-major: each heat
+    pump owns T power then T indoor-temperature columns and T + 1 rows, so
+    A is block-diagonal.  Row t is the implicit-Euler step
     T_t - decay*T_{t-1} - decay*gain*P_t = decay*k*t_out_t (T_{-1} = t_set),
     row T the daily energy at the baseline's; the rating and the comfort
     band bound the columns.  Raises InfeasibleBaseline as
@@ -180,7 +181,8 @@ def fleet_rows(
     col_lo = np.tile(np.repeat([0.0, cfg.t_min], n), F)
     col_hi = np.c_[np.repeat(rated, n).reshape(F, n), np.full((F, n), cfg.t_max)].ravel()
     baseline = np.array([base.schedule for base in bases]).reshape(F, n)
-    return A, rhs.ravel(), col_lo, col_hi, baseline
+    power = 2 * n * np.arange(F)[:, None] + steps
+    return A, rhs.ravel(), col_lo, col_hi, baseline, power
 
 
 # Heat pumps per dispatch LP.  Each LP is one HiGHS instance swept over the
@@ -199,7 +201,8 @@ class DispatchModel:
     sweeps an (S, T) price stack over each block on one HiGHS instance:
     each row changes only the power costs and re-solves from the
     previous row's optimal basis, and a block's first row from the last
-    basis of a block of its size.
+    basis of a block of its size.  It returns what
+    `grid.OpfModel.solve_rows` returns: (S, R, T) schedules and S costs.
     """
 
     def __init__(self, buildings: Sequence[BuildingParams], cfg: ComfortConfig,
@@ -207,34 +210,33 @@ class DispatchModel:
         self.buildings = list(buildings)
         self.cfg = cfg
         self.t_out = np.asarray(t_out, dtype=float)
-        starts = range(0, len(self.buildings), BLOCK)
-        blocks = [self._sweep(start, start + BLOCK) for start in starts]
-        self._blocks = [(start, sweep) for start, (sweep, _) in zip(starts, blocks)]
-        self.baseline = np.vstack([np.empty((0, cfg.horizon)), *(base for _, base in blocks)])
+        self._blocks = [(start, *self._sweep(start, start + BLOCK))
+                        for start in range(0, len(self.buildings), BLOCK)]
+        self.baseline = np.vstack([np.empty((0, cfg.horizon)),
+                                   *(base for *_, base in self._blocks)])
 
-    def _sweep(self, start: int, stop: int) -> tuple[HighsSweep, np.ndarray]:
-        """The LP of buildings[start:stop], one diagonal block each, and
-        their baseline schedules."""
-        A, rhs, col_lo, col_hi, baseline = fleet_rows(
+    def _sweep(self, start: int, stop: int) -> tuple[HighsSweep, np.ndarray, np.ndarray]:
+        """The LP of buildings[start:stop], one diagonal block each, the
+        (n, T) indices of its power columns and their baseline schedules."""
+        A, rhs, col_lo, col_hi, baseline, power = fleet_rows(
             self.buildings[start:stop], self.cfg, self.t_out
         )
-        T = self.cfg.horizon
-        power = (2 * T * np.arange(len(baseline))[:, None] + np.arange(T)).ravel()
-        sweep = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power,
-                           blocks=len(baseline))
-        return sweep, baseline
+        sweep = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power.ravel(),
+                           blocks=len(power))
+        return sweep, power, baseline
 
     def solve(self, prices: np.ndarray,
-              bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Cost-minimal schedules at each row of an (S, T) EUR/MWh price stack.
 
-        Returns (S, R, T) schedules in kW, (S, R, T) indoor temperatures
-        and (S, R) costs in EUR, resources in the order given.  Rows on
-        which a heat pump ends on the same optimal vertex give it
-        byte-identical schedules.  Each block's sweep starts from the
-        basis `bases` holds for its LP's shape (see `HighsSweep.solve`);
-        without one given, a fresh dict, so each full block starts from
-        the block before it and the first cold.
+        Returns the (S, R, T) schedules in kW, resources in the order
+        given, and the S costs in EUR, each row's adding its heat pumps'
+        costs one by one in that order.  Rows on which a heat pump ends
+        on the same optimal vertex give it byte-identical schedules.
+        Each block's sweep starts from the basis `bases` holds for its
+        LP's shape (see `HighsSweep.solve`); without one given, a fresh
+        dict, so each full block starts from the block before it and the
+        first cold.
         """
         bases = {} if bases is None else bases
         prices = np.asarray(prices, dtype=float)
@@ -242,18 +244,18 @@ class DispatchModel:
         if prices.ndim != 2 or prices.shape[1] != T or len(prices) < 1:
             raise ValueError(f"prices must have shape (S, {T})")
         c = prices * self.cfg.dt / 1000.0  # objective directly in EUR
-        x = np.empty((len(prices), len(self.buildings), 2 * T))
-        for start, sweep in self._blocks:
-            n = sweep.blocks
+        X = np.empty((len(prices), len(self.buildings), T))
+        for start, sweep, power, _ in self._blocks:
+            n = len(power)
             try:
-                X, _ = sweep.solve(np.tile(c, n), bases=bases)
+                x, _ = sweep.solve(np.tile(c, n), bases=bases)
             except (Infeasible, SolverFailure) as exc:
                 raise self._named(start, start + n, c, exc) from None
-            x[:, start : start + n] = X.reshape(len(prices), n, 2 * T)
-        schedules = np.ascontiguousarray(x[..., :T])
-        # a dot product per row and heat pump: summed as one heat pump's c @ p is
-        cost = np.vecdot(schedules, c[:, None, :])
-        return schedules, np.ascontiguousarray(x[..., T:]), cost
+            X[:, start : start + n] = x[:, power]
+        # each heat pump's cost a dot product, as its own c @ p would be; a
+        # row's total adds them in order from 0.0, bit for bit as sum() does
+        per_hp = np.vecdot(X, c[:, None, :])
+        return X, np.cumsum(np.c_[np.zeros(len(c)), per_hp], axis=1)[:, -1]
 
     def _named(self, start: int, stop: int, c: np.ndarray, exc: Exception) -> Exception:
         """The failure of a block's sweep, named after the first of its

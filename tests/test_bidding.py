@@ -211,7 +211,7 @@ def test_disaggregated_schedules_respect_building_constraints():
                        p_hp_rated=3.0, p_pv_rated=0.0, position=(0, 0), has_hp=True)
         for i in range(2)
     ]
-    X, _, _ = DispatchModel(buildings, cfg, t_out).solve(rng.uniform(20, 140, (4, 24)))
+    X, _ = DispatchModel(buildings, cfg, t_out).solve(rng.uniform(20, 140, (4, 24)))
     group, ledger = build_exclusive_group(X, TRUTHFUL, 24, cfg.dt)
     alpha = np.zeros(len(group.bids))
     alpha[0] = 1.0

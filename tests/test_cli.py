@@ -90,14 +90,20 @@ def test_clear_needs_a_date_or_a_bids_file(workspace, runner):
     assert "pass --date or --bids" in res.stderr
 
 
-@pytest.mark.parametrize("command, option", [
-    ("simulate", "--start"), ("bid", "--date"), ("clear", "--date"),
+@pytest.mark.parametrize("command, option, value", [
+    ("simulate", "--start", "2025-13-01"), ("bid", "--date", "2025-13-01"),
+    ("clear", "--date", "2025-13-01"),
+    # the lists were once read after the bid-budget sweep had rewritten its tables
+    ("report", "--bids", "1,2.5"), ("report", "--shares", "30,abc"),
+    ("report", "--shares", "30,nan"), ("report", "--volatilities", "1.0,x"),
 ])
-def test_bad_dates_fail_naming_the_option_and_value(workspace, runner, command, option):
-    res = runner.invoke(main, [command, str(workspace), option, "2025-13-01"])
+def test_bad_option_values_fail_naming_the_option_and_value(workspace, runner, command,
+                                                            option, value):
+    res = runner.invoke(main, [command, str(workspace), option, value])
     assert res.exit_code == 2
     assert f"Invalid value for '{option}'" in res.stderr
-    assert "'2025-13-01'" in res.stderr
+    assert f"'{value}'" in res.stderr
+    assert not (workspace / "efficiency-vs-bids.csv").exists()
 
 
 def test_simulate_writes_the_campaign_outputs(workspace, runner):
@@ -279,6 +285,9 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     (lambda payload: payload["campaign"].update(days=2.5), "campaign.days"),
     # once a bare ValueError from CampaignConfig, naming neither file nor key
     (lambda payload: payload["campaign"].update(start="2025-13-01"), "campaign.start"),
+    # simulate once failed with a bare ValueError, and allocate ran on it
+    (lambda payload: payload["campaign"].update(mode="bogus"), "campaign: mode must be one of"),
+    (lambda payload: payload["campaign"].update(facets=2), "campaign: facets must be >= 3"),
     (lambda payload: payload["synthetic"].update(seedz=1), "unknown keys: synthetic.seedz"),
     # nothing read synthetic.rar; the campaign's rar sets the reactive load
     (lambda payload: payload["synthetic"].update(rar=0.05), "unknown keys: synthetic.rar"),
@@ -288,6 +297,8 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     (lambda payload: payload["synthetic"].update(n_buildings="12"), "synthetic.n_buildings"),
     (lambda payload: payload["synthetic"].update(r_th_range=[4.0]), "synthetic.r_th_range"),
     (lambda payload: payload["synthetic"].update(hp_share_pct=0), "hp_share_pct"),
+    (lambda payload: payload["synthetic"].update(rating_margin=float("nan")),
+     "synthetic: rating_margin must be finite"),
     # an edit that returns text writes it in place of the payload
     (lambda payload: json.dumps(payload, indent=1).replace('": ', '" ', 1), "campaign.json:2: "),
 ])

@@ -606,9 +606,21 @@ def test_generous_grid_reproduces_pricefollowing_dispatch():
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
     sol = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
-    standalone = DispatchModel(buildings, CFG24, t_out).solve(PRICES24[None])[2].sum()
+    standalone = DispatchModel(buildings, CFG24, t_out).solve(PRICES24[None])[1][0]
     assert sol.shed_kwh == 0.0
     assert sol.hp_cost_eur == pytest.approx(standalone, abs=1e-6)
+
+
+@pytest.mark.parametrize("alloc, error, message", [
+    ({"h1": 1}, DanglingReference, "building h2 has no node assignment"),
+    ({"h1": 1, "h2": 7}, DanglingReference, "building h2 assigned to unknown node 7"),
+    ({"h1": 1, "h2": 0}, GridMismatch, "building h2 assigned to the substation"),
+])
+def test_network_dispatch_rejects_a_bad_assignment(alloc, error, message):
+    net, buildings, _ = feeder_with_hp()
+    series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
+    with pytest.raises(error, match=f"^{message}$"):
+        OpfModel(net, buildings, alloc, CFG24, np.full(24, 2.0), series)
 
 
 def test_tight_grid_costs_at_least_as_much():
@@ -764,7 +776,7 @@ def full_lp_objective(model, prices, hp_fixed=None):
     T, K, S = cfg.horizon, model.facets, net.s_base_kva
     ids, pos = model.node_ids, model.node_pos
     N, F = len(ids), len(model.flex)
-    B, rhs_hp, lo_hp, hi_hp, _ = fleet_rows(model.flex, cfg, model.t_out)
+    B, rhs_hp, lo_hp, hi_hp, _, _ = fleet_rows(model.flex, cfg, model.t_out)
     shed, u, fp, fq = (2 * F * T + k * N * T for k in range(4))
     pcc_p, pcc_q = 2 * F * T + 4 * N * T, 2 * F * T + 4 * N * T + T
     n_col = pcc_q + T

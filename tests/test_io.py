@@ -228,6 +228,30 @@ def network_files(tmp_path):
     return nodes, edges
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    # Line's own checks once escaped as a bare ValueError naming no file
+    ("edges.csv", "1,0,0.01,0.005,1.0", "1,0,-0.01,0.005,1.0", "2: line 1->0: r, x must be >= 0"),
+    ("edges.csv", "1,0,0.01,0.005,1.0", "1,0,0.01,-0.005,1.0", "2: line 1->0: r, x must be >= 0"),
+    ("edges.csv", "1,0,0.01,0.005,1.0", "1,0,0.01,0.005,0", "2: line 1->0: s_rating must be > 0"),
+    ("edges.csv", "1,0,0.01,0.005,1.0", "1,0,0.01,0.005,-1", "2: line 1->0: s_rating must be > 0"),
+    ("buildings.csv", "5.0,10.0,3.0,0.0", "0.0,10.0,3.0,0.0", "2: r_th and c_th must be positive"),
+    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,-1.0,3.0,0.0", "2: r_th and c_th must be positive"),
+    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,10.0,-3.0,0.0", "2: ratings must be >= 0"),
+    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,10.0,3.0,-1.0", "2: ratings must be >= 0"),
+    ("nodes.csv", "1,0,1,0,10,false", "1,0,1,0,-10,false", "3: p_cap_kW must be >= 0"),
+    ("nodes.csv", "0,,0,0,0,true,100", "0,,0,0,0,true,0", "2: substation needs s_rating_kVA > 0"),
+])
+def test_a_bad_row_value_fails_naming_its_file_and_line(tmp_path, name, old, new, message):
+    b, w, p, f = minimal_files(tmp_path)
+    nodes, edges = network_files(tmp_path)
+    path = tmp_path / name
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(SchemaError) as err:
+        ingest(b, w, p, f, nodes=nodes, edges=edges)
+    assert f"{path}:{message}" in str(err.value)
+
+
 def test_alloc_must_resolve(tmp_path):
     b, w, p, f = minimal_files(tmp_path)
     nodes, edges = network_files(tmp_path)

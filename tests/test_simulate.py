@@ -9,7 +9,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from flexbid.errors import GridMismatch, InvalidOrdering, SchemaError
+from flexbid.errors import EmptyInput, GridMismatch, InvalidOrdering, SchemaError
 from flexbid.grid import Node, OpfModel, RadialNetwork, allocate_buildings
 from flexbid.simulate import (
     REPORT_HEADER,
@@ -214,6 +214,29 @@ def test_bid_desk_submits_what_the_campaign_clears(small_bundle, mode):
     group, ledger = day_bids(cfg, inputs)
     assert len(group.bids) == run_day(cfg, inputs).n_bids
     assert ledger.schedules_kw.shape == (cfg.s_count, 4, 24)
+
+
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_bid_desk_without_heat_pumps_has_nothing_to_bid(small_bundle, mode):
+    bundle = copy.copy(small_bundle)
+    bundle.buildings = [dataclasses.replace(b, has_hp=False) for b in bundle.buildings]
+    cfg = cfg_for(bundle, mode=mode)
+    alloc = allocate_buildings(bundle.buildings, bundle.network)
+    with pytest.raises(EmptyInput, match="^no heat pumps to bid with$"):
+        day_bids(cfg, day_inputs(cfg, bundle, START, alloc=alloc))
+
+
+@pytest.mark.parametrize("missing, message", [
+    ("network", "integrated mode needs the network files"),
+    ("alloc", "integrated mode needs a building-to-node assignment"),
+])
+def test_integrated_day_needs_a_network_and_an_assignment(small_bundle, missing, message):
+    cfg = cfg_for(small_bundle, mode="integrated")
+    alloc = allocate_buildings(small_bundle.buildings, small_bundle.network)
+    inputs = dataclasses.replace(day_inputs(cfg, small_bundle, START, alloc=alloc),
+                                 **{missing: None})
+    with pytest.raises(GridMismatch, match=f"^{message}$"):
+        run_day(cfg, inputs)
 
 
 def test_integrated_campaign_auto_allocates(small_bundle):

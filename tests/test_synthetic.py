@@ -99,6 +99,14 @@ def test_spec_validation():
         SyntheticSpec(r_th_range=(8.0, 4.0))
 
 
+@pytest.mark.parametrize("field", ["volatility", "rating_margin", "hp_margin"])
+def test_spec_rejects_non_finite_values_naming_the_field(field):
+    # NaN passes every < and <= check; it once wrote a prices.csv of nan cells
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SyntheticSpec(**{field: value})
+
+
 def test_spec_needs_a_building_per_load_node():
     # 3 x 3 = 9 load nodes by default; fewer buildings left a line unloaded
     with pytest.raises(ValueError, match=r"5 buildings cannot cover the 9 load nodes"):

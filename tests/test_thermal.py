@@ -97,11 +97,12 @@ def test_fleet_rows_hold_the_simulated_trajectory(data):
     need = max(0.0, (cfg.t_set - t_out).max()) / (r_th * cfg.cop)  # the baseline's peak
     b = building(r_th=r_th, c_th=c_th, rated=need + rng.uniform(0.5, 4))
     p = rng.uniform(0.0, b.p_hp_rated, T)
-    A, rhs, col_lo, col_hi, baseline = fleet_rows([b], cfg, t_out)
+    A, rhs, col_lo, col_hi, baseline, power = fleet_rows([b], cfg, t_out)
     base = baseline_profile(b, cfg, t_out)
     x = np.concatenate([p, simulate_temperature(b, cfg, t_out, p)])
     lhs = A @ x
     assert A.shape == (T + 1, 2 * T)
+    assert np.array_equal(x[power], p[None])
     assert np.abs(lhs[:-1] - rhs[:-1]).max() <= 1e-12 * max(1.0, np.abs(x).max())
     assert lhs[-1] == pytest.approx(cfg.dt * p.sum(), rel=1e-12) and rhs[-1] == base.energy
     assert np.array_equal(col_lo, np.r_[np.zeros(T), np.full(T, cfg.t_min)])
@@ -119,7 +120,7 @@ def test_fleet_rows_stack_one_building_blocks_bit_for_bit(horizon):
     t_out = rng.uniform(-5.0, 15.0, horizon)
     fleet = [building(r_th=rng.uniform(4, 8), c_th=rng.uniform(6, 20),
                       rated=rng.uniform(2, 4), bid=f"b{i}") for i in range(7)]
-    A, rhs, col_lo, col_hi, baseline = fleet_rows(fleet, cfg, t_out)
+    A, rhs, col_lo, col_hi, baseline, power = fleet_rows(fleet, cfg, t_out)
     singles = [fleet_rows([b], cfg, t_out) for b in fleet]
     B = sparse.block_diag([one[0] for one in singles], format="csc")
     assert A.shape == B.shape
@@ -127,21 +128,24 @@ def test_fleet_rows_stack_one_building_blocks_bit_for_bit(horizon):
         assert np.array_equal(got, want)
     for k, got in enumerate((rhs, col_lo, col_hi, baseline), start=1):
         assert np.array_equal(got, np.concatenate([one[k] for one in singles]))
+    # each heat pump's power columns, offset by the columns of those before it
+    assert np.array_equal(power, np.vstack([one[5] + 2 * horizon * f
+                                            for f, one in enumerate(singles)]))
 
 
 # ------------------------------------------------------------- dispatch
 
 def dispatch(b, cfg, t_out, prices):
-    """One heat pump's schedule, temperatures and cost at one price vector."""
-    schedules, temps, cost = DispatchModel([b], cfg, t_out).solve(np.atleast_2d(prices))
-    return schedules[0, 0], temps[0, 0], cost[0, 0]
+    """One heat pump's schedule and cost at one price vector."""
+    schedules, cost = DispatchModel([b], cfg, t_out).solve(np.atleast_2d(prices))
+    return schedules[0, 0], cost[0]
 
 
 def test_flat_prices_leave_cost_at_baseline():
     b = building()
     t_out = np.full(24, 10.0)
     base = baseline_profile(b, CFG, t_out)
-    _, _, cost = dispatch(b, CFG, t_out, np.full(24, 80.0))
+    _, cost = dispatch(b, CFG, t_out, np.full(24, 80.0))
     assert cost == pytest.approx(80.0 * base.energy / 1000.0, rel=1e-9)
 
 
@@ -150,7 +154,7 @@ def test_degenerate_comfort_band_pins_baseline():
     b = building()
     t_out = np.linspace(0.0, 12.0, 24)
     base = baseline_profile(b, cfg, t_out)
-    schedule, _, _ = dispatch(b, cfg, t_out, np.random.default_rng(0).uniform(20, 120, 24))
+    schedule, _ = dispatch(b, cfg, t_out, np.random.default_rng(0).uniform(20, 120, 24))
     assert np.allclose(schedule, base.schedule, atol=1e-6)
 
 
@@ -162,7 +166,7 @@ def test_cheap_hour_concentration_with_grid_oracle():
     t_out = np.full(4, 10.0)   # baseline 0.5 kW/h -> e_base = 2.0 kWh
     prices = np.array([100.0, 10.0, 100.0, 100.0])
     base = baseline_profile(b, cfg, t_out)
-    schedule, _, cost = dispatch(b, cfg, t_out, prices)
+    schedule, cost = dispatch(b, cfg, t_out, prices)
     assert np.allclose(schedule, [0.0, 2.0, 0.0, 0.0], atol=1e-7)
 
     # grid oracle: all 0.1 kW combinations with the day's exact energy
@@ -196,9 +200,9 @@ def test_infeasible_when_band_cannot_hold_energy():
 
 def test_empty_fleet_builds_and_solves_to_empty_arrays():
     model = DispatchModel([], CFG, np.full(24, 5.0))
-    schedules, temps, cost = model.solve(np.full((3, 24), 50.0))
+    schedules, cost = model.solve(np.full((3, 24), 50.0))
     assert model.baseline.shape == (0, 24)
-    assert schedules.shape == temps.shape == (3, 0, 24) and cost.shape == (3, 0)
+    assert schedules.shape == (3, 0, 24) and np.array_equal(cost, np.zeros(3))
 
 
 # ------------------------------------------------------------ invariants
@@ -211,7 +215,8 @@ def test_dispatch_invariants_random_days(seed):
     t_out = rng.uniform(-4.0, 14.0, 24)
     prices = rng.uniform(10.0, 150.0, 24)
     base = baseline_profile(b, CFG, t_out)
-    schedule, temps, cost = dispatch(b, CFG, t_out, prices)
+    schedule, cost = dispatch(b, CFG, t_out, prices)
+    temps = simulate_temperature(b, CFG, t_out, schedule)
 
     assert abs(CFG.dt * schedule.sum() - base.energy) <= 1e-6 * max(1.0, base.energy)
     assert schedule.min() >= -1e-9
@@ -220,9 +225,6 @@ def test_dispatch_invariants_random_days(seed):
     assert temps.max() <= CFG.t_max + 1e-6
     # the baseline is feasible, so the optimum can only be cheaper
     assert cost <= profile_cost(base.schedule, prices, CFG.dt) + 1e-6
-    # returned trajectory is the recursion applied to the schedule
-    recheck = simulate_temperature(b, CFG, t_out, schedule)
-    assert np.allclose(recheck, temps, atol=1e-6)
     assert check_dispatch(b, CFG, t_out, schedule, base.energy) == []
 
 
@@ -303,19 +305,18 @@ def test_model_reuse_matches_one_shot_dispatch():
     base = baseline_profile(b, CFG, t_out)
     model = DispatchModel([b], CFG, t_out)
     price_rows = rng.uniform(10.0, 150.0, (6, 24))
-    schedules, temps, cost = model.solve(price_rows)
-    assert schedules.shape == temps.shape == (6, 1, 24) and cost.shape == (6, 1)
+    schedules, cost = model.solve(price_rows)
+    assert schedules.shape == (6, 1, 24) and cost.shape == (6,)
     refs = loop_reference(model, price_rows)
     for s, (prices, ref) in enumerate(zip(price_rows, refs)):
         a = schedules[s, 0]
-        single = model.solve(prices[None])[2][0, 0]
-        c = dispatch(b, CFG, t_out, prices)[2]
-        assert cost[s, 0] == pytest.approx(c, abs=1e-9)
+        single = model.solve(prices[None])[1][0]
+        c = dispatch(b, CFG, t_out, prices)[1]
+        assert cost[s] == pytest.approx(c, abs=1e-9)
         assert single == pytest.approx(c, abs=1e-9)
         assert np.max(np.abs(a - ref.x)) <= 1e-9
-        assert abs(cost[s, 0] - ref.fun) <= 1e-9
+        assert abs(cost[s] - ref.fun) <= 1e-9
         assert CFG.dt * a.sum() == pytest.approx(base.energy, rel=1e-9)
-        assert np.allclose(temps[s, 0], simulate_temperature(b, CFG, t_out, a), atol=1e-9)
         assert check_dispatch(b, CFG, t_out, a, base.energy) == []
 
 
@@ -334,10 +335,10 @@ def test_sweep_reuses_the_schedule_of_a_repeated_vertex():
     b = building(r_th=rng.uniform(4, 8), c_th=rng.uniform(8, 16), rated=rng.uniform(1.5, 3.0))
     model = DispatchModel([b], CFG, rng.uniform(-4.0, 10.0, 24))
     p0, p1 = rng.uniform(10.0, 150.0, (2, 24))
-    schedules, _, cost = model.solve(np.array([p0, p1, p0]))
+    schedules, cost = model.solve(np.array([p0, p1, p0]))
     assert not np.allclose(schedules[0, 0], schedules[1, 0])
     assert schedules[2, 0].tobytes() == schedules[0, 0].tobytes()
-    assert cost[2, 0] == cost[0, 0]
+    assert cost[2] == cost[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,9 +356,9 @@ def test_sweep_matches_one_linprog_per_row(data):
     price_rows = rng.uniform(-20.0, 200.0, (S, 24))
     for _ in range(data.draw(st.integers(0, S - 1), label="repeats")):
         price_rows[rng.integers(1, S)] = price_rows[rng.integers(0, S)]
-    schedules, _, cost = model.solve(price_rows)
+    schedules, cost = model.solve(price_rows)
     for s, ref in enumerate(loop_reference(model, price_rows)):
-        assert abs(cost[s, 0] - ref.fun) <= 1e-9
+        assert abs(cost[s] - ref.fun) <= 1e-9
         assert check_dispatch(b, CFG, t_out, schedules[s, 0], base.energy) == []
 
 
@@ -378,19 +379,22 @@ def test_blocks_match_one_building_models():
     t_out = rng.uniform(-4.0, 14.0, 24)
     price_rows = rng.uniform(10.0, 150.0, (5, 24))
     bases: dict = {}
-    schedules, temps, cost = DispatchModel(fleet, CFG, t_out).solve(price_rows, bases)
+    schedules, cost = DispatchModel(fleet, CFG, t_out).solve(price_rows, bases)
     # the second full block started from the first's basis; each shape's last is kept
     assert sorted(bases) == [(3 * 25, 3 * 48), (BLOCK * 25, BLOCK * 48)]
-    assert schedules.shape == temps.shape == (5, len(fleet), 24)
-    assert cost.shape == (5, len(fleet))
+    assert schedules.shape == (5, len(fleet), 24) and cost.shape == (5,)
+    # a row's cost adds its heat pumps' costs one by one, in fleet order
+    per_hp = np.vecdot(schedules, price_rows[:, None] * CFG.dt / 1000.0)
+    assert cost.tolist() == [sum(row) for row in per_hp.tolist()]
+    alone_costs = np.zeros(len(price_rows))
     for r, b in enumerate(fleet):
-        alone, alone_temps, alone_cost = DispatchModel([b], CFG, t_out).solve(price_rows)
+        alone, alone_cost = DispatchModel([b], CFG, t_out).solve(price_rows)
         assert np.abs(schedules[:, r] - alone[:, 0]).max() <= 1e-9
-        assert np.abs(temps[:, r] - alone_temps[:, 0]).max() <= 1e-9
-        assert cost[:, r] == pytest.approx(alone_cost[:, 0], rel=1e-9)
+        alone_costs += alone_cost
         e_base = baseline_profile(b, CFG, t_out).energy
         for s in range(len(price_rows)):
             assert check_dispatch(b, CFG, t_out, schedules[s, r], e_base) == []
+    assert cost == pytest.approx(alone_costs, rel=1e-9)
 
 
 def test_infeasible_building_in_a_middle_block_is_named():
@@ -402,5 +406,5 @@ def test_infeasible_building_in_a_middle_block_is_named():
     with pytest.raises(Infeasible, match="^building sunny: "):
         model.solve(np.full((2, 24), 50.0))
     del heavy[BLOCK + 7]
-    schedules, _, _ = DispatchModel(heavy, CFG, np.full(24, 30.0)).solve(np.full((2, 24), 50.0))
+    schedules, _ = DispatchModel(heavy, CFG, np.full(24, 30.0)).solve(np.full((2, 24), 50.0))
     assert np.abs(schedules).max() <= 1e-9  # nothing to heat: the baseline is off
