@@ -436,6 +436,14 @@ def _numbers(kind):
     return parse
 
 
+def _varied(spec: SyntheticSpec, option: str, knob: str, value: float) -> SyntheticSpec:
+    """spec with knob set to value; a value it refuses exits 2 naming option."""
+    try:
+        return dataclasses.replace(spec, **{knob: value})
+    except ValueError as exc:
+        raise click.BadParameter(f"'{value:g}': {exc}", param_hint=f"'{option}'") from None
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -472,6 +480,10 @@ def report_command(workdir, config_path, days, scenarios, mode, bids,
     named on stderr, and the command exits 1 after writing the tables."""
     raw, base = _load_workspace(workdir, config_path)
     cfg = _campaign_config(raw, days=days, scenarios=scenarios, mode=mode)
+    if "synthetic" in raw:  # every sweep's spec, so a bad one fails before any table
+        base_spec = SyntheticSpec.from_dict(raw["synthetic"])
+        share_specs = [_varied(base_spec, "--shares", "hp_share_pct", v) for v in shares]
+        vol_specs = [_varied(base_spec, "--volatilities", "volatility", v) for v in volatilities]
     bundle = _load_bundle(_resolve_paths(raw, base))
     out = Path(out_dir) if out_dir else base
     out.mkdir(parents=True, exist_ok=True)
@@ -504,11 +516,8 @@ def report_command(workdir, config_path, days, scenarios, mode, bids,
     written += ["efficiency-vs-bids.csv", "runtime-vs-bids.csv"]
 
     if "synthetic" in raw:
-        base_spec = SyntheticSpec.from_dict(raw["synthetic"])
-
         share_rows, share_runtime = [], []
-        for share in shares:
-            spec = dataclasses.replace(base_spec, hp_share_pct=share)
+        for share, spec in zip(shares, share_specs):
             rep = run_campaign(cfg, generate_instance(spec))
             failures += [(f" (share {share:g} %)", day, msg) for day, msg in rep.failures]
             share_rows.append([
@@ -534,8 +543,7 @@ def report_command(workdir, config_path, days, scenarios, mode, bids,
         written += ["efficiency-vs-share.csv", "runtime-vs-share.csv"]
 
         vol_rows = []
-        for vol in volatilities:
-            spec = dataclasses.replace(base_spec, volatility=vol)
+        for vol, spec in zip(volatilities, vol_specs):
             rep = run_campaign(cfg, generate_instance(spec))
             failures += [(f" (volatility {vol:g})", day, msg) for day, msg in rep.failures]
             for d in rep.days:

@@ -337,8 +337,8 @@ class OpfSolution:
     Arrays are entity-major: hp_kw[f, t] belongs to the model's ids[f],
     shed_kw[i, t] to node_ids[i]; flow arrays are indexed by the child
     node of each line, positive when power moves from the ancestor
-    toward that child.  pcc_mw is the substation import from the
-    external grid, positive into the feeder.
+    toward that child; pcc_p_pu and pcc_q_pu are the substation import
+    from the external grid, positive into the feeder.
     """
 
     node_ids: list[int]
@@ -349,10 +349,8 @@ class OpfSolution:
     flow_q_pu: np.ndarray
     pcc_p_pu: np.ndarray
     pcc_q_pu: np.ndarray
-    pcc_mw: np.ndarray
     objective_eur: float
     hp_cost_eur: float
-    fixed_cost_eur: float
     shed_kwh: float
 
 
@@ -368,16 +366,14 @@ class OpfModel:
     outside the substation import's `import_cols`; the heat pumps'
     columns, their dynamics and energy rows and their bounds are the
     `thermal.fleet_rows` block, placed first, so its power-column
-    indices read the schedules out of a solution here too.  Both solve()
-    and solve_rows() run the one warm-started `lp.HighsSweep` built with
-    the LP, which sets the price coefficients on the substation import
-    and re-runs the solver from the previous optimal basis.
-    solve_rows() answers the call `thermal.DispatchModel.solve` answers,
-    (X[S, F, T], cost[S]), its costs the S objectives; solve() returns
-    one full OpfSolution.  Heat-pump schedules can be pinned (baseline runs,
-    awarded profiles) by passing hp_fixed to solve(), which sets that
-    call's column bounds; a pinned schedule must lie within its heat
-    pump's rating.
+    indices read the schedules out of a solution here too.  solve_rows()
+    runs the warm-started `lp.HighsSweep` built with the LP, which sets
+    the price coefficients on the substation import and re-runs the
+    solver from the previous optimal basis; it answers the call
+    `thermal.DispatchModel.solve` answers, (X[S, F, T], cost[S]), its
+    costs the S objectives.  solve() returns one full OpfSolution, with
+    the heat pumps hp_fixed names pinned within their ratings (baseline
+    runs, awarded profiles) by substituting them out of the LP.
 
     The LP holds only what some schedule within the ratings can bind:
     the reachable rating-polygon facets; the voltages, and with them
@@ -593,7 +589,7 @@ class OpfModel:
             rhs_hp,
         ])
         facets = reachable[np.r_[keep, N]].ravel()
-        self.A = A[np.r_[facets, np.ones(len(rhs), dtype=bool)]]
+        self.A = A[np.r_[facets, np.ones(len(rhs), dtype=bool)]].tocsc()
         self.row_lo = np.r_[np.full(facets.sum(), -np.inf), rhs]
         self.row_hi = np.r_[poly_hi[np.r_[keep, N]].ravel()[facets], rhs]
         free = np.full(2 * L * T + 2 * T, np.inf)
@@ -609,21 +605,18 @@ class OpfModel:
         self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
                               self.cost, self.import_cols)
 
-    def _import_cost(self, prices: np.ndarray) -> np.ndarray:
-        """Objective coefficients of the substation import at the given prices."""
-        T = self.cfg.horizon
-        if prices.shape != (T,):
-            raise ValueError(f"prices must span {T} hours")
-        return self.cfg.dt * prices * self.net.s_base_kva / 1000.0
-
     def solve(
         self,
         prices: np.ndarray,
         hp_fixed: Mapping[str, np.ndarray] | None = None,
     ) -> OpfSolution:
-        """Minimize import cost plus shedding penalty at the given prices."""
+        """Minimize import cost plus shedding penalty at the given prices,
+        each heat pump hp_fixed names by building id held to its schedule:
+        its power columns leave the LP and their draws go into the row
+        bounds.  The rest is solved once, cold; its temperatures and energy
+        row stay, so a pin off comfort or daily energy is Infeasible."""
         T = self.cfg.horizon
-        col_lo, col_hi = self.col_lo.copy(), self.col_hi.copy()
+        x, pinned = np.zeros(self.A.shape[1]), np.zeros(self.A.shape[1], dtype=bool)
         for bid, sched in (hp_fixed or {}).items():
             f = bisect_left(self.ids, bid)
             if self.ids[f:f + 1] != [bid]:
@@ -632,14 +625,20 @@ class OpfModel:
             if sched.shape != (T,):
                 raise LengthMismatch(f"fixed schedule for {bid} must span {T} hours")
             # the LP leaves out the facets that no schedule within the
-            # ratings can reach, so a pinned schedule must stay within them
+            # ratings can reach, so a pinned schedule, NaN-free, must stay within them
             rated = self.flex[f].p_hp_rated
-            if sched.min() < -1e-6 or sched.max() > rated + 1e-6:
+            if not (sched.min() >= -1e-6 and sched.max() <= rated + 1e-6):
                 raise Infeasible(f"fixed schedule for {bid} leaves its rating [0, {rated}] kW")
-            col_lo[self._power[f]] = col_hi[self._power[f]] = sched
+            x[self._power[f]] = sched
+            pinned[self._power[f]] = True
+        shift, free = self.A @ x, ~pinned
+        lp = HighsSweep(self.A[:, free], self.row_lo - shift, self.row_hi - shift,
+                        self.col_lo[free], self.col_hi[free], self.cost[free],
+                        self.import_cols - pinned.sum())  # the pins precede the import
         prices = np.asarray(prices, dtype=float)
-        X, objective = self._sweep(prices[None], col_lo, col_hi)
-        return self._solution(prices, X[0], float(objective[0]))
+        X, objective = self._sweep(lp, prices[None])
+        x[free] = X[0]
+        return self._solution(prices, x, float(objective[0]))
 
     def solve_rows(self, price_rows: np.ndarray,
                    bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -656,21 +655,19 @@ class OpfModel:
         before gets that earlier row's primal point, so identical
         schedules stay byte-identical.
         """
-        price_rows = np.asarray(price_rows, dtype=float)
-        if price_rows.ndim != 2:
-            raise ValueError("price_rows must be an (S, T) array")
-        X, objective = self._sweep(price_rows, bases=bases)
+        X, objective = self._sweep(self._lp, np.asarray(price_rows, dtype=float), bases)
         return X[:, self._power], objective
 
-    def _sweep(self, price_rows: np.ndarray, col_lo: np.ndarray | None = None,
-               col_hi: np.ndarray | None = None,
+    def _sweep(self, lp: HighsSweep, price_rows: np.ndarray,
                bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """One sweep of the day's LP over the price rows, under the given
-        column bounds (the LP's own when left out): the primal points and
-        the objectives."""
-        costs = np.array([self._import_cost(prices) for prices in price_rows])
+        """One sweep of lp, the day's LP or a pinned part of it, over the
+        price rows on the substation import: the points and objectives."""
+        T = self.cfg.horizon
+        if price_rows.ndim != 2 or price_rows.shape[1] != T:
+            raise ValueError(f"price rows must be an (S, {T}) array, one price per hour")
+        costs = self.cfg.dt * price_rows * self.net.s_base_kva / 1000.0
         try:
-            return self._lp.solve(costs, col_lo, col_hi, bases)
+            return lp.solve(costs, bases)
         except Infeasible:
             raise Infeasible(_INFEASIBLE) from None
         except SolverFailure as exc:
@@ -704,10 +701,8 @@ class OpfModel:
             flow_q_pu=fq,
             pcc_p_pu=pcc_p,
             pcc_q_pu=pcc_q,
-            pcc_mw=pcc_p * S / 1000.0,
             objective_eur=objective,
             hp_cost_eur=hp_cost,
-            fixed_cost_eur=objective - self.voll * shed_kwh / 1000.0 - hp_cost,
             shed_kwh=shed_kwh,
         )
 

@@ -9,7 +9,9 @@ changes the costs of the given columns and re-runs dual simplex from the
 previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
 The first row starts from the last optimal basis of an LP of the same
 shape, when the caller keeps one: the fleet's blocks of heat pumps are
-one shape, and so is a feeder's OPF from one day to the next.
+one shape, and so is a feeder's OPF from one day to the next.  Column
+bounds are fixed at construction: a caller pinning columns substitutes
+them out and sweeps the smaller LP, as `grid.OpfModel.solve` does.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.
@@ -60,6 +62,12 @@ class HighsSweep:
         A = sparse.csc_array(A)
         if blocks < 1 or A.shape[0] % blocks or A.shape[1] % blocks:
             raise ValueError(f"a {A.shape[0]} x {A.shape[1]} LP has no {blocks} equal blocks")
+        row_lo, row_hi, col_lo, col_hi, cost = (
+            np.asarray(v, dtype=float) for v in (row_lo, row_hi, col_lo, col_hi, cost))
+        # HiGHS spins without end on a NaN; an infinite bound is a free side
+        if (not np.isfinite(np.r_[A.data, cost]).all()
+                or np.isnan(np.r_[row_lo, row_hi, col_lo, col_hi]).any()):
+            raise ValueError("an LP needs a finite matrix and costs, and bounds without NaN")
         lp = _hc.HighsLp()
         lp.num_row_, lp.num_col_ = A.shape
         lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
@@ -67,32 +75,24 @@ class HighsSweep:
         lp.a_matrix_.start_ = A.indptr
         lp.a_matrix_.index_ = A.indices
         lp.a_matrix_.value_ = A.data
-        lp.row_lower_ = np.asarray(row_lo, dtype=float)
-        lp.row_upper_ = np.asarray(row_hi, dtype=float)
-        lp.col_lower_ = col_lo = np.asarray(col_lo, dtype=float)
-        lp.col_upper_ = col_hi = np.asarray(col_hi, dtype=float)
-        lp.col_cost_ = np.asarray(cost, dtype=float)
+        lp.row_lower_, lp.row_upper_, lp.col_lower_, lp.col_upper_ = row_lo, row_hi, col_lo, col_hi
+        lp.col_cost_ = cost
         self._lp = lp
-        self._col_lo, self._col_hi = col_lo, col_hi
+        self._col_hi = col_hi
         self._cost_cols = np.asarray(cost_cols, dtype=np.int32)
         self.blocks = blocks
 
-    def solve(self, cost_rows: np.ndarray, col_lo: np.ndarray | None = None,
-              col_hi: np.ndarray | None = None,
+    def solve(self, cost_rows: np.ndarray,
               bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(S, n) optimal points and S objectives for an (S, len(cost_cols)) stack.
 
-        col_lo and col_hi, when given, replace the LP's column bounds for
-        this call.  Each call runs on a fresh HiGHS instance.  Its first
-        row starts from the optimal basis that `bases`, a dict from LP
-        shape (rows, cols) to the last optimal basis of that shape, holds
-        for this LP's shape, or cold when it holds none; each later row
-        starts from the row before, and the call's final basis is stored
-        back in `bases`.  So an equal stack with an equal start gives
-        equal answers.  A basis HiGHS refuses, or a warm start that ends
-        without an optimum, gives way to a cold start.  A call with its
-        own column bounds starts cold and neither reads nor writes
-        `bases`: presolve settles such a pinned LP at once.
+        Each call runs on a fresh HiGHS instance.  Its first row starts
+        from the basis `bases`, a dict from LP shape (rows, cols) to the
+        last optimal basis of that shape, holds for this LP's shape, or
+        cold; each later row starts from the row before, and the call's
+        final basis is stored back in `bases`.  So an equal stack with an
+        equal start gives equal answers.  A basis HiGHS refuses, or a warm
+        start that ends without an optimum, gives way to a cold start.
 
         A block whose optimal vertex was seen at an earlier row of the
         call gets that row's values for its columns: the vertex is the
@@ -100,12 +100,14 @@ class HighsSweep:
         rather than apart by the warm path's rounding noise, whatever the
         other blocks do.  A block's vertex key is the basis status of its
         columns and rows: basic, or nonbasic at the lower or the upper
-        bound.  Raises Infeasible or SolverFailure on the first row
+        bound.  Raises ValueError, before any solve, on a cost that is
+        not finite, and Infeasible or SolverFailure on the first row
         without an optimum.
         """
+        cost_rows = np.asarray(cost_rows, dtype=float)
+        if not np.isfinite(cost_rows).all():
+            raise ValueError("cost rows must be finite")
         shape = (self._lp.num_row_, self._lp.num_col_)
-        if col_lo is not None or col_hi is not None:
-            bases = None
         start = None if bases is None else bases.get(shape)
         for basis in ([start] if start is not None else []) + [None]:
             highs = _hc._Highs()
@@ -114,7 +116,7 @@ class HighsSweep:
             if basis is not None and highs.setBasis(basis) != _hc.HighsStatus.kOk:
                 continue
             try:
-                X, objective = self._rows(highs, cost_rows, col_lo, col_hi)
+                X, objective = self._rows(highs, cost_rows)
             except SolverFailure:
                 if basis is None:
                     raise
@@ -123,21 +125,15 @@ class HighsSweep:
                 bases[shape] = highs.getBasis()
             return X, objective
 
-    def _rows(self, highs, cost_rows: np.ndarray, col_lo: np.ndarray | None,
-              col_hi: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self, highs, cost_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The sweep over cost_rows on an instance holding the LP."""
         n_row, n_col = self._lp.num_row_, self._lp.num_col_
-        lower = self._col_lo if col_lo is None else np.asarray(col_lo, dtype=float)
-        upper = self._col_hi if col_hi is None else np.asarray(col_hi, dtype=float)
-        if col_lo is not None or col_hi is not None:
-            highs.changeColsBounds(n_col, np.arange(n_col, dtype=np.int32), lower, upper)
-        n_cost = len(self._cost_cols)
         B = self.blocks
         X = np.empty((len(cost_rows), n_col))
         objective = np.empty(len(cost_rows))
         first_row: list[dict[bytes, int]] = [{} for _ in range(B)]
         for s, cost in enumerate(cost_rows):
-            highs.changeColsCost(n_cost, self._cost_cols, cost)
+            highs.changeColsCost(len(self._cost_cols), self._cost_cols, cost)
             highs.run()
             model_status = highs.getModelStatus()
             if model_status == _hc.HighsModelStatus.kInfeasible:
@@ -151,7 +147,7 @@ class HighsSweep:
             # 0 nonbasic at the lower bound (or free at zero), 1 basic, 2
             # nonbasic at the upper bound; a basic row -r-1 sits at n_col + r
             status = np.zeros(n_col + n_row, dtype=np.uint8)
-            status[:n_col][X[s] == upper] = 2
+            status[:n_col][X[s] == self._col_hi] = 2
             status[np.where(basic >= 0, basic, n_col - 1 - basic)] = 1
             keys = np.hstack([status[:n_col].reshape(B, -1), status[n_col:].reshape(B, -1)])
             blocks = X[s].reshape(B, -1)

@@ -96,6 +96,8 @@ def test_clear_needs_a_date_or_a_bids_file(workspace, runner):
     # the lists were once read after the bid-budget sweep had rewritten its tables
     ("report", "--bids", "1,2.5"), ("report", "--shares", "30,abc"),
     ("report", "--shares", "30,nan"), ("report", "--volatilities", "1.0,x"),
+    # and the values SyntheticSpec refuses were once found only when their sweep began
+    ("report", "--shares", "150"), ("report", "--volatilities", "-1"),
 ])
 def test_bad_option_values_fail_naming_the_option_and_value(workspace, runner, command,
                                                             option, value):

@@ -156,7 +156,7 @@ def test_substation_rating_limits_import():
     sol = model.solve(np.full(4, 50.0))
     assert np.allclose(sol.pcc_p_pu, 0.3, atol=1e-9)
     assert np.allclose(sol.shed_kw[0] / 1000.0, 0.2, atol=1e-6)
-    assert np.allclose(sol.pcc_mw, 1000.0 * 0.3 / 1000.0, atol=1e-9)
+    assert np.allclose(sol.pcc_p_pu * net.s_base_kva / 1000.0, 0.3, atol=1e-9)  # MW
 
 
 def test_only_reachable_facets_enter_the_lp():
@@ -666,12 +666,28 @@ def test_hp_fixed_pins_the_schedules():
     assert sol.objective_eur <= pinned.objective_eur + 1e-7
 
 
-@pytest.mark.parametrize("kw", [-0.1, 3.1])
+@pytest.mark.parametrize("kw", [-0.1, 3.1, np.nan])
 def test_pinned_schedule_outside_the_rating_is_rejected(kw):
-    # h1 is rated 3 kW; the LP's polygons hold only for schedules within it
+    # h1 is rated 3 kW; the LP's polygons hold only for schedules within
+    # it, and a NaN draw lies within no rating
     model = sweep_model()
     with pytest.raises(Infeasible, match="h1"):
         model.solve(PRICES24, hp_fixed={"h1": np.full(24, kw)})
+
+
+@pytest.mark.parametrize("pin", [
+    pytest.param(lambda base: 0.9 * base, id="short-of-energy"),
+    pytest.param(lambda base: np.c_[np.zeros((2, 12)), 2.0 * base[:, 12:]], id="afternoon"),
+])
+def test_pin_breaking_comfort_or_energy_is_infeasible(pin):
+    # within the ratings, so the LP itself refuses each: the pinned heat
+    # pumps keep their temperature columns and energy rows
+    model = sweep_model(10.0)
+    with pytest.raises(Infeasible, match="network dispatch infeasible"):
+        model.solve(PRICES24, hp_fixed=by_id(model, pin(model.baseline)))
+    # a pin of h2 alone fails as well, with h1 still free to move
+    with pytest.raises(Infeasible, match="network dispatch infeasible"):
+        model.solve(PRICES24, hp_fixed={"h2": pin(model.baseline)[1]})
 
 
 def test_pinned_schedule_off_the_horizon_is_rejected():
@@ -733,9 +749,15 @@ def test_objective_decomposes_into_parts():
     net, buildings, alloc = feeder_with_hp()
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    sol = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
-    recomposed = sol.hp_cost_eur + sol.fixed_cost_eur + 10000.0 * sol.shed_kwh / 1000.0
-    assert sol.objective_eur == pytest.approx(recomposed, rel=1e-9)
+    model = OpfModel(net, buildings, alloc, CFG24, t_out, series)
+    sol = model.solve(PRICES24)
+    dt, S = model.cfg.dt, model.net.s_base_kva
+    import_eur = dt * float(PRICES24 @ sol.pcc_p_pu) * S / 1000.0
+    assert sol.objective_eur == pytest.approx(import_eur + 10000.0 * sol.shed_kwh / 1000.0,
+                                              rel=1e-9)
+    hp_eur = dt * float(PRICES24 @ sol.hp_kw.sum(axis=0)) / 1000.0
+    assert sol.hp_cost_eur == pytest.approx(hp_eur, rel=1e-12)
+    assert 0.0 < sol.hp_cost_eur < import_eur
 
 
 # ------------------------------------------------- warm-started price sweep
@@ -977,16 +999,19 @@ def radial_instances(draw):
 @settings(max_examples=30, deadline=None)
 @given(radial_instances())
 def test_sweep_matches_cold_solves_on_random_feeders(instance):
-    """Every swept row, and the baseline pinned, costs what a cold
-    linprog solve of the full LP costs; every swept row, pinned, passes
-    the independent re-check and meets every facet."""
+    """Every swept row, the baseline pinned, and one heat pump's baseline
+    pinned alone cost what a cold linprog solve of the full LP costs;
+    every swept row, pinned, passes the independent re-check and meets
+    every facet."""
     model, prices = instance
     for p, x, objective in zip(prices, *model.solve_rows(prices)):
         check_swept_row(model, p, x, objective, rtol=1e-9)
     base = by_id(model, model.baseline)
-    pinned = model.solve(prices[0], hp_fixed=base)
-    ref = full_lp_objective(model, prices[0], hp_fixed=base)
-    assert abs(pinned.objective_eur - ref) <= 1e-9 * max(1.0, abs(ref))
+    one = dict([next(iter(base.items()))])  # the other heat pumps stay free
+    for pins in (base, one):
+        pinned = model.solve(prices[0], hp_fixed=pins)
+        ref = full_lp_objective(model, prices[0], hp_fixed=pins)
+        assert abs(pinned.objective_eur - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 @settings(max_examples=30, deadline=None)
