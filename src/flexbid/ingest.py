@@ -2,12 +2,20 @@
 
 Each instance CSV is stated once, in a `*_COLUMNS` map from each column
 name, in header order, to the parser its cells take.  One reader,
-`_table`, checks a file's header and row widths and parses every cell,
-failing on the first problem with the file, line and column; `_hourly`
-builds the three (date, hour) tables, weather, prices and profiles, on
-it, and `_write_hourly` writes them.  Writers emit one canonical decimal
-format per column so that write -> read -> write is byte-stable.
-Structured artifacts (bids, outcomes, assignments, config) are JSON.
+`_table`, reads a file in one csv pass, checks its header and row
+widths, and parses it a column at a time, calling a column's parser
+once per distinct text in it (a date or an hour repeats on every row).
+It hands back the parsed rows before the first faulty line and that
+line's error, naming the file, the line and, for a cell, the column;
+each caller checks those rows in line order and then raises that
+error, so a file fails on its earliest faulty line, whichever check
+finds it.  `_hourly` builds the three (date, hour) tables, weather,
+prices and profiles, on it as one (days, 24) numpy grid per value
+column, and `_write_hourly` writes them, one %-template per row, after
+checking that every series holds 24 finite values for the same dates.
+Writers emit one canonical decimal format per column so that write ->
+read -> write is byte-stable.  Structured artifacts (bids, outcomes,
+assignments, config) are JSON.
 
 Daily series must cover hours 0..23 exactly once; days with missing or
 doubled hours (e.g. DST switches in real exports) are rejected rather
@@ -126,12 +134,19 @@ EDGES_COLUMNS = {
 
 
 def _table(path: str | Path, columns: Mapping[str, Callable], optional_last: bool = False):
-    """Yield the file's header, then (line_number, cells) for each data
-    row, each cell parsed by its column's parser.  The header must be
-    list(columns), or, with optional_last, that without its last column.
-    Blank lines are skipped.  A wrong header, a row of another width or a
-    cell its parser rejects raises SchemaError naming the file, the line
-    and, for a cell, the column."""
+    """Read a CSV file in one pass and parse it a column at a time.
+
+    Returns (linenos, values, fault).  The header must be list(columns),
+    or, with optional_last, that without its last column; a wrong header
+    or an empty file raises SchemaError at once.  `linenos` holds the
+    line number of each data row before the first faulty line, `values`
+    one list per header column of those rows' parsed cells, and `fault`
+    that line's SchemaError, naming the file, the line and, for a cell,
+    the column, or None when no line is faulty.  A faulty line is a row
+    of another width or one with a cell its column's parser rejects;
+    each parser runs once per distinct text in its column.  Blank lines
+    are skipped.  Callers check the rows they get in line order and then
+    raise the fault, so that a file fails on its earliest faulty line."""
     path = Path(path)
     want = list(columns)
     with path.open(newline="") as fh:
@@ -141,22 +156,35 @@ def _table(path: str | Path, columns: Mapping[str, Callable], optional_last: boo
             raise SchemaError(f"{path}: file is empty")
         if not (header == want or (optional_last and header == want[:-1])):
             raise SchemaError(f"{path}:1: header {header!r} does not match expected {want!r}")
-        yield header
-        width = len(header)
-        parsers = [columns[name] for name in header]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise SchemaError(f"{path}:{lineno}: expected {width} fields, found {len(row)}")
-            cells = []
+        rows = list(reader)
+    linenos = range(2, len(rows) + 2)
+    if not all(rows):  # blank lines are skipped, but they count
+        linenos = [lineno for lineno, row in zip(linenos, rows) if row]
+        rows = [row for row in rows if row]
+    width = len(header)
+    stop, fault = len(rows), None
+    widths = list(map(len, rows))
+    if widths.count(width) < len(rows):
+        stop = next(i for i, n in enumerate(widths) if n != width)
+        fault = SchemaError(f"{path}:{linenos[stop]}: expected {width} fields, found {widths[stop]}")
+    texts = list(zip(*rows[:stop])) or [()] * width
+    parsed = []
+    for name, column in zip(header, texts):
+        parse = columns[name]
+        memo, errors = {}, {}
+        for text in set(column):
             try:
-                for parse, text in zip(parsers, row):
-                    cells.append(parse(text))
-            except ValueError as exc:  # raised by the cell after those parsed
-                raise SchemaError(
-                    f"{path}:{lineno}: column {header[len(cells)]!r}: {exc}") from None
-            yield lineno, cells
+                memo[text] = parse(text)
+            except ValueError as exc:
+                errors[text] = exc
+        if errors:
+            i = next(i for i, text in enumerate(column) if text in errors)
+            if i < stop:  # on a tie the leftmost column's cell is the fault
+                stop = i
+                fault = SchemaError(f"{path}:{linenos[i]}: column {name!r}: {errors[column[i]]}")
+        parsed.append(memo)
+    values = [list(map(memo.__getitem__, column[:stop])) for memo, column in zip(parsed, texts)]
+    return linenos[:stop], values, fault
 
 
 def _hourly(path: str | Path, columns: Mapping[str, Callable],
@@ -164,28 +192,37 @@ def _hourly(path: str | Path, columns: Mapping[str, Callable],
     """A (date, hour, values...) table as one {date: 24-hour array} per
     value column in the file's header, insisting on exactly one row per
     date and hour."""
-    rows = _table(path, columns, optional_last)
-    n_values = len(next(rows)) - 2
-    first: dict[tuple[date, int], int] = {}
-    days: dict[date, np.ndarray] = {}
-    for lineno, (d, h, *values) in rows:
-        if (d, h) in first:
-            raise SchemaError(
-                f"{path}:{lineno}: duplicate entry for {d} hour {h} "
-                f"(first at line {first[d, h]})"
-            )
-        first[d, h] = lineno
-        if d not in days:
-            days[d] = np.full((n_values, HOURS), np.nan)
-        days[d][:, h] = values
-    for d, arr in sorted(days.items()):
-        missing = [h for h in range(HOURS) if np.isnan(arr[0, h])]
-        if missing:
-            raise GridMismatch(
-                f"{path}: {d} covers {HOURS - len(missing)} hours "
-                f"(missing {missing[0]}); 23/25-hour days are not supported"
-            )
-    return [{d: arr[i] for d, arr in days.items()} for i in range(n_values)]
+    linenos, (dates, hours, *values), fault = _table(path, columns, optional_last)
+    days = sorted(set(dates))
+    day_index = {d: i for i, d in enumerate(days)}
+    slot = (np.array([day_index[d] for d in dates], dtype=np.intp) * HOURS
+            + np.array(hours, dtype=np.intp))
+    count = np.bincount(slot, minlength=len(days) * HOURS)
+    if count.max(initial=0) > 1:
+        first: dict[int, int] = {}
+        for lineno, s in zip(linenos, slot.tolist()):
+            if s in first:
+                raise SchemaError(
+                    f"{path}:{lineno}: duplicate entry for {days[s // HOURS]} hour {s % HOURS} "
+                    f"(first at line {first[s]})"
+                )
+            first[s] = lineno
+    if fault is not None:
+        raise fault
+    covered = count.reshape(-1, HOURS) > 0
+    short = np.flatnonzero(~covered.all(axis=1))
+    if short.size:
+        missing = np.flatnonzero(~covered[short[0]])
+        raise GridMismatch(
+            f"{path}: {days[short[0]]} covers {HOURS - missing.size} hours "
+            f"(missing {missing[0]}); 23/25-hour days are not supported"
+        )
+    out = []
+    for column in values:
+        grid = np.empty(len(days) * HOURS)
+        grid[slot] = column
+        out.append(dict(zip(days, grid.reshape(-1, HOURS))))
+    return out
 
 
 def read_json(path: str | Path):
@@ -202,9 +239,8 @@ def read_json(path: str | Path):
 def read_buildings(path: str | Path) -> list[BuildingParams]:
     out: list[BuildingParams] = []
     ids: dict[str, int] = {}
-    rows = _table(path, BUILDINGS_COLUMNS)
-    next(rows)  # the header
-    for lineno, (bid, x, y, r_th, c_th, hp, pv, has_hp) in rows:
+    linenos, values, fault = _table(path, BUILDINGS_COLUMNS)
+    for lineno, bid, x, y, r_th, c_th, hp, pv, has_hp in zip(linenos, *values):
         if bid in ids:
             raise SchemaError(
                 f"{path}:{lineno}: duplicate building id {bid!r} (first at line {ids[bid]})"
@@ -218,6 +254,8 @@ def read_buildings(path: str | Path) -> list[BuildingParams]:
             id=bid, r_th=r_th, c_th=c_th, p_hp_rated=hp, p_pv_rated=pv,
             position=(x, y), has_hp=has_hp,
         ))
+    if fault is not None:
+        raise fault
     if not out:
         raise SchemaError(f"{path}: no building rows")
     return out
@@ -241,9 +279,8 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
     validate_radial's error, prefixed with both paths."""
     nodes: dict[int, Node] = {}
     lineno_by_id: dict[int, int] = {}
-    rows = _table(nodes_path, NODES_COLUMNS)
-    next(rows)  # the header
-    for lineno, (nid, ancestor, x, y, p_cap, is_sub, s_rating, v_nom) in rows:
+    linenos, values, fault = _table(nodes_path, NODES_COLUMNS)
+    for lineno, nid, ancestor, x, y, p_cap, is_sub, s_rating, v_nom in zip(linenos, *values):
         if nid in nodes:
             raise SchemaError(
                 f"{nodes_path}:{lineno}: duplicate node id {nid} "
@@ -262,11 +299,12 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
             id=nid, ancestor_id=ancestor, position=(x, y), p_cap_kw=p_cap,
             is_substation=is_sub, s_rating_kva=s_rating, v_nom_pu=v_nom,
         )
+    if fault is not None:
+        raise fault
     lines: list[Line] = []
     lineno_by_child: dict[int, int] = {}
-    rows = _table(edges_path, EDGES_COLUMNS)
-    next(rows)  # the header
-    for lineno, (frm, to, r, x, s) in rows:
+    linenos, values, fault = _table(edges_path, EDGES_COLUMNS)
+    for lineno, frm, to, r, x, s in zip(linenos, *values):
         if frm in lineno_by_child:
             raise SchemaError(
                 f"{edges_path}:{lineno}: second line up from node {frm} "
@@ -281,6 +319,8 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
             lines.append(Line(from_id=frm, to_id=to, r_pu=r, x_pu=x, s_rating_pu=s))
         except ValueError as exc:
             raise SchemaError(f"{edges_path}:{lineno}: {exc}") from None
+    if fault is not None:
+        raise fault
     substations = [n for n in nodes.values() if n.is_substation]
     if not substations:
         raise SchemaError(f"{nodes_path}: no substation row")
@@ -407,11 +447,38 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[list]) -> 
 def _write_hourly(path: str | Path, columns: Mapping[str, Callable], fmt: str,
                   *series: Mapping[date, np.ndarray]) -> None:
     """One row per date and hour of the first series, then one cell per
-    series written with fmt, under as many of columns as there are cells."""
-    write_csv(path, list(columns)[:2 + len(series)], (
-        [d.isoformat(), str(h), *(format(values[d][h], fmt) for values in series)]
-        for d in sorted(series[0]) for h in range(HOURS)
-    ))
+    series written with the %-format fmt, under as many of columns as
+    there are cells.  Every series must hold 24 finite values for each
+    of the first series' dates and for no other date; ValueError names
+    the column and the date otherwise, before the file is opened."""
+    header = list(columns)[:2 + len(series)]
+    dates = sorted(series[0])
+    grids = []
+    for name, values in zip(header[2:], series):
+        if values.keys() != series[0].keys():
+            d = min(values.keys() ^ series[0].keys())
+            raise ValueError(f"{path}: column {name!r} has no values for {d}" if d not in values
+                             else f"{path}: column {name!r} has values for {d}, "
+                                  f"a date column {header[2]!r} lacks")
+        days = [np.asarray(values[d], dtype=float) for d in dates]
+        for d, day in zip(dates, days):
+            if day.shape != (HOURS,):
+                raise ValueError(f"{path}: column {name!r}: {d} has {day.size} values, not {HOURS}")
+        grid = np.array(days).reshape(len(dates), HOURS)
+        finite = np.isfinite(grid).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{path}: column {name!r}: {dates[finite.argmin()]} has a value "
+                             "that is not finite")
+        grids.append(grid)
+    cells = ",".join([fmt] * len(series))
+    rows = [f"%s,{h},{cells}\n" for h in range(HOURS)]  # one template per hour
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % (d.isoformat(), *values)
+                      for d, day in zip(dates, np.stack(grids, axis=-1).tolist())
+                      for row, values in zip(rows, day))
 
 
 def write_buildings(path: str | Path, buildings: Sequence[BuildingParams]) -> None:
@@ -423,13 +490,13 @@ def write_buildings(path: str | Path, buildings: Sequence[BuildingParams]) -> No
 
 
 def write_weather(path: str | Path, weather: Mapping[date, np.ndarray]) -> None:
-    _write_hourly(path, WEATHER_COLUMNS, ".2f", weather)
+    _write_hourly(path, WEATHER_COLUMNS, "%.2f", weather)
 
 
 def write_prices(path: str | Path, realized: Mapping[date, np.ndarray],
                  forecast: Mapping[date, np.ndarray] | None = None) -> None:
     """Without a forecast, the file has no forecast column."""
-    _write_hourly(path, PRICES_COLUMNS, ".4f", realized, *([] if forecast is None else [forecast]))
+    _write_hourly(path, PRICES_COLUMNS, "%.4f", realized, *([] if forecast is None else [forecast]))
 
 
 def write_network(nodes_path: str | Path, edges_path: str | Path, net: RadialNetwork) -> None:
@@ -448,7 +515,7 @@ def write_network(nodes_path: str | Path, edges_path: str | Path, net: RadialNet
 
 def write_profiles(path: str | Path, slf: Mapping[date, np.ndarray],
                    cf: Mapping[date, np.ndarray]) -> None:
-    _write_hourly(path, PROFILES_COLUMNS, ".6f", slf, cf)
+    _write_hourly(path, PROFILES_COLUMNS, "%.6f", slf, cf)
 
 
 def write_alloc(path: str | Path, alloc: Mapping[str, int]) -> None:

@@ -119,6 +119,33 @@ def test_non_finite_number_points_at_cell(tmp_path, name, header, row, line, col
         reader(tmp_path / name)
 
 
+BUILDINGS_HEADER = "id,x_m,y_m,r_th_K_per_kW,c_th_kWh_per_K,p_hp_rated_kW,p_pv_rated_kW,has_hp"
+
+
+@pytest.mark.parametrize("name, text, reader, message", [
+    # a duplicate hour on line 4, a bad cell on line 5
+    ("weather.csv", f"date,hour,t_out_C\n{D1},0,1.0\n{D1},1,1.0\n{D1},0,2.0\n{D1},2,x\n",
+     read_weather, "weather.csv:4: duplicate entry for 2025-01-06 hour 0"),
+    # a bad cell on line 3, a short row on line 4
+    ("prices.csv", f"date,hour,realized_eur_mwh,forecast_eur_mwh\n{D1},0,1.0,1.0\n"
+     f"{D1},1,oops,1.0\n{D1},2,1.0\n", read_prices,
+     "prices.csv:3: column 'realized_eur_mwh': not a number: 'oops'"),
+    # a negative r_th on line 3, a bad cell on line 4
+    ("buildings.csv", f"{BUILDINGS_HEADER}\nb001,0,0,5,10,3,0,true\nb002,0,0,-5,10,3,0,true\n"
+     "b003,0,0,5,10,3,0,maybe\n", read_buildings,
+     "buildings.csv:3: r_th and c_th must be positive"),
+    # two bad cells on line 2: the leftmost is named
+    ("profiles.csv", f"date,hour,slf,cf\n{D1},0,2.0,x\n", read_profiles,
+     "profiles.csv:2: column 'slf': 2.0 outside [0, 1]"),
+], ids=["duplicate-before-bad-cell", "bad-cell-before-short-row", "bad-value-before-bad-cell",
+        "two-bad-cells-in-a-line"])
+def test_a_file_with_several_faults_fails_on_its_earliest_faulty_line(
+        tmp_path, name, text, reader, message):
+    with pytest.raises(SchemaError) as err:
+        reader(write(tmp_path, name, text))
+    assert f"{tmp_path}/{message}" in str(err.value)
+
+
 def test_wrong_header_is_rejected_up_front(tmp_path):
     write(tmp_path, "weather.csv", "date,hour,temperature\n")
     with pytest.raises(SchemaError, match=r"weather.csv:1: header"):
@@ -184,6 +211,33 @@ def test_prices_without_forecast_column(tmp_path):
 def test_a_header_only_hourly_file_reads_as_no_days(tmp_path, name, header, reader, read):
     """The forecast is None only when its column is absent, rows or not."""
     assert reader(write(tmp_path, name, header + "\n")) == read
+
+
+def hours(value):
+    return np.full(24, value)
+
+
+@pytest.mark.parametrize("write_file, series, message", [
+    (write_prices, ({date(2025, 1, 6): hours(50.0), date(2025, 1, 7): hours(60.0)},
+                    {date(2025, 1, 6): hours(52.0)}),
+     "column 'forecast_eur_mwh' has no values for 2025-01-07"),
+    (write_prices, ({date(2025, 1, 6): hours(50.0)},
+                    {date(2025, 1, 6): hours(52.0), date(2025, 1, 5): hours(52.0)}),
+     "column 'forecast_eur_mwh' has values for 2025-01-05, a date column 'realized_eur_mwh' lacks"),
+    (write_weather, ({date(2025, 1, 6): hours(2.0), date(2025, 1, 7): np.full(10, 3.0)},),
+     "column 't_out_C': 2025-01-07 has 10 values, not 24"),
+    (write_profiles, ({date(2025, 1, 6): hours(0.5)},
+                      {date(2025, 1, 6): np.where(np.arange(24) == 9, np.nan, 0.1)}),
+     "column 'cf': 2025-01-06 has a value that is not finite"),
+], ids=["day-missing", "day-extra", "short-day", "nan"])
+def test_a_bad_series_fails_before_its_file_is_written(tmp_path, write_file, series, message):
+    """These once left a truncated file behind a bare KeyError or
+    IndexError, or wrote a nan cell."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError) as err:
+        write_file(path, *series)
+    assert message in str(err.value)
+    assert not path.exists()
 
 
 def test_prices_without_forecast_roundtrip_byte_identical(tmp_path):
@@ -383,9 +437,11 @@ def test_a_duplicated_row_fails_naming_its_file_and_line(instance_lines, data):
 
 # ----------------------------------------------------------- round trips
 
-def test_generated_instance_roundtrips_byte_identical(tmp_path):
-    spec = SyntheticSpec(n_buildings=8, hp_share_pct=50.0, n_days=4, seed=21,
-                         branching=2, depth=2)
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(n_buildings=8, hp_share_pct=50.0, n_days=4, seed=21, branching=2, depth=2),
+    SyntheticSpec(n_buildings=30, hp_share_pct=30.0, n_days=365, seed=1),
+], ids=["4-days", "365-days"])
+def test_generated_instance_roundtrips_byte_identical(tmp_path, spec):
     first = generate_synthetic(spec, tmp_path / "a")
     bundle = ingest(
         first["buildings"], first["weather"], first["prices"],
