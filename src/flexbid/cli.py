@@ -24,7 +24,7 @@ from .bidding import MAX_BIDS, read_bids, write_bids
 from .clearing import clear
 from .errors import FlexbidError, GridMismatch, SchemaError
 from .grid import allocate_buildings
-from .ingest import ingest, read_json, write_alloc, write_csv
+from .ingest import ingest, read_json, settings, write_alloc, write_csv
 from .simulate import (
     FORECASTERS,
     MODES,
@@ -56,8 +56,14 @@ FILE_DEFAULTS = {
     "alloc": "alloc.json",
 }
 REQUIRED_FILES = ("buildings", "weather", "prices", "profiles")
-# the top-level sections of campaign.json
-SECTIONS = ("paths", "campaign", "synthetic")
+# the top-level sections of campaign.json, each with the reader that
+# checks it; the campaign section may leave start and days to the flags
+SECTIONS = {
+    "paths": lambda body: settings(body, FILE_DEFAULTS, "paths"),
+    "campaign": lambda body: CampaignConfig.from_dict(
+        {"start": date.min.isoformat(), "days": 1, **body}),
+    "synthetic": SyntheticSpec.from_dict,
+}
 
 
 def guarded(fn):
@@ -81,75 +87,27 @@ def guarded(fn):
 
 
 def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
-    """Return (campaign.json contents, directory paths are relative to).
-
-    Raises SchemaError naming the file, and the line when it is not
-    valid JSON; naming the file when it or a section is not a JSON
-    object, on any top-level, paths, campaign or synthetic key that
-    nothing reads, so a misspelt key cannot fall back to a default, on a
-    synthetic section without its start, and on any value of the wrong
-    JSON type, naming the key; naming the file and campaign.start when
-    that is not a valid ISO date; and naming the file when the campaign
-    section, its start and days filled in where it leaves them to the
-    command line, does not make a valid CampaignConfig, or the synthetic
-    section a valid SyntheticSpec.  So every command fails on a bad
-    section before it does any work.
-    """
+    """Return (campaign.json contents, directory paths are relative to),
+    every section checked, so a command fails on a bad one before it
+    does any work.  Only the default campaign.json may be absent; a
+    SchemaError names the file."""
     cfg_file = Path(config_path) if config_path else Path(workdir) / "campaign.json"
-    if not cfg_file.exists():
+    if not config_path and not cfg_file.exists():
         return {}, Path(workdir)
     raw = read_json(cfg_file)
     if not isinstance(raw, dict) or not all(isinstance(section, dict) for section in raw.values()):
         raise SchemaError(f"{cfg_file}: the file and each of its sections must be JSON objects")
-    # paths are strings; each campaign and synthetic setting takes the
-    # JSON shape CampaignConfig.to_dict or SyntheticSpec.to_dict writes
-    written = {
-        "paths": dict.fromkeys(FILE_DEFAULTS, ""),
-        "campaign": CampaignConfig(start=date.min, days=1).to_dict(),
-        "synthetic": SyntheticSpec().to_dict(),
-    }
     unknown = [key for key in raw if key not in SECTIONS]
-    unknown += [f"{section}.{key}" for section, body in raw.items() if section in SECTIONS
-                for key in body if key not in written[section]]
     if unknown:
         raise SchemaError(f"{cfg_file}: unknown keys: {', '.join(unknown)}")
-    if "synthetic" in raw and "start" not in raw["synthetic"]:
-        raise SchemaError(f"{cfg_file}: missing key: synthetic.start")
-    mistyped = [f"{section}.{key}" for section, body in raw.items()
-                for key, val in body.items() if not _fits(val, written[section][key])]
-    if mistyped:
-        raise SchemaError(f"{cfg_file}: values of the wrong type: {', '.join(mistyped)}")
-    start = raw.get("campaign", {}).get("start")
-    if start is not None:
+    for section, body in raw.items():
         try:
-            date.fromisoformat(start)
+            SECTIONS[section](body)
+        except SchemaError as exc:
+            raise SchemaError(f"{cfg_file}: {exc}") from None
         except ValueError as exc:
-            raise SchemaError(
-                f"{cfg_file}: campaign.start {start!r} is not a valid date: {exc}") from None
-    try:
-        CampaignConfig.from_dict({"start": date.min.isoformat(), "days": 1,
-                                  **raw.get("campaign", {})})
-    except ValueError as exc:
-        raise SchemaError(f"{cfg_file}: campaign: {exc}") from None
-    if "synthetic" in raw:
-        try:
-            SyntheticSpec.from_dict(raw["synthetic"])
-        except ValueError as exc:
-            raise SchemaError(f"{cfg_file}: synthetic: {exc}") from None
+            raise SchemaError(f"{cfg_file}: {section}: {exc}") from None
     return raw, cfg_file.parent
-
-
-def _fits(val, like) -> bool:
-    """Whether a JSON value can stand where to_dict writes `like`: the same
-    JSON kind, a whole number where it writes one, and a list of the same
-    length whose items fit."""
-    if isinstance(like, list):
-        return isinstance(val, list) and len(val) == len(like) and all(map(_fits, val, like))
-    if isinstance(like, str):
-        return isinstance(val, str)
-    if isinstance(val, bool):  # a JSON kind of its own, though Python's bool is an int
-        return False
-    return isinstance(val, int) or (isinstance(like, float) and isinstance(val, float))
 
 
 def _resolve_paths(raw: dict, base: Path) -> dict[str, Path | None]:
@@ -175,12 +133,32 @@ def _load_bundle(paths: dict[str, Path | None]):
     )
 
 
-def _campaign_config(raw: dict, **overrides) -> CampaignConfig:
-    """Merge campaign.json settings with CLI overrides (None = not given)."""
+# Each campaign flag, keyed by the campaign.json key it overrides and
+# read in that key's JSON shape; a flag not given (None) leaves the key
+# to campaign.json
+CAMPAIGN_FLAGS = {
+    "start": click.option("--start", type=click.DateTime(["%Y-%m-%d"]),
+                          callback=lambda ctx, param, value: value and value.date().isoformat(),
+                          help="first delivery day YYYY-MM-DD"),
+    "days": click.option("--days", type=int, help="campaign length in delivery days"),
+    "scenarios": click.option("--scenarios", type=int, help="price scenarios per day"),
+    "max_bids": click.option("--max-bids", type=int),
+    "mode": click.option("--mode", type=click.Choice(MODES)),
+    "pricing": click.option("--pricing", type=click.Choice(PRICINGS)),
+    "facets": click.option("--facets", type=int),
+    "forecaster": click.option("--forecaster", type=click.Choice(FORECASTERS)),
+}
+
+
+def campaign_flags(*keys):
+    """Decorate a command with the CAMPAIGN_FLAGS named by keys, in order."""
+    return lambda fn: functools.reduce(lambda f, key: CAMPAIGN_FLAGS[key](f), reversed(keys), fn)
+
+
+def _campaign_config(raw: dict, **flags) -> CampaignConfig:
+    """campaign.json's campaign settings, overridden by the flags given."""
     body = dict(raw.get("campaign", {}))
-    for key, val in overrides.items():
-        if val is not None:
-            body[key] = val
+    body.update((key, val) for key, val in flags.items() if val is not None)
     if "start" not in body:
         raise ValueError("no campaign start date; pass --start or provide campaign.json")
     body.setdefault("days", 1)
@@ -290,23 +268,14 @@ def allocate(workdir, config_path, out_path, json_errors):
 @click.option("--date", "day", type=click.DateTime(["%Y-%m-%d"]), default=None,
               help="delivery day YYYY-MM-DD (default: first campaign day)")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--scenarios", type=int, default=None, help="price scenarios per day")
-@click.option("--max-bids", type=int, default=None)
-@click.option("--mode", type=click.Choice(MODES), default=None)
-@click.option("--pricing", type=click.Choice(PRICINGS), default=None)
-@click.option("--facets", type=int, default=None)
-@click.option("--forecaster", type=click.Choice(FORECASTERS), default=None)
+@campaign_flags("scenarios", "max_bids", "mode", "pricing", "facets", "forecaster")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--json-errors", is_flag=True)
 @guarded
-def bid_command(workdir, day, config_path, scenarios, max_bids, mode,
-                pricing, facets, forecaster, out_path, json_errors):
+def bid_command(workdir, day, config_path, out_path, json_errors, **flags):
     """Build one day's exclusive group of block bids and write bids.json."""
     raw, base = _load_workspace(workdir, config_path)
-    cfg = _campaign_config(
-        raw, scenarios=scenarios, max_bids=max_bids, mode=mode,
-        pricing=pricing, facets=facets, forecaster=forecaster,
-    )
+    cfg = _campaign_config(raw, **flags)
     bundle = _load_bundle(_resolve_paths(raw, base))
     day = day.date() if day else cfg.start
     inputs = day_inputs(cfg, bundle, day, alloc=campaign_alloc(cfg, bundle))
@@ -335,7 +304,9 @@ def clear_command(workdir, day, bids_path, config_path, out_path, json_errors):
             raise ValueError("pass --date or --bids to locate the bids file")
         bids_path = base / f"bids_{day.isoformat()}.json"
     group, header = read_bids(bids_path)
-    day = day or date.fromisoformat(header["day"])
+    day, asked = date.fromisoformat(header["day"]), day
+    if asked not in (None, day):
+        raise ValueError(f"{bids_path} holds the bids for {day}, not for --date {asked}")
     bundle = _load_bundle(_resolve_paths(raw, base))
     if day not in bundle.realized:
         raise GridMismatch(f"prices data does not cover {day}")
@@ -356,28 +327,16 @@ def clear_command(workdir, day, bids_path, config_path, out_path, json_errors):
 @main.command("simulate")
 @click.argument("workdir", type=click.Path(file_okay=False, exists=True), default=".")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--start", type=click.DateTime(["%Y-%m-%d"]), default=None,
-              help="first delivery day YYYY-MM-DD")
-@click.option("--days", type=int, default=None)
-@click.option("--scenarios", type=int, default=None)
-@click.option("--max-bids", type=int, default=None)
-@click.option("--mode", type=click.Choice(MODES), default=None)
-@click.option("--pricing", type=click.Choice(PRICINGS), default=None)
-@click.option("--facets", type=int, default=None)
-@click.option("--forecaster", type=click.Choice(FORECASTERS), default=None)
+@campaign_flags("start", "days", "scenarios", "max_bids", "mode", "pricing", "facets",
+                "forecaster")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="output directory (default: the workspace)")
 @click.option("--json-errors", is_flag=True)
 @guarded
-def simulate_command(workdir, config_path, start, days, scenarios, max_bids,
-                     mode, pricing, facets, forecaster, out_dir, json_errors):
+def simulate_command(workdir, config_path, out_dir, json_errors, **flags):
     """Run the rolling campaign; write report.csv, schedules.csv, summary.json."""
     raw, base = _load_workspace(workdir, config_path)
-    cfg = _campaign_config(
-        raw, start=start.date().isoformat() if start else None, days=days, scenarios=scenarios,
-        max_bids=max_bids, mode=mode, pricing=pricing, facets=facets,
-        forecaster=forecaster,
-    )
+    cfg = _campaign_config(raw, **flags)
     bundle = _load_bundle(_resolve_paths(raw, base))
     report = run_campaign(cfg, bundle)
     out = Path(out_dir) if out_dir else base
@@ -461,9 +420,7 @@ def _totals(rep: CampaignReport, *values) -> list[str]:
 @main.command("report")
 @click.argument("workdir", type=click.Path(file_okay=False, exists=True), default=".")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--days", type=int, default=None, help="campaign length for the sweeps")
-@click.option("--scenarios", type=int, default=None)
-@click.option("--mode", type=click.Choice(MODES), default=None)
+@campaign_flags("days", "scenarios", "mode")
 @click.option("--bids", default="1,2,4,8,16,24", show_default=True, callback=_numbers(int),
               help="bid budgets to sweep")
 @click.option("--shares", default="15,30,45,60", show_default=True, callback=_numbers(float),
@@ -473,13 +430,13 @@ def _totals(rep: CampaignReport, *values) -> list[str]:
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--json-errors", is_flag=True)
 @guarded
-def report_command(workdir, config_path, days, scenarios, mode, bids,
-                   shares, volatilities, out_dir, json_errors):
+def report_command(workdir, config_path, bids, shares, volatilities, out_dir, json_errors,
+                   **flags):
     """Emit the trend tables: efficiency and runtime vs bid budget and
     heat-pump share, and savings vs price volatility.  Each failed day is
     named on stderr, and the command exits 1 after writing the tables."""
     raw, base = _load_workspace(workdir, config_path)
-    cfg = _campaign_config(raw, days=days, scenarios=scenarios, mode=mode)
+    cfg = _campaign_config(raw, **flags)
     if "synthetic" in raw:  # every sweep's spec, so a bad one fails before any table
         base_spec = SyntheticSpec.from_dict(raw["synthetic"])
         share_specs = [_varied(base_spec, "--shares", "hp_share_pct", v) for v in shares]

@@ -15,7 +15,8 @@ column, and `_write_hourly` writes them, one %-template per row, after
 checking that every series holds 24 finite values for the same dates.
 Writers emit one canonical decimal format per column so that write ->
 read -> write is byte-stable.  Structured artifacts (bids, outcomes,
-assignments, config) are JSON.
+assignments, config) are JSON; `settings` checks and types each section
+of campaign.json against the dict to_dict writes for its defaults.
 
 Daily series must cover hours 0..23 exactly once; days with missing or
 doubled hours (e.g. DST switches in real exports) are rejected rather
@@ -232,6 +233,51 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+
+
+def settings(raw: Mapping, like: Mapping, section: str, required: Sequence[str] = ()) -> dict:
+    """One section of campaign.json, checked against `like`, the section
+    as to_dict writes it for the defaults.  A SchemaError names, as
+    `section.key`, each key `like` lacks, a `required` key left out, each
+    value of another JSON kind, or a start that is not an ISO date.
+    Returns the values typed like `like`, and start as a date."""
+    unknown = [f"{section}.{key}" for key in raw if key not in like]
+    if unknown:
+        raise SchemaError(f"unknown keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise SchemaError(f"missing key: {section}.{missing[0]}")
+    mistyped = [f"{section}.{key}" for key, val in raw.items() if not _fits(val, like[key])]
+    if mistyped:
+        raise SchemaError(f"values of the wrong type: {', '.join(mistyped)}")
+    out = {key: _typed(val, like[key]) for key, val in raw.items()}
+    if "start" in out:
+        try:
+            out["start"] = date.fromisoformat(out["start"])
+        except ValueError as exc:
+            raise SchemaError(
+                f"{section}.start {out['start']!r} is not a valid date: {exc}") from None
+    return out
+
+
+def _fits(val, like) -> bool:
+    """Whether a JSON value can stand where to_dict writes `like`: the same
+    JSON kind, a whole number where it writes one, and a list of the same
+    length whose items fit."""
+    if isinstance(like, list):
+        return isinstance(val, list) and len(val) == len(like) and all(map(_fits, val, like))
+    if isinstance(like, str):
+        return isinstance(val, str)
+    if isinstance(val, bool):  # a JSON kind of its own, though Python's bool is an int
+        return False
+    return isinstance(val, int) or (isinstance(like, float) and isinstance(val, float))
+
+
+def _typed(val, like):
+    """A value that fits `like`, typed as it: a float where it is one, a list a tuple."""
+    if isinstance(like, list):
+        return tuple(map(_typed, val, like))
+    return float(val) if isinstance(like, float) else val
 
 
 # ---------------------------------------------------------------- readers

@@ -35,13 +35,13 @@ import time
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bidding import MAX_BIDS, build_exclusive_group, disaggregate
 from .clearing import clear
-from .errors import EmptyInput, FlexbidError, GridMismatch, InvalidOrdering, SchemaError
+from .errors import EmptyInput, FlexbidError, GridMismatch, InvalidOrdering
 from .grid import (
     DEFAULT_FACETS,
     VOLL_EUR_MWH,
@@ -50,7 +50,7 @@ from .grid import (
     RadialNetwork,
     allocate_buildings,
 )
-from .ingest import HOURS, InstanceBundle, write_csv
+from .ingest import HOURS, InstanceBundle, settings, write_csv
 from .scenarios import PriceSeries, generate_scenarios
 from .thermal import BuildingParams, ComfortConfig, DispatchModel, flexible, profile_cost
 
@@ -128,17 +128,13 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "CampaignConfig":
-        """Read the keys to_dict writes, each as its field's type; any
-        other key is an error, and a key left out keeps its default."""
-        unknown = sorted(set(raw) - set(cls(start=date.min, days=1).to_dict()))
-        if unknown:
-            raise SchemaError(f"unknown campaign keys: {', '.join(unknown)}")
-        types = get_type_hints(cls)
-        kw = {("s_count" if key == "scenarios" else key): val for key, val in raw.items()}
-        return cls(**{
-            name: date.fromisoformat(val) if name == "start" else types[name](val)
-            for name, val in kw.items()
-        })
+        """Read the keys to_dict writes, checked and typed by
+        ingest.settings; start and days are required, and any other key
+        left out keeps its default."""
+        kw = settings(raw, cls(start=date.min, days=1).to_dict(), "campaign",
+                      required=("start", "days"))
+        kw["s_count"] = kw.pop("scenarios", cls.s_count)
+        return cls(**kw)
 
 
 @dataclass(frozen=True)

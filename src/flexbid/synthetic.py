@@ -29,6 +29,7 @@ from .grid import Line, Node, RadialNetwork
 from .ingest import (
     HOURS,
     InstanceBundle,
+    settings,
     write_buildings,
     write_network,
     write_prices,
@@ -106,12 +107,10 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "SyntheticSpec":
-        kwargs = dict(raw)
-        kwargs["start"] = date.fromisoformat(kwargs["start"])
-        for key in ("r_th_range", "c_th_range", "pv_rated_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        """Read the keys to_dict writes, checked and typed by
+        ingest.settings; start is required, and any other key left out
+        keeps its default."""
+        return cls(**settings(raw, cls().to_dict(), "synthetic", required=("start",)))
 
 
 def _bell(t: np.ndarray, mu: float, sigma: float) -> np.ndarray:

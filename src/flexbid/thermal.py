@@ -36,7 +36,7 @@ from scipy import sparse
 from scipy.optimize import linprog  # noqa: F401
 
 from .errors import Infeasible, InfeasibleBaseline, SolverFailure
-from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep  # noqa: F401 (tolerances re-exported)
+from .lp import HighsSweep
 
 log = logging.getLogger(__name__)
 

@@ -7,11 +7,14 @@ clear, simulate, report.
 
 import csv
 import json
+from datetime import date
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from flexbid.cli import main
+from flexbid.simulate import CampaignConfig
 
 GEN_ARGS = [
     "generate", "--seed", "5", "--buildings", "8", "--share", "50",
@@ -88,6 +91,41 @@ def test_clear_needs_a_date_or_a_bids_file(workspace, runner):
     res = runner.invoke(main, ["clear", str(workspace)])
     assert res.exit_code == 1
     assert "pass --date or --bids" in res.stderr
+
+
+def test_clear_refuses_a_date_other_than_the_bids_day(workspace, runner):
+    # the 11th's bids were once cleared against the 13th's prices
+    assert runner.invoke(main, ["bid", str(workspace)] + FAST).exit_code == 0
+    bids = workspace / "bids_2025-01-11.json"
+    res = runner.invoke(main, ["clear", str(workspace), "--bids", str(bids),
+                               "--date", "2025-01-13"])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ValueError")
+    assert all(text in res.stderr for text in (str(bids), "2025-01-11", "2025-01-13"))
+    assert not (workspace / "outcome_2025-01-13.json").exists()
+
+
+def test_a_missing_config_fails_naming_it(workspace, runner):
+    # it once ran on the built-in defaults
+    missing = workspace / "nope.json"
+    res = runner.invoke(main, ["simulate", str(workspace), "--config", str(missing),
+                               "--start", "2025-01-11", "--days", "1"] + FAST)
+    assert res.exit_code == 1
+    assert str(missing) in res.stderr
+    assert not (workspace / "report.csv").exists()
+
+
+def test_each_campaign_flag_is_named_for_its_campaign_key():
+    from flexbid.cli import CAMPAIGN_FLAGS, campaign_flags
+
+    @click.command()
+    @campaign_flags(*CAMPAIGN_FLAGS)
+    def command(**flags):
+        pass
+
+    keys = CampaignConfig(start=date.min, days=1).to_dict()
+    assert [param.name for param in command.params] == list(CAMPAIGN_FLAGS)
+    assert set(CAMPAIGN_FLAGS) <= set(keys)
 
 
 @pytest.mark.parametrize("command, option, value", [

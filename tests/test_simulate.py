@@ -490,6 +490,23 @@ def test_config_rejects_unknown_keys():
         CampaignConfig.from_dict({"start": "2025-01-11", "days": 1, "seed": 0})
 
 
+@pytest.mark.parametrize("key, value", [
+    # once read as days=2, s_count=6 and voll=1.0
+    ("days", 2.7), ("scenarios", "6"), ("voll", True), ("start", "2025-13-01"),
+])
+def test_config_refuses_values_to_dict_would_not_write(key, value):
+    raw = {"start": "2025-01-11", "days": 1, key: value}
+    with pytest.raises(SchemaError, match=f"campaign.{key}"):
+        CampaignConfig.from_dict(raw)
+
+
+def test_config_types_its_values_like_to_dict():
+    cfg = CampaignConfig.from_dict({"start": "2025-01-11", "days": 1, "voll": 3000})
+    assert cfg.start == START and isinstance(cfg.voll, float)
+    with pytest.raises(SchemaError, match="missing key: campaign.days"):
+        CampaignConfig.from_dict({"start": "2025-01-11"})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(start=START, days=0)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from flexbid.errors import SchemaError
 from flexbid.grid import GridTimeSeries, OpfModel, RadialNetwork, allocate_buildings
 from flexbid.simulate import CampaignConfig
 from flexbid.synthetic import SyntheticSpec, generate_instance
@@ -120,6 +121,30 @@ def test_spec_needs_a_building_per_load_node():
 def test_spec_dict_roundtrip():
     spec = dataclasses.replace(SMALL, volatility=1.5)
     assert SyntheticSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("edit, key", [
+    # once a bare TypeError and KeyError
+    ({"seedz": 1}, "unknown keys: synthetic.seedz"),
+    ({"start": None}, "missing key: synthetic.start"),  # None drops the key
+    # once accepted, to fail later inside generate_instance
+    ({"n_buildings": 12.9}, "synthetic.n_buildings"),
+    ({"seed": "3"}, "synthetic.seed"),
+    ({"start": "2025-13-01"}, "synthetic.start"),
+    ({"r_th_range": [4.0]}, "synthetic.r_th_range"),
+])
+def test_spec_from_dict_refuses_what_to_dict_would_not_write(edit, key):
+    raw = {**SMALL.to_dict(), **edit}
+    raw = {k: v for k, v in raw.items() if v is not None}
+    with pytest.raises(SchemaError, match=key):
+        SyntheticSpec.from_dict(raw)
+
+
+def test_spec_from_dict_types_its_values_like_to_dict():
+    spec = SyntheticSpec.from_dict({**SMALL.to_dict(), "r_th_range": [4, 8], "volatility": 2})
+    assert spec.r_th_range == (4.0, 8.0) and isinstance(spec.r_th_range[0], float)
+    assert isinstance(spec.volatility, float)
+    assert spec.to_dict() == {**SMALL.to_dict(), "r_th_range": [4.0, 8.0], "volatility": 2.0}
 
 
 # ------------------------------------------------- stress calibration

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from flexbid.errors import Infeasible, InfeasibleBaseline
+from flexbid.lp import FEASIBILITY_TOL, OPTIMALITY_TOL
 from flexbid.thermal import (
     BLOCK,
-    FEASIBILITY_TOL,
-    OPTIMALITY_TOL,
     BuildingParams,
     ComfortConfig,
     DispatchModel,
