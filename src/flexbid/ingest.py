@@ -29,6 +29,7 @@ import csv
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -239,7 +240,8 @@ def settings(raw: Mapping, like: Mapping, section: str, required: Sequence[str] 
     """One section of campaign.json, checked against `like`, the section
     as to_dict writes it for the defaults.  A SchemaError names, as
     `section.key`, each key `like` lacks, a `required` key left out, each
-    value of another JSON kind, or a start that is not an ISO date.
+    value of another JSON kind or past a float's range where a float is
+    written, or a start that is not an ISO date.
     Returns the values typed like `like`, and start as a date."""
     unknown = [f"{section}.{key}" for key in raw if key not in like]
     if unknown:
@@ -249,7 +251,7 @@ def settings(raw: Mapping, like: Mapping, section: str, required: Sequence[str] 
         raise SchemaError(f"missing key: {section}.{missing[0]}")
     mistyped = [f"{section}.{key}" for key, val in raw.items() if not _fits(val, like[key])]
     if mistyped:
-        raise SchemaError(f"values of the wrong type: {', '.join(mistyped)}")
+        raise SchemaError(f"values of the wrong type or range: {', '.join(mistyped)}")
     out = {key: _typed(val, like[key]) for key, val in raw.items()}
     if "start" in out:
         try:
@@ -262,15 +264,17 @@ def settings(raw: Mapping, like: Mapping, section: str, required: Sequence[str] 
 
 def _fits(val, like) -> bool:
     """Whether a JSON value can stand where to_dict writes `like`: the same
-    JSON kind, a whole number where it writes one, and a list of the same
-    length whose items fit."""
+    JSON kind, a whole number where it writes one, a number a float holds
+    where it writes a float, and a list of the same length whose items fit."""
     if isinstance(like, list):
         return isinstance(val, list) and len(val) == len(like) and all(map(_fits, val, like))
     if isinstance(like, str):
         return isinstance(val, str)
     if isinstance(val, bool):  # a JSON kind of its own, though Python's bool is an int
         return False
-    return isinstance(val, int) or (isinstance(like, float) and isinstance(val, float))
+    if isinstance(like, float):  # a whole number past the float range cannot be one
+        return isinstance(val, float) or (isinstance(val, int) and abs(val) <= sys.float_info.max)
+    return isinstance(val, int)
 
 
 def _typed(val, like):

@@ -9,7 +9,11 @@ changes the costs of the given columns and re-runs dual simplex from the
 previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
 The first row starts from the last optimal basis of an LP of the same
 shape, when the caller keeps one: the fleet's blocks of heat pumps are
-one shape, and so is a feeder's OPF from one day to the next.  Column
+one shape, and so is a feeder's OPF from one day to the next.  A caller
+may instead hand a start for each row and take back each row's optimal
+basis: a full block of heat pumps starts row s from the optimum the block
+before it found at row s, whose heat pump at each position has a near
+time constant and so, mostly, the same optimal basis.  Column
 bounds are fixed at construction: a caller pinning columns substitutes
 them out and sweeps the smaller LP, as `grid.OpfModel.solve` does.
 
@@ -82,17 +86,23 @@ class HighsSweep:
         self._cost_cols = np.asarray(cost_cols, dtype=np.int32)
         self.blocks = blocks
 
-    def solve(self, cost_rows: np.ndarray,
-              bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, cost_rows: np.ndarray, bases: dict | None = None,
+              row_bases: list | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(S, n) optimal points and S objectives for an (S, len(cost_cols)) stack.
 
         Each call runs on a fresh HiGHS instance.  Its first row starts
         from the basis `bases`, a dict from LP shape (rows, cols) to the
         last optimal basis of that shape, holds for this LP's shape, or
         cold; each later row starts from the row before, and the call's
-        final basis is stored back in `bases`.  So an equal stack with an
-        equal start gives equal answers.  A basis HiGHS refuses, or a warm
-        start that ends without an optimum, gives way to a cold start.
+        final basis is stored back in `bases`.  `row_bases`, when given,
+        is a list of S per-row starts, each a basis of this LP's shape or
+        None: row s starts from its own start instead, unless its costs
+        equal the row before's, and the list comes back holding each
+        row's optimal basis.  So an equal stack with equal starts gives
+        equal answers.  A start HiGHS refuses leaves
+        its row to go on from the row before (cold, on the first row);
+        a run from any start that ends without an optimum gives way to
+        the cold sweep.
 
         A block whose optimal vertex was seen at an earlier row of the
         call gets that row's values for its columns: the vertex is the
@@ -101,38 +111,49 @@ class HighsSweep:
         other blocks do.  A block's vertex key is the basis status of its
         columns and rows: basic, or nonbasic at the lower or the upper
         bound.  Raises ValueError, before any solve, on a cost that is
-        not finite, and Infeasible or SolverFailure on the first row
-        without an optimum.
+        not finite or a row_bases of another length than the stack, and
+        Infeasible or SolverFailure on the first row without an optimum.
         """
         cost_rows = np.asarray(cost_rows, dtype=float)
         if not np.isfinite(cost_rows).all():
             raise ValueError("cost rows must be finite")
+        if row_bases is not None and len(row_bases) != len(cost_rows):
+            raise ValueError(f"{len(row_bases)} row bases for {len(cost_rows)} cost rows")
         shape = (self._lp.num_row_, self._lp.num_col_)
-        start = None if bases is None else bases.get(shape)
-        for basis in ([start] if start is not None else []) + [None]:
-            highs = _hc._Highs()
-            highs.passOptions(_options())
-            highs.passModel(self._lp)
-            if basis is not None and highs.setBasis(basis) != _hc.HighsStatus.kOk:
-                continue
-            try:
-                X, objective = self._rows(highs, cost_rows)
-            except SolverFailure:
-                if basis is None:
-                    raise
-                continue
-            if bases is not None:
-                bases[shape] = highs.getBasis()
-            return X, objective
+        starts = [None] * len(cost_rows) if row_bases is None else list(row_bases)
+        if starts and starts[0] is None and bases is not None:
+            starts[0] = bases.get(shape)
+        try:
+            X, objective, optima = self._rows(cost_rows, starts)
+        except SolverFailure:
+            if all(start is None for start in starts):
+                raise
+            X, objective, optima = self._rows(cost_rows, [None] * len(starts))
+        if bases is not None and optima:
+            bases[shape] = optima[-1]
+        if row_bases is not None:
+            row_bases[:] = optima
+        return X, objective
 
-    def _rows(self, highs, cost_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The sweep over cost_rows on an instance holding the LP."""
+    def _rows(self, cost_rows: np.ndarray, starts: list) -> tuple[np.ndarray, np.ndarray, list]:
+        """The sweep over cost_rows on a fresh instance, each row set to
+        its start when it has one and HiGHS takes it.  Returns the points,
+        the objectives and each row's optimal basis."""
+        highs = _hc._Highs()
+        highs.passOptions(_options())
+        highs.passModel(self._lp)
         n_row, n_col = self._lp.num_row_, self._lp.num_col_
         B = self.blocks
         X = np.empty((len(cost_rows), n_col))
         objective = np.empty(len(cost_rows))
         first_row: list[dict[bytes, int]] = [{} for _ in range(B)]
-        for s, cost in enumerate(cost_rows):
+        optima = []
+        for s, (cost, start) in enumerate(zip(cost_rows, starts)):
+            # a row equal to the one before starts at its optimum already,
+            # where a start would only cost HiGHS a refactorization; a
+            # refused start changes nothing
+            if start is not None and not (s and np.array_equal(cost, cost_rows[s - 1])):
+                highs.setBasis(start)
             highs.changeColsCost(len(self._cost_cols), self._cost_cols, cost)
             highs.run()
             model_status = highs.getModelStatus()
@@ -156,4 +177,5 @@ class HighsSweep:
                 if earlier != s:
                     blocks[k] = X[earlier].reshape(B, -1)[k]
             objective[s] = highs.getObjectiveValue()
-        return X, objective
+            optima.append(highs.getBasis())
+        return X, objective, optima

@@ -6,12 +6,13 @@ scenario, the dispatches aggregated into an exclusive group of block
 bids, the group cleared against realized prices, and the award
 disaggregated back to the individual buildings.  Every day bids its
 first min(S, max_bids) scenarios, each at `CampaignConfig.bid_price`
-per MWh of its own energy; `efficiency_vs_bids` settles the same
-dispatch at several bid budgets.  Only the dispatch step
-depends on the mode, so it sits behind a small dispatcher: `_Fleet`
-solves block-diagonal LPs of up to `thermal.BLOCK` independent heat
-pumps (unbundled utility), `_Network` one network OPF over all of them
-(integrated utility).  Schedules travel as
+per MWh of its own energy, and dispatches only those and the realized
+row; `efficiency_vs_bids` settles one dispatch at several bid budgets.
+Only the dispatch step depends on the mode, so it sits behind a small
+dispatcher: `_Fleet` solves block-diagonal LPs of up to `thermal.BLOCK`
+independent heat pumps, dealt by time constant, each full block starting
+every row from the block before it (unbundled utility), `_Network` one
+network OPF over all of them (integrated utility).  Schedules travel as
 `(S, R, T)` arrays: scenario, resource (building ids sorted), hour.
 
 A campaign hands each day's final HiGHS bases (`lp.HighsSweep.solve`)
@@ -83,6 +84,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.days < 1:
             raise ValueError("campaign needs at least one day")
+        if self.days > (date.max - self.start).days + 1:
+            raise ValueError(f"days: {self.days} days from {self.start} run past {date.max}")
         if self.s_count < 1 or self.max_bids < 1:
             raise ValueError("s_count and max_bids must be >= 1")
         if self.max_bids > MAX_BIDS:
@@ -101,6 +104,11 @@ class CampaignConfig:
         for name, value in (("voll", self.voll), ("price_cap", self.price_cap)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0")
+
+    @property
+    def bid_rows(self) -> int:
+        """Scenario rows a day dispatches and bids: min(s_count, max_bids)."""
+        return min(self.s_count, self.max_bids)
 
     @property
     def bid_price(self) -> float:
@@ -261,8 +269,9 @@ def _dispatcher(cfg: CampaignConfig, inputs: DayInputs) -> _Fleet | _Network:
 
 @dataclass(frozen=True)
 class _Dispatched:
-    """One day's dispatch, before any bid.  X (S + 1, R, T) and cost hold
-    the scenario rows then the realized row, None without heat pumps;
+    """One day's dispatch, before any bid.  X (B + 1, R, T) and cost hold
+    the B = bid_rows scenario rows then the realized row, None without
+    heat pumps;
     inflexible is the baselines' evaluate() at the realized prices."""
 
     disp: _Fleet | _Network
@@ -274,9 +283,10 @@ class _Dispatched:
 
 def _dispatch(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None = None) -> _Dispatched:
     """Scenarios -> the mode's dispatcher -> tc_inf, then one solve over
-    the scenario rows plus the realized row, whose optimum is tc_opt,
-    started from the bases handed over in `bases` (`HighsSweep.solve`)."""
-    price_rows = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
+    the cfg.bid_rows scenario rows a day can bid plus the realized row,
+    whose optimum is tc_opt, started from the bases handed over in
+    `bases` (`HighsSweep.solve`)."""
+    price_rows = generate_scenarios(inputs.day, cfg.bid_rows, inputs.history)
     t0 = time.perf_counter()
     disp = _dispatcher(cfg, inputs)
     inflexible = disp.evaluate(inputs.realized, disp.baseline)
@@ -287,7 +297,7 @@ def _dispatch(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None = None)
 
 
 def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched) -> DayResult:
-    """Bids -> clearing -> award: the first min(S, max_bids) scenario
+    """Bids -> clearing -> award: the first cfg.bid_rows scenario
     dispatches make the exclusive group, which clears against the
     realized prices; the award is then evaluated there."""
     disp, dt = day.disp, cfg.comfort.dt
@@ -302,7 +312,7 @@ def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched) -> DayResu
     t0 = time.perf_counter()
     # X ends with the realized row, which the slice never reaches
     group, ledger = build_exclusive_group(
-        day.X[:min(cfg.s_count, cfg.max_bids)], cfg.bid_price, cfg.max_bids, dt
+        day.X[:cfg.bid_rows], cfg.bid_price, cfg.max_bids, dt
     )
     outcome = clear(group, inputs.realized, dt=dt)
     fallback = outcome.accepted_index is None
@@ -338,14 +348,14 @@ def day_bids(cfg: CampaignConfig, inputs: DayInputs):
     """Scenarios -> dispatches -> exclusive group, without clearing it.
 
     This is the auction-desk view: what gets submitted before the
-    realized prices exist: the first min(S, max_bids) scenarios only.
+    realized prices exist: the first cfg.bid_rows scenarios only.
     Returns (group, ledger), resources in sorted building-id order.
     """
-    price_rows = generate_scenarios(inputs.day, cfg.s_count, inputs.history)
+    price_rows = generate_scenarios(inputs.day, cfg.bid_rows, inputs.history)
     disp = _dispatcher(cfg, inputs)
     if not disp.ids:
         raise EmptyInput("no heat pumps to bid with")
-    X, _ = disp.solve(price_rows[:min(cfg.s_count, cfg.max_bids)])
+    X, _ = disp.solve(price_rows)
     return build_exclusive_group(X, cfg.bid_price, cfg.max_bids, cfg.comfort.dt)
 
 
@@ -448,9 +458,10 @@ def efficiency_vs_bids(
     """The campaign at each bid budget B, on shared dispatches: one
     report per budget, ascending, each with max_bids=B in its config.
 
-    Each day is dispatched once, at cfg.s_count scenarios, and every
-    budget B clears the exclusive group built from its first B
-    scenarios, so the scenario sets are nested by construction.  A day
+    Each day is dispatched once, at the largest budget's scenario rows
+    (a prefix of the cfg.s_count stack), and every budget B clears the
+    exclusive group built from its first B scenarios, so the scenario
+    sets are nested by construction.  A day
     that fails, fails at every budget, and the sweep goes on.
     """
     b_values = sorted(set(b_values))
@@ -461,7 +472,7 @@ def efficiency_vs_bids(
     cfgs = [replace(cfg, max_bids=B) for B in b_values]
 
     def sweep(inputs: DayInputs, bases: dict) -> list[DayResult]:
-        day = _dispatch(cfg, inputs, bases)
+        day = _dispatch(cfgs[-1], inputs, bases)
         return [_settle(c, inputs, day) for c in cfgs]
 
     days, failures = _each_day(cfg, bundle, sweep)

@@ -80,6 +80,8 @@ class SyntheticSpec:
             raise ValueError("pv_share_pct must lie in [0, 100]")
         if self.n_buildings < 1 or self.n_days < 2:
             raise ValueError("need at least one building and two days")
+        if self.n_days > (date.max - self.start).days + 1:
+            raise ValueError(f"n_days: {self.n_days} days from {self.start} run past {date.max}")
         if self.branching < 1 or self.depth < 1:
             raise ValueError("branching and depth must be >= 1")
         if self.n_buildings < self.branching * self.depth:

@@ -11,9 +11,11 @@ each heat pump's power and indoor-temperature columns, building-major:
 one sparse dynamics row per step, one daily-energy row at the
 baseline's, the rating and the comfort band as column bounds.  It is
 the one place the comfort constraints are built: `DispatchModel`
-builds it for blocks of up to BLOCK heat pumps and sweeps each over the
-price scenarios on one warm-started HiGHS instance, and the network OPF
-places the whole fleet's block into its own LP.
+builds it for blocks of up to BLOCK heat pumps, dealt by time constant
+r_th·c_th so that each position of every full block holds neighbours in
+it, and sweeps each over the price scenarios on one warm-started HiGHS
+instance, a full block starting each row from the block before it; the
+network OPF places the whole fleet's block into its own LP.
 `simulate_temperature` and `check_dispatch` evaluate schedules
 independently of the LP.
 
@@ -188,21 +190,41 @@ def fleet_rows(
 # Heat pumps per dispatch LP.  Each LP is one HiGHS instance swept over the
 # price rows, so blocks pay its fixed per-run cost once for many heat pumps;
 # a single LP for a whole fleet is slower again, on its larger basis.  All
-# full blocks share one LP shape, so each starts from the optimal basis the
-# block before it ended on, not cold.
+# full blocks share one LP shape and hold τ-neighbours at each position, so
+# each starts every price row from the optimal basis the block before it
+# found at that row, not from its own previous row.
 BLOCK = 32
+
+
+def _deal(buildings: Sequence[BuildingParams]) -> list[np.ndarray]:
+    """Positions of the fleet's blocks: full blocks of BLOCK dealt
+    round-robin from the fleet sorted (stably) by time constant r_th·c_th,
+    so position j of every full block holds τ-neighbours, then the
+    F mod BLOCK heat pumps of largest τ as one partial block in the
+    given order.  A fleet of at most BLOCK heat pumps is one block."""
+    order = np.argsort([b.r_th * b.c_th for b in buildings], kind="stable")
+    n = len(order) // BLOCK
+    full = list(order[: n * BLOCK].reshape(BLOCK, n).T)  # block k: τ-ranks k, k + n, ...
+    partial = np.sort(order[n * BLOCK:])
+    return full + [partial] if len(partial) else full
 
 
 class DispatchModel:
     """Day-ahead dispatch LPs of a fleet of heat pumps, prices left open.
 
-    The fleet is cut into blocks of up to BLOCK heat pumps in the given
-    order, and each block is one `fleet_rows` LP, built once.  `solve`
-    sweeps an (S, T) price stack over each block on one HiGHS instance:
-    each row changes only the power costs and re-solves from the
-    previous row's optimal basis, and a block's first row from the last
-    basis of a block of its size.  It returns what
-    `grid.OpfModel.solve_rows` returns: (S, R, T) schedules and S costs.
+    Scaled by r_th·cop, a heat pump's power columns give an LP that
+    depends only on its time constant τ = r_th·c_th and its rating, so
+    heat pumps of near τ tend to share an optimal basis at equal prices.
+    The fleet is dealt into full blocks of BLOCK heat pumps by τ, plus
+    one partial block (see `_deal`), and each block is one `fleet_rows`
+    LP, built once.  `solve` sweeps an (S, T) price stack over each
+    block on one HiGHS instance: each row changes only the power costs.
+    The first full block and the partial block re-solve each row from
+    the previous row's optimal basis, and their first row from the last
+    basis of a block of their size; each later full block starts every
+    row from the optimal basis the block before it found at that row.
+    It returns what `grid.OpfModel.solve_rows` returns: (S, R, T)
+    schedules and S costs, resources in the given order.
     """
 
     def __init__(self, buildings: Sequence[BuildingParams], cfg: ComfortConfig,
@@ -210,16 +232,17 @@ class DispatchModel:
         self.buildings = list(buildings)
         self.cfg = cfg
         self.t_out = np.asarray(t_out, dtype=float)
-        self._blocks = [(start, *self._sweep(start, start + BLOCK))
-                        for start in range(0, len(self.buildings), BLOCK)]
-        self.baseline = np.vstack([np.empty((0, cfg.horizon)),
-                                   *(base for *_, base in self._blocks)])
+        self._blocks = [(idx, *self._sweep(idx)) for idx in _deal(self.buildings)]
+        self.baseline = np.empty((len(self.buildings), cfg.horizon))
+        for idx, *_, baseline in self._blocks:
+            self.baseline[idx] = baseline
 
-    def _sweep(self, start: int, stop: int) -> tuple[HighsSweep, np.ndarray, np.ndarray]:
-        """The LP of buildings[start:stop], one diagonal block each, the
-        (n, T) indices of its power columns and their baseline schedules."""
+    def _sweep(self, idx: Sequence[int]) -> tuple[HighsSweep, np.ndarray, np.ndarray]:
+        """The LP of the buildings at positions idx, one diagonal block
+        each, the (n, T) indices of its power columns and their baseline
+        schedules."""
         A, rhs, col_lo, col_hi, baseline, power = fleet_rows(
-            self.buildings[start:stop], self.cfg, self.t_out
+            [self.buildings[r] for r in idx], self.cfg, self.t_out
         )
         sweep = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power.ravel(),
                            blocks=len(power))
@@ -233,10 +256,11 @@ class DispatchModel:
         given, and the S costs in EUR, each row's adding its heat pumps'
         costs one by one in that order.  Rows on which a heat pump ends
         on the same optimal vertex give it byte-identical schedules.
-        Each block's sweep starts from the basis `bases` holds for its
-        LP's shape (see `HighsSweep.solve`); without one given, a fresh
-        dict, so each full block starts from the block before it and the
-        first cold.
+        The first full block's and the partial block's sweeps start from
+        the basis `bases` holds for their LP's shape (see
+        `HighsSweep.solve`), and every sweep leaves its final basis there;
+        without one given, a fresh dict.  Each later full block starts
+        row s from the previous block's optimal basis at row s.
         """
         bases = {} if bases is None else bases
         prices = np.asarray(prices, dtype=float)
@@ -245,24 +269,27 @@ class DispatchModel:
             raise ValueError(f"prices must have shape (S, {T})")
         c = prices * self.cfg.dt / 1000.0  # objective directly in EUR
         X = np.empty((len(prices), len(self.buildings), T))
-        for start, sweep, power, _ in self._blocks:
-            n = len(power)
+        row_bases = [None] * len(c)  # the last full block's optimal basis at each row
+        for idx, sweep, power, _ in self._blocks:
+            n = len(idx)
             try:
-                x, _ = sweep.solve(np.tile(c, n), bases=bases)
+                x, _ = sweep.solve(np.tile(c, n), bases=bases,
+                                   row_bases=row_bases if n == BLOCK else None)
             except (Infeasible, SolverFailure) as exc:
-                raise self._named(start, start + n, c, exc) from None
-            X[:, start : start + n] = x[:, power]
+                raise self._named(idx, c, exc) from None
+            X[:, idx] = x[:, power]
         # each heat pump's cost a dot product, as its own c @ p would be; a
         # row's total adds them in order from 0.0, bit for bit as sum() does
         per_hp = np.vecdot(X, c[:, None, :])
         return X, np.cumsum(np.c_[np.zeros(len(c)), per_hp], axis=1)[:, -1]
 
-    def _named(self, start: int, stop: int, c: np.ndarray, exc: Exception) -> Exception:
+    def _named(self, idx: Sequence[int], c: np.ndarray, exc: Exception) -> Exception:
         """The failure of a block's sweep, named after the first of its
-        heat pumps whose own LP fails on the same price rows."""
-        for r in range(start, stop):
+        heat pumps, in the given order, whose own LP fails on the same
+        price rows."""
+        for r in sorted(idx):
             try:
-                self._sweep(r, r + 1)[0].solve(c)
+                self._sweep([r])[0].solve(c)
             except Infeasible:
                 return Infeasible(
                     f"building {self.buildings[r].id}: no schedule satisfies comfort "

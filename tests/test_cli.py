@@ -196,6 +196,25 @@ def test_plain_errors_name_the_exception(workspace, runner):
     assert res.stderr.startswith("error: ValueError")
 
 
+@pytest.mark.parametrize("command", [["simulate", "{ws}"], ["generate", "--out", "{ws}2"]])
+def test_a_span_past_the_last_date_fails_cleanly(workspace, runner, command):
+    # both once ended in an OverflowError traceback
+    args = [arg.format(ws=workspace) for arg in command] + ["--days", "100000000"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ValueError: ") and "Traceback" not in res.stderr
+    assert "100000000 days" in res.stderr
+
+
+def test_a_number_past_the_float_range_fails_naming_its_key(workspace, runner):
+    payload = json.loads((workspace / "campaign.json").read_text())
+    payload["campaign"]["voll"] = int("9" * 401)
+    (workspace / "campaign.json").write_text(json.dumps(payload))
+    res = runner.invoke(main, ["simulate", str(workspace), "--days", "1"])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: SchemaError: ") and "campaign.voll" in res.stderr
+
+
 def test_misused_settings_fail_before_the_campaign(workspace, runner):
     res = runner.invoke(main, ["simulate", str(workspace), "--facets", "2"] + FAST)
     assert res.exit_code == 1

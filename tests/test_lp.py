@@ -230,23 +230,60 @@ class StallingHighs(_core._Highs):
         return super().getModelStatus()
 
 
+@pytest.mark.parametrize("per_row", [False, True], ids=["first-row", "per-row"])
 @pytest.mark.parametrize("highs", [RefusingHighs, StallingHighs])
-def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs):
+def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs, per_row):
     rows = np.random.default_rng(4).uniform(-5.0, 5.0, (5, 30))
     bases: dict = {}
-    HighsSweep(**random_lp(3)).solve(rows, bases=bases)
-    X_cold, objective_cold = HighsSweep(**random_lp(4)).solve(rows)
+    row_bases = [None] * len(rows)
+    HighsSweep(**random_lp(3)).solve(rows, bases=bases, row_bases=row_bases)
+    cold_bases = [None] * len(rows)
+    X_cold, objective_cold = HighsSweep(**random_lp(4)).solve(rows, row_bases=cold_bases)
     monkeypatch.setattr(_core, "_Highs", highs)
     monkeypatch.setattr(StallingHighs, "runs", 0)
-    X, objective = HighsSweep(**random_lp(4)).solve(rows, bases=bases)
+    # per row: every row is handed another LP's optimum at that row
+    starts = row_bases if per_row else [None] * len(rows)
+    X, objective = HighsSweep(**random_lp(4)).solve(rows, bases=bases, row_bases=starts)
     assert X.tobytes() == X_cold.tobytes() and objective.tobytes() == objective_cold.tobytes()
     if highs is StallingHighs:  # the warm sweep stops at its first row, the cold one runs all
         assert StallingHighs.runs == 1 + len(rows)
-    # the cold sweep's final basis replaces the one that failed
+    # the cold sweep's final basis replaces the one that failed, and its
+    # per-row optima come back in place of the starts
     monkeypatch.setattr(_core, "_Highs", SpyHighs)
     monkeypatch.setattr(SpyHighs, "log", [])
     HighsSweep(**random_lp(4)).solve(rows[-1:], bases=bases)
     assert SpyHighs.log == [("basis", True), ("run", 0)]
+    assert [(b.col_status, b.row_status) for b in starts] == [
+        (b.col_status, b.row_status) for b in cold_bases]
+
+
+def test_each_row_starts_from_its_own_start_and_hands_back_its_optimum(spy):
+    rows = np.random.default_rng(5).uniform(-5.0, 5.0, (4, 30))
+    lp = HighsSweep(**random_lp(5))
+    row_bases = [None] * len(rows)
+    X, objective = lp.solve(rows, row_bases=row_bases)
+    # from its own optimum each row re-solves without a pivot, whatever the row before
+    spy.clear()
+    X_again, objective_again = lp.solve(rows[::-1], row_bases=row_bases[::-1])
+    assert spy == [("basis", True), ("run", 0)] * len(rows)
+    assert np.abs(X_again[::-1] - X).max() <= 1e-9
+    assert np.abs(objective_again[::-1] - objective).max() <= 1e-9
+    with pytest.raises(ValueError, match="3 row bases for 4 cost rows"):
+        lp.solve(rows, row_bases=row_bases[:3])
+
+
+def test_a_row_equal_to_the_one_before_ignores_its_start(spy):
+    # it starts at its optimum already; a start would cost a refactorization
+    rows = np.random.default_rng(6).uniform(-5.0, 5.0, (2, 30))[[0, 1, 1]]
+    row_bases = [None] * len(rows)
+    HighsSweep(**random_lp(6)).solve(rows, row_bases=row_bases)
+    lp = HighsSweep(**random_lp(7))
+    X_cold, _ = lp.solve(rows)
+    spy.clear()
+    X, _ = lp.solve(rows, row_bases=row_bases)
+    assert [entry[0] for entry in spy] == ["basis", "run", "basis", "run", "run"]
+    assert spy[-1] == ("run", 0) and X[2].tobytes() == X[1].tobytes()
+    assert np.abs(X - X_cold).max() <= 1e-9
 
 
 def test_a_warm_start_on_an_infeasible_lp_raises_infeasible(spy):

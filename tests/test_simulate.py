@@ -25,6 +25,7 @@ from flexbid.simulate import (
     run_day,
     write_report_csv,
 )
+from flexbid.thermal import DispatchModel
 
 START = date(2025, 1, 11)  # leaves ten days of price history for scenarios
 
@@ -409,6 +410,31 @@ def test_a_bid_budget_below_the_scenario_count_is_the_sweep_at_that_budget(
     ]
 
 
+def test_a_day_dispatches_only_the_rows_it_can_bid(small_bundle, monkeypatch):
+    # S = 24 at a budget of 4 solves the 4 bid rows and the realized row,
+    # and settles as S = 4 does
+    rows = []
+    solve = DispatchModel.solve
+    monkeypatch.setattr(DispatchModel, "solve",
+                        lambda self, prices, bases=None: rows.append(len(prices))
+                        or solve(self, prices, bases))
+    wide = cfg_for(small_bundle, s_count=24, max_bids=4)
+    narrow = cfg_for(small_bundle, s_count=4, max_bids=4)
+    got = run_day(wide, day_inputs(wide, small_bundle, START))
+    assert rows == [5]
+    want = run_day(narrow, day_inputs(narrow, small_bundle, START))
+    for f in dataclasses.fields(DayResult):
+        if f.name not in ("runtime", "awarded_kw"):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.awarded_kw.keys() == want.awarded_kw.keys()
+    assert all(got.awarded_kw[k].tobytes() == want.awarded_kw[k].tobytes()
+               for k in got.awarded_kw)
+    # the bid-budget sweep dispatches each day at its largest budget
+    rows.clear()
+    efficiency_vs_bids(cfg_for(small_bundle, days=2, s_count=8), small_bundle, b_values=(1, 4, 2))
+    assert rows == [5, 5]
+
+
 def test_bid_budget_sweep_records_a_failed_day_and_goes_on(small_bundle):
     # no weather for the second day: it fails at every budget, and the
     # days on either side of it are settled
@@ -493,6 +519,8 @@ def test_config_rejects_unknown_keys():
 @pytest.mark.parametrize("key, value", [
     # once read as days=2, s_count=6 and voll=1.0
     ("days", 2.7), ("scenarios", "6"), ("voll", True), ("start", "2025-13-01"),
+    # a whole number no float holds once ended in an OverflowError
+    pytest.param("voll", int("9" * 401), id="voll-401-digits"),
 ])
 def test_config_refuses_values_to_dict_would_not_write(key, value):
     raw = {"start": "2025-01-11", "days": 1, key: value}
@@ -505,6 +533,16 @@ def test_config_types_its_values_like_to_dict():
     assert cfg.start == START and isinstance(cfg.voll, float)
     with pytest.raises(SchemaError, match="missing key: campaign.days"):
         CampaignConfig.from_dict({"start": "2025-01-11"})
+
+
+def test_config_refuses_days_past_the_last_date():
+    # campaign_days once ran into an OverflowError
+    with pytest.raises(ValueError, match="^days: 100000000 days from 2025-01-11 run past"):
+        CampaignConfig(start=START, days=100_000_000)
+    last = (date.max - START).days + 1
+    assert CampaignConfig(start=START, days=last).days == last  # ends on date.max
+    with pytest.raises(ValueError, match="^days: "):
+        CampaignConfig(start=START, days=last + 1)
 
 
 def test_config_validation():

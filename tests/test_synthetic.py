@@ -1,6 +1,7 @@
 """Synthetic instance generator: determinism, nesting, and stress sizing."""
 
 import dataclasses
+from datetime import date
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ def test_spec_rejects_non_finite_values_naming_the_field(field):
             SyntheticSpec(**{field: value})
 
 
+def test_spec_refuses_days_past_the_last_date():
+    # the generator once ran into an OverflowError building its dates
+    with pytest.raises(ValueError, match="^n_days: 100000000 days from 2025-01-01 run past"):
+        SyntheticSpec(n_days=100_000_000)
+    last = (date.max - SMALL.start).days + 1
+    assert dataclasses.replace(SMALL, n_days=last).n_days == last
+    with pytest.raises(ValueError, match="^n_days: "):
+        dataclasses.replace(SMALL, n_days=last + 1)
+
+
 def test_spec_needs_a_building_per_load_node():
     # 3 x 3 = 9 load nodes by default; fewer buildings left a line unloaded
     with pytest.raises(ValueError, match=r"5 buildings cannot cover the 9 load nodes"):
@@ -132,6 +143,8 @@ def test_spec_dict_roundtrip():
     ({"seed": "3"}, "synthetic.seed"),
     ({"start": "2025-13-01"}, "synthetic.start"),
     ({"r_th_range": [4.0]}, "synthetic.r_th_range"),
+    # a whole number no float holds once ended in an OverflowError
+    ({"volatility": 10**400}, "synthetic.volatility"),
 ])
 def test_spec_from_dict_refuses_what_to_dict_would_not_write(edit, key):
     raw = {**SMALL.to_dict(), **edit}

@@ -16,6 +16,7 @@ from flexbid.thermal import (
     BuildingParams,
     ComfortConfig,
     DispatchModel,
+    _deal,
     baseline_profile,
     check_dispatch,
     fleet_rows,
@@ -371,16 +372,36 @@ def random_fleet(rng, n):
     ]
 
 
+def test_the_fleet_is_dealt_into_blocks_by_time_constant():
+    # taus 0..F-1 handed over in reverse: full block k takes tau-ranks k,
+    # k + n, ...; the F mod BLOCK of largest tau keep the given order
+    F = 3 * BLOCK + 5
+    fleet = [building(r_th=1.0, c_th=float(F - r), bid=f"b{r:03d}") for r in range(F)]
+    blocks = _deal(fleet)
+    assert [len(idx) for idx in blocks] == [BLOCK, BLOCK, BLOCK, 5]
+    for k, idx in enumerate(blocks[:3]):
+        assert [F - 1 - r for r in idx] == list(range(k, 3 * BLOCK, 3))  # tau-ranks
+    assert blocks[3].tolist() == [0, 1, 2, 3, 4]
+    # equal taus keep the given order; a fleet of at most BLOCK is one block as given
+    assert [idx.tolist() for idx in _deal([building(bid="x")] * (BLOCK + 2))] == [
+        list(range(BLOCK)), [BLOCK, BLOCK + 1]]
+    assert [idx.tolist() for idx in _deal(fleet[:7])] == [list(range(7))]
+    assert _deal([]) == []
+
+
 def test_blocks_match_one_building_models():
-    # two full blocks and a partial one
+    # three full blocks, each started row by row from the one before, and a
+    # partial one, over a fleet whose ids run against its time constants
     rng = np.random.default_rng(11)
-    fleet = random_fleet(rng, 2 * BLOCK + 3)
+    fleet = random_fleet(rng, 3 * BLOCK + 5)
+    fleet = [fleet[r] for r in rng.permutation(len(fleet))]
     t_out = rng.uniform(-4.0, 14.0, 24)
     price_rows = rng.uniform(10.0, 150.0, (5, 24))
     bases: dict = {}
-    schedules, cost = DispatchModel(fleet, CFG, t_out).solve(price_rows, bases)
-    # the second full block started from the first's basis; each shape's last is kept
-    assert sorted(bases) == [(3 * 25, 3 * 48), (BLOCK * 25, BLOCK * 48)]
+    model = DispatchModel(fleet, CFG, t_out)
+    schedules, cost = model.solve(price_rows, bases)
+    # each shape's last basis is kept
+    assert sorted(bases) == [(5 * 25, 5 * 48), (BLOCK * 25, BLOCK * 48)]
     assert schedules.shape == (5, len(fleet), 24) and cost.shape == (5,)
     # a row's cost adds its heat pumps' costs one by one, in fleet order
     per_hp = np.vecdot(schedules, price_rows[:, None] * CFG.dt / 1000.0)
@@ -390,20 +411,37 @@ def test_blocks_match_one_building_models():
         alone, alone_cost = DispatchModel([b], CFG, t_out).solve(price_rows)
         assert np.abs(schedules[:, r] - alone[:, 0]).max() <= 1e-9
         alone_costs += alone_cost
-        e_base = baseline_profile(b, CFG, t_out).energy
+        base = baseline_profile(b, CFG, t_out)
+        assert model.baseline[r].tobytes() == base.schedule.tobytes()
         for s in range(len(price_rows)):
-            assert check_dispatch(b, CFG, t_out, schedules[s, r], e_base) == []
+            assert check_dispatch(b, CFG, t_out, schedules[s, r], base.energy) == []
     assert cost == pytest.approx(alone_costs, rel=1e-9)
 
 
+def test_equal_rows_give_every_heat_pump_equal_bytes_across_blocks():
+    rng = np.random.default_rng(12)
+    fleet = random_fleet(rng, 3 * BLOCK + 5)
+    p0, p1, p2 = rng.uniform(10.0, 150.0, (3, 24))
+    schedules, cost = DispatchModel(fleet, CFG, rng.uniform(-4.0, 14.0, 24)).solve(
+        np.array([p0, p1, p0, p2, p2]))
+    assert schedules[2].tobytes() == schedules[0].tobytes() and cost[2] == cost[0]
+    assert schedules[4].tobytes() == schedules[3].tobytes() and cost[4] == cost[3]
+
+
 def test_infeasible_building_in_a_middle_block_is_named():
-    # on a day warmer than t_max only a heavy building's slow warming stays
-    # in the band; one light building in the second block cannot
+    # the day ends 8 h above t_max: a light building must start those hours
+    # cool, having heated early, so one rated at its baseline cannot; it is
+    # tau-rank 1, dealt into the second full block, which starts from the first
+    t_out = np.r_[np.full(16, 10.0), np.full(8, 30.0)]
     heavy = [building(r_th=10.0, c_th=50.0, bid=f"b{r:03d}") for r in range(2 * BLOCK + 3)]
-    heavy[BLOCK + 7] = building(bid="sunny")
-    model = DispatchModel(heavy, CFG, np.full(24, 30.0))
+    heavy[0] = building(r_th=5.0, c_th=14.0, rated=3.0, bid="nimble")
+    heavy[BLOCK + 7] = building(r_th=5.0, c_th=15.0, rated=0.5, bid="sunny")
+    assert BLOCK + 7 in _deal(heavy)[1]
+    model = DispatchModel(heavy, CFG, t_out)
     with pytest.raises(Infeasible, match="^building sunny: "):
         model.solve(np.full((2, 24), 50.0))
     del heavy[BLOCK + 7]
-    schedules, _ = DispatchModel(heavy, CFG, np.full(24, 30.0)).solve(np.full((2, 24), 50.0))
-    assert np.abs(schedules).max() <= 1e-9  # nothing to heat: the baseline is off
+    schedules, _ = DispatchModel(heavy, CFG, t_out).solve(np.full((2, 24), 50.0))
+    for r, b in enumerate(heavy):
+        energy = baseline_profile(b, CFG, t_out).energy
+        assert check_dispatch(b, CFG, t_out, schedules[1, r], energy) == []
