@@ -24,7 +24,7 @@ from .bidding import MAX_BIDS, read_bids, write_bids
 from .clearing import clear
 from .errors import FlexbidError, GridMismatch, SchemaError
 from .grid import allocate_buildings
-from .ingest import ingest, read_json, settings, write_alloc, write_csv
+from .ingest import FILE_NAMES, ingest, read_json, settings, write_alloc, write_csv
 from .simulate import (
     FORECASTERS,
     MODES,
@@ -46,20 +46,11 @@ log = logging.getLogger(__name__)
 # history the scenario engine sees before the first delivery day
 WARMUP_DAYS = 10
 
-FILE_DEFAULTS = {
-    "buildings": "buildings.csv",
-    "weather": "weather.csv",
-    "prices": "prices.csv",
-    "profiles": "profiles.csv",
-    "nodes": "nodes.csv",
-    "edges": "edges.csv",
-    "alloc": "alloc.json",
-}
 REQUIRED_FILES = ("buildings", "weather", "prices", "profiles")
 # the top-level sections of campaign.json, each with the reader that
 # checks it; the campaign section may leave start and days to the flags
 SECTIONS = {
-    "paths": lambda body: settings(body, FILE_DEFAULTS, "paths"),
+    "paths": lambda body: settings(body, FILE_NAMES, "paths"),
     "campaign": lambda body: CampaignConfig.from_dict(
         {"start": date.min.isoformat(), "days": 1, **body}),
     "synthetic": SyntheticSpec.from_dict,
@@ -111,7 +102,7 @@ def _load_workspace(workdir: str, config_path: str | None) -> tuple[dict, Path]:
 
 
 def _resolve_paths(raw: dict, base: Path) -> dict[str, Path | None]:
-    names = dict(FILE_DEFAULTS)
+    names = dict(FILE_NAMES)
     names.update(raw.get("paths", {}))
     paths = {key: base / rel for key, rel in names.items()}
     out: dict[str, Path | None] = {
@@ -150,9 +141,36 @@ CAMPAIGN_FLAGS = {
 }
 
 
+def _options(options: list):
+    """Decorate a command with click options, listed in --help in the given order."""
+    return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
+
+
 def campaign_flags(*keys):
     """Decorate a command with the CAMPAIGN_FLAGS named by keys, in order."""
-    return lambda fn: functools.reduce(lambda f, key: CAMPAIGN_FLAGS[key](f), reversed(keys), fn)
+    return _options([CAMPAIGN_FLAGS[key] for key in keys])
+
+
+def _spec_flag(flag: str, key: str, **attrs):
+    """A generate flag setting SyntheticSpec's key, by default to the
+    value the spec writes for it."""
+    return click.option(flag, key, default=SyntheticSpec().to_dict()[key], show_default=True,
+                        **attrs)
+
+
+# Each generate flag, in --help order, with the SyntheticSpec field it sets
+GENERATE_FLAGS = [
+    _spec_flag("--seed", "seed", type=int),
+    _spec_flag("--buildings", "n_buildings", type=int),
+    _spec_flag("--share", "hp_share_pct", type=float, help="heat-pump share in percent"),
+    _spec_flag("--days", "n_days", type=int, help="calendar days including forecast warm-up"),
+    _spec_flag("--volatility", "volatility", type=float,
+               help="price-surprise scale; 0 gives flat-forecast days"),
+    _spec_flag("--start", "start", type=click.DateTime(["%Y-%m-%d"]),
+               callback=lambda ctx, param, value: value.date()),
+    _spec_flag("--branching", "branching", type=int, help="feeder arms off the substation"),
+    _spec_flag("--depth", "depth", type=int, help="nodes per feeder arm"),
+]
 
 
 def _campaign_config(raw: dict, **flags) -> CampaignConfig:
@@ -197,36 +215,16 @@ def main(verbose: bool):
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False),
               help="directory for the generated instance")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--buildings", "n_buildings", type=int, default=30, show_default=True)
-@click.option("--share", type=float, default=30.0, show_default=True,
-              help="heat-pump share in percent")
-@click.option("--days", "n_days", type=int, default=40, show_default=True,
-              help="calendar days including forecast warm-up")
-@click.option("--volatility", type=float, default=1.0, show_default=True,
-              help="price-surprise scale; 0 gives flat-forecast days")
-@click.option("--start", type=click.DateTime(["%Y-%m-%d"]), default="2025-01-01",
-              show_default=True)
-@click.option("--branching", type=int, default=3, show_default=True,
-              help="feeder arms off the substation")
-@click.option("--depth", type=int, default=3, show_default=True,
-              help="nodes per feeder arm")
+@_options(GENERATE_FLAGS)
 @click.option("--json-errors", is_flag=True)
 @guarded
-def generate(out_dir, seed, n_buildings, share, n_days, volatility, start,
-             branching, depth, json_errors):
+def generate(out_dir, json_errors, **flags):
     """Write a synthetic instance plus a ready-to-run campaign.json."""
-    spec = SyntheticSpec(
-        n_buildings=n_buildings, hp_share_pct=share, start=start.date(),
-        n_days=n_days, seed=seed, volatility=volatility,
-        branching=branching, depth=depth,
-    )
+    spec = SyntheticSpec(**flags)
     out = Path(out_dir)
     files = generate_synthetic(spec, out)
-    warm = min(WARMUP_DAYS, n_days - 1)
-    campaign = CampaignConfig(
-        start=spec.start + timedelta(days=warm), days=n_days - warm,
-    )
+    warm = min(WARMUP_DAYS, spec.n_days - 1)
+    campaign = CampaignConfig(start=spec.start + timedelta(days=warm), days=spec.n_days - warm)
     payload = {
         "paths": {key: p.name for key, p in files.items()},
         "campaign": campaign.to_dict(),
@@ -243,7 +241,8 @@ def generate(out_dir, seed, n_buildings, share, n_days, volatility, start,
 @click.argument("workdir", type=click.Path(file_okay=False, exists=True), default=".")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="where to write the assignment (default: alloc.json in the workspace)")
+              help=f"where to write the assignment (default: {FILE_NAMES['alloc']} in the "
+                   "workspace)")
 @click.option("--json-errors", is_flag=True)
 @guarded
 def allocate(workdir, config_path, out_path, json_errors):
@@ -252,10 +251,10 @@ def allocate(workdir, config_path, out_path, json_errors):
     paths = _resolve_paths(raw, base)
     bundle = _load_bundle(paths)
     if bundle.network is None:
-        raise GridMismatch("allocation needs nodes.csv and edges.csv")
+        raise GridMismatch(f"allocation needs {FILE_NAMES['nodes']} and {FILE_NAMES['edges']}")
     alloc = allocate_buildings(bundle.buildings, bundle.network)
     target = Path(out_path) if out_path else \
-        base / raw.get("paths", {}).get("alloc", FILE_DEFAULTS["alloc"])
+        base / raw.get("paths", {}).get("alloc", FILE_NAMES["alloc"])
     write_alloc(target, alloc)
     click.echo(
         f"assigned {len(alloc)} buildings across "
@@ -447,7 +446,7 @@ def report_command(workdir, config_path, bids, shares, volatilities, out_dir, js
     written = []
 
     b_values = sorted(set(bids))
-    top = min(cfg.s_count, MAX_BIDS)
+    top = cfg.bid_ceiling
     usable = [b for b in b_values if b <= top]
     if usable != b_values:
         click.echo(

@@ -83,6 +83,9 @@ log = logging.getLogger(__name__)
 
 VOLL_EUR_MWH = 10000.0
 DEFAULT_FACETS = 8
+# one facet per degree: the polygon's facets then lie within
+# 1 - cos(pi / 360) < 4e-5 of the rating circle
+MAX_FACETS = 360
 V_MIN_PU = 0.97
 V_MAX_PU = 1.03
 _INFEASIBLE = (
@@ -156,7 +159,6 @@ class RadialNetwork:
     nodes: dict[int, Node]
     lines: list[Line]
     s_base_kva: float = 1000.0
-    v_base_kv: float = 0.4
 
     def __post_init__(self):
         if self.s_base_kva <= 0:
@@ -398,17 +400,17 @@ class OpfModel:
         voll: float = VOLL_EUR_MWH,
         facets: int = DEFAULT_FACETS,
     ):
-        if facets < 3:
-            raise ValueError("polygonal rating needs at least 3 facets")
+        if not 3 <= facets <= MAX_FACETS:
+            raise ValueError(f"facets must lie in 3..{MAX_FACETS}: a rating polygon needs "
+                             "three sides, and one per degree fills its circle")
         topo = validate_radial(net)
         if len(topo.substations) != 1:
             raise GridMismatch(
                 f"network dispatch expects one substation, found {len(topo.substations)}"
             )
         t_out = np.asarray(t_out, dtype=float)
-        T = cfg.horizon
-        if t_out.shape != (T,) or series.slf.shape != (T,):
-            raise ValueError("t_out, slf, cf must all span the dispatch horizon")
+        if t_out.ndim != 1 or series.slf.shape != t_out.shape:
+            raise ValueError("slf and cf must span t_out's steps, one value each")
 
         self.net = net
         self.cfg = cfg
@@ -481,7 +483,7 @@ class OpfModel:
         kept facet.  Every other line is contracted: its child joins the
         cluster of its nearest kept ancestor, or the substation's."""
         net, cfg, series = self.net, self.cfg, self.series
-        T = cfg.horizon
+        T = len(self.t_out)
         F, N = len(self.flex), len(self.node_ids)
         S = net.s_base_kva
         rar = series.rar
@@ -615,7 +617,7 @@ class OpfModel:
         its power columns leave the LP and their draws go into the row
         bounds.  The rest is solved once, cold; its temperatures and energy
         row stay, so a pin off comfort or daily energy is Infeasible."""
-        T = self.cfg.horizon
+        T = len(self.t_out)
         x, pinned = np.zeros(self.A.shape[1]), np.zeros(self.A.shape[1], dtype=bool)
         for bid, sched in (hp_fixed or {}).items():
             f = bisect_left(self.ids, bid)
@@ -662,7 +664,7 @@ class OpfModel:
                bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """One sweep of lp, the day's LP or a pinned part of it, over the
         price rows on the substation import: the points and objectives."""
-        T = self.cfg.horizon
+        T = len(self.t_out)
         if price_rows.ndim != 2 or price_rows.shape[1] != T:
             raise ValueError(f"price rows must be an (S, {T}) array, one price per hour")
         costs = self.cfg.dt * price_rows * self.net.s_base_kva / 1000.0
@@ -680,7 +682,7 @@ class OpfModel:
         the squared voltages from them, so a contracted line gets its
         flow, and a model without voltage columns its voltages, as the
         full LP states them: one triangular solve on D.T, one on D."""
-        S, T = self.net.s_base_kva, self.cfg.horizon
+        S, T = self.net.s_base_kva, len(self.t_out)
         _, shed, *_, pcc_p, pcc_q = np.split(x, self._ends[:-1])
         hp = x[self._power]
         shed = shed.reshape(-1, T)
@@ -721,8 +723,7 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
     """
     issues: list[str] = []
     net, cfg, series = model.net, model.cfg, model.series
-    T = cfg.horizon
-    S = net.s_base_kva
+    T, S = len(model.t_out), net.s_base_kva
     topo = model.topo
     pos = model.node_pos
 

@@ -52,6 +52,12 @@ from .thermal import BuildingParams
 log = logging.getLogger(__name__)
 
 HOURS = 24
+# each instance file of a workspace, by its key in campaign.json's paths
+FILE_NAMES = {"buildings": "buildings.csv", "weather": "weather.csv", "prices": "prices.csv",
+              "profiles": "profiles.csv", "nodes": "nodes.csv", "edges": "edges.csv",
+              "alloc": "alloc.json"}
+# price forecasts: prices.csv's forecast column, or same-weekday-class persistence
+FORECASTERS = ("column", "naive")
 
 
 # ------------------------------------------------------------ cell parsers
@@ -425,10 +431,10 @@ class InstanceBundle:
     def dates(self) -> list[date]:
         return sorted(self.weather)
 
-    def price_series(self, forecaster: str = "column") -> PriceSeries:
+    def price_series(self, forecaster: str) -> PriceSeries:
         """Assemble the price history; forecaster='naive' replaces (or
         fills) the forecast column with same-weekday-class persistence."""
-        if forecaster not in ("column", "naive"):
+        if forecaster not in FORECASTERS:
             raise ValueError(f"unknown forecaster {forecaster!r}")
         if forecaster == "column" and self.forecast is not None:
             return PriceSeries(realized=dict(self.realized), forecast=dict(self.forecast))

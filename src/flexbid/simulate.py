@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -45,13 +45,14 @@ from .clearing import clear
 from .errors import EmptyInput, FlexbidError, GridMismatch, InvalidOrdering
 from .grid import (
     DEFAULT_FACETS,
+    MAX_FACETS,
     VOLL_EUR_MWH,
     GridTimeSeries,
     OpfModel,
     RadialNetwork,
     allocate_buildings,
 )
-from .ingest import HOURS, InstanceBundle, settings, write_csv
+from .ingest import FORECASTERS, HOURS, InstanceBundle, settings, write_csv
 from .scenarios import PriceSeries, generate_scenarios
 from .thermal import BuildingParams, ComfortConfig, DispatchModel, flexible, profile_cost
 
@@ -59,14 +60,14 @@ log = logging.getLogger(__name__)
 
 MODES = ("unbundled", "integrated")
 PRICINGS = ("truthful", "mabp")
-FORECASTERS = ("column", "naive")
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything that shapes a simulation run, with market defaults.
     Each day bids its first min(s_count, max_bids) scenarios, each at
-    bid_price per MWh of its own energy."""
+    bid_price per MWh of its own energy.  Every campaign shares one
+    comfort band, COP and hourly step, `comfort`."""
 
     start: date
     days: int
@@ -76,10 +77,10 @@ class CampaignConfig:
     pricing: str = "truthful"
     forecaster: str = "column"
     facets: int = DEFAULT_FACETS
-    rar: float = 0.05
+    rar: float = GridTimeSeries.rar
     voll: float = VOLL_EUR_MWH
     price_cap: float = 4000.0
-    comfort: ComfortConfig = ComfortConfig()
+    comfort: ClassVar[ComfortConfig] = ComfortConfig()
 
     def __post_init__(self):
         if self.days < 1:
@@ -96,8 +97,9 @@ class CampaignConfig:
             raise ValueError(f"pricing must be one of {PRICINGS}")
         if self.forecaster not in FORECASTERS:
             raise ValueError(f"forecaster must be one of {FORECASTERS}")
-        if self.facets < 3:
-            raise ValueError("facets must be >= 3: a rating polygon needs three sides")
+        if not 3 <= self.facets <= MAX_FACETS:
+            raise ValueError(f"facets must lie in 3..{MAX_FACETS}: a rating polygon needs "
+                             "three sides, and one per degree fills its circle")
         if not self.rar >= 0:
             raise ValueError("rar must be >= 0")
         # a negative value of lost load would price shedding as a gain
@@ -109,6 +111,11 @@ class CampaignConfig:
     def bid_rows(self) -> int:
         """Scenario rows a day dispatches and bids: min(s_count, max_bids)."""
         return min(self.s_count, self.max_bids)
+
+    @property
+    def bid_ceiling(self) -> int:
+        """The largest bid budget a day can use: min(s_count, MAX_BIDS)."""
+        return min(self.s_count, MAX_BIDS)
 
     @property
     def bid_price(self) -> float:
@@ -281,7 +288,7 @@ class _Dispatched:
     seconds: float
 
 
-def _dispatch(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None = None) -> _Dispatched:
+def _dispatch(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None) -> _Dispatched:
     """Scenarios -> the mode's dispatcher -> tc_inf, then one solve over
     the cfg.bid_rows scenario rows a day can bid plus the realized row,
     whose optimum is tc_opt, started from the bases handed over in
@@ -453,7 +460,7 @@ def run_campaign(cfg: CampaignConfig, bundle: InstanceBundle) -> CampaignReport:
 def efficiency_vs_bids(
     cfg: CampaignConfig,
     bundle: InstanceBundle,
-    b_values: Sequence[int] = (1, 2, 4, 8, 16, 24),
+    b_values: Sequence[int],
 ) -> list[CampaignReport]:
     """The campaign at each bid budget B, on shared dispatches: one
     report per budget, ascending, each with max_bids=B in its config.
@@ -465,10 +472,10 @@ def efficiency_vs_bids(
     that fails, fails at every budget, and the sweep goes on.
     """
     b_values = sorted(set(b_values))
-    top = min(cfg.s_count, MAX_BIDS)
-    if not b_values or b_values[0] < 1 or b_values[-1] > top:
-        raise ValueError(f"bid budgets must lie in 1..{top}: none below 1, none that exceeds "
-                         f"the scenario count or the {MAX_BIDS}-bid cap; got {b_values}")
+    if not b_values or b_values[0] < 1 or b_values[-1] > cfg.bid_ceiling:
+        raise ValueError(f"bid budgets must lie in 1..{cfg.bid_ceiling}: none below 1, none "
+                         f"that exceeds the scenario count or the {MAX_BIDS}-bid cap; "
+                         f"got {b_values}")
     cfgs = [replace(cfg, max_bids=B) for B in b_values]
 
     def sweep(inputs: DayInputs, bases: dict) -> list[DayResult]:

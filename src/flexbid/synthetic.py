@@ -27,6 +27,7 @@ import numpy as np
 
 from .grid import Line, Node, RadialNetwork
 from .ingest import (
+    FILE_NAMES,
     HOURS,
     InstanceBundle,
     settings,
@@ -307,14 +308,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, Pa
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = generate_instance(spec)
-    paths = {
-        "buildings": out / "buildings.csv",
-        "weather": out / "weather.csv",
-        "prices": out / "prices.csv",
-        "profiles": out / "profiles.csv",
-        "nodes": out / "nodes.csv",
-        "edges": out / "edges.csv",
-    }
+    paths = {key: out / name for key, name in FILE_NAMES.items() if key != "alloc"}
     write_buildings(paths["buildings"], bundle.buildings)
     write_weather(paths["weather"], bundle.weather)
     write_prices(paths["prices"], bundle.realized, bundle.forecast)

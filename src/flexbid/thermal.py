@@ -45,22 +45,20 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ComfortConfig:
-    """Comfort band, COP, and time discretization shared by all buildings."""
+    """Comfort band, COP, and time step shared by all buildings; a day has
+    as many steps as its outdoor temperatures t_out."""
 
     cop: float = 4.0
     t_set: float = 20.0
     t_min: float = 19.0
     t_max: float = 21.0
     dt: float = 1.0
-    horizon: int = 24
 
     def __post_init__(self):
         if not (self.t_min <= self.t_set <= self.t_max):
             raise ValueError("comfort band must satisfy t_min <= t_set <= t_max")
         if self.cop <= 0 or self.dt <= 0:
             raise ValueError("cop and dt must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,9 @@ def simulate_temperature(
     """
     t_out = np.asarray(t_out, dtype=float)
     schedule = np.asarray(schedule, dtype=float)
-    n = cfg.horizon
-    if schedule.shape != (n,) or t_out.shape != (n,):
-        raise ValueError(f"schedule and t_out must have length {n}")
+    if t_out.ndim != 1 or schedule.shape != t_out.shape:
+        raise ValueError(f"schedule must span t_out's {t_out.size} steps, got {schedule.shape}")
+    n = len(t_out)
     k = cfg.dt / (b.r_th * b.c_th)
     gain = cfg.dt * cfg.cop / b.c_th
     temps = np.empty(n)
@@ -159,9 +157,9 @@ def fleet_rows(
     band bound the columns.  Raises InfeasibleBaseline as
     `baseline_profile` does."""
     t_out = np.asarray(t_out, dtype=float)
-    n = cfg.horizon
-    if t_out.shape != (n,):
-        raise ValueError(f"t_out must have length {n}, got {t_out.shape}")
+    if t_out.ndim != 1 or not t_out.size:
+        raise ValueError(f"t_out must hold one temperature per step, got shape {t_out.shape}")
+    n = len(t_out)
     bases = [baseline_profile(b, cfg, t_out) for b in buildings]
     F = len(bases)
     r_th, c_th, rated = np.array([[b.r_th, b.c_th, b.p_hp_rated] for b in buildings]).reshape(F, 3).T
@@ -233,7 +231,7 @@ class DispatchModel:
         self.cfg = cfg
         self.t_out = np.asarray(t_out, dtype=float)
         self._blocks = [(idx, *self._sweep(idx)) for idx in _deal(self.buildings)]
-        self.baseline = np.empty((len(self.buildings), cfg.horizon))
+        self.baseline = np.empty((len(self.buildings), self.t_out.size))
         for idx, *_, baseline in self._blocks:
             self.baseline[idx] = baseline
 
@@ -264,7 +262,7 @@ class DispatchModel:
         """
         bases = {} if bases is None else bases
         prices = np.asarray(prices, dtype=float)
-        T = self.cfg.horizon
+        T = self.t_out.size
         if prices.ndim != 2 or prices.shape[1] != T or len(prices) < 1:
             raise ValueError(f"prices must have shape (S, {T})")
         c = prices * self.cfg.dt / 1000.0  # objective directly in EUR

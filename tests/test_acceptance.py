@@ -217,7 +217,6 @@ def test_naive_forecaster_keeps_efficiency_high(bundle30):
 
 
 def test_voltage_and_overload_hand_values():
-    cfg4 = ComfortConfig(horizon=4)
     series = GridTimeSeries(slf=np.ones(4), cf=np.zeros(4), rar=0.0)
     nodes = {
         0: Node(id=0, ancestor_id=None, is_substation=True, s_rating_kva=20000.0),
@@ -227,7 +226,7 @@ def test_voltage_and_overload_hand_values():
     def solved(rating_pu):
         lines = [Line(from_id=1, to_id=0, r_pu=0.01, x_pu=0.0, s_rating_pu=rating_pu)]
         net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=1000.0)
-        model = OpfModel(net, [], {}, cfg4, np.zeros(4), series)
+        model = OpfModel(net, [], {}, COMFORT, np.zeros(4), series)
         return model.solve(np.full(4, 50.0))
 
     # healthy line: U_child = 1 - 2 * 0.01 * 0.5 = 0.99; nothing shed
@@ -253,8 +252,7 @@ def test_generous_ratings_never_shed(stressed_bundle):
     }
     lines = [dataclasses.replace(ln, s_rating_pu=10.0 * ln.s_rating_pu)
              for ln in net.lines]
-    big = RadialNetwork(nodes=nodes, lines=lines,
-                        s_base_kva=net.s_base_kva, v_base_kv=net.v_base_kv)
+    big = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=net.s_base_kva)
     alloc = allocate_buildings(stressed_bundle.buildings, big)
 
     shed_total = 0.0

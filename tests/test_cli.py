@@ -14,7 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 from flexbid.cli import main
+from flexbid.ingest import FILE_NAMES
 from flexbid.simulate import CampaignConfig
+from flexbid.synthetic import SyntheticSpec
 
 GEN_ARGS = [
     "generate", "--seed", "5", "--buildings", "8", "--share", "50",
@@ -45,6 +47,17 @@ def test_generate_lays_down_a_runnable_workspace(workspace):
     assert payload["campaign"]["start"] == "2025-01-11"  # ten warm-up days
     assert payload["campaign"]["days"] == 3
     assert payload["synthetic"]["seed"] == 5
+
+
+def test_generate_without_flags_writes_the_spec_defaults(tmp_path, runner):
+    ws = tmp_path / "ws"
+    res = runner.invoke(main, ["generate", "--out", str(ws)])
+    assert res.exit_code == 0, res.output
+    payload = json.loads((ws / "campaign.json").read_text())
+    assert payload["synthetic"] == SyntheticSpec().to_dict()
+    instance = {key: name for key, name in FILE_NAMES.items() if key != "alloc"}
+    assert payload["paths"] == instance
+    assert sorted(p.name for p in ws.iterdir()) == sorted([*instance.values(), "campaign.json"])
 
 
 def test_allocate_places_every_building(workspace, runner):
@@ -215,10 +228,20 @@ def test_a_number_past_the_float_range_fails_naming_its_key(workspace, runner):
     assert res.stderr.startswith("error: SchemaError: ") and "campaign.voll" in res.stderr
 
 
+def test_a_huge_facet_count_fails_cleanly(workspace, runner):
+    # once ended in an OverflowError traceback inside the rating polygon
+    res = runner.invoke(main, ["simulate", str(workspace), "--mode", "integrated", "--days", "1",
+                               "--facets", "1" + "0" * 400])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ValueError: facets must lie in 3..360")
+    assert "Traceback" not in res.stderr and isinstance(res.exception, SystemExit)
+    assert not (workspace / "report.csv").exists()
+
+
 def test_misused_settings_fail_before_the_campaign(workspace, runner):
     res = runner.invoke(main, ["simulate", str(workspace), "--facets", "2"] + FAST)
     assert res.exit_code == 1
-    assert res.stderr.startswith("error: ValueError: facets must be >= 3")
+    assert res.stderr.startswith("error: ValueError: facets must lie in 3..360")
     assert not (workspace / "report.csv").exists()
 
 
@@ -346,7 +369,7 @@ def test_report_without_synthetic_section_skips_the_sweeps(workspace, runner):
     (lambda payload: payload["campaign"].update(start="2025-13-01"), "campaign.start"),
     # simulate once failed with a bare ValueError, and allocate ran on it
     (lambda payload: payload["campaign"].update(mode="bogus"), "campaign: mode must be one of"),
-    (lambda payload: payload["campaign"].update(facets=2), "campaign: facets must be >= 3"),
+    (lambda payload: payload["campaign"].update(facets=2), "campaign: facets must lie in 3..360"),
     (lambda payload: payload["synthetic"].update(seedz=1), "unknown keys: synthetic.seedz"),
     # nothing read synthetic.rar; the campaign's rar sets the reactive load
     (lambda payload: payload["synthetic"].update(rar=0.05), "unknown keys: synthetic.rar"),

@@ -23,6 +23,7 @@ from flexbid.errors import (
 )
 from flexbid import grid
 from flexbid.grid import (
+    MAX_FACETS,
     GridTimeSeries,
     Line,
     V_MAX_PU,
@@ -37,7 +38,7 @@ from flexbid.grid import (
 from flexbid.synthetic import SyntheticSpec, generate_instance
 from flexbid.thermal import BuildingParams, ComfortConfig, DispatchModel, fleet_rows
 
-T4 = ComfortConfig(horizon=4)
+CFG = ComfortConfig()  # a day has as many hourly steps as its t_out
 HOURS4 = np.arange(4)
 
 
@@ -65,7 +66,7 @@ def hp_building(bid="h1", rated=3.0, pos=(0.0, 0.0)):
 
 def test_two_bus_voltage_drop_is_exact():
     # U_child = U_sub - 2 r P = 1 - 2 * 0.01 * 0.5 = 0.99 pu^2
-    model = OpfModel(two_bus(), [], {}, T4, np.zeros(4), flat_series())
+    model = OpfModel(two_bus(), [], {}, CFG, np.zeros(4), flat_series())
     sol = model.solve(np.full(4, 50.0))
     assert sol.flow_p_pu[0] == pytest.approx(0.5, abs=1e-9)
     assert sol.u_pu2[0] == pytest.approx(0.99, abs=1e-9)
@@ -84,7 +85,7 @@ def test_three_bus_chain_accumulates_drops():
         Line(from_id=2, to_id=1, r_pu=0.01, x_pu=0.0, s_rating_pu=10.0),
     ]
     net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=1000.0)
-    model = OpfModel(net, [], {}, T4, np.zeros(4), flat_series())
+    model = OpfModel(net, [], {}, CFG, np.zeros(4), flat_series())
     sol = model.solve(np.full(4, 50.0))
     # line into node 1 carries both loads: 0.3 pu; the lateral only 0.1
     i1, i2 = model.node_pos[1], model.node_pos[2]
@@ -97,7 +98,7 @@ def test_three_bus_chain_accumulates_drops():
 
 def test_reactive_flow_uses_x_term():
     # rar couples Q = 0.05 P; with x > 0 it deepens the voltage drop
-    model = OpfModel(two_bus(x_pu=0.02), [], {}, T4, np.zeros(4), flat_series(rar=0.05))
+    model = OpfModel(two_bus(x_pu=0.02), [], {}, CFG, np.zeros(4), flat_series(rar=0.05))
     sol = model.solve(np.full(4, 50.0))
     assert sol.flow_q_pu[0] == pytest.approx(0.05 * 0.5, abs=1e-9)
     assert sol.u_pu2[0] == pytest.approx(1.0 - 2 * (0.01 * 0.5 + 0.02 * 0.025), abs=1e-9)
@@ -108,7 +109,7 @@ def test_reactive_flow_uses_x_term():
 def test_overload_sheds_exactly_the_excess():
     # demand 0.5 pu against a 0.4 pu line: a polygon vertex sits on the
     # P axis, so active-only flow uses the full rating and 0.1 pu sheds
-    model = OpfModel(two_bus(rating_pu=0.4), [], {}, T4, np.zeros(4), flat_series())
+    model = OpfModel(two_bus(rating_pu=0.4), [], {}, CFG, np.zeros(4), flat_series())
     sol = model.solve(np.full(4, 50.0))
     assert np.allclose(sol.flow_p_pu[0], 0.4, atol=1e-9)
     shed_pu = sol.shed_kw[0] / 1000.0
@@ -123,7 +124,7 @@ def test_overload_with_reactive_demand_binds_a_tilted_facet():
     # S - Q tan(pi/K)
     rar, K, s, demand = 0.05, 8, 0.4, 0.5
     served = s - rar * demand * math.tan(math.pi / K)
-    model = OpfModel(two_bus(rating_pu=s), [], {}, T4, np.zeros(4), flat_series(rar=rar))
+    model = OpfModel(two_bus(rating_pu=s), [], {}, CFG, np.zeros(4), flat_series(rar=rar))
     sol = model.solve(np.full(4, 50.0))
     assert np.allclose(sol.flow_q_pu[0], rar * demand, atol=1e-9)
     assert np.allclose(sol.flow_p_pu[0], served, atol=1e-9)
@@ -134,7 +135,7 @@ def test_more_facets_shed_less():
     sheds = []
     for facets in (4, 8, 16):
         model = OpfModel(
-            two_bus(rating_pu=0.4), [], {}, T4, np.zeros(4),
+            two_bus(rating_pu=0.4), [], {}, CFG, np.zeros(4),
             flat_series(rar=0.05), facets=facets,
         )
         sheds.append(model.solve(np.full(4, 50.0)).shed_kwh)
@@ -152,7 +153,7 @@ def test_substation_rating_limits_import():
         lines=[Line(from_id=1, to_id=0, r_pu=0.01, x_pu=0.0, s_rating_pu=10.0)],
         s_base_kva=1000.0,
     )
-    model = OpfModel(net, [], {}, T4, np.zeros(4), flat_series())
+    model = OpfModel(net, [], {}, CFG, np.zeros(4), flat_series())
     sol = model.solve(np.full(4, 50.0))
     assert np.allclose(sol.pcc_p_pu, 0.3, atol=1e-9)
     assert np.allclose(sol.shed_kw[0] / 1000.0, 0.2, atol=1e-6)
@@ -179,7 +180,7 @@ def test_only_reachable_facets_enter_the_lp():
     net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=1000.0)
     pv = BuildingParams(id="pv", r_th=5.0, c_th=10.0, p_hp_rated=0.0, p_pv_rated=500.0)
     series = GridTimeSeries(slf=np.ones(4), cf=np.ones(4), rar=0.0)
-    model = OpfModel(net, [pv], {"pv": 1}, T4, np.zeros(4), series)
+    model = OpfModel(net, [pv], {"pv": 1}, CFG, np.zeros(4), series)
     K, T, N = model.facets, 4, 2
     assert model.kept_lines == [1] and not model.keeps_voltage
     assert model.A.shape == (2 * 2 * T + K * T, N * T + 2 * T + 2 * T)
@@ -210,7 +211,7 @@ def test_a_tight_line_keeps_its_cluster_and_contracts_the_rest():
     net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=1000.0)
     buildings = [hp_building("h3", rated=3.0), hp_building("h4", rated=2.5)]
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    model = OpfModel(net, buildings, {"h3": 3, "h4": 4}, CFG24, np.full(24, 2.0), series)
+    model = OpfModel(net, buildings, {"h3": 3, "h4": 4}, CFG, np.full(24, 2.0), series)
     T, F, N = 24, 2, 4
     assert model.kept_lines == [2] and not model.keeps_voltage
     facets = np.isinf(model.row_lo).sum()
@@ -230,7 +231,7 @@ def test_a_feeder_whose_voltage_can_bind_keeps_every_line():
     # a 0.06 pu line under 0.5 pu would drop u to 0.94 < 0.97^2: every
     # line and every voltage-drop row stays, and the voltage bound sheds
     # load exactly as far as it must, u = 1 - 2 r P = 0.97^2
-    model = OpfModel(two_bus(r_pu=0.06), [], {}, T4, np.zeros(4), flat_series())
+    model = OpfModel(two_bus(r_pu=0.06), [], {}, CFG, np.zeros(4), flat_series())
     T, N = 4, 1
     assert model.kept_lines == [1] and model.keeps_voltage
     assert model.A.shape == (2 * N * T + 2 * T + N * T, 4 * N * T + 2 * T)
@@ -254,7 +255,7 @@ def test_a_congested_campaign_day_contracts_to_the_substation():
     alloc = allocate_buildings(bundle.buildings, bundle.network)
     for day in bundle.dates[23:]:
         series = GridTimeSeries(slf=bundle.slf[day], cf=bundle.cf[day], rar=0.05)
-        model = OpfModel(bundle.network, bundle.buildings, alloc, CFG24,
+        model = OpfModel(bundle.network, bundle.buildings, alloc, CFG,
                          bundle.weather[day], series)
         T, F, N = 24, len(model.flex), len(model.node_ids)
         assert (F, N) == (120, 30)
@@ -357,7 +358,24 @@ def test_opf_needs_exactly_one_substation():
     }
     net = RadialNetwork(nodes=nodes, lines=[])
     with pytest.raises(GridMismatch):
-        OpfModel(net, [], {}, T4, np.zeros(4), flat_series())
+        OpfModel(net, [], {}, CFG, np.zeros(4), flat_series())
+
+
+def test_facet_count_is_bounded():
+    # a count past the float range once ended in an OverflowError
+    for facets in (2, MAX_FACETS + 1, 10**400):
+        with pytest.raises(ValueError, match=f"facets must lie in 3..{MAX_FACETS}"):
+            OpfModel(two_bus(), [], {}, CFG, np.zeros(4), flat_series(), facets=facets)
+    model = OpfModel(two_bus(rating_pu=0.4), [], {}, CFG, np.zeros(4), flat_series(),
+                     facets=MAX_FACETS)
+    # the purely active 0.5 pu draw meets a vertex on the P axis: the
+    # excess over the 0.4 pu rating is shed, to the kW
+    assert np.allclose(model.solve(np.full(4, 50.0)).shed_kw, 100.0)
+
+
+def test_series_must_span_the_days_steps():
+    with pytest.raises(ValueError, match="slf and cf must span t_out's steps"):
+        OpfModel(two_bus(), [], {}, CFG, np.zeros(4), flat_series(n=5))
 
 
 def test_opf_needs_a_node_below_the_substation():
@@ -365,7 +383,7 @@ def test_opf_needs_a_node_below_the_substation():
     # numpy ValueError from a reduction over zero nodes
     net = RadialNetwork({0: Node(0, None, is_substation=True, s_rating_kva=100.0)}, [])
     with pytest.raises(GridMismatch, match="only the substation"):
-        OpfModel(net, [], {}, ComfortConfig(horizon=4), np.zeros(4),
+        OpfModel(net, [], {}, CFG, np.zeros(4),
                  GridTimeSeries(np.ones(4), np.zeros(4)))
 
 
@@ -596,7 +614,6 @@ def feeder_with_hp(rating_scale=1.0):
 
 
 PRICES24 = 60.0 + 25.0 * np.sin(np.arange(24) / 3.0)
-CFG24 = ComfortConfig()
 
 
 def test_generous_grid_reproduces_pricefollowing_dispatch():
@@ -605,8 +622,8 @@ def test_generous_grid_reproduces_pricefollowing_dispatch():
     net, buildings, alloc = feeder_with_hp(rating_scale=10.0)
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    sol = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
-    standalone = DispatchModel(buildings, CFG24, t_out).solve(PRICES24[None])[1][0]
+    sol = OpfModel(net, buildings, alloc, CFG, t_out, series).solve(PRICES24)
+    standalone = DispatchModel(buildings, CFG, t_out).solve(PRICES24[None])[1][0]
     assert sol.shed_kwh == 0.0
     assert sol.hp_cost_eur == pytest.approx(standalone, abs=1e-6)
 
@@ -620,16 +637,16 @@ def test_network_dispatch_rejects_a_bad_assignment(alloc, error, message):
     net, buildings, _ = feeder_with_hp()
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
     with pytest.raises(error, match=f"^{message}$"):
-        OpfModel(net, buildings, alloc, CFG24, np.full(24, 2.0), series)
+        OpfModel(net, buildings, alloc, CFG, np.full(24, 2.0), series)
 
 
 def test_tight_grid_costs_at_least_as_much():
     net, buildings, alloc = feeder_with_hp()
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    tight = OpfModel(net, buildings, alloc, CFG24, t_out, series).solve(PRICES24)
+    tight = OpfModel(net, buildings, alloc, CFG, t_out, series).solve(PRICES24)
     roomy = OpfModel(
-        *feeder_with_hp(rating_scale=10.0)[:1], buildings, alloc, CFG24, t_out, series,
+        *feeder_with_hp(rating_scale=10.0)[:1], buildings, alloc, CFG, t_out, series,
     ).solve(PRICES24)
     assert tight.objective_eur >= roomy.objective_eur - 1e-9
 
@@ -638,7 +655,7 @@ def test_baseline_solution_dominates_optimal():
     net, buildings, alloc = feeder_with_hp()
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    model = OpfModel(net, buildings, alloc, CFG24, t_out, series)
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series)
     rng = np.random.default_rng(11)
     for _ in range(3):
         prices = rng.uniform(20.0, 140.0, size=24)
@@ -654,7 +671,7 @@ def test_hp_fixed_pins_the_schedules():
     net, buildings, alloc = feeder_with_hp(rating_scale=10.0)
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    model = OpfModel(net, buildings, alloc, CFG24, t_out, series)
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series)
     free = model.solve(PRICES24)
     # halfway between baseline and optimum: feasible by convexity and
     # energy-preserving, so pinning it must be accepted verbatim
@@ -708,7 +725,7 @@ def test_negative_fixed_load_is_rejected():
         s_base_kva=30.0,
     )
     with pytest.raises(Infeasible):
-        OpfModel(net, [hp_building()], {"h1": 1}, CFG24, np.full(24, -5.0),
+        OpfModel(net, [hp_building()], {"h1": 1}, CFG, np.full(24, -5.0),
                  GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05))
 
 
@@ -716,7 +733,7 @@ def test_verify_solution_flags_tampering():
     net, buildings, alloc = feeder_with_hp()
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    model = OpfModel(net, buildings, alloc, CFG24, t_out, series)
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series)
     sol = model.solve(PRICES24)
     assert verify_solution(model, sol) == []
     warped = dataclasses.replace(sol, u_pu2=sol.u_pu2 + 0.1)
@@ -733,7 +750,7 @@ def test_verify_solution_rechecks_comfort_and_energy():
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
     wide = OpfModel(net, buildings, alloc, ComfortConfig(t_min=15.0, t_max=25.0),
                     t_out, series)
-    narrow = OpfModel(net, buildings, alloc, CFG24, t_out, series)
+    narrow = OpfModel(net, buildings, alloc, CFG, t_out, series)
     shifted = np.c_[np.zeros((2, 12)), 2.0 * wide.baseline[:, 12:]]
     sol = wide.solve(PRICES24, hp_fixed=by_id(wide, shifted))
     assert verify_solution(wide, sol) == []
@@ -749,7 +766,7 @@ def test_objective_decomposes_into_parts():
     net, buildings, alloc = feeder_with_hp()
     t_out = np.full(24, 2.0)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    model = OpfModel(net, buildings, alloc, CFG24, t_out, series)
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series)
     sol = model.solve(PRICES24)
     dt, S = model.cfg.dt, model.net.s_base_kva
     import_eur = dt * float(PRICES24 @ sol.pcc_p_pu) * S / 1000.0
@@ -771,7 +788,7 @@ def by_id(model, schedules):
 def sweep_model(rating_scale=1.0):
     net, buildings, alloc = feeder_with_hp(rating_scale)
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    return OpfModel(net, buildings, alloc, CFG24, np.full(24, 2.0), series)
+    return OpfModel(net, buildings, alloc, CFG, np.full(24, 2.0), series)
 
 
 def facet_excess(model, sol):
@@ -795,7 +812,7 @@ def full_lp_objective(model, prices, hp_fixed=None):
     An independent reference for the warm-started sweep, for the
     facets and lines the model leaves out, and for pinned schedules."""
     net, cfg, series = model.net, model.cfg, model.series
-    T, K, S = cfg.horizon, model.facets, net.s_base_kva
+    T, K, S = len(model.t_out), model.facets, net.s_base_kva
     ids, pos = model.node_ids, model.node_pos
     N, F = len(ids), len(model.flex)
     B, rhs_hp, lo_hp, hi_hp, _, _ = fleet_rows(model.flex, cfg, model.t_out)
@@ -992,7 +1009,7 @@ def radial_instances(draw):
     prices = rng.uniform(5.0, 200.0, (S, T))
     for _ in range(draw(st.integers(0, S - 1), label="repeats")):
         prices[rng.integers(1, S)] = prices[rng.integers(0, S)]
-    model = OpfModel(net, buildings, alloc, ComfortConfig(horizon=T), t_out, series)
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series)
     return model, prices
 
 

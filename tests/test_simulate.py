@@ -9,6 +9,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from flexbid.bidding import MAX_BIDS
 from flexbid.errors import EmptyInput, GridMismatch, InvalidOrdering, SchemaError
 from flexbid.grid import Node, OpfModel, RadialNetwork, allocate_buildings
 from flexbid.simulate import (
@@ -25,7 +26,7 @@ from flexbid.simulate import (
     run_day,
     write_report_csv,
 )
-from flexbid.thermal import DispatchModel
+from flexbid.thermal import ComfortConfig, DispatchModel
 
 START = date(2025, 1, 11)  # leaves ten days of price history for scenarios
 
@@ -545,6 +546,18 @@ def test_config_refuses_days_past_the_last_date():
         CampaignConfig(start=START, days=last + 1)
 
 
+def test_the_bid_ceiling_is_the_lesser_of_the_scenario_count_and_the_cap():
+    assert CampaignConfig(start=START, days=1, s_count=4).bid_ceiling == 4
+    assert CampaignConfig(start=START, days=1, s_count=30).bid_ceiling == MAX_BIDS
+
+
+def test_every_campaign_shares_one_comfort_setting():
+    cfg = CampaignConfig(start=START, days=1)
+    assert cfg.comfort == ComfortConfig() and "comfort" not in cfg.to_dict()
+    with pytest.raises(TypeError):
+        CampaignConfig(start=START, days=1, comfort=ComfortConfig(t_min=15.0))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(start=START, days=0)
@@ -559,8 +572,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("setting", [
-    {"facets": 2}, {"rar": -0.1}, {"rar": math.nan}, {"voll": -5.0}, {"voll": math.nan},
-    {"voll": math.inf}, {"voll": 0.0}, {"price_cap": -1.0, "pricing": "truthful"},
+    {"facets": 2}, {"facets": 361}, {"facets": 10**8}, {"rar": -0.1}, {"rar": math.nan},
+    {"voll": -5.0}, {"voll": math.nan}, {"voll": math.inf}, {"voll": 0.0}, {"price_cap": -1.0, "pricing": "truthful"},
     {"price_cap": math.inf, "pricing": "mabp"},
 ], ids=lambda setting: ",".join(f"{key}={val}" for key, val in setting.items()))
 def test_config_rejects_settings_it_would_misuse(setting):

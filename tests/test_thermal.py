@@ -24,7 +24,7 @@ from flexbid.thermal import (
     simulate_temperature,
 )
 
-CFG = ComfortConfig()  # cop 4, set-point 20, band 19..21, 24 hourly steps
+CFG = ComfortConfig()  # cop 4, set-point 20, band 19..21, hourly steps
 
 
 def building(r_th=5.0, c_th=10.0, rated=3.0, bid="b1"):
@@ -91,7 +91,7 @@ def test_fleet_rows_hold_the_simulated_trajectory(data):
     schedule's daily energy and is set at the baseline's."""
     T = data.draw(st.integers(1, 48), label="T")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
-    cfg = ComfortConfig(cop=rng.uniform(2.0, 5.0), dt=rng.choice([0.25, 0.5, 1.0]), horizon=T)
+    cfg = ComfortConfig(cop=rng.uniform(2.0, 5.0), dt=rng.choice([0.25, 0.5, 1.0]))
     r_th, c_th = rng.uniform(2, 10), rng.uniform(4, 30)
     t_out = rng.uniform(-10.0, 20.0, T)
     need = max(0.0, (cfg.t_set - t_out).max()) / (r_th * cfg.cop)  # the baseline's peak
@@ -116,12 +116,11 @@ def test_fleet_rows_stack_one_building_blocks_bit_for_bit(horizon):
     LPs, entry for entry, in the same storage order: the LP the unbundled
     dispatch hands HiGHS does not depend on how the fleet is cut."""
     rng = np.random.default_rng(horizon)
-    cfg = ComfortConfig(horizon=horizon)
     t_out = rng.uniform(-5.0, 15.0, horizon)
     fleet = [building(r_th=rng.uniform(4, 8), c_th=rng.uniform(6, 20),
                       rated=rng.uniform(2, 4), bid=f"b{i}") for i in range(7)]
-    A, rhs, col_lo, col_hi, baseline, power = fleet_rows(fleet, cfg, t_out)
-    singles = [fleet_rows([b], cfg, t_out) for b in fleet]
+    A, rhs, col_lo, col_hi, baseline, power = fleet_rows(fleet, CFG, t_out)
+    singles = [fleet_rows([b], CFG, t_out) for b in fleet]
     B = sparse.block_diag([one[0] for one in singles], format="csc")
     assert A.shape == B.shape
     for got, want in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)):
@@ -161,7 +160,7 @@ def test_degenerate_comfort_band_pins_baseline():
 def test_cheap_hour_concentration_with_grid_oracle():
     """One cheap hour, wide band, ample rating: the LP piles energy into
     the cheap hour; exhaustive search over a 0.1 kW grid agrees."""
-    cfg = ComfortConfig(t_min=0.0, t_max=40.0, horizon=4)
+    cfg = ComfortConfig(t_min=0.0, t_max=40.0)
     b = building(rated=2.0)
     t_out = np.full(4, 10.0)   # baseline 0.5 kW/h -> e_base = 2.0 kWh
     prices = np.array([100.0, 10.0, 100.0, 100.0])
@@ -254,9 +253,7 @@ def temperature_response(
     temperatures.
     """
     t_out = np.asarray(t_out, dtype=float)
-    n = cfg.horizon
-    if t_out.shape != (n,):
-        raise ValueError(f"t_out must have length {n}, got {t_out.shape}")
+    n = len(t_out)
     k = cfg.dt / (b.r_th * b.c_th)  # dimensionless loss per step
     gain = cfg.dt * cfg.cop / b.c_th  # K per kW before decay
     decay = 1.0 / (1.0 + k)
@@ -286,9 +283,9 @@ def loop_reference(model: DispatchModel, price_rows: np.ndarray, r: int = 0) -> 
             prices * cfg.dt / 1000.0,
             A_ub=np.vstack([M, -M]),
             b_ub=np.concatenate([cfg.t_max - m0, m0 - cfg.t_min]),
-            A_eq=np.full((1, cfg.horizon), cfg.dt),
+            A_eq=np.full((1, len(model.t_out)), cfg.dt),
             b_eq=[baseline_profile(b, cfg, model.t_out).energy],
-            bounds=[(0.0, b.p_hp_rated)] * cfg.horizon,
+            bounds=[(0.0, b.p_hp_rated)] * len(model.t_out),
             method="highs",
             options={"primal_feasibility_tolerance": FEASIBILITY_TOL,
                      "dual_feasibility_tolerance": OPTIMALITY_TOL},
@@ -326,6 +323,22 @@ def test_solve_rejects_misshapen_prices():
                 np.zeros((1, 2, 24))):
         with pytest.raises(ValueError, match="prices must have shape"):
             model.solve(bad)
+
+
+def test_a_day_has_as_many_steps_as_its_temperatures():
+    """The steps are t_out's, not a setting: a 6-hour day dispatches
+    6-hour schedules, and every other array must match it."""
+    b, t_out = building(), np.full(6, 8.0)
+    model = DispatchModel([b], CFG, t_out)
+    X, _ = model.solve(np.full((2, 6), 50.0))
+    assert X.shape == (2, 1, 6) and model.baseline.shape == (1, 6)
+    with pytest.raises(ValueError, match=r"prices must have shape \(S, 6\)"):
+        model.solve(np.full((2, 24), 50.0))
+    with pytest.raises(ValueError, match="schedule must span t_out's 6 steps"):
+        simulate_temperature(b, CFG, t_out, np.zeros(24))
+    for bad in (np.zeros(0), np.zeros((2, 6)), np.float64(5.0)):
+        with pytest.raises(ValueError, match="t_out must hold one temperature per step"):
+            fleet_rows([b], CFG, bad)
 
 
 def test_sweep_reuses_the_schedule_of_a_repeated_vertex():
