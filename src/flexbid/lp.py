@@ -10,12 +10,12 @@ previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
 The first row starts from the last optimal basis of an LP of the same
 shape, when the caller keeps one: the fleet's blocks of heat pumps are
 one shape, and so is a feeder's OPF from one day to the next.  A caller
-may instead hand a start for each row and take back each row's optimal
-basis: a full block of heat pumps starts row s from the optimum the block
-before it found at row s, whose heat pump at each position has a near
-time constant and so, mostly, the same optimal basis.  Column
-bounds are fixed at construction: a caller pinning columns substitutes
-them out and sweeps the smaller LP, as `grid.OpfModel.solve` does.
+may also take back each row's vertex status, and start an LP from a
+status it assembled (`basis`): `thermal.DispatchModel` certifies heat
+pumps on their neighbours' optimal bases that way and solves the rest
+as one LP of copies.  Column bounds are fixed at construction: a caller
+pinning columns substitutes them out and sweeps the smaller LP, as
+`grid.OpfModel.solve` does.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.
@@ -85,77 +85,78 @@ class HighsSweep:
         self._col_hi = col_hi
         self._cost_cols = np.asarray(cost_cols, dtype=np.int32)
         self.blocks = blocks
+        self.runs = 0
 
-    def solve(self, cost_rows: np.ndarray, bases: dict | None = None,
-              row_bases: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The LP's (rows, columns): the key of its bases."""
+        return self._lp.num_row_, self._lp.num_col_
+
+    def solve(self, cost_rows: np.ndarray, bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(S, n) optimal points and S objectives for an (S, len(cost_cols)) stack.
 
         Each call runs on a fresh HiGHS instance.  Its first row starts
         from the basis `bases`, a dict from LP shape (rows, cols) to the
         last optimal basis of that shape, holds for this LP's shape, or
         cold; each later row starts from the row before, and the call's
-        final basis is stored back in `bases`.  `row_bases`, when given,
-        is a list of S per-row starts, each a basis of this LP's shape or
-        None: row s starts from its own start instead, unless its costs
-        equal the row before's, and the list comes back holding each
-        row's optimal basis.  So an equal stack with equal starts gives
-        equal answers.  A start HiGHS refuses leaves
-        its row to go on from the row before (cold, on the first row);
-        a run from any start that ends without an optimum gives way to
-        the cold sweep.
+        final basis is stored back in `bases`.  A start HiGHS refuses
+        leaves the first row cold; a run from a start that ends without
+        an optimum gives way to the cold sweep.  `runs` counts the call's
+        HiGHS runs, the cold sweep's included.
 
         A block whose optimal vertex was seen at an earlier row of the
         call gets that row's values for its columns: the vertex is the
         same, and reusing it keeps identical schedules byte-identical
         rather than apart by the warm path's rounding noise, whatever the
-        other blocks do.  A block's vertex key is the basis status of its
-        columns and rows: basic, or nonbasic at the lower or the upper
-        bound.  Raises ValueError, before any solve, on a cost that is
-        not finite or a row_bases of another length than the stack, and
-        Infeasible or SolverFailure on the first row without an optimum.
+        other blocks do.  A block's vertex key is its slice of the row's
+        vertex status (`vertices`).  Raises ValueError, before any solve,
+        on a cost that is not finite, and Infeasible or SolverFailure on
+        the first row without an optimum.
         """
+        X, objective, _ = self.vertices(cost_rows, bases)
+        return X, objective
+
+    def vertices(self, cost_rows: np.ndarray,
+                 bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`solve`'s points and objectives, and each row's vertex status:
+        an (S, n + m) uint8 array over the columns, then the rows, each 0
+        nonbasic at the lower bound (or free at zero), 1 basic or 2
+        nonbasic at the upper bound.  An optimal basis and these bounds
+        name one vertex, as the class requires."""
         cost_rows = np.asarray(cost_rows, dtype=float)
         if not np.isfinite(cost_rows).all():
             raise ValueError("cost rows must be finite")
-        if row_bases is not None and len(row_bases) != len(cost_rows):
-            raise ValueError(f"{len(row_bases)} row bases for {len(cost_rows)} cost rows")
-        shape = (self._lp.num_row_, self._lp.num_col_)
-        starts = [None] * len(cost_rows) if row_bases is None else list(row_bases)
-        if starts and starts[0] is None and bases is not None:
-            starts[0] = bases.get(shape)
+        start = None if bases is None else bases.get(self.shape)
+        self.runs = 0
         try:
-            X, objective, optima = self._rows(cost_rows, starts)
+            X, objective, status, final = self._rows(cost_rows, start)
         except SolverFailure:
-            if all(start is None for start in starts):
+            if start is None:
                 raise
-            X, objective, optima = self._rows(cost_rows, [None] * len(starts))
-        if bases is not None and optima:
-            bases[shape] = optima[-1]
-        if row_bases is not None:
-            row_bases[:] = optima
-        return X, objective
+            X, objective, status, final = self._rows(cost_rows, None)
+        if bases is not None and final is not None:
+            bases[self.shape] = final
+        return X, objective, status
 
-    def _rows(self, cost_rows: np.ndarray, starts: list) -> tuple[np.ndarray, np.ndarray, list]:
-        """The sweep over cost_rows on a fresh instance, each row set to
-        its start when it has one and HiGHS takes it.  Returns the points,
-        the objectives and each row's optimal basis."""
+    def _rows(self, cost_rows: np.ndarray, start: _hc.HighsBasis | None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _hc.HighsBasis | None]:
+        """The sweep over cost_rows on a fresh instance, its first row set
+        to start when there is one and HiGHS takes it.  Returns the points,
+        the objectives, the vertex statuses and the last optimal basis."""
         highs = _hc._Highs()
         highs.passOptions(_options())
         highs.passModel(self._lp)
-        n_row, n_col = self._lp.num_row_, self._lp.num_col_
-        B = self.blocks
-        X = np.empty((len(cost_rows), n_col))
-        objective = np.empty(len(cost_rows))
-        first_row: list[dict[bytes, int]] = [{} for _ in range(B)]
-        optima = []
-        for s, (cost, start) in enumerate(zip(cost_rows, starts)):
-            # a row equal to the one before starts at its optimum already,
-            # where a start would only cost HiGHS a refactorization; a
-            # refused start changes nothing
-            if start is not None and not (s and np.array_equal(cost, cost_rows[s - 1])):
-                highs.setBasis(start)
+        n_row, n_col = self.shape
+        S, B = len(cost_rows), self.blocks
+        X = np.empty((S, n_col))
+        objective = np.empty(S)
+        status = np.zeros((S, n_col + n_row), dtype=np.uint8)
+        if start is not None:
+            highs.setBasis(start)  # a refused start changes nothing
+        for s, cost in enumerate(cost_rows):
             highs.changeColsCost(len(self._cost_cols), self._cost_cols, cost)
             highs.run()
+            self.runs += 1
             model_status = highs.getModelStatus()
             if model_status == _hc.HighsModelStatus.kInfeasible:
                 raise Infeasible("LP is infeasible")
@@ -165,17 +166,40 @@ class HighsSweep:
             found, basic = highs.getBasicVariables()
             if found != _hc.HighsStatus.kOk:
                 raise SolverFailure("HiGHS returned an optimum without a basis")
-            # 0 nonbasic at the lower bound (or free at zero), 1 basic, 2
-            # nonbasic at the upper bound; a basic row -r-1 sits at n_col + r
-            status = np.zeros(n_col + n_row, dtype=np.uint8)
-            status[:n_col][X[s] == self._col_hi] = 2
-            status[np.where(basic >= 0, basic, n_col - 1 - basic)] = 1
-            keys = np.hstack([status[:n_col].reshape(B, -1), status[n_col:].reshape(B, -1)])
-            blocks = X[s].reshape(B, -1)
-            for k, seen in enumerate(first_row):
-                earlier = seen.setdefault(keys[k].tobytes(), s)
-                if earlier != s:
-                    blocks[k] = X[earlier].reshape(B, -1)[k]
+            # a basic row -r-1 sits at n_col + r
+            status[s, :n_col][X[s] == self._col_hi] = 2
+            status[s, np.where(basic >= 0, basic, n_col - 1 - basic)] = 1
             objective[s] = highs.getObjectiveValue()
-            optima.append(highs.getBasis())
-        return X, objective, optima
+        keys = np.concatenate([status[:, :n_col].reshape(S, B, n_col // B),
+                               status[:, n_col:].reshape(S, B, n_row // B)], axis=2)
+        X = first_seen(X.reshape(S, B, n_col // B), keys).reshape(S, n_col)
+        return X, objective, status, highs.getBasis() if S else None
+
+
+_STATUS = np.array([_hc.HighsBasisStatus.kLower, _hc.HighsBasisStatus.kBasic,
+                    _hc.HighsBasisStatus.kUpper], dtype=object)
+
+
+def basis(status: np.ndarray, n_col: int) -> _hc.HighsBasis:
+    """The HiGHS basis of a vertex status as `HighsSweep.vertices` gives
+    it, over an LP of n_col columns whose rows are all equalities."""
+    out = _hc.HighsBasis()
+    out.col_status = _STATUS[status[:n_col]].tolist()
+    out.row_status = _STATUS[status[n_col:]].tolist()
+    out.valid = True
+    return out
+
+
+def first_seen(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(S, B, w) values with each block's row replaced by the block's
+    values at the first row whose (S, B, L) vertex key is the same: a
+    vertex gets the bytes of its first sighting."""
+    S, B, L = keys.shape
+    tagged = np.empty((B, S, L + 4), dtype=np.uint8)  # each key led by its block
+    tagged[..., :4] = np.arange(B, dtype=">u4").view(np.uint8).reshape(B, 1, 4)
+    tagged[..., 4:] = keys.transpose(1, 0, 2)
+    _, first, back = np.unique(tagged.reshape(B * S, L + 4).view(np.dtype((np.void, L + 4))).ravel(),
+                               return_index=True, return_inverse=True)
+    w = values.shape[2]
+    by_block = values.transpose(1, 0, 2).reshape(B * S, w)[first[back.ravel()]]
+    return by_block.reshape(B, S, w).transpose(1, 0, 2)

@@ -10,9 +10,10 @@ per MWh of its own energy, and dispatches only those and the realized
 row; `efficiency_vs_bids` settles one dispatch at several bid budgets.
 Only the dispatch step depends on the mode, so it sits behind a small
 dispatcher: `_Fleet` solves block-diagonal LPs of up to `thermal.BLOCK`
-independent heat pumps, dealt by time constant, each full block starting
-every row from the block before it (unbundled utility), `_Network` one
-network OPF over all of them (integrated utility).  Schedules travel as
+independent heat pumps, dealt by time constant, each later full block
+taking the block before's optimal vertices where they still hold
+(unbundled utility), `_Network` one network OPF over all of them
+(integrated utility).  Schedules travel as
 `(S, R, T)` arrays: scenario, resource (building ids sorted), hour.
 
 A campaign hands each day's final HiGHS bases (`lp.HighsSweep.solve`)
@@ -52,7 +53,7 @@ from .grid import (
     RadialNetwork,
     allocate_buildings,
 )
-from .ingest import FORECASTERS, HOURS, InstanceBundle, settings, write_csv
+from .ingest import FORECASTERS, InstanceBundle, settings, write_csv
 from .scenarios import PriceSeries, generate_scenarios
 from .thermal import BuildingParams, ComfortConfig, DispatchModel, flexible, profile_cost
 
@@ -521,8 +522,13 @@ def write_report_csv(path: str | Path, report: CampaignReport) -> None:
 
 
 def write_schedules_csv(path: str | Path, report: CampaignReport) -> None:
-    """Awarded per-building schedules, one row per building-hour."""
-    write_csv(path, ["date", "building_id", "hour", "p_hp_kw"], (
-        [d.day.isoformat(), bid, str(h), f"{d.awarded_kw[bid][h]:.6f}"]
-        for d in report.days for bid in sorted(d.awarded_kw) for h in range(HOURS)
-    ))
+    """Awarded per-building schedules, one row per building and step of
+    each schedule, however many steps its day has."""
+    def rows():
+        for d in report.days:
+            day = d.day.isoformat()
+            for bid in sorted(d.awarded_kw):
+                for h, kw in enumerate(np.asarray(d.awarded_kw[bid], dtype=float).tolist()):
+                    yield [day, bid, str(h), f"{kw:.6f}"]
+
+    write_csv(path, ["date", "building_id", "hour", "p_hp_kw"], rows())

@@ -13,9 +13,11 @@ baseline's, the rating and the comfort band as column bounds.  It is
 the one place the comfort constraints are built: `DispatchModel`
 builds it for blocks of up to BLOCK heat pumps, dealt by time constant
 r_th·c_th so that each position of every full block holds neighbours in
-it, and sweeps each over the price scenarios on one warm-started HiGHS
-instance, a full block starting each row from the block before it; the
-network OPF places the whole fleet's block into its own LP.
+it.  It sweeps the first full block and the partial one over the price
+scenarios on one warm-started HiGHS instance each; each later full block
+takes the optimal vertices of the block before it wherever `_certify`
+proves them still optimal, and HiGHS solves only the rest, as one LP.
+The network OPF places the whole fleet's block into its own LP.
 `simulate_temperature` and `check_dispatch` evaluate schedules
 independently of the LP.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -38,7 +40,7 @@ from scipy import sparse
 from scipy.optimize import linprog  # noqa: F401
 
 from .errors import Infeasible, InfeasibleBaseline, SolverFailure
-from .lp import HighsSweep
+from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep, basis, first_seen
 
 log = logging.getLogger(__name__)
 
@@ -144,6 +146,16 @@ def profile_cost(schedule_kw: np.ndarray, prices: np.ndarray, dt: float) -> floa
     return dt * float(np.dot(np.asarray(prices, dtype=float), schedule_kw)) / 1000.0
 
 
+def _steps(buildings: Sequence[BuildingParams],
+           cfg: ComfortConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each heat pump's implicit-Euler step: its loss k = dt/(r_th·c_th),
+    the decay 1/(1 + k) of its indoor temperature and the gain dt·cop/c_th
+    of a kW, in K before the decay."""
+    r_th, c_th = np.array([[b.r_th, b.c_th] for b in buildings], dtype=float).reshape(-1, 2).T
+    k = cfg.dt / (r_th * c_th)
+    return k, 1.0 / (1.0 + k), cfg.dt * cfg.cop / c_th
+
+
 def fleet_rows(
     buildings: Sequence[BuildingParams], cfg: ComfortConfig, t_out: np.ndarray
 ) -> tuple[sparse.csc_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -162,10 +174,8 @@ def fleet_rows(
     n = len(t_out)
     bases = [baseline_profile(b, cfg, t_out) for b in buildings]
     F = len(bases)
-    r_th, c_th, rated = np.array([[b.r_th, b.c_th, b.p_hp_rated] for b in buildings]).reshape(F, 3).T
-    k = cfg.dt / (r_th * c_th)
-    decay = 1.0 / (1.0 + k)
-    gain = cfg.dt * cfg.cop / c_th
+    rated = np.array([b.p_hp_rated for b in buildings], dtype=float)
+    k, decay, gain = _steps(buildings, cfg)
     # column-wise: P_t in step row t and energy row n, T_t in step rows t and t+1
     data = np.c_[np.tile(np.c_[-decay * gain, np.full(F, cfg.dt)], n),
                  np.tile(np.c_[np.ones(F), -decay], n)[:, :-1]]
@@ -189,8 +199,7 @@ def fleet_rows(
 # price rows, so blocks pay its fixed per-run cost once for many heat pumps;
 # a single LP for a whole fleet is slower again, on its larger basis.  All
 # full blocks share one LP shape and hold τ-neighbours at each position, so
-# each starts every price row from the optimal basis the block before it
-# found at that row, not from its own previous row.
+# a heat pump mostly shares its optimal basis with the one before it.
 BLOCK = 32
 
 
@@ -207,6 +216,171 @@ def _deal(buildings: Sequence[BuildingParams]) -> list[np.ndarray]:
     return full + [partial] if len(partial) else full
 
 
+class _Block(NamedTuple):
+    """One block's `fleet_rows` LP and what `_certify` reads of it."""
+
+    idx: np.ndarray  # fleet positions of its heat pumps
+    sweep: HighsSweep
+    power: np.ndarray  # (n, T) power columns
+    baseline: np.ndarray  # (n, T) baseline schedules
+    rhs: np.ndarray  # (n, T + 1) right-hand sides: the steps', then the energy row's
+    rated: np.ndarray  # (n,) ratings, kW
+    decay: np.ndarray  # (n,) decay and gain of each step, as `_steps`
+    gain: np.ndarray
+
+
+def _per_hp(status: np.ndarray, n: int) -> np.ndarray:
+    """(S, n, 3T + 1) per-heat-pump vertex statuses of an n-heat-pump
+    `fleet_rows` LP's (S, n·(3T + 1)) ones: T power and T temperature
+    columns, then T + 1 rows."""
+    S, T = len(status), (status.shape[1] // n - 1) // 3
+    return np.concatenate([status[:, :2 * n * T].reshape(S, n, 2 * T),
+                           status[:, 2 * n * T:].reshape(S, n, T + 1)], axis=2)
+
+
+def _certify(status: np.ndarray, blk: _Block, c: np.ndarray,
+             cfg: ComfortConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Which of a block's heat-pump rows a vertex status is optimal for,
+    and the power at each such vertex.
+
+    status[s, j] is a vertex status of one heat pump's `fleet_rows` LP
+    (see `_per_hp`).  It is certified for the block's heat pump at j
+    and the costs c[s] when its basis is nonsingular, its vertex lies
+    within the bounds (lp.FEASIBILITY_TOL) and its reduced costs have
+    the signs of the bounds its nonbasic columns sit at
+    (lp.OPTIMALITY_TOL): the optimality test of an LP basis (Bertsimas &
+    Tsitsiklis, Introduction to Linear Optimization, 1997, §3.1).
+    Returns (S, n) flags and the (S, n, T) powers, the vertex of each
+    certified status, which depends on the status alone, not on c.
+
+    The basis is the chain of step rows plus the energy row, so neither
+    the vertex nor the duals need a factorization.  A step whose
+    temperature is nonbasic ends a segment of steps whose temperatures
+    are basic, each carried from the one before with the decay a; a
+    step's heat reaches the segment's end times rho, a power of a.  A
+    step whose power and temperature are both basic adds an unknown
+    power.  A pin, an end step where neither is basic, fixes the heat
+    its segment's unknowns bring to its end: one equation.  The basis
+    is nonsingular only if each segment holds as many unknowns as
+    equations, except one that holds one more, which the energy row
+    fixes; so no segment holds more than two.  Any other pattern, or a
+    basic row, is refused.  The vertex then follows from the
+    temperatures with the unknowns at zero (one forward recursion over
+    T) and the powers are checked by simulating them (another); the
+    duals y follow from y_t = a·y_{t+1} along each segment (one
+    backward recursion), started at its end from the energy row's dual.
+    """
+    S, n, L = status.shape
+    T = (L - 1) // 3
+    M = S * n  # heat-pump rows, row-major
+    st = status.reshape(M, L).T  # (L, M)
+    sP, sT = st[:T], st[T:2 * T]
+    bP, bT = sP == 1, sT == 1
+    hold, pin = bP > bT, ~(bP | bT)
+    a, g, R, E = (np.tile(v, S) for v in (blk.decay, blk.decay * blk.gain, blk.rated, blk.rhs[:, T]))
+    f = np.tile(blk.rhs[:, :T].T, S)  # (T, M)
+    c = np.repeat(c.T, n, axis=1)
+    dt = cfg.dt
+    pv = (sP == 2) * R  # the bounds nonbasic powers and temperatures sit at
+    tv = np.where(sT == 2, cfg.t_max, cfg.t_min)
+    carry = bT * a  # the share of a temperature the next step keeps
+    # each step's segment, named by the step that ends it (T: the horizon)
+    head = np.minimum.accumulate(np.where(bT, T, np.arange(T)[:, None])[::-1], axis=0)[::-1]
+    rho = np.ones((T + 1, M))
+    for t in range(T - 1, -1, -1):
+        rho[t] = np.where(bT[t], a * rho[t + 1], 1.0)
+    # the unknown powers, step-major, and each segment's count, first and last
+    tk, mk = np.nonzero(bP & bT)
+    K = len(tk)
+    if not K:
+        return np.zeros((S, n), dtype=bool), np.zeros((S, n, T))
+    seg = head[tk, mk] * M + mk
+    count = np.bincount(seg, minlength=(T + 1) * M).reshape(T + 1, M)
+    pins = np.r_[pin, np.zeros((1, M), dtype=bool)]
+    extra = count == pins + 1
+    ok = ~st[2 * T:].any(0) & ((count == pins) | extra).all(0) & (extra.sum(0) == 1)
+    first, last = np.full((T + 1) * M, K - 1), np.zeros((T + 1) * M, dtype=np.intp)
+    np.minimum.at(first, seg, np.arange(K))
+    np.maximum.at(last, seg, np.arange(K))
+    rho_k, c_k = rho[tk, mk], c[tk, mk]
+    # ---- the vertex
+    free = np.empty((T + 1, M))  # free[t]: the temperature before step t, unknowns at zero
+    free[0] = 0.0  # the first step row holds the set-point in its right-hand side
+    drive = np.where(bT, g * pv + f, tv)
+    for t in range(T):
+        free[t + 1] = carry[t] * free[t] + drive[t]
+    need = (tv - g * pv - f - a * free[:-1]) / g  # at an end: g·need = the heat its bound needs
+    # each write below goes into its own heat-pump row, whatever the shape
+    # of the others' bases
+    P = pv.copy()
+    hp, mp = np.nonzero(pin)
+    hh, mh = np.nonzero(hold)
+    lone = count[hp, mp] == 1  # a lone unknown brings what its pin needs
+    k = last[hp[lone] * M + mp[lone]]
+    P[tk[k], mk[k]] = need[hp[lone], mp[lone]] / rho_k[k]
+    bare = count[hh, mh] == 0  # no unknown: the basic power brings it
+    P[hh[bare], mh[bare]] = need[hh[bare], mh[bare]]
+    rest = E / dt - P.sum(0)  # energy left to the extra segment
+    m = np.arange(M)
+    x = np.argmax(extra, axis=0)  # the extra segment's end
+    k1, k2 = first[x * M + m], last[x * M + m]
+    r1, r2 = rho_k[k1], rho_k[k2]
+    at_end = np.minimum(x, T - 1)
+    need_x = need[at_end, m]
+    x_pin, x_hold = pins[x, m], (x < T) & ~pins[x, m]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a pin: two unknowns bring need_x; a hold: one unknown and the hold's
+        # power share the rest; the horizon: one unknown takes it
+        u1 = np.where(x_pin, (need_x - r2 * rest) / (r1 - r2),
+                      np.where(x_hold, (rest - need_x) / (1.0 - r1), rest))
+        one, two = ok & x_hold, ok & x_pin
+        P[tk[k1[ok]], mk[k1[ok]]] = u1[ok]
+        P[tk[k2[two]], mk[k2[two]]] = (rest - u1)[two]
+        P[x[one], m[one]] = (rest - u1)[one]
+        temp = np.empty((T + 1, M))
+        temp[0] = 0.0
+        drive = np.where(bT, g * P + f, tv)
+        for t in range(T):
+            temp[t + 1] = carry[t] * temp[t] + drive[t]
+    ok &= ((P >= -FEASIBILITY_TOL) & (P <= R + FEASIBILITY_TOL)).all(0)
+    ok &= ((temp[1:] >= cfg.t_min - FEASIBILITY_TOL) & (temp[1:] <= cfg.t_max + FEASIBILITY_TOL)).all(0)
+    # ---- the duals: an unknown power's reduced cost c + g·y - dt·y_E is zero
+    c1, c2, c_end = c_k[k1], c_k[k2], c[at_end, m]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_E = np.where(x_pin, (c1 * r2 - c2 * r1) / (dt * (r2 - r1)),
+                       np.where(x_hold, (c1 - r1 * c_end) / (dt * (1.0 - r1)), c1 / dt))
+        top = np.zeros((T + 1, M))  # each end's dual
+        top[hh, mh] = (dt * y_E[mh] - c[hh, mh]) / g[mh]
+        k = last[hp * M + mp]
+        top[hp, mp] = (dt * y_E[mp] - c_k[k]) / (g[mp] * rho_k[k])
+    y = top
+    for t in range(T - 1, -1, -1):
+        y[t] += carry[t] * y[t + 1]
+    d_P = c + g * y[:-1] - dt * y_E
+    d_T = a * y[1:] - y[:-1]
+    ok &= ((d_P >= -OPTIMALITY_TOL) | (sP != 0)).all(0) & ((d_P <= OPTIMALITY_TOL) | (sP != 2)).all(0)
+    ok &= ((d_T >= -OPTIMALITY_TOL) | (sT != 0)).all(0) & ((d_T <= OPTIMALITY_TOL) | (sT != 2)).all(0)
+    return ok.reshape(S, n), P.T.reshape(S, n, T)
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first of each set of equal rows, in order, and the index of
+    every row's among them."""
+    _, first, back = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[back.ravel()]
+
+
+@dataclass
+class SweepStats:
+    """The work of a `DispatchModel.solve`, in heat-pump rows (one heat
+    pump at one distinct price row) and HiGHS runs."""
+
+    certified: int = 0  # rows that took their τ-neighbour's optimal vertex
+    solved: int = 0  # rows HiGHS solved
+    runs: int = 0  # HiGHS runs
+
+
 class DispatchModel:
     """Day-ahead dispatch LPs of a fleet of heat pumps, prices left open.
 
@@ -215,14 +389,16 @@ class DispatchModel:
     heat pumps of near τ tend to share an optimal basis at equal prices.
     The fleet is dealt into full blocks of BLOCK heat pumps by τ, plus
     one partial block (see `_deal`), and each block is one `fleet_rows`
-    LP, built once.  `solve` sweeps an (S, T) price stack over each
-    block on one HiGHS instance: each row changes only the power costs.
-    The first full block and the partial block re-solve each row from
-    the previous row's optimal basis, and their first row from the last
-    basis of a block of their size; each later full block starts every
-    row from the optimal basis the block before it found at that row.
-    It returns what `grid.OpfModel.solve_rows` returns: (S, R, T)
-    schedules and S costs, resources in the given order.
+    LP, built once.  `solve` sweeps an (S, T) price stack over the first
+    full block and the partial block on one HiGHS instance each: each
+    row changes only the power costs and re-solves from the previous
+    row's optimal basis, the first row from the last basis of a block of
+    their size.  Each later full block takes, heat pump by heat pump and
+    distinct row by distinct row, the optimal vertex of the block before
+    it when `_certify` finds it still optimal; HiGHS solves only the rest,
+    as one LP of copies.  `stats` counts the last solve's work.  It
+    returns what `grid.OpfModel.solve_rows` returns: (S, R, T) schedules
+    and S costs, resources in the given order.
     """
 
     def __init__(self, buildings: Sequence[BuildingParams], cfg: ComfortConfig,
@@ -230,21 +406,21 @@ class DispatchModel:
         self.buildings = list(buildings)
         self.cfg = cfg
         self.t_out = np.asarray(t_out, dtype=float)
-        self._blocks = [(idx, *self._sweep(idx)) for idx in _deal(self.buildings)]
+        self._blocks = [self._block(idx) for idx in _deal(self.buildings)]
         self.baseline = np.empty((len(self.buildings), self.t_out.size))
-        for idx, *_, baseline in self._blocks:
-            self.baseline[idx] = baseline
+        for blk in self._blocks:
+            self.baseline[blk.idx] = blk.baseline
+        self.stats = SweepStats()
 
-    def _sweep(self, idx: Sequence[int]) -> tuple[HighsSweep, np.ndarray, np.ndarray]:
-        """The LP of the buildings at positions idx, one diagonal block
-        each, the (n, T) indices of its power columns and their baseline
-        schedules."""
-        A, rhs, col_lo, col_hi, baseline, power = fleet_rows(
-            [self.buildings[r] for r in idx], self.cfg, self.t_out
-        )
+    def _block(self, idx: Sequence[int]) -> _Block:
+        """The LP of the buildings at positions idx, one diagonal block each."""
+        fleet = [self.buildings[r] for r in idx]
+        A, rhs, col_lo, col_hi, baseline, power = fleet_rows(fleet, self.cfg, self.t_out)
         sweep = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power.ravel(),
                            blocks=len(power))
-        return sweep, power, baseline
+        _, decay, gain = _steps(fleet, self.cfg)
+        return _Block(np.asarray(idx), sweep, power, baseline, rhs.reshape(len(power), -1),
+                      col_hi[power[:, 0]], decay, gain)
 
     def solve(self, prices: np.ndarray,
               bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -253,12 +429,13 @@ class DispatchModel:
         Returns the (S, R, T) schedules in kW, resources in the order
         given, and the S costs in EUR, each row's adding its heat pumps'
         costs one by one in that order.  Rows on which a heat pump ends
-        on the same optimal vertex give it byte-identical schedules.
-        The first full block's and the partial block's sweeps start from
-        the basis `bases` holds for their LP's shape (see
-        `HighsSweep.solve`), and every sweep leaves its final basis there;
-        without one given, a fresh dict.  Each later full block starts
-        row s from the previous block's optimal basis at row s.
+        on the same optimal vertex give it byte-identical schedules, and
+        so do equal rows.  The first full block's and the partial block's
+        sweeps start from the basis `bases` holds for their LP's shape
+        (see `HighsSweep.solve`) and leave their final basis there;
+        without one given, a fresh dict.  A later full block's LP of
+        copies starts from the statuses it could not certify and keeps
+        its basis to itself.
         """
         bases = {} if bases is None else bases
         prices = np.asarray(prices, dtype=float)
@@ -267,19 +444,60 @@ class DispatchModel:
             raise ValueError(f"prices must have shape (S, {T})")
         c = prices * self.cfg.dt / 1000.0  # objective directly in EUR
         X = np.empty((len(prices), len(self.buildings), T))
-        row_bases = [None] * len(c)  # the last full block's optimal basis at each row
-        for idx, sweep, power, _ in self._blocks:
-            n = len(idx)
-            try:
-                x, _ = sweep.solve(np.tile(c, n), bases=bases,
-                                   row_bases=row_bases if n == BLOCK else None)
-            except (Infeasible, SolverFailure) as exc:
-                raise self._named(idx, c, exc) from None
-            X[:, idx] = x[:, power]
+        self.stats = SweepStats()
+        status = None  # the last full block's per-heat-pump vertex statuses
+        for k, blk in enumerate(self._blocks):
+            n = len(blk.idx)
+            if k == 0 or n < BLOCK:  # the first full block, or the partial one
+                try:
+                    x, _, found = blk.sweep.vertices(np.tile(c, n), bases)
+                except (Infeasible, SolverFailure) as exc:
+                    raise self._named(blk.idx, c, exc) from None
+                self.stats.solved += n * len(c)
+                self.stats.runs += blk.sweep.runs
+                X[:, blk.idx] = x[:, blk.power]
+                if n == BLOCK:
+                    status = _per_hp(found, n)
+            else:
+                if k == 1:  # later full blocks solve each distinct row once
+                    rows, back = _distinct(c)
+                    status = status[rows]
+                x, status = self._certified(blk, c[rows], status)
+                X[:, blk.idx] = x[back]
         # each heat pump's cost a dot product, as its own c @ p would be; a
         # row's total adds them in order from 0.0, bit for bit as sum() does
         per_hp = np.vecdot(X, c[:, None, :])
         return X, np.cumsum(np.c_[np.zeros(len(c)), per_hp], axis=1)[:, -1]
+
+    def _certified(self, blk: _Block, c: np.ndarray,
+                   status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A full block's (S, n, T) schedules at the distinct rows c, from
+        the block before's (S, n, 3T + 1) vertex statuses, and its own.
+        The rows `_certify` refuses go to HiGHS as one `fleet_rows` LP of
+        copies, each its heat pump at its row's prices, started from the
+        statuses it refused; a vertex seen at an earlier row gives a heat
+        pump that row's schedule."""
+        ok, x = _certify(status, blk, c, self.cfg)
+        self.stats.certified += int(ok.sum())
+        s, j = np.nonzero(~ok)
+        if len(s):
+            status = status.copy()
+            T = c.shape[1]
+            A, rhs, col_lo, col_hi, _, power = fleet_rows(
+                [self.buildings[r] for r in blk.idx[j]], self.cfg, self.t_out)
+            copies = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power.ravel(),
+                                blocks=len(j))
+            start = np.r_[status[s, j, :2 * T].ravel(), status[s, j, 2 * T:].ravel()]
+            try:  # a start of its own, kept from the campaign's bases
+                xc, _, found = copies.vertices(c[s].reshape(1, -1),
+                                               {copies.shape: basis(start, len(col_lo))})
+            except (Infeasible, SolverFailure) as exc:
+                raise self._named(np.unique(blk.idx[j]), c, exc) from None
+            self.stats.solved += len(j)
+            self.stats.runs += copies.runs
+            x[s, j] = xc[0, power]
+            status[s, j] = _per_hp(found, len(j))[0]
+        return first_seen(x, status), status
 
     def _named(self, idx: Sequence[int], c: np.ndarray, exc: Exception) -> Exception:
         """The failure of a block's sweep, named after the first of its
@@ -287,7 +505,7 @@ class DispatchModel:
         price rows."""
         for r in sorted(idx):
             try:
-                self._sweep([r])[0].solve(c)
+                self._block([r]).sweep.solve(c)
             except Infeasible:
                 return Infeasible(
                     f"building {self.buildings[r].id}: no schedule satisfies comfort "

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 
 from flexbid.errors import Infeasible
-from flexbid.lp import HighsSweep
+from flexbid.lp import HighsSweep, basis, first_seen
 from flexbid.synthetic import SyntheticSpec, generate_instance
 from flexbid.thermal import ComfortConfig, DispatchModel
 
@@ -230,60 +230,56 @@ class StallingHighs(_core._Highs):
         return super().getModelStatus()
 
 
-@pytest.mark.parametrize("per_row", [False, True], ids=["first-row", "per-row"])
+@pytest.mark.parametrize("start", ["first-row", "status"])
 @pytest.mark.parametrize("highs", [RefusingHighs, StallingHighs])
-def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs, per_row):
+def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs, start):
     rows = np.random.default_rng(4).uniform(-5.0, 5.0, (5, 30))
     bases: dict = {}
-    row_bases = [None] * len(rows)
-    HighsSweep(**random_lp(3)).solve(rows, bases=bases, row_bases=row_bases)
-    cold_bases = [None] * len(rows)
-    X_cold, objective_cold = HighsSweep(**random_lp(4)).solve(rows, row_bases=cold_bases)
+    _, _, status = HighsSweep(**random_lp(3)).vertices(rows, bases=bases)
+    X_cold, objective_cold = HighsSweep(**random_lp(4)).solve(rows)
+    if start == "status":  # another LP's last vertex, as a status
+        bases = {(8, 30): basis(status[-1], 30)}
     monkeypatch.setattr(_core, "_Highs", highs)
     monkeypatch.setattr(StallingHighs, "runs", 0)
-    # per row: every row is handed another LP's optimum at that row
-    starts = row_bases if per_row else [None] * len(rows)
-    X, objective = HighsSweep(**random_lp(4)).solve(rows, bases=bases, row_bases=starts)
+    lp = HighsSweep(**random_lp(4))
+    X, objective = lp.solve(rows, bases=bases)
     assert X.tobytes() == X_cold.tobytes() and objective.tobytes() == objective_cold.tobytes()
     if highs is StallingHighs:  # the warm sweep stops at its first row, the cold one runs all
-        assert StallingHighs.runs == 1 + len(rows)
-    # the cold sweep's final basis replaces the one that failed, and its
-    # per-row optima come back in place of the starts
+        assert StallingHighs.runs == lp.runs == 1 + len(rows)
+    # the cold sweep's final basis replaces the one that failed
     monkeypatch.setattr(_core, "_Highs", SpyHighs)
     monkeypatch.setattr(SpyHighs, "log", [])
     HighsSweep(**random_lp(4)).solve(rows[-1:], bases=bases)
     assert SpyHighs.log == [("basis", True), ("run", 0)]
-    assert [(b.col_status, b.row_status) for b in starts] == [
-        (b.col_status, b.row_status) for b in cold_bases]
 
 
-def test_each_row_starts_from_its_own_start_and_hands_back_its_optimum(spy):
+def test_each_rows_vertex_status_restarts_its_optimum_without_a_pivot(spy):
     rows = np.random.default_rng(5).uniform(-5.0, 5.0, (4, 30))
     lp = HighsSweep(**random_lp(5))
-    row_bases = [None] * len(rows)
-    X, objective = lp.solve(rows, row_bases=row_bases)
-    # from its own optimum each row re-solves without a pivot, whatever the row before
-    spy.clear()
-    X_again, objective_again = lp.solve(rows[::-1], row_bases=row_bases[::-1])
-    assert spy == [("basis", True), ("run", 0)] * len(rows)
-    assert np.abs(X_again[::-1] - X).max() <= 1e-9
-    assert np.abs(objective_again[::-1] - objective).max() <= 1e-9
-    with pytest.raises(ValueError, match="3 row bases for 4 cost rows"):
-        lp.solve(rows, row_bases=row_bases[:3])
+    X, objective, status = lp.vertices(rows)
+    assert status.shape == (4, 30 + 8) and status.dtype == np.uint8
+    assert ((status == 1).sum(axis=1) == 8).all() and not (status[:, 30:] == 2).any()
+    # nonbasic columns sit at the bound their status names
+    col_lo, col_hi = random_lp(5)["col_lo"], random_lp(5)["col_hi"]
+    assert (X[status[:, :30] == 0] == np.broadcast_to(col_lo, X.shape)[status[:, :30] == 0]).all()
+    assert (X[status[:, :30] == 2] == np.broadcast_to(col_hi, X.shape)[status[:, :30] == 2]).all()
+    for s in range(len(rows)):
+        spy.clear()
+        X_again, objective_again, status_again = lp.vertices(rows[s:s + 1],
+                                                             {lp.shape: basis(status[s], 30)})
+        assert spy == [("basis", True), ("run", 0)] and lp.runs == 1
+        assert np.abs(X_again[0] - X[s]).max() <= 1e-9
+        assert abs(objective_again[0] - objective[s]) <= 1e-9
+        assert status_again[0].tobytes() == status[s].tobytes()
 
 
-def test_a_row_equal_to_the_one_before_ignores_its_start(spy):
-    # it starts at its optimum already; a start would cost a refactorization
-    rows = np.random.default_rng(6).uniform(-5.0, 5.0, (2, 30))[[0, 1, 1]]
-    row_bases = [None] * len(rows)
-    HighsSweep(**random_lp(6)).solve(rows, row_bases=row_bases)
-    lp = HighsSweep(**random_lp(7))
-    X_cold, _ = lp.solve(rows)
-    spy.clear()
-    X, _ = lp.solve(rows, row_bases=row_bases)
-    assert [entry[0] for entry in spy] == ["basis", "run", "basis", "run", "run"]
-    assert spy[-1] == ("run", 0) and X[2].tobytes() == X[1].tobytes()
-    assert np.abs(X - X_cold).max() <= 1e-9
+def test_first_seen_gives_each_block_its_first_values_of_a_key():
+    keys = np.array([[[0, 1], [2, 0]], [[0, 1], [0, 2]], [[1, 0], [2, 0]]], dtype=np.uint8)
+    values = np.arange(12, dtype=float).reshape(3, 2, 2)
+    out = first_seen(values, keys)
+    # block 0 sees key (0, 1) again at row 1, block 1 sees (2, 0) again at row 2
+    assert out.tolist() == [[[0, 1], [2, 3]], [[0, 1], [6, 7]], [[8, 9], [2, 3]]]
+    assert first_seen(values[:0], keys[:0]).shape == (0, 2, 2)
 
 
 def test_a_warm_start_on_an_infeasible_lp_raises_infeasible(spy):

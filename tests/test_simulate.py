@@ -25,6 +25,7 @@ from flexbid.simulate import (
     run_campaign,
     run_day,
     write_report_csv,
+    write_schedules_csv,
 )
 from flexbid.thermal import ComfortConfig, DispatchModel
 
@@ -281,6 +282,29 @@ def test_weighted_and_mean_eta_aggregate_differently():
     # weighted: realized 5 of 12 attainable; mean: (0.5 + 0.0) / 2
     assert report.eta_weighted == pytest.approx(5.0 / 12.0)
     assert report.eta_mean == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("steps", [4, 24, 30])
+def test_schedules_csv_writes_each_award_at_its_own_length(tmp_path, steps):
+    """A day has as many steps as its data: a 4-step award writes 4 rows
+    (once an IndexError), a 30-step one 30 (once cut to 24)."""
+    award = np.linspace(0.0, 1.5, steps)
+    day = DayResult(
+        day=date(2025, 1, 2), tc_inf=1.0, tc_cleared=1.0, tc_opt=1.0, eta=None, n_bids=1,
+        accepted_index=0, fallback=False, awarded_kw={"b2": award, "b1": award[::-1]},
+        shed_kwh=0.0, hp_cost_cleared=0.0, price_std=0.0, runtime={},
+    )
+    path = tmp_path / "schedules.csv"
+    write_schedules_csv(path, CampaignReport(config=None, days=[day, day], failures=[],
+                                             n_flexible=2))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["date", "building_id", "hour", "p_hp_kw"]
+    assert len(rows) == 1 + 2 * 2 * steps
+    assert rows[1:1 + steps] == [["2025-01-02", "b1", str(h), f"{kw:.6f}"]
+                                 for h, kw in enumerate(award[::-1])]
+    assert rows[1 + steps:1 + 2 * steps] == [["2025-01-02", "b2", str(h), f"{kw:.6f}"]
+                                             for h, kw in enumerate(award)]
 
 
 def test_a_substation_only_feeder_fails_its_days(small_bundle):

@@ -1,6 +1,7 @@
 """RC model, baseline, and dispatch LP against closed-form and grid oracles."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
+from flexbid import thermal
 from flexbid.errors import Infeasible, InfeasibleBaseline
 from flexbid.lp import FEASIBILITY_TOL, OPTIMALITY_TOL
 from flexbid.thermal import (
@@ -16,7 +19,9 @@ from flexbid.thermal import (
     BuildingParams,
     ComfortConfig,
     DispatchModel,
+    _certify,
     _deal,
+    _per_hp,
     baseline_profile,
     check_dispatch,
     fleet_rows,
@@ -458,3 +463,206 @@ def test_infeasible_building_in_a_middle_block_is_named():
     for r, b in enumerate(heavy):
         energy = baseline_profile(b, CFG, t_out).energy
         assert check_dispatch(b, CFG, t_out, schedules[1, r], energy) == []
+
+
+# ------------------------------------------- certifying a neighbour's basis
+
+def one_block(rng, n, t_out):
+    """A DispatchModel of n <= BLOCK random heat pumps and its one block."""
+    model = DispatchModel(random_fleet(rng, n), CFG, t_out)
+    (blk,) = model._blocks
+    return model, blk
+
+
+def highs_vertices(blk, c):
+    """The (S, n, 3T + 1) vertex statuses and (S, n, T) powers HiGHS
+    finds for a block at the costs c."""
+    x, _, status = blk.sweep.vertices(np.tile(c, len(blk.idx)))
+    return _per_hp(status, len(blk.idx)), x[:, blk.power]
+
+
+def test_a_heat_pumps_own_optimum_is_certified_at_the_vertex_highs_found():
+    rng = np.random.default_rng(21)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    _, blk = one_block(rng, 12, t_out)
+    c = rng.uniform(10.0, 150.0, (6, 24)) * CFG.dt / 1000.0
+    status, P_highs = highs_vertices(blk, c)
+    ok, P = _certify(status, blk, c, CFG)
+    assert ok.all()
+    assert np.abs(P - P_highs).max() <= 1e-12
+    # the vertex depends on the status alone: other costs, the same bytes
+    _, P_again = _certify(status, blk, c[::-1].copy(), CFG)
+    assert P_again.tobytes() == P.tobytes()
+
+
+def test_a_basis_optimal_at_other_prices_is_refused_on_its_duals():
+    # each heat pump's row-0 optimum, a feasible vertex, checked against the
+    # costs of the rows where HiGHS found a cheaper one
+    rng = np.random.default_rng(22)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    _, blk = one_block(rng, 12, t_out)
+    c = rng.uniform(10.0, 150.0, (6, 24)) * CFG.dt / 1000.0
+    status, P_highs = highs_vertices(blk, c)
+    stale = np.broadcast_to(status[:1], status.shape).copy()
+    ok, P = _certify(stale, blk, c, CFG)
+    assert np.abs(P - P_highs[:1]).max() <= 1e-12  # still the row-0 vertex
+    gap = np.vecdot(P, c[:, None, :]) - np.vecdot(P_highs, c[:, None, :])
+    assert (gap > 1e-9).sum() >= 10 and not ok[gap > 1e-9].any()
+    assert ok[0].all()
+
+
+def test_a_neighbours_basis_whose_vertex_leaves_the_bounds_is_refused():
+    # the basis of each heat pump's neighbour in the block: where its vertex
+    # breaks this heat pump's rating or comfort band, it is refused
+    rng = np.random.default_rng(23)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    model, blk = one_block(rng, BLOCK, t_out)
+    c = rng.uniform(10.0, 150.0, (6, 24)) * CFG.dt / 1000.0
+    status, P_highs = highs_vertices(blk, c)
+    ok, P = _certify(np.roll(status, 1, axis=1), blk, c, CFG)
+    infeasible = np.zeros(ok.shape, dtype=bool)
+    for j, r in enumerate(blk.idx):
+        b = model.buildings[r]
+        energy = baseline_profile(b, CFG, t_out).energy
+        for s in range(len(c)):
+            infeasible[s, j] = bool(check_dispatch(b, CFG, t_out, P[s, j], energy))
+    assert infeasible.sum() >= 5 and not ok[infeasible].any()
+    # what is certified is optimal: it costs what HiGHS's optimum costs
+    cost, cost_highs = np.vecdot(P, c[:, None, :]), np.vecdot(P_highs, c[:, None, :])
+    assert ok.any() and np.abs(cost - cost_highs)[ok].max() <= 1e-9 * np.abs(cost_highs).max()
+
+
+def test_a_basic_row_or_a_wrong_count_of_basic_columns_is_refused():
+    rng = np.random.default_rng(24)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    _, blk = one_block(rng, 4, t_out)
+    c = rng.uniform(10.0, 150.0, (1, 24)) * CFG.dt / 1000.0
+    status, _ = highs_vertices(blk, c)
+    T = 24
+    basic = np.flatnonzero(status[0, 0, :2 * T] == 1)
+    nonbasic = np.flatnonzero(status[0, 0, :2 * T] != 1)
+    swapped = status.copy()  # a row slack basic in place of a column
+    swapped[0, 0, basic[0]] = 0
+    swapped[0, 0, 2 * T + 3] = 1
+    fewer = status.copy()  # T basic columns
+    fewer[0, 1, basic[-1]] = 0
+    more = status.copy()  # T + 2
+    more[0, 2, nonbasic[0]] = 1
+    extra_row = status.copy()  # every basic column kept, and a row slack too
+    extra_row[0, 3, 2 * T + 5] = 1
+    for bad, j in ((swapped, 0), (fewer, 1), (more, 2), (extra_row, 3)):
+        ok, _ = _certify(bad, blk, c, CFG)
+        assert not ok[0, j] and ok[0, np.arange(4) != j].all()
+
+
+def spread_fleet(rng, n, t_out):
+    """n heat pumps with time constants spread over 15 to 400 h and
+    ratings scaled by U[0.6, 1.6], each kept above its baseline's peak."""
+    fleet = []
+    for r in range(n):
+        r_th, c_th = rng.uniform(3.0, 10.0), rng.uniform(5.0, 40.0)
+        peak = max(0.0, (CFG.t_set - t_out).max()) / (r_th * CFG.cop)
+        rated = max(1.5 * (CFG.t_set + 10.0) / (r_th * CFG.cop) * rng.uniform(0.6, 1.6),
+                    1.02 * peak + 0.01)
+        fleet.append(building(r_th=r_th, c_th=c_th, rated=rated, bid=f"b{r:03d}"))
+    return fleet
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_later_blocks_certify_or_solve_every_row_as_one_building_models_do(data):
+    """Fleets of 2·BLOCK + 5 heat pumps of spread time constants and
+    ratings, on price stacks with a repeated row: every schedule passes
+    check_dispatch, each row costs what one-building models cost, the
+    repeated row repeats its bytes, and the later full block sends the
+    rows it cannot certify to HiGHS as one LP of copies."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+    S = data.draw(st.integers(2, 6), label="S")
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    fleet = spread_fleet(rng, 2 * BLOCK + 5, t_out)
+    prices = rng.uniform(-20.0, 200.0, (S, 24))
+    twin = data.draw(st.integers(0, S - 2), label="twin")
+    prices[-1] = prices[twin]
+    model = DispatchModel(fleet, CFG, t_out)
+    schedules, cost = model.solve(prices)
+    assert schedules[-1].tobytes() == schedules[twin].tobytes() and cost[-1] == cost[twin]
+    alone_costs = np.zeros(S)
+    for r, b in enumerate(fleet):
+        alone_costs += DispatchModel([b], CFG, t_out).solve(prices)[1]
+        energy = baseline_profile(b, CFG, t_out).energy
+        for s in range(S):
+            assert check_dispatch(b, CFG, t_out, schedules[s, r], energy) == []
+    assert cost == pytest.approx(alone_costs, rel=1e-9)
+    # block 0 and the partial block sweep all S rows; the later block's
+    # S - 1 distinct rows are certified or go to one LP of copies
+    stats = model.stats
+    copies = stats.solved - (BLOCK + 5) * S
+    assert copies > 0 and stats.certified + copies == BLOCK * (S - 1)
+    assert stats.runs == 2 * S + 1
+
+
+def test_solve_counts_the_rows_it_certifies_and_the_runs_it_makes(monkeypatch):
+    rng = np.random.default_rng(25)
+    fleet = random_fleet(rng, 3 * BLOCK + 5)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    model = DispatchModel(fleet, CFG, t_out)
+    log = []
+    run, set_basis = _core._Highs.run, _core._Highs.setBasis
+
+    def counted(self):
+        log.append("run")
+        return run(self)
+
+    def started(self, basis):
+        status = set_basis(self, basis)
+        log.append(status == _core.HighsStatus.kOk)
+        return status
+
+    monkeypatch.setattr(_core._Highs, "run", counted)
+    monkeypatch.setattr(_core._Highs, "setBasis", started)
+    model.solve(rng.uniform(10.0, 150.0, (5, 24)))
+    stats = model.stats
+    assert stats.runs == log.count("run") <= 5 + 5 + 2
+    assert stats.certified + stats.solved == (3 * BLOCK + 5) * 5
+    assert 0 < stats.certified < 2 * BLOCK * 5
+    # no bases handed in: only the LPs of copies start warm, each from its statuses
+    assert log.count(True) == stats.runs - 10 and False not in log
+
+
+class DriftingHighs(_core._Highs):
+    """HiGHS whose basic values drift on every run, as a warm path's
+    rounding may, so only a reused vertex repeats its bytes."""
+
+    runs = 0
+
+    def run(self):
+        DriftingHighs.runs += 1
+        return super().run()
+
+    def getSolution(self):
+        x = np.array(super().getSolution().col_value)
+        _, basic = self.getBasicVariables()
+        x[basic[basic >= 0]] += 1e-12 * DriftingHighs.runs
+        return SimpleNamespace(col_value=x)
+
+
+def test_a_vertex_solved_again_by_highs_keeps_the_bytes_it_was_certified_with(monkeypatch):
+    # the second row barely moves the prices, so every heat pump keeps its
+    # vertex; the later block's check refuses that row, and HiGHS solves it again
+    rng = np.random.default_rng(26)
+    fleet = random_fleet(rng, 2 * BLOCK)
+    p0 = rng.uniform(10.0, 150.0, 24)
+    certify = _certify
+
+    def first_row_only(status, blk, c, cfg):
+        ok, P = certify(status, blk, c, cfg)
+        ok[1:] = False
+        return ok, P
+
+    monkeypatch.setattr(thermal, "_certify", first_row_only)
+    monkeypatch.setattr(_core, "_Highs", DriftingHighs)
+    monkeypatch.setattr(DriftingHighs, "runs", 0)
+    model = DispatchModel(fleet, CFG, rng.uniform(-4.0, 14.0, 24))
+    X, cost = model.solve(np.array([p0, p0 * (1.0 + 1e-9)]))
+    assert model.stats.certified > 0 and DriftingHighs.runs == 3
+    assert X[1].tobytes() == X[0].tobytes()
