@@ -101,8 +101,9 @@ class HighsSweep:
         cold; each later row starts from the row before, and the call's
         final basis is stored back in `bases`.  A start HiGHS refuses
         leaves the first row cold; a run from a start that ends without
-        an optimum gives way to the cold sweep.  `runs` counts the call's
-        HiGHS runs, the cold sweep's included.
+        an optimum gives way to the cold sweep, and a later row's run
+        that ends without one is run again from scratch.  `runs` counts
+        the call's HiGHS runs, the cold sweep's and the reruns included.
 
         A block whose optimal vertex was seen at an earlier row of the
         call gets that row's values for its columns: the vertex is the
@@ -111,7 +112,7 @@ class HighsSweep:
         other blocks do.  A block's vertex key is its slice of the row's
         vertex status (`vertices`).  Raises ValueError, before any solve,
         on a cost that is not finite, and Infeasible or SolverFailure on
-        the first row without an optimum.
+        a row left without an optimum.
         """
         X, objective, _ = self.vertices(cost_rows, bases)
         return X, objective
@@ -157,6 +158,12 @@ class HighsSweep:
             highs.changeColsCost(len(self._cost_cols), self._cost_cols, cost)
             highs.run()
             self.runs += 1
+            if s and highs.getModelStatus() != _hc.HighsModelStatus.kOptimal:
+                # the row before's basis can leave the dual simplex short
+                # of its tolerances, where the row solved afresh is not
+                highs.clearSolver()
+                highs.run()
+                self.runs += 1
             model_status = highs.getModelStatus()
             if model_status == _hc.HighsModelStatus.kInfeasible:
                 raise Infeasible("LP is infeasible")

@@ -943,8 +943,7 @@ def test_energy_beyond_the_substation_rating_is_infeasible(solve):
         solve(model, PRICES24)
 
 
-@st.composite
-def radial_instances(draw):
+def radial_instance(draw):
     """A small random feeder (2-6 load nodes, 1-4 heat pumps) and an
     (S, T) price stack.  The ratings always carry the heat pumps and may
     force fixed load to shed.  Half the feeders have high-r lines, on
@@ -1013,6 +1012,9 @@ def radial_instances(draw):
     return model, prices
 
 
+radial_instances = st.composite(radial_instance)
+
+
 @settings(max_examples=30, deadline=None)
 @given(radial_instances())
 def test_sweep_matches_cold_solves_on_random_feeders(instance):
@@ -1029,6 +1031,17 @@ def test_sweep_matches_cold_solves_on_random_feeders(instance):
         pinned = model.solve(prices[0], hp_fixed=pins)
         ref = full_lp_objective(model, prices[0], hp_fixed=pins)
         assert abs(pinned.objective_eur - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_sweep_reruns_a_row_its_warm_start_leaves_short_of_optimal():
+    """On this high-r feeder the sixth row, warm from the fifth's basis,
+    ends outside the dual tolerance; run again from scratch it is
+    optimal, and every row still checks out."""
+    drawn = {"seed": 256, "nodes": 4, "heat pumps": 4, "T": 12, "high r": True,
+             "S": 6, "repeats": 4}
+    model, prices = radial_instance(lambda strategy, label: drawn[label])
+    for p, x, objective in zip(prices, *model.solve_rows(prices)):
+        check_swept_row(model, p, x, objective, rtol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

@@ -253,6 +253,34 @@ def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs, s
     assert SpyHighs.log == [("basis", True), ("run", 0)]
 
 
+class ShortHighs(_core._Highs):
+    """HiGHS whose third run ends short of an optimum, as a run warm from
+    the row before's basis can end outside the dual tolerance."""
+
+    runs = 0
+
+    def run(self):
+        ShortHighs.runs += 1
+        return super().run()
+
+    def getModelStatus(self):
+        if ShortHighs.runs == 3:
+            return _core.HighsModelStatus.kUnknown
+        return super().getModelStatus()
+
+
+def test_a_later_row_whose_warm_run_ends_short_is_run_again_from_scratch(monkeypatch):
+    rows = np.random.default_rng(6).uniform(-5.0, 5.0, (5, 30))
+    X_ref, objective_ref = HighsSweep(**random_lp(6)).solve(rows)
+    monkeypatch.setattr(_core, "_Highs", ShortHighs)
+    monkeypatch.setattr(ShortHighs, "runs", 0)
+    lp = HighsSweep(**random_lp(6))
+    X, objective = lp.solve(rows)
+    assert lp.runs == ShortHighs.runs == len(rows) + 1  # the third row runs twice
+    assert np.abs(X - X_ref).max() <= 1e-9
+    assert np.abs(objective - objective_ref).max() <= 1e-9
+
+
 def test_each_rows_vertex_status_restarts_its_optimum_without_a_pivot(spy):
     rows = np.random.default_rng(5).uniform(-5.0, 5.0, (4, 30))
     lp = HighsSweep(**random_lp(5))
