@@ -8,14 +8,15 @@ scenario, the network OPF once per price row.
 changes the costs of the given columns and re-runs dual simplex from the
 previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
 The first row starts from the last optimal basis of an LP of the same
-shape, when the caller keeps one: the fleet's blocks of heat pumps are
-one shape, and so is a feeder's OPF from one day to the next.  A caller
-may also take back each row's vertex status, and start an LP from a
-status it assembled (`basis`): `thermal.DispatchModel` certifies heat
-pumps on their neighbours' optimal bases that way and solves the rest
-as one LP of copies.  Column bounds are fixed at construction: a caller
-pinning columns substitutes them out and sweeps the smaller LP, as
-`grid.OpfModel.solve` does.
+shape, when the caller keeps one: a fleet's first block of heat pumps
+is one shape, and so is a feeder's OPF, from one day to the next.  A
+caller may also take back each row's vertex status, and start an LP
+from a status it assembled (`basis`): `thermal.DispatchModel` certifies
+heat pumps on their neighbours' optimal bases that way, solves the rest
+as one LP of copies, and gives each heat pump the bytes of its first
+row at a vertex (`first_seen`).  Column bounds are fixed at
+construction: a caller pinning columns substitutes them out and sweeps
+the smaller LP, as `grid.OpfModel.solve` does.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.
@@ -55,17 +56,11 @@ class HighsSweep:
 
     Every row must be an equality or have one infinite side, so that an
     optimal basis and the bounds its nonbasic columns sit at name one
-    vertex.  The LP may be `blocks` equal diagonal blocks: block k owns
-    the k-th of `blocks` equal contiguous slices of the columns and of
-    the rows, and no row of one block has a nonzero in another block's
-    columns.  Each block's vertex is then keyed on its own.  A
-    `thermal.fleet_rows` LP is laid out this way, one block per heat pump.
+    vertex.
     """
 
-    def __init__(self, A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols, blocks: int = 1):
+    def __init__(self, A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols):
         A = sparse.csc_array(A)
-        if blocks < 1 or A.shape[0] % blocks or A.shape[1] % blocks:
-            raise ValueError(f"a {A.shape[0]} x {A.shape[1]} LP has no {blocks} equal blocks")
         row_lo, row_hi, col_lo, col_hi, cost = (
             np.asarray(v, dtype=float) for v in (row_lo, row_hi, col_lo, col_hi, cost))
         # HiGHS spins without end on a NaN; an infinite bound is a free side
@@ -76,15 +71,16 @@ class HighsSweep:
         lp.num_row_, lp.num_col_ = A.shape
         lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
         lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
+        # index lists, which the binding takes whole; an int64 array it
+        # converts element by element
+        lp.a_matrix_.start_ = A.indptr.tolist()
+        lp.a_matrix_.index_ = A.indices.tolist()
         lp.a_matrix_.value_ = A.data
         lp.row_lower_, lp.row_upper_, lp.col_lower_, lp.col_upper_ = row_lo, row_hi, col_lo, col_hi
         lp.col_cost_ = cost
         self._lp = lp
         self._col_hi = col_hi
         self._cost_cols = np.asarray(cost_cols, dtype=np.int32)
-        self.blocks = blocks
         self.runs = 0
 
     @property
@@ -105,12 +101,11 @@ class HighsSweep:
         that ends without one is run again from scratch.  `runs` counts
         the call's HiGHS runs, the cold sweep's and the reruns included.
 
-        A block whose optimal vertex was seen at an earlier row of the
-        call gets that row's values for its columns: the vertex is the
-        same, and reusing it keeps identical schedules byte-identical
-        rather than apart by the warm path's rounding noise, whatever the
-        other blocks do.  A block's vertex key is its slice of the row's
-        vertex status (`vertices`).  Raises ValueError, before any solve,
+        A row whose optimal vertex was seen at an earlier row of the call
+        gets that row's point: the vertex is the same, and reusing it
+        keeps identical answers byte-identical rather than apart by the
+        warm path's rounding noise.  The vertex key is the row's vertex
+        status (`vertices`).  Raises ValueError, before any solve,
         on a cost that is not finite, and Infeasible or SolverFailure on
         a row left without an optimum.
         """
@@ -148,7 +143,7 @@ class HighsSweep:
         highs.passOptions(_options())
         highs.passModel(self._lp)
         n_row, n_col = self.shape
-        S, B = len(cost_rows), self.blocks
+        S = len(cost_rows)
         X = np.empty((S, n_col))
         objective = np.empty(S)
         status = np.zeros((S, n_col + n_row), dtype=np.uint8)
@@ -177,9 +172,7 @@ class HighsSweep:
             status[s, :n_col][X[s] == self._col_hi] = 2
             status[s, np.where(basic >= 0, basic, n_col - 1 - basic)] = 1
             objective[s] = highs.getObjectiveValue()
-        keys = np.concatenate([status[:, :n_col].reshape(S, B, n_col // B),
-                               status[:, n_col:].reshape(S, B, n_row // B)], axis=2)
-        X = first_seen(X.reshape(S, B, n_col // B), keys).reshape(S, n_col)
+        X = first_seen(X[:, None], status[:, None])[:, 0]
         return X, objective, status, highs.getBasis() if S else None
 
 

@@ -10,8 +10,8 @@ per MWh of its own energy, and dispatches only those and the realized
 row; `efficiency_vs_bids` settles one dispatch at several bid budgets.
 Only the dispatch step depends on the mode, so it sits behind a small
 dispatcher: `_Fleet` solves block-diagonal LPs of up to `thermal.BLOCK`
-independent heat pumps, dealt by time constant, each later full block
-taking the block before's optimal vertices where they still hold
+independent heat pumps, dealt by time constant, each block after the
+first taking the block before's optimal vertices where they still hold
 (unbundled utility), `_Network` one network OPF over all of them
 (integrated utility).  Schedules travel as
 `(S, R, T)` arrays: scenario, resource (building ids sorted), hour.

@@ -12,11 +12,11 @@ one sparse dynamics row per step, one daily-energy row at the
 baseline's, the rating and the comfort band as column bounds.  It is
 the one place the comfort constraints are built: `DispatchModel`
 builds it for blocks of up to BLOCK heat pumps, dealt by time constant
-r_th·c_th so that each position of every full block holds neighbours in
-it.  It sweeps the first full block and the partial one over the price
-scenarios on one warm-started HiGHS instance each; each later full block
-takes the optimal vertices of the block before it wherever `_certify`
-proves them still optimal, and HiGHS solves only the rest, as one LP.
+r_th·c_th so that each position of every block holds neighbours in it.
+It sweeps the first block over the price scenarios on one warm-started
+HiGHS instance; each later block takes the optimal vertices of the
+block before it wherever `_certify` proves them still optimal, and
+HiGHS solves only the rest, as one LP.
 The network OPF places the whole fleet's block into its own LP.
 `simulate_temperature` and `check_dispatch` evaluate schedules
 independently of the LP.
@@ -197,23 +197,21 @@ def fleet_rows(
 
 # Heat pumps per dispatch LP.  Each LP is one HiGHS instance swept over the
 # price rows, so blocks pay its fixed per-run cost once for many heat pumps;
-# a single LP for a whole fleet is slower again, on its larger basis.  All
-# full blocks share one LP shape and hold τ-neighbours at each position, so
-# a heat pump mostly shares its optimal basis with the one before it.
+# a single LP for a whole fleet is slower again, on its larger basis.  Every
+# block holds τ-neighbours at each position, so a heat pump mostly shares
+# its optimal basis with the one at its position in the block before.
 BLOCK = 32
 
 
 def _deal(buildings: Sequence[BuildingParams]) -> list[np.ndarray]:
-    """Positions of the fleet's blocks: full blocks of BLOCK dealt
-    round-robin from the fleet sorted (stably) by time constant r_th·c_th,
-    so position j of every full block holds τ-neighbours, then the
-    F mod BLOCK heat pumps of largest τ as one partial block in the
-    given order.  A fleet of at most BLOCK heat pumps is one block."""
+    """Positions of the fleet's blocks: the fleet sorted (stably) by time
+    constant r_th·c_th and dealt round-robin into n = ⌈F/BLOCK⌉ blocks,
+    block k taking τ-ranks k, k + n, ..., so position j of every block
+    holds τ-neighbours.  No block is larger than BLOCK, and sizes fall by
+    at most one from the first block to the last."""
     order = np.argsort([b.r_th * b.c_th for b in buildings], kind="stable")
-    n = len(order) // BLOCK
-    full = list(order[: n * BLOCK].reshape(BLOCK, n).T)  # block k: τ-ranks k, k + n, ...
-    partial = np.sort(order[n * BLOCK:])
-    return full + [partial] if len(partial) else full
+    n = -(-len(order) // BLOCK)
+    return [order[k::n] for k in range(n)]
 
 
 class _Block(NamedTuple):
@@ -387,18 +385,18 @@ class DispatchModel:
     Scaled by r_th·cop, a heat pump's power columns give an LP that
     depends only on its time constant τ = r_th·c_th and its rating, so
     heat pumps of near τ tend to share an optimal basis at equal prices.
-    The fleet is dealt into full blocks of BLOCK heat pumps by τ, plus
-    one partial block (see `_deal`), and each block is one `fleet_rows`
-    LP, built once.  `solve` sweeps an (S, T) price stack over the first
-    full block and the partial block on one HiGHS instance each: each
-    row changes only the power costs and re-solves from the previous
-    row's optimal basis, the first row from the last basis of a block of
-    their size.  Each later full block takes, heat pump by heat pump and
-    distinct row by distinct row, the optimal vertex of the block before
-    it when `_certify` finds it still optimal; HiGHS solves only the rest,
-    as one LP of copies.  `stats` counts the last solve's work.  It
-    returns what `grid.OpfModel.solve_rows` returns: (S, R, T) schedules
-    and S costs, resources in the given order.
+    The fleet is dealt into blocks of up to BLOCK heat pumps by τ (see
+    `_deal`), and each block is one `fleet_rows` LP, built once.  `solve`
+    sweeps an (S, T) price stack over the first block on one HiGHS
+    instance: each row changes only the power costs and re-solves from
+    the previous row's optimal basis, the first row from the last basis
+    of a block of its size.  Each later block takes, heat pump by heat
+    pump and distinct row by distinct row, the optimal vertex at the same
+    position of the block before it when `_certify` finds it still
+    optimal; HiGHS solves only the rest, as one LP of copies.  `stats`
+    counts the last solve's work.  It returns what
+    `grid.OpfModel.solve_rows` returns: (S, R, T) schedules and S costs,
+    resources in the given order.
     """
 
     def __init__(self, buildings: Sequence[BuildingParams], cfg: ComfortConfig,
@@ -416,8 +414,7 @@ class DispatchModel:
         """The LP of the buildings at positions idx, one diagonal block each."""
         fleet = [self.buildings[r] for r in idx]
         A, rhs, col_lo, col_hi, baseline, power = fleet_rows(fleet, self.cfg, self.t_out)
-        sweep = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power.ravel(),
-                           blocks=len(power))
+        sweep = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power.ravel())
         _, decay, gain = _steps(fleet, self.cfg)
         return _Block(np.asarray(idx), sweep, power, baseline, rhs.reshape(len(power), -1),
                       col_hi[power[:, 0]], decay, gain)
@@ -430,12 +427,11 @@ class DispatchModel:
         given, and the S costs in EUR, each row's adding its heat pumps'
         costs one by one in that order.  Rows on which a heat pump ends
         on the same optimal vertex give it byte-identical schedules, and
-        so do equal rows.  The first full block's and the partial block's
-        sweeps start from the basis `bases` holds for their LP's shape
-        (see `HighsSweep.solve`) and leave their final basis there;
-        without one given, a fresh dict.  A later full block's LP of
-        copies starts from the statuses it could not certify and keeps
-        its basis to itself.
+        so do equal rows.  The first block's sweep starts from the basis
+        `bases` holds for its LP's shape (see `HighsSweep.solve`) and
+        leaves its final basis there; without one given, a fresh dict.  A
+        later block's LP of copies starts from the statuses it could not
+        certify and keeps its basis to itself.
         """
         bases = {} if bases is None else bases
         prices = np.asarray(prices, dtype=float)
@@ -445,25 +441,22 @@ class DispatchModel:
         c = prices * self.cfg.dt / 1000.0  # objective directly in EUR
         X = np.empty((len(prices), len(self.buildings), T))
         self.stats = SweepStats()
-        status = None  # the last full block's per-heat-pump vertex statuses
+        rows, back = _distinct(c)  # later blocks solve each distinct row once
         for k, blk in enumerate(self._blocks):
             n = len(blk.idx)
-            if k == 0 or n < BLOCK:  # the first full block, or the partial one
+            if k:  # checked against the same positions of the block before
+                x, status = self._certified(blk, c[rows], status[:, :n])
+                X[:, blk.idx] = x[back]
+            else:
                 try:
                     x, _, found = blk.sweep.vertices(np.tile(c, n), bases)
                 except (Infeasible, SolverFailure) as exc:
                     raise self._named(blk.idx, c, exc) from None
                 self.stats.solved += n * len(c)
                 self.stats.runs += blk.sweep.runs
-                X[:, blk.idx] = x[:, blk.power]
-                if n == BLOCK:
-                    status = _per_hp(found, n)
-            else:
-                if k == 1:  # later full blocks solve each distinct row once
-                    rows, back = _distinct(c)
-                    status = status[rows]
-                x, status = self._certified(blk, c[rows], status)
-                X[:, blk.idx] = x[back]
+                status = _per_hp(found, n)
+                X[:, blk.idx] = first_seen(x[:, blk.power], status)
+                status = status[rows]
         # each heat pump's cost a dot product, as its own c @ p would be; a
         # row's total adds them in order from 0.0, bit for bit as sum() does
         per_hp = np.vecdot(X, c[:, None, :])
@@ -471,31 +464,29 @@ class DispatchModel:
 
     def _certified(self, blk: _Block, c: np.ndarray,
                    status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A full block's (S, n, T) schedules at the distinct rows c, from
-        the block before's (S, n, 3T + 1) vertex statuses, and its own.
-        The rows `_certify` refuses go to HiGHS as one `fleet_rows` LP of
-        copies, each its heat pump at its row's prices, started from the
-        statuses it refused; a vertex seen at an earlier row gives a heat
-        pump that row's schedule."""
+        """A later block's (S, n, T) schedules at the distinct rows c, from
+        the (S, n, 3T + 1) vertex statuses at its positions in the block
+        before, and its own.  The rows `_certify` refuses go to HiGHS as
+        one `fleet_rows` LP of copies, each its heat pump at its row's
+        prices, started from the statuses it refused; a vertex seen at an
+        earlier row gives a heat pump that row's schedule."""
         ok, x = _certify(status, blk, c, self.cfg)
         self.stats.certified += int(ok.sum())
         s, j = np.nonzero(~ok)
         if len(s):
             status = status.copy()
             T = c.shape[1]
-            A, rhs, col_lo, col_hi, _, power = fleet_rows(
-                [self.buildings[r] for r in blk.idx[j]], self.cfg, self.t_out)
-            copies = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power.ravel(),
-                                blocks=len(j))
+            copies = self._block(blk.idx[j])
+            lp = copies.sweep
             start = np.r_[status[s, j, :2 * T].ravel(), status[s, j, 2 * T:].ravel()]
             try:  # a start of its own, kept from the campaign's bases
-                xc, _, found = copies.vertices(c[s].reshape(1, -1),
-                                               {copies.shape: basis(start, len(col_lo))})
+                xc, _, found = lp.vertices(c[s].reshape(1, -1),
+                                           {lp.shape: basis(start, lp.shape[1])})
             except (Infeasible, SolverFailure) as exc:
                 raise self._named(np.unique(blk.idx[j]), c, exc) from None
             self.stats.solved += len(j)
-            self.stats.runs += copies.runs
-            x[s, j] = xc[0, power]
+            self.stats.runs += lp.runs
+            x[s, j] = xc[0, copies.power]
             status[s, j] = _per_hp(found, len(j))[0]
         return first_seen(x, status), status
 

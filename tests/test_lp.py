@@ -55,26 +55,16 @@ class DriftingHighs(_core._Highs):
         return SimpleNamespace(col_value=np.where(x > 1.0, x + 1e-12 * DriftingHighs.runs, x))
 
 
-def test_block_keeps_its_repeated_vertex_while_another_block_moves(monkeypatch):
-    # two copies of the LP side by side, each its own block: block 0's
-    # vertex (x0 at its upper bound, x2 basic) holds on every row while
-    # block 1 moves away at row 1 and back at row 2
+def test_a_row_back_at_a_vertex_seen_before_repeats_its_bytes(monkeypatch):
+    # the LP moves away from its first vertex (x0 at its upper bound, x2
+    # basic) at row 1 and back at row 2, at other costs
     monkeypatch.setattr(_core, "_Highs", DriftingHighs)
     monkeypatch.setattr(DriftingHighs, "runs", 0)
-    lp = HighsSweep(sparse.block_diag([A, A]), [5.0, 5.0], [5.0, 5.0], np.zeros(6),
-                    np.tile(LP["col_hi"], 2), np.zeros(6), [0, 1, 3, 4], blocks=2)
-    X, _ = lp.solve(np.array([[-1.0, 1.0, -1.0, 1.0], [-2.0, 0.5, 1.0, -1.0],
-                              [-1.5, 2.0, -1.0, 1.0]]))
+    X, _ = HighsSweep(**LP).solve(np.array([[-1.0, 1.0], [1.0, -1.0], [-1.5, 2.0]]))
     assert DriftingHighs.runs == 3
-    assert X[0].tolist() == [1.0, 0.0, 4.0 + 1e-12, 1.0, 0.0, 4.0 + 1e-12]
-    assert X[1, 3:].tolist() == [0.0, 1.0, 4.0 + 2e-12]
-    assert X[1, :3].tobytes() == X[0, :3].tobytes() == X[2, :3].tobytes()
-    assert X[2, 3:].tobytes() == X[0, 3:].tobytes()
-
-
-def test_blocks_must_split_the_lp_evenly():
-    with pytest.raises(ValueError, match="equal blocks"):
-        HighsSweep(**LP, blocks=2)
+    assert X[0].tolist() == [1.0, 0.0, 4.0 + 1e-12]
+    assert X[1].tolist() == [0.0, 1.0, 4.0 + 2e-12]
+    assert X[2].tobytes() == X[0].tobytes()
 
 
 # ------------------------------------------------------- non-finite input

@@ -390,26 +390,26 @@ def random_fleet(rng, n):
     ]
 
 
-def test_the_fleet_is_dealt_into_blocks_by_time_constant():
-    # taus 0..F-1 handed over in reverse: full block k takes tau-ranks k,
-    # k + n, ...; the F mod BLOCK of largest tau keep the given order
-    F = 3 * BLOCK + 5
-    fleet = [building(r_th=1.0, c_th=float(F - r), bid=f"b{r:03d}") for r in range(F)]
+@pytest.mark.parametrize("F", [1, 9, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 3 * BLOCK + 5])
+def test_the_fleet_is_dealt_into_blocks_by_time_constant(F):
+    # four distinct taus, so most heat pumps tie: a tie keeps the given order
+    taus = np.random.default_rng(F).integers(1, 5, F)
+    fleet = [building(r_th=1.0, c_th=float(tau), bid=f"b{r:03d}") for r, tau in enumerate(taus)]
+    ranked = sorted(range(F), key=lambda r: (taus[r], r))  # the position at each tau-rank
     blocks = _deal(fleet)
-    assert [len(idx) for idx in blocks] == [BLOCK, BLOCK, BLOCK, 5]
-    for k, idx in enumerate(blocks[:3]):
-        assert [F - 1 - r for r in idx] == list(range(k, 3 * BLOCK, 3))  # tau-ranks
-    assert blocks[3].tolist() == [0, 1, 2, 3, 4]
-    # equal taus keep the given order; a fleet of at most BLOCK is one block as given
-    assert [idx.tolist() for idx in _deal([building(bid="x")] * (BLOCK + 2))] == [
-        list(range(BLOCK)), [BLOCK, BLOCK + 1]]
-    assert [idx.tolist() for idx in _deal(fleet[:7])] == [list(range(7))]
+    n = -(-F // BLOCK)
+    sizes = [len(idx) for idx in blocks]
+    assert len(blocks) == n and sorted(np.concatenate(blocks).tolist()) == list(range(F))
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] <= BLOCK and sizes[0] - sizes[-1] <= 1
+    for k, idx in enumerate(blocks):  # position j of block k: tau-rank k + j·n
+        assert idx.tolist() == [ranked[k + j * n] for j in range(len(idx))]
     assert _deal([]) == []
 
 
 def test_blocks_match_one_building_models():
-    # three full blocks, each started row by row from the one before, and a
-    # partial one, over a fleet whose ids run against its time constants
+    # four blocks of 26, 25, 25 and 25, the first swept and each later one
+    # checked against the one before, over a fleet whose ids run against
+    # its time constants
     rng = np.random.default_rng(11)
     fleet = random_fleet(rng, 3 * BLOCK + 5)
     fleet = [fleet[r] for r in rng.permutation(len(fleet))]
@@ -418,8 +418,9 @@ def test_blocks_match_one_building_models():
     bases: dict = {}
     model = DispatchModel(fleet, CFG, t_out)
     schedules, cost = model.solve(price_rows, bases)
-    # each shape's last basis is kept
-    assert sorted(bases) == [(5 * 25, 5 * 48), (BLOCK * 25, BLOCK * 48)]
+    # only the swept block's last basis is kept
+    assert [len(blk.idx) for blk in model._blocks] == [26, 25, 25, 25]
+    assert list(bases) == [(26 * 25, 26 * 48)]
     assert schedules.shape == (5, len(fleet), 24) and cost.shape == (5,)
     # a row's cost adds its heat pumps' costs one by one, in fleet order
     per_hp = np.vecdot(schedules, price_rows[:, None] * CFG.dt / 1000.0)
@@ -436,6 +437,21 @@ def test_blocks_match_one_building_models():
     assert cost == pytest.approx(alone_costs, rel=1e-9)
 
 
+def test_a_fleet_one_past_a_block_certifies_its_second_block():
+    # BLOCK + 1 heat pumps make two blocks, of 17 and 16: the second is
+    # checked against the first, position by position, not swept
+    rng = np.random.default_rng(13)
+    fleet = random_fleet(rng, BLOCK + 1)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    prices = rng.uniform(10.0, 150.0, (5, 24))
+    model = DispatchModel(fleet, CFG, t_out)
+    _, cost = model.solve(prices)
+    assert [len(blk.idx) for blk in model._blocks] == [17, 16]
+    assert model.stats.certified > 0
+    alone_costs = sum(DispatchModel([b], CFG, t_out).solve(prices)[1] for b in fleet)
+    assert cost == pytest.approx(alone_costs, rel=1e-9)
+
+
 def test_equal_rows_give_every_heat_pump_equal_bytes_across_blocks():
     rng = np.random.default_rng(12)
     fleet = random_fleet(rng, 3 * BLOCK + 5)
@@ -449,7 +465,7 @@ def test_equal_rows_give_every_heat_pump_equal_bytes_across_blocks():
 def test_infeasible_building_in_a_middle_block_is_named():
     # the day ends 8 h above t_max: a light building must start those hours
     # cool, having heated early, so one rated at its baseline cannot; it is
-    # tau-rank 1, dealt into the second full block, which starts from the first
+    # tau-rank 1, dealt into the second block, which starts from the first
     t_out = np.r_[np.full(16, 10.0), np.full(8, 30.0)]
     heavy = [building(r_th=10.0, c_th=50.0, bid=f"b{r:03d}") for r in range(2 * BLOCK + 3)]
     heavy[0] = building(r_th=5.0, c_th=14.0, rated=3.0, bid="nimble")
@@ -539,15 +555,15 @@ def test_a_basic_row_or_a_wrong_count_of_basic_columns_is_refused():
     c = rng.uniform(10.0, 150.0, (1, 24)) * CFG.dt / 1000.0
     status, _ = highs_vertices(blk, c)
     T = 24
-    basic = np.flatnonzero(status[0, 0, :2 * T] == 1)
-    nonbasic = np.flatnonzero(status[0, 0, :2 * T] != 1)
+    basic = [np.flatnonzero(status[0, j, :2 * T] == 1) for j in range(4)]
+    nonbasic = [np.flatnonzero(status[0, j, :2 * T] != 1) for j in range(4)]
     swapped = status.copy()  # a row slack basic in place of a column
-    swapped[0, 0, basic[0]] = 0
+    swapped[0, 0, basic[0][0]] = 0
     swapped[0, 0, 2 * T + 3] = 1
     fewer = status.copy()  # T basic columns
-    fewer[0, 1, basic[-1]] = 0
+    fewer[0, 1, basic[1][-1]] = 0
     more = status.copy()  # T + 2
-    more[0, 2, nonbasic[0]] = 1
+    more[0, 2, nonbasic[2][0]] = 1
     extra_row = status.copy()  # every basic column kept, and a row slack too
     extra_row[0, 3, 2 * T + 5] = 1
     for bad, j in ((swapped, 0), (fewer, 1), (more, 2), (extra_row, 3)):
@@ -574,8 +590,8 @@ def test_later_blocks_certify_or_solve_every_row_as_one_building_models_do(data)
     """Fleets of 2·BLOCK + 5 heat pumps of spread time constants and
     ratings, on price stacks with a repeated row: every schedule passes
     check_dispatch, each row costs what one-building models cost, the
-    repeated row repeats its bytes, and the later full block sends the
-    rows it cannot certify to HiGHS as one LP of copies."""
+    repeated row repeats its bytes, and each later block sends the rows
+    it cannot certify to HiGHS as one LP of copies."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
     S = data.draw(st.integers(2, 6), label="S")
     t_out = rng.uniform(-4.0, 14.0, 24)
@@ -593,12 +609,13 @@ def test_later_blocks_certify_or_solve_every_row_as_one_building_models_do(data)
         for s in range(S):
             assert check_dispatch(b, CFG, t_out, schedules[s, r], energy) == []
     assert cost == pytest.approx(alone_costs, rel=1e-9)
-    # block 0 and the partial block sweep all S rows; the later block's
+    # three blocks of 23: block 0 sweeps all S rows; each later block's
     # S - 1 distinct rows are certified or go to one LP of copies
     stats = model.stats
-    copies = stats.solved - (BLOCK + 5) * S
-    assert copies > 0 and stats.certified + copies == BLOCK * (S - 1)
-    assert stats.runs == 2 * S + 1
+    assert [len(blk.idx) for blk in model._blocks] == [23, 23, 23]
+    copies = stats.solved - 23 * S
+    assert copies > 0 and stats.certified + copies == 2 * 23 * (S - 1)
+    assert stats.runs == S + 2
 
 
 def test_solve_counts_the_rows_it_certifies_and_the_runs_it_makes(monkeypatch):
@@ -621,12 +638,14 @@ def test_solve_counts_the_rows_it_certifies_and_the_runs_it_makes(monkeypatch):
     monkeypatch.setattr(_core._Highs, "run", counted)
     monkeypatch.setattr(_core._Highs, "setBasis", started)
     model.solve(rng.uniform(10.0, 150.0, (5, 24)))
+    # four blocks of 26, 25, 25 and 25: block 0 sweeps the 5 rows in 5 runs,
+    # and each later block makes at most one LP of copies
     stats = model.stats
-    assert stats.runs == log.count("run") <= 5 + 5 + 2
+    assert stats.runs == log.count("run") <= 5 + 3
     assert stats.certified + stats.solved == (3 * BLOCK + 5) * 5
-    assert 0 < stats.certified < 2 * BLOCK * 5
+    assert 0 < stats.certified < 3 * 25 * 5
     # no bases handed in: only the LPs of copies start warm, each from its statuses
-    assert log.count(True) == stats.runs - 10 and False not in log
+    assert log.count(True) == stats.runs - 5 and False not in log
 
 
 class DriftingHighs(_core._Highs):
@@ -644,6 +663,27 @@ class DriftingHighs(_core._Highs):
         _, basic = self.getBasicVariables()
         x[basic[basic >= 0]] += 1e-12 * DriftingHighs.runs
         return SimpleNamespace(col_value=x)
+
+
+def test_a_heat_pump_keeps_its_repeated_vertex_while_another_moves(monkeypatch):
+    # dearer first hours move some heat pumps of the swept block to another
+    # vertex and leave the rest where they were, which repeat their bytes
+    rng = np.random.default_rng(31)
+    fleet = random_fleet(rng, 8)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    p0 = rng.uniform(10.0, 150.0, 24)
+    p1 = p0.copy()
+    p1[:3] *= 1.3
+    model = DispatchModel(fleet, CFG, t_out)
+    (blk,) = model._blocks
+    status, _ = highs_vertices(blk, np.array([p0, p1]) * CFG.dt / 1000.0)
+    kept = (status[0] == status[1]).all(axis=1)
+    assert kept.any() and not kept.all()
+    monkeypatch.setattr(_core, "_Highs", DriftingHighs)
+    monkeypatch.setattr(DriftingHighs, "runs", 0)
+    X, _ = model.solve(np.array([p0, p1]))
+    assert DriftingHighs.runs == 2
+    assert [X[1, r].tobytes() == X[0, r].tobytes() for r in blk.idx] == kept.tolist()
 
 
 def test_a_vertex_solved_again_by_highs_keeps_the_bytes_it_was_certified_with(monkeypatch):
