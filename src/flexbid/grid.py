@@ -69,7 +69,7 @@ from .errors import (
     MultipleAncestors,
     SolverFailure,
 )
-from .lp import FEASIBILITY_TOL, HighsSweep
+from .lp import FEASIBILITY_TOL, HighsSweep, first_seen
 from .thermal import (
     BuildingParams,
     ComfortConfig,
@@ -638,7 +638,7 @@ class OpfModel:
                         self.col_lo[free], self.col_hi[free], self.cost[free],
                         self.import_cols - pinned.sum())  # the pins precede the import
         prices = np.asarray(prices, dtype=float)
-        X, objective = self._sweep(lp, prices[None])
+        X, objective, _ = self._sweep(lp, prices[None])
         x[free] = X[0]
         return self._solution(prices, x, float(objective[0]))
 
@@ -653,17 +653,18 @@ class OpfModel:
         basis.  The first row starts from the basis `bases` holds for
         this LP's shape, and the last row's basis is stored back there
         (`lp.HighsSweep.solve`); without one it is solved cold, exactly
-        as solve() would.  A row that ends on an optimal vertex seen
-        before gets that earlier row's primal point, so identical
-        schedules stay byte-identical.
+        as solve() would.  A row that ends on an optimal vertex of the
+        whole LP seen at an earlier row gets that row's point
+        (`lp.first_seen`), so identical schedules stay byte-identical.
         """
-        X, objective = self._sweep(self._lp, np.asarray(price_rows, dtype=float), bases)
-        return X[:, self._power], objective
+        X, objective, status = self._sweep(self._lp, np.asarray(price_rows, dtype=float), bases)
+        return first_seen(X[:, None], status[:, None])[:, 0, self._power], objective
 
     def _sweep(self, lp: HighsSweep, price_rows: np.ndarray,
-               bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+               bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One sweep of lp, the day's LP or a pinned part of it, over the
-        price rows on the substation import: the points and objectives."""
+        price rows on the substation import: HiGHS's points, objectives
+        and vertex statuses (`lp.HighsSweep.solve`)."""
         T = len(self.t_out)
         if price_rows.ndim != 2 or price_rows.shape[1] != T:
             raise ValueError(f"price rows must be an (S, {T}) array, one price per hour")
@@ -722,6 +723,10 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
     circles and the bounds still test what the LP returned.
     """
     issues: list[str] = []
+    # a NaN fails every comparison below, so it is named here
+    for name in ("hp_kw", "shed_kw", "u_pu2", "flow_p_pu", "flow_q_pu", "pcc_p_pu", "pcc_q_pu"):
+        if not np.isfinite(getattr(sol, name)).all():
+            issues.append(f"{name} holds values that are not finite")
     net, cfg, series = model.net, model.cfg, model.series
     T, S = len(model.t_out), net.s_base_kva
     topo = model.topo

@@ -8,15 +8,13 @@ scenario, the network OPF once per price row.
 changes the costs of the given columns and re-runs dual simplex from the
 previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
 The first row starts from the last optimal basis of an LP of the same
-shape, when the caller keeps one: a fleet's first block of heat pumps
-is one shape, and so is a feeder's OPF, from one day to the next.  A
-caller may also take back each row's vertex status, and start an LP
-from a status it assembled (`basis`): `thermal.DispatchModel` certifies
-heat pumps on their neighbours' optimal bases that way, solves the rest
-as one LP of copies, and gives each heat pump the bytes of its first
-row at a vertex (`first_seen`).  Column bounds are fixed at
-construction: a caller pinning columns substitutes them out and sweeps
-the smaller LP, as `grid.OpfModel.solve` does.
+shape, when the caller keeps one, or from a basis the caller assembled
+from a vertex status (`basis`).  Each row comes back as HiGHS's point,
+its objective and its vertex status, which names the vertex; a caller
+gives a vertex it reached more than once the bytes of its first
+sighting with `first_seen`, keyed as it chooses.  Column bounds are
+fixed at construction: a caller pinning columns substitutes them out
+and sweeps the smaller LP, as `grid.OpfModel.solve` does.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.
@@ -63,6 +61,13 @@ class HighsSweep:
         A = sparse.csc_array(A)
         row_lo, row_hi, col_lo, col_hi, cost = (
             np.asarray(v, dtype=float) for v in (row_lo, row_hi, col_lo, col_hi, cost))
+        self._cost_cols = cost_cols = np.asarray(cost_cols, dtype=np.int32)
+        # HiGHS reads past a short bound array, or crashes on it
+        m, n = A.shape
+        if ([v.shape for v in (row_lo, row_hi, col_lo, col_hi, cost)] != [(m,)] * 2 + [(n,)] * 3
+                or cost_cols.ndim != 1 or not ((0 <= cost_cols) & (cost_cols < n)).all()):
+            raise ValueError(f"an LP of shape {A.shape} needs {m} row bounds, {n} column "
+                             f"bounds and costs, and cost columns within [0, {n})")
         # HiGHS spins without end on a NaN; an infinite bound is a free side
         if (not np.isfinite(np.r_[A.data, cost]).all()
                 or np.isnan(np.r_[row_lo, row_hi, col_lo, col_hi]).any()):
@@ -80,7 +85,6 @@ class HighsSweep:
         lp.col_cost_ = cost
         self._lp = lp
         self._col_hi = col_hi
-        self._cost_cols = np.asarray(cost_cols, dtype=np.int32)
         self.runs = 0
 
     @property
@@ -88,75 +92,60 @@ class HighsSweep:
         """The LP's (rows, columns): the key of its bases."""
         return self._lp.num_row_, self._lp.num_col_
 
-    def solve(self, cost_rows: np.ndarray, bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(S, n) optimal points and S objectives for an (S, len(cost_cols)) stack.
+    def solve(self, cost_rows: np.ndarray,
+              bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, n) optimal points, S objectives and (S, n + m) vertex
+        statuses for an (S, len(cost_cols)) stack of cost rows.
 
         Each call runs on a fresh HiGHS instance.  Its first row starts
         from the basis `bases`, a dict from LP shape (rows, cols) to the
         last optimal basis of that shape, holds for this LP's shape, or
         cold; each later row starts from the row before, and the call's
         final basis is stored back in `bases`.  A start HiGHS refuses
-        leaves the first row cold; a run from a start that ends without
-        an optimum gives way to the cold sweep, and a later row's run
-        that ends without one is run again from scratch.  `runs` counts
-        the call's HiGHS runs, the cold sweep's and the reruns included.
+        leaves the first row cold.  A run that did not start cold (a
+        later row, or a first row from an accepted start) and ends
+        without an optimum is run again from scratch, on the model passed
+        afresh: the basis it started from can leave the dual simplex
+        short of its tolerances, where the row solved afresh is not.
+        `runs` counts the call's HiGHS runs, the reruns included.
 
-        A row whose optimal vertex was seen at an earlier row of the call
-        gets that row's point: the vertex is the same, and reusing it
-        keeps identical answers byte-identical rather than apart by the
-        warm path's rounding noise.  The vertex key is the row's vertex
-        status (`vertices`).  Raises ValueError, before any solve,
-        on a cost that is not finite, and Infeasible or SolverFailure on
-        a row left without an optimum.
+        The points are HiGHS's own, row by row: a vertex reached twice
+        may differ in its last bits, and a caller that wants it
+        byte-identical keys it by its status (`first_seen`).  A status
+        row is over the columns, then the rows, each 0 nonbasic at the
+        lower bound (or free at zero), 1 basic or 2 nonbasic at the
+        upper bound; an optimal basis and these bounds name one vertex,
+        as the class requires.  Raises ValueError, before any solve, on
+        a stack of the wrong shape or a cost that is not finite, and
+        Infeasible or SolverFailure on a row left without an optimum.
         """
-        X, objective, _ = self.vertices(cost_rows, bases)
-        return X, objective
-
-    def vertices(self, cost_rows: np.ndarray,
-                 bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`solve`'s points and objectives, and each row's vertex status:
-        an (S, n + m) uint8 array over the columns, then the rows, each 0
-        nonbasic at the lower bound (or free at zero), 1 basic or 2
-        nonbasic at the upper bound.  An optimal basis and these bounds
-        name one vertex, as the class requires."""
         cost_rows = np.asarray(cost_rows, dtype=float)
+        if cost_rows.ndim != 2 or cost_rows.shape[1] != len(self._cost_cols):
+            raise ValueError(f"cost rows must be an (S, {len(self._cost_cols)}) array, "
+                             f"got shape {cost_rows.shape}")
         if not np.isfinite(cost_rows).all():
             raise ValueError("cost rows must be finite")
-        start = None if bases is None else bases.get(self.shape)
-        self.runs = 0
-        try:
-            X, objective, status, final = self._rows(cost_rows, start)
-        except SolverFailure:
-            if start is None:
-                raise
-            X, objective, status, final = self._rows(cost_rows, None)
-        if bases is not None and final is not None:
-            bases[self.shape] = final
-        return X, objective, status
-
-    def _rows(self, cost_rows: np.ndarray, start: _hc.HighsBasis | None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _hc.HighsBasis | None]:
-        """The sweep over cost_rows on a fresh instance, its first row set
-        to start when there is one and HiGHS takes it.  Returns the points,
-        the objectives, the vertex statuses and the last optimal basis."""
         highs = _hc._Highs()
         highs.passOptions(_options())
         highs.passModel(self._lp)
+        start = None if bases is None else bases.get(self.shape)
+        # a refused start changes nothing: the first row runs cold
+        warm = start is not None and highs.setBasis(start) != _hc.HighsStatus.kError
         n_row, n_col = self.shape
         S = len(cost_rows)
         X = np.empty((S, n_col))
         objective = np.empty(S)
         status = np.zeros((S, n_col + n_row), dtype=np.uint8)
-        if start is not None:
-            highs.setBasis(start)  # a refused start changes nothing
+        self.runs = 0
         for s, cost in enumerate(cost_rows):
             highs.changeColsCost(len(self._cost_cols), self._cost_cols, cost)
             highs.run()
             self.runs += 1
-            if s and highs.getModelStatus() != _hc.HighsModelStatus.kOptimal:
-                # the row before's basis can leave the dual simplex short
-                # of its tolerances, where the row solved afresh is not
-                highs.clearSolver()
+            if (s or warm) and highs.getModelStatus() != _hc.HighsModelStatus.kOptimal:
+                # clearSolver keeps some of the solver's state; the model
+                # passed again keeps none, so the row runs as on a new instance
+                highs.passModel(self._lp)
+                highs.changeColsCost(len(self._cost_cols), self._cost_cols, cost)
                 highs.run()
                 self.runs += 1
             model_status = highs.getModelStatus()
@@ -172,8 +161,9 @@ class HighsSweep:
             status[s, :n_col][X[s] == self._col_hi] = 2
             status[s, np.where(basic >= 0, basic, n_col - 1 - basic)] = 1
             objective[s] = highs.getObjectiveValue()
-        X = first_seen(X[:, None], status[:, None])[:, 0]
-        return X, objective, status, highs.getBasis() if S else None
+        if bases is not None and S:
+            bases[self.shape] = highs.getBasis()
+        return X, objective, status
 
 
 _STATUS = np.array([_hc.HighsBasisStatus.kLower, _hc.HighsBasisStatus.kBasic,
@@ -181,7 +171,7 @@ _STATUS = np.array([_hc.HighsBasisStatus.kLower, _hc.HighsBasisStatus.kBasic,
 
 
 def basis(status: np.ndarray, n_col: int) -> _hc.HighsBasis:
-    """The HiGHS basis of a vertex status as `HighsSweep.vertices` gives
+    """The HiGHS basis of a vertex status as `HighsSweep.solve` gives
     it, over an LP of n_col columns whose rows are all equalities."""
     out = _hc.HighsBasis()
     out.col_status = _STATUS[status[:n_col]].tolist()

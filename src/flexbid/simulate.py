@@ -9,12 +9,13 @@ first min(S, max_bids) scenarios, each at `CampaignConfig.bid_price`
 per MWh of its own energy, and dispatches only those and the realized
 row; `efficiency_vs_bids` settles one dispatch at several bid budgets.
 Only the dispatch step depends on the mode, so it sits behind a small
-dispatcher: `_Fleet` solves block-diagonal LPs of up to `thermal.BLOCK`
-independent heat pumps, dealt by time constant, each block after the
-first taking the block before's optimal vertices where they still hold
-(unbundled utility), `_Network` one network OPF over all of them
-(integrated utility).  Schedules travel as
-`(S, R, T)` arrays: scenario, resource (building ids sorted), hour.
+dispatcher: `_Fleet` solves each distinct price row once, over
+block-diagonal LPs of up to `thermal.BLOCK` independent heat pumps,
+dealt by time constant, each block after the first taking the block
+before's optimal vertices where they still hold (unbundled utility),
+`_Network` one network OPF over all of them (integrated utility).
+Schedules travel as `(S, R, T)` arrays: scenario, resource (building
+ids sorted), hour.
 
 A campaign hands each day's final HiGHS bases (`lp.HighsSweep.solve`)
 to the next day, whose LPs have the same shapes, so its dispatch

@@ -13,10 +13,10 @@ baseline's, the rating and the comfort band as column bounds.  It is
 the one place the comfort constraints are built: `DispatchModel`
 builds it for blocks of up to BLOCK heat pumps, dealt by time constant
 r_th·c_th so that each position of every block holds neighbours in it.
-It sweeps the first block over the price scenarios on one warm-started
-HiGHS instance; each later block takes the optimal vertices of the
-block before it wherever `_certify` proves them still optimal, and
-HiGHS solves only the rest, as one LP.
+It solves each distinct price scenario once: the first block swept over
+them on one warm-started HiGHS instance; each later block takes the
+optimal vertices of the block before it wherever `_certify` proves them
+still optimal, and HiGHS solves only the rest, as one LP.
 The network OPF places the whole fleet's block into its own LP.
 `simulate_temperature` and `check_dispatch` evaluate schedules
 independently of the LP.
@@ -387,14 +387,15 @@ class DispatchModel:
     heat pumps of near τ tend to share an optimal basis at equal prices.
     The fleet is dealt into blocks of up to BLOCK heat pumps by τ (see
     `_deal`), and each block is one `fleet_rows` LP, built once.  `solve`
-    sweeps an (S, T) price stack over the first block on one HiGHS
-    instance: each row changes only the power costs and re-solves from
-    the previous row's optimal basis, the first row from the last basis
-    of a block of its size.  Each later block takes, heat pump by heat
-    pump and distinct row by distinct row, the optimal vertex at the same
-    position of the block before it when `_certify` finds it still
-    optimal; HiGHS solves only the rest, as one LP of copies.  `stats`
-    counts the last solve's work.  It returns what
+    takes the distinct rows of an (S, T) price stack and sweeps them
+    over the first block on one HiGHS instance: each row changes only
+    the power costs and re-solves from the previous row's optimal basis,
+    the first row from the last basis of a block of its size.  Each
+    later block takes, heat pump by heat pump and row by row, the
+    optimal vertex at the same position of the block before it when
+    `_certify` finds it still optimal; HiGHS solves only the rest, as
+    one LP of copies.  Equal rows then take the first one's schedules.
+    `stats` counts the last solve's work.  It returns what
     `grid.OpfModel.solve_rows` returns: (S, R, T) schedules and S costs,
     resources in the given order.
     """
@@ -425,13 +426,14 @@ class DispatchModel:
 
         Returns the (S, R, T) schedules in kW, resources in the order
         given, and the S costs in EUR, each row's adding its heat pumps'
-        costs one by one in that order.  Rows on which a heat pump ends
-        on the same optimal vertex give it byte-identical schedules, and
-        so do equal rows.  The first block's sweep starts from the basis
-        `bases` holds for its LP's shape (see `HighsSweep.solve`) and
-        leaves its final basis there; without one given, a fresh dict.  A
-        later block's LP of copies starts from the statuses it could not
-        certify and keeps its basis to itself.
+        costs one by one in that order.  Each distinct row is dispatched
+        once, and equal rows get its schedules and cost; distinct rows on
+        which a heat pump ends on the same optimal vertex give it
+        byte-identical schedules (`lp.first_seen`).  The first block's
+        sweep starts from the basis `bases` holds for its LP's shape (see
+        `HighsSweep.solve`) and leaves its final basis there; without one
+        given, a fresh dict.  A later block's LP of copies starts from the
+        statuses it could not certify and keeps its basis to itself.
         """
         bases = {} if bases is None else bases
         prices = np.asarray(prices, dtype=float)
@@ -439,33 +441,39 @@ class DispatchModel:
         if prices.ndim != 2 or prices.shape[1] != T or len(prices) < 1:
             raise ValueError(f"prices must have shape (S, {T})")
         c = prices * self.cfg.dt / 1000.0  # objective directly in EUR
-        X = np.empty((len(prices), len(self.buildings), T))
+        rows, back = _distinct(c)  # every block solves each distinct row once
+        c = c[rows]
+        X = np.empty((len(c), len(self.buildings), T))
         self.stats = SweepStats()
-        rows, back = _distinct(c)  # later blocks solve each distinct row once
         for k, blk in enumerate(self._blocks):
-            n = len(blk.idx)
             if k:  # checked against the same positions of the block before
-                x, status = self._certified(blk, c[rows], status[:, :n])
-                X[:, blk.idx] = x[back]
+                X[:, blk.idx], status = self._certified(blk, c, status[:, :len(blk.idx)])
             else:
-                try:
-                    x, _, found = blk.sweep.vertices(np.tile(c, n), bases)
-                except (Infeasible, SolverFailure) as exc:
-                    raise self._named(blk.idx, c, exc) from None
-                self.stats.solved += n * len(c)
-                self.stats.runs += blk.sweep.runs
-                status = _per_hp(found, n)
+                x, found = self._highs(blk, np.tile(c, len(blk.idx)), c, bases)
+                status = _per_hp(found, len(blk.idx))
                 X[:, blk.idx] = first_seen(x[:, blk.power], status)
-                status = status[rows]
         # each heat pump's cost a dot product, as its own c @ p would be; a
         # row's total adds them in order from 0.0, bit for bit as sum() does
         per_hp = np.vecdot(X, c[:, None, :])
-        return X, np.cumsum(np.c_[np.zeros(len(c)), per_hp], axis=1)[:, -1]
+        return X[back], np.cumsum(np.c_[np.zeros(len(c)), per_hp], axis=1)[back, -1]
+
+    def _highs(self, blk: _Block, cost_rows: np.ndarray, c: np.ndarray,
+               bases: dict) -> tuple[np.ndarray, np.ndarray]:
+        """HiGHS's points and vertex statuses of blk's LP at cost_rows,
+        started as `bases` says, its work counted in `stats`; a failure is
+        named after a heat pump whose own LP fails at the rows c."""
+        try:
+            x, _, status = blk.sweep.solve(cost_rows, bases)
+        except (Infeasible, SolverFailure) as exc:
+            raise self._named(blk.idx, c, exc) from None
+        self.stats.solved += len(blk.idx) * len(cost_rows)
+        self.stats.runs += blk.sweep.runs
+        return x, status
 
     def _certified(self, blk: _Block, c: np.ndarray,
                    status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A later block's (S, n, T) schedules at the distinct rows c, from
-        the (S, n, 3T + 1) vertex statuses at its positions in the block
+        """A later block's (S, n, T) schedules at the rows c, from the
+        (S, n, 3T + 1) vertex statuses at its positions in the block
         before, and its own.  The rows `_certify` refuses go to HiGHS as
         one `fleet_rows` LP of copies, each its heat pump at its row's
         prices, started from the statuses it refused; a vertex seen at an
@@ -477,15 +485,10 @@ class DispatchModel:
             status = status.copy()
             T = c.shape[1]
             copies = self._block(blk.idx[j])
-            lp = copies.sweep
             start = np.r_[status[s, j, :2 * T].ravel(), status[s, j, 2 * T:].ravel()]
-            try:  # a start of its own, kept from the campaign's bases
-                xc, _, found = lp.vertices(c[s].reshape(1, -1),
-                                           {lp.shape: basis(start, lp.shape[1])})
-            except (Infeasible, SolverFailure) as exc:
-                raise self._named(np.unique(blk.idx[j]), c, exc) from None
-            self.stats.solved += len(j)
-            self.stats.runs += lp.runs
+            shape = copies.sweep.shape  # a start of its own, kept from the campaign's bases
+            xc, found = self._highs(copies, c[s].reshape(1, -1), c,
+                                    {shape: basis(start, shape[1])})
             x[s, j] = xc[0, copies.power]
             status[s, j] = _per_hp(found, len(j))[0]
         return first_seen(x, status), status
@@ -494,7 +497,7 @@ class DispatchModel:
         """The failure of a block's sweep, named after the first of its
         heat pumps, in the given order, whose own LP fails on the same
         price rows."""
-        for r in sorted(idx):
+        for r in np.unique(idx):
             try:
                 self._block([r]).sweep.solve(c)
             except Infeasible:
@@ -523,6 +526,11 @@ def check_dispatch(
     """
     schedule = np.asarray(schedule, dtype=float)
     problems = []
+    # a NaN fails every comparison below, so it is named here
+    if not np.isfinite(schedule).all():
+        problems.append(f"{np.count_nonzero(~np.isfinite(schedule))} schedule values are not finite")
+    if not np.isfinite(expected_energy):
+        problems.append(f"expected energy {expected_energy} kWh is not finite")
     if schedule.min(initial=0.0) < -tol:
         problems.append(f"negative power {schedule.min():.3e} kW")
     if schedule.max(initial=0.0) > b.p_hp_rated + tol:

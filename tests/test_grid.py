@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from flexbid.errors import (
     CycleDetected,
@@ -742,6 +744,16 @@ def test_verify_solution_flags_tampering():
     assert verify_solution(model, overfull) != []
 
 
+def test_verify_solution_reports_a_solution_that_is_not_finite():
+    model = OpfModel(two_bus(), [], {}, CFG, np.zeros(4), flat_series())
+    sol = model.solve(np.full(4, 50.0))
+    names = ("u_pu2", "flow_p_pu", "flow_q_pu", "pcc_p_pu", "pcc_q_pu")
+    blank = dataclasses.replace(sol, **{name: np.full_like(getattr(sol, name), np.nan)
+                                        for name in names})
+    assert verify_solution(model, blank) == [f"{name} holds values that are not finite"
+                                             for name in names]
+
+
 def test_verify_solution_rechecks_comfort_and_energy():
     # a schedule that idles through the morning and doubles up in the
     # afternoon: feasible in a 15..25 band, far below 19 degrees at noon
@@ -920,6 +932,36 @@ def test_sweep_reuses_the_point_of_a_repeated_basis():
     model = sweep_model()
     p0, p1 = PRICES24, PRICES24[::-1].copy()
     X, _ = model.solve_rows(np.array([p0, p1, p0]))
+    assert not np.allclose(X[0], X[1])
+    assert X[2].tobytes() == X[0].tobytes()
+
+
+class DriftingHighs(_core._Highs):
+    """HiGHS whose basic values drift on every run, as a warm path's
+    rounding may, so only a reused point repeats its bytes."""
+
+    runs = 0
+
+    def run(self):
+        DriftingHighs.runs += 1
+        return super().run()
+
+    def getSolution(self):
+        x = np.array(super().getSolution().col_value)
+        _, basic = self.getBasicVariables()
+        x[basic[basic >= 0]] += 1e-12 * DriftingHighs.runs
+        return SimpleNamespace(col_value=x)
+
+
+def test_a_row_back_at_a_vertex_seen_before_repeats_its_bytes(monkeypatch):
+    # the network LP moves away from its first vertex at row 1 and back at
+    # row 2; each run drifts the basic values, so the third row repeats the
+    # first row's bytes only by taking its point
+    monkeypatch.setattr(_core, "_Highs", DriftingHighs)
+    monkeypatch.setattr(DriftingHighs, "runs", 0)
+    p0, p1 = PRICES24, PRICES24[::-1].copy()
+    X, _ = sweep_model().solve_rows(np.array([p0, p1, p0]))
+    assert DriftingHighs.runs == 3
     assert not np.allclose(X[0], X[1])
     assert X[2].tobytes() == X[0].tobytes()
 

@@ -1,7 +1,10 @@
 """The warm-started HiGHS sweep against cold linprog solves."""
 
+import os
+import subprocess
+import sys
 import threading
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 
+import flexbid
 from flexbid.errors import Infeasible
 from flexbid.lp import HighsSweep, basis, first_seen
 from flexbid.synthetic import SyntheticSpec, generate_instance
@@ -22,7 +26,7 @@ LP = dict(A=A, row_lo=[5.0], row_hi=[5.0], col_lo=[0.0, 0.0, 0.0],
 
 def test_rows_match_cold_linprog_solves():
     rows = np.random.default_rng(3).uniform(-5.0, 5.0, (8, 2))
-    X, objective = HighsSweep(**LP).solve(rows)
+    X, objective, _ = HighsSweep(**LP).solve(rows)
     assert X.shape == (8, 3) and objective.shape == (8,)
     for c, x, obj in zip(rows, X, objective):
         ref = linprog(np.append(c, 0.0), A_eq=A, b_eq=[5.0],
@@ -34,37 +38,10 @@ def test_rows_match_cold_linprog_solves():
 def test_vertex_key_tells_upper_from_lower_bound():
     # both rows keep x2 as the only basic variable; only the nonbasic
     # columns' bounds tell the two vertices apart
-    X, objective = HighsSweep(**LP).solve(np.array([[-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]))
+    X, objective, status = HighsSweep(**LP).solve(np.array([[-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]))
     assert X.tolist() == [[1.0, 0.0, 4.0], [0.0, 1.0, 4.0], [1.0, 0.0, 4.0]]
+    assert status.tolist() == [[2, 0, 1, 0], [0, 2, 1, 0], [2, 0, 1, 0]]
     assert objective.tolist() == [-1.0, -1.0, -1.0]
-
-
-class DriftingHighs(_core._Highs):
-    """HiGHS whose basic values drift on every run, as a warm path's rounding
-    may, so only a reused point repeats its bytes.  (At the vertices of LP the
-    nonbasic columns sit at 0 or 1 and the basic x2 is 3, 4 or 5.)"""
-
-    runs = 0
-
-    def run(self):
-        DriftingHighs.runs += 1
-        return super().run()
-
-    def getSolution(self):
-        x = np.array(super().getSolution().col_value)
-        return SimpleNamespace(col_value=np.where(x > 1.0, x + 1e-12 * DriftingHighs.runs, x))
-
-
-def test_a_row_back_at_a_vertex_seen_before_repeats_its_bytes(monkeypatch):
-    # the LP moves away from its first vertex (x0 at its upper bound, x2
-    # basic) at row 1 and back at row 2, at other costs
-    monkeypatch.setattr(_core, "_Highs", DriftingHighs)
-    monkeypatch.setattr(DriftingHighs, "runs", 0)
-    X, _ = HighsSweep(**LP).solve(np.array([[-1.0, 1.0], [1.0, -1.0], [-1.5, 2.0]]))
-    assert DriftingHighs.runs == 3
-    assert X[0].tolist() == [1.0, 0.0, 4.0 + 1e-12]
-    assert X[1].tolist() == [0.0, 1.0, 4.0 + 2e-12]
-    assert X[2].tobytes() == X[0].tobytes()
 
 
 # ------------------------------------------------------- non-finite input
@@ -81,8 +58,34 @@ def test_a_nan_or_an_infinite_coefficient_is_refused_at_construction(key, value)
 
 def test_infinite_bounds_stay_legal():
     lp = HighsSweep(**{**LP, "row_hi": [np.inf], "col_hi": [1.0, 1.0, np.inf]})
-    X, objective = lp.solve(np.array([[-1.0, -1.0]]))
+    X, objective, _ = lp.solve(np.array([[-1.0, -1.0]]))
     assert objective.tolist() == [-2.0] and X[0, :2].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("row_lo", []), ("row_hi", []), ("col_lo", [0.0, 0.0]), ("col_hi", [1.0, 1.0]),
+    ("cost", [0.0, 0.0]), ("cost_cols", [0, 1, 7]), ("cost_cols", [-1, 0]),
+    ("cost_rows", [[1.0, 1.0, 1.0]]), ("cost_rows", [1.0, 1.0]),
+])
+def test_an_input_of_the_wrong_size_is_refused_before_highs_sees_it(key, value):
+    # A is (1, 3) and LP's cost rows replace two costs; HiGHS solves each of
+    # these without a word, on memory past the arrays' ends, or crashes
+    if key == "cost_rows":
+        with pytest.raises(ValueError, match=r"cost rows must be an \(S, 2\) array"):
+            HighsSweep(**LP).solve(np.array(value))
+    elif key.startswith("row_"):
+        # a row bound of length 0 ends the process with a segmentation
+        # fault, so it runs in a child: a regression fails here, not the run
+        src = str(Path(flexbid.__file__).parents[1])
+        code = ("from numpy import array\nfrom flexbid.lp import HighsSweep\n"
+                f"try:\n    HighsSweep(**{ {**LP, key: value}!r})\n"
+                "except ValueError as exc:\n    print(exc)\n")
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert child.returncode == 0 and "needs 1 row bounds" in child.stdout, child.stderr
+    else:
+        with pytest.raises(ValueError, match=r"of shape \(1, 3\) needs 1 row bounds, 3 column"):
+            HighsSweep(**{**LP, key: value})
 
 
 def raises_within(seconds, call):
@@ -168,14 +171,14 @@ def test_sweep_started_from_another_lps_basis_matches_the_cold_sweep(spy):
     HighsSweep(**random_lp(0)).solve(rows, bases=bases)
     assert list(bases) == [(8, 30)]
     other = HighsSweep(**random_lp(1))
-    X_cold, objective_cold = other.solve(rows)
+    X_cold, objective_cold, _ = other.solve(rows)
     spy.clear()
-    X, objective = other.solve(rows, bases=bases)
+    X, objective, _ = other.solve(rows, bases=bases)
     assert spy[0] == ("basis", True) and len(spy) == 1 + len(rows)
     assert np.abs(objective - objective_cold).max() <= 1e-9
     # the sweep's own final basis is handed on: its last row re-solves in 0 iterations
     spy.clear()
-    X_again, _ = other.solve(rows[-1:], bases=bases)
+    X_again, _, _ = other.solve(rows[-1:], bases=bases)
     assert spy == [("basis", True), ("run", 0)]
     assert np.abs(X_again[0] - X[-1]).max() <= 1e-9
 
@@ -187,9 +190,9 @@ def test_basis_of_another_shape_is_ignored(spy):
     HighsSweep(**LP).solve(np.ones((1, 2)), bases=bases)
     (small,) = bases.values()
     spy.clear()
-    X, objective = lp.solve(rows, bases=bases)
+    X, objective, _ = lp.solve(rows, bases=bases)
     assert [entry for entry in spy if entry[0] == "basis"] == []
-    X_cold, objective_cold = HighsSweep(**random_lp(2)).solve(rows)
+    X_cold, objective_cold, _ = HighsSweep(**random_lp(2)).solve(rows)
     assert X.tobytes() == X_cold.tobytes() and objective.tobytes() == objective_cold.tobytes()
     assert bases[(1, 3)] is small and set(bases) == {(1, 3), (8, 30)}
 
@@ -210,6 +213,10 @@ class StallingHighs(_core._Highs):
         self.warm = True
         return super().setBasis(basis)
 
+    def passModel(self, lp):
+        self.warm = False
+        return super().passModel(lp)
+
     def run(self):
         StallingHighs.runs += 1
         return super().run()
@@ -225,18 +232,18 @@ class StallingHighs(_core._Highs):
 def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs, start):
     rows = np.random.default_rng(4).uniform(-5.0, 5.0, (5, 30))
     bases: dict = {}
-    _, _, status = HighsSweep(**random_lp(3)).vertices(rows, bases=bases)
-    X_cold, objective_cold = HighsSweep(**random_lp(4)).solve(rows)
+    _, _, status = HighsSweep(**random_lp(3)).solve(rows, bases=bases)
+    X_cold, objective_cold, _ = HighsSweep(**random_lp(4)).solve(rows)
     if start == "status":  # another LP's last vertex, as a status
         bases = {(8, 30): basis(status[-1], 30)}
     monkeypatch.setattr(_core, "_Highs", highs)
     monkeypatch.setattr(StallingHighs, "runs", 0)
     lp = HighsSweep(**random_lp(4))
-    X, objective = lp.solve(rows, bases=bases)
+    X, objective, _ = lp.solve(rows, bases=bases)
     assert X.tobytes() == X_cold.tobytes() and objective.tobytes() == objective_cold.tobytes()
-    if highs is StallingHighs:  # the warm sweep stops at its first row, the cold one runs all
+    if highs is StallingHighs:  # the warm first row stops short and runs again from scratch
         assert StallingHighs.runs == lp.runs == 1 + len(rows)
-    # the cold sweep's final basis replaces the one that failed
+    # the sweep's final basis replaces the one that failed
     monkeypatch.setattr(_core, "_Highs", SpyHighs)
     monkeypatch.setattr(SpyHighs, "log", [])
     HighsSweep(**random_lp(4)).solve(rows[-1:], bases=bases)
@@ -261,11 +268,11 @@ class ShortHighs(_core._Highs):
 
 def test_a_later_row_whose_warm_run_ends_short_is_run_again_from_scratch(monkeypatch):
     rows = np.random.default_rng(6).uniform(-5.0, 5.0, (5, 30))
-    X_ref, objective_ref = HighsSweep(**random_lp(6)).solve(rows)
+    X_ref, objective_ref, _ = HighsSweep(**random_lp(6)).solve(rows)
     monkeypatch.setattr(_core, "_Highs", ShortHighs)
     monkeypatch.setattr(ShortHighs, "runs", 0)
     lp = HighsSweep(**random_lp(6))
-    X, objective = lp.solve(rows)
+    X, objective, _ = lp.solve(rows)
     assert lp.runs == ShortHighs.runs == len(rows) + 1  # the third row runs twice
     assert np.abs(X - X_ref).max() <= 1e-9
     assert np.abs(objective - objective_ref).max() <= 1e-9
@@ -274,7 +281,7 @@ def test_a_later_row_whose_warm_run_ends_short_is_run_again_from_scratch(monkeyp
 def test_each_rows_vertex_status_restarts_its_optimum_without_a_pivot(spy):
     rows = np.random.default_rng(5).uniform(-5.0, 5.0, (4, 30))
     lp = HighsSweep(**random_lp(5))
-    X, objective, status = lp.vertices(rows)
+    X, objective, status = lp.solve(rows)
     assert status.shape == (4, 30 + 8) and status.dtype == np.uint8
     assert ((status == 1).sum(axis=1) == 8).all() and not (status[:, 30:] == 2).any()
     # nonbasic columns sit at the bound their status names
@@ -283,8 +290,8 @@ def test_each_rows_vertex_status_restarts_its_optimum_without_a_pivot(spy):
     assert (X[status[:, :30] == 2] == np.broadcast_to(col_hi, X.shape)[status[:, :30] == 2]).all()
     for s in range(len(rows)):
         spy.clear()
-        X_again, objective_again, status_again = lp.vertices(rows[s:s + 1],
-                                                             {lp.shape: basis(status[s], 30)})
+        X_again, objective_again, status_again = lp.solve(rows[s:s + 1],
+                                                          {lp.shape: basis(status[s], 30)})
         assert spy == [("basis", True), ("run", 0)] and lp.runs == 1
         assert np.abs(X_again[0] - X[s]).max() <= 1e-9
         assert abs(objective_again[0] - objective[s]) <= 1e-9
@@ -307,7 +314,8 @@ def test_a_warm_start_on_an_infeasible_lp_raises_infeasible(spy):
     with pytest.raises(Infeasible):
         HighsSweep(**{**LP, "row_lo": [50.0], "row_hi": [50.0]}).solve(np.ones((2, 2)),
                                                                        bases=bases)
-    assert spy[0] == ("basis", True) and len(spy) == 2  # no cold retry
+    # the warm first row runs once more from scratch, then the sweep gives up
+    assert spy[0] == ("basis", True) and [entry[0] for entry in spy[1:]] == ["run", "run"]
 
 
 def test_highs_binding_offers_what_the_sweep_calls():

@@ -13,7 +13,7 @@ from scipy.optimize._highspy import _core
 
 from flexbid import thermal
 from flexbid.errors import Infeasible, InfeasibleBaseline
-from flexbid.lp import FEASIBILITY_TOL, OPTIMALITY_TOL
+from flexbid.lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep
 from flexbid.thermal import (
     BLOCK,
     BuildingParams,
@@ -230,6 +230,22 @@ def test_dispatch_invariants_random_days(seed):
     # the baseline is feasible, so the optimum can only be cheaper
     assert cost <= profile_cost(base.schedule, prices, CFG.dt) + 1e-6
     assert check_dispatch(b, CFG, t_out, schedule, base.energy) == []
+
+
+@pytest.mark.parametrize("case", ["all-nan", "one-nan", "nan-energy"])
+def test_check_dispatch_reports_values_that_are_not_finite(case):
+    b = building()
+    t_out = np.linspace(-4.0, 10.0, 24)
+    base = baseline_profile(b, CFG, t_out)
+    schedule, energy = base.schedule.copy(), base.energy
+    if case == "all-nan":
+        schedule[:] = np.nan
+    elif case == "one-nan":
+        schedule[7] = np.nan
+    else:
+        energy = np.nan
+    problems = check_dispatch(b, CFG, t_out, schedule, energy)
+    assert problems and all("not finite" in problem for problem in problems)
 
 
 def test_convex_blends_stay_feasible():
@@ -462,6 +478,31 @@ def test_equal_rows_give_every_heat_pump_equal_bytes_across_blocks():
     assert schedules[4].tobytes() == schedules[3].tobytes() and cost[4] == cost[3]
 
 
+def test_equal_rows_are_dispatched_once(monkeypatch):
+    # rows 0, 2 and 5 are equal, and so are rows 1 and 4: block 0 sweeps
+    # the three distinct rows, and each later block's LP of copies, if it
+    # needs one, solves its refused rows among those three at once
+    rng = np.random.default_rng(14)
+    fleet = random_fleet(rng, 2 * BLOCK + 5)
+    p0, p1, p2 = rng.uniform(10.0, 150.0, (3, 24))
+    model = DispatchModel(fleet, CFG, rng.uniform(-4.0, 14.0, 24))
+    swept = []
+    solve = HighsSweep.solve
+
+    def counted(self, cost_rows, bases=None):
+        swept.append(len(cost_rows))
+        return solve(self, cost_rows, bases)
+
+    monkeypatch.setattr(HighsSweep, "solve", counted)
+    schedules, cost = model.solve(np.array([p0, p1, p0, p2, p1, p0]))
+    stats = model.stats
+    assert swept[0] == 3 and swept[1:] == [1] * (len(swept) - 1) and len(swept) <= 3
+    assert stats.runs == 3 + len(swept) - 1
+    assert stats.certified + stats.solved == len(fleet) * 3 and stats.certified > 0
+    for twin, first in ((2, 0), (5, 0), (4, 1)):
+        assert schedules[twin].tobytes() == schedules[first].tobytes() and cost[twin] == cost[first]
+
+
 def test_infeasible_building_in_a_middle_block_is_named():
     # the day ends 8 h above t_max: a light building must start those hours
     # cool, having heated early, so one rated at its baseline cannot; it is
@@ -493,7 +534,7 @@ def one_block(rng, n, t_out):
 def highs_vertices(blk, c):
     """The (S, n, 3T + 1) vertex statuses and (S, n, T) powers HiGHS
     finds for a block at the costs c."""
-    x, _, status = blk.sweep.vertices(np.tile(c, len(blk.idx)))
+    x, _, status = blk.sweep.solve(np.tile(c, len(blk.idx)))
     return _per_hp(status, len(blk.idx)), x[:, blk.power]
 
 
@@ -609,13 +650,13 @@ def test_later_blocks_certify_or_solve_every_row_as_one_building_models_do(data)
         for s in range(S):
             assert check_dispatch(b, CFG, t_out, schedules[s, r], energy) == []
     assert cost == pytest.approx(alone_costs, rel=1e-9)
-    # three blocks of 23: block 0 sweeps all S rows; each later block's
-    # S - 1 distinct rows are certified or go to one LP of copies
+    # three blocks of 23: block 0 sweeps the S - 1 distinct rows; each later
+    # block's are certified or go to one LP of copies
     stats = model.stats
     assert [len(blk.idx) for blk in model._blocks] == [23, 23, 23]
-    copies = stats.solved - 23 * S
+    copies = stats.solved - 23 * (S - 1)
     assert copies > 0 and stats.certified + copies == 2 * 23 * (S - 1)
-    assert stats.runs == S + 2
+    assert stats.runs == (S - 1) + 2
 
 
 def test_solve_counts_the_rows_it_certifies_and_the_runs_it_makes(monkeypatch):
