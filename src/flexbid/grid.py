@@ -45,9 +45,11 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,7 +71,7 @@ from .errors import (
     MultipleAncestors,
     SolverFailure,
 )
-from .lp import FEASIBILITY_TOL, HighsSweep, first_seen
+from .lp import FEASIBILITY_TOL, HighsSweep, distinct, first_seen
 from .thermal import (
     BuildingParams,
     ComfortConfig,
@@ -92,6 +94,18 @@ _INFEASIBLE = (
     "network dispatch infeasible despite shedding recourse; "
     "check ratings against the unsheddable heat-pump load"
 )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@cache
+def _worker() -> ThreadPoolExecutor:
+    """The one thread that runs the second half of network sweeps,
+    started by the first sweep that splits."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="flexbid-opf")
 
 
 @dataclass(frozen=True)
@@ -371,11 +385,14 @@ class OpfModel:
     indices read the schedules out of a solution here too.  solve_rows()
     runs the warm-started `lp.HighsSweep` built with the LP, which sets
     the price coefficients on the substation import and re-runs the
-    solver from the previous optimal basis; it answers the call
-    `thermal.DispatchModel.solve` answers, (X[S, F, T], cost[S]), its
-    costs the S objectives.  solve() returns one full OpfSolution, with
-    the heat pumps hp_fixed names pinned within their ratings (baseline
-    runs, awarded profiles) by substituting them out of the LP.
+    solver from the previous optimal basis, over the distinct rows in
+    two halves from one start, the second on a worker thread when two
+    CPUs are usable; its answers do not depend on the CPU count.  It
+    answers the call `thermal.DispatchModel.solve` answers,
+    (X[S, F, T], cost[S]), its costs the S objectives.  solve() returns
+    one full OpfSolution, with the heat pumps hp_fixed names pinned
+    within their ratings (baseline runs, awarded profiles) by
+    substituting them out of the LP.
 
     The LP holds only what some schedule within the ratings can bind:
     the reachable rating-polygon facets; the voltages, and with them
@@ -638,7 +655,7 @@ class OpfModel:
                         self.col_lo[free], self.col_hi[free], self.cost[free],
                         self.import_cols - pinned.sum())  # the pins precede the import
         prices = np.asarray(prices, dtype=float)
-        X, objective, _ = self._sweep(lp, prices[None])
+        X, objective, _ = self._sweep(lp, self._costs(prices[None]))
         x[free] = X[0]
         return self._solution(prices, x, float(objective[0]))
 
@@ -648,27 +665,67 @@ class OpfModel:
 
         Returns the (S, F, T) heat-pump schedules in kW, in `ids` order,
         and the S objectives in EUR.  The rows differ only in the
-        import-price costs, so one HiGHS instance holds the LP and dual
-        simplex re-solves each row from the previous row's optimal
-        basis.  The first row starts from the basis `bases` holds for
-        this LP's shape, and the last row's basis is stored back there
-        (`lp.HighsSweep.solve`); without one it is solved cold, exactly
-        as solve() would.  A row that ends on an optimal vertex of the
-        whole LP seen at an earlier row gets that row's point
-        (`lp.first_seen`), so identical schedules stay byte-identical.
+        import-price costs, so the LP is swept (`lp.HighsSweep.solve`):
+        each distinct row is solved once, and equal rows get its
+        schedules and objective.  The distinct rows split into two
+        halves in order, each a chain of dual-simplex re-solves from the
+        previous row's optimal basis on a HiGHS instance of its own, and
+        both chains start from the same basis: the one `bases` holds for
+        this LP's shape, or cold without one, exactly as solve() would.
+        The second half runs on a worker thread while the first runs
+        here when the process may use two CPUs, else after it; the
+        answers are the same either way.  The last distinct row's basis
+        goes back into `bases` once both halves are done.  A row that
+        ends on an optimal vertex of the whole LP seen at an earlier row
+        gets that row's point (`lp.first_seen`), so identical schedules
+        stay byte-identical.
         """
-        X, objective, status = self._sweep(self._lp, np.asarray(price_rows, dtype=float), bases)
-        return first_seen(X[:, None], status[:, None])[:, 0, self._power], objective
+        costs = self._costs(np.asarray(price_rows, dtype=float))
+        rows, back = distinct(costs)
+        X, objective, status = self._halves(costs[rows], bases)
+        return first_seen(X[:, None], status[:, None])[:, 0, self._power][back], objective[back]
 
-    def _sweep(self, lp: HighsSweep, price_rows: np.ndarray,
-               bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One sweep of lp, the day's LP or a pinned part of it, over the
-        price rows on the substation import: HiGHS's points, objectives
-        and vertex statuses (`lp.HighsSweep.solve`)."""
+    def _halves(self, costs: np.ndarray,
+                bases: dict | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The day's LP swept over the cost rows as `solve_rows` says: one
+        chain for a single row, else two, each from a copy of `bases`.
+        The first half's failure is raised before the second's, and no
+        HiGHS run is still going when this returns or raises."""
+        if len(costs) < 2:
+            return self._sweep(self._lp, costs, bases)
+        half = len(costs) // 2
+        own = [None if bases is None else dict(bases) for _ in range(2)]
+        first = partial(self._sweep, self._lp, costs[:half], own[0])
+        second = partial(self._sweep, self._lp, costs[half:], own[1])
+        if _usable_cpus() < 2:
+            # on one CPU the thread gains no time and keeps a second HiGHS
+            # instance live in its own malloc arena: about 10 MB more RSS
+            parts = first(), second()
+        else:
+            tail = _worker().submit(second)
+            try:
+                head = first()
+            finally:
+                wait([tail])
+            parts = head, tail.result()
+        if bases is not None:
+            bases.update(own[1])
+        return tuple(np.concatenate(v) for v in zip(*parts))
+
+    def _costs(self, price_rows: np.ndarray) -> np.ndarray:
+        """The substation import's cost rows, EUR per pu, of an (S, T)
+        EUR/MWh price stack."""
         T = len(self.t_out)
         if price_rows.ndim != 2 or price_rows.shape[1] != T:
             raise ValueError(f"price rows must be an (S, {T}) array, one price per hour")
-        costs = self.cfg.dt * price_rows * self.net.s_base_kva / 1000.0
+        return self.cfg.dt * price_rows * self.net.s_base_kva / 1000.0
+
+    def _sweep(self, lp: HighsSweep, costs: np.ndarray,
+               bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One sweep of lp, the day's LP or a pinned part of it, over cost
+        rows on the substation import: HiGHS's points, objectives and
+        vertex statuses (`lp.HighsSweep.solve`), its failures named as
+        the network's."""
         try:
             return lp.solve(costs, bases)
         except Infeasible:

@@ -12,7 +12,8 @@ shape, when the caller keeps one, or from a basis the caller assembled
 from a vertex status (`basis`).  Each row comes back as HiGHS's point,
 its objective and its vertex status, which names the vertex; a caller
 gives a vertex it reached more than once the bytes of its first
-sighting with `first_seen`, keyed as it chooses.  Column bounds are
+sighting with `first_seen`, keyed as it chooses, and sweeps each
+distinct row of a stack once (`distinct`).  Column bounds are
 fixed at construction: a caller pinning columns substitutes them out
 and sweeps the smaller LP, as `grid.OpfModel.solve` does.
 
@@ -21,6 +22,8 @@ which skips linprog's per-call option checks and model conversion.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy import sparse
@@ -54,7 +57,7 @@ class HighsSweep:
 
     Every row must be an equality or have one infinite side, so that an
     optimal basis and the bounds its nonbasic columns sit at name one
-    vertex.
+    vertex.  `solve` may run on several threads at once.
     """
 
     def __init__(self, A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols):
@@ -85,7 +88,12 @@ class HighsSweep:
         lp.col_cost_ = cost
         self._lp = lp
         self._col_hi = col_hi
-        self.runs = 0
+        self._calls = threading.local()
+
+    @property
+    def runs(self) -> int:
+        """The HiGHS runs of the last `solve` this thread made, reruns included."""
+        return getattr(self._calls, "runs", 0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -107,7 +115,8 @@ class HighsSweep:
         without an optimum is run again from scratch, on the model passed
         afresh: the basis it started from can leave the dual simplex
         short of its tolerances, where the row solved afresh is not.
-        `runs` counts the call's HiGHS runs, the reruns included.
+        `runs` counts the call's HiGHS runs, the reruns included; calls
+        made at once from several threads each count their own.
 
         The points are HiGHS's own, row by row: a vertex reached twice
         may differ in its last bits, and a caller that wants it
@@ -136,18 +145,19 @@ class HighsSweep:
         X = np.empty((S, n_col))
         objective = np.empty(S)
         status = np.zeros((S, n_col + n_row), dtype=np.uint8)
-        self.runs = 0
+        calls = self._calls
+        calls.runs = 0
         for s, cost in enumerate(cost_rows):
             highs.changeColsCost(len(self._cost_cols), self._cost_cols, cost)
             highs.run()
-            self.runs += 1
+            calls.runs += 1
             if (s or warm) and highs.getModelStatus() != _hc.HighsModelStatus.kOptimal:
                 # clearSolver keeps some of the solver's state; the model
                 # passed again keeps none, so the row runs as on a new instance
                 highs.passModel(self._lp)
                 highs.changeColsCost(len(self._cost_cols), self._cost_cols, cost)
                 highs.run()
-                self.runs += 1
+                calls.runs += 1
             model_status = highs.getModelStatus()
             if model_status == _hc.HighsModelStatus.kInfeasible:
                 raise Infeasible("LP is infeasible")
@@ -178,6 +188,14 @@ def basis(status: np.ndarray, n_col: int) -> _hc.HighsBasis:
     out.row_status = _STATUS[status[n_col:]].tolist()
     out.valid = True
     return out
+
+
+def distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first of each set of equal rows, in order, and the index of
+    every row's among them."""
+    _, first, back = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[back.ravel()]
 
 
 def first_seen(values: np.ndarray, keys: np.ndarray) -> np.ndarray:

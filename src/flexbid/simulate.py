@@ -19,7 +19,10 @@ ids sorted), hour.
 
 A campaign hands each day's final HiGHS bases (`lp.HighsSweep.solve`)
 to the next day, whose LPs have the same shapes, so its dispatch
-starts warm; a failed day hands on nothing.  `run_day` starts cold
+starts warm; a failed day hands on nothing.  `_Network` sweeps its
+distinct rows as two halves, both from the day's start and the second
+on a worker thread when two CPUs are usable; the second half's last
+basis is handed on, and the answers do not depend on the CPU count.  `run_day` starts cold
 unless given bases, so a campaign day and the same day run alone cost
 the same but may settle on different alternative optima.
 
@@ -271,7 +274,9 @@ def _dispatcher(cfg: CampaignConfig, inputs: DayInputs) -> _Fleet | _Network:
     is the model's own: `DispatchModel.solve`, whose costs add the heat
     pumps' energy costs in id order, or `OpfModel.solve_rows`, whose
     costs are the OPF objectives; each warm-starts its sweeps from
-    `bases` and leaves its final bases there.
+    `bases` and leaves its final bases there.  The OPF's sweep runs as
+    two halves from that one start, the second on a worker thread when
+    two CPUs are usable; its answers do not depend on the CPU count.
     """
     return _Fleet(cfg, inputs) if cfg.mode == "unbundled" else _Network(cfg, inputs)
 

@@ -40,7 +40,7 @@ from scipy import sparse
 from scipy.optimize import linprog  # noqa: F401
 
 from .errors import Infeasible, InfeasibleBaseline, SolverFailure
-from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep, basis, first_seen
+from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep, basis, distinct, first_seen
 
 log = logging.getLogger(__name__)
 
@@ -361,14 +361,6 @@ def _certify(status: np.ndarray, blk: _Block, c: np.ndarray,
     return ok.reshape(S, n), P.T.reshape(S, n, T)
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first of each set of equal rows, in order, and the index of
-    every row's among them."""
-    _, first, back = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[back.ravel()]
-
-
 @dataclass
 class SweepStats:
     """The work of a `DispatchModel.solve`, in heat-pump rows (one heat
@@ -441,7 +433,7 @@ class DispatchModel:
         if prices.ndim != 2 or prices.shape[1] != T or len(prices) < 1:
             raise ValueError(f"prices must have shape (S, {T})")
         c = prices * self.cfg.dt / 1000.0  # objective directly in EUR
-        rows, back = _distinct(c)  # every block solves each distinct row once
+        rows, back = distinct(c)  # every block solves each distinct row once
         c = c[rows]
         X = np.empty((len(c), len(self.buildings), T))
         self.stats = SweepStats()

@@ -3,8 +3,11 @@
 import dataclasses
 import logging
 import math
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from flexbid.errors import (
     Infeasible,
     LengthMismatch,
     MultipleAncestors,
+    SolverFailure,
 )
 from flexbid import grid
 from flexbid.grid import (
@@ -927,11 +931,12 @@ def test_one_row_sweep_is_the_one_shot_solve():
 
 
 def test_sweep_reuses_the_point_of_a_repeated_basis():
-    # the third row returns to the first row's prices along a warm path;
-    # its optimal basis repeats, so its schedules repeat byte for byte
+    # the third row, a euro per MWh above the first at every hour, is a
+    # distinct row on the first row's optimal vertex; HiGHS's own point
+    # there differs in its last bits, yet its schedules repeat byte for byte
     model = sweep_model()
     p0, p1 = PRICES24, PRICES24[::-1].copy()
-    X, _ = model.solve_rows(np.array([p0, p1, p0]))
+    X, _ = model.solve_rows(np.array([p0, p1, p0 + 1.0]))
     assert not np.allclose(X[0], X[1])
     assert X[2].tobytes() == X[0].tobytes()
 
@@ -955,12 +960,13 @@ class DriftingHighs(_core._Highs):
 
 def test_a_row_back_at_a_vertex_seen_before_repeats_its_bytes(monkeypatch):
     # the network LP moves away from its first vertex at row 1 and back at
-    # row 2; each run drifts the basic values, so the third row repeats the
-    # first row's bytes only by taking its point
+    # row 2, a distinct row a euro per MWh above row 0; each run drifts the
+    # basic values, so the third row repeats the first row's bytes only by
+    # taking its point
     monkeypatch.setattr(_core, "_Highs", DriftingHighs)
     monkeypatch.setattr(DriftingHighs, "runs", 0)
     p0, p1 = PRICES24, PRICES24[::-1].copy()
-    X, _ = sweep_model().solve_rows(np.array([p0, p1, p0]))
+    X, _ = sweep_model().solve_rows(np.array([p0, p1, p0 + 1.0]))
     assert DriftingHighs.runs == 3
     assert not np.allclose(X[0], X[1])
     assert X[2].tobytes() == X[0].tobytes()
@@ -973,16 +979,156 @@ def test_sweep_rejects_a_bare_price_vector():
         sweep_model().solve_rows(np.ones((2, 23)))
 
 
+def split_solve(cpus):
+    """solve_rows on three distinct rows around p, split into halves of
+    one and two rows, with cpus usable CPUs."""
+    def solve(model, p):
+        with mock.patch.object(grid, "_usable_cpus", lambda: cpus):
+            return model.solve_rows(np.array([p, p[::-1], p + 1.0]))
+    return solve
+
+
 @pytest.mark.parametrize("solve", [
     pytest.param(lambda model, p: model.solve(p), id="solve"),
     pytest.param(lambda model, p: model.solve_rows(p[None, :]), id="solve_rows"),
+    pytest.param(split_solve(1), id="solve_rows-inline-halves"),
+    pytest.param(split_solve(2), id="solve_rows-threaded-halves"),
 ])
 def test_energy_beyond_the_substation_rating_is_infeasible(solve):
     # at 1 % of the ratings the feeder cannot deliver the heat pumps'
     # daily energy, and heat-pump load is never shed
     model = sweep_model(rating_scale=0.01)
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible) as info:
         solve(model, PRICES24)
+    assert str(info.value) == grid._INFEASIBLE
+
+
+SPLIT_ROWS = np.random.default_rng(8).uniform(20.0, 140.0, size=(5, 24))  # halves of 2 and 3
+
+
+class ThreadedHighs(_core._Highs):
+    """HiGHS that logs whether each run is on the main thread."""
+
+    log = []
+
+    def run(self):
+        ThreadedHighs.log.append(threading.current_thread() is threading.main_thread())
+        return super().run()
+
+
+def test_equal_rows_are_swept_once(monkeypatch):
+    monkeypatch.setattr(_core, "_Highs", ThreadedHighs)
+    monkeypatch.setattr(ThreadedHighs, "log", [])
+    p0, p1 = PRICES24, PRICES24[::-1].copy()
+    X, objective = sweep_model().solve_rows(np.array([p0, p1, p0, p1, p0]))
+    assert len(ThreadedHighs.log) == 2
+    assert [x.tobytes() for x in X] == [X[0].tobytes(), X[1].tobytes()] * 2 + [X[0].tobytes()]
+    assert objective.tolist() == objective[[0, 1]].tolist() * 2 + [objective[0]]
+
+
+def test_inline_and_threaded_halves_give_the_same_bytes(monkeypatch):
+    monkeypatch.setattr(_core, "_Highs", ThreadedHighs)
+    answers = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(grid, "_usable_cpus", lambda n=cpus: n)
+        model = sweep_model()
+        bases = {}
+        model.solve_rows(SPLIT_ROWS[::-1], bases)  # a carried start
+        monkeypatch.setattr(ThreadedHighs, "log", [])
+        X, objective = model.solve_rows(SPLIT_ROWS, bases)
+        # each half a chain from the carried start: 2 runs here, 3 on the
+        # worker thread when two CPUs are usable, all 5 here with one
+        assert sorted(ThreadedHighs.log) == ([False] * 3 + [True] * 2 if cpus == 2 else [True] * 5)
+        kept = bases[model._lp.shape]
+        answers[cpus] = X.tobytes(), objective.tobytes(), kept.col_status, kept.row_status
+    assert answers[1] == answers[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bad", [0, 4], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("failure, raw, message", [
+    (Infeasible, "LP is infeasible", grid._INFEASIBLE),
+    (SolverFailure, "HiGHS status Time limit reached",
+     "network dispatch failed: HiGHS status Time limit reached"),
+])
+def test_a_failing_half_fails_the_sweep_alike_on_either_path(monkeypatch, cpus, bad,
+                                                               failure, raw, message):
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: cpus)
+    model = sweep_model()
+    bad_cost = model._costs(SPLIT_ROWS[bad:bad + 1])
+    solve = model._lp.solve
+
+    def failing(costs, bases=None):
+        if (costs == bad_cost).all(axis=1).any():
+            raise failure(raw)
+        return solve(costs, bases)
+
+    monkeypatch.setattr(model._lp, "solve", failing)
+    bases = {}
+    with pytest.raises(failure) as info:
+        model.solve_rows(SPLIT_ROWS, bases)
+    assert str(info.value) == message and bases == {}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_when_both_halves_fail_the_first_halfs_failure_is_raised(monkeypatch, cpus):
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: cpus)
+    model = sweep_model()
+
+    def failing(costs, bases=None):  # the first half holds 2 rows, the second 3
+        if len(costs) == 2:
+            raise SolverFailure("HiGHS status Time limit reached")
+        raise Infeasible("LP is infeasible")
+
+    monkeypatch.setattr(model._lp, "solve", failing)
+    with pytest.raises(SolverFailure, match="^network dispatch failed: HiGHS status"):
+        model.solve_rows(SPLIT_ROWS)
+
+
+class GoingHighs(_core._Highs):
+    """HiGHS that logs each run's start (+1) and end (-1), each run slowed
+    so that a run on one thread is still going when the other thread fails."""
+
+    log = []
+
+    def run(self):
+        GoingHighs.log.append(1)
+        try:
+            time.sleep(0.05)
+            return super().run()
+        finally:
+            GoingHighs.log.append(-1)
+
+
+def test_no_run_and_no_thread_outlives_a_split_sweep(monkeypatch):
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)
+    sweep_model().solve_rows(SPLIT_ROWS)  # the first split starts the worker thread
+    threads = threading.active_count()
+    monkeypatch.setattr(_core, "_Highs", GoingHighs)
+    monkeypatch.setattr(GoingHighs, "log", [])
+    model = sweep_model()
+    model.solve_rows(SPLIT_ROWS)
+    assert len(GoingHighs.log) == 10 and sum(GoingHighs.log) == 0
+    assert threading.active_count() == threads
+    # the first half fails before a run; the second half's three rows all
+    # end before the failure is raised
+    solve = model._lp.solve
+
+    def failing(costs, bases=None):
+        if len(costs) == 2:
+            raise Infeasible("LP is infeasible")
+        return solve(costs, bases)
+
+    monkeypatch.setattr(model._lp, "solve", failing)
+    monkeypatch.setattr(GoingHighs, "log", [])
+    with pytest.raises(Infeasible):
+        model.solve_rows(SPLIT_ROWS)
+    assert len(GoingHighs.log) == 6 and sum(GoingHighs.log) == 0
+    assert threading.active_count() == threads
+    monkeypatch.setattr(GoingHighs, "log", [])
+    with pytest.raises(Infeasible):
+        sweep_model(rating_scale=0.01).solve_rows(SPLIT_ROWS)
+    assert sum(GoingHighs.log) == 0 and threading.active_count() == threads
 
 
 def radial_instance(draw):
@@ -1076,14 +1222,20 @@ def test_sweep_matches_cold_solves_on_random_feeders(instance):
 
 
 def test_sweep_reruns_a_row_its_warm_start_leaves_short_of_optimal():
-    """On this high-r feeder the sixth row, warm from the fifth's basis,
-    ends outside the dual tolerance; run again from scratch it is
-    optimal, and every row still checks out."""
+    """On this high-r feeder the model's LP swept over all six rows in
+    one chain, equal rows included, leaves the sixth row, warm from the
+    fifth's basis, outside the dual tolerance; run again from scratch it
+    is optimal, and every row still checks out.  `solve_rows` sweeps
+    only the four distinct rows, in two chains, and checks out too."""
     drawn = {"seed": 256, "nodes": 4, "heat pumps": 4, "T": 12, "high r": True,
              "S": 6, "repeats": 4}
     model, prices = radial_instance(lambda strategy, label: drawn[label])
-    for p, x, objective in zip(prices, *model.solve_rows(prices)):
-        check_swept_row(model, p, x, objective, rtol=1e-9)
+    X, objective, _ = model._lp.solve(model._costs(prices))
+    assert model._lp.runs == len(prices) + 1
+    for p, x, obj in zip(prices, X[:, model._power], objective):
+        check_swept_row(model, p, x, obj, rtol=1e-9)
+    for p, x, obj in zip(prices, *model.solve_rows(prices)):
+        check_swept_row(model, p, x, obj, rtol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

@@ -278,6 +278,43 @@ def test_a_later_row_whose_warm_run_ends_short_is_run_again_from_scratch(monkeyp
     assert np.abs(objective - objective_ref).max() <= 1e-9
 
 
+class MeetingHighs(_core._Highs):
+    """HiGHS whose first run on each instance waits for a second instance's
+    first run, so two sweeps on two threads overlap."""
+
+    meet = threading.Barrier(2, timeout=30)
+
+    def run(self):
+        if not getattr(self, "met", False):
+            self.met = True
+            MeetingHighs.meet.wait()
+        return super().run()
+
+
+def test_two_sweeps_at_once_on_one_lp_count_their_own_runs(monkeypatch):
+    lp = HighsSweep(**random_lp(7))
+    rows = np.random.default_rng(7).uniform(-5.0, 5.0, (5, 30))
+    X_ref, objective_ref, _ = HighsSweep(**random_lp(7)).solve(rows)
+    monkeypatch.setattr(_core, "_Highs", MeetingHighs)
+    monkeypatch.setattr(MeetingHighs, "meet", threading.Barrier(2, timeout=30))
+    runs, answers = {}, {}
+
+    def sweep(S):
+        answers[S] = lp.solve(rows[:S])
+        runs[S] = lp.runs
+
+    threads = [threading.Thread(target=sweep, args=(S,)) for S in (2, 5)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    assert runs == {2: 2, 5: 5}
+    assert answers[5][0].tobytes() == X_ref.tobytes()
+    assert answers[5][1].tobytes() == objective_ref.tobytes()
+    assert lp.runs == 0  # this thread made no call
+
+
 def test_each_rows_vertex_status_restarts_its_optimum_without_a_pivot(spy):
     rows = np.random.default_rng(5).uniform(-5.0, 5.0, (4, 30))
     lp = HighsSweep(**random_lp(5))
