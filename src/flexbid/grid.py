@@ -33,8 +33,8 @@ the same (dropping rows that are redundant by activity bounds is a
 standard presolve step; Andersen & Andersen, Math. Prog. 71, 1995),
 while each warm re-solve, which skips presolve, works on a smaller LP.
 A solution still reports every line's flows and every node's voltage:
-they follow from the solved nodal draws by one triangular solve each on
-the tree's incidence matrix, as LinDistFlow states them.
+they follow from the solved nodal draws by one pass up the tree and
+one down it (`_Tree`), as LinDistFlow states them.
 
 Unit bookkeeping: building and nodal quantities are kW; flows,
 voltages, and ratings are per-unit on s_base_kva; market prices are
@@ -54,12 +54,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse.linalg import spsolve_triangular
-
-# linprog is not called here; perfbench/spans.py patches flexbid.grid.linprog
-# by name, so the name stays importable for a traced benchmark run
-from scipy.optimize import linprog  # noqa: F401
 
 from .errors import (
     CycleDetected,
@@ -96,9 +90,63 @@ _INFEASIBLE = (
 )
 
 
+def __getattr__(name: str):
+    # linprog is not called here; perfbench/spans.py patches flexbid.grid.linprog
+    # by name, so the name stays importable, and loads scipy.optimize only
+    # when a traced benchmark run asks for it
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def milp(*args, **kwargs):
+    """scipy.optimize.milp, which loads scipy.optimize on the first call:
+    only a capacity that binds reaches it (`allocate_buildings`)."""
+    from scipy import optimize
+    return optimize.milp(*args, **kwargs)
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 where the OS does not say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _Tree:
+    """The nodes below the substation, by position, as LinDistFlow walks
+    them: anc[i] is the position of node i's ancestor, or N for the
+    substation, and ancestors come first.  Both walks take the nodes one
+    depth at a time, each depth one vectorized step over the rows of an
+    (N, ...) array, and add in the order a triangular solve on the
+    tree's incidence matrix adds: they give the bits scipy's
+    spsolve_triangular gave."""
+
+    def __init__(self, anc: Sequence[int]):
+        self._anc = anc = np.asarray(anc, dtype=int)
+        N = len(anc)
+        depth = np.zeros(N, dtype=int)
+        for i in range(N):  # ancestors first
+            if anc[i] < N:
+                depth[i] = depth[anc[i]] + 1
+        # the nodes below another, one array per depth, shallowest first
+        self._levels = [np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1)]
+
+    def flows(self, draws: np.ndarray) -> np.ndarray:
+        """Each line's flow, by child node: its node's draw plus its
+        children's flows, children first, each node's children added in
+        position order."""
+        out = np.array(draws, dtype=float)
+        for level in reversed(self._levels):
+            np.add.at(out, self._anc[level], out[level])
+        return out
+
+    def path_sums(self, drops: np.ndarray) -> np.ndarray:
+        """Each node's sum of the line drops on its path from the
+        substation, its own line's included, ancestors first."""
+        out = np.array(drops, dtype=float)
+        for level in self._levels:
+            out[level] += out[self._anc[level]]
+        return out
 
 
 @cache
@@ -320,6 +368,8 @@ def _assignment_milp(dist: np.ndarray, hp: np.ndarray, pv: np.ndarray,
     every site's heat-pump and PV ratings each under its `cap`.  The
     constraint rows are sparse CSR, 3 · buildings · sites nonzeros in
     all, so memory grows linearly in buildings × sites."""
+    from scipy.optimize import Bounds, LinearConstraint
+
     nb, nn = dist.shape
     # variables a[b, n] flattened row-major
     assign = sparse.kron(sparse.eye_array(nb), np.ones((1, nn)), format="csr")
@@ -533,17 +583,16 @@ class OpfModel:
 
         # The column bounds box each node's draw: shed in [0, p_fix], each
         # heat pump in [0, its rating], and shedding relieves no reactive
-        # power.  A line carries its subtree's draws (D.T f = draw, a
-        # triangular solve since ancestors come first) and the substation
-        # every draw plus its own fixed load, so each facet, at each hour,
-        # can reach at most the larger of its values at the box's ends.
+        # power.  A line carries its subtree's draws (D.T f = draw, summed
+        # up the tree) and the substation every draw plus its own fixed
+        # load, so each facet, at each hour, can reach at most the larger
+        # of its values at the box's ends.
         hp_kw = (H @ np.array([b.p_hp_rated for b in self.flex]))[:, None]
         # by node: least and most active draw, least and most reactive draw
         draws = np.stack([-self.pv_kw, self.p_fix_kw - self.pv_kw + hp_kw,
                           rar * self.p_fix_kw, rar * (self.p_fix_kw + hp_kw)], axis=1) / S
-        DT = D.T.tocsr()
-        flows = spsolve_triangular(DT, draws.reshape(N, 4 * T),
-                                   lower=False, unit_diagonal=True).reshape(N, 4, T)
+        tree = _Tree(anc)
+        flows = tree.flows(draws.reshape(N, 4 * T)).reshape(N, 4, T)
         imports = draws.sum(axis=0) + np.outer([1.0, 1.0, rar, rar], self.sub_fix_kw / S)
         p_lo, p_hi, q_lo, q_hi = np.vstack([flows, imports[None]]).transpose(1, 0, 2)[..., None]
         c, s = cos.ravel(), sin.ravel()
@@ -551,11 +600,10 @@ class OpfModel:
         reachable = reach.reshape(N + 1, T * K) >= poly_hi - FEASIBILITY_TOL
         # With r, x >= 0 each squared voltage, u = u_sub - 2 * sum over its
         # path of (r fp + x fq), falls as the flows grow: the box's ends
-        # bound it, through one more triangular solve, on D
+        # bound it, through the path sums down the tree
         r, x = np.array([[ln.r_pu for ln in lines], [ln.x_pu for ln in lines]])[..., None]
-        path = spsolve_triangular(D, np.hstack([r * p_hi[:N, :, 0] + x * q_hi[:N, :, 0],
-                                                r * p_lo[:N, :, 0] + x * q_lo[:N, :, 0]]),
-                                  lower=True, unit_diagonal=True)
+        path = tree.path_sums(np.hstack([r * p_hi[:N, :, 0] + x * q_hi[:N, :, 0],
+                                         r * p_lo[:N, :, 0] + x * q_lo[:N, :, 0]]))
         u_lo, u_hi = self.u_sub - 2.0 * path.reshape(N, 2, T).transpose(1, 0, 2)
         voltage = bool(u_lo.min() <= V_MIN_PU**2 + FEASIBILITY_TOL
                        or u_hi.max() >= V_MAX_PU**2 - FEASIBILITY_TOL)
@@ -620,7 +668,7 @@ class OpfModel:
         self.import_cols = np.arange(self._ends[4], self._ends[5])
         self.kept_lines = [self.node_ids[i] for i in keep]
         self.keeps_voltage = voltage
-        self._D, self._DT, self._H, self._r, self._x = D, DT, H, r, x
+        self._tree, self._H, self._r, self._x = tree, H, r, x
         self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
                               self.cost, self.import_cols)
 
@@ -739,17 +787,15 @@ class OpfModel:
         Every line's flows are rebuilt from the solved nodal draws and
         the squared voltages from them, so a contracted line gets its
         flow, and a model without voltage columns its voltages, as the
-        full LP states them: one triangular solve on D.T, one on D."""
+        full LP states them: one pass up the tree, one down it."""
         S, T = self.net.s_base_kva, len(self.t_out)
         _, shed, *_, pcc_p, pcc_q = np.split(x, self._ends[:-1])
         hp = x[self._power]
         shed = shed.reshape(-1, T)
         load = self.p_fix_kw + self._H @ hp
         draws = np.hstack([load - self.pv_kw - shed, self.series.rar * load]) / S
-        fp, fq = np.hsplit(spsolve_triangular(self._DT, draws, lower=False,
-                                              unit_diagonal=True), 2)
-        u = self.u_sub - 2.0 * spsolve_triangular(self._D, self._r * fp + self._x * fq,
-                                                  lower=True, unit_diagonal=True)
+        fp, fq = np.hsplit(self._tree.flows(draws), 2)
+        u = self.u_sub - 2.0 * self._tree.path_sums(self._r * fp + self._x * fq)
         hp_cost = self.cfg.dt * float(np.dot(prices, hp.sum(axis=0))) / 1000.0
         shed_kwh = self.cfg.dt * float(shed.sum())
         return OpfSolution(

@@ -18,18 +18,52 @@ fixed at construction: a caller pinning columns substitutes them out
 and sweeps the smaller LP, as `grid.OpfModel.solve` does.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
-which skips linprog's per-call option checks and model conversion.
+which skips linprog's per-call option checks and model conversion.  The
+binding is loaded alone (`_binding`), so scipy.optimize's package, which
+flexbid never calls, is not imported: about 27 MB and 0.35 s less per
+process.  A later `import scipy.optimize` reuses the same module object.
+Known limit: when flexbid loads the binding first, its package
+`scipy.optimize._highspy` never gets the attribute `_core`, so the
+attribute chain `scipy.optimize._highspy._core` fails; `from
+scipy.optimize._highspy import _core` and `import
+scipy.optimize._highspy._core as m` still return the module.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
+from importlib import machinery, util
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize._highspy import _core as _hc
 
 from .errors import Infeasible, SolverFailure
+
+
+def _binding():
+    """scipy's HiGHS binding, `scipy.optimize._highspy._core`: the module
+    already imported, or else the extension file of scipy's
+    optimize/_highspy directory loaded under that name and registered in
+    sys.modules, without running scipy.optimize's package `__init__`."""
+    name = "scipy.optimize._highspy._core"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"no HiGHS binding _core in {where} (flexbid needs scipy >= 1.15)",
+                          name=name, path=where)
+    module = util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_hc = _binding()
 
 # LP tolerances, tighter than every test tolerance in the suite.  They are
 # HiGHS's defaults, so a linprog call that leaves them unset solves alike.

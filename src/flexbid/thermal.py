@@ -35,14 +35,20 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-# linprog is not called here; perfbench/spans.py patches flexbid.thermal.linprog
-# by name, so the name stays importable for a traced benchmark run
-from scipy.optimize import linprog  # noqa: F401
-
 from .errors import Infeasible, InfeasibleBaseline, SolverFailure
 from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep, basis, distinct, first_seen
 
 log = logging.getLogger(__name__)
+
+
+def __getattr__(name: str):
+    # linprog is not called here; perfbench/spans.py patches flexbid.thermal.linprog
+    # by name, so the name stays importable, and loads scipy.optimize only
+    # when a traced benchmark run asks for it
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

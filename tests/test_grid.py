@@ -6,6 +6,7 @@ import math
 import threading
 import time
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -268,6 +269,102 @@ def test_a_congested_campaign_day_contracts_to_the_substation():
         assert model.kept_lines == [] and not model.keeps_voltage
         facets = np.isinf(model.row_lo).sum()
         assert model.A.shape == (facets + 2 * T + F * (T + 1), 2 * F * T + N * T + 2 * T)
+
+
+# ------------------------------------------------------------- tree walks
+
+class SolvedTree:
+    """grid._Tree's walks as the triangular solves on the tree's
+    incidence matrix D that they replace: D.T f = draws, D y = drops."""
+
+    def __init__(self, anc):
+        from scipy.sparse.linalg import spsolve_triangular
+
+        N = len(anc)
+        below = [i for i, a in enumerate(anc) if a < N]
+        self.D = (sparse.identity(N) - sparse.coo_matrix(
+            (np.ones(len(below)), (below, [anc[i] for i in below])), shape=(N, N))).tocsr()
+        self.spsolve_triangular = spsolve_triangular
+
+    def flows(self, draws):
+        return self.spsolve_triangular(self.D.T.tocsr(), draws, lower=False, unit_diagonal=True)
+
+    def path_sums(self, drops):
+        return self.spsolve_triangular(self.D, drops, lower=True, unit_diagonal=True)
+
+
+def random_feeder(shape, seed, n=40):
+    """n load nodes under substation 0, shaped as a chain n deep, a star
+    (every node but the first hangs off the first) or a random tree, with
+    shuffled node ids, random lines and loads, six heat-pump and PV
+    buildings, and a random 24-hour day of outdoor temperatures and series."""
+    rng = np.random.default_rng(seed)
+    ids = (rng.permutation(n) + 1).tolist()
+    parent = {"chain": lambda k: k - 1, "star": lambda k: 0,
+              "random": lambda k: int(rng.integers(0, k))}[shape]
+    nodes = {0: Node(id=0, ancestor_id=None, is_substation=True, s_rating_kva=400.0)}
+    lines = []
+    for k, nid in enumerate(ids):
+        anc = ids[parent(k)] if k else 0
+        nodes[nid] = Node(id=nid, ancestor_id=anc, p_cap_kw=float(rng.uniform(2.0, 10.0)))
+        lines.append(Line(from_id=nid, to_id=anc, r_pu=rng.uniform(1e-4, 1e-3),
+                          x_pu=rng.uniform(0.0, 5e-4), s_rating_pu=rng.uniform(0.1, 4.0)))
+    net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=100.0)
+    buildings = [BuildingParams(id=f"h{k}", r_th=rng.uniform(4, 8), c_th=rng.uniform(8, 16),
+                                p_hp_rated=rng.uniform(2.0, 4.0),
+                                p_pv_rated=rng.uniform(0.0, 3.0), has_hp=True)
+                 for k in range(6)]
+    alloc = {b.id: int(rng.choice(ids)) for b in buildings}
+    series = GridTimeSeries(slf=rng.uniform(0.4, 1.0, 24), cf=rng.uniform(0.0, 0.5, 24),
+                            rar=0.05)
+    return net, buildings, alloc, rng.uniform(-4.0, 12.0, 24), series
+
+
+def synthetic_feeder(seed):
+    """The benchmark's 30-node feeder, 5 arms 6 deep, on its first day."""
+    bundle = feeder_instance(seed)
+    day = bundle.dates[0]
+    series = GridTimeSeries(slf=bundle.slf[day], cf=bundle.cf[day], rar=0.05)
+    return (bundle.network, bundle.buildings,
+            allocate_buildings(bundle.buildings, bundle.network), bundle.weather[day], series)
+
+
+def assert_close(got, ref):
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("feeder", [
+    partial(random_feeder, "chain"), partial(random_feeder, "star"),
+    partial(random_feeder, "random"), synthetic_feeder,
+], ids=["chain", "star", "random", "synthetic"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tree_walks_match_the_triangular_solves(monkeypatch, feeder, seed):
+    """Flows summed up the tree and squared voltages down it agree with
+    the triangular solves on the incidence matrix, on random draws and
+    on a solved OPF; the model keeps the same facets, lines and voltage
+    rows either way, and its solution passes the independent re-check."""
+    net, buildings, alloc, t_out, series = feeder(seed)
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series)
+    anc = [model.node_pos.get(net.nodes[nid].ancestor_id, len(model.node_ids))
+           for nid in model.node_ids]
+    rng = np.random.default_rng(seed)
+    draws = rng.normal(size=(len(anc), 48)) * rng.choice([1e-3, 1.0, 1e3], size=(len(anc), 1))
+    walked, solved = grid._Tree(anc), SolvedTree(anc)
+    assert_close(walked.flows(draws), solved.flows(draws))
+    assert_close(walked.path_sums(draws), solved.path_sums(draws))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, "_Tree", SolvedTree)
+        ref = OpfModel(net, buildings, alloc, CFG, t_out, series)
+    assert (model.kept_lines, model.keeps_voltage, model.A.shape) == (
+        ref.kept_lines, ref.keeps_voltage, ref.A.shape)
+    assert (model.A != ref.A).nnz == 0
+    assert np.array_equal(model.row_lo, ref.row_lo) and np.array_equal(model.row_hi, ref.row_hi)
+    sol, ref_sol = model.solve(PRICES24), ref.solve(PRICES24)
+    assert sol.hp_kw.tobytes() == ref_sol.hp_kw.tobytes()
+    for name in ("flow_p_pu", "flow_q_pu", "u_pu2"):
+        assert_close(getattr(sol, name), getattr(ref_sol, name))
+    assert verify_solution(model, sol) == []
 
 
 # --------------------------------------------------------- tree validation

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 
 import flexbid
+from flexbid import grid, lp, thermal
 from flexbid.errors import Infeasible
 from flexbid.lp import HighsSweep, basis, first_seen
 from flexbid.synthetic import SyntheticSpec, generate_instance
@@ -364,3 +366,75 @@ def test_highs_binding_offers_what_the_sweep_calls():
                    "modelStatusToString", "getSolution",
                    "getBasicVariables", "getObjectiveValue", "getBasis", "setBasis"):
         assert hasattr(_core._Highs, method), method
+
+
+# ------------------------------------------------------- import footprint
+
+def fresh_python(code, *args):
+    """The standard output of code run in a fresh interpreter on flexbid's source."""
+    src = str(Path(flexbid.__file__).parents[1])
+    child = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                           timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+def test_the_cli_loads_no_module_flexbid_does_not_run():
+    out = fresh_python("import sys, flexbid.cli\n"
+                       "print([m for m in ('scipy.optimize', 'scipy.sparse.linalg', 'scipy.linalg')"
+                       " if m in sys.modules])")
+    assert out.split() == ["[]"]
+
+
+# run in a fresh interpreter with argv[1] naming what is imported first
+EITHER_ORDER = """
+import hashlib, sys
+if sys.argv[1] == "scipy-first":
+    import scipy.optimize
+import numpy as np
+from flexbid import lp
+from flexbid.grid import allocate_buildings
+from flexbid.simulate import CampaignConfig, day_inputs, run_day
+from flexbid.synthetic import SyntheticSpec, generate_instance
+loaded = sys.modules["scipy.optimize._highspy._core"]
+import scipy.optimize
+import scipy.optimize._highspy._core as imported
+from scipy.optimize._highspy import _core
+assert lp._hc is loaded is imported is _core
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+assert res.status == 0 and res.fun == 1.0, res
+res = scipy.optimize.milp([-2.0, -3.0], integrality=[1, 1], bounds=scipy.optimize.Bounds(0, 1),
+                          constraints=scipy.optimize.LinearConstraint([[1.0, 1.0]], -np.inf, 1.5))
+assert res.status == 0 and res.x.tolist() == [0.0, 1.0], res
+bundle = generate_instance(SyntheticSpec(n_buildings=30, hp_share_pct=60.0, n_days=14, seed=3))
+cfg = CampaignConfig(mode="integrated", start=bundle.dates[-1], days=1, s_count=6, max_bids=6)
+alloc = allocate_buildings(bundle.buildings, bundle.network)
+day = run_day(cfg, day_inputs(cfg, bundle, cfg.start, alloc=alloc))
+digest = hashlib.sha256(np.array([day.tc_inf, day.tc_cleared, day.tc_opt, day.shed_kwh]).tobytes())
+for bid in sorted(day.awarded_kw):
+    digest.update(bid.encode() + day.awarded_kw[bid].tobytes())
+print(day.n_bids, digest.hexdigest())
+"""
+
+
+def test_either_import_order_shares_one_binding_and_gives_the_same_bytes():
+    """flexbid loads scipy's HiGHS binding alone; imported first or after
+    scipy.optimize, it is the module scipy's own imports return, linprog
+    and milp still solve, and an integrated day writes the same bytes."""
+    days = [fresh_python(EITHER_ORDER, order) for order in ("flexbid-first", "scipy-first")]
+    assert days[0] == days[1] and int(days[0].split()[0]) > 1
+
+
+def test_a_missing_binding_is_an_import_error_naming_its_directory(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=str(tmp_path / "optimize" / "_highspy")):
+        lp._binding()
+
+
+def test_the_linprog_names_resolve_to_scipys():
+    # perfbench/spans.py patches these names on a traced run; flexbid
+    # itself never calls linprog
+    assert thermal.linprog is grid.linprog is linprog
+    with pytest.raises(AttributeError, match="no attribute 'milp'"):
+        thermal.milp
