@@ -36,6 +36,12 @@ A solution still reports every line's flows and every node's voltage:
 they follow from the solved nodal draws by one pass up the tree and
 one down it (`_Tree`), as LinDistFlow states them.
 
+scipy.sparse is imported only where matrices are built with it: the
+network LP (`OpfModel._assemble`), which wraps the fleet's block as a
+scipy array, and the capacitated assignment (`_assignment_milp`).  An
+integrated run loads it with its first `OpfModel`; an unbundled run,
+whose heat-pump LPs reach HiGHS as `lp.Csc` arrays, never does.
+
 Unit bookkeeping: building and nodal quantities are kW; flows,
 voltages, and ratings are per-unit on s_base_kva; market prices are
 EUR/MWh, so objective terms convert kW·h to MWh once.
@@ -53,7 +59,6 @@ from functools import cache, partial, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     CycleDetected,
@@ -368,6 +373,7 @@ def _assignment_milp(dist: np.ndarray, hp: np.ndarray, pv: np.ndarray,
     every site's heat-pump and PV ratings each under its `cap`.  The
     constraint rows are sparse CSR, 3 · buildings · sites nonzeros in
     all, so memory grows linearly in buildings × sites."""
+    from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint
 
     nb, nn = dist.shape
@@ -549,6 +555,8 @@ class OpfModel:
         voltage can come that close to a bound; else the lines with a
         kept facet.  Every other line is contracted: its child joins the
         cluster of its nearest kept ancestor, or the substation's."""
+        from scipy import sparse  # integrated runs only; see the module docstring
+
         net, cfg, series = self.net, self.cfg, self.series
         T = len(self.t_out)
         F, N = len(self.flex), len(self.node_ids)
@@ -626,7 +634,8 @@ class OpfModel:
         branch = (R @ incidence)[:, keep]
         volts = sparse.identity(N, format="csr")[:NV]
 
-        B, rhs_hp, lo_hp, hi_hp = fleet
+        csc, rhs_hp, lo_hp, hi_hp = fleet
+        B = sparse.csc_array(csc[:3], shape=csc.shape)
         A = sparse.bmat([
             # columns: heat pumps, shed, u, fp, fq, pcc_p, pcc_q
             # kept line polygons, by line, hour and facet

@@ -14,9 +14,11 @@ prices and profiles, on it as one (days, 24) numpy grid per value
 column, and `_write_hourly` writes them, one %-template per row, after
 checking that every series holds 24 finite values for the same dates.
 Writers emit one canonical decimal format per column so that write ->
-read -> write is byte-stable.  Structured artifacts (bids, outcomes,
-assignments, config) are JSON; `settings` checks and types each section
-of campaign.json against the dict to_dict writes for its defaults.
+read -> write is byte-stable.  Files are UTF-8, written without a
+byte-order mark and read past one, as spreadsheet CSV exports write it.
+Structured artifacts (bids, outcomes, assignments, config) are JSON;
+`settings` checks and types each section of campaign.json against the
+dict to_dict writes for its defaults.
 
 Daily series must cover hours 0..23 exactly once; days with missing or
 doubled hours (e.g. DST switches in real exports) are rejected rather
@@ -157,7 +159,7 @@ def _table(path: str | Path, columns: Mapping[str, Callable], optional_last: boo
     raise the fault, so that a file fails on its earliest faulty line."""
     path = Path(path)
     want = list(columns)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -234,10 +236,11 @@ def _hourly(path: str | Path, columns: Mapping[str, Callable],
 
 
 def read_json(path: str | Path):
-    """A JSON file's payload; SchemaError names the file and the line
-    where it stops being valid JSON."""
+    """A UTF-8 JSON file's payload, after a byte-order mark if it has
+    one; SchemaError names the file and the line where it stops being
+    valid JSON."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
 
@@ -494,7 +497,7 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[list]) -> 
     """Write a header and rows as CSV, lines ending in a bare newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -530,7 +533,7 @@ def _write_hourly(path: str | Path, columns: Mapping[str, Callable], fmt: str,
     rows = [f"%s,{h},{cells}\n" for h in range(HOURS)]  # one template per hour
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % (d.isoformat(), *values)
                       for d, day in zip(dates, np.stack(grids, axis=-1).tolist())

@@ -15,7 +15,11 @@ gives a vertex it reached more than once the bytes of its first
 sighting with `first_seen`, keyed as it chooses, and sweeps each
 distinct row of a stack once (`distinct`).  Column bounds are
 fixed at construction: a caller pinning columns substitutes them out
-and sweeps the smaller LP, as `grid.OpfModel.solve` does.
+and sweeps the smaller LP, as `grid.OpfModel.solve` does.  The matrix
+comes as a `Csc`, taken as it is, or as any other matrix, dense or
+scipy's, which goes through scipy.sparse, imported then: the heat-pump
+LPs `thermal.fleet_rows` builds are `Csc`, so an unbundled run never
+loads scipy.sparse, and only the network OPF's LP does.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.  The
@@ -35,10 +39,10 @@ import os
 import sys
 import threading
 from importlib import machinery, util
+from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 from .errors import Infeasible, SolverFailure
 
@@ -71,6 +75,17 @@ FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
 
 
+class Csc(NamedTuple):
+    """A matrix in compressed sparse columns, under the names of scipy's
+    CSC arrays: column j's values are data[indptr[j]:indptr[j + 1]], in
+    the rows indices[indptr[j]:indptr[j + 1]]."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
 def _options() -> _hc.HighsOptions:
     """linprog's HiGHS options: presolve on, dual simplex, no output."""
     options = _hc.HighsOptions()
@@ -95,7 +110,9 @@ class HighsSweep:
     """
 
     def __init__(self, A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols):
-        A = sparse.csc_array(A)
+        if not isinstance(A, Csc):
+            from scipy import sparse  # any other matrix, dense or sparse
+            A = sparse.csc_array(A)
         row_lo, row_hi, col_lo, col_hi, cost = (
             np.asarray(v, dtype=float) for v in (row_lo, row_hi, col_lo, col_hi, cost))
         self._cost_cols = cost_cols = np.asarray(cost_cols, dtype=np.int32)
@@ -105,6 +122,14 @@ class HighsSweep:
                 or cost_cols.ndim != 1 or not ((0 <= cost_cols) & (cost_cols < n)).all()):
             raise ValueError(f"an LP of shape {A.shape} needs {m} row bounds, {n} column "
                              f"bounds and costs, and cost columns within [0, {n})")
+        # HiGHS spins without end on a row index out of range: scipy's
+        # constructor refuses a malformed matrix, but a Csc comes as it is
+        start, index = np.asarray(A.indptr), np.asarray(A.indices)
+        if (start.shape != (n + 1,) or start[0] != 0 or (np.diff(start) < 0).any()
+                or index.shape != (start[-1],) or np.shape(A.data) != index.shape
+                or not ((0 <= index) & (index < m)).all()):
+            raise ValueError(f"a matrix of shape {A.shape} needs {n + 1} column starts from 0 "
+                             f"up, one value per row index, and row indices within [0, {m})")
         # HiGHS spins without end on a NaN; an infinite bound is a free side
         if (not np.isfinite(np.r_[A.data, cost]).all()
                 or np.isnan(np.r_[row_lo, row_hi, col_lo, col_hi]).any()):
@@ -115,8 +140,8 @@ class HighsSweep:
         lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
         # index lists, which the binding takes whole; an int64 array it
         # converts element by element
-        lp.a_matrix_.start_ = A.indptr.tolist()
-        lp.a_matrix_.index_ = A.indices.tolist()
+        lp.a_matrix_.start_ = start.tolist()
+        lp.a_matrix_.index_ = index.tolist()
         lp.a_matrix_.value_ = A.data
         lp.row_lower_, lp.row_upper_, lp.col_lower_, lp.col_upper_ = row_lo, row_hi, col_lo, col_hi
         lp.col_cost_ = cost

@@ -53,8 +53,9 @@ def generate_scenarios(d: date, s_count: int, history: PriceSeries) -> np.ndarra
 
     Row 1 is the point forecast; rows 2..S subtract one historical
     residual each, most recent first.  Short history duplicates the
-    oldest residual; no residual history at all raises
-    InsufficientHistory (when s_count > 1).
+    oldest residual; no residual history at all, or a residual day whose
+    row overflows the float range, raises InsufficientHistory (when
+    s_count > 1).
     """
     if s_count < 1:
         raise ValueError("s_count must be at least 1")
@@ -73,9 +74,15 @@ def generate_scenarios(d: date, s_count: int, history: PriceSeries) -> np.ndarra
                 "day %s: only %d residual days for %d scenarios, duplicating oldest",
                 d, len(residual_days), s_count,
             )
-        for k in range(s_count - 1):
-            h = residual_days[min(k, len(residual_days) - 1)]
-            rows.append(y - history.residual(h))
+        # finite cells can still overflow: a residual, or a row shifted by it
+        with np.errstate(over="ignore"):
+            for k in range(s_count - 1):
+                h = residual_days[min(k, len(residual_days) - 1)]
+                rows.append(y - history.residual(h))
+                if not np.isfinite(rows[-1]).all():
+                    raise InsufficientHistory(
+                        f"day {d}: the residual of history day {h} leaves the float range"
+                    )
     return np.vstack(rows)
 
 

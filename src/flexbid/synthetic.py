@@ -24,6 +24,9 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+# numpy 2 imports numpy.random on first use, about 10 ms: import it with
+# this module, so that the first instance generated costs what any other does
+import numpy.random  # noqa: F401
 
 from .grid import Line, Node, RadialNetwork
 from .ingest import (

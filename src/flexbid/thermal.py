@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import Infeasible, InfeasibleBaseline, SolverFailure
-from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep, basis, distinct, first_seen
+from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, Csc, HighsSweep, basis, distinct, first_seen
 
 log = logging.getLogger(__name__)
 
@@ -164,7 +163,7 @@ def _steps(buildings: Sequence[BuildingParams],
 
 def fleet_rows(
     buildings: Sequence[BuildingParams], cfg: ComfortConfig, t_out: np.ndarray
-) -> tuple[sparse.csc_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Csc, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A fleet's dispatch LP, A x = rhs and col_lo <= x <= col_hi, its
     (F, T) baseline schedules and the (F, T) indices of its power columns,
     so that x[power] is the fleet's schedules.  Building-major: each heat
@@ -172,8 +171,10 @@ def fleet_rows(
     A is block-diagonal.  Row t is the implicit-Euler step
     T_t - decay*T_{t-1} - decay*gain*P_t = decay*k*t_out_t (T_{-1} = t_set),
     row T the daily energy at the baseline's; the rating and the comfort
-    band bound the columns.  Raises InfeasibleBaseline as
-    `baseline_profile` does."""
+    band bound the columns.  A is an `lp.Csc`, which `HighsSweep` takes
+    as it is, so an unbundled run never loads scipy.sparse; the network
+    OPF wraps it as a scipy array to place it in its own LP.  Raises
+    InfeasibleBaseline as `baseline_profile` does."""
     t_out = np.asarray(t_out, dtype=float)
     if t_out.ndim != 1 or not t_out.size:
         raise ValueError(f"t_out must hold one temperature per step, got shape {t_out.shape}")
@@ -188,10 +189,8 @@ def fleet_rows(
     steps = np.arange(n)
     rows = np.r_[np.c_[steps, np.full(n, n)].ravel(), np.c_[steps, steps + 1].ravel()[:-1]]
     per_col = np.tile(np.r_[np.full(2 * n - 1, 2), 1], F)  # nonzeros in each column
-    A = sparse.csc_array(
-        (data.ravel(), (rows + (n + 1) * np.arange(F)[:, None]).ravel(), np.r_[0, per_col.cumsum()]),
-        shape=(F * (n + 1), 2 * F * n),
-    )
+    A = Csc(data.ravel(), (rows + (n + 1) * np.arange(F)[:, None]).ravel(),
+            np.r_[0, per_col.cumsum()], (F * (n + 1), 2 * F * n))
     rhs = np.c_[np.outer(decay * k, t_out), [base.energy for base in bases]]
     rhs[:, 0] += decay * cfg.t_set
     col_lo = np.tile(np.repeat([0.0, cfg.t_min], n), F)

@@ -5,15 +5,17 @@ walks the whole chain the way the README does: generate, allocate, bid,
 clear, simulate, report.
 """
 
+import codecs
 import csv
 import json
 from datetime import date
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flexbid.cli import main
+from flexbid.cli import _load_bundle, _load_workspace, _resolve_paths, main
 from flexbid.ingest import FILE_NAMES
 from flexbid.simulate import CampaignConfig
 from flexbid.synthetic import SyntheticSpec
@@ -169,6 +171,34 @@ def test_simulate_writes_the_campaign_outputs(workspace, runner):
     assert summary["days"] == 3 and summary["mode"] == "unbundled"
     assert (workspace / "schedules.csv").exists()
     assert "efficiency" in res.output
+
+
+def test_files_saved_with_a_byte_order_mark_read_alike(workspace, tmp_path, runner):
+    """A spreadsheet's "CSV UTF-8" export leads a file with a UTF-8
+    byte-order mark: every instance CSV, alloc.json, campaign.json and a
+    bids file read past it to the same bundle, settings and answers."""
+    for command in (["allocate", str(workspace)], ["bid", str(workspace)] + FAST):
+        res = runner.invoke(main, command)
+        assert res.exit_code == 0, res.output
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for path in workspace.iterdir():
+        (marked / path.name).write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    loaded = [_load_workspace(str(ws), None) for ws in (workspace, marked)]
+    assert loaded[0][0] == loaded[1][0]
+    plain, bom = (_load_bundle(_resolve_paths(raw, base)) for raw, base in loaded)
+    assert bom.alloc and (bom.buildings, bom.network, bom.alloc) == (
+        plain.buildings, plain.network, plain.alloc)
+    for name in ("weather", "realized", "forecast", "slf", "cf"):
+        got, want = getattr(bom, name), getattr(plain, name)
+        assert got.keys() == want.keys() and all(np.array_equal(got[d], want[d]) for d in want)
+    for ws in (workspace, marked):
+        for command in (["simulate", str(ws), "--days", "1"] + FAST,
+                        ["clear", str(ws), "--bids", str(ws / "bids_2025-01-11.json")]):
+            res = runner.invoke(main, command)
+            assert res.exit_code == 0, res.output
+    for name in ("schedules.csv", "outcome_2025-01-11.json"):
+        assert (marked / name).read_bytes() == (workspace / name).read_bytes()
 
 
 def test_settings_resolve_flag_then_file_then_default(workspace, runner):

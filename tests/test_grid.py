@@ -982,6 +982,7 @@ def full_lp_objective(model, prices, hp_fixed=None):
 
     A_ub, b_ub = matrix(ub)
     A_eq, b_eq = matrix(eq)
+    B = sparse.csc_array(B[:3], shape=B.shape)  # fleet_rows's lp.Csc, from its parts
     fleet = sparse.hstack([B, sparse.csr_array((B.shape[0], n_col - 2 * F * T))])
     A_eq = sparse.vstack([A_eq, fleet])
     free = np.full(2 * N * T + 2 * T, np.inf)

@@ -16,7 +16,7 @@ from scipy.optimize._highspy import _core
 import flexbid
 from flexbid import grid, lp, thermal
 from flexbid.errors import Infeasible
-from flexbid.lp import HighsSweep, basis, first_seen
+from flexbid.lp import Csc, HighsSweep, basis, first_seen
 from flexbid.synthetic import SyntheticSpec, generate_instance
 from flexbid.thermal import ComfortConfig, DispatchModel
 
@@ -130,6 +130,36 @@ def test_dispatch_on_a_nan_price_raises_instead_of_hanging(row, hour):
     model = DispatchModel(bundle.buildings, ComfortConfig(), bundle.weather[day])
     exc = raises_within(10, lambda: model.solve(prices))
     assert isinstance(exc, ValueError) and "finite" in str(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_csc_a_scipy_matrix_and_a_dense_one_solve_alike(seed):
+    """An lp.Csc goes to HiGHS as it is, a scipy or dense matrix through
+    scipy's CSC array: the same LP, so the same points, objectives and
+    vertex statuses, byte for byte."""
+    lp_kwargs = random_lp(seed)
+    A = lp_kwargs.pop("A")
+    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (6, A.shape[1]))
+    solved = [HighsSweep(matrix, **lp_kwargs).solve(rows)
+              for matrix in (Csc(A.data, A.indices, A.indptr, A.shape), A, A.toarray())]
+    for other in solved[1:]:
+        for got, want in zip(other, solved[0]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("part, value", [
+    ("indices", [0, 1]),  # a row index past the one row
+    ("indices", [0, -1]),
+    ("indptr", [0, 1]),  # one column start short
+    ("indptr", [0, 2, 1]),  # a column ending before it starts
+    ("data", [1.0]),  # a value short
+])
+def test_a_malformed_csc_is_refused_before_highs_sees_it(part, value):
+    A = Csc(np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 1, 2]), (1, 2))
+    A = A._replace(**{part: np.array(value)})
+    exc = raises_within(10, lambda: HighsSweep(A, [1.0], [1.0], [0.0, 0.0], [1.0, 1.0],
+                                               np.zeros(2), [0, 1]))
+    assert isinstance(exc, ValueError) and "matrix of shape (1, 2)" in str(exc)
 
 
 # ------------------------------------------------------- basis hand-over
@@ -381,9 +411,36 @@ def fresh_python(code, *args):
 
 def test_the_cli_loads_no_module_flexbid_does_not_run():
     out = fresh_python("import sys, flexbid.cli\n"
-                       "print([m for m in ('scipy.optimize', 'scipy.sparse.linalg', 'scipy.linalg')"
-                       " if m in sys.modules])")
+                       "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg',"
+                       " 'scipy.linalg') if m in sys.modules])")
     assert out.split() == ["[]"]
+
+
+# run in a fresh interpreter: an unbundled campaign, an allocation that
+# needs no MILP and an integrated day, each followed by whether
+# scipy.sparse is loaded
+SPARSE_ON_DEMAND = """
+import sys
+from flexbid.grid import allocate_buildings
+from flexbid.simulate import CampaignConfig, day_inputs, run_campaign, run_day
+from flexbid.synthetic import SyntheticSpec, generate_instance
+bundle = generate_instance(SyntheticSpec(n_buildings=12, hp_share_pct=50.0, n_days=14, seed=3))
+cfg = CampaignConfig(start=bundle.dates[-2], days=2, s_count=6, max_bids=6)
+report = run_campaign(cfg, bundle)
+print(len(report.days), len(report.failures), "scipy.sparse" in sys.modules)
+cfg = CampaignConfig(mode="integrated", start=bundle.dates[-1], days=1, s_count=6, max_bids=6)
+alloc = allocate_buildings(bundle.buildings, bundle.network)
+print("scipy.sparse" in sys.modules)
+run_day(cfg, day_inputs(cfg, bundle, cfg.start, alloc=alloc))
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_only_the_network_lp_loads_scipy_sparse():
+    """The heat-pump LPs reach HiGHS as lp.Csc arrays: an unbundled
+    campaign never imports scipy.sparse, and an integrated day, whose
+    network LP is built with it, does."""
+    assert fresh_python(SPARSE_ON_DEMAND).split() == ["2", "0", "False", "False", "True"]
 
 
 # run in a fresh interpreter with argv[1] naming what is imported first

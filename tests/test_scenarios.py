@@ -1,5 +1,6 @@
 """Scenario matrix construction and the persistence forecaster."""
 
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -114,6 +115,19 @@ def test_missing_forecast_or_history_raises():
     hist = PriceSeries(realized={}, forecast={D0: flat(50.0)})
     with pytest.raises(InsufficientHistory):
         generate_scenarios(D0, 2, hist)
+
+
+@pytest.mark.parametrize("realized, forecast", [
+    (-1e308, 1e308),  # the residual itself overflows
+    (0.0, -1e308),  # the residual is finite, the row it shifts is not
+])
+def test_a_row_past_the_float_range_names_its_history_day(realized, forecast):
+    h = D0 - timedelta(days=1)
+    hist = PriceSeries(realized={h: flat(realized)}, forecast={h: flat(forecast), D0: flat(1e308)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientHistory, match=f"history day {h} leaves the float range"):
+            generate_scenarios(D0, 2, hist)
 
 
 # -------------------------------------------------------- naive forecast

@@ -4,6 +4,7 @@ import copy
 import csv
 import dataclasses
 import math
+import warnings
 from datetime import date
 
 import numpy as np
@@ -357,6 +358,25 @@ def test_the_day_after_a_failed_day_starts_cold(small_bundle, mode):
     assert [day for day, _ in report.failures] == [gap]
     (alone,) = run_campaign(dataclasses.replace(cfg, start=last, days=1), bundle).days
     assert answers(report.days[-1]) == answers(alone)
+
+
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_a_residual_day_past_the_float_range_fails_its_day_alone(small_bundle, mode):
+    # every cell is finite, but the day before the first campaign day has
+    # a residual of 1e308 - (-1e308): the one day it shifts fails, quietly
+    bundle = copy.copy(small_bundle)
+    cfg = cfg_for(bundle, days=2, s_count=2, mode=mode)
+    first, second = cfg.campaign_days
+    before = first - (second - first)
+    bundle.realized, bundle.forecast = dict(bundle.realized), dict(bundle.forecast)
+    bundle.realized[before] = np.r_[-1e308, bundle.realized[before][1:]]
+    bundle.forecast[before] = np.r_[1e308, bundle.forecast[before][1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_campaign(cfg, bundle)
+    assert report.failures == [(first, f"InsufficientHistory: day {first}: the residual of "
+                                       f"history day {before} leaves the float range")]
+    assert [d.day for d in report.days] == [second]
 
 
 def test_a_day_whose_pinned_evaluation_fails_fails_alone(small_bundle, monkeypatch):

@@ -13,7 +13,7 @@ from scipy.optimize._highspy import _core
 
 from flexbid import thermal
 from flexbid.errors import Infeasible, InfeasibleBaseline
-from flexbid.lp import FEASIBILITY_TOL, OPTIMALITY_TOL, HighsSweep
+from flexbid.lp import FEASIBILITY_TOL, OPTIMALITY_TOL, Csc, HighsSweep
 from flexbid.thermal import (
     BLOCK,
     BuildingParams,
@@ -103,6 +103,7 @@ def test_fleet_rows_hold_the_simulated_trajectory(data):
     b = building(r_th=r_th, c_th=c_th, rated=need + rng.uniform(0.5, 4))
     p = rng.uniform(0.0, b.p_hp_rated, T)
     A, rhs, col_lo, col_hi, baseline, power = fleet_rows([b], cfg, t_out)
+    A = sparse.csc_array(A[:3], shape=A.shape)  # the lp.Csc, from its parts
     base = baseline_profile(b, cfg, t_out)
     x = np.concatenate([p, simulate_temperature(b, cfg, t_out, p)])
     lhs = A @ x
@@ -126,7 +127,8 @@ def test_fleet_rows_stack_one_building_blocks_bit_for_bit(horizon):
                       rated=rng.uniform(2, 4), bid=f"b{i}") for i in range(7)]
     A, rhs, col_lo, col_hi, baseline, power = fleet_rows(fleet, CFG, t_out)
     singles = [fleet_rows([b], CFG, t_out) for b in fleet]
-    B = sparse.block_diag([one[0] for one in singles], format="csc")
+    B = sparse.block_diag([sparse.csc_array(one[0][:3], shape=one[0].shape) for one in singles],
+                          format="csc")
     assert A.shape == B.shape
     for got, want in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)):
         assert np.array_equal(got, want)
@@ -135,6 +137,24 @@ def test_fleet_rows_stack_one_building_blocks_bit_for_bit(horizon):
     # each heat pump's power columns, offset by the columns of those before it
     assert np.array_equal(power, np.vstack([one[5] + 2 * horizon * f
                                             for f, one in enumerate(singles)]))
+
+
+def test_fleet_rows_hold_scipys_csc_parts():
+    """fleet_rows's lp.Csc holds the parts scipy's CSC array of its
+    parts holds, and those of the same matrix built from dense: the
+    canonical storage, the lists a scipy matrix would hand HiGHS."""
+    rng = np.random.default_rng(5)
+    t_out = rng.uniform(-5.0, 15.0, 24)
+    fleet = [building(r_th=rng.uniform(4, 8), c_th=rng.uniform(6, 20),
+                      rated=rng.uniform(2, 4), bid=f"b{i}") for i in range(3)]
+    A = fleet_rows(fleet, CFG, t_out)[0]
+    assert isinstance(A, Csc) and A.data.dtype == np.float64
+    from_parts = sparse.csc_array(A[:3], shape=A.shape)
+    for built in (from_parts, sparse.csc_array(from_parts.toarray())):
+        assert built.shape == A.shape
+        for got, want in ((A.data, built.data), (A.indices, built.indices),
+                          (A.indptr, built.indptr)):
+            assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- dispatch
