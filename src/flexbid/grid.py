@@ -680,6 +680,7 @@ class OpfModel:
         self._tree, self._H, self._r, self._x = tree, H, r, x
         self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
                               self.cost, self.import_cols)
+        self.end_status: np.ndarray | None = None
 
     def solve(
         self,
@@ -717,7 +718,7 @@ class OpfModel:
         return self._solution(prices, x, float(objective[0]))
 
     def solve_rows(self, price_rows: np.ndarray,
-                   bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Free dispatch at each (T,) row of an (S, T) price stack.
 
         Returns the (S, F, T) heat-pump schedules in kW, in `ids` order,
@@ -727,33 +728,33 @@ class OpfModel:
         schedules and objective.  The distinct rows split into two
         halves in order, each a chain of dual-simplex re-solves from the
         previous row's optimal basis on a HiGHS instance of its own, and
-        both chains start from the same basis: the one `bases` holds for
-        this LP's shape, or cold without one, exactly as solve() would.
-        The second half runs on a worker thread while the first runs
-        here when the process may use two CPUs, else after it; the
-        answers are the same either way.  The last distinct row's basis
-        goes back into `bases` once both halves are done.  A row that
+        both chains start from the same vertex status `start`, or cold
+        without one, exactly as solve() would.  The second half runs on
+        a worker thread while the first runs here when the process may
+        use two CPUs, else after it; the answers are the same either
+        way.  The second half's last status becomes `end_status`, the
+        start of the next day.  A row that
         ends on an optimal vertex of the whole LP seen at an earlier row
         gets that row's point (`lp.first_seen`), so identical schedules
         stay byte-identical.
         """
         costs = self._costs(np.asarray(price_rows, dtype=float))
         rows, back = distinct(costs)
-        X, objective, status = self._halves(costs[rows], bases)
+        X, objective, status = self._halves(costs[rows], start)
+        self.end_status = status[-1].copy()
         return first_seen(X[:, None], status[:, None])[:, 0, self._power][back], objective[back]
 
     def _halves(self, costs: np.ndarray,
-                bases: dict | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The day's LP swept over the cost rows as `solve_rows` says: one
-        chain for a single row, else two, each from a copy of `bases`.
+        chain for a single row, else two, each from `start`.
         The first half's failure is raised before the second's, and no
         HiGHS run is still going when this returns or raises."""
         if len(costs) < 2:
-            return self._sweep(self._lp, costs, bases)
+            return self._sweep(self._lp, costs, start)
         half = len(costs) // 2
-        own = [None if bases is None else dict(bases) for _ in range(2)]
-        first = partial(self._sweep, self._lp, costs[:half], own[0])
-        second = partial(self._sweep, self._lp, costs[half:], own[1])
+        first = partial(self._sweep, self._lp, costs[:half], start)
+        second = partial(self._sweep, self._lp, costs[half:], start)
         if _usable_cpus() < 2:
             # on one CPU the thread gains no time and keeps a second HiGHS
             # instance live in its own malloc arena: about 10 MB more RSS
@@ -765,8 +766,6 @@ class OpfModel:
             finally:
                 wait([tail])
             parts = head, tail.result()
-        if bases is not None:
-            bases.update(own[1])
         return tuple(np.concatenate(v) for v in zip(*parts))
 
     def _costs(self, price_rows: np.ndarray) -> np.ndarray:
@@ -778,13 +777,13 @@ class OpfModel:
         return self.cfg.dt * price_rows * self.net.s_base_kva / 1000.0
 
     def _sweep(self, lp: HighsSweep, costs: np.ndarray,
-               bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One sweep of lp, the day's LP or a pinned part of it, over cost
         rows on the substation import: HiGHS's points, objectives and
         vertex statuses (`lp.HighsSweep.solve`), its failures named as
         the network's."""
         try:
-            return lp.solve(costs, bases)
+            return lp.solve(costs, start)
         except Infeasible:
             raise Infeasible(_INFEASIBLE) from None
         except SolverFailure as exc:

@@ -13,6 +13,7 @@ finds it.  `_hourly` builds the three (date, hour) tables, weather,
 prices and profiles, on it as one (days, 24) numpy grid per value
 column, and `_write_hourly` writes them, one %-template per row, after
 checking that every series holds 24 finite values for the same dates.
+A price cell holds at most MAX_PRICE_EUR_MWH in magnitude, read or written.
 Writers emit one canonical decimal format per column so that write ->
 read -> write is byte-stable.  Files are UTF-8, written without a
 byte-order mark and read past one, as spreadsheet CSV exports write it.
@@ -60,6 +61,10 @@ FILE_NAMES = {"buildings": "buildings.csv", "weather": "weather.csv", "prices": 
               "alloc": "alloc.json"}
 # price forecasts: prices.csv's forecast column, or same-weekday-class persistence
 FORECASTERS = ("column", "naive")
+# The largest price magnitude prices.csv may hold, EUR/MWh: far above any
+# exchange's price cap, and far enough inside the float range that a day's
+# residuals, spreads and costs stay finite.
+MAX_PRICE_EUR_MWH = 1e6
 
 
 # ------------------------------------------------------------ cell parsers
@@ -99,6 +104,13 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _price(text: str) -> float:
+    value = _float(text)
+    if abs(value) > MAX_PRICE_EUR_MWH:
+        raise ValueError(f"beyond ±{MAX_PRICE_EUR_MWH:g} EUR/MWh: {text!r}")
+    return value
+
+
 def _hour(text: str) -> int:
     h = _int(text)
     if not (0 <= h < HOURS):
@@ -130,7 +142,7 @@ BUILDINGS_COLUMNS = {
 }
 WEATHER_COLUMNS = {"date": _date, "hour": _hour, "t_out_C": _float}
 PRICES_COLUMNS = {
-    "date": _date, "hour": _hour, "realized_eur_mwh": _float, "forecast_eur_mwh": _float,
+    "date": _date, "hour": _hour, "realized_eur_mwh": _price, "forecast_eur_mwh": _price,
 }
 PROFILES_COLUMNS = {"date": _date, "hour": _hour, "slf": _unit, "cf": _unit}
 NODES_COLUMNS = {
@@ -504,12 +516,14 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[list]) -> 
 
 
 def _write_hourly(path: str | Path, columns: Mapping[str, Callable], fmt: str,
-                  *series: Mapping[date, np.ndarray]) -> None:
+                  *series: Mapping[date, np.ndarray],
+                  limit: float = sys.float_info.max) -> None:
     """One row per date and hour of the first series, then one cell per
     series written with the %-format fmt, under as many of columns as
-    there are cells.  Every series must hold 24 finite values for each
-    of the first series' dates and for no other date; ValueError names
-    the column and the date otherwise, before the file is opened."""
+    there are cells.  Every series must hold 24 values of at most limit
+    in magnitude, so finite ones, for each of the first series' dates and
+    for no other date; ValueError names the column and the date
+    otherwise, before the file is opened."""
     header = list(columns)[:2 + len(series)]
     dates = sorted(series[0])
     grids = []
@@ -524,10 +538,11 @@ def _write_hourly(path: str | Path, columns: Mapping[str, Callable], fmt: str,
             if day.shape != (HOURS,):
                 raise ValueError(f"{path}: column {name!r}: {d} has {day.size} values, not {HOURS}")
         grid = np.array(days).reshape(len(dates), HOURS)
-        finite = np.isfinite(grid).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"{path}: column {name!r}: {dates[finite.argmin()]} has a value "
-                             "that is not finite")
+        inside = (np.abs(grid) <= limit).all(axis=1)  # false at a NaN and at ±inf too
+        if not inside.all():
+            beyond = "" if limit == sys.float_info.max else f" or beyond ±{limit:g}"
+            raise ValueError(f"{path}: column {name!r}: {dates[inside.argmin()]} has a value "
+                             f"that is not finite{beyond}")
         grids.append(grid)
     cells = ",".join([fmt] * len(series))
     rows = [f"%s,{h},{cells}\n" for h in range(HOURS)]  # one template per hour
@@ -554,8 +569,10 @@ def write_weather(path: str | Path, weather: Mapping[date, np.ndarray]) -> None:
 
 def write_prices(path: str | Path, realized: Mapping[date, np.ndarray],
                  forecast: Mapping[date, np.ndarray] | None = None) -> None:
-    """Without a forecast, the file has no forecast column."""
-    _write_hourly(path, PRICES_COLUMNS, "%.4f", realized, *([] if forecast is None else [forecast]))
+    """Without a forecast, the file has no forecast column.  A price beyond
+    ±MAX_PRICE_EUR_MWH is refused, as read_prices refuses it."""
+    _write_hourly(path, PRICES_COLUMNS, "%.4f", realized, *([] if forecast is None else [forecast]),
+                  limit=MAX_PRICE_EUR_MWH)
 
 
 def write_network(nodes_path: str | Path, edges_path: str | Path, net: RadialNetwork) -> None:

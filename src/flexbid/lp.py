@@ -7,9 +7,9 @@ scenario, the network OPF once per price row.
 `HighsSweep` hands the LP to one HiGHS instance and, for each cost row,
 changes the costs of the given columns and re-runs dual simplex from the
 previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
-The first row starts from the last optimal basis of an LP of the same
-shape, when the caller keeps one, or from a basis the caller assembled
-from a vertex status (`basis`).  Each row comes back as HiGHS's point,
+The first row starts from a vertex status the caller hands in, one a
+sweep of the same LP returned or one it assembled, or cold; a sweep
+keeps nothing between calls.  Each row comes back as HiGHS's point,
 its objective and its vertex status, which names the vertex; a caller
 gives a vertex it reached more than once the bytes of its first
 sighting with `first_seen`, keyed as it chooses, and sweeps each
@@ -86,6 +86,11 @@ class Csc(NamedTuple):
     shape: tuple[int, int]
 
 
+# HiGHS's basis statuses, by their codes: kLower, kBasic, kUpper, kZero
+_STATUS = np.array([_hc.HighsBasisStatus(k) for k in range(4)], dtype=object)
+_LOWER, _BASIC, _UPPER, _ZERO = range(4)
+
+
 def _options() -> _hc.HighsOptions:
     """linprog's HiGHS options: presolve on, dual simplex, no output."""
     options = _hc.HighsOptions()
@@ -147,6 +152,10 @@ class HighsSweep:
         lp.col_cost_ = cost
         self._lp = lp
         self._col_hi = col_hi
+        # what a nonbasic entry of a start at 0 is to HiGHS: a column at its
+        # lower bound or free at zero, a row at its one finite side
+        self._nonbasic = np.r_[np.where(np.isfinite(col_lo), _LOWER, _ZERO),
+                               np.where(np.isfinite(row_lo), _LOWER, _UPPER)]
         self._calls = threading.local()
 
     @property
@@ -154,28 +163,22 @@ class HighsSweep:
         """The HiGHS runs of the last `solve` this thread made, reruns included."""
         return getattr(self._calls, "runs", 0)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        """The LP's (rows, columns): the key of its bases."""
-        return self._lp.num_row_, self._lp.num_col_
-
     def solve(self, cost_rows: np.ndarray,
-              bases: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(S, n) optimal points, S objectives and (S, n + m) vertex
         statuses for an (S, len(cost_cols)) stack of cost rows.
 
-        Each call runs on a fresh HiGHS instance.  Its first row starts
-        from the basis `bases`, a dict from LP shape (rows, cols) to the
-        last optimal basis of that shape, holds for this LP's shape, or
-        cold; each later row starts from the row before, and the call's
-        final basis is stored back in `bases`.  A start HiGHS refuses
-        leaves the first row cold.  A run that did not start cold (a
-        later row, or a first row from an accepted start) and ends
-        without an optimum is run again from scratch, on the model passed
-        afresh: the basis it started from can leave the dual simplex
-        short of its tolerances, where the row solved afresh is not.
-        `runs` counts the call's HiGHS runs, the reruns included; calls
-        made at once from several threads each count their own.
+        Each call runs on a fresh HiGHS instance and writes nothing
+        back.  Its first row starts from `start`, a vertex status row as
+        this returns them, or cold; each later row from the row before.
+        A start of another length, or one HiGHS refuses, leaves the first
+        row cold.  A run that did not start cold (a later row, or a first
+        row from an accepted start) and ends without an optimum is run
+        again from scratch, on the model passed afresh: the basis it
+        started from can leave the dual simplex short of its tolerances,
+        where the row solved afresh is not.  `runs` counts the call's
+        HiGHS runs, the reruns included; calls made at once from several
+        threads each count their own.
 
         The points are HiGHS's own, row by row: a vertex reached twice
         may differ in its last bits, and a caller that wants it
@@ -196,10 +199,10 @@ class HighsSweep:
         highs = _hc._Highs()
         highs.passOptions(_options())
         highs.passModel(self._lp)
-        start = None if bases is None else bases.get(self.shape)
-        # a refused start changes nothing: the first row runs cold
-        warm = start is not None and highs.setBasis(start) != _hc.HighsStatus.kError
-        n_row, n_col = self.shape
+        # a start of another length, or a refused one, leaves the first row cold
+        warm = (np.shape(start) == self._nonbasic.shape
+                and highs.setBasis(self._basis(start)) != _hc.HighsStatus.kError)
+        n_row, n_col = self._lp.num_row_, self._lp.num_col_
         S = len(cost_rows)
         X = np.empty((S, n_col))
         objective = np.empty(S)
@@ -230,23 +233,18 @@ class HighsSweep:
             status[s, :n_col][X[s] == self._col_hi] = 2
             status[s, np.where(basic >= 0, basic, n_col - 1 - basic)] = 1
             objective[s] = highs.getObjectiveValue()
-        if bases is not None and S:
-            bases[self.shape] = highs.getBasis()
         return X, objective, status
 
-
-_STATUS = np.array([_hc.HighsBasisStatus.kLower, _hc.HighsBasisStatus.kBasic,
-                    _hc.HighsBasisStatus.kUpper], dtype=object)
-
-
-def basis(status: np.ndarray, n_col: int) -> _hc.HighsBasis:
-    """The HiGHS basis of a vertex status as `HighsSweep.solve` gives
-    it, over an LP of n_col columns whose rows are all equalities."""
-    out = _hc.HighsBasis()
-    out.col_status = _STATUS[status[:n_col]].tolist()
-    out.row_status = _STATUS[status[n_col:]].tolist()
-    out.valid = True
-    return out
+    def _basis(self, start: np.ndarray) -> _hc.HighsBasis:
+        """The HiGHS basis of a vertex status row; a nonbasic row sits at its one finite side."""
+        start, n_col = np.asarray(start), self._lp.num_col_
+        code = np.where(start == 1, _BASIC, self._nonbasic)
+        code[:n_col][start[:n_col] == 2] = _UPPER
+        out = _hc.HighsBasis()
+        out.col_status = _STATUS[code[:n_col]].tolist()
+        out.row_status = _STATUS[code[n_col:]].tolist()
+        out.valid = True
+        return out
 
 
 def distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

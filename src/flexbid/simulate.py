@@ -17,14 +17,14 @@ before's optimal vertices where they still hold (unbundled utility),
 Schedules travel as `(S, R, T)` arrays: scenario, resource (building
 ids sorted), hour.
 
-A campaign hands each day's final HiGHS bases (`lp.HighsSweep.solve`)
-to the next day, whose LPs have the same shapes, so its dispatch
-starts warm; a failed day hands on nothing.  `_Network` sweeps its
-distinct rows as two halves, both from the day's start and the second
-on a worker thread when two CPUs are usable; the second half's last
-basis is handed on, and the answers do not depend on the CPU count.  `run_day` starts cold
-unless given bases, so a campaign day and the same day run alone cost
-the same but may settle on different alternative optima.
+A campaign hands each day's `DayResult.end_status`, the vertex status
+its dispatch ended on (`lp.HighsSweep.solve`), to the next day as its
+start; a failed day hands on nothing.  `_Network` sweeps its distinct
+rows as two halves from that start, the second on a worker thread when
+two CPUs are usable, and the second half's last status is handed on.
+`run_day` handed the day before's end_status repeats a campaign day
+byte for byte; started cold, it costs the same but may settle on
+different alternative optima.
 
 Three totals frame each day: tc_inf (heat pumps stay on their baseline
 schedules), tc_cleared (the executed award), and tc_opt (dispatch under
@@ -186,6 +186,7 @@ class DayResult:
     hp_cost_cleared: float
     price_std: float
     runtime: dict[str, float]
+    end_status: np.ndarray | None = None  # the day's last dispatch vertex status
 
 
 def efficiency(tc_inf: float, tc_cleared: float, tc_opt: float) -> float | None:
@@ -269,14 +270,14 @@ def _dispatcher(cfg: CampaignConfig, inputs: DayInputs) -> _Fleet | _Network:
     """The mode's dispatch step; the rest of the day is mode-blind.
 
     A dispatcher exposes ids (sorted building ids), baseline (R, T),
-    solve(price_rows, bases) -> (X[S, R, T], cost[S]) and
-    evaluate(prices, award[R, T]) -> (cost, shed_kwh, hp_cost).  solve
-    is the model's own: `DispatchModel.solve`, whose costs add the heat
+    solve(price_rows, start) -> (X[S, R, T], cost[S]), evaluate(prices,
+    award[R, T]) -> (cost, shed_kwh, hp_cost) and its model.  solve is
+    the model's own: `DispatchModel.solve`, whose costs add the heat
     pumps' energy costs in id order, or `OpfModel.solve_rows`, whose
-    costs are the OPF objectives; each warm-starts its sweeps from
-    `bases` and leaves its final bases there.  The OPF's sweep runs as
-    two halves from that one start, the second on a worker thread when
-    two CPUs are usable; its answers do not depend on the CPU count.
+    costs are the OPF objectives; each starts from the vertex status
+    `start` and keeps its last as model.end_status.  The OPF's sweep runs
+    as two halves from that start, the second on a worker thread when two
+    CPUs are usable; its answers do not depend on the CPU count.
     """
     return _Fleet(cfg, inputs) if cfg.mode == "unbundled" else _Network(cfg, inputs)
 
@@ -295,18 +296,18 @@ class _Dispatched:
     seconds: float
 
 
-def _dispatch(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None) -> _Dispatched:
+def _dispatch(cfg: CampaignConfig, inputs: DayInputs, start: np.ndarray | None) -> _Dispatched:
     """Scenarios -> the mode's dispatcher -> tc_inf, then one solve over
     the cfg.bid_rows scenario rows a day can bid plus the realized row,
-    whose optimum is tc_opt, started from the bases handed over in
-    `bases` (`HighsSweep.solve`)."""
+    whose optimum is tc_opt, started from the vertex status `start`
+    (`HighsSweep.solve`)."""
     price_rows = generate_scenarios(inputs.day, cfg.bid_rows, inputs.history)
     t0 = time.perf_counter()
     disp = _dispatcher(cfg, inputs)
     inflexible = disp.evaluate(inputs.realized, disp.baseline)
     X = cost = None
     if disp.ids:
-        X, cost = disp.solve(np.vstack([price_rows, inputs.realized]), bases)
+        X, cost = disp.solve(np.vstack([price_rows, inputs.realized]), start)
     return _Dispatched(disp, X, cost, inflexible, time.perf_counter() - t0)
 
 
@@ -316,7 +317,8 @@ def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched) -> DayResu
     realized prices; the award is then evaluated there."""
     disp, dt = day.disp, cfg.comfort.dt
     tc_inf, shed_kwh, hp_cost = day.inflexible
-    result = dict(day=inputs.day, tc_inf=tc_inf, price_std=float(np.std(inputs.realized)))
+    result = dict(day=inputs.day, tc_inf=tc_inf, price_std=float(np.std(inputs.realized)),
+                  end_status=disp.model.end_status)
     if day.X is None:
         return DayResult(
             **result, tc_cleared=tc_inf, tc_opt=tc_inf, eta=None, n_bids=0,
@@ -352,10 +354,9 @@ def _settle(cfg: CampaignConfig, inputs: DayInputs, day: _Dispatched) -> DayResu
     )
 
 
-def run_day(cfg: CampaignConfig, inputs: DayInputs, bases: dict | None = None) -> DayResult:
-    """The full pipeline for one delivery day; its sweeps start from
-    `bases` and leave their final bases there."""
-    return _settle(cfg, inputs, _dispatch(cfg, inputs, bases))
+def run_day(cfg: CampaignConfig, inputs: DayInputs, start: np.ndarray | None = None) -> DayResult:
+    """The full pipeline for one delivery day, its dispatch started from `start`, or cold."""
+    return _settle(cfg, inputs, _dispatch(cfg, inputs, start))
 
 
 def day_bids(cfg: CampaignConfig, inputs: DayInputs):
@@ -436,22 +437,23 @@ def campaign_alloc(cfg: CampaignConfig, bundle: InstanceBundle) -> Mapping[str, 
 
 
 def _each_day(cfg: CampaignConfig, bundle: InstanceBundle, step) -> tuple[list, list]:
-    """step(inputs, bases) on every campaign day, where bases carries each
-    day's final dispatch bases to the next day.  A day that raises a
-    FlexbidError is recorded as failed, the next day starts cold, and the
-    campaign goes on.
+    """step(inputs, start) on every campaign day: the day's DayResults,
+    one per bid budget, where start is the day before's end_status, None
+    on the first day.  A day that raises a FlexbidError is recorded as
+    failed, the next day starts cold, and the campaign goes on.
     Returns (the steps' results, [(day, message)] of the failed days)."""
     history = bundle.price_series(cfg.forecaster)
     alloc = campaign_alloc(cfg, bundle)
     results = []
     failures: list[tuple[date, str]] = []
-    bases: dict = {}
+    start = None
     for day in cfg.campaign_days:
         try:
             inputs = day_inputs(cfg, bundle, day, history=history, alloc=alloc)
-            results.append(step(inputs, bases))
+            results.append(step(inputs, start))
+            start = results[-1][0].end_status
         except FlexbidError as exc:
-            bases.clear()
+            start = None
             failures.append((day, f"{type(exc).__name__}: {exc}"))
             log.error("day %s failed: %s", day, exc)
     return results, failures
@@ -459,8 +461,8 @@ def _each_day(cfg: CampaignConfig, bundle: InstanceBundle, step) -> tuple[list, 
 
 def run_campaign(cfg: CampaignConfig, bundle: InstanceBundle) -> CampaignReport:
     """Run every campaign day, collecting failures instead of aborting."""
-    days, failures = _each_day(cfg, bundle, lambda inputs, bases: run_day(cfg, inputs, bases))
-    return CampaignReport(config=cfg, days=days, failures=failures,
+    days, failures = _each_day(cfg, bundle, lambda inputs, start: [run_day(cfg, inputs, start)])
+    return CampaignReport(config=cfg, days=[day for day, in days], failures=failures,
                           n_flexible=len(flexible(bundle.buildings)))
 
 
@@ -485,8 +487,8 @@ def efficiency_vs_bids(
                          f"got {b_values}")
     cfgs = [replace(cfg, max_bids=B) for B in b_values]
 
-    def sweep(inputs: DayInputs, bases: dict) -> list[DayResult]:
-        day = _dispatch(cfgs[-1], inputs, bases)
+    def sweep(inputs: DayInputs, start: np.ndarray | None) -> list[DayResult]:
+        day = _dispatch(cfgs[-1], inputs, start)
         return [_settle(c, inputs, day) for c in cfgs]
 
     days, failures = _each_day(cfg, bundle, sweep)

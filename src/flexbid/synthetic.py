@@ -312,9 +312,9 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, Pa
     out.mkdir(parents=True, exist_ok=True)
     bundle = generate_instance(spec)
     paths = {key: out / name for key, name in FILE_NAMES.items() if key != "alloc"}
+    write_prices(paths["prices"], bundle.realized, bundle.forecast)  # first: the one it can refuse
     write_buildings(paths["buildings"], bundle.buildings)
     write_weather(paths["weather"], bundle.weather)
-    write_prices(paths["prices"], bundle.realized, bundle.forecast)
     write_profiles(paths["profiles"], bundle.slf, bundle.cf)
     write_network(paths["nodes"], paths["edges"], bundle.network)
     log.info("wrote synthetic instance (%d buildings, %d days) to %s",

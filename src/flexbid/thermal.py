@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import Infeasible, InfeasibleBaseline, SolverFailure
-from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, Csc, HighsSweep, basis, distinct, first_seen
+from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, Csc, HighsSweep, distinct, first_seen
 
 log = logging.getLogger(__name__)
 
@@ -179,8 +179,8 @@ def fleet_rows(
     if t_out.ndim != 1 or not t_out.size:
         raise ValueError(f"t_out must hold one temperature per step, got shape {t_out.shape}")
     n = len(t_out)
-    bases = [baseline_profile(b, cfg, t_out) for b in buildings]
-    F = len(bases)
+    profiles = [baseline_profile(b, cfg, t_out) for b in buildings]
+    F = len(profiles)
     rated = np.array([b.p_hp_rated for b in buildings], dtype=float)
     k, decay, gain = _steps(buildings, cfg)
     # column-wise: P_t in step row t and energy row n, T_t in step rows t and t+1
@@ -191,11 +191,11 @@ def fleet_rows(
     per_col = np.tile(np.r_[np.full(2 * n - 1, 2), 1], F)  # nonzeros in each column
     A = Csc(data.ravel(), (rows + (n + 1) * np.arange(F)[:, None]).ravel(),
             np.r_[0, per_col.cumsum()], (F * (n + 1), 2 * F * n))
-    rhs = np.c_[np.outer(decay * k, t_out), [base.energy for base in bases]]
+    rhs = np.c_[np.outer(decay * k, t_out), [base.energy for base in profiles]]
     rhs[:, 0] += decay * cfg.t_set
     col_lo = np.tile(np.repeat([0.0, cfg.t_min], n), F)
     col_hi = np.c_[np.repeat(rated, n).reshape(F, n), np.full((F, n), cfg.t_max)].ravel()
-    baseline = np.array([base.schedule for base in bases]).reshape(F, n)
+    baseline = np.array([base.schedule for base in profiles]).reshape(F, n)
     power = 2 * n * np.arange(F)[:, None] + steps
     return A, rhs.ravel(), col_lo, col_hi, baseline, power
 
@@ -314,7 +314,7 @@ def _certify(status: np.ndarray, blk: _Block, c: np.ndarray,
         free[t + 1] = carry[t] * free[t] + drive[t]
     need = (tv - g * pv - f - a * free[:-1]) / g  # at an end: g·need = the heat its bound needs
     # each write below goes into its own heat-pump row, whatever the shape
-    # of the others' bases
+    # of the others' basis
     P = pv.copy()
     hp, mp = np.nonzero(pin)
     hh, mh = np.nonzero(hold)
@@ -387,7 +387,7 @@ class DispatchModel:
     takes the distinct rows of an (S, T) price stack and sweeps them
     over the first block on one HiGHS instance: each row changes only
     the power costs and re-solves from the previous row's optimal basis,
-    the first row from the last basis of a block of its size.  Each
+    the first row from the vertex status it is handed.  Each
     later block takes, heat pump by heat pump and row by row, the
     optimal vertex at the same position of the block before it when
     `_certify` finds it still optimal; HiGHS solves only the rest, as
@@ -407,6 +407,7 @@ class DispatchModel:
         for blk in self._blocks:
             self.baseline[blk.idx] = blk.baseline
         self.stats = SweepStats()
+        self.end_status: np.ndarray | None = None
 
     def _block(self, idx: Sequence[int]) -> _Block:
         """The LP of the buildings at positions idx, one diagonal block each."""
@@ -418,7 +419,7 @@ class DispatchModel:
                       col_hi[power[:, 0]], decay, gain)
 
     def solve(self, prices: np.ndarray,
-              bases: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+              start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Cost-minimal schedules at each row of an (S, T) EUR/MWh price stack.
 
         Returns the (S, R, T) schedules in kW, resources in the order
@@ -427,12 +428,11 @@ class DispatchModel:
         once, and equal rows get its schedules and cost; distinct rows on
         which a heat pump ends on the same optimal vertex give it
         byte-identical schedules (`lp.first_seen`).  The first block's
-        sweep starts from the basis `bases` holds for its LP's shape (see
-        `HighsSweep.solve`) and leaves its final basis there; without one
-        given, a fresh dict.  A later block's LP of copies starts from the
-        statuses it could not certify and keeps its basis to itself.
+        sweep starts from the vertex status `start`, or cold (see
+        `HighsSweep.solve`), and the status of its last row becomes
+        `end_status`: the start of the same fleet's next day.  A later
+        block's LP of copies starts from the statuses it could not certify.
         """
-        bases = {} if bases is None else bases
         prices = np.asarray(prices, dtype=float)
         T = self.t_out.size
         if prices.ndim != 2 or prices.shape[1] != T or len(prices) < 1:
@@ -446,7 +446,8 @@ class DispatchModel:
             if k:  # checked against the same positions of the block before
                 X[:, blk.idx], status = self._certified(blk, c, status[:, :len(blk.idx)])
             else:
-                x, found = self._highs(blk, np.tile(c, len(blk.idx)), c, bases)
+                x, found = self._highs(blk, np.tile(c, len(blk.idx)), c, start)
+                self.end_status = found[-1].copy()
                 status = _per_hp(found, len(blk.idx))
                 X[:, blk.idx] = first_seen(x[:, blk.power], status)
         # each heat pump's cost a dot product, as its own c @ p would be; a
@@ -455,12 +456,12 @@ class DispatchModel:
         return X[back], np.cumsum(np.c_[np.zeros(len(c)), per_hp], axis=1)[back, -1]
 
     def _highs(self, blk: _Block, cost_rows: np.ndarray, c: np.ndarray,
-               bases: dict) -> tuple[np.ndarray, np.ndarray]:
+               start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """HiGHS's points and vertex statuses of blk's LP at cost_rows,
-        started as `bases` says, its work counted in `stats`; a failure is
+        started from `start`, its work counted in `stats`; a failure is
         named after a heat pump whose own LP fails at the rows c."""
         try:
-            x, _, status = blk.sweep.solve(cost_rows, bases)
+            x, _, status = blk.sweep.solve(cost_rows, start)
         except (Infeasible, SolverFailure) as exc:
             raise self._named(blk.idx, c, exc) from None
         self.stats.solved += len(blk.idx) * len(cost_rows)
@@ -483,9 +484,7 @@ class DispatchModel:
             T = c.shape[1]
             copies = self._block(blk.idx[j])
             start = np.r_[status[s, j, :2 * T].ravel(), status[s, j, 2 * T:].ravel()]
-            shape = copies.sweep.shape  # a start of its own, kept from the campaign's bases
-            xc, found = self._highs(copies, c[s].reshape(1, -1), c,
-                                    {shape: basis(start, shape[1])})
+            xc, found = self._highs(copies, c[s].reshape(1, -1), c, start)
             x[s, j] = xc[0, copies.power]
             status[s, j] = _per_hp(found, len(j))[0]
         return first_seen(x, status), status

@@ -62,6 +62,16 @@ def test_generate_without_flags_writes_the_spec_defaults(tmp_path, runner):
     assert sorted(p.name for p in ws.iterdir()) == sorted([*instance.values(), "campaign.json"])
 
 
+def test_a_volatility_past_the_price_limit_fails_without_a_traceback(tmp_path, runner):
+    # prices scaled a billionfold pass every finiteness check yet lie far
+    # beyond any price a prices.csv may hold; nothing is written
+    ws = tmp_path / "ws"
+    res = runner.invoke(main, ["generate", "--out", str(ws), "--volatility", "1e9"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ValueError") and "or beyond ±1e+06" in res.stderr
+    assert list(ws.iterdir()) == []
+
+
 def test_allocate_places_every_building(workspace, runner):
     res = runner.invoke(main, ["allocate", str(workspace)])
     assert res.exit_code == 0, res.output

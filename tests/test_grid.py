@@ -42,6 +42,7 @@ from flexbid.grid import (
     validate_radial,
     verify_solution,
 )
+from flexbid.lp import HighsSweep
 from flexbid.synthetic import SyntheticSpec, generate_instance
 from flexbid.thermal import BuildingParams, ComfortConfig, DispatchModel, fleet_rows
 
@@ -1130,16 +1131,51 @@ def test_inline_and_threaded_halves_give_the_same_bytes(monkeypatch):
     for cpus in (2, 1):
         monkeypatch.setattr(grid, "_usable_cpus", lambda n=cpus: n)
         model = sweep_model()
-        bases = {}
-        model.solve_rows(SPLIT_ROWS[::-1], bases)  # a carried start
+        model.solve_rows(SPLIT_ROWS[::-1])
+        start = model.end_status  # a carried start
         monkeypatch.setattr(ThreadedHighs, "log", [])
-        X, objective = model.solve_rows(SPLIT_ROWS, bases)
+        X, objective = model.solve_rows(SPLIT_ROWS, start)
         # each half a chain from the carried start: 2 runs here, 3 on the
         # worker thread when two CPUs are usable, all 5 here with one
         assert sorted(ThreadedHighs.log) == ([False] * 3 + [True] * 2 if cpus == 2 else [True] * 5)
-        kept = bases[model._lp.shape]
-        answers[cpus] = X.tobytes(), objective.tobytes(), kept.col_status, kept.row_status
+        answers[cpus] = X.tobytes(), objective.tobytes(), start.tobytes(), model.end_status.tobytes()
     assert answers[1] == answers[2]
+
+
+class CountingHighs(_core._Highs):
+    """HiGHS that logs each run's simplex iterations."""
+
+    log = []
+
+    def run(self):
+        status = super().run()
+        CountingHighs.log.append(self.getInfo().simplex_iteration_count)
+        return status
+
+
+def test_a_congested_days_last_status_restarts_its_optimum_without_a_pivot(monkeypatch):
+    # the feeder-congested instance's LP has facet rows with no lower side
+    # and free flow and import columns; the status its sweep ends on,
+    # handed to a fresh sweep of the same LP, names the last distinct
+    # row's optimum: 0 simplex iterations end on the same status, at a
+    # point that differs at most in its last bits
+    bundle = feeder_instance()
+    day = bundle.dates[-1]
+    model = OpfModel(bundle.network, bundle.buildings,
+                     allocate_buildings(bundle.buildings, bundle.network), CFG,
+                     bundle.weather[day], GridTimeSeries(bundle.slf[day], bundle.cf[day], 0.05))
+    assert np.isneginf(model.row_lo).any() and np.isneginf(model.col_lo).any()
+    rows = bundle.realized[day] + np.array([[0.0], [-40.0], [30.0]]) * np.cos(np.arange(24) / 4)
+    X, objective = model.solve_rows(rows)
+    fresh = HighsSweep(model.A, model.row_lo, model.row_hi, model.col_lo, model.col_hi,
+                       model.cost, model.import_cols)
+    monkeypatch.setattr(_core, "_Highs", CountingHighs)
+    monkeypatch.setattr(CountingHighs, "log", [])
+    x, again, status = fresh.solve(model._costs(rows[-1:]), model.end_status)
+    assert CountingHighs.log == [0]
+    assert status[0].tobytes() == model.end_status.tobytes()
+    assert np.abs(x[0, model._power] - X[-1]).max() <= 1e-9
+    assert again[0] == pytest.approx(objective[-1], rel=1e-12)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1156,16 +1192,15 @@ def test_a_failing_half_fails_the_sweep_alike_on_either_path(monkeypatch, cpus, 
     bad_cost = model._costs(SPLIT_ROWS[bad:bad + 1])
     solve = model._lp.solve
 
-    def failing(costs, bases=None):
+    def failing(costs, start=None):
         if (costs == bad_cost).all(axis=1).any():
             raise failure(raw)
-        return solve(costs, bases)
+        return solve(costs, start)
 
     monkeypatch.setattr(model._lp, "solve", failing)
-    bases = {}
     with pytest.raises(failure) as info:
-        model.solve_rows(SPLIT_ROWS, bases)
-    assert str(info.value) == message and bases == {}
+        model.solve_rows(SPLIT_ROWS)
+    assert str(info.value) == message and model.end_status is None
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1173,7 +1208,7 @@ def test_when_both_halves_fail_the_first_halfs_failure_is_raised(monkeypatch, cp
     monkeypatch.setattr(grid, "_usable_cpus", lambda: cpus)
     model = sweep_model()
 
-    def failing(costs, bases=None):  # the first half holds 2 rows, the second 3
+    def failing(costs, start=None):  # the first half holds 2 rows, the second 3
         if len(costs) == 2:
             raise SolverFailure("HiGHS status Time limit reached")
         raise Infeasible("LP is infeasible")
@@ -1212,10 +1247,10 @@ def test_no_run_and_no_thread_outlives_a_split_sweep(monkeypatch):
     # end before the failure is raised
     solve = model._lp.solve
 
-    def failing(costs, bases=None):
+    def failing(costs, start=None):
         if len(costs) == 2:
             raise Infeasible("LP is infeasible")
-        return solve(costs, bases)
+        return solve(costs, start)
 
     monkeypatch.setattr(model._lp, "solve", failing)
     monkeypatch.setattr(GoingHighs, "log", [])

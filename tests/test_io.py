@@ -119,6 +119,27 @@ def test_non_finite_number_points_at_cell(tmp_path, name, header, row, line, col
         reader(tmp_path / name)
 
 
+@pytest.mark.parametrize("row, col, text", [
+    (f"{D1},3,1e308,52.0", "realized_eur_mwh", "1e308"),
+    (f"{D1},3,50.0,-1000000.0001", "forecast_eur_mwh", "-1000000.0001"),
+])
+def test_a_price_beyond_the_limit_points_at_cell(tmp_path, row, col, text):
+    # a finite 1e308 once overflowed a day's residual, spread and costs
+    good = "".join(f"{D1},{h},1.0,1.0\n" for h in range(3))
+    write(tmp_path, "prices.csv", f"date,hour,realized_eur_mwh,forecast_eur_mwh\n{good}{row}\n")
+    with pytest.raises(SchemaError) as err:
+        read_prices(tmp_path / "prices.csv")
+    assert str(err.value).endswith(f"prices.csv:5: column '{col}': beyond ±1e+06 EUR/MWh: '{text}'")
+
+
+def test_prices_at_the_limit_roundtrip_byte_identical(tmp_path):
+    text = ("date,hour,realized_eur_mwh,forecast_eur_mwh\n"
+            + day_rows(D1, "1000000.0000,-1000000.0000"))
+    realized, forecast = read_prices(write(tmp_path, "prices.csv", text))
+    write_prices(tmp_path / "again.csv", realized, forecast)
+    assert (tmp_path / "again.csv").read_bytes() == text.encode()
+
+
 BUILDINGS_HEADER = "id,x_m,y_m,r_th_K_per_kW,c_th_kWh_per_K,p_hp_rated_kW,p_pv_rated_kW,has_hp"
 
 
@@ -229,7 +250,10 @@ def hours(value):
     (write_profiles, ({date(2025, 1, 6): hours(0.5)},
                       {date(2025, 1, 6): np.where(np.arange(24) == 9, np.nan, 0.1)}),
      "column 'cf': 2025-01-06 has a value that is not finite"),
-], ids=["day-missing", "day-extra", "short-day", "nan"])
+    (write_prices, ({date(2025, 1, 6): hours(50.0)},
+                    {date(2025, 1, 6): np.where(np.arange(24) == 9, 1e308, 52.0)}),
+     "column 'forecast_eur_mwh': 2025-01-06 has a value that is not finite or beyond ±1e+06"),
+], ids=["day-missing", "day-extra", "short-day", "nan", "price-beyond-limit"])
 def test_a_bad_series_fails_before_its_file_is_written(tmp_path, write_file, series, message):
     """These once left a truncated file behind a bare KeyError or
     IndexError, or wrote a nan cell."""

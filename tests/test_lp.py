@@ -16,7 +16,7 @@ from scipy.optimize._highspy import _core
 import flexbid
 from flexbid import grid, lp, thermal
 from flexbid.errors import Infeasible
-from flexbid.lp import Csc, HighsSweep, basis, first_seen
+from flexbid.lp import Csc, HighsSweep, first_seen
 from flexbid.synthetic import SyntheticSpec, generate_instance
 from flexbid.thermal import ComfortConfig, DispatchModel
 
@@ -162,7 +162,7 @@ def test_a_malformed_csc_is_refused_before_highs_sees_it(part, value):
     assert isinstance(exc, ValueError) and "matrix of shape (1, 2)" in str(exc)
 
 
-# ------------------------------------------------------- basis hand-over
+# ------------------------------------------------------- start hand-over
 
 def random_lp(seed: int, m: int = 8, n: int = 30) -> dict:
     """A feasible LP of m equality rows over n boxed columns, every cost open."""
@@ -199,34 +199,39 @@ def spy(monkeypatch):
 
 def test_sweep_started_from_another_lps_basis_matches_the_cold_sweep(spy):
     rows = np.random.default_rng(1).uniform(-5.0, 5.0, (6, 30))
-    bases: dict = {}
-    HighsSweep(**random_lp(0)).solve(rows, bases=bases)
-    assert list(bases) == [(8, 30)]
+    start = status_of(random_lp(0), rows)[-1]
+    kept = start.copy()
     other = HighsSweep(**random_lp(1))
     X_cold, objective_cold, _ = other.solve(rows)
     spy.clear()
-    X, objective, _ = other.solve(rows, bases=bases)
+    X, objective, status = other.solve(rows, start=start)
     assert spy[0] == ("basis", True) and len(spy) == 1 + len(rows)
     assert np.abs(objective - objective_cold).max() <= 1e-9
-    # the sweep's own final basis is handed on: its last row re-solves in 0 iterations
+    assert start.tobytes() == kept.tobytes()  # read, not written back
+    # the sweep's own last status restarts its last row in 0 iterations
     spy.clear()
-    X_again, _, _ = other.solve(rows[-1:], bases=bases)
+    X_again, _, _ = other.solve(rows[-1:], start=status[-1])
     assert spy == [("basis", True), ("run", 0)]
     assert np.abs(X_again[0] - X[-1]).max() <= 1e-9
 
 
-def test_basis_of_another_shape_is_ignored(spy):
+def status_of(lp: dict, rows: np.ndarray) -> np.ndarray:
+    """The vertex statuses of a cold sweep of lp over rows."""
+    return HighsSweep(**lp).solve(rows)[2]
+
+
+@pytest.mark.parametrize("length", [3 + 1, 30 + 8 - 1, 30 + 8 + 1])
+def test_basis_of_another_shape_is_ignored(spy, length):
     lp = HighsSweep(**random_lp(2))
     rows = np.random.default_rng(2).uniform(-5.0, 5.0, (4, 30))
-    bases: dict = {}
-    HighsSweep(**LP).solve(np.ones((1, 2)), bases=bases)
-    (small,) = bases.values()
+    start = np.ones(length, dtype=np.uint8)  # the small LP's, or one entry short or over
+    if length == 3 + 1:
+        start = status_of(LP, np.ones((1, 2)))[-1]
     spy.clear()
-    X, objective, _ = lp.solve(rows, bases=bases)
+    X, objective, _ = lp.solve(rows, start=start)
     assert [entry for entry in spy if entry[0] == "basis"] == []
     X_cold, objective_cold, _ = HighsSweep(**random_lp(2)).solve(rows)
     assert X.tobytes() == X_cold.tobytes() and objective.tobytes() == objective_cold.tobytes()
-    assert bases[(1, 3)] is small and set(bases) == {(1, 3), (8, 30)}
 
 
 class RefusingHighs(_core._Highs):
@@ -259,26 +264,22 @@ class StallingHighs(_core._Highs):
         return super().getModelStatus()
 
 
-@pytest.mark.parametrize("start", ["first-row", "status"])
 @pytest.mark.parametrize("highs", [RefusingHighs, StallingHighs])
-def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs, start):
+def test_a_refused_or_failed_warm_start_falls_back_to_cold(monkeypatch, highs):
     rows = np.random.default_rng(4).uniform(-5.0, 5.0, (5, 30))
-    bases: dict = {}
-    _, _, status = HighsSweep(**random_lp(3)).solve(rows, bases=bases)
+    start = status_of(random_lp(3), rows)[-1]  # another LP's last vertex
     X_cold, objective_cold, _ = HighsSweep(**random_lp(4)).solve(rows)
-    if start == "status":  # another LP's last vertex, as a status
-        bases = {(8, 30): basis(status[-1], 30)}
     monkeypatch.setattr(_core, "_Highs", highs)
     monkeypatch.setattr(StallingHighs, "runs", 0)
     lp = HighsSweep(**random_lp(4))
-    X, objective, _ = lp.solve(rows, bases=bases)
+    X, objective, status = lp.solve(rows, start=start)
     assert X.tobytes() == X_cold.tobytes() and objective.tobytes() == objective_cold.tobytes()
     if highs is StallingHighs:  # the warm first row stops short and runs again from scratch
         assert StallingHighs.runs == lp.runs == 1 + len(rows)
-    # the sweep's final basis replaces the one that failed
+    # the sweep's own last status, not the one that failed, restarts its last row
     monkeypatch.setattr(_core, "_Highs", SpyHighs)
     monkeypatch.setattr(SpyHighs, "log", [])
-    HighsSweep(**random_lp(4)).solve(rows[-1:], bases=bases)
+    HighsSweep(**random_lp(4)).solve(rows[-1:], start=status[-1])
     assert SpyHighs.log == [("basis", True), ("run", 0)]
 
 
@@ -347,6 +348,30 @@ def test_two_sweeps_at_once_on_one_lp_count_their_own_runs(monkeypatch):
     assert lp.runs == 0  # this thread made no call
 
 
+def test_two_sweeps_at_once_from_one_start_answer_as_two_in_turn(monkeypatch):
+    lp = HighsSweep(**random_lp(8))
+    rows = np.random.default_rng(8).uniform(-5.0, 5.0, (6, 30))
+    start = status_of(random_lp(9), rows)[-1]  # one array, shared by both sweeps
+    kept = start.copy()
+    in_turn = [lp.solve(rows[:3], start), lp.solve(rows[3:], start)]
+    monkeypatch.setattr(_core, "_Highs", MeetingHighs)
+    monkeypatch.setattr(MeetingHighs, "meet", threading.Barrier(2, timeout=30))
+    at_once = [None, None]
+
+    def sweep(k):
+        at_once[k] = lp.solve(rows[3 * k:3 * k + 3], start)
+
+    threads = [threading.Thread(target=sweep, args=(k,)) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    assert ([[v.tobytes() for v in answer] for answer in at_once]
+            == [[v.tobytes() for v in answer] for answer in in_turn])
+    assert start.tobytes() == kept.tobytes()
+
+
 def test_each_rows_vertex_status_restarts_its_optimum_without_a_pivot(spy):
     rows = np.random.default_rng(5).uniform(-5.0, 5.0, (4, 30))
     lp = HighsSweep(**random_lp(5))
@@ -359,8 +384,7 @@ def test_each_rows_vertex_status_restarts_its_optimum_without_a_pivot(spy):
     assert (X[status[:, :30] == 2] == np.broadcast_to(col_hi, X.shape)[status[:, :30] == 2]).all()
     for s in range(len(rows)):
         spy.clear()
-        X_again, objective_again, status_again = lp.solve(rows[s:s + 1],
-                                                          {lp.shape: basis(status[s], 30)})
+        X_again, objective_again, status_again = lp.solve(rows[s:s + 1], status[s])
         assert spy == [("basis", True), ("run", 0)] and lp.runs == 1
         assert np.abs(X_again[0] - X[s]).max() <= 1e-9
         assert abs(objective_again[0] - objective[s]) <= 1e-9
@@ -377,12 +401,10 @@ def test_first_seen_gives_each_block_its_first_values_of_a_key():
 
 
 def test_a_warm_start_on_an_infeasible_lp_raises_infeasible(spy):
-    bases: dict = {}
-    HighsSweep(**LP).solve(np.ones((1, 2)), bases=bases)
+    start = status_of(LP, np.ones((1, 2)))[-1]
     spy.clear()
     with pytest.raises(Infeasible):
-        HighsSweep(**{**LP, "row_lo": [50.0], "row_hi": [50.0]}).solve(np.ones((2, 2)),
-                                                                       bases=bases)
+        HighsSweep(**{**LP, "row_lo": [50.0], "row_hi": [50.0]}).solve(np.ones((2, 2)), start)
     # the warm first row runs once more from scratch, then the sweep gives up
     assert spy[0] == ("basis", True) and [entry[0] for entry in spy[1:]] == ["run", "run"]
 
@@ -392,9 +414,10 @@ def test_highs_binding_offers_what_the_sweep_calls():
     # release that moves it must fail here, by name
     assert hasattr(_core, "HighsLp")
     assert hasattr(_core, "HighsOptions")
+    assert hasattr(_core, "HighsBasis")
     for method in ("passOptions", "passModel", "changeColsCost", "run", "getModelStatus",
                    "modelStatusToString", "getSolution",
-                   "getBasicVariables", "getObjectiveValue", "getBasis", "setBasis"):
+                   "getBasicVariables", "getObjectiveValue", "setBasis"):
         assert hasattr(_core._Highs, method), method
 
 

@@ -9,7 +9,9 @@ from datetime import date
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core
 
+from flexbid import simulate
 from flexbid.bidding import MAX_BIDS
 from flexbid.errors import EmptyInput, GridMismatch, InvalidOrdering, SchemaError
 from flexbid.grid import Node, OpfModel, RadialNetwork, allocate_buildings
@@ -330,12 +332,44 @@ def test_eta_undefined_campaign(small_bundle):
     assert report.eta_weighted is None and report.eta_mean is None
 
 
-# ------------------------------------------------ bases carried day to day
+# ------------------------------------------------ starts carried day to day
 
 def answers(d: DayResult) -> tuple:
-    """What a day says, byte for byte, all but its timings."""
-    return ({key: val for key, val in vars(d).items() if key not in ("runtime", "awarded_kw")},
+    """What a day says, byte for byte, all but its timings and its end status."""
+    return ({key: val for key, val in vars(d).items()
+             if key not in ("runtime", "awarded_kw", "end_status")},
             {bid: sched.tobytes() for bid, sched in d.awarded_kw.items()})
+
+
+@pytest.mark.parametrize("mode", ["unbundled", "integrated"])
+def test_every_carried_start_is_taken(small_bundle, monkeypatch, mode):
+    # a status row that HiGHS refused as a basis would leave every day
+    # cold without a sign: the same answers at more pivots
+    days, run_day = [], simulate.run_day
+
+    class StartHighs(_core._Highs):
+        def setBasis(self, basis):
+            status = super().setBasis(basis)
+            days[-1].append(status != _core.HighsStatus.kError)
+            return status
+
+    def logged(cfg, inputs, start=None):
+        days.append([start is not None])
+        return run_day(cfg, inputs, start)
+
+    monkeypatch.setattr(_core, "_Highs", StartHighs)
+    monkeypatch.setattr(simulate, "run_day", logged)
+    report = run_campaign(cfg_for(small_bundle, days=5, mode=mode), small_bundle)
+    assert not report.failures
+    # each day after the first is handed a start, and no start is refused
+    assert [day[0] for day in days] == [False] + [True] * 4
+    assert all(all(day[1:]) for day in days)
+    # a start is taken whenever the day's LP has the day before's shape:
+    # the heat-pump blocks always do, the OPF when it keeps as many facets
+    sizes = [d.end_status.size for d in report.days]
+    fits = [a == b for a, b in zip(sizes, sizes[1:])]
+    assert [len(day) > 1 for day in days[1:]] == fits
+    assert all(fits) if mode == "unbundled" else fits == [False, False, True, True]
 
 
 @pytest.mark.parametrize("mode", ["unbundled", "integrated"])
@@ -403,15 +437,21 @@ def test_a_day_whose_pinned_evaluation_fails_fails_alone(small_bundle, monkeypat
 
 @pytest.mark.parametrize("mode", ["unbundled", "integrated"])
 def test_campaign_days_cost_what_days_run_alone_cost(small_bundle, mode):
-    # each campaign day starts from the day before's bases, run_day alone
-    # starts cold: the schedules may differ between alternative optima,
-    # the costs may not
+    # each campaign day starts from the day before's end_status: run_day
+    # alone, handed the same start, says the same bytes; started cold, its
+    # schedules may differ between alternative optima, its costs may not
     cfg = cfg_for(small_bundle, days=3, mode=mode)
     alloc = allocate_buildings(small_bundle.buildings, small_bundle.network)
+    start = None
     for d in run_campaign(cfg, small_bundle).days:
-        alone = run_day(cfg, day_inputs(cfg, small_bundle, d.day, alloc=alloc))
+        inputs = day_inputs(cfg, small_bundle, d.day, alloc=alloc)
+        alone = run_day(cfg, inputs, start=start)
+        assert answers(alone) == answers(d)
+        assert alone.end_status.tobytes() == d.end_status.tobytes()
+        start = d.end_status
+        cold = run_day(cfg, inputs)
         for key in ("tc_inf", "tc_cleared", "tc_opt"):
-            assert getattr(d, key) == pytest.approx(getattr(alone, key), rel=1e-6), key
+            assert getattr(d, key) == pytest.approx(getattr(cold, key), rel=1e-6), key
 
 
 # ------------------------------------------------------- efficiency curve
@@ -461,15 +501,15 @@ def test_a_day_dispatches_only_the_rows_it_can_bid(small_bundle, monkeypatch):
     rows = []
     solve = DispatchModel.solve
     monkeypatch.setattr(DispatchModel, "solve",
-                        lambda self, prices, bases=None: rows.append(len(prices))
-                        or solve(self, prices, bases))
+                        lambda self, prices, start=None: rows.append(len(prices))
+                        or solve(self, prices, start))
     wide = cfg_for(small_bundle, s_count=24, max_bids=4)
     narrow = cfg_for(small_bundle, s_count=4, max_bids=4)
     got = run_day(wide, day_inputs(wide, small_bundle, START))
     assert rows == [5]
     want = run_day(narrow, day_inputs(narrow, small_bundle, START))
     for f in dataclasses.fields(DayResult):
-        if f.name not in ("runtime", "awarded_kw"):
+        if f.name not in ("runtime", "awarded_kw", "end_status"):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
     assert got.awarded_kw.keys() == want.awarded_kw.keys()
     assert all(got.awarded_kw[k].tobytes() == want.awarded_kw[k].tobytes()

@@ -451,12 +451,13 @@ def test_blocks_match_one_building_models():
     fleet = [fleet[r] for r in rng.permutation(len(fleet))]
     t_out = rng.uniform(-4.0, 14.0, 24)
     price_rows = rng.uniform(10.0, 150.0, (5, 24))
-    bases: dict = {}
     model = DispatchModel(fleet, CFG, t_out)
-    schedules, cost = model.solve(price_rows, bases)
-    # only the swept block's last basis is kept
+    schedules, cost = model.solve(price_rows)
+    # only the swept block's last vertex is kept: a status over its 26·48
+    # columns and 26·25 rows, as many basic as there are rows
     assert [len(blk.idx) for blk in model._blocks] == [26, 25, 25, 25]
-    assert list(bases) == [(26 * 25, 26 * 48)]
+    assert model.end_status.shape == (26 * 48 + 26 * 25,)
+    assert (model.end_status == 1).sum() == 26 * 25
     assert schedules.shape == (5, len(fleet), 24) and cost.shape == (5,)
     # a row's cost adds its heat pumps' costs one by one, in fleet order
     per_hp = np.vecdot(schedules, price_rows[:, None] * CFG.dt / 1000.0)
@@ -509,9 +510,9 @@ def test_equal_rows_are_dispatched_once(monkeypatch):
     swept = []
     solve = HighsSweep.solve
 
-    def counted(self, cost_rows, bases=None):
+    def counted(self, cost_rows, start=None):
         swept.append(len(cost_rows))
-        return solve(self, cost_rows, bases)
+        return solve(self, cost_rows, start)
 
     monkeypatch.setattr(HighsSweep, "solve", counted)
     schedules, cost = model.solve(np.array([p0, p1, p0, p2, p1, p0]))
