@@ -1,9 +1,9 @@
 """Warm-started HiGHS re-solves of one LP over a stack of cost rows.
 
 Both dispatchers solve one LP many times over, with only some cost
-coefficients changed between solves: a block of heat pumps' dispatch
-(`thermal.fleet_rows`, one diagonal block per heat pump) once per price
-scenario, the network OPF once per price row.
+coefficients changed between solves: the first block of heat pumps'
+dispatch (cut out of `thermal.fleet_rows`, one diagonal block per heat
+pump) once per distinct price scenario, the network OPF once per price row.
 `HighsSweep` hands the LP to one HiGHS instance and, for each cost row,
 changes the costs of the given columns and re-runs dual simplex from the
 previous row's optimal basis (Huangfu & Hall, Math. Prog. Comp. 2018).
@@ -86,9 +86,9 @@ class Csc(NamedTuple):
     shape: tuple[int, int]
 
 
-# HiGHS's basis statuses, by their codes: kLower, kBasic, kUpper, kZero
-_STATUS = np.array([_hc.HighsBasisStatus(k) for k in range(4)], dtype=object)
-_LOWER, _BASIC, _UPPER, _ZERO = range(4)
+# HiGHS's basis statuses, by their codes: kLower, kBasic, kUpper
+_STATUS = np.array([_hc.HighsBasisStatus(k) for k in range(3)], dtype=object)
+_LOWER, _BASIC, _UPPER = range(3)
 
 
 def _options() -> _hc.HighsOptions:
@@ -152,10 +152,6 @@ class HighsSweep:
         lp.col_cost_ = cost
         self._lp = lp
         self._col_hi = col_hi
-        # what a nonbasic entry of a start at 0 is to HiGHS: a column at its
-        # lower bound or free at zero, a row at its one finite side
-        self._nonbasic = np.r_[np.where(np.isfinite(col_lo), _LOWER, _ZERO),
-                               np.where(np.isfinite(row_lo), _LOWER, _UPPER)]
         self._calls = threading.local()
 
     @property
@@ -199,10 +195,10 @@ class HighsSweep:
         highs = _hc._Highs()
         highs.passOptions(_options())
         highs.passModel(self._lp)
-        # a start of another length, or a refused one, leaves the first row cold
-        warm = (np.shape(start) == self._nonbasic.shape
-                and highs.setBasis(self._basis(start)) != _hc.HighsStatus.kError)
         n_row, n_col = self._lp.num_row_, self._lp.num_col_
+        # a start of another length, or a refused one, leaves the first row cold
+        warm = (np.shape(start) == (n_col + n_row,)
+                and highs.setBasis(self._basis(start)) != _hc.HighsStatus.kError)
         S = len(cost_rows)
         X = np.empty((S, n_col))
         objective = np.empty(S)
@@ -236,9 +232,11 @@ class HighsSweep:
         return X, objective, status
 
     def _basis(self, start: np.ndarray) -> _hc.HighsBasis:
-        """The HiGHS basis of a vertex status row; a nonbasic row sits at its one finite side."""
+        """The HiGHS basis of a vertex status row: each nonbasic entry kLower
+        but a column at 2, kUpper.  HiGHS reads a nonbasic status only of a
+        boxed entry, and puts any other at its finite side, or at zero."""
         start, n_col = np.asarray(start), self._lp.num_col_
-        code = np.where(start == 1, _BASIC, self._nonbasic)
+        code = np.where(start == 1, _BASIC, _LOWER)
         code[:n_col][start[:n_col] == 2] = _UPPER
         out = _hc.HighsBasis()
         out.col_status = _STATUS[code[:n_col]].tolist()

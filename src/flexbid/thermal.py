@@ -11,12 +11,13 @@ each heat pump's power and indoor-temperature columns, building-major:
 one sparse dynamics row per step, one daily-energy row at the
 baseline's, the rating and the comfort band as column bounds.  It is
 the one place the comfort constraints are built: `DispatchModel`
-builds it for blocks of up to BLOCK heat pumps, dealt by time constant
-r_th·c_th so that each position of every block holds neighbours in it.
-It solves each distinct price scenario once: the first block swept over
-them on one warm-started HiGHS instance; each later block takes the
-optimal vertices of the block before it wherever `_certify` proves them
-still optimal, and HiGHS solves only the rest, as one LP.
+builds it once a day, and deals its fleet into blocks of up to BLOCK by
+time constant r_th·c_th, so that each position of every block holds
+neighbours in it.  It solves each distinct price scenario once: the
+first block's LP, cut out of the fleet's, swept over them on one
+warm-started HiGHS instance; each later block takes the optimal vertices
+of the block before wherever `_certify` proves them still optimal, and
+HiGHS solves only the rest, as one LP of copies.
 The network OPF places the whole fleet's block into its own LP.
 `simulate_temperature` and `check_dispatch` evaluate schedules
 independently of the LP.
@@ -200,8 +201,8 @@ def fleet_rows(
     return A, rhs.ravel(), col_lo, col_hi, baseline, power
 
 
-# Heat pumps per dispatch LP.  Each LP is one HiGHS instance swept over the
-# price rows, so blocks pay its fixed per-run cost once for many heat pumps;
+# Heat pumps per block.  The first block's LP is one HiGHS instance swept over
+# the price rows, so it pays the fixed per-run cost once for many heat pumps;
 # a single LP for a whole fleet is slower again, on its larger basis.  Every
 # block holds τ-neighbours at each position, so a heat pump mostly shares
 # its optimal basis with the one at its position in the block before.
@@ -220,12 +221,8 @@ def _deal(buildings: Sequence[BuildingParams]) -> list[np.ndarray]:
 
 
 class _Block(NamedTuple):
-    """One block's `fleet_rows` LP and what `_certify` reads of it."""
+    """What `_certify` reads of a block's heat pumps."""
 
-    idx: np.ndarray  # fleet positions of its heat pumps
-    sweep: HighsSweep
-    power: np.ndarray  # (n, T) power columns
-    baseline: np.ndarray  # (n, T) baseline schedules
     rhs: np.ndarray  # (n, T + 1) right-hand sides: the steps', then the energy row's
     rated: np.ndarray  # (n,) ratings, kW
     decay: np.ndarray  # (n,) decay and gain of each step, as `_steps`
@@ -382,17 +379,17 @@ class DispatchModel:
     Scaled by r_th·cop, a heat pump's power columns give an LP that
     depends only on its time constant τ = r_th·c_th and its rating, so
     heat pumps of near τ tend to share an optimal basis at equal prices.
-    The fleet is dealt into blocks of up to BLOCK heat pumps by τ (see
-    `_deal`), and each block is one `fleet_rows` LP, built once.  `solve`
-    takes the distinct rows of an (S, T) price stack and sweeps them
-    over the first block on one HiGHS instance: each row changes only
-    the power costs and re-solves from the previous row's optimal basis,
-    the first row from the vertex status it is handed.  Each
-    later block takes, heat pump by heat pump and row by row, the
-    optimal vertex at the same position of the block before it when
-    `_certify` finds it still optimal; HiGHS solves only the rest, as
-    one LP of copies.  Equal rows then take the first one's schedules.
-    `stats` counts the last solve's work.  It returns what
+    The fleet's `fleet_rows` LP is built once, and dealt into blocks of
+    up to BLOCK heat pumps by τ (see `_deal`).  `solve` takes the
+    distinct rows of an (S, T) price stack and sweeps them over the
+    first block's LP, cut out of the fleet's, on one HiGHS instance:
+    each row changes only the power costs and re-solves from the
+    previous row's optimal basis, the first row from the vertex status
+    it is handed.  Each later block takes, heat pump by heat pump and
+    row by row, the optimal vertex at the same position of the block
+    before it when `_certify` finds it still optimal; HiGHS solves only
+    the rest, as one LP of copies.  Equal rows then take the first one's
+    schedules.  `stats` counts the last solve's work.  It returns what
     `grid.OpfModel.solve_rows` returns: (S, R, T) schedules and S costs,
     resources in the given order.
     """
@@ -402,21 +399,26 @@ class DispatchModel:
         self.buildings = list(buildings)
         self.cfg = cfg
         self.t_out = np.asarray(t_out, dtype=float)
-        self._blocks = [self._block(idx) for idx in _deal(self.buildings)]
-        self.baseline = np.empty((len(self.buildings), self.t_out.size))
-        for blk in self._blocks:
-            self.baseline[blk.idx] = blk.baseline
+        A, rhs, col_lo, col_hi, self.baseline, power = fleet_rows(self.buildings, cfg, self.t_out)
+        F, T = power.shape
+        self._lp = A, col_lo.reshape(F, 2 * T), col_hi.reshape(F, 2 * T)
+        self._fleet = _Block(rhs.reshape(F, T + 1), col_hi[power[:, 0]],
+                             *_steps(self.buildings, cfg)[1:])
+        self._blocks = _deal(self.buildings)
         self.stats = SweepStats()
         self.end_status: np.ndarray | None = None
 
-    def _block(self, idx: Sequence[int]) -> _Block:
-        """The LP of the buildings at positions idx, one diagonal block each."""
-        fleet = [self.buildings[r] for r in idx]
-        A, rhs, col_lo, col_hi, baseline, power = fleet_rows(fleet, self.cfg, self.t_out)
-        sweep = HighsSweep(A, rhs, rhs, col_lo, col_hi, np.zeros(len(col_lo)), power.ravel())
-        _, decay, gain = _steps(fleet, self.cfg)
-        return _Block(np.asarray(idx), sweep, power, baseline, rhs.reshape(len(power), -1),
-                      col_hi[power[:, 0]], decay, gain)
+    def _sweep(self, idx: np.ndarray) -> HighsSweep:
+        """The LP of the heat pumps at positions idx, repeats allowed, cut out
+        of the fleet's: each heat pump's block repeats heat pump 0's pattern,
+        4T - 1 nonzeros in 2T columns and T + 1 rows, shifted by position."""
+        (A, col_lo, col_hi), (n, T) = self._lp, (len(idx), self.t_out.size)
+        nnz, at = 4 * T - 1, np.arange(n)[:, None]
+        cut = Csc(A.data.reshape(-1, nnz)[idx].ravel(), (A.indices[:nnz] + (T + 1) * at).ravel(),
+                  np.r_[(A.indptr[:2 * T] + nnz * at).ravel(), n * nnz], (n * (T + 1), 2 * n * T))
+        rhs = self._fleet.rhs[idx].ravel()
+        return HighsSweep(cut, rhs, rhs, col_lo[idx].ravel(), col_hi[idx].ravel(),
+                          np.zeros(2 * n * T), (2 * T * at + np.arange(T)).ravel())
 
     def solve(self, prices: np.ndarray,
               start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -442,60 +444,60 @@ class DispatchModel:
         c = c[rows]
         X = np.empty((len(c), len(self.buildings), T))
         self.stats = SweepStats()
-        for k, blk in enumerate(self._blocks):
+        for k, idx in enumerate(self._blocks):
             if k:  # checked against the same positions of the block before
-                X[:, blk.idx], status = self._certified(blk, c, status[:, :len(blk.idx)])
+                X[:, idx], status = self._certified(idx, c, status[:, :len(idx)])
             else:
-                x, found = self._highs(blk, np.tile(c, len(blk.idx)), c, start)
+                x, found = self._highs(idx, np.tile(c, len(idx)), c, start)
                 self.end_status = found[-1].copy()
-                status = _per_hp(found, len(blk.idx))
-                X[:, blk.idx] = first_seen(x[:, blk.power], status)
+                status = _per_hp(found, len(idx))
+                X[:, idx] = first_seen(x.reshape(len(c), len(idx), 2 * T)[..., :T], status)
         # each heat pump's cost a dot product, as its own c @ p would be; a
         # row's total adds them in order from 0.0, bit for bit as sum() does
         per_hp = np.vecdot(X, c[:, None, :])
         return X[back], np.cumsum(np.c_[np.zeros(len(c)), per_hp], axis=1)[back, -1]
 
-    def _highs(self, blk: _Block, cost_rows: np.ndarray, c: np.ndarray,
+    def _highs(self, idx: np.ndarray, cost_rows: np.ndarray, c: np.ndarray,
                start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """HiGHS's points and vertex statuses of blk's LP at cost_rows,
+        """HiGHS's points and vertex statuses of idx's LP at cost_rows,
         started from `start`, its work counted in `stats`; a failure is
         named after a heat pump whose own LP fails at the rows c."""
+        sweep = self._sweep(idx)
         try:
-            x, _, status = blk.sweep.solve(cost_rows, start)
+            x, _, status = sweep.solve(cost_rows, start)
         except (Infeasible, SolverFailure) as exc:
-            raise self._named(blk.idx, c, exc) from None
-        self.stats.solved += len(blk.idx) * len(cost_rows)
-        self.stats.runs += blk.sweep.runs
+            raise self._named(idx, c, exc) from None
+        self.stats.solved += len(idx) * len(cost_rows)
+        self.stats.runs += sweep.runs
         return x, status
 
-    def _certified(self, blk: _Block, c: np.ndarray,
+    def _certified(self, idx: np.ndarray, c: np.ndarray,
                    status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A later block's (S, n, T) schedules at the rows c, from the
         (S, n, 3T + 1) vertex statuses at its positions in the block
         before, and its own.  The rows `_certify` refuses go to HiGHS as
-        one `fleet_rows` LP of copies, each its heat pump at its row's
-        prices, started from the statuses it refused; a vertex seen at an
-        earlier row gives a heat pump that row's schedule."""
-        ok, x = _certify(status, blk, c, self.cfg)
+        one LP of copies, each its heat pump at its row's prices, started
+        from the statuses it refused; a vertex seen at an earlier row
+        gives a heat pump that row's schedule."""
+        ok, x = _certify(status, _Block(*(v[idx] for v in self._fleet)), c, self.cfg)
         self.stats.certified += int(ok.sum())
         s, j = np.nonzero(~ok)
         if len(s):
             status = status.copy()
             T = c.shape[1]
-            copies = self._block(blk.idx[j])
             start = np.r_[status[s, j, :2 * T].ravel(), status[s, j, 2 * T:].ravel()]
-            xc, found = self._highs(copies, c[s].reshape(1, -1), c, start)
-            x[s, j] = xc[0, copies.power]
+            xc, found = self._highs(idx[j], c[s].reshape(1, -1), c, start)
+            x[s, j] = xc[0].reshape(len(j), 2 * T)[:, :T]
             status[s, j] = _per_hp(found, len(j))[0]
         return first_seen(x, status), status
 
-    def _named(self, idx: Sequence[int], c: np.ndarray, exc: Exception) -> Exception:
+    def _named(self, idx: np.ndarray, c: np.ndarray, exc: Exception) -> Exception:
         """The failure of a block's sweep, named after the first of its
         heat pumps, in the given order, whose own LP fails on the same
         price rows."""
         for r in np.unique(idx):
             try:
-                self._block([r]).sweep.solve(c)
+                self._sweep(np.array([r])).solve(c)
             except Infeasible:
                 return Infeasible(
                     f"building {self.buildings[r].id}: no schedule satisfies comfort "

@@ -24,6 +24,7 @@ from flexbid.errors import (
     DisconnectedNode,
     GridMismatch,
     Infeasible,
+    InfeasibleBaseline,
     LengthMismatch,
     MultipleAncestors,
     SolverFailure,
@@ -44,7 +45,7 @@ from flexbid.grid import (
 )
 from flexbid.lp import HighsSweep
 from flexbid.synthetic import SyntheticSpec, generate_instance
-from flexbid.thermal import BuildingParams, ComfortConfig, DispatchModel, fleet_rows
+from flexbid.thermal import BuildingParams, ComfortConfig, DispatchModel, fleet_rows, flexible
 
 CFG = ComfortConfig()  # a day has as many hourly steps as its t_out
 HOURS4 = np.arange(4)
@@ -815,6 +816,18 @@ def test_pinned_schedule_off_the_horizon_is_rejected():
     model = sweep_model()
     with pytest.raises(LengthMismatch, match="h1"):
         model.solve(PRICES24, hp_fixed={"h1": np.full(23, 1.0)})
+
+
+def test_both_dispatchers_name_the_first_infeasible_baseline_by_id():
+    # neither heat pump can hold the set-point at 0 degC; h1's time
+    # constant is the larger, so it is dealt after h2 into the unbundled
+    # blocks, yet both dispatchers build one LP in id order and name h1
+    fleet = [BuildingParams(id=bid, r_th=5.0, c_th=c_th, p_hp_rated=0.5, p_pv_rated=0.0)
+             for bid, c_th in (("h2", 10.0), ("h1", 40.0))]
+    with pytest.raises(InfeasibleBaseline, match="^building h1: "):
+        DispatchModel(flexible(fleet), CFG, np.zeros(4))
+    with pytest.raises(InfeasibleBaseline, match="^building h1: "):
+        OpfModel(two_bus(), fleet, {"h1": 1, "h2": 1}, CFG, np.zeros(4), flat_series())
 
 
 def test_negative_fixed_load_is_rejected():

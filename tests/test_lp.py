@@ -391,6 +391,17 @@ def test_each_rows_vertex_status_restarts_its_optimum_without_a_pivot(spy):
         assert status_again[0].tobytes() == status[s].tobytes()
 
 
+@pytest.mark.parametrize("start", [[2, 0, 1, 0], [0, 2, 1, 0], [2, 2, 1, 0], [0, 0, 1, 0]])
+def test_a_start_at_a_tie_restarts_its_own_vertex(spy, start):
+    """At zero costs every vertex of LP is optimal, so only the start
+    names one: its columns at 2 start at their upper bounds (kUpper),
+    and the sweep ends where it started, without a pivot."""
+    X, _, status = HighsSweep(**LP).solve(np.zeros((1, 2)), np.array(start, dtype=np.uint8))
+    assert spy == [("basis", True), ("run", 0)]
+    x0, x1 = float(start[0] == 2), float(start[1] == 2)
+    assert X[0].tolist() == [x0, x1, 5.0 - x0 - x1] and status[0].tolist() == start
+
+
 def test_first_seen_gives_each_block_its_first_values_of_a_key():
     keys = np.array([[[0, 1], [2, 0]], [[0, 1], [0, 2]], [[1, 0], [2, 0]]], dtype=np.uint8)
     values = np.arange(12, dtype=float).reshape(3, 2, 2)

@@ -19,6 +19,7 @@ from flexbid.thermal import (
     BuildingParams,
     ComfortConfig,
     DispatchModel,
+    _Block,
     _certify,
     _deal,
     _per_hp,
@@ -455,7 +456,7 @@ def test_blocks_match_one_building_models():
     schedules, cost = model.solve(price_rows)
     # only the swept block's last vertex is kept: a status over its 26·48
     # columns and 26·25 rows, as many basic as there are rows
-    assert [len(blk.idx) for blk in model._blocks] == [26, 25, 25, 25]
+    assert [len(idx) for idx in model._blocks] == [26, 25, 25, 25]
     assert model.end_status.shape == (26 * 48 + 26 * 25,)
     assert (model.end_status == 1).sum() == 26 * 25
     assert schedules.shape == (5, len(fleet), 24) and cost.shape == (5,)
@@ -483,7 +484,7 @@ def test_a_fleet_one_past_a_block_certifies_its_second_block():
     prices = rng.uniform(10.0, 150.0, (5, 24))
     model = DispatchModel(fleet, CFG, t_out)
     _, cost = model.solve(prices)
-    assert [len(blk.idx) for blk in model._blocks] == [17, 16]
+    assert [len(idx) for idx in model._blocks] == [17, 16]
     assert model.stats.certified > 0
     alone_costs = sum(DispatchModel([b], CFG, t_out).solve(prices)[1] for b in fleet)
     assert cost == pytest.approx(alone_costs, rel=1e-9)
@@ -524,6 +525,61 @@ def test_equal_rows_are_dispatched_once(monkeypatch):
         assert schedules[twin].tobytes() == schedules[first].tobytes() and cost[twin] == cost[first]
 
 
+@pytest.mark.parametrize("idx", [[0, 1, 2, 3, 4], [3, 1], [2, 2, 0, 2], [4, 0, 4, 1, 3, 3, 2, 0, 1, 4, 4]],
+                         ids=["fleet", "two", "repeats", "more-copies-than-heat-pumps"])
+def test_a_cut_lp_is_fleet_rows_of_its_heat_pumps_bit_for_bit(monkeypatch, idx):
+    rng = np.random.default_rng(15)
+    fleet, t_out = random_fleet(rng, 5), rng.uniform(-4.0, 14.0, 24)
+    model = DispatchModel(fleet, CFG, t_out)
+    built = []
+    monkeypatch.setattr(thermal, "HighsSweep", lambda *lp: built.append(lp))
+    model._sweep(np.array(idx))
+    (A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols), = built
+    ref_A, rhs, lo, hi, _, power = fleet_rows([fleet[r] for r in idx], CFG, t_out)
+    assert A.shape == ref_A.shape and (cost == 0.0).all() and len(cost) == len(lo)
+    for got, want in ((A.data, ref_A.data), (A.indices, ref_A.indices), (A.indptr, ref_A.indptr),
+                      (row_lo, rhs), (row_hi, rhs), (col_lo, lo), (col_hi, hi),
+                      (cost_cols, power.ravel())):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_day_builds_its_lp_once_and_solvers_only_where_highs_runs(monkeypatch):
+    # four blocks: block 0 is swept, and each later block builds an LP of
+    # copies only when it has rows `_certify` refuses
+    rng = np.random.default_rng(25)
+    fleet = random_fleet(rng, 3 * BLOCK + 5)
+    t_out = rng.uniform(-4.0, 14.0, 24)
+    log = []
+    rows, certify, sweep = thermal.fleet_rows, thermal._certify, thermal.HighsSweep
+
+    def counted_rows(*args):
+        log.append("fleet_rows")
+        return rows(*args)
+
+    def counted_certify(*args):
+        ok, P = certify(*args)
+        log.append(("refused", not ok.all()))
+        return ok, P
+
+    class CountedSweep(sweep):
+        def __init__(self, *args):
+            log.append("sweep")
+            super().__init__(*args)
+
+    monkeypatch.setattr(thermal, "fleet_rows", counted_rows)
+    monkeypatch.setattr(thermal, "_certify", counted_certify)
+    monkeypatch.setattr(thermal, "HighsSweep", CountedSweep)
+    model = DispatchModel(fleet, CFG, t_out)
+    assert log == ["fleet_rows"]
+    model.solve(rng.uniform(10.0, 150.0, (5, 24)))
+    checks = [entry for entry in log if isinstance(entry, tuple)]
+    assert len(checks) == 3 and ("refused", True) in checks
+    expected = ["fleet_rows", "sweep"]  # the day's build, then block 0's sweep
+    for check in checks:  # each later block's check, then its LP of copies if it refused a row
+        expected += [check] + ["sweep"] * check[1]
+    assert log == expected
+
+
 def test_infeasible_building_in_a_middle_block_is_named():
     # the day ends 8 h above t_max: a light building must start those hours
     # cool, having heated early, so one rated at its baseline cannot; it is
@@ -546,25 +602,27 @@ def test_infeasible_building_in_a_middle_block_is_named():
 # ------------------------------------------- certifying a neighbour's basis
 
 def one_block(rng, n, t_out):
-    """A DispatchModel of n <= BLOCK random heat pumps and its one block."""
+    """A DispatchModel of n <= BLOCK random heat pumps, the positions of
+    its one block and what `_certify` reads of them."""
     model = DispatchModel(random_fleet(rng, n), CFG, t_out)
-    (blk,) = model._blocks
-    return model, blk
+    (idx,) = model._blocks
+    return model, idx, _Block(*(v[idx] for v in model._fleet))
 
 
-def highs_vertices(blk, c):
+def highs_vertices(model, idx, c):
     """The (S, n, 3T + 1) vertex statuses and (S, n, T) powers HiGHS
-    finds for a block at the costs c."""
-    x, _, status = blk.sweep.solve(np.tile(c, len(blk.idx)))
-    return _per_hp(status, len(blk.idx)), x[:, blk.power]
+    finds for the heat pumps at idx at the costs c."""
+    x, _, status = model._sweep(idx).solve(np.tile(c, len(idx)))
+    T = c.shape[1]
+    return _per_hp(status, len(idx)), x.reshape(len(c), len(idx), 2 * T)[..., :T]
 
 
 def test_a_heat_pumps_own_optimum_is_certified_at_the_vertex_highs_found():
     rng = np.random.default_rng(21)
     t_out = rng.uniform(-4.0, 14.0, 24)
-    _, blk = one_block(rng, 12, t_out)
+    model, idx, blk = one_block(rng, 12, t_out)
     c = rng.uniform(10.0, 150.0, (6, 24)) * CFG.dt / 1000.0
-    status, P_highs = highs_vertices(blk, c)
+    status, P_highs = highs_vertices(model, idx, c)
     ok, P = _certify(status, blk, c, CFG)
     assert ok.all()
     assert np.abs(P - P_highs).max() <= 1e-12
@@ -578,9 +636,9 @@ def test_a_basis_optimal_at_other_prices_is_refused_on_its_duals():
     # costs of the rows where HiGHS found a cheaper one
     rng = np.random.default_rng(22)
     t_out = rng.uniform(-4.0, 14.0, 24)
-    _, blk = one_block(rng, 12, t_out)
+    model, idx, blk = one_block(rng, 12, t_out)
     c = rng.uniform(10.0, 150.0, (6, 24)) * CFG.dt / 1000.0
-    status, P_highs = highs_vertices(blk, c)
+    status, P_highs = highs_vertices(model, idx, c)
     stale = np.broadcast_to(status[:1], status.shape).copy()
     ok, P = _certify(stale, blk, c, CFG)
     assert np.abs(P - P_highs[:1]).max() <= 1e-12  # still the row-0 vertex
@@ -594,12 +652,12 @@ def test_a_neighbours_basis_whose_vertex_leaves_the_bounds_is_refused():
     # breaks this heat pump's rating or comfort band, it is refused
     rng = np.random.default_rng(23)
     t_out = rng.uniform(-4.0, 14.0, 24)
-    model, blk = one_block(rng, BLOCK, t_out)
+    model, idx, blk = one_block(rng, BLOCK, t_out)
     c = rng.uniform(10.0, 150.0, (6, 24)) * CFG.dt / 1000.0
-    status, P_highs = highs_vertices(blk, c)
+    status, P_highs = highs_vertices(model, idx, c)
     ok, P = _certify(np.roll(status, 1, axis=1), blk, c, CFG)
     infeasible = np.zeros(ok.shape, dtype=bool)
-    for j, r in enumerate(blk.idx):
+    for j, r in enumerate(idx):
         b = model.buildings[r]
         energy = baseline_profile(b, CFG, t_out).energy
         for s in range(len(c)):
@@ -613,9 +671,9 @@ def test_a_neighbours_basis_whose_vertex_leaves_the_bounds_is_refused():
 def test_a_basic_row_or_a_wrong_count_of_basic_columns_is_refused():
     rng = np.random.default_rng(24)
     t_out = rng.uniform(-4.0, 14.0, 24)
-    _, blk = one_block(rng, 4, t_out)
+    model, idx, blk = one_block(rng, 4, t_out)
     c = rng.uniform(10.0, 150.0, (1, 24)) * CFG.dt / 1000.0
-    status, _ = highs_vertices(blk, c)
+    status, _ = highs_vertices(model, idx, c)
     T = 24
     basic = [np.flatnonzero(status[0, j, :2 * T] == 1) for j in range(4)]
     nonbasic = [np.flatnonzero(status[0, j, :2 * T] != 1) for j in range(4)]
@@ -674,7 +732,7 @@ def test_later_blocks_certify_or_solve_every_row_as_one_building_models_do(data)
     # three blocks of 23: block 0 sweeps the S - 1 distinct rows; each later
     # block's are certified or go to one LP of copies
     stats = model.stats
-    assert [len(blk.idx) for blk in model._blocks] == [23, 23, 23]
+    assert [len(idx) for idx in model._blocks] == [23, 23, 23]
     copies = stats.solved - 23 * (S - 1)
     assert copies > 0 and stats.certified + copies == 2 * 23 * (S - 1)
     assert stats.runs == (S - 1) + 2
@@ -737,15 +795,15 @@ def test_a_heat_pump_keeps_its_repeated_vertex_while_another_moves(monkeypatch):
     p1 = p0.copy()
     p1[:3] *= 1.3
     model = DispatchModel(fleet, CFG, t_out)
-    (blk,) = model._blocks
-    status, _ = highs_vertices(blk, np.array([p0, p1]) * CFG.dt / 1000.0)
+    (idx,) = model._blocks
+    status, _ = highs_vertices(model, idx, np.array([p0, p1]) * CFG.dt / 1000.0)
     kept = (status[0] == status[1]).all(axis=1)
     assert kept.any() and not kept.all()
     monkeypatch.setattr(_core, "_Highs", DriftingHighs)
     monkeypatch.setattr(DriftingHighs, "runs", 0)
     X, _ = model.solve(np.array([p0, p1]))
     assert DriftingHighs.runs == 2
-    assert [X[1, r].tobytes() == X[0, r].tobytes() for r in blk.idx] == kept.tolist()
+    assert [X[1, r].tobytes() == X[0, r].tobytes() for r in idx] == kept.tolist()
 
 
 def test_a_vertex_solved_again_by_highs_keeps_the_bytes_it_was_certified_with(monkeypatch):
