@@ -36,11 +36,12 @@ A solution still reports every line's flows and every node's voltage:
 they follow from the solved nodal draws by one pass up the tree and
 one down it (`_Tree`), as LinDistFlow states them.
 
-scipy.sparse is imported only where matrices are built with it: the
-network LP (`OpfModel._assemble`), which wraps the fleet's block as a
-scipy array, and the capacitated assignment (`_assignment_milp`).  An
-integrated run loads it with its first `OpfModel`; an unbundled run,
-whose heat-pump LPs reach HiGHS as `lp.Csc` arrays, never does.
+The network LP is built with numpy, block by block as row, column and
+value arrays, and compressed once into an `lp.Csc`, the format the
+fleet's block comes in, byte for byte the matrix scipy.sparse's kron,
+bmat and tocsc make of the same blocks.  scipy.sparse is imported only
+by the capacitated assignment (`_assignment_milp`), which runs when a
+node's capacity binds, so no dispatch, unbundled or integrated, loads it.
 
 Unit bookkeeping: building and nodal quantities are kW; flows,
 voltages, and ratings are per-unit on s_base_kva; market prices are
@@ -55,7 +56,7 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,7 +71,7 @@ from .errors import (
     MultipleAncestors,
     SolverFailure,
 )
-from .lp import FEASIBILITY_TOL, HighsSweep, distinct, first_seen
+from .lp import FEASIBILITY_TOL, Csc, HighsSweep, distinct, first_seen
 from .thermal import (
     BuildingParams,
     ComfortConfig,
@@ -554,28 +555,21 @@ class OpfModel:
         the voltages, and with them every line, when some node's squared
         voltage can come that close to a bound; else the lines with a
         kept facet.  Every other line is contracted: its child joins the
-        cluster of its nearest kept ancestor, or the substation's."""
-        from scipy import sparse  # integrated runs only; see the module docstring
+        cluster of its nearest kept ancestor, or the substation's.
 
+        `A` is an `lp.Csc` with the bytes scipy.sparse's kron, bmat and
+        tocsc give the same blocks: each column's rows ascending, every
+        value from the same floating-point operations, and no zero a
+        sparse product drops."""
         net, cfg, series = self.net, self.cfg, self.series
         T = len(self.t_out)
-        F, N = len(self.flex), len(self.node_ids)
+        N = len(self.node_ids)
         S = net.s_base_kva
         rar = series.rar
         lines = [self.topo.line_by_child[nid] for nid in self.node_ids]
-        anc = [self.node_pos.get(net.nodes[nid].ancestor_id, N) for nid in self.node_ids]
-        below = [i for i, a in enumerate(anc) if a < N]
-        feeds_sub = (np.array(anc) == N).astype(float)
-        # D[i, i] = 1 and D[i, ancestor of i] = -1: D u is each line's
-        # voltage drop, D.T f each node's inflow minus its children's
-        D = (sparse.identity(N) - sparse.coo_matrix(
-            (np.ones(len(below)), (below, [anc[i] for i in below])), shape=(N, N))).tocsr()
-        H = sparse.csr_matrix((np.ones(F), (self.hp_node, np.arange(F))), shape=(N, F))
-        hours = sparse.identity(T)
-        active, reactive = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
-
-        def kron(*factors):
-            return reduce(lambda a, b: sparse.kron(a, b, format="csr"), factors)
+        anc = np.array([self.node_pos.get(net.nodes[nid].ancestor_id, N)
+                        for nid in self.node_ids], dtype=int)
+        feeds_sub = (anc == N).astype(float)
 
         # Polygonal apparent-power limits, one row per facet: lines by node
         # and hour, then the substation.  Facet normals sit between the
@@ -584,18 +578,18 @@ class OpfModel:
         # use the full rating.
         K = self.facets
         angles = [(2 * k + 1) * math.pi / K for k in range(K)]
-        cos = np.array([[math.cos(ang)] for ang in angles])
-        sin = np.array([[math.sin(ang)] for ang in angles])
+        cos = np.array([math.cos(ang) for ang in angles])
+        sin = np.array([math.sin(ang) for ang in angles])
         ratings = np.array([ln.s_rating_pu for ln in lines] + [self.s_sub_pu])
         poly_hi = np.repeat(ratings * math.cos(math.pi / K), T * K).reshape(N + 1, T * K)
 
         # The column bounds box each node's draw: shed in [0, p_fix], each
         # heat pump in [0, its rating], and shedding relieves no reactive
-        # power.  A line carries its subtree's draws (D.T f = draw, summed
-        # up the tree) and the substation every draw plus its own fixed
-        # load, so each facet, at each hour, can reach at most the larger
-        # of its values at the box's ends.
-        hp_kw = (H @ np.array([b.p_hp_rated for b in self.flex]))[:, None]
+        # power.  A line carries its subtree's draws (summed up the tree)
+        # and the substation every draw plus its own fixed load, so each
+        # facet, at each hour, can reach at most the larger of its values
+        # at the box's ends.
+        hp_kw = np.bincount(self.hp_node, [b.p_hp_rated for b in self.flex], N)[:, None]
         # by node: least and most active draw, least and most reactive draw
         draws = np.stack([-self.pv_kw, self.p_fix_kw - self.pv_kw + hp_kw,
                           rar * self.p_fix_kw, rar * (self.p_fix_kw + hp_kw)], axis=1) / S
@@ -603,8 +597,7 @@ class OpfModel:
         flows = tree.flows(draws.reshape(N, 4 * T)).reshape(N, 4, T)
         imports = draws.sum(axis=0) + np.outer([1.0, 1.0, rar, rar], self.sub_fix_kw / S)
         p_lo, p_hi, q_lo, q_hi = np.vstack([flows, imports[None]]).transpose(1, 0, 2)[..., None]
-        c, s = cos.ravel(), sin.ravel()
-        reach = np.maximum(c * p_lo, c * p_hi) + np.maximum(s * q_lo, s * q_hi)
+        reach = np.maximum(cos * p_lo, cos * p_hi) + np.maximum(sin * q_lo, sin * q_hi)
         reachable = reach.reshape(N + 1, T * K) >= poly_hi - FEASIBILITY_TOL
         # With r, x >= 0 each squared voltage, u = u_sub - 2 * sum over its
         # path of (r fp + x fq), falls as the flows grow: the box's ends
@@ -627,57 +620,64 @@ class OpfModel:
         for i in range(N):  # ancestors first
             if cluster[i] == L:
                 cluster[i] = cluster[anc[i]]
-        R = sparse.csr_matrix((np.ones(N + 1), (cluster, np.arange(N + 1))), shape=(L + 1, N + 1))
-        # each node's, then the substation's, balance over the line flows
-        incidence = sparse.vstack([D.T, -feeds_sub[None]])
-        at_node, at_sub = R[:, :N], R[:, N:]
-        branch = (R @ incidence)[:, keep]
-        volts = sparse.identity(N, format="csr")[:NV]
 
+        # The LP's nonzeros as (row, column, value) arrays, block by block,
+        # each block's three broadcast together, in the column and row
+        # blocks the docstring lists
         csc, rhs_hp, lo_hp, hi_hp = fleet
-        B = sparse.csc_array(csc[:3], shape=csc.shape)
-        A = sparse.bmat([
-            # columns: heat pumps, shed, u, fp, fq, pcc_p, pcc_q
-            # kept line polygons, by line, hour and facet
-            [None, None, None, kron(sparse.identity(L * T), cos),
-             kron(sparse.identity(L * T), sin), None, None],
-            # substation polygon, by hour and facet
-            [None, None, None, None, None, kron(hours, cos), kron(hours, sin)],
-            # each cluster's T active, then its T reactive balance rows,
-            # which take each heat pump's power columns, not its
-            # temperatures; the substation's takes the import
-            [kron(at_node @ H, np.array([[-1.0 / S], [-rar / S]]), [[1.0, 0.0]], hours),
-             kron(at_node, active / S, hours), None,
-             kron(branch, active, hours), kron(branch, reactive, hours),
-             kron(at_sub, active, hours), kron(at_sub, reactive, hours)],
-            # voltage drop along each line, when the voltages are kept
-            [None, None, kron(volts @ D @ volts.T, hours),
-             kron((volts @ sparse.diags(2.0 * r.ravel()))[:, keep], hours),
-             kron((volts @ sparse.diags(2.0 * x.ravel()))[:, keep], hours), None, None],
-            # each heat pump's dynamics and daily energy
-            [B, None, None, None, None, None, None],
-        ], format="csr")
+        self._ends = np.cumsum([len(lo_hp), N * T, NV * T, L * T, L * T, T, T])
+        _, shed, u, fp, fq, pcc_p, pcc_q = np.r_[0, self._ends[:-1]]
+        hour = np.arange(T)
+        at = T * np.arange(N)[:, None] + hour  # each node's, or kept line's, T columns
+        facets = reachable[np.r_[keep, N]].ravel()
+        side, k = np.divmod(np.flatnonzero(facets), K)  # (line, hour) and facet of each
+        bal = len(side) + 2 * T * cluster[:, None] + hour  # each node's cluster's active rows
+        drops = len(side) + 2 * T * (L + 1)  # the first voltage-drop row
+        drop, below = drops + at[:NV], np.flatnonzero(anc[:NV] < N)
+        blocks = [
+            # a facet bounds cos P + sin Q of its line or of the import
+            (np.arange(len(side)), np.r_[fp + at[:L].ravel(), pcc_p + hour][side], cos[k]),
+            (np.arange(len(side)), np.r_[fq + at[:L].ravel(), pcc_q + hour][side], sin[k]),
+            # a balance takes each heat pump's power, not its temperatures,
+            (bal[self.hp_node], self._power, -1.0 / S),
+            (bal[self.hp_node] + T, self._power, -rar / S),
+            # the shed load, which relieves no reactive power,
+            (bal[:N], shed + at, 1.0 / S),
+            # each kept line's flow into its cluster and out of the one above,
+            (bal[keep], fp + at[:L], 1.0), (bal[anc[keep]], fp + at[:L], -1.0),
+            (bal[keep] + T, fq + at[:L], 1.0), (bal[anc[keep]] + T, fq + at[:L], -1.0),
+            # and, at the substation, the import
+            (bal[N], pcc_p + hour, 1.0), (bal[N] + T, pcc_q + hour, 1.0),
+            # u_node - u_ancestor + 2 r fp + 2 x fq, when the voltages are kept
+            (drop, u + at[:NV], 1.0), (drop[below], u + at[anc[below]], -1.0),
+            (drop, fp + at[:NV], 2.0 * r[:NV]), (drop, fq + at[:NV], 2.0 * x[:NV]),
+        ]
+        row, col, val = (np.concatenate(part) for part in zip(*(
+            [a.ravel() for a in np.broadcast_arrays(*block)] for block in blocks)))
+        nz = val != 0  # as a sparse product stores no zero; the fleet's block comes whole
+        row = np.r_[row[nz], drops + NV * T + csc.indices]
+        col = np.r_[col[nz], np.repeat(np.arange(len(lo_hp)), np.diff(csc.indptr))]
+        val = np.r_[val[nz], csc.data]
+        order = np.lexsort((row, col))  # by column, each column's rows ascending
         fixed = np.vstack([np.stack([self.p_fix_kw - self.pv_kw, rar * self.p_fix_kw], axis=1),
                            np.stack([self.sub_fix_kw, rar * self.sub_fix_kw])[None]]) / S
-        rhs = np.concatenate([
-            (R @ fixed.reshape(N + 1, 2 * T)).ravel(),
-            np.repeat(self.u_sub * (volts @ feeds_sub), T),
-            rhs_hp,
-        ])
-        facets = reachable[np.r_[keep, N]].ravel()
-        self.A = A[np.r_[facets, np.ones(len(rhs), dtype=bool)]].tocsc()
-        self.row_lo = np.r_[np.full(facets.sum(), -np.inf), rhs]
+        balance = np.zeros((L + 1, 2 * T))
+        np.add.at(balance, cluster, fixed.reshape(N + 1, 2 * T))
+        rhs = np.concatenate([balance.ravel(), np.repeat(self.u_sub * feeds_sub[:NV], T), rhs_hp])
+        self.A = Csc(val[order], row[order],
+                     np.r_[0, np.bincount(col, minlength=self._ends[-1]).cumsum()],
+                     (len(side) + len(rhs), self._ends[-1]))
+        self.row_lo = np.r_[np.full(len(side), -np.inf), rhs]
         self.row_hi = np.r_[poly_hi[np.r_[keep, N]].ravel()[facets], rhs]
         free = np.full(2 * L * T + 2 * T, np.inf)
         self.col_lo = np.r_[lo_hp, np.zeros(N * T), np.full(NV * T, V_MIN_PU**2), -free]
         self.col_hi = np.r_[hi_hp, self.p_fix_kw.ravel(), np.full(NV * T, V_MAX_PU**2), free]
         self.cost = np.repeat([0.0, cfg.dt * self.voll / 1000.0, 0.0],
                               [len(lo_hp), N * T, (NV + 2 * L) * T + 2 * T])
-        self._ends = np.cumsum([len(lo_hp), N * T, NV * T, L * T, L * T, T, T])
         self.import_cols = np.arange(self._ends[4], self._ends[5])
         self.kept_lines = [self.node_ids[i] for i in keep]
         self.keeps_voltage = voltage
-        self._tree, self._H, self._r, self._x = tree, H, r, x
+        self._tree, self._r, self._x = tree, r, x
         self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
                               self.cost, self.import_cols)
         self.end_status: np.ndarray | None = None
@@ -708,8 +708,14 @@ class OpfModel:
                 raise Infeasible(f"fixed schedule for {bid} leaves its rating [0, {rated}] kW")
             x[self._power[f]] = sched
             pinned[self._power[f]] = True
-        shift, free = self.A @ x, ~pinned
-        lp = HighsSweep(self.A[:, free], self.row_lo - shift, self.row_hi - shift,
+        # A @ x as scipy's CSC product adds it, column by column, and the
+        # free columns cut out by their starts
+        A, free = self.A, ~pinned
+        counts = np.diff(A.indptr)
+        shift = np.bincount(A.indices, A.data * np.repeat(x, counts), A.shape[0])
+        kept = np.repeat(free, counts)
+        lp = HighsSweep(Csc(A.data[kept], A.indices[kept], np.r_[0, counts[free].cumsum()],
+                            (A.shape[0], free.sum())), self.row_lo - shift, self.row_hi - shift,
                         self.col_lo[free], self.col_hi[free], self.cost[free],
                         self.import_cols - pinned.sum())  # the pins precede the import
         prices = np.asarray(prices, dtype=float)
@@ -800,7 +806,9 @@ class OpfModel:
         _, shed, *_, pcc_p, pcc_q = np.split(x, self._ends[:-1])
         hp = x[self._power]
         shed = shed.reshape(-1, T)
-        load = self.p_fix_kw + self._H @ hp
+        at_node = np.zeros_like(self.p_fix_kw)
+        np.add.at(at_node, self.hp_node, hp)
+        load = self.p_fix_kw + at_node
         draws = np.hstack([load - self.pv_kw - shed, self.series.rar * load]) / S
         fp, fq = np.hsplit(self._tree.flows(draws), 2)
         u = self.u_sub - 2.0 * self._tree.path_sums(self._r * fp + self._x * fq)

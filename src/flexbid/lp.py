@@ -18,8 +18,8 @@ fixed at construction: a caller pinning columns substitutes them out
 and sweeps the smaller LP, as `grid.OpfModel.solve` does.  The matrix
 comes as a `Csc`, taken as it is, or as any other matrix, dense or
 scipy's, which goes through scipy.sparse, imported then: the heat-pump
-LPs `thermal.fleet_rows` builds are `Csc`, so an unbundled run never
-loads scipy.sparse, and only the network OPF's LP does.
+LPs `thermal.fleet_rows` builds and the network OPF's LP are `Csc`, so
+no dispatch loads scipy.sparse.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.  The

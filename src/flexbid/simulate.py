@@ -36,7 +36,6 @@ theoretically available savings the auction actually delivered:
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
@@ -57,7 +56,7 @@ from .grid import (
     RadialNetwork,
     allocate_buildings,
 )
-from .ingest import FORECASTERS, InstanceBundle, settings, write_csv
+from .ingest import FORECASTERS, MAX_PRICE_EUR_MWH, InstanceBundle, settings, write_csv
 from .scenarios import PriceSeries, generate_scenarios
 from .thermal import BuildingParams, ComfortConfig, DispatchModel, flexible, profile_cost
 
@@ -107,10 +106,13 @@ class CampaignConfig:
                              "three sides, and one per degree fills its circle")
         if not self.rar >= 0:
             raise ValueError("rar must be >= 0")
-        # a negative value of lost load would price shedding as a gain
+        # a negative value of lost load would price shedding as a gain, and
+        # one past the price limit outweighs, in each bid's price, the
+        # payment gaps clearing ranks the bids by
         for name, value in (("voll", self.voll), ("price_cap", self.price_cap)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+            if not 0 < value <= MAX_PRICE_EUR_MWH:
+                raise ValueError(f"{name} must be > 0 and at most {MAX_PRICE_EUR_MWH:g} "
+                                 f"EUR/MWh, got {value!r}")
 
     @property
     def bid_rows(self) -> int:

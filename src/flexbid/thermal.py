@@ -173,9 +173,9 @@ def fleet_rows(
     T_t - decay*T_{t-1} - decay*gain*P_t = decay*k*t_out_t (T_{-1} = t_set),
     row T the daily energy at the baseline's; the rating and the comfort
     band bound the columns.  A is an `lp.Csc`, which `HighsSweep` takes
-    as it is, so an unbundled run never loads scipy.sparse; the network
-    OPF wraps it as a scipy array to place it in its own LP.  Raises
-    InfeasibleBaseline as `baseline_profile` does."""
+    as it is, so no dispatch loads scipy.sparse; the network OPF places
+    its nonzeros in its own LP.  Raises InfeasibleBaseline as
+    `baseline_profile` does."""
     t_out = np.asarray(t_out, dtype=float)
     if t_out.ndim != 1 or not t_out.size:
         raise ValueError(f"t_out must hold one temperature per step, got shape {t_out.shape}")

@@ -435,6 +435,19 @@ def test_unknown_workspace_keys_fail_naming_file_and_key(workspace, runner, edit
         assert "campaign.json" in res.stderr and key in res.stderr
 
 
+@pytest.mark.parametrize("key, value", [("voll", 1e13), ("price_cap", 1e6 * (1 + 1e-9))])
+def test_a_bid_price_past_the_price_limit_fails_cleanly(workspace, runner, key, value):
+    # voll 1e13 once ran, and moved which bid cleared with nothing shed
+    payload = json.loads((workspace / "campaign.json").read_text())
+    payload["campaign"][key] = value
+    (workspace / "campaign.json").write_text(json.dumps(payload))
+    res = runner.invoke(main, ["simulate", str(workspace), "--days", "1"])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: SchemaError: ") and "Traceback" not in res.stderr
+    assert f"campaign.json: campaign: {key} must be > 0 and at most 1e+06 EUR/MWh" in res.stderr
+    assert not (workspace / "report.csv").exists()
+
+
 @pytest.mark.parametrize("payload", [[], {"paths": ["buildings.csv"]}, {"campaign": 3}])
 def test_non_object_workspace_sections_fail_cleanly(workspace, runner, payload):
     (workspace / "campaign.json").write_text(json.dumps(payload))

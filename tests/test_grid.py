@@ -169,14 +169,9 @@ def test_substation_rating_limits_import():
     assert np.allclose(sol.pcc_p_pu * net.s_base_kva / 1000.0, 0.3, atol=1e-9)  # MW
 
 
-def test_only_reachable_facets_enter_the_lp():
-    # node 1 draws between -0.5 pu (all load shed, full PV export) and
-    # +0.5 pu, so every facet of its 0.1 pu line can bind at every hour;
-    # node 2 draws at most 0.5 pu against a 10 pu line, the substation at
-    # most 1 pu against 20 pu, and their facets are left out.  Voltage
-    # stays within [0.99, 1.01] pu^2, so line 2 is contracted into the
-    # substation: the LP keeps line 1's cluster and the substation's
-    # balances and line 1's flow columns
+def pv_feeder():
+    """Two nodes under the substation: node 1 with a 500 kW PV building
+    and no heat pump behind a 0.1 pu line, node 2 with no building."""
     nodes = {
         0: Node(id=0, ancestor_id=None, is_substation=True, s_rating_kva=20000.0),
         1: Node(id=1, ancestor_id=0, p_cap_kw=1000.0),
@@ -189,11 +184,28 @@ def test_only_reachable_facets_enter_the_lp():
     net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=1000.0)
     pv = BuildingParams(id="pv", r_th=5.0, c_th=10.0, p_hp_rated=0.0, p_pv_rated=500.0)
     series = GridTimeSeries(slf=np.ones(4), cf=np.ones(4), rar=0.0)
-    model = OpfModel(net, [pv], {"pv": 1}, CFG, np.zeros(4), series)
+    return net, [pv], {"pv": 1}, np.zeros(4), series
+
+
+def scipy_csc(A):
+    """An lp.Csc as a scipy CSC array."""
+    return sparse.csc_array(A[:3], shape=A.shape)
+
+
+def test_only_reachable_facets_enter_the_lp():
+    # node 1 draws between -0.5 pu (all load shed, full PV export) and
+    # +0.5 pu, so every facet of its 0.1 pu line can bind at every hour;
+    # node 2 draws at most 0.5 pu against a 10 pu line, the substation at
+    # most 1 pu against 20 pu, and their facets are left out.  Voltage
+    # stays within [0.99, 1.01] pu^2, so line 2 is contracted into the
+    # substation: the LP keeps line 1's cluster and the substation's
+    # balances and line 1's flow columns
+    net, buildings, alloc, t_out, series = pv_feeder()
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series)
     K, T, N = model.facets, 4, 2
     assert model.kept_lines == [1] and not model.keeps_voltage
     assert model.A.shape == (2 * 2 * T + K * T, N * T + 2 * T + 2 * T)
-    _, cols = model.A[np.isinf(model.row_lo)].nonzero()
+    _, cols = scipy_csc(model.A)[np.isinf(model.row_lo)].nonzero()
     pcc = set(range(model.A.shape[1] - 2 * T, model.A.shape[1]))
     assert len(set(cols)) == 2 * T and not set(cols) & pcc
     # the line's vertex on the P axis caps node 1's draw at 0.1 pu
@@ -206,11 +218,9 @@ def test_only_reachable_facets_enter_the_lp():
                                               rel=1e-9)
 
 
-def test_a_tight_line_keeps_its_cluster_and_contracts_the_rest():
-    # 0 - 1 - 2 - 3 and 1 - 4: only the line into node 2 (carrying nodes 2
-    # and 3, 0.2 pu) is rated below its load.  It keeps its facets and
-    # its cluster's balances, which sum nodes 2 and 3; lines 1, 3 and 4
-    # are contracted and nodes 1 and 4 join the substation's balances
+def tight_line_feeder():
+    """0 - 1 - 2 - 3 and 1 - 4, the line into node 2 rated 0.08 pu, the
+    others 10 pu, and heat pumps at nodes 3 and 4, over 24 hours."""
     nodes = {0: Node(id=0, ancestor_id=None, is_substation=True, s_rating_kva=20000.0)}
     for nid, anc in ((1, 0), (2, 1), (3, 2), (4, 1)):
         nodes[nid] = Node(id=nid, ancestor_id=anc, p_cap_kw=100.0)
@@ -220,7 +230,16 @@ def test_a_tight_line_keeps_its_cluster_and_contracts_the_rest():
     net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=1000.0)
     buildings = [hp_building("h3", rated=3.0), hp_building("h4", rated=2.5)]
     series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
-    model = OpfModel(net, buildings, {"h3": 3, "h4": 4}, CFG, np.full(24, 2.0), series)
+    return net, buildings, {"h3": 3, "h4": 4}, np.full(24, 2.0), series
+
+
+def test_a_tight_line_keeps_its_cluster_and_contracts_the_rest():
+    # 0 - 1 - 2 - 3 and 1 - 4: only the line into node 2 (carrying nodes 2
+    # and 3, 0.2 pu) is rated below its load.  It keeps its facets and
+    # its cluster's balances, which sum nodes 2 and 3; lines 1, 3 and 4
+    # are contracted and nodes 1 and 4 join the substation's balances
+    net, buildings, alloc, t_out, series = tight_line_feeder()
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series)
     T, F, N = 24, 2, 4
     assert model.kept_lines == [2] and not model.keeps_voltage
     facets = np.isinf(model.row_lo).sum()
@@ -360,13 +379,197 @@ def test_tree_walks_match_the_triangular_solves(monkeypatch, feeder, seed):
         ref = OpfModel(net, buildings, alloc, CFG, t_out, series)
     assert (model.kept_lines, model.keeps_voltage, model.A.shape) == (
         ref.kept_lines, ref.keeps_voltage, ref.A.shape)
-    assert (model.A != ref.A).nnz == 0
+    assert (scipy_csc(model.A) != scipy_csc(ref.A)).nnz == 0
     assert np.array_equal(model.row_lo, ref.row_lo) and np.array_equal(model.row_hi, ref.row_hi)
     sol, ref_sol = model.solve(PRICES24), ref.solve(PRICES24)
     assert sol.hp_kw.tobytes() == ref_sol.hp_kw.tobytes()
     for name in ("flow_p_pu", "flow_q_pu", "u_pu2"):
         assert_close(getattr(sol, name), getattr(ref_sol, name))
     assert verify_solution(model, sol) == []
+
+
+# --------------------------------------------- the LP against scipy's build
+
+def scipy_assembly(model, fleet):
+    """The network LP assembled with scipy.sparse, an oracle for
+    OpfModel's numpy build: the blocks as kron products, stacked by bmat,
+    the unreachable facet rows masked out and the rest compressed by
+    tocsc.  Returns the CSC matrix, row bounds, column bounds and costs."""
+    from functools import reduce
+
+    from scipy import sparse
+
+    net, cfg, series = model.net, model.cfg, model.series
+    T = len(model.t_out)
+    F, N = len(model.flex), len(model.node_ids)
+    S = net.s_base_kva
+    rar = series.rar
+    lines = [model.topo.line_by_child[nid] for nid in model.node_ids]
+    anc = [model.node_pos.get(net.nodes[nid].ancestor_id, N) for nid in model.node_ids]
+    below = [i for i, a in enumerate(anc) if a < N]
+    feeds_sub = (np.array(anc) == N).astype(float)
+    # D[i, i] = 1 and D[i, ancestor of i] = -1: D u is each line's
+    # voltage drop, D.T f each node's inflow minus its children's
+    D = (sparse.identity(N) - sparse.coo_matrix(
+        (np.ones(len(below)), (below, [anc[i] for i in below])), shape=(N, N))).tocsr()
+    H = sparse.csr_matrix((np.ones(F), (model.hp_node, np.arange(F))), shape=(N, F))
+    hours = sparse.identity(T)
+    active, reactive = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+
+    def kron(*factors):
+        return reduce(lambda a, b: sparse.kron(a, b, format="csr"), factors)
+
+    # Polygonal apparent-power limits, one row per facet: lines by node
+    # and hour, then the substation.  Facet normals sit between the
+    # polygon's vertices, which lie on the rating circle at angles
+    # 2*pi*k/K — one of them on the P axis, so a purely active flow can
+    # use the full rating.
+    K = model.facets
+    angles = [(2 * k + 1) * math.pi / K for k in range(K)]
+    cos = np.array([[math.cos(ang)] for ang in angles])
+    sin = np.array([[math.sin(ang)] for ang in angles])
+    ratings = np.array([ln.s_rating_pu for ln in lines] + [model.s_sub_pu])
+    poly_hi = np.repeat(ratings * math.cos(math.pi / K), T * K).reshape(N + 1, T * K)
+
+    # The column bounds box each node's draw: shed in [0, p_fix], each
+    # heat pump in [0, its rating], and shedding relieves no reactive
+    # power.  A line carries its subtree's draws (D.T f = draw, summed
+    # up the tree) and the substation every draw plus its own fixed
+    # load, so each facet, at each hour, can reach at most the larger
+    # of its values at the box's ends.
+    hp_kw = (H @ np.array([b.p_hp_rated for b in model.flex]))[:, None]
+    # by node: least and most active draw, least and most reactive draw
+    draws = np.stack([-model.pv_kw, model.p_fix_kw - model.pv_kw + hp_kw,
+                      rar * model.p_fix_kw, rar * (model.p_fix_kw + hp_kw)], axis=1) / S
+    tree = grid._Tree(anc)
+    flows = tree.flows(draws.reshape(N, 4 * T)).reshape(N, 4, T)
+    imports = draws.sum(axis=0) + np.outer([1.0, 1.0, rar, rar], model.sub_fix_kw / S)
+    p_lo, p_hi, q_lo, q_hi = np.vstack([flows, imports[None]]).transpose(1, 0, 2)[..., None]
+    c, s = cos.ravel(), sin.ravel()
+    reach = np.maximum(c * p_lo, c * p_hi) + np.maximum(s * q_lo, s * q_hi)
+    reachable = reach.reshape(N + 1, T * K) >= poly_hi - grid.FEASIBILITY_TOL
+    # With r, x >= 0 each squared voltage, u = u_sub - 2 * sum over its
+    # path of (r fp + x fq), falls as the flows grow: the box's ends
+    # bound it, through the path sums down the tree
+    r, x = np.array([[ln.r_pu for ln in lines], [ln.x_pu for ln in lines]])[..., None]
+    path = tree.path_sums(np.hstack([r * p_hi[:N, :, 0] + x * q_hi[:N, :, 0],
+                                     r * p_lo[:N, :, 0] + x * q_lo[:N, :, 0]]))
+    u_lo, u_hi = model.u_sub - 2.0 * path.reshape(N, 2, T).transpose(1, 0, 2)
+    voltage = bool(u_lo.min() <= V_MIN_PU**2 + grid.FEASIBILITY_TOL
+                   or u_hi.max() >= V_MAX_PU**2 - grid.FEASIBILITY_TOL)
+    keep = np.arange(N) if voltage else np.flatnonzero(reachable[:N].any(axis=1))
+    L, NV = len(keep), N if voltage else 0
+
+    # Each node joins the cluster of its nearest kept line, its own or
+    # an ancestor's, or the substation's, the last; a cluster's balance
+    # sums its nodes' draws.  Flows between the nodes of one cluster
+    # cancel out of it, so only the kept lines' flows remain.
+    cluster = np.full(N + 1, L)
+    cluster[keep] = np.arange(L)
+    for i in range(N):  # ancestors first
+        if cluster[i] == L:
+            cluster[i] = cluster[anc[i]]
+    R = sparse.csr_matrix((np.ones(N + 1), (cluster, np.arange(N + 1))), shape=(L + 1, N + 1))
+    # each node's, then the substation's, balance over the line flows
+    incidence = sparse.vstack([D.T, -feeds_sub[None]])
+    at_node, at_sub = R[:, :N], R[:, N:]
+    branch = (R @ incidence)[:, keep]
+    volts = sparse.identity(N, format="csr")[:NV]
+
+    csc, rhs_hp, lo_hp, hi_hp = fleet
+    B = sparse.csc_array(csc[:3], shape=csc.shape)
+    A = sparse.bmat([
+        # columns: heat pumps, shed, u, fp, fq, pcc_p, pcc_q
+        # kept line polygons, by line, hour and facet
+        [None, None, None, kron(sparse.identity(L * T), cos),
+         kron(sparse.identity(L * T), sin), None, None],
+        # substation polygon, by hour and facet
+        [None, None, None, None, None, kron(hours, cos), kron(hours, sin)],
+        # each cluster's T active, then its T reactive balance rows,
+        # which take each heat pump's power columns, not its
+        # temperatures; the substation's takes the import
+        [kron(at_node @ H, np.array([[-1.0 / S], [-rar / S]]), [[1.0, 0.0]], hours),
+         kron(at_node, active / S, hours), None,
+         kron(branch, active, hours), kron(branch, reactive, hours),
+         kron(at_sub, active, hours), kron(at_sub, reactive, hours)],
+        # voltage drop along each line, when the voltages are kept
+        [None, None, kron(volts @ D @ volts.T, hours),
+         kron((volts @ sparse.diags(2.0 * r.ravel()))[:, keep], hours),
+         kron((volts @ sparse.diags(2.0 * x.ravel()))[:, keep], hours), None, None],
+        # each heat pump's dynamics and daily energy
+        [B, None, None, None, None, None, None],
+    ], format="csr")
+    fixed = np.vstack([np.stack([model.p_fix_kw - model.pv_kw, rar * model.p_fix_kw], axis=1),
+                       np.stack([model.sub_fix_kw, rar * model.sub_fix_kw])[None]]) / S
+    rhs = np.concatenate([
+        (R @ fixed.reshape(N + 1, 2 * T)).ravel(),
+        np.repeat(model.u_sub * (volts @ feeds_sub), T),
+        rhs_hp,
+    ])
+    facets = reachable[np.r_[keep, N]].ravel()
+    free = np.full(2 * L * T + 2 * T, np.inf)
+    return (A[np.r_[facets, np.ones(len(rhs), dtype=bool)]].tocsc(),
+            np.r_[np.full(facets.sum(), -np.inf), rhs],
+            np.r_[poly_hi[np.r_[keep, N]].ravel()[facets], rhs],
+            np.r_[lo_hp, np.zeros(N * T), np.full(NV * T, V_MIN_PU**2), -free],
+            np.r_[hi_hp, model.p_fix_kw.ravel(), np.full(NV * T, V_MAX_PU**2), free],
+            np.repeat([0.0, cfg.dt * model.voll / 1000.0, 0.0],
+                      [len(lo_hp), N * T, (NV + 2 * L) * T + 2 * T]))
+
+
+def two_bus_feeder():
+    """The 0.06 pu line that keeps its voltage, reactance and reactive
+    load both zero, and no building."""
+    return two_bus(r_pu=0.06), [], {}, np.zeros(4), flat_series()
+
+
+@pytest.mark.parametrize("feeder, facets", [
+    (partial(synthetic_feeder, 0), 8),  # every line contracted to the substation
+    (partial(synthetic_feeder, 0), 3),
+    (partial(synthetic_feeder, 3), 360),
+    (tight_line_feeder, 3),  # one kept line, its cluster and two contracted lines
+    (tight_line_feeder, 8),
+    (tight_line_feeder, 360),
+    (partial(random_feeder, "random", 0), 8),  # two kept lines
+    (partial(random_feeder, "chain", 0), 8),  # keeps its voltages
+    (two_bus_feeder, 8),
+    (pv_feeder, 8),  # PV, a node without a building, no heat pump
+], ids=["substation-8", "substation-3", "substation-360", "tight-3", "tight-8", "tight-360",
+        "two-lines", "chain-voltage", "two-bus-voltage", "pv-no-hp"])
+def test_the_lp_is_scipys_bit_for_bit(monkeypatch, feeder, facets):
+    """The numpy build hands HiGHS the bytes scipy's bmat and tocsc did,
+    and a pinned solve the free columns and row shifts scipy's column
+    slice and product give."""
+    net, buildings, alloc, t_out, series = feeder()
+    model = OpfModel(net, buildings, alloc, CFG, t_out, series, facets=facets)
+    A, *bounds = scipy_assembly(model, fleet_rows(model.flex, CFG, model.t_out)[:4])
+    assert model.A.shape == A.shape
+    assert np.array_equal(model.A.indptr, A.indptr) and np.array_equal(model.A.indices, A.indices)
+    assert model.A.data.tobytes() == A.data.tobytes()
+    for got, want in zip((model.row_lo, model.row_hi, model.col_lo, model.col_hi, model.cost),
+                         bounds):
+        assert got.tobytes() == want.tobytes()
+
+    handed = []
+
+    class Handed(HighsSweep):
+        def __init__(self, *args):
+            handed.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(grid, "HighsSweep", Handed)
+    pins = dict(zip(model.ids[::2], model.baseline[::2]))  # every other heat pump
+    model.solve(np.linspace(20.0, 80.0, len(t_out)), hp_fixed=pins)
+    (sliced, row_lo, row_hi, *_), = handed
+    x, free = np.zeros(A.shape[1]), np.ones(A.shape[1], dtype=bool)
+    x[model._power[::2]], free[model._power[::2]] = model.baseline[::2], False
+    want = A[:, free]
+    assert sliced.shape == want.shape
+    assert np.array_equal(sliced.indptr, want.indptr)
+    assert np.array_equal(sliced.indices, want.indices)
+    assert sliced.data.tobytes() == want.data.tobytes()
+    assert row_lo.tobytes() == (model.row_lo - A @ x).tobytes()
+    assert row_hi.tobytes() == (model.row_hi - A @ x).tobytes()
 
 
 # --------------------------------------------------------- tree validation

@@ -451,11 +451,11 @@ def test_the_cli_loads_no_module_flexbid_does_not_run():
 
 
 # run in a fresh interpreter: an unbundled campaign, an allocation that
-# needs no MILP and an integrated day, each followed by whether
-# scipy.sparse is loaded
+# needs no MILP, an integrated day, and its awarded schedules pinned in a
+# network OPF and re-checked, each followed by whether scipy.sparse is loaded
 SPARSE_ON_DEMAND = """
 import sys
-from flexbid.grid import allocate_buildings
+from flexbid.grid import OpfModel, allocate_buildings, verify_solution
 from flexbid.simulate import CampaignConfig, day_inputs, run_campaign, run_day
 from flexbid.synthetic import SyntheticSpec, generate_instance
 bundle = generate_instance(SyntheticSpec(n_buildings=12, hp_share_pct=50.0, n_days=14, seed=3))
@@ -465,16 +465,22 @@ print(len(report.days), len(report.failures), "scipy.sparse" in sys.modules)
 cfg = CampaignConfig(mode="integrated", start=bundle.dates[-1], days=1, s_count=6, max_bids=6)
 alloc = allocate_buildings(bundle.buildings, bundle.network)
 print("scipy.sparse" in sys.modules)
-run_day(cfg, day_inputs(cfg, bundle, cfg.start, alloc=alloc))
+inputs = day_inputs(cfg, bundle, cfg.start, alloc=alloc)
+day = run_day(cfg, inputs)
 print("scipy.sparse" in sys.modules)
+model = OpfModel(inputs.network, inputs.buildings, alloc, cfg.comfort, inputs.t_out,
+                 inputs.series, voll=cfg.voll, facets=cfg.facets)
+sol = model.solve(inputs.realized, hp_fixed=day.awarded_kw)
+print(len(day.awarded_kw), verify_solution(model, sol), "scipy.sparse" in sys.modules)
 """
 
 
-def test_only_the_network_lp_loads_scipy_sparse():
-    """The heat-pump LPs reach HiGHS as lp.Csc arrays: an unbundled
-    campaign never imports scipy.sparse, and an integrated day, whose
-    network LP is built with it, does."""
-    assert fresh_python(SPARSE_ON_DEMAND).split() == ["2", "0", "False", "False", "True"]
+def test_no_dispatch_loads_scipy_sparse():
+    """Both dispatchers' LPs reach HiGHS as lp.Csc arrays: neither an
+    unbundled campaign nor an integrated day, nor a pinned network OPF
+    and its re-check, imports scipy.sparse."""
+    assert fresh_python(SPARSE_ON_DEMAND).split() == [
+        "2", "0", "False", "False", "False", "6", "[]", "False"]
 
 
 # run in a fresh interpreter with argv[1] naming what is imported first

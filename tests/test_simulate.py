@@ -15,6 +15,7 @@ from flexbid import simulate
 from flexbid.bidding import MAX_BIDS
 from flexbid.errors import EmptyInput, GridMismatch, InvalidOrdering, SchemaError
 from flexbid.grid import Node, OpfModel, RadialNetwork, allocate_buildings
+from flexbid.ingest import MAX_PRICE_EUR_MWH
 from flexbid.simulate import (
     REPORT_HEADER,
     _Network,
@@ -659,9 +660,18 @@ def test_config_validation():
     {"facets": 2}, {"facets": 361}, {"facets": 10**8}, {"rar": -0.1}, {"rar": math.nan},
     {"voll": -5.0}, {"voll": math.nan}, {"voll": math.inf}, {"voll": 0.0}, {"price_cap": -1.0, "pricing": "truthful"},
     {"price_cap": math.inf, "pricing": "mabp"},
+    # past the price limit each bid's voll x energy once outweighed the
+    # payment gaps clearing compares: voll 1e13 moved a day's accepted bid
+    {"voll": 1e6 * (1 + 1e-9)}, {"voll": 1e13},
+    {"price_cap": 1e6 * (1 + 1e-9), "pricing": "mabp"}, {"price_cap": 1e13, "pricing": "truthful"},
 ], ids=lambda setting: ",".join(f"{key}={val}" for key, val in setting.items()))
 def test_config_rejects_settings_it_would_misuse(setting):
     # caught here, not by the first day's OpfModel or in the bid prices
     (name,) = set(setting) - {"pricing"}
     with pytest.raises(ValueError, match=name):
         CampaignConfig(start=START, days=1, **setting)
+
+
+def test_config_accepts_bid_prices_up_to_the_price_limit():
+    cfg = CampaignConfig(start=START, days=1, voll=MAX_PRICE_EUR_MWH, price_cap=MAX_PRICE_EUR_MWH)
+    assert cfg.voll == cfg.price_cap == 1e6
