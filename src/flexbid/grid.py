@@ -1,7 +1,9 @@
 """Radial distribution network: building allocation and a linearized branch-flow OPF.
 
-The network is a tree rooted at a substation.  Power flow uses the
-lossless LinDistFlow form on squared voltages: per line, the flow
+The network is a tree rooted at one substation, checked once, when its
+`RadialNetwork` is built, which then holds the tree (`Tree`) that the
+OPF and `verify_solution` walk.  Power flow uses the lossless
+LinDistFlow form on squared voltages: per line, the flow
 variable is the power sent from the ancestor end toward the child
 (positive = serving downstream demand), the nodal balance at node n
 reads flow(n) = sum of child flows + net consumption at n, and the
@@ -34,7 +36,7 @@ standard presolve step; Andersen & Andersen, Math. Prog. 71, 1995),
 while each warm re-solve, which skips presolve, works on a smaller LP.
 A solution still reports every line's flows and every node's voltage:
 they follow from the solved nodal draws by one pass up the tree and
-one down it (`_Tree`), as LinDistFlow states them.
+one down it (`Tree.flows`, `Tree.path_sums`), as LinDistFlow states them.
 
 The network LP is built with numpy, block by block as row, column and
 value arrays, and compressed once into an `lp.Csc`, the format the
@@ -55,7 +57,7 @@ import math
 import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Mapping, Sequence
 
@@ -116,43 +118,6 @@ def milp(*args, **kwargs):
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 where the OS does not say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-class _Tree:
-    """The nodes below the substation, by position, as LinDistFlow walks
-    them: anc[i] is the position of node i's ancestor, or N for the
-    substation, and ancestors come first.  Both walks take the nodes one
-    depth at a time, each depth one vectorized step over the rows of an
-    (N, ...) array, and add in the order a triangular solve on the
-    tree's incidence matrix adds: they give the bits scipy's
-    spsolve_triangular gave."""
-
-    def __init__(self, anc: Sequence[int]):
-        self._anc = anc = np.asarray(anc, dtype=int)
-        N = len(anc)
-        depth = np.zeros(N, dtype=int)
-        for i in range(N):  # ancestors first
-            if anc[i] < N:
-                depth[i] = depth[anc[i]] + 1
-        # the nodes below another, one array per depth, shallowest first
-        self._levels = [np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1)]
-
-    def flows(self, draws: np.ndarray) -> np.ndarray:
-        """Each line's flow, by child node: its node's draw plus its
-        children's flows, children first, each node's children added in
-        position order."""
-        out = np.array(draws, dtype=float)
-        for level in reversed(self._levels):
-            np.add.at(out, self._anc[level], out[level])
-        return out
-
-    def path_sums(self, drops: np.ndarray) -> np.ndarray:
-        """Each node's sum of the line drops on its path from the
-        substation, its own line's included, ancestors first."""
-        out = np.array(drops, dtype=float)
-        for level in self._levels:
-            out[level] += out[self._anc[level]]
-        return out
 
 
 @cache
@@ -222,92 +187,125 @@ class GridTimeSeries:
             raise ValueError("rar must be >= 0")
 
 
+class Tree:
+    """A feeder's one tree below its substation, as `RadialNetwork`
+    builds it: `node_ids`, the nodes below substation `sub_id` breadth
+    first, each node's children by id; `pos`, each id's position there;
+    `anc[i]`, the position of node i's ancestor, or N for the
+    substation, so ancestors come first; and `lines[i]`, node i's line
+    up to it.  Both walks take the nodes one depth at a time, each depth
+    one vectorized step over the rows of an (N, ...) array, and add in
+    the order a triangular solve on the tree's incidence matrix adds:
+    they give the bits scipy's spsolve_triangular gave."""
+
+    def __init__(self, sub_id: int, node_ids: list[int], ancestor_ids: Sequence[int],
+                 lines: list[Line]):
+        N = len(node_ids)
+        self.sub_id, self.node_ids, self.lines = sub_id, node_ids, lines
+        self.pos = {nid: i for i, nid in enumerate(node_ids)}
+        self.anc = anc = np.array([self.pos.get(a, N) for a in ancestor_ids], dtype=int)
+        depth = np.zeros(N, dtype=int)
+        for i in range(N):  # ancestors first
+            if anc[i] < N:
+                depth[i] = depth[anc[i]] + 1
+        # the nodes below another, one array per depth, shallowest first
+        self.levels = [np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1)]
+
+    def flows(self, draws: np.ndarray) -> np.ndarray:
+        """Each line's flow, by child node: its node's draw plus its
+        children's flows, children first, each node's children added in
+        position order."""
+        out = np.array(draws, dtype=float)
+        for level in reversed(self.levels):
+            np.add.at(out, self.anc[level], out[level])
+        return out
+
+    def path_sums(self, drops: np.ndarray) -> np.ndarray:
+        """Each node's sum of the line drops on its path from the
+        substation, its own line's included, ancestors first."""
+        out = np.array(drops, dtype=float)
+        for level in self.levels:
+            out[level] += out[self.anc[level]]
+        return out
+
+
 @dataclass(frozen=True)
 class RadialNetwork:
+    """A feeder: one tree of nodes and lines under exactly one
+    substation, with at least one node below it, checked when it is
+    built.  `tree` is that tree, as the OPF and `verify_solution` walk
+    it; nothing checks the feeder again.
+
+    Raises CycleDetected, DisconnectedNode, MultipleAncestors,
+    DanglingReference or GridMismatch on a network that is no such tree.
+    """
+
     nodes: dict[int, Node]
     lines: list[Line]
     s_base_kva: float = 1000.0
+    tree: Tree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s_base_kva <= 0:
             raise ValueError("s_base must be > 0")
+        nodes = self.nodes
+        substations = sorted(n.id for n in nodes.values() if n.is_substation)
+        if not substations:
+            raise DisconnectedNode("network has no substation to root the tree")
 
+        for n in nodes.values():
+            if n.is_substation and n.ancestor_id is not None:
+                raise MultipleAncestors(
+                    f"substation {n.id} lists ancestor {n.ancestor_id}; "
+                    "the external grid is already its ancestor"
+                )
+            if not n.is_substation and n.ancestor_id is None:
+                raise DisconnectedNode(f"node {n.id} has no ancestor and is not a substation")
+            if n.ancestor_id is not None and n.ancestor_id not in nodes:
+                raise DanglingReference(f"node {n.id} references unknown ancestor {n.ancestor_id}")
 
-@dataclass(frozen=True)
-class Topology:
-    """Validated tree structure: child sets and per-node upstream lines."""
+        line_by_child: dict[int, Line] = {}
+        for ln in self.lines:
+            if ln.from_id not in nodes:
+                raise DanglingReference(f"line references unknown node {ln.from_id}")
+            if ln.to_id not in nodes:
+                raise DanglingReference(f"line references unknown node {ln.to_id}")
+            if ln.from_id in line_by_child:
+                raise MultipleAncestors(f"node {ln.from_id} has two upstream lines")
+            if nodes[ln.from_id].ancestor_id != ln.to_id:
+                raise GridMismatch(
+                    f"line {ln.from_id}->{ln.to_id} contradicts the declared "
+                    f"ancestor {nodes[ln.from_id].ancestor_id}"
+                )
+            line_by_child[ln.from_id] = ln
+        for n in nodes.values():
+            if not n.is_substation and n.id not in line_by_child:
+                raise DisconnectedNode(f"node {n.id} lacks a line to its ancestor")
 
-    substations: list[int]
-    children: dict[int, list[int]]
-    line_by_child: dict[int, Line]
-    order: list[int]  # BFS from the roots, ancestors before descendants
-
-
-def validate_radial(net: RadialNetwork) -> Topology:
-    """Check the forest invariants and derive the traversal structure.
-
-    Raises CycleDetected, DisconnectedNode, MultipleAncestors, or
-    DanglingReference; a clean pass returns the Topology the OPF needs.
-    """
-    nodes = net.nodes
-    substations = sorted(n.id for n in nodes.values() if n.is_substation)
-    if not substations:
-        raise DisconnectedNode("network has no substation to root the tree")
-
-    for n in nodes.values():
-        if n.is_substation and n.ancestor_id is not None:
-            raise MultipleAncestors(
-                f"substation {n.id} lists ancestor {n.ancestor_id}; "
-                "the external grid is already its ancestor"
-            )
-        if not n.is_substation and n.ancestor_id is None:
-            raise DisconnectedNode(f"node {n.id} has no ancestor and is not a substation")
-        if n.ancestor_id is not None and n.ancestor_id not in nodes:
-            raise DanglingReference(f"node {n.id} references unknown ancestor {n.ancestor_id}")
-
-    line_by_child: dict[int, Line] = {}
-    for ln in net.lines:
-        if ln.from_id not in nodes:
-            raise DanglingReference(f"line references unknown node {ln.from_id}")
-        if ln.to_id not in nodes:
-            raise DanglingReference(f"line references unknown node {ln.to_id}")
-        if ln.from_id in line_by_child:
-            raise MultipleAncestors(f"node {ln.from_id} has two upstream lines")
-        if nodes[ln.from_id].ancestor_id != ln.to_id:
+        children: dict[int, list[int]] = {nid: [] for nid in nodes}
+        for n in nodes.values():
+            if n.ancestor_id is not None:
+                children[n.ancestor_id].append(n.id)
+        order = list(substations)  # breadth first from the roots
+        for nid in order:
+            order.extend(sorted(children[nid]))
+        # every other node has exactly one ancestor, so the search misses a
+        # node exactly when its ancestor chain ends in a loop
+        looped = sorted(set(nodes) - set(order))
+        if looped:
+            raise CycleDetected(f"ancestor chains of nodes {looped} loop instead of "
+                                "reaching a substation")
+        if len(substations) != 1:
             raise GridMismatch(
-                f"line {ln.from_id}->{ln.to_id} contradicts the declared "
-                f"ancestor {nodes[ln.from_id].ancestor_id}"
+                f"network dispatch expects one substation, found {len(substations)}"
             )
-        line_by_child[ln.from_id] = ln
-    for n in nodes.values():
-        if not n.is_substation and n.id not in line_by_child:
-            raise DisconnectedNode(f"node {n.id} lacks a line to its ancestor")
-
-    children: dict[int, list[int]] = {nid: [] for nid in nodes}
-    for n in nodes.values():
-        if n.ancestor_id is not None:
-            children[n.ancestor_id].append(n.id)
-    for c in children.values():
-        c.sort()
-
-    order: list[int] = []
-    queue = list(substations)
-    while queue:
-        nid = queue.pop(0)
-        order.append(nid)
-        queue.extend(children[nid])
-    # every other node has exactly one ancestor, so the search misses a
-    # node exactly when its ancestor chain ends in a loop
-    looped = sorted(set(nodes) - set(order))
-    if looped:
-        raise CycleDetected(f"ancestor chains of nodes {looped} loop instead of "
-                            "reaching a substation")
-    return Topology(
-        substations=substations,
-        children=children,
-        line_by_child=line_by_child,
-        order=order,
-    )
+        sub_id, *below = order
+        if not below:
+            raise GridMismatch("network dispatch needs a node below the substation, "
+                               "found only the substation")
+        object.__setattr__(self, "tree", Tree(
+            sub_id, below, [nodes[nid].ancestor_id for nid in below],
+            [line_by_child[nid] for nid in below]))
 
 
 def allocate_buildings(
@@ -328,12 +326,9 @@ def allocate_buildings(
     1975).  Only when some node would be overloaded, by any margin, is
     the MILP solved (`_assignment_milp`).
     """
-    validate_radial(net)
     sites = [n for _, n in sorted(net.nodes.items()) if not n.is_substation]
     if not buildings:
         return {}
-    if not sites:
-        raise Infeasible("network has no load nodes to host buildings")
 
     cap = np.array([n.p_cap_kw for n in sites])
     hp = np.array([b.p_hp_rated for b in buildings])
@@ -477,11 +472,6 @@ class OpfModel:
         if not 3 <= facets <= MAX_FACETS:
             raise ValueError(f"facets must lie in 3..{MAX_FACETS}: a rating polygon needs "
                              "three sides, and one per degree fills its circle")
-        topo = validate_radial(net)
-        if len(topo.substations) != 1:
-            raise GridMismatch(
-                f"network dispatch expects one substation, found {len(topo.substations)}"
-            )
         t_out = np.asarray(t_out, dtype=float)
         if t_out.ndim != 1 or series.slf.shape != t_out.shape:
             raise ValueError("slf and cf must span t_out's steps, one value each")
@@ -492,13 +482,8 @@ class OpfModel:
         self.series = series
         self.voll = voll
         self.facets = facets
-        self.topo = topo
-        self.sub_id = topo.substations[0]
-        self.node_ids = [nid for nid in topo.order if nid != self.sub_id]
-        if not self.node_ids:
-            raise GridMismatch("network dispatch needs a node below the substation, "
-                               "found only the substation")
-        self.node_pos = {nid: i for i, nid in enumerate(self.node_ids)}
+        tree = net.tree
+        self.sub_id, self.node_ids, self.node_pos = tree.sub_id, tree.node_ids, tree.pos
 
         buildings = sorted(buildings, key=lambda b: b.id)
         self.flex = flexible(buildings)
@@ -566,9 +551,8 @@ class OpfModel:
         N = len(self.node_ids)
         S = net.s_base_kva
         rar = series.rar
-        lines = [self.topo.line_by_child[nid] for nid in self.node_ids]
-        anc = np.array([self.node_pos.get(net.nodes[nid].ancestor_id, N)
-                        for nid in self.node_ids], dtype=int)
+        tree = net.tree
+        lines, anc = tree.lines, tree.anc
         feeds_sub = (anc == N).astype(float)
 
         # Polygonal apparent-power limits, one row per facet: lines by node
@@ -593,7 +577,6 @@ class OpfModel:
         # by node: least and most active draw, least and most reactive draw
         draws = np.stack([-self.pv_kw, self.p_fix_kw - self.pv_kw + hp_kw,
                           rar * self.p_fix_kw, rar * (self.p_fix_kw + hp_kw)], axis=1) / S
-        tree = _Tree(anc)
         flows = tree.flows(draws.reshape(N, 4 * T)).reshape(N, 4, T)
         imports = draws.sum(axis=0) + np.outer([1.0, 1.0, rar, rar], self.sub_fix_kw / S)
         p_lo, p_hi, q_lo, q_hi = np.vstack([flows, imports[None]]).transpose(1, 0, 2)[..., None]
@@ -677,7 +660,7 @@ class OpfModel:
         self.import_cols = np.arange(self._ends[4], self._ends[5])
         self.kept_lines = [self.node_ids[i] for i in keep]
         self.keeps_voltage = voltage
-        self._tree, self._r, self._x = tree, r, x
+        self._r, self._x = r, x
         self._lp = HighsSweep(self.A, self.row_lo, self.row_hi, self.col_lo, self.col_hi,
                               self.cost, self.import_cols)
         self.end_status: np.ndarray | None = None
@@ -810,8 +793,9 @@ class OpfModel:
         np.add.at(at_node, self.hp_node, hp)
         load = self.p_fix_kw + at_node
         draws = np.hstack([load - self.pv_kw - shed, self.series.rar * load]) / S
-        fp, fq = np.hsplit(self._tree.flows(draws), 2)
-        u = self.u_sub - 2.0 * self._tree.path_sums(self._r * fp + self._x * fq)
+        tree = self.net.tree
+        fp, fq = np.hsplit(tree.flows(draws), 2)
+        u = self.u_sub - 2.0 * tree.path_sums(self._r * fp + self._x * fq)
         hp_cost = self.cfg.dt * float(np.dot(prices, hp.sum(axis=0))) / 1000.0
         shed_kwh = self.cfg.dt * float(shed.sum())
         return OpfSolution(
@@ -847,37 +831,39 @@ def verify_solution(model: OpfModel, sol: OpfSolution, tol: float = 1e-6) -> lis
         if not np.isfinite(getattr(sol, name)).all():
             issues.append(f"{name} holds values that are not finite")
     net, cfg, series = model.net, model.cfg, model.series
-    T, S = len(model.t_out), net.s_base_kva
-    topo = model.topo
-    pos = model.node_pos
+    T, S, tree = len(model.t_out), net.s_base_kva, net.tree
+    N = len(tree.anc)
 
-    hp_at = np.zeros((len(model.node_ids), T))
+    hp_at = np.zeros((N, T))
     np.add.at(hp_at, model.hp_node, sol.hp_kw)
-    for i, nid in enumerate(model.node_ids):
-        draw = (model.p_fix_kw[i] + hp_at[i] - model.pv_kw[i] - sol.shed_kw[i]) / S
-        kids = topo.children[nid]
-        balance = sol.flow_p_pu[i] - sum(sol.flow_p_pu[pos[c]] for c in kids) - draw
-        if np.abs(balance).max() > tol:
-            issues.append(f"node {nid}: active balance off by {np.abs(balance).max():.2e} pu")
-        draw_q = series.rar * (model.p_fix_kw[i] + hp_at[i]) / S
-        balance_q = sol.flow_q_pu[i] - sum(sol.flow_q_pu[pos[c]] for c in kids) - draw_q
-        if np.abs(balance_q).max() > tol:
-            issues.append(f"node {nid}: reactive balance off by {np.abs(balance_q).max():.2e} pu")
+    load = model.p_fix_kw + hp_at
+    # each node's children's flows, and at row N the substation's
+    kids_p, kids_q = np.zeros((2, N + 1, T))
+    np.add.at(kids_p, tree.anc, sol.flow_p_pu)
+    np.add.at(kids_q, tree.anc, sol.flow_q_pu)
+    draw = (load - model.pv_kw - sol.shed_kw) / S
+    balance = np.abs(sol.flow_p_pu - kids_p[:N] - draw).max(axis=1)
+    balance_q = np.abs(sol.flow_q_pu - kids_q[:N] - series.rar * load / S).max(axis=1)
+    for nid, off, off_q in zip(tree.node_ids, balance, balance_q):
+        if off > tol:
+            issues.append(f"node {nid}: active balance off by {off:.2e} pu")
+        if off_q > tol:
+            issues.append(f"node {nid}: reactive balance off by {off_q:.2e} pu")
 
-    sub_kids = topo.children[model.sub_id]
     sub_draw = model.sub_fix_kw / S
-    bal = sol.pcc_p_pu - sum(sol.flow_p_pu[pos[c]] for c in sub_kids) - sub_draw
-    if np.abs(bal).max() > tol:
-        issues.append(f"substation: active balance off by {np.abs(bal).max():.2e} pu")
+    bal = np.abs(sol.pcc_p_pu - kids_p[N] - sub_draw).max()
+    if bal > tol:
+        issues.append(f"substation: active balance off by {bal:.2e} pu")
+    bal_q = np.abs(sol.pcc_q_pu - kids_q[N] - series.rar * sub_draw).max()
+    if bal_q > tol:
+        issues.append(f"substation: reactive balance off by {bal_q:.2e} pu")
 
-    for i, nid in enumerate(model.node_ids):
-        ln = topo.line_by_child[nid]
+    u_up = np.vstack([sol.u_pu2, np.full(T, model.u_sub)])[tree.anc]
+    for i, (nid, ln) in enumerate(zip(tree.node_ids, tree.lines)):
         sq = sol.flow_p_pu[i] ** 2 + sol.flow_q_pu[i] ** 2
         if sq.max() > ln.s_rating_pu**2 + tol:
             issues.append(f"line to node {nid}: apparent power exceeds the rating circle")
-        anc = net.nodes[nid].ancestor_id
-        u_anc = model.u_sub if anc == model.sub_id else sol.u_pu2[pos[anc]]
-        resid = sol.u_pu2[i] - (u_anc - 2.0 * (ln.r_pu * sol.flow_p_pu[i] + ln.x_pu * sol.flow_q_pu[i]))
+        resid = sol.u_pu2[i] - (u_up[i] - 2.0 * (ln.r_pu * sol.flow_p_pu[i] + ln.x_pu * sol.flow_q_pu[i]))
         if np.abs(resid).max() > tol:
             issues.append(f"line to node {nid}: voltage drop equation violated")
     if (sol.pcc_p_pu**2 + sol.pcc_q_pu**2).max() > model.s_sub_pu**2 + tol:

@@ -48,7 +48,7 @@ from .errors import (
     InsufficientHistory,
     SchemaError,
 )
-from .grid import Line, Node, RadialNetwork, validate_radial
+from .grid import Line, Node, RadialNetwork
 from .scenarios import PriceSeries, naive_forecast
 from .thermal import BuildingParams
 
@@ -344,10 +344,12 @@ def read_prices(path: str | Path) -> tuple[dict[date, np.ndarray], dict[date, np
 
 
 def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwork:
-    """The feeder in nodes.csv and edges.csv.  A bad row, or a second
-    row for one node id or one line's child, fails naming its file and
-    line; a network that is not a radial tree fails with
-    validate_radial's error, prefixed with both paths."""
+    """The feeder in nodes.csv and edges.csv, its `s_base_kva` the
+    substation's rating.  A bad row, or a second row for one node id,
+    one line's child or the substation, fails naming its file and line,
+    and a nodes.csv with no substation row names its file; a network
+    that is not one radial tree under the substation fails with
+    `RadialNetwork`'s error, prefixed with both paths."""
     nodes: dict[int, Node] = {}
     lineno_by_id: dict[int, int] = {}
     linenos, values, fault = _table(nodes_path, NODES_COLUMNS)
@@ -392,16 +394,18 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
             raise SchemaError(f"{edges_path}:{lineno}: {exc}") from None
     if fault is not None:
         raise fault
-    substations = [n for n in nodes.values() if n.is_substation]
+    substations = [nid for nid, n in nodes.items() if n.is_substation]
     if not substations:
         raise SchemaError(f"{nodes_path}: no substation row")
-    s_base = substations[0].s_rating_kva
-    net = RadialNetwork(nodes=nodes, lines=lines, s_base_kva=s_base)
+    if len(substations) > 1:
+        first, second = (lineno_by_id[nid] for nid in substations[:2])
+        raise SchemaError(f"{nodes_path}:{second}: second substation row "
+                          f"(first at line {first}); a feeder has one")
     try:
-        validate_radial(net)
+        return RadialNetwork(nodes=nodes, lines=lines,
+                             s_base_kva=nodes[substations[0]].s_rating_kva)
     except FlexbidError as exc:
         raise type(exc)(f"{nodes_path}, {edges_path}: {exc}") from None
-    return net
 
 
 def read_profiles(path: str | Path) -> tuple[dict[date, np.ndarray], dict[date, np.ndarray]]:

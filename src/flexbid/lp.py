@@ -16,10 +16,9 @@ sighting with `first_seen`, keyed as it chooses, and sweeps each
 distinct row of a stack once (`distinct`).  Column bounds are
 fixed at construction: a caller pinning columns substitutes them out
 and sweeps the smaller LP, as `grid.OpfModel.solve` does.  The matrix
-comes as a `Csc`, taken as it is, or as any other matrix, dense or
-scipy's, which goes through scipy.sparse, imported then: the heat-pump
-LPs `thermal.fleet_rows` builds and the network OPF's LP are `Csc`, so
-no dispatch loads scipy.sparse.
+comes as a `Csc`, taken as it is, the one format both dispatchers
+build (`thermal.fleet_rows`, `grid.OpfModel`), so no dispatch loads
+scipy.sparse.
 
 It drives scipy's private `_highspy` binding (scipy >= 1.15) directly,
 which skips linprog's per-call option checks and model conversion.  The
@@ -116,8 +115,7 @@ class HighsSweep:
 
     def __init__(self, A, row_lo, row_hi, col_lo, col_hi, cost, cost_cols):
         if not isinstance(A, Csc):
-            from scipy import sparse  # any other matrix, dense or sparse
-            A = sparse.csc_array(A)
+            raise TypeError(f"the LP's matrix must be an lp.Csc, got {type(A).__name__}")
         row_lo, row_hi, col_lo, col_hi, cost = (
             np.asarray(v, dtype=float) for v in (row_lo, row_hi, col_lo, col_hi, cost))
         self._cost_cols = cost_cols = np.asarray(cost_cols, dtype=np.int32)
@@ -127,8 +125,7 @@ class HighsSweep:
                 or cost_cols.ndim != 1 or not ((0 <= cost_cols) & (cost_cols < n)).all()):
             raise ValueError(f"an LP of shape {A.shape} needs {m} row bounds, {n} column "
                              f"bounds and costs, and cost columns within [0, {n})")
-        # HiGHS spins without end on a row index out of range: scipy's
-        # constructor refuses a malformed matrix, but a Csc comes as it is
+        # HiGHS spins without end on a row index out of range
         start, index = np.asarray(A.indptr), np.asarray(A.indices)
         if (start.shape != (n + 1,) or start[0] != 0 or (np.diff(start) < 0).any()
                 or index.shape != (start[-1],) or np.shape(A.data) != index.shape

@@ -270,10 +270,9 @@ def test_generous_ratings_never_shed(stressed_bundle):
         for sol in (model.solve(realized), pinned):
             shed_total += sol.shed_kwh
             issues += verify_solution(model, sol)
-            for i, nid in enumerate(sol.node_ids):
-                rating = model.topo.line_by_child[nid].s_rating_pu
+            for i, ln in enumerate(big.tree.lines):
                 sq = sol.flow_p_pu[i] ** 2 + sol.flow_q_pu[i] ** 2
-                max_fill = max(max_fill, math.sqrt(float(sq.max())) / rating)
+                max_fill = max(max_fill, math.sqrt(float(sq.max())) / ln.s_rating_pu)
             pcc_sq = sol.pcc_p_pu**2 + sol.pcc_q_pu**2
             max_fill = max(max_fill, math.sqrt(float(pcc_sq.max())) / model.s_sub_pu)
             u_lo = min(u_lo, float(sol.u_pu2.min()))

@@ -88,6 +88,30 @@ def test_allocate_without_network_files_fails_cleanly(workspace, runner):
     assert "error: GridMismatch" in res.stderr
 
 
+@pytest.mark.parametrize("command", [["allocate"], ["simulate", "--mode", "integrated",
+                                                  "--days", "1"]], ids=["allocate", "simulate"])
+@pytest.mark.parametrize("feeder", ["two-substations", "substation-only"])
+def test_a_feeder_that_is_not_one_tree_fails_at_ingest(workspace, runner, command, feeder):
+    """Both once passed ingest: allocate wrote alloc.json, and an
+    integrated campaign failed each of its days in the network dispatch."""
+    nodes = workspace / "nodes.csv"
+    header, sub, *rest = nodes.read_text().splitlines(keepends=True)
+    if feeder == "two-substations":
+        nodes.write_text("".join([header, sub, *rest, "99" + sub[sub.index(","):]]))
+        message = f"{nodes}:{len(rest) + 3}: second substation row (first at line 2)"
+    else:
+        nodes.write_text(header + sub)
+        edges = workspace / "edges.csv"
+        edges.write_text(edges.read_text().splitlines(keepends=True)[0])
+        message = (f"GridMismatch: {nodes}, {edges}: network dispatch needs a node below "
+                   "the substation, found only the substation")
+    res = runner.invoke(main, [command[0], str(workspace), *command[1:]])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert message in res.stderr
+    assert not {"alloc.json", "report.csv", "schedules.csv"} & {p.name for p in workspace.iterdir()}
+
+
 def test_bid_and_clear_round_trip(workspace, runner):
     res = runner.invoke(main, ["bid", str(workspace)] + FAST)
     assert res.exit_code == 0, res.output

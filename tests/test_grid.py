@@ -40,7 +40,6 @@ from flexbid.grid import (
     OpfModel,
     RadialNetwork,
     allocate_buildings,
-    validate_radial,
     verify_solution,
 )
 from flexbid.lp import HighsSweep
@@ -295,7 +294,7 @@ def test_a_congested_campaign_day_contracts_to_the_substation():
 # ------------------------------------------------------------- tree walks
 
 class SolvedTree:
-    """grid._Tree's walks as the triangular solves on the tree's
+    """grid.Tree's walks as the triangular solves on the tree's
     incidence matrix D that they replace: D.T f = draws, D y = drops."""
 
     def __init__(self, anc):
@@ -366,17 +365,22 @@ def test_tree_walks_match_the_triangular_solves(monkeypatch, feeder, seed):
     rows either way, and its solution passes the independent re-check."""
     net, buildings, alloc, t_out, series = feeder(seed)
     model = OpfModel(net, buildings, alloc, CFG, t_out, series)
+    walked = net.tree
+    assert walked.node_ids == model.node_ids and walked.pos == model.node_pos
     anc = [model.node_pos.get(net.nodes[nid].ancestor_id, len(model.node_ids))
            for nid in model.node_ids]
+    assert walked.anc.tolist() == anc
     rng = np.random.default_rng(seed)
     draws = rng.normal(size=(len(anc), 48)) * rng.choice([1e-3, 1.0, 1e3], size=(len(anc), 1))
-    walked, solved = grid._Tree(anc), SolvedTree(anc)
-    assert_close(walked.flows(draws), solved.flows(draws))
-    assert_close(walked.path_sums(draws), solved.path_sums(draws))
+    solved = SolvedTree(anc)
+    assert walked.flows(draws).tobytes() == solved.flows(draws).tobytes()
+    assert walked.path_sums(draws).tobytes() == solved.path_sums(draws).tobytes()
 
-    with monkeypatch.context() as patch:
-        patch.setattr(grid, "_Tree", SolvedTree)
-        ref = OpfModel(net, buildings, alloc, CFG, t_out, series)
+    # the same network, its tree walked by the triangular solves
+    ref_net = RadialNetwork(net.nodes, net.lines, net.s_base_kva)
+    monkeypatch.setattr(ref_net.tree, "flows", solved.flows)
+    monkeypatch.setattr(ref_net.tree, "path_sums", solved.path_sums)
+    ref = OpfModel(ref_net, buildings, alloc, CFG, t_out, series)
     assert (model.kept_lines, model.keeps_voltage, model.A.shape) == (
         ref.kept_lines, ref.keeps_voltage, ref.A.shape)
     assert (scipy_csc(model.A) != scipy_csc(ref.A)).nnz == 0
@@ -404,7 +408,8 @@ def scipy_assembly(model, fleet):
     F, N = len(model.flex), len(model.node_ids)
     S = net.s_base_kva
     rar = series.rar
-    lines = [model.topo.line_by_child[nid] for nid in model.node_ids]
+    line_by_child = {ln.from_id: ln for ln in net.lines}
+    lines = [line_by_child[nid] for nid in model.node_ids]
     anc = [model.node_pos.get(net.nodes[nid].ancestor_id, N) for nid in model.node_ids]
     below = [i for i, a in enumerate(anc) if a < N]
     feeds_sub = (np.array(anc) == N).astype(float)
@@ -441,7 +446,7 @@ def scipy_assembly(model, fleet):
     # by node: least and most active draw, least and most reactive draw
     draws = np.stack([-model.pv_kw, model.p_fix_kw - model.pv_kw + hp_kw,
                       rar * model.p_fix_kw, rar * (model.p_fix_kw + hp_kw)], axis=1) / S
-    tree = grid._Tree(anc)
+    tree = net.tree
     flows = tree.flows(draws.reshape(N, 4 * T)).reshape(N, 4, T)
     imports = draws.sum(axis=0) + np.outer([1.0, 1.0, rar, rar], model.sub_fix_kw / S)
     p_lo, p_hi, q_lo, q_hi = np.vstack([flows, imports[None]]).transpose(1, 0, 2)[..., None]
@@ -574,10 +579,24 @@ def test_the_lp_is_scipys_bit_for_bit(monkeypatch, feeder, facets):
 
 # --------------------------------------------------------- tree validation
 
-def test_validate_radial_accepts_a_clean_tree():
-    topo = validate_radial(two_bus())
-    assert topo.substations == [0]
-    assert topo.children[0] == [1]
+def test_a_clean_network_holds_its_tree():
+    tree = two_bus().tree
+    assert (tree.sub_id, tree.node_ids, tree.pos, tree.anc.tolist()) == (0, [1], {1: 0}, [1])
+    assert tree.lines == two_bus().lines
+
+
+def test_the_tree_is_breadth_first_below_the_substation_with_children_by_id():
+    # substation 5; 9 and 2 below it, 7 and 3 below 9, 4 below 3
+    ancestors = {9: 5, 2: 5, 7: 9, 3: 9, 4: 3}
+    nodes = {5: Node(id=5, ancestor_id=None, is_substation=True, s_rating_kva=100.0)}
+    nodes.update({nid: Node(id=nid, ancestor_id=a, p_cap_kw=1.0) for nid, a in ancestors.items()})
+    lines = [Line(from_id=nid, to_id=a, r_pu=0.01, x_pu=0.0, s_rating_pu=1.0)
+             for nid, a in ancestors.items()]
+    tree = RadialNetwork(nodes=nodes, lines=lines).tree
+    assert tree.node_ids == [2, 9, 3, 7, 4]
+    assert tree.anc.tolist() == [5, 5, 1, 1, 2]
+    assert [ln.from_id for ln in tree.lines] == tree.node_ids
+    assert [level.tolist() for level in tree.levels] == [[2, 3], [4]]
 
 
 def test_cycle_is_rejected():
@@ -591,12 +610,12 @@ def test_cycle_is_rejected():
         Line(from_id=2, to_id=1, r_pu=0.01, x_pu=0.0, s_rating_pu=1.0),
     ]
     with pytest.raises(CycleDetected):
-        validate_radial(RadialNetwork(nodes=nodes, lines=lines))
+        RadialNetwork(nodes=nodes, lines=lines)
     # a node hanging off the loop never reaches a substation either
     nodes[3] = Node(id=3, ancestor_id=1, p_cap_kw=1.0)
     lines.append(Line(from_id=3, to_id=1, r_pu=0.01, x_pu=0.0, s_rating_pu=1.0))
     with pytest.raises(CycleDetected, match=r"\[1, 2, 3\]"):
-        validate_radial(RadialNetwork(nodes=nodes, lines=lines))
+        RadialNetwork(nodes=nodes, lines=lines)
 
 
 def test_orphan_node_is_rejected():
@@ -605,7 +624,7 @@ def test_orphan_node_is_rejected():
         1: Node(id=1, ancestor_id=None, p_cap_kw=1.0),
     }
     with pytest.raises(DisconnectedNode):
-        validate_radial(RadialNetwork(nodes=nodes, lines=[]))
+        RadialNetwork(nodes=nodes, lines=[])
 
 
 def test_missing_line_is_rejected():
@@ -614,7 +633,7 @@ def test_missing_line_is_rejected():
         1: Node(id=1, ancestor_id=0, p_cap_kw=1.0),
     }
     with pytest.raises(DisconnectedNode):
-        validate_radial(RadialNetwork(nodes=nodes, lines=[]))
+        RadialNetwork(nodes=nodes, lines=[])
 
 
 def test_substation_with_ancestor_is_rejected():
@@ -623,16 +642,13 @@ def test_substation_with_ancestor_is_rejected():
         1: Node(id=1, ancestor_id=None, is_substation=True, s_rating_kva=100.0),
     }
     with pytest.raises(MultipleAncestors):
-        validate_radial(RadialNetwork(nodes=nodes, lines=[]))
+        RadialNetwork(nodes=nodes, lines=[])
 
 
 def test_second_upstream_line_is_rejected():
     net = two_bus()
-    doubled = RadialNetwork(
-        nodes=net.nodes, lines=net.lines + net.lines, s_base_kva=1000.0
-    )
     with pytest.raises(MultipleAncestors):
-        validate_radial(doubled)
+        RadialNetwork(nodes=net.nodes, lines=net.lines + net.lines, s_base_kva=1000.0)
 
 
 def test_dangling_ancestor_is_rejected():
@@ -642,7 +658,7 @@ def test_dangling_ancestor_is_rejected():
     }
     lines = [Line(from_id=1, to_id=9, r_pu=0.01, x_pu=0.0, s_rating_pu=1.0)]
     with pytest.raises(DanglingReference):
-        validate_radial(RadialNetwork(nodes=nodes, lines=lines))
+        RadialNetwork(nodes=nodes, lines=lines)
 
 
 def test_line_contradicting_declared_ancestor():
@@ -656,17 +672,22 @@ def test_line_contradicting_declared_ancestor():
         Line(from_id=2, to_id=0, r_pu=0.01, x_pu=0.0, s_rating_pu=1.0),
     ]
     with pytest.raises(GridMismatch):
-        validate_radial(RadialNetwork(nodes=nodes, lines=lines))
+        RadialNetwork(nodes=nodes, lines=lines)
 
 
-def test_opf_needs_exactly_one_substation():
+def test_a_network_has_exactly_one_substation():
     nodes = {
         0: Node(id=0, ancestor_id=None, is_substation=True, s_rating_kva=100.0),
         1: Node(id=1, ancestor_id=None, is_substation=True, s_rating_kva=100.0),
+        2: Node(id=2, ancestor_id=0, p_cap_kw=1.0),
     }
-    net = RadialNetwork(nodes=nodes, lines=[])
-    with pytest.raises(GridMismatch):
-        OpfModel(net, [], {}, CFG, np.zeros(4), flat_series())
+    lines = [Line(from_id=2, to_id=0, r_pu=0.01, x_pu=0.0, s_rating_pu=1.0)]
+    with pytest.raises(GridMismatch, match="expects one substation, found 2"):
+        RadialNetwork(nodes=nodes, lines=lines)
+    del nodes[1]
+    assert RadialNetwork(nodes=nodes, lines=lines).tree.node_ids == [2]
+    with pytest.raises(DisconnectedNode, match="no substation"):
+        RadialNetwork(nodes={2: nodes[2]}, lines=lines)
 
 
 def test_facet_count_is_bounded():
@@ -686,13 +707,11 @@ def test_series_must_span_the_days_steps():
         OpfModel(two_bus(), [], {}, CFG, np.zeros(4), flat_series(n=5))
 
 
-def test_opf_needs_a_node_below_the_substation():
+def test_a_network_needs_a_node_below_the_substation():
     # a substation alone once failed inside the LP assembly, on a bare
     # numpy ValueError from a reduction over zero nodes
-    net = RadialNetwork({0: Node(0, None, is_substation=True, s_rating_kva=100.0)}, [])
     with pytest.raises(GridMismatch, match="only the substation"):
-        OpfModel(net, [], {}, CFG, np.zeros(4),
-                 GridTimeSeries(np.ones(4), np.zeros(4)))
+        RadialNetwork({0: Node(0, None, is_substation=True, s_rating_kva=100.0)}, [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1062,6 +1081,18 @@ def test_verify_solution_flags_tampering():
     assert verify_solution(model, overfull) != []
 
 
+@pytest.mark.parametrize("name, balance", [("pcc_p_pu", "active"), ("pcc_q_pu", "reactive")])
+def test_verify_solution_checks_both_balances_at_the_substation(name, balance):
+    # the reactive one was once left unchecked: an import shifted by 0.01 pu passed
+    net, buildings, alloc = feeder_with_hp()
+    series = GridTimeSeries(slf=np.full(24, 0.6), cf=np.zeros(24), rar=0.05)
+    model = OpfModel(net, buildings, alloc, CFG, np.full(24, 2.0), series)
+    sol = model.solve(PRICES24)
+    assert verify_solution(model, sol) == []
+    shifted = dataclasses.replace(sol, **{name: getattr(sol, name) - 0.01})
+    assert verify_solution(model, shifted) == [f"substation: {balance} balance off by 1.00e-02 pu"]
+
+
 def test_verify_solution_reports_a_solution_that_is_not_finite():
     model = OpfModel(two_bus(), [], {}, CFG, np.zeros(4), flat_series())
     sol = model.solve(np.full(4, 50.0))
@@ -1152,7 +1183,8 @@ def full_lp_objective(model, prices, hp_fixed=None):
     hp_col = {bid: 2 * f * T for f, bid in enumerate(model.ids)}
     kids = {nid: [c for c in ids if net.nodes[c].ancestor_id == nid] for nid in net.nodes}
     ub, eq = [], []  # ({column: coefficient}, right-hand side)
-    polygons = [(model.topo.line_by_child[nid].s_rating_pu, fp + i * T, fq + i * T)
+    up = {ln.from_id: ln for ln in net.lines}  # each node's line up to its ancestor
+    polygons = [(up[nid].s_rating_pu, fp + i * T, fq + i * T)
                 for i, nid in enumerate(ids)] + [(model.s_sub_pu, pcc_p, pcc_q)]
     for rating, p_col, q_col in polygons:
         for t in range(T):
@@ -1161,7 +1193,7 @@ def full_lp_objective(model, prices, hp_fixed=None):
                 ub.append(({p_col + t: math.cos(angle), q_col + t: math.sin(angle)},
                            rating * math.cos(math.pi / K)))
     for i, nid in enumerate(ids):
-        ln = model.topo.line_by_child[nid]
+        ln = up[nid]
         anc = net.nodes[nid].ancestor_id
         for t in range(T):
             p_row = {fp + i * T + t: 1.0, shed + i * T + t: 1.0 / S}

@@ -392,6 +392,23 @@ def test_a_network_that_is_no_tree_names_both_files(tmp_path):
     assert str(err.value).startswith(f"{nodes}, {edges}: ancestor chains of nodes [1, 2] loop")
 
 
+def test_a_nodes_file_needs_exactly_one_substation_row(tmp_path):
+    nodes, edges = network_files(tmp_path)
+    text = nodes.read_text()
+    nodes.write_text(text + "2,,2,0,0,true,100,1.0\n")
+    with pytest.raises(SchemaError) as err:
+        read_network(nodes, edges)
+    assert str(err.value) == (f"{nodes}:4: second substation row (first at line 2); "
+                              "a feeder has one")
+    # no substation row: node 1 names itself as its ancestor, and no line runs up
+    header, _, load = text.splitlines(keepends=True)
+    nodes.write_text(header + load.replace("1,0,1,0", "1,1,1,0"))
+    edges.write_text(edges.read_text().splitlines(keepends=True)[0])
+    with pytest.raises(SchemaError) as err:
+        read_network(nodes, edges)
+    assert str(err.value) == f"{nodes}: no substation row"
+
+
 def test_a_load_node_without_ancestor_points_at_its_line(tmp_path):
     nodes, edges = network_files(tmp_path)
     nodes.write_text(nodes.read_text().replace("1,0,1,0", "1,,1,0"))

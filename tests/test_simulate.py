@@ -14,7 +14,7 @@ from scipy.optimize._highspy import _core
 from flexbid import simulate
 from flexbid.bidding import MAX_BIDS
 from flexbid.errors import EmptyInput, GridMismatch, InvalidOrdering, SchemaError
-from flexbid.grid import Node, OpfModel, RadialNetwork, allocate_buildings
+from flexbid.grid import OpfModel, allocate_buildings
 from flexbid.ingest import MAX_PRICE_EUR_MWH
 from flexbid.simulate import (
     REPORT_HEADER,
@@ -309,19 +309,6 @@ def test_schedules_csv_writes_each_award_at_its_own_length(tmp_path, steps):
                                  for h, kw in enumerate(award[::-1])]
     assert rows[1 + steps:1 + 2 * steps] == [["2025-01-02", "b2", str(h), f"{kw:.6f}"]
                                              for h, kw in enumerate(award)]
-
-
-def test_a_substation_only_feeder_fails_its_days(small_bundle):
-    bundle = copy.copy(small_bundle)
-    bundle.network = RadialNetwork(
-        {0: Node(0, None, is_substation=True, s_rating_kva=100.0)}, [])
-    bundle.alloc = {}
-    cfg = cfg_for(bundle, days=2, mode="integrated")
-    report = run_campaign(cfg, bundle)
-    assert report.days == []
-    assert [day for day, _ in report.failures] == cfg.campaign_days
-    assert all(msg.startswith("GridMismatch: network dispatch needs a node below")
-               for _, msg in report.failures)
 
 
 def test_eta_undefined_campaign(small_bundle):
