@@ -248,8 +248,8 @@ def generate(out_dir, json_errors, **flags):
 def allocate(workdir, config_path, out_path, json_errors):
     """Assign buildings to feeder nodes, distance-minimal and capacity-aware."""
     raw, base = _load_workspace(workdir, config_path)
-    paths = _resolve_paths(raw, base)
-    bundle = _load_bundle(paths)
+    # the assignment this replaces is not read: it may no longer fit the instance
+    bundle = _load_bundle({**_resolve_paths(raw, base), "alloc": None})
     if bundle.network is None:
         raise GridMismatch(f"allocation needs {FILE_NAMES['nodes']} and {FILE_NAMES['edges']}")
     alloc = allocate_buildings(bundle.buildings, bundle.network)

@@ -142,6 +142,13 @@ class Node:
     def __post_init__(self):
         if self.p_cap_kw < 0:
             raise ValueError(f"node {self.id}: p_cap must be >= 0")
+        if self.is_substation and self.ancestor_id is not None:
+            raise MultipleAncestors(f"substation {self.id} lists ancestor {self.ancestor_id}; "
+                                    "the external grid is already its ancestor")
+        if not self.is_substation and self.ancestor_id is None:
+            raise DisconnectedNode(f"node {self.id} has no ancestor_id and is not a substation")
+        if self.is_substation and not (self.s_rating_kva > 0 and self.v_nom_pu > 0):  # a NaN too
+            raise ValueError(f"substation {self.id}: s_rating and v_nom must be > 0")
 
 
 @dataclass(frozen=True)
@@ -254,13 +261,6 @@ class RadialNetwork:
             raise DisconnectedNode("network has no substation to root the tree")
 
         for n in nodes.values():
-            if n.is_substation and n.ancestor_id is not None:
-                raise MultipleAncestors(
-                    f"substation {n.id} lists ancestor {n.ancestor_id}; "
-                    "the external grid is already its ancestor"
-                )
-            if not n.is_substation and n.ancestor_id is None:
-                raise DisconnectedNode(f"node {n.id} has no ancestor and is not a substation")
             if n.ancestor_id is not None and n.ancestor_id not in nodes:
                 raise DanglingReference(f"node {n.id} references unknown ancestor {n.ancestor_id}")
 
@@ -360,6 +360,25 @@ def allocate_buildings(
     else:
         log.info("nearest-node assignment fits every node's capacity; no MILP needed")
     return {bld.id: sites[s].id for bld, s in zip(buildings, site.tolist())}
+
+
+def check_assignment(alloc: Mapping[str, int], buildings: Sequence[BuildingParams],
+                     net: RadialNetwork) -> None:
+    """Check an assignment of building ids to node ids: it names known
+    buildings only, each on a node of `net` other than the substation, and
+    places every building whose heat pump (`flexible`) or PV roof the OPF models."""
+    known = {b.id for b in buildings}
+    for bid, nid in alloc.items():
+        if bid not in known:
+            raise DanglingReference(f"assignment names unknown building {bid!r}")
+        if nid not in net.nodes:
+            raise DanglingReference(f"building {bid!r} assigned to unknown node {nid}")
+        if nid == net.tree.sub_id:
+            raise GridMismatch(f"building {bid!r} assigned to the substation, node {nid}")
+    hp = {b.id for b in flexible(buildings)}
+    missing = [b.id for b in buildings if b.id not in alloc and (b.id in hp or b.p_pv_rated > 0)]
+    if missing:
+        raise DanglingReference(f"building {missing[0]!r} has a heat pump or PV roof but no node")
 
 
 def _assignment_milp(dist: np.ndarray, hp: np.ndarray, pv: np.ndarray,
@@ -488,21 +507,11 @@ class OpfModel:
         buildings = sorted(buildings, key=lambda b: b.id)
         self.flex = flexible(buildings)
         self.ids = [b.id for b in self.flex]
-        for b in self.flex:
-            if b.id not in alloc:
-                raise DanglingReference(f"building {b.id} has no node assignment")
-        for b in buildings:
-            nid = alloc.get(b.id)
-            if nid is None:
-                continue
-            if nid not in net.nodes:
-                raise DanglingReference(f"building {b.id} assigned to unknown node {nid}")
-            if nid == self.sub_id:
-                raise GridMismatch(f"building {b.id} assigned to the substation")
+        check_assignment(alloc, buildings, net)
 
         *fleet, self.baseline, self._power = fleet_rows(self.flex, cfg, t_out)
         self.hp_node = np.array([self.node_pos[alloc[b.id]] for b in self.flex], dtype=int)
-        pv = [b for b in buildings if b.p_pv_rated > 0 and b.id in alloc]
+        pv = [b for b in buildings if b.p_pv_rated > 0]
         pv_node = np.array([self.node_pos[alloc[b.id]] for b in pv], dtype=int)
 
         # nodal fixed load: scaled connection capacity minus the baseline

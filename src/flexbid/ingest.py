@@ -9,17 +9,23 @@ It hands back the parsed rows before the first faulty line and that
 line's error, naming the file, the line and, for a cell, the column;
 each caller checks those rows in line order and then raises that
 error, so a file fails on its earliest faulty line, whichever check
-finds it.  `_hourly` builds the three (date, hour) tables, weather,
-prices and profiles, on it as one (days, 24) numpy grid per value
-column, and `_write_hourly` writes them, one %-template per row, after
-checking that every series holds 24 finite values for the same dates.
+finds it.  A row's values are checked by the type it builds
+(`BuildingParams`, `Node`, `Line`), whose error a reader prefixes with
+the file and the line, a ValueError as a SchemaError; the readers
+themselves check only what spans rows, such as a repeated id.
+`_hourly` builds the three (date, hour) tables, weather, prices and
+profiles, on it as one (days, 24) numpy grid per value column, and
+`_write_hourly` writes them, one %-template per row, after checking
+that every series holds 24 finite values for the same dates.
 A price cell holds at most MAX_PRICE_EUR_MWH in magnitude, read or written.
 Writers emit one canonical decimal format per column so that write ->
 read -> write is byte-stable.  Files are UTF-8, written without a
 byte-order mark and read past one, as spreadsheet CSV exports write it.
-Structured artifacts (bids, outcomes, assignments, config) are JSON;
-`settings` checks and types each section of campaign.json against the
-dict to_dict writes for its defaults.
+Structured artifacts (bids, outcomes, assignments, config) are JSON, in
+which no object may repeat a key; `settings` checks and types each
+section of campaign.json against the dict to_dict writes for its
+defaults, and `read_alloc` checks an assignment with
+`grid.check_assignment`, the rule `OpfModel` applies too.
 
 Daily series must cover hours 0..23 exactly once; days with missing or
 doubled hours (e.g. DST switches in real exports) are rejected rather
@@ -42,13 +48,12 @@ import numpy as np
 
 from .errors import (
     DanglingReference,
-    DisconnectedNode,
     FlexbidError,
     GridMismatch,
     InsufficientHistory,
     SchemaError,
 )
-from .grid import Line, Node, RadialNetwork
+from .grid import Line, Node, RadialNetwork, check_assignment
 from .scenarios import PriceSeries, naive_forecast
 from .thermal import BuildingParams
 
@@ -250,9 +255,17 @@ def _hourly(path: str | Path, columns: Mapping[str, Callable],
 def read_json(path: str | Path):
     """A UTF-8 JSON file's payload, after a byte-order mark if it has
     one; SchemaError names the file and the line where it stops being
-    valid JSON."""
+    valid JSON, or the file and the key an object repeats."""
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"{path}: key {json.dumps(key)} repeats in one object")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
 
@@ -317,14 +330,13 @@ def read_buildings(path: str | Path) -> list[BuildingParams]:
                 f"{path}:{lineno}: duplicate building id {bid!r} (first at line {ids[bid]})"
             )
         ids[bid] = lineno
-        if r_th <= 0 or c_th <= 0:
-            raise SchemaError(f"{path}:{lineno}: r_th and c_th must be positive")
-        if hp < 0 or pv < 0:
-            raise SchemaError(f"{path}:{lineno}: ratings must be >= 0")
-        out.append(BuildingParams(
-            id=bid, r_th=r_th, c_th=c_th, p_hp_rated=hp, p_pv_rated=pv,
-            position=(x, y), has_hp=has_hp,
-        ))
+        try:
+            out.append(BuildingParams(
+                id=bid, r_th=r_th, c_th=c_th, p_hp_rated=hp, p_pv_rated=pv,
+                position=(x, y), has_hp=has_hp,
+            ))
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
     if fault is not None:
         raise fault
     if not out:
@@ -360,18 +372,15 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> RadialNetwor
                 f"(first at line {lineno_by_id[nid]})"
             )
         lineno_by_id[nid] = lineno
-        if p_cap < 0:
-            raise SchemaError(f"{nodes_path}:{lineno}: p_cap_kW must be >= 0")
-        if ancestor is None and not is_sub:
-            raise DisconnectedNode(
-                f"{nodes_path}:{lineno}: node {nid} has no ancestor_id and is not a substation"
+        try:
+            nodes[nid] = Node(
+                id=nid, ancestor_id=ancestor, position=(x, y), p_cap_kw=p_cap,
+                is_substation=is_sub, s_rating_kva=s_rating, v_nom_pu=v_nom,
             )
-        if is_sub and s_rating <= 0:
-            raise SchemaError(f"{nodes_path}:{lineno}: substation needs s_rating_kVA > 0")
-        nodes[nid] = Node(
-            id=nid, ancestor_id=ancestor, position=(x, y), p_cap_kw=p_cap,
-            is_substation=is_sub, s_rating_kva=s_rating, v_nom_pu=v_nom,
-        )
+        except ValueError as exc:
+            raise SchemaError(f"{nodes_path}:{lineno}: {exc}") from None
+        except FlexbidError as exc:
+            raise type(exc)(f"{nodes_path}:{lineno}: {exc}") from None
     if fault is not None:
         raise fault
     lines: list[Line] = []
@@ -416,21 +425,20 @@ def read_alloc(path: str | Path, buildings: Sequence[BuildingParams], net: Radia
     """The JSON object of building id to node id that write_alloc writes.
 
     Raises SchemaError naming the file when it is not valid JSON, not an
-    object, or gives a node id that is not a JSON integer, and
-    DanglingReference on a building or node the instance lacks.
+    object, or gives a node id that is not a JSON integer, and else the
+    error of `grid.check_assignment`, prefixed with the file.
     """
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: expected a JSON object of building id to node id")
-    known = {b.id for b in buildings}
     for bid, nid in payload.items():
-        if bid not in known:
-            raise DanglingReference(f"{path}: assignment names unknown building {bid!r}")
         if type(nid) is not int:  # bool is an int in Python, not in JSON
             raise SchemaError(f"{path}: building {bid!r}: node id {json.dumps(nid)} is not an integer")
-        if nid not in net.nodes:
-            raise DanglingReference(f"{path}: building {bid!r} assigned to unknown node {nid}")
-    return dict(payload)
+    try:
+        check_assignment(payload, buildings, net)
+    except FlexbidError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return payload
 
 
 @dataclass

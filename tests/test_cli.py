@@ -88,6 +88,60 @@ def test_allocate_without_network_files_fails_cleanly(workspace, runner):
     assert "error: GridMismatch" in res.stderr
 
 
+def test_allocate_replaces_an_assignment_that_no_longer_fits(workspace, runner):
+    """allocate once read the alloc.json it was about to replace, and
+    refused a building it names that buildings.csv no longer lists."""
+    assert runner.invoke(main, ["allocate", str(workspace)]).exit_code == 0
+    buildings = workspace / "buildings.csv"
+    *kept, last = buildings.read_text().splitlines(keepends=True)
+    buildings.write_text("".join(kept))
+    res = runner.invoke(main, ["allocate", str(workspace)])
+    assert res.exit_code == 0, res.output
+    alloc = json.loads((workspace / "alloc.json").read_text())
+    assert sorted(alloc) == [row.split(",")[0] for row in kept[1:]]
+    assert last.split(",")[0] not in alloc
+
+
+def test_an_assignment_without_a_pv_only_building_fails_before_any_day(workspace, runner):
+    """Such a campaign once ran, with the building's PV silently off the feeder."""
+    assert runner.invoke(main, ["allocate", str(workspace)]).exit_code == 0
+    pv_only = [row["id"] for row in csv.DictReader((workspace / "buildings.csv").open())
+               if row["has_hp"] == "false" and float(row["p_pv_rated_kW"]) > 0]
+    alloc_path = workspace / "alloc.json"
+    alloc = json.loads(alloc_path.read_text())
+    del alloc[pv_only[0]]
+    alloc_path.write_text(json.dumps(alloc))
+    res = runner.invoke(main, ["simulate", str(workspace), "--mode", "integrated", "--days", "1"])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: DanglingReference: ") and "Traceback" not in res.stderr
+    assert f"{alloc_path}: building {pv_only[0]!r} has a heat pump or PV roof" in res.stderr
+    assert not {"report.csv", "schedules.csv"} & {p.name for p in workspace.iterdir()}
+
+
+@pytest.mark.parametrize("kind", ["campaign", "alloc", "bids"])
+def test_a_repeated_json_key_fails_naming_the_file_and_the_key(workspace, runner, kind):
+    """A repeated key once took its last value: a campaign section with
+    days 1 and then days 4 asked for four days."""
+    if kind == "campaign":
+        path = workspace / "campaign.json"
+        path.write_text(path.read_text().replace('"days": 3,', '"days": 1, "days": 4,'))
+        key, command = "days", ["simulate", str(workspace)]
+    elif kind == "alloc":
+        assert runner.invoke(main, ["allocate", str(workspace)]).exit_code == 0
+        path = workspace / "alloc.json"
+        first = path.read_text().splitlines()[1]  # '  "b000": 1,'
+        path.write_text(path.read_text().replace(first, first + first))
+        key, command = "b000", ["simulate", str(workspace), "--mode", "integrated", "--days", "1"]
+    else:
+        path = workspace / "bids.json"
+        path.write_text('{"day": "2025-01-11", "day": "2025-01-12"}\n')
+        key, command = "day", ["clear", str(workspace), "--bids", str(path)]
+    res = runner.invoke(main, command)
+    assert res.exit_code == 1
+    assert res.stderr == f'error: SchemaError: {path}: key "{key}" repeats in one object\n'
+    assert not {"report.csv", "schedules.csv"} & {p.name for p in workspace.iterdir()}
+
+
 @pytest.mark.parametrize("command", [["allocate"], ["simulate", "--mode", "integrated",
                                                   "--days", "1"]], ids=["allocate", "simulate"])
 @pytest.mark.parametrize("feeder", ["two-substations", "substation-only"])

@@ -619,12 +619,9 @@ def test_cycle_is_rejected():
 
 
 def test_orphan_node_is_rejected():
-    nodes = {
-        0: Node(id=0, ancestor_id=None, is_substation=True, s_rating_kva=100.0),
-        1: Node(id=1, ancestor_id=None, p_cap_kw=1.0),
-    }
-    with pytest.raises(DisconnectedNode):
-        RadialNetwork(nodes=nodes, lines=[])
+    with pytest.raises(DisconnectedNode,
+                       match="^node 1 has no ancestor_id and is not a substation$"):
+        Node(id=1, ancestor_id=None, p_cap_kw=1.0)
 
 
 def test_missing_line_is_rejected():
@@ -637,12 +634,21 @@ def test_missing_line_is_rejected():
 
 
 def test_substation_with_ancestor_is_rejected():
-    nodes = {
-        0: Node(id=0, ancestor_id=1, is_substation=True, s_rating_kva=100.0),
-        1: Node(id=1, ancestor_id=None, is_substation=True, s_rating_kva=100.0),
-    }
-    with pytest.raises(MultipleAncestors):
-        RadialNetwork(nodes=nodes, lines=[])
+    with pytest.raises(MultipleAncestors, match="^substation 0 lists ancestor 1; "):
+        Node(id=0, ancestor_id=1, is_substation=True, s_rating_kva=100.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s_rating_kva", 0.0), ("s_rating_kva", math.nan),
+    ("v_nom_pu", -1.0), ("v_nom_pu", 0.0), ("v_nom_pu", math.nan),
+])
+def test_a_substation_needs_a_positive_rating_and_nominal_voltage(field, value):
+    """A v_nom_pu of -1 once passed: the OPF squares it."""
+    good = dict(id=0, ancestor_id=None, is_substation=True, s_rating_kva=100.0, v_nom_pu=1.0)
+    Node(**good)
+    with pytest.raises(ValueError, match="^substation 0: s_rating and v_nom must be > 0$"):
+        Node(**{**good, field: value})
+    Node(**{**good, "is_substation": False, "ancestor_id": 1, field: value})  # unused on load nodes
 
 
 def test_second_upstream_line_is_rejected():
@@ -956,9 +962,9 @@ def test_generous_grid_reproduces_pricefollowing_dispatch():
 
 
 @pytest.mark.parametrize("alloc, error, message", [
-    ({"h1": 1}, DanglingReference, "building h2 has no node assignment"),
-    ({"h1": 1, "h2": 7}, DanglingReference, "building h2 assigned to unknown node 7"),
-    ({"h1": 1, "h2": 0}, GridMismatch, "building h2 assigned to the substation"),
+    ({"h1": 1}, DanglingReference, "building 'h2' has a heat pump or PV roof but no node"),
+    ({"h1": 1, "h2": 7}, DanglingReference, "building 'h2' assigned to unknown node 7"),
+    ({"h1": 1, "h2": 0}, GridMismatch, "building 'h2' assigned to the substation, node 0"),
 ])
 def test_network_dispatch_rejects_a_bad_assignment(alloc, error, message):
     net, buildings, _ = feeder_with_hp()

@@ -1,7 +1,9 @@
 """File ingestion: schema police, cross-checks, and byte-stable round trips."""
 
+import json
 import tempfile
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from flexbid.errors import (
     GridMismatch,
     SchemaError,
 )
+from flexbid.grid import GridTimeSeries, OpfModel
 from flexbid.ingest import (
     ingest,
     read_buildings,
@@ -31,6 +34,7 @@ from flexbid.ingest import (
     write_weather,
 )
 from flexbid.synthetic import SyntheticSpec, generate_synthetic
+from flexbid.thermal import ComfortConfig
 
 D1, D2 = "2025-01-06", "2025-01-07"
 
@@ -154,7 +158,7 @@ BUILDINGS_HEADER = "id,x_m,y_m,r_th_K_per_kW,c_th_kWh_per_K,p_hp_rated_kW,p_pv_r
     # a negative r_th on line 3, a bad cell on line 4
     ("buildings.csv", f"{BUILDINGS_HEADER}\nb001,0,0,5,10,3,0,true\nb002,0,0,-5,10,3,0,true\n"
      "b003,0,0,5,10,3,0,maybe\n", read_buildings,
-     "buildings.csv:3: r_th and c_th must be positive"),
+     "buildings.csv:3: building b002: r_th and c_th must be positive"),
     # two bad cells on line 2: the leftmost is named
     ("profiles.csv", f"date,hour,slf,cf\n{D1},0,2.0,x\n", read_profiles,
      "profiles.csv:2: column 'slf': 2.0 outside [0, 1]"),
@@ -312,12 +316,23 @@ def network_files(tmp_path):
     ("edges.csv", "1,0,0.01,0.005,1.0", "1,0,0.01,-0.005,1.0", "2: line 1->0: r, x must be >= 0"),
     ("edges.csv", "1,0,0.01,0.005,1.0", "1,0,0.01,0.005,0", "2: line 1->0: s_rating must be > 0"),
     ("edges.csv", "1,0,0.01,0.005,1.0", "1,0,0.01,0.005,-1", "2: line 1->0: s_rating must be > 0"),
-    ("buildings.csv", "5.0,10.0,3.0,0.0", "0.0,10.0,3.0,0.0", "2: r_th and c_th must be positive"),
-    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,-1.0,3.0,0.0", "2: r_th and c_th must be positive"),
-    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,10.0,-3.0,0.0", "2: ratings must be >= 0"),
-    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,10.0,3.0,-1.0", "2: ratings must be >= 0"),
-    ("nodes.csv", "1,0,1,0,10,false", "1,0,1,0,-10,false", "3: p_cap_kW must be >= 0"),
-    ("nodes.csv", "0,,0,0,0,true,100", "0,,0,0,0,true,0", "2: substation needs s_rating_kVA > 0"),
+    # BuildingParams' and Node's own checks, which the readers once stated again
+    ("buildings.csv", "5.0,10.0,3.0,0.0", "0.0,10.0,3.0,0.0",
+     "2: building b001: r_th and c_th must be positive"),
+    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,-1.0,3.0,0.0",
+     "2: building b001: r_th and c_th must be positive"),
+    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,10.0,-3.0,0.0",
+     "2: building b001: rated powers must be non-negative"),
+    ("buildings.csv", "5.0,10.0,3.0,0.0", "5.0,10.0,3.0,-1.0",
+     "2: building b001: rated powers must be non-negative"),
+    ("nodes.csv", "1,0,1,0,10,false", "1,0,1,0,-10,false", "3: node 1: p_cap must be >= 0"),
+    ("nodes.csv", "0,,0,0,0,true,100", "0,,0,0,0,true,0",
+     "2: substation 0: s_rating and v_nom must be > 0"),
+    # a negative nominal voltage once passed: the OPF squares it
+    ("nodes.csv", "0,,0,0,0,true,100,1.0", "0,,0,0,0,true,100,-1.0",
+     "2: substation 0: s_rating and v_nom must be > 0"),
+    ("nodes.csv", "0,,0,0,0,true,100,1.0", "0,,0,0,0,true,100,0.0",
+     "2: substation 0: s_rating and v_nom must be > 0"),
 ])
 def test_a_bad_row_value_fails_naming_its_file_and_line(tmp_path, name, old, new, message):
     b, w, p, f = minimal_files(tmp_path)
@@ -339,6 +354,44 @@ def test_alloc_must_resolve(tmp_path):
     alloc.write_text('{"ghost": 1}\n')
     with pytest.raises(DanglingReference, match="unknown building 'ghost'"):
         ingest(b, w, p, f, nodes=nodes, edges=edges, alloc=alloc)
+
+
+# b001 has a heat pump, b002 only a PV roof, b003 neither
+RULE_BUILDINGS = (f"{BUILDINGS_HEADER}\nb001,0,0,5,10,3,0,true\nb002,0,0,5,10,0,4,false\n"
+                  "b003,0,0,5,10,0,0,false\n")
+
+
+@pytest.mark.parametrize("assignment, error, message", [
+    ({"b001": 1, "b002": 1, "ghost": 1}, DanglingReference,
+     "assignment names unknown building 'ghost'"),
+    ({"b001": 1, "b002": 7}, DanglingReference, "building 'b002' assigned to unknown node 7"),
+    ({"b001": 1, "b002": 0}, GridMismatch, "building 'b002' assigned to the substation, node 0"),
+    ({"b002": 1}, DanglingReference, "building 'b001' has a heat pump or PV roof but no node"),
+    ({"b001": 1}, DanglingReference, "building 'b002' has a heat pump or PV roof but no node"),
+    ({"b001": 1, "b002": 1, "b003": 1}, None, None),
+], ids=["unknown-building", "unknown-node", "substation", "heat-pump-left-out",
+        "pv-only-left-out", "extra-building"])
+def test_one_assignment_rule_holds_at_ingest_and_in_the_network_dispatch(
+        tmp_path, assignment, error, message):
+    """A building on the substation or left out once passed ingest, and a
+    PV-only building left out passed the network dispatch too, its PV off
+    the feeder."""
+    b, w, p, f = minimal_files(tmp_path)
+    b.write_text(RULE_BUILDINGS)
+    nodes, edges = network_files(tmp_path)
+    alloc = write(tmp_path, "alloc.json", json.dumps(assignment))
+    bundle = ingest(b, w, p, f, nodes=nodes, edges=edges)
+    dispatch = partial(OpfModel, bundle.network, bundle.buildings, assignment, ComfortConfig(),
+                       np.full(24, 2.0), GridTimeSeries(slf=np.full(24, 0.6), cf=np.full(24, 0.1)))
+    if error is None:
+        assert ingest(b, w, p, f, nodes=nodes, edges=edges, alloc=alloc).alloc == assignment
+        assert dispatch().pv_kw.sum() > 0
+        return
+    with pytest.raises(error) as err:
+        ingest(b, w, p, f, nodes=nodes, edges=edges, alloc=alloc)
+    assert str(err.value) == f"{alloc}: {message}"
+    with pytest.raises(error, match=f"^{message}$"):
+        dispatch()
 
 
 @pytest.mark.parametrize("text, message", [
